@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import WindowUnderflow
 
@@ -67,6 +66,8 @@ class GridField(Field):
     """
 
     def __init__(self, axes, taxis, values):
+        from scipy.interpolate import RegularGridInterpolator
+
         axes = [np.asarray(a, dtype=float) for a in axes]
         taxis = np.asarray(taxis, dtype=float)
         values = np.asarray(values, dtype=float)
@@ -274,8 +275,8 @@ class MollifiedField(Field):
         lo, hi = self.pair.time_support()
         self._TAU = 0.5 * (hi - lo) * gl_nodes + 0.5 * (hi + lo)
         WT = 0.5 * (hi - lo) * gl_weights * self.pair.rho_eps(self._TAU)
-        # renormalize the discrete masses to exactly 1 so that constants are
-        # exactly fixed and sup bounds are exactly preserved
+        # renormalize the discrete masses to 1 so that constants are fixed
+        # and sup bounds preserved, both up to a few ulps of rounding
         self._WY = WY / WY.sum()
         self._WT = WT / WT.sum()
 
@@ -317,7 +318,9 @@ class MollifiedField(Field):
 
 def mollify(f: Field, eps, T, nodes=16):
     """Smooth a bounded measurable field; preserves sup bounds and, for
-    matrix fields, the ellipticity interval (convex combination of values)."""
+    matrix fields, the ellipticity interval (convex combination of values),
+    up to a few ulps: the quadrature weights sum to 1 only up to rounding,
+    so lam = 0.5 can come back as 0.4999999999999999."""
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
     return MollifiedField(f, eps, T, nodes=nodes)
@@ -333,24 +336,23 @@ def _sample_pairs(geometry, box, twindow, r, n, rng):
     T0, T1 = twindow
     zs, ws = [], []
     batch = max(64, n)
-    while len(zs) < n:
+    found = 0
+    while found < n:
         x = rng.uniform(box[:, 0], box[:, 1], size=(batch, N))
         t = rng.uniform(T0, T1, size=batch)
         u = rng.uniform(-1.0, 1.0, size=(batch, N + 1))
-        for xi, ti, ui in zip(x, t, u):
-            if geometry.hom_norm(ui) >= 1.0:
-                continue
-            z = np.concatenate([xi, [ti]])
-            w = geometry.compose(z, geometry.dilate(r, ui))
-            if np.any(w[:-1] < box[:, 0]) or np.any(w[:-1] > box[:, 1]):
-                continue
-            if not T0 <= w[-1] <= T1:
-                continue
-            zs.append(z)
-            ws.append(w)
-            if len(zs) >= n:
-                break
-    return np.array(zs), np.array(ws)
+        z = np.column_stack([x, t])
+        w = geometry.compose(z, geometry.dilate(r, u))
+        # ||u|| < 1 iff |u|^2 < 1: the norm's level function at r = 1 is the
+        # Euclidean square, so the unit balls coincide and no root is needed
+        ok = ((np.sum(u * u, axis=1) < 1.0)
+              & np.all((w[:, :-1] >= box[:, 0]) & (w[:, :-1] <= box[:, 1]),
+                       axis=1)
+              & (T0 <= w[:, -1]) & (w[:, -1] <= T1))
+        zs.append(z[ok])
+        ws.append(w[ok])
+        found += int(ok.sum())
+    return np.concatenate(zs)[:n], np.concatenate(ws)[:n]
 
 
 def modulus_of_continuity(f: Field, geometry, box, twindow, radii,
@@ -398,7 +400,7 @@ def holder_seminorm(f: Field, geometry, box, twindow, alpha,
         fz = f.many(zs[:, :-1], zs[:, -1])
         fw = f.many(ws[:, :-1], ws[:, -1])
         diff = np.abs(fz - fw).reshape(len(zs), -1).max(axis=1)
-        d = np.array([geometry.distance(z, w) for z, w in zip(zs, ws)])
+        d = geometry.distance(zs, ws)
         ok = d > 0.0
         if ok.any():
             best = max(best, float(np.max(diff[ok] / d[ok] ** alpha)))

@@ -13,8 +13,6 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad_vec
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NotSPD, QuadratureUnconverged
 from .group import Geometry, exp_drift, point, split
@@ -60,6 +58,8 @@ def covariance_matrix(t, B, A0):
             C += wk * (E @ Abar @ E.T)
         return 0.5 * t * C
 
+    from scipy.integrate import quad_vec
+
     def integrand(s):
         E = exp_drift(s, B)
         return E @ Abar @ E.T
@@ -78,11 +78,13 @@ class CovMatrix:
     logdet: float
 
     def solve(self, x):
-        return cho_solve((self.chol, True), x)
+        """C^{-1} x = L^{-T} (L^{-1} x): two solves with the stored factor."""
+        return np.linalg.solve(self.chol.T, np.linalg.solve(self.chol, x))
 
     def quad_form(self, x):
-        """<C^{-1} x, x> via the stored Cholesky factor."""
-        return float(np.asarray(x) @ self.solve(np.asarray(x)))
+        """<C^{-1} x, x> = |L^{-1} x|^2 via the stored Cholesky factor."""
+        y = np.linalg.solve(self.chol, np.asarray(x, dtype=float))
+        return float(y @ y)
 
 
 def covariance(t, B, A0):
@@ -141,9 +143,7 @@ def log_gamma_at_origin(x, t, params: KernelParams):
     if t <= 0.0:
         return -math.inf
     cm = params.cov(t)
-    x = np.asarray(x, dtype=float)
-    y = cho_solve((cm.chol, True), x)
-    quad = float(x @ y)
+    quad = cm.quad_form(x)
     N = params.geometry.N
     return (-0.5 * N * math.log(2.0 * math.pi * params.lam)
             - 0.5 * cm.logdet
@@ -305,7 +305,7 @@ def _gauss_product(x, t, y, t0, s, params):
     E1 = g.exp_drift(t - s)
     C1 = params.cov(t - s)
     C2 = params.cov(s - t0)
-    C1inv_E1 = cho_solve((C1.chol, True), E1)
+    C1inv_E1 = C1.solve(E1)
     P1 = (E1.T @ C1inv_E1) / lam
     P2 = np.linalg.inv(C2.C) / lam
     c1 = g.exp_drift(-(t - s)) @ x  # E(t-s)^{-1} x
@@ -387,6 +387,6 @@ def gaussian_envelope(x, t, y, t0, c, geometry: Geometry, form="upper"):
         return pref * math.exp(-float(w @ w) / c)
     if form == "lower":
         cm = covariance(tau, geometry.B, np.eye(geometry.structure.m0))
-        quad = float(d @ cho_solve((cm.chol, True), d))
+        quad = cm.quad_form(d)
         return pref * math.exp(-c * quad)
     raise ValueError(f"unknown form {form!r}")

@@ -13,8 +13,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
-from scipy.ndimage import map_coordinates
 
 from .errors import (BoundaryNode, BoxTooSmall, OutOfDomain,
                      SupportExceedsGrid, Unstable)
@@ -42,6 +40,8 @@ class GridSolution:
         return float(self.taxis[1] - self.taxis[0])
 
     def interpolator(self):
+        from scipy.interpolate import RegularGridInterpolator
+
         vals = np.moveaxis(self.values, 0, -1)
         return RegularGridInterpolator(
             tuple(self.axes) + (self.taxis,), vals, method="linear",
@@ -266,8 +266,7 @@ def stability_dt(hs, Lambda, m0, bmax=0.0, courant=0.9):
 
 
 def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
-                 dt=None, Lambda=None, drift_scheme="upwind",
-                 boundary="warn", transport_order=3):
+                 dt=None, Lambda=None, boundary="warn", transport_order=3):
     """March the datum phi from t0 to t1 on the truncated box.
 
     box: (N, 2) array of axis intervals; nx: nodes per axis (int or list).
@@ -364,8 +363,7 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
     meta = {"dt": dt, "dt_bound": dt_bound, "Lambda": Lambda, "bmax": bmax,
             "boundary_max_ratio": (boundary_max / interior_max
                                    if interior_max > 0 else 0.0),
-            "warnings": warnings_list, "drift_scheme": drift_scheme,
-            "transport_order": transport_order,
+            "warnings": warnings_list, "transport_order": transport_order,
             "box": box.tolist(), "nx": list(nx), "t0": t0, "t1": t1}
     return GridSolution(axes=axes, taxis=taxis, values=values, meta=meta)
 
@@ -375,6 +373,8 @@ def _transport(u, coords, dims, order):
     coordinates.  order=1 is linear (monotone); order=3 is cubic-spline
     clipped to the surrounding-corner range, which restores the maximum
     principle while keeping the cubic accuracy on smooth data."""
+    from scipy.ndimage import map_coordinates
+
     if order == 1:
         return map_coordinates(u, coords, order=1, mode="constant",
                                cval=0.0).reshape(dims)

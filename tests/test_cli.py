@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import kolmo
 
 from kolmo import cli, specfile
 
@@ -150,3 +156,39 @@ def test_mollify_report(spec_path, tmp_path, capsys):
     assert sorted(l["eps"] for l in levels) == [0.05, 0.1, 0.2]
     for l in levels:
         assert 1.0 - 1e-12 <= l["min"] <= l["max"] <= 2.0 + 1e-12
+
+
+# Runs one command in a fresh interpreter and prints, as its last stdout
+# line, the scipy modules loaded by then.
+_COLD_START = """
+import json, sys
+from kolmo import cli
+code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "scipy" or m.startswith("scipy."))))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["structure", "{spec}"],
+    ["check", "harnack", "{spec}"],
+    ["check", "cone", "{spec}"],
+    ["check", "global", "{spec}", "--pairs", "10"],
+    ["check", "bounds", "{spec}", "--self-test", "--samples", "200"],
+    ["kernel", "eval", "{spec}", "--pole", "0,0",
+     "--grid", "0:0:1;0:0:1;1:1:1", "--out", "k.csv"],
+    ["kernel", "reproduce", "{spec}", "--configs", "1"],
+], ids=lambda a: " ".join(a[:2]) or "import")
+def test_cold_start_loads_no_scipy(argv, spec_path, tmp_path):
+    src = str(Path(kolmo.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START]
+        + [a.format(spec=spec_path) for a in argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == []

@@ -57,6 +57,21 @@ def test_mollification_preserves_interval_and_converges():
     assert l1[0] > l1[1] > l1[2]
 
 
+def test_mollified_checkerboard_within_interval_up_to_ulps():
+    """Convex combination of lam*I and Lam*I: the discrete weights sum to 1
+    only up to rounding, so the bounds hold to a few ulps, not exactly."""
+    lam, Lam = 0.5, 1.5
+    f = coeff.checkerboard_spd(lam, Lam, m0=1, dim=2, h=0.25, seed=5)
+    X, ts = probe_grid(n=33)
+    tol = 4 * np.finfo(float).eps
+    for eps in (0.2, 0.1, 0.05):
+        fm = coeff.mollify(f, eps=eps, T=1.0)
+        sm = np.asarray(fm.many(X, ts)).ravel()
+        assert lam * (1.0 - tol) <= sm.min()
+        assert sm.max() <= Lam * (1.0 + tol)
+        assert sm.min() < Lam and sm.max() > lam
+
+
 def test_mollification_preserves_sign():
     f = coeff.CheckerboardField([np.array(-1.5), np.array(-0.2)],
                                 h=0.25, dim=2, seed=3)
@@ -82,6 +97,43 @@ def test_modulus_of_continuity_lipschitz():
                                      n_pairs=20000, seed=0)
     assert np.all(om <= 1.05 * radii)
     assert np.all(np.diff(om) >= 0.0)
+
+
+def test_sample_pairs_matches_pairwise_loop():
+    """The batched sampler keeps the pairs, in order, that a loop over the
+    candidates with the scalar group calls keeps."""
+    g = prototype_geometry()
+    box = np.array([(-1.0, 1.0), (-1.0, 1.0)])
+    twindow = (0.0, 1.0)
+
+    def loop(r, n, rng):
+        zs, ws = [], []
+        while len(zs) < n:
+            x = rng.uniform(box[:, 0], box[:, 1], size=(max(64, n), 2))
+            t = rng.uniform(*twindow, size=max(64, n))
+            u = rng.uniform(-1.0, 1.0, size=(max(64, n), 3))
+            for xi, ti, ui in zip(x, t, u):
+                if g.hom_norm(ui) >= 1.0:
+                    continue
+                z = np.append(xi, ti)
+                w = g.compose(z, g.dilate(r, ui))
+                if np.any(w[:-1] < box[:, 0]) or np.any(w[:-1] > box[:, 1]):
+                    continue
+                if not twindow[0] <= w[-1] <= twindow[1]:
+                    continue
+                zs.append(z)
+                ws.append(w)
+                if len(zs) >= n:
+                    break
+        return np.array(zs), np.array(ws)
+
+    for r, n in ((0.1, 30), (0.8, 200)):
+        zs, ws = coeff._sample_pairs(g, box, twindow, r, n,
+                                     np.random.default_rng(9))
+        zl, wl = loop(r, n, np.random.default_rng(9))
+        assert zs.shape == (n, 3)
+        assert np.array_equal(zs, zl) and np.array_equal(ws, wl)
+        assert np.all(g.distance(zs, ws) < r)
 
 
 def test_dini_integral_of_linear_modulus():

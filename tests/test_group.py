@@ -114,3 +114,65 @@ def test_point_split_roundtrip():
     x, t = split(z)
     assert np.array_equal(x, [1.0, 2.0])
     assert t == 3.0
+
+
+def _chain_geometries():
+    from kolmo.group import Geometry, prototype_geometry
+    from kolmo.structure import BlockStructure
+    B21 = np.zeros((3, 3))
+    B21[2, 0] = 1.0
+    B111 = np.zeros((3, 3))
+    B111[1, 0] = B111[2, 1] = 1.0
+    return {(1, 1): prototype_geometry(),
+            (2, 1): Geometry(BlockStructure((2, 1)), B21),
+            (1, 1, 1): Geometry(BlockStructure((1, 1, 1)), B111)}
+
+
+def _wide_points(rng, n, dim):
+    """Rows mixing magnitudes 1e-8..1e8, per row and per coordinate."""
+    Z = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-8, 8, size=(n, dim))
+    Z[: n // 2] = (rng.normal(size=(n // 2, dim))
+                   * 10.0 ** rng.uniform(-8, 8, size=(n // 2, 1)))
+    return Z
+
+
+@pytest.mark.parametrize("blocks", [(1, 1), (2, 1), (1, 1, 1)])
+def test_hom_norm_batched_equals_scalar(blocks):
+    g = _chain_geometries()[blocks]
+    Z = _wide_points(np.random.default_rng(4), 300, g.N + 1)
+    batched = g.hom_norm(Z)
+    assert batched.shape == (300,)
+    assert np.array_equal(batched, [g.hom_norm(z) for z in Z])
+    d = g.distance(Z[:100], Z[100:200])
+    assert np.array_equal(d, [g.distance(z, w)
+                              for z, w in zip(Z[:100], Z[100:200])])
+
+
+@pytest.mark.parametrize("blocks", [(1, 1), (2, 1), (1, 1, 1)])
+def test_hom_norm_matches_brentq_reference(blocks):
+    from scipy.optimize import brentq
+    g = _chain_geometries()[blocks]
+    exps = np.append(2 * g.alpha, 4).astype(float)
+
+    def reference(z):
+        sq = z ** 2
+        keep = sq > 0.0
+        sq, e = sq[keep], exps[keep]
+        r0 = np.max(sq ** (1.0 / e))
+        n = len(sq)
+        return brentq(lambda r: np.sum(sq * r ** -e) - 1.0,
+                      r0 / (n + 1.0), r0 * (n + 1.0), xtol=1e-300,
+                      rtol=4 * np.finfo(float).eps)
+
+    Z = _wide_points(np.random.default_rng(5), 400, g.N + 1)
+    got = g.hom_norm(Z)
+    want = np.array([reference(z) for z in Z])
+    assert np.all(np.abs(got - want) <= 8 * np.spacing(want))
+
+
+def test_hom_norm_zero_rows():
+    g = _chain_geometries()[(1, 1, 1)]
+    Z = np.zeros((3, 4))
+    Z[1] = [0.0, 0.0, 2.0 ** 5, 0.0]
+    assert np.array_equal(g.hom_norm(Z), [0.0, 2.0, 0.0])
+    assert np.array_equal(g.hom_norm(np.zeros((2, 4))), [0.0, 0.0])

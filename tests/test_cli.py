@@ -180,6 +180,10 @@ sys.exit(code)
     ["kernel", "eval", "{spec}", "--pole", "0,0",
      "--grid", "0:0:1;0:0:1;1:1:1", "--out", "k.csv"],
     ["kernel", "reproduce", "{spec}", "--configs", "1"],
+    ["solve", "cauchy", "{spec}", "--box=-4,4;-2,2", "--nx", "21,21",
+     "--t1", "0.2", "--out", "c.csv"],
+    ["solve", "fundamental", "{spec}", "--box=-4,4;-2,2", "--nx", "21,41",
+     "--t1", "0.8", "--widths", "0.45,0.4", "--out", "f.csv"],
 ], ids=lambda a: " ".join(a[:2]) or "import")
 def test_cold_start_loads_no_scipy(argv, spec_path, tmp_path):
     src = str(Path(kolmo.__file__).resolve().parents[1])

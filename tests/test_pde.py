@@ -6,7 +6,21 @@ from kolmo import pde
 from kolmo.coefficients import ConstantField
 from kolmo.errors import BoundaryNode, OutOfDomain, SupportExceedsGrid, \
     Unstable
-from kolmo.group import point
+from kolmo.group import Geometry, point, prototype_geometry
+from kolmo.structure import BlockStructure
+
+ROUNDOFF = 64 * np.finfo(float).eps
+
+
+def _canonical_geometry(blocks):
+    if blocks == (1, 1):
+        return prototype_geometry()
+    B = np.zeros((3, 3))
+    if blocks == (2, 1):
+        B[2, :2] = [1.0, 0.5]
+    else:
+        B[1, 0] = B[2, 1] = 1.0
+    return Geometry(BlockStructure(blocks), B)
 
 
 def kernel_solution(proto, proto_params, nx, nt, box=(-4, 4, -2, 2),
@@ -92,6 +106,67 @@ def test_solver_positivity_and_mass(proto, proto_params, proto_coeffs):
     mass0 = sol.values[0].sum() * hs[0] * hs[1]
     mass1 = sol.values[-1].sum() * hs[0] * hs[1]
     assert abs(mass1 - mass0) / mass0 < 1e-3  # Tr B = 0: mass conserved
+
+
+def _scipy_transport(u, coords):
+    """The remap as map_coordinates(order=3, mode="constant") clipped to the
+    range of the surrounding corners of the zero-padded slice."""
+    from scipy.ndimage import map_coordinates
+
+    u3 = map_coordinates(u, coords, order=3, mode="constant", cval=0.0)
+    up = np.pad(u, 1)
+    base = np.floor(coords).astype(int)
+    lo = np.full(coords.shape[1], np.inf)
+    hi = np.full(coords.shape[1], -np.inf)
+    for mask in range(1 << u.ndim):
+        idx = tuple(np.clip(base[k] + ((mask >> k) & 1) + 1, 0,
+                            u.shape[k] + 1) for k in range(u.ndim))
+        lo = np.minimum(lo, up[idx])
+        hi = np.maximum(hi, up[idx])
+    return np.clip(u3, lo, hi).reshape(u.shape)
+
+
+@pytest.mark.parametrize("blocks, dims", [
+    ((1, 1), (3, 17)), ((2, 1), (9, 3, 8)), ((1, 1, 1), (7, 6, 3))])
+def test_transport_matches_scipy_reference(blocks, dims):
+    from scipy.ndimage import spline_filter1d
+
+    g = _canonical_geometry(blocks)
+    rng = np.random.default_rng(sum(dims))
+    axes = [np.linspace(-1.0, 1.0, d) for d in dims]
+    hs = [a[1] - a[0] for a in axes]
+    # a long step shears the feet across several cells and out of the box
+    feet = pde._grid_points(axes) @ g.exp_drift(-0.6).T
+    coords = np.stack([(feet[:, k] + 1.0) / hs[k]
+                       for k in range(len(dims))])
+    last = np.array(dims)[:, None] - 1.0
+    assert np.any(coords < -0.5) and np.any(coords > last + 0.5)
+    for k, d in enumerate(dims):
+        hit = rng.choice(coords.shape[1], 6, replace=False)
+        coords[k, hit] = [0.0, 0.0, d - 1.0, d - 1.0, -1e-15, d - 1 + 2e-15]
+
+    op = pde._Transport(coords, dims)
+    for P, d in zip(op.prefilter, dims):
+        ref = spline_filter1d(np.eye(d), order=3, axis=0, mode="constant")
+        assert np.max(np.abs(P - ref)) <= 1e-14
+    for _ in range(3):
+        u = rng.normal(size=dims)
+        err = np.max(np.abs(op(u) - _scipy_transport(u, coords)))
+        assert err <= 1e-14 * np.max(np.abs(u))
+
+
+@pytest.mark.filterwarnings("ignore:boundary magnitude")
+def test_solver_chain_n3_positive():
+    g = _canonical_geometry((1, 1, 1))
+    sol = pde.solve_cauchy({"A0": ConstantField(np.eye(1), dim=3)}, g,
+                           lambda x: np.exp(-8.0 * x @ x),
+                           [[-2, 2], [-2, 2], [-2, 2]], 21, 0.0, 0.1)
+    assert sol.values.shape[1:] == (21, 21, 21)
+    assert len(sol.taxis) > 3
+    assert np.all(np.isfinite(sol.values))
+    peak = np.max(np.abs(sol.values))
+    assert np.min(sol.values) >= -ROUNDOFF * peak
+    assert np.max(np.abs(sol.values[-1] - sol.values[0])) > 1e-3 * peak
 
 
 def test_reaction_factor(proto, proto_coeffs):

@@ -27,8 +27,8 @@ def main():
     params = kern.principal_params(g)
     pole = point(np.zeros(2), -2.0)
 
-    def u(z):
-        return kern.gamma_K_lambda(z, pole, params)
+    def u(rows):
+        return kern.gamma_many(rows, pole, params)
 
     rng = np.random.default_rng(args.seed)
     rows = []

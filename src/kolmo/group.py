@@ -115,6 +115,10 @@ class Geometry:
         self.B = np.asarray(B, dtype=float)
         if self.B.shape != (structure.N, structure.N):
             raise ValueError("B shape does not match structure")
+        if np.linalg.matrix_power(self.B, structure.kappa + 1).any():
+            raise ValueError(
+                f"B is not nilpotent of order kappa + 1 = {structure.kappa + 1}"
+                f" for blocks {structure.blocks}: exp(-sB) would be truncated")
         self.N = structure.N
         self.alpha = np.asarray(structure.alpha, dtype=int)
         self._slices = structure.block_slices()
@@ -131,9 +135,12 @@ class Geometry:
         s = np.asarray(s, dtype=float)[..., None]
         out = term = x
         for k in range(1, self.structure.kappa + 2):
-            # B x as an elementwise product and a row sum: unlike a matmul,
-            # its rounding does not depend on the number of rows
-            term = (term[..., None, :] * self.B).sum(axis=-1) * (-s / k)
+            # B x column by column, elementwise: unlike a matmul, its
+            # rounding does not depend on the number of rows
+            Bx = term[..., 0, None] * self.B[:, 0]
+            for j in range(1, self.N):
+                Bx = Bx + term[..., j, None] * self.B[:, j]
+            term = Bx * (-s / k)
             out = out + term
         return out
 
@@ -149,17 +156,28 @@ class Geometry:
         return point(-self._drift(-t, x), -t)
 
     def dilate(self, r, z):
-        """Coordinate i scaled by r^alpha_i, time by r^2; a point or rows."""
+        """Coordinate i scaled by r^alpha_i, time by r^2; a point or rows,
+        with one r or an (n,) array of r, one per row."""
         x, t = split(z)
+        r = np.asarray(r, dtype=float)
         return point(x * self._rpow(r), t * r * r)
 
     def dilate_space(self, r, x):
-        """delta_r^0 acting on the spatial part only."""
+        """delta_r^0 acting on the spatial part only; r as in dilate."""
         return np.asarray(x, dtype=float) * self._rpow(r)
 
     def _rpow(self, r):
-        # integer exponents: exact powers via repeated multiplication
-        return np.array([r ** int(a) for a in self.alpha])
+        """r^alpha_i, (N,) for one r and (n, N) for n of them.  The integer
+        powers are repeated products, so a row's rounding does not depend
+        on the batch."""
+        r = np.asarray(r, dtype=float)[..., None]
+        cols = []
+        for a in self.alpha:
+            v = r
+            for _ in range(int(a) - 1):
+                v = v * r
+            cols.append(v)
+        return np.concatenate(cols, axis=-1)
 
     # -- norm and distance --------------------------------------------------
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotSPD, QuadratureUnconverged
-from .group import Geometry, exp_drift, point, split
+from .group import Geometry, point
 
 
 def _pad_A0(A0, N):
@@ -26,46 +26,53 @@ def _pad_A0(A0, N):
     return Abar
 
 
-def _is_nilpotent(B):
-    M = np.asarray(B, dtype=float)
-    for _ in range(M.shape[0]):
-        if not M.any():
-            return True
-        M = M @ B
-    return not M.any()
+def covariance_poly_coeffs(B, A0):
+    """Exact polynomial C(t) = sum_p t^p M_p for nilpotent B.
 
-
-def covariance_matrix(t, B, A0):
-    """C(t) = int_0^t E(s) Abar E(s)^T ds.
-
-    For nilpotent B each entry of the integrand is a polynomial in s, so
-    Gauss-Legendre with enough nodes is exact; otherwise fall back to
-    adaptive quadrature at 1e-12 tolerance.
+    Expanding E(s) = sum_k (-s)^k B^k / k! termwise gives
+    M_{j+k+1} = (-1)^{j+k} / ((j+k+1) j! k!) * B^j Abar (B^T)^k.
+    Returns the pairs (p, M_p) with M_p != 0; raises ValueError when B is
+    not nilpotent, where the expansion does not terminate.
     """
     B = np.asarray(B, dtype=float)
     N = B.shape[0]
     Abar = _pad_A0(A0, N)
+    powers = [np.eye(N)]
+    while powers[-1].any() and len(powers) <= N:
+        powers.append(powers[-1] @ B)
+    if powers[-1].any():
+        raise ValueError("B is not nilpotent: C(t) has no polynomial form")
+    K = len(powers) - 1
+    M = [np.zeros((N, N)) for _ in range(2 * K)]
+    for j in range(K):
+        for k in range(K):
+            p = j + k + 1
+            coef = (-1.0) ** (j + k) / (p * math.factorial(j) * math.factorial(k))
+            M[p] += coef * (powers[j] @ Abar @ powers[k].T)
+    return [(p, Mp) for p, Mp in enumerate(M) if Mp.any()]
 
-    if _is_nilpotent(B):
-        # E(s) entries are polynomials of degree < N, integrand degree
-        # <= 2(N-1); n nodes integrate degree 2n-1 exactly
-        n = N + 1
-        nodes, weights = np.polynomial.legendre.leggauss(n)
-        s = 0.5 * t * (nodes + 1.0)
-        C = np.zeros((N, N))
-        for sk, wk in zip(s, weights):
-            E = exp_drift(sk, B)
-            C += wk * (E @ Abar @ E.T)
-        return 0.5 * t * C
 
-    from scipy.integrate import quad_vec
+def _cov_from_poly(coeffs, t):
+    """C(t) = sum_p t^p M_p at a time (N, N) or at each of n times (n, N, N).
 
-    def integrand(s):
-        E = exp_drift(s, B)
-        return E @ Abar @ E.T
-
-    C, _ = quad_vec(integrand, 0.0, t, epsabs=1e-12, epsrel=1e-12)
+    The powers are repeated products and the sum is elementwise, so an
+    entry's rounding does not depend on the other times in the batch."""
+    t = np.asarray(t, dtype=float)
+    N = coeffs[0][1].shape[0]
+    C = np.zeros(t.shape + (N, N))
+    tpow, q = np.ones_like(t), 0
+    for p, Mp in coeffs:
+        for _ in range(p - q):
+            tpow = tpow * t
+        q = p
+        C += tpow[..., None, None] * Mp
     return C
+
+
+def covariance_matrix(t, B, A0):
+    """C(t) = int_0^t E(s) Abar E(s)^T ds for nilpotent B, from its exact
+    polynomial; t a time or an array of times."""
+    return _cov_from_poly(covariance_poly_coeffs(B, A0), t)
 
 
 @dataclass(frozen=True)
@@ -114,6 +121,8 @@ class KernelParams:
         if self.lam <= 0.0:
             raise ValueError("lam must be positive")
         self.trB = float(np.trace(self.geometry.B))
+        self.poly = covariance_poly_coeffs(
+            self.geometry.B, np.eye(self.geometry.structure.m0))
 
     def cov(self, t):
         with self._lock:
@@ -127,6 +136,10 @@ class KernelParams:
             self._cache[t] = cm
         return cm
 
+    def cov_many(self, t):
+        """C(t) for an array of times, shape (n, N, N)."""
+        return _cov_from_poly(self.poly, t)
+
 
 def principal_params(geometry):
     """Kernel of the principal part (unit diffusion, lam = 2 convention)."""
@@ -138,31 +151,59 @@ def scaled_params(lam, geometry):
     return KernelParams(lam=lam, geometry=geometry)
 
 
+def quad_logdet(w, params: KernelParams):
+    """<C(t)^{-1} x, x> and log det C(t) for rows w = (x, t) with t > 0:
+    one batched Cholesky and one batched solve; raises NotSPD if a C(t) is
+    not positive definite."""
+    x, t = w[:, :-1], w[:, -1]
+    try:
+        chol = np.linalg.cholesky(params.cov_many(t))
+    except np.linalg.LinAlgError as exc:
+        raise NotSPD("C(t) is not positive definite") from exc
+    y = np.linalg.solve(chol, x[:, :, None])[:, :, 0]
+    quad = np.einsum("ij,ij->i", y, y)
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    return quad, logdet
+
+
+def _log_gamma_rows(w, params: KernelParams):
+    """log of the kernel with pole at the group origin at each row
+    w = (x, t); -inf where t <= 0."""
+    out = np.full(w.shape[0], -np.inf)
+    pos = w[:, -1] > 0.0
+    if pos.any():
+        wp = w[pos]
+        quad, logdet = quad_logdet(wp, params)
+        out[pos] = (-0.5 * params.geometry.N
+                    * math.log(2.0 * math.pi * params.lam)
+                    - 0.5 * logdet - quad / (2.0 * params.lam)
+                    - wp[:, -1] * params.trB)
+    return out
+
+
+def gamma_many(points, zeta, params: KernelParams, log=False):
+    """Kernel at each row of points ([x..., t]) with pole zeta, evaluated at
+    zeta^{-1} o z.  With log=True the log-kernel is returned (-inf off the
+    support), avoiding underflow."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    g = params.geometry
+    lg = _log_gamma_rows(
+        g.compose(g.inverse(np.asarray(zeta, dtype=float)), points), params)
+    return lg if log else np.exp(lg)
+
+
 def log_gamma_at_origin(x, t, params: KernelParams):
     """log of the kernel at (x, t) with pole at the group origin; -inf for t <= 0."""
-    if t <= 0.0:
-        return -math.inf
-    cm = params.cov(t)
-    quad = cm.quad_form(x)
-    N = params.geometry.N
-    return (-0.5 * N * math.log(2.0 * math.pi * params.lam)
-            - 0.5 * cm.logdet
-            - quad / (2.0 * params.lam)
-            - t * params.trB)
+    return float(_log_gamma_rows(point(x, t)[None, :], params)[0])
 
 
 def gamma_at_origin(x, t, params):
-    lg = log_gamma_at_origin(x, t, params)
-    return 0.0 if lg == -math.inf else math.exp(lg)
+    return math.exp(log_gamma_at_origin(x, t, params))
 
 
 def gamma_K_lambda(z, zeta, params: KernelParams):
-    """Kernel value at z with pole zeta: evaluate at zeta^{-1} o z."""
-    g = params.geometry
-    w = g.compose(g.inverse(np.asarray(zeta, dtype=float)),
-                  np.asarray(z, dtype=float))
-    x, t = split(w)
-    return gamma_at_origin(x, t, params)
+    """Kernel value at the point z with pole zeta."""
+    return float(gamma_many(z, zeta, params)[0])
 
 
 def gamma_K(z, zeta, geometry):
@@ -173,88 +214,6 @@ def gamma_K(z, zeta, geometry):
 def gamma_pole(x, t, y, t0, params):
     """Kernel of the Cauchy problem: value at (x,t) with pole (y,t0)."""
     return gamma_K_lambda(point(x, t), point(y, t0), params)
-
-
-def covariance_poly_coeffs(B, A0):
-    """Exact polynomial C(t) = sum_p t^p M_p for nilpotent B.
-
-    Expanding E(s) = sum_k (-s)^k B^k / k! termwise gives
-    M_{j+k+1} = (-1)^{j+k} / ((j+k+1) j! k!) * B^j Abar (B^T)^k.
-    """
-    B = np.asarray(B, dtype=float)
-    N = B.shape[0]
-    Abar = _pad_A0(A0, N)
-    powers = [np.eye(N)]
-    while powers[-1].any() and len(powers) <= N:
-        powers.append(powers[-1] @ B)
-    powers = [P for P in powers if P.any()]
-    K = len(powers)
-    M = [np.zeros((N, N)) for _ in range(2 * K)]
-    for j in range(K):
-        for k in range(K):
-            p = j + k + 1
-            coef = (-1.0) ** (j + k) / (p * math.factorial(j) * math.factorial(k))
-            M[p] += coef * (powers[j] @ Abar @ powers[k].T)
-    return M
-
-
-def gamma_many(points, zeta, params: KernelParams, log=False):
-    """Vectorized kernel evaluation over an array of points (rows [x..., t]).
-
-    Uses the closed polynomial form of C(t) and batched Cholesky when B is
-    nilpotent; falls back to the scalar path otherwise.  With log=True the
-    log-kernel is returned (-inf off the support), avoiding underflow.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    g = params.geometry
-    zinv = g.inverse(np.asarray(zeta, dtype=float))
-    xi, tau = split(zinv)
-    if not _is_nilpotent(g.B):
-        out = np.empty(points.shape[0])
-        for k, z in enumerate(points):
-            x, t = split(z)
-            w = x + g.exp_drift(t) @ xi
-            out[k] = log_gamma_at_origin(w, tau + t, params)
-        return out if log else np.exp(out)
-
-    N = g.N
-    x, t = points[:, :-1], points[:, -1]
-    telapsed = t + tau
-    # E(t) xi termwise: sum_k (-t)^k / k! B^k xi
-    vk = xi.copy()
-    w = x + vk[None, :]
-    fact = 1.0
-    tk = np.ones_like(t)
-    for k in range(1, N + 1):
-        vk = g.B @ vk
-        if not vk.any():
-            break
-        fact *= k
-        tk = tk * (-t)
-        w = w + (tk / fact)[:, None] * vk[None, :]
-
-    out = np.full(points.shape[0], -np.inf) if log \
-        else np.zeros(points.shape[0])
-    pos = telapsed > 0.0
-    if not pos.any():
-        return out
-    tp = telapsed[pos]
-    wp = w[pos]
-    M = covariance_poly_coeffs(g.B, np.eye(g.structure.m0))
-    C = np.zeros((tp.size, N, N))
-    tpow = np.ones_like(tp)
-    for p in range(1, len(M)):
-        tpow = tpow * tp
-        if M[p].any():
-            C += tpow[:, None, None] * M[p][None, :, :]
-    chol = np.linalg.cholesky(C)
-    ybatch = np.linalg.solve(chol, wp[:, :, None])[:, :, 0]
-    quad = np.einsum("ij,ij->i", ybatch, ybatch)
-    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-    logval = (-0.5 * N * math.log(2.0 * math.pi * params.lam)
-              - 0.5 * logdet - quad / (2.0 * params.lam) - tp * params.trB)
-    out[pos] = logval if log else np.exp(logval)
-    return out
 
 
 # -- the 1934 kinetic prototype ---------------------------------------------
@@ -315,34 +274,30 @@ def _gauss_product(x, t, y, t0, s, params):
     return P, mu
 
 
-def _reproduction_quadrature(x, t, y, t0, s, params, nodes):
+def _log_reproduction_quadrature(x, t, y, t0, s, params, nodes):
+    """log of the Gauss-Hermite value of
+    int Gamma(x,t; xi,s) Gamma(xi,s; y,t0) dxi, all nodes in one batch."""
     g = params.geometry
     P, mu = _gauss_product(np.asarray(x, float), t, np.asarray(y, float),
                            t0, s, params)
     L = np.linalg.cholesky(np.linalg.inv(P))
     u, w = np.polynomial.hermite.hermgauss(nodes)
-    grids = np.meshgrid(*([u] * g.N), indexing="ij")
-    U = np.stack([gr.ravel() for gr in grids], axis=1)
-    wgrids = np.meshgrid(*([w] * g.N), indexing="ij")
-    W = np.prod(np.stack([gr.ravel() for gr in wgrids], axis=1), axis=1)
+    U, logW = (np.stack([gr.ravel() for gr in
+                         np.meshgrid(*([a] * g.N), indexing="ij")], axis=1)
+               for a in (u, np.log(w)))
+    logW = logW.sum(axis=1)
 
-    scale = math.sqrt(2.0) ** g.N * float(np.prod(np.diag(L)))
-    total = 0.0
-    for uk, wk in zip(U, W):
-        xi = mu + math.sqrt(2.0) * (L @ uk)
-        lg1 = _log_gamma_pair(x, t, xi, s, params)
-        lg2 = _log_gamma_pair(xi, s, y, t0, params)
-        if lg1 == -math.inf or lg2 == -math.inf:
-            continue
-        total += wk * math.exp(lg1 + lg2 + float(uk @ uk))
-    return scale * total
+    poles = point(mu + math.sqrt(2.0) * (U @ L.T), np.full(len(U), s))
+    lg1 = _log_gamma_rows(g.compose(g.inverse(poles), point(x, t)), params)
+    lg2 = gamma_many(poles, point(y, t0), params, log=True)
+    terms = logW + lg1 + lg2 + np.einsum("ij,ij->i", U, U)
+    top = float(terms.max())
+    log_scale = 0.5 * g.N * math.log(2.0) + float(np.sum(np.log(np.diag(L))))
+    return log_scale + top + math.log(float(np.sum(np.exp(terms - top))))
 
 
 def _log_gamma_pair(x, t, y, t0, params):
-    g = params.geometry
-    w = g.compose(g.inverse(point(y, t0)), point(x, t))
-    xw, tw = split(w)
-    return log_gamma_at_origin(xw, tw, params)
+    return float(gamma_many(point(x, t), point(y, t0), params, log=True)[0])
 
 
 def reproduction_check(x, t, y, t0, s, params, nodes=8, tol=1e-6):
@@ -350,19 +305,24 @@ def reproduction_check(x, t, y, t0, s, params, nodes=8, tol=1e-6):
 
     rhs integrates the product of kernels by Gauss-Hermite quadrature
     centered and scaled by the analytic Gaussian-product moments; lhs is the
-    closed form.  Doubling the node count must agree to tol relative.
+    closed form.  Both are compared in the log domain, so the check keeps
+    its meaning where the kernel underflows.  Doubling the node count must
+    agree to tol relative.
     """
     if not t0 < s < t:
         raise ValueError("need t0 < s < t")
-    lhs = math.exp(_log_gamma_pair(np.asarray(x, float), t,
-                                   np.asarray(y, float), t0, params))
-    rhs = _reproduction_quadrature(x, t, y, t0, s, params, nodes)
-    rhs2 = _reproduction_quadrature(x, t, y, t0, s, params, 2 * nodes)
-    if abs(rhs2 - rhs) > tol * max(abs(rhs2), 1e-300):
+    log_lhs = _log_gamma_pair(np.asarray(x, float), t,
+                              np.asarray(y, float), t0, params)
+    log_rhs = _log_reproduction_quadrature(x, t, y, t0, s, params, nodes)
+    log_rhs2 = _log_reproduction_quadrature(x, t, y, t0, s, params,
+                                            2 * nodes)
+    moved = abs(math.expm1(log_rhs2 - log_rhs))
+    if not moved <= tol:
         raise QuadratureUnconverged(
-            f"node doubling moved the integral by {abs(rhs2 - rhs):.3e}")
-    rel_err = abs(lhs - rhs2) / abs(lhs) if lhs != 0.0 else abs(rhs2)
-    return {"lhs": lhs, "rhs": rhs2, "rel_err": rel_err}
+            f"node doubling moved the integral by {moved:.3e} relative")
+    rel_err = abs(math.expm1(log_rhs2 - log_lhs))
+    return {"lhs": math.exp(log_lhs), "rhs": math.exp(log_rhs2),
+            "log_lhs": log_lhs, "log_rhs": log_rhs2, "rel_err": rel_err}
 
 
 # -- Gaussian envelope shapes ------------------------------------------------

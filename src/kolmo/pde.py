@@ -19,6 +19,9 @@ from .errors import (BoundaryNode, BoxTooSmall, OutOfDomain,
 from .group import Geometry, point, split
 
 BOUNDARY_MASS_TOL = 1e-12
+# The fewest nodes per axis the solver supports: the grid spacing needs two,
+# and so does the transport's mirror fold, whose period is 2 (n - 1).
+MIN_AXIS_NODES = 2
 
 
 @dataclass
@@ -268,6 +271,9 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
     box = np.asarray(box, dtype=float).reshape(N, 2)
     if np.isscalar(nx):
         nx = [int(nx)] * N
+    if len(nx) != N or min(nx) < MIN_AXIS_NODES:
+        raise ValueError(f"nx = {list(nx)}: need {N} axes of at least "
+                         f"{MIN_AXIS_NODES} nodes")
     axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(box, nx)]
     hs = [float(a[1] - a[0]) for a in axes]
 

@@ -12,7 +12,7 @@ import numpy as np
 from . import kernel as kern
 from .errors import (ConeUnresolved, CylinderUnresolved, NoAdmissibleFit,
                      NotNonnegative)
-from .group import Geometry, point, split
+from .group import Geometry, point
 
 MIN_CYLINDER_NODES = 27
 
@@ -115,10 +115,20 @@ def unit_cylinder_nodes(structure, n_space, n_time, omega, upper):
     return nodes
 
 
+def _values(u, nodes):
+    """u on the rows of nodes; u must map (n, N+1) rows to (n,) values."""
+    v = np.asarray(u(nodes), dtype=float)
+    if v.shape != (len(nodes),):
+        raise ValueError(f"u returned shape {v.shape} for {len(nodes)} rows;"
+                         f" it must map (n, N+1) rows to (n,) values")
+    return v
+
+
 def harnack_local(u, z0, r, geometry: Geometry, omega=0.5,
                   n_space=3, n_time=3):
     """Quotient sup_{Q-} u / inf_{Q+} u over the dilated-translated standard
-    cylinder pair Q_r(z0); u is a callable on points (x_1..x_N, t)."""
+    cylinder pair Q_r(z0); u maps (n, N+1) rows (x_1..x_N, t) to (n,)
+    values and is called once per cylinder."""
     vals = {}
     counts = {}
     for upper in (True, False):
@@ -128,10 +138,8 @@ def harnack_local(u, z0, r, geometry: Geometry, omega=0.5,
             raise CylinderUnresolved(
                 f"{len(std)} nodes < {MIN_CYLINDER_NODES}; raise n_space "
                 f"or n_time")
-        nodes = np.array([geometry.compose(z0, geometry.dilate(r, p))
-                          for p in std])
-        v = np.array([u(z) for z in nodes])
-        vals[upper] = v
+        nodes = geometry.compose(z0, geometry.dilate(r, std))
+        vals[upper] = _values(u, nodes)
         counts[upper] = len(std)
     inf_plus = float(np.min(vals[True]))
     sup_minus = float(np.max(vals[False]))
@@ -149,30 +157,28 @@ def harnack_local(u, z0, r, geometry: Geometry, omega=0.5,
 def cone_nodes(vertex, beta, r, R, geometry: Geometry, n_rho=6, n_space=3):
     """Deterministic nodes of the cone P_{beta, r, R}(vertex): for rho in
     (0, R], points vertex o (delta_rho xi, -beta rho^2) with |xi| < r in the
-    anisotropic sense."""
+    anisotropic sense; rho-major rows."""
     rhos = R * (np.arange(1, n_rho + 1) / n_rho)
     std = _ball_grid(geometry.N, n_space) * r
-    out = []
-    for rho in rhos:
-        for xi in std:
-            xs = geometry.dilate_space(rho, xi)
-            out.append(geometry.compose(vertex, point(xs, -beta * rho * rho)))
-    return np.array(out)
+    rho = np.repeat(rhos, len(std))
+    xs = geometry.dilate_space(rho, np.tile(std, (n_rho, 1)))
+    return geometry.compose(vertex, point(xs, -beta * rho * rho))
 
 
 def harnack_cone(u, vertex, beta, r, R, geometry: Geometry,
                  n_rho=6, n_space=3):
-    """max over cone nodes of u(z) / u at the cone's deepest axis point."""
+    """max over cone nodes of u(z) / u at the cone's deepest axis point;
+    u takes rows as in harnack_local and is called once."""
     nodes = cone_nodes(vertex, beta, r, R, geometry, n_rho, n_space)
     if len(nodes) < MIN_CYLINDER_NODES:
         raise ConeUnresolved(f"{len(nodes)} cone nodes < "
                              f"{MIN_CYLINDER_NODES}")
     base = geometry.compose(vertex, point(np.zeros(geometry.N),
                                           -beta * R * R))
-    ubase = u(base)
+    v = _values(u, np.vstack([base, nodes]))
+    ubase, vals = v[0], v[1:]
     if ubase <= 0.0:
         raise NotNonnegative("u not positive at the cone base point")
-    vals = np.array([u(z) for z in nodes])
     return {"max_quotient": float(np.max(vals) / ubase),
             "min_value": float(np.min(vals)), "base_value": float(ubase),
             "n_nodes": len(nodes)}
@@ -183,32 +189,32 @@ def harnack_cone(u, vertex, beta, r, R, geometry: Geometry,
 
 def global_exponent(z, w, geometry: Geometry, lam):
     """1 + the Gaussian quadratic form between w = (xi, tau) and the later
-    point z = (x, t), built from the model covariance."""
-    x, t = split(z)
-    xi, tau = split(w)
-    dtau = t - tau
-    if dtau <= 0.0:
+    point z = (x, t): <C(t - tau)^{-1} d, d> / lam with
+    (d, t - tau) = w^{-1} o z, d = x - E(t - tau) xi.  Points give a float,
+    (n, N+1) rows an (n,) array, from one batched C(t)."""
+    rel = geometry.compose(geometry.inverse(w), z)
+    rows = np.atleast_2d(rel)
+    if np.any(rows[:, -1] <= 0.0):
         raise ValueError("global exponent needs t > tau")
-    C = kern.covariance_matrix(dtau, geometry.B,
-                               np.eye(geometry.structure.m0))
-    d = x - geometry.exp_drift(dtau) @ xi
-    return 1.0 + float(d @ np.linalg.solve(C, d)) / lam
+    quad, _ = kern.quad_logdet(rows, kern.scaled_params(lam, geometry))
+    e = 1.0 + quad / lam
+    return float(e[0]) if rel.ndim == 1 else e
 
 
 def harnack_global(u, pairs, geometry: Geometry, lam=2.0, c_max=1e6,
                    tol=1e-10):
     """Smallest c0 >= 1 with u(z) <= c0^exponent(z, w) u(w) over the sample
-    pairs (w earlier, z later), found by bisection in log c0."""
-    data = []
-    for w, z in pairs:
-        uw, uz = u(w), u(z)
-        if uw <= 0.0 or uz <= 0.0:
-            raise NotNonnegative("global Harnack needs positive samples")
-        e = global_exponent(z, w, geometry, lam)
-        data.append((math.log(uz / uw), e))
+    pairs (w earlier, z later), found by bisection in log c0.  u takes rows
+    as in harnack_local and is called once for all w and once for all z."""
+    W, Z = (np.array(side, dtype=float) for side in zip(*pairs))
+    uw, uz = _values(u, W), _values(u, Z)
+    if np.any(uw <= 0.0) or np.any(uz <= 0.0):
+        raise NotNonnegative("global Harnack needs positive samples")
+    e = global_exponent(Z, W, geometry, lam)
+    lr = np.log(uz / uw)
 
     def ok(log_c0):
-        return all(lr <= e * log_c0 + 1e-300 for lr, e in data)
+        return bool(np.all(lr <= e * log_c0 + 1e-300))
 
     lo, hi = 0.0, math.log(c_max)
     if not ok(hi):
@@ -221,5 +227,5 @@ def harnack_global(u, pairs, geometry: Geometry, lam=2.0, c_max=1e6,
             lo = mid
         if hi - lo < tol:
             break
-    return {"c0": math.exp(hi), "n_pairs": len(data),
-            "max_exponent": max(e for _, e in data)}
+    return {"c0": math.exp(hi), "n_pairs": len(W),
+            "max_exponent": float(np.max(e))}

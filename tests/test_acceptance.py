@@ -341,11 +341,11 @@ def test_harnack_harness(proto):
     params = kern.principal_params(proto)
     pole = point(np.zeros(2), -2.0)
 
-    def u(z):
-        return kern.gamma_K_lambda(z, pole, params)
+    def u(rows):
+        return kern.gamma_many(rows, pole, params)
 
-    assert verify.harnack_local(lambda z: 2.5, z0, 0.4, proto).quotient \
-        == 1.0
+    assert verify.harnack_local(lambda z: np.full(len(z), 2.5), z0, 0.4,
+                                proto).quotient == 1.0
     q3 = verify.harnack_local(u, z0, 0.4, proto, n_space=3,
                               n_time=3).quotient
     q5 = verify.harnack_local(u, z0, 0.4, proto, n_space=5,

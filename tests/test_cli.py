@@ -70,6 +70,17 @@ def test_unstable_dt_exit_5(spec_path, tmp_path, capsys):
                      "--out", out]) == cli.EXIT_SOLVER
 
 
+@pytest.mark.parametrize("cmd", ["cauchy", "fundamental"])
+@pytest.mark.parametrize("nx", ["1,21", "21,1", "21", "21,21,21", "21,x"])
+def test_solve_bad_nx_exit_2(spec_path, tmp_path, capsys, cmd, nx):
+    """An axis with fewer nodes than the transport supports, or the wrong
+    number of axes, is a parse error, not a traceback."""
+    assert cli.main(["solve", cmd, spec_path, "--box=-4,4;-2,2",
+                     "--nx", nx, "--t1", "0.3",
+                     "--out", str(tmp_path / "c.csv")]) == cli.EXIT_PARSE
+    assert "--nx" in capsys.readouterr().err
+
+
 def test_kernel_eval_matches_oracle(spec_path, tmp_path, capsys):
     out = tmp_path / "k.csv"
     code, _ = run(capsys, ["kernel", "eval", spec_path, "--pole", "0,0",

@@ -67,15 +67,41 @@ def test_vanishing_past(proto, proto_params):
     assert vals[0] == 0.0 and vals[1] == 0.0 and vals[2] > 0.0
 
 
+def reference_log_gamma(z, zeta, geometry, lam):
+    """The scalar formula, independent of the library's covariance path:
+    C(t) by (N+1)-node Gauss-Legendre over E(s) Abar E(s)^T (exact for
+    nilpotent B), one Cholesky, one quadratic form."""
+    w = geometry.compose(geometry.inverse(zeta), z)
+    x, t = w[:-1], w[-1]
+    if t <= 0.0:
+        return -math.inf
+    N, m0 = geometry.N, geometry.structure.m0
+    Abar = np.zeros((N, N))
+    Abar[:m0, :m0] = np.eye(m0)
+    nodes, weights = np.polynomial.legendre.leggauss(N + 1)
+    C = np.zeros((N, N))
+    for sk, wk in zip(0.5 * t * (nodes + 1.0), weights):
+        E = geometry.exp_drift(sk)
+        C += wk * (E @ Abar @ E.T)
+    C *= 0.5 * t
+    L = np.linalg.cholesky(C)
+    y = np.linalg.solve(L, x)
+    return (-0.5 * N * math.log(2.0 * math.pi * lam)
+            - float(np.sum(np.log(np.diag(L)))) - float(y @ y) / (2.0 * lam)
+            - t * float(np.trace(geometry.B)))
+
+
 def test_gamma_many_matches_scalar(proto, proto_params):
     rng = np.random.default_rng(1)
     pts = np.column_stack([rng.normal(size=(200, 2)),
                            rng.uniform(-0.5, 2.0, 200)])
     zeta = point(np.array([0.3, -0.2]), 0.1)
     fast = kern.gamma_many(pts, zeta, proto_params)
-    slow = np.array([kern.gamma_K_lambda(z, zeta, proto_params)
-                     for z in pts])
+    slow = np.exp([reference_log_gamma(z, zeta, proto, proto_params.lam)
+                   for z in pts])
     assert np.allclose(fast, slow, rtol=1e-11, atol=0.0)
+    assert np.array_equal(fast, [kern.gamma_K_lambda(z, zeta, proto_params)
+                                 for z in pts])
 
 
 def test_homogeneity(proto, proto_params):
@@ -102,6 +128,35 @@ def test_reproduction(proto, proto_params):
                                       rng.normal(size=2), t0, s,
                                       proto_params)
         assert res["rel_err"] < 1e-8
+
+
+def _chain():
+    B = np.zeros((3, 3))
+    B[1, 0] = B[2, 1] = 1.0
+    return Geometry(BlockStructure((1, 1, 1)), B)
+
+
+def test_reproduction_where_kernel_underflows():
+    """Far-apart x, y on the chain (1,1,1): the kernel is below the smallest
+    double, and the check still compares the two sides."""
+    g = _chain()
+    params = kern.scaled_params(2.0, g)
+    x, t = np.array([3.0, -2.0, 5.0]), 0.2
+    y, t0 = np.array([-3.0, 2.0, -5.0]), -0.5
+    ref = reference_log_gamma(point(x, t), point(y, t0), g, 2.0)
+    assert ref < -800.0 and math.exp(ref) == 0.0
+    res = kern.reproduction_check(x, t, y, t0, -0.1, params)
+    assert abs(res["log_lhs"] - ref) <= 1e-12 * abs(ref)
+    assert abs(math.expm1(res["log_rhs"] - ref)) < 1e-8
+    assert res["rel_err"] < 1e-8
+
+
+def test_non_nilpotent_B_rejected():
+    B = np.array([[0.0, 0.5], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="nilpotent"):
+        Geometry(BlockStructure((1, 1)), B)
+    with pytest.raises(ValueError, match="nilpotent"):
+        kern.covariance_matrix(1.0, B, np.eye(1))
 
 
 def test_reproduction_rejects_bad_interval(proto, proto_params):

@@ -90,6 +90,12 @@ def test_solver_rejects_unstable_dt(proto, proto_coeffs):
                          [[-1, 1], [-1, 1]], 41, 0.0, 0.1, dt=0.1)
 
 
+def test_solver_rejects_short_axis(proto, proto_coeffs):
+    with pytest.raises(ValueError, match="at least 2 nodes"):
+        pde.solve_cauchy(proto_coeffs, proto, lambda x: 0.0,
+                         [[-1, 1], [-1, 1]], [1, 21], 0.0, 0.1)
+
+
 def test_solver_positivity_and_mass(proto, proto_params, proto_coeffs):
     w, t1 = 0.2, 0.5
     pole = point(np.zeros(2), 0.0)
@@ -127,7 +133,8 @@ def _scipy_transport(u, coords):
 
 
 @pytest.mark.parametrize("blocks, dims", [
-    ((1, 1), (3, 17)), ((2, 1), (9, 3, 8)), ((1, 1, 1), (7, 6, 3))])
+    ((1, 1), (3, 17)), ((2, 1), (9, 3, 8)), ((1, 1, 1), (7, 6, 3)),
+    ((1, 1), (2, 17))])
 def test_transport_matches_scipy_reference(blocks, dims):
     from scipy.ndimage import spline_filter1d
 

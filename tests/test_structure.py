@@ -82,6 +82,21 @@ def test_degenerate_without_coupling():
     assert rep.kalman_rank == 1
 
 
+def test_hypoellipticity_general_B():
+    """A non-nilpotent B is still accepted: C(1) against adaptive
+    quadrature of exp(-sB) Abar exp(-sB)^T."""
+    from scipy.integrate import quad_vec
+    from scipy.linalg import expm
+
+    B = np.array([[0.0, 0.5], [1.0, 0.0]])
+    Abar = np.diag([1.0, 0.0])
+    C1, _ = quad_vec(lambda s: expm(-s * B) @ Abar @ expm(-s * B).T,
+                     0.0, 1.0, epsabs=1e-14, epsrel=1e-14)
+    rep = check_hypoellipticity(B, 1)
+    assert rep.hypoelliptic and rep.kalman_rank == 2
+    assert abs(rep.c_min_eig - np.linalg.eigvalsh(C1).min()) < 1e-13
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=3), min_size=1,
                 max_size=3).filter(

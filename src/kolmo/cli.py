@@ -55,7 +55,41 @@ def emit(report):
 
 
 def _floats(s):
-    return np.array([float(v) for v in s.split(",")], dtype=float)
+    try:
+        return np.array([float(v) for v in s.split(",")], dtype=float)
+    except ValueError as exc:
+        raise SpecError(f"{s!r}: {exc}") from exc
+
+
+def _vector(args, name, N):
+    """The point option --name: N comma-separated numbers."""
+    v = _floats(getattr(args, name))
+    if len(v) != N:
+        raise SpecError(f"--{name} needs {N} components, "
+                        f"got {getattr(args, name)!r}")
+    return v
+
+
+def _box(args, N):
+    """--box: N intervals lo,hi with lo < hi, separated by ';'."""
+    box = [_floats(p) for p in args.box.split(";")]
+    if len(box) != N or any(len(b) != 2 or not b[0] < b[1] for b in box):
+        raise SpecError(f"--box needs {N} intervals lo,hi with lo < hi, "
+                        f"got {args.box!r}")
+    return np.array(box)
+
+
+def _counts(args, name, N, least):
+    """The count option --name: N integers, each at least `least`."""
+    s = getattr(args, name)
+    try:
+        v = [int(x) for x in s.split(",")]
+    except ValueError as exc:
+        raise SpecError(f"--{name} {s!r}: {exc}") from exc
+    if len(v) != N or min(v) < least:
+        raise SpecError(f"--{name} needs {N} counts of at least {least}, "
+                        f"got {s!r}")
+    return v
 
 
 def _resolved(args, **extra):
@@ -83,12 +117,26 @@ def _points_from_args(args, N):
     if args.points:
         with open(args.points, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
-        return np.asarray([[float(v) for v in r] for r in rows[1:]])
+        try:
+            pts = np.array([[float(v) for v in r] for r in rows[1:]])
+        except ValueError as exc:
+            raise SpecError(f"--points {args.points!r}: {exc}") from exc
+        if pts.ndim != 2 or pts.shape[1] != N + 1:
+            raise SpecError(f"--points {args.points!r} needs rows of "
+                            f"{N + 1} numbers (x..., t)")
+        return pts
     if args.grid:
         axes = []
         for part in args.grid.split(";"):
-            lo, hi, n = part.split(":")
-            axes.append(np.linspace(float(lo), float(hi), int(n)))
+            try:
+                lo, hi, n = part.split(":")
+                lo, hi, n = float(lo), float(hi), int(n)
+            except ValueError as exc:
+                raise SpecError(f"--grid part {part!r} is not lo:hi:n: "
+                                f"{exc}") from exc
+            if n < 1:
+                raise SpecError(f"--grid part {part!r} has no nodes")
+            axes.append(np.linspace(lo, hi, n))
         if len(axes) != N + 1:
             raise SpecError(f"--grid needs {N + 1} axes (x..., t)")
         grids = np.meshgrid(*axes, indexing="ij")
@@ -99,7 +147,7 @@ def _points_from_args(args, N):
 def cmd_kernel_eval(args):
     spec = specfile.load(args.spec)
     g = spec.geometry
-    pole = point(_floats(args.pole), args.t0)
+    pole = point(_vector(args, "pole", g.N), args.t0)
     params = kern.scaled_params(args.lam, g)
     pts = _points_from_args(args, g.N)
     vals = kern.gamma_many(pts, pole, params)
@@ -153,18 +201,6 @@ def cmd_kernel_reproduce(args):
     return 0
 
 
-def _nx(args, N):
-    """Node counts of --nx: N integers, each at least pde.MIN_AXIS_NODES."""
-    try:
-        nx = [int(v) for v in args.nx.split(",")]
-    except ValueError as exc:
-        raise SpecError(f"--nx {args.nx!r}: {exc}") from exc
-    if len(nx) != N or min(nx) < pde.MIN_AXIS_NODES:
-        raise SpecError(f"--nx needs {N} node counts of at least "
-                        f"{pde.MIN_AXIS_NODES}, got {args.nx!r}")
-    return nx
-
-
 def _coeffs(spec):
     return dict(spec.fields)
 
@@ -172,14 +208,14 @@ def _coeffs(spec):
 def cmd_solve_cauchy(args):
     spec = specfile.load(args.spec)
     g = spec.geometry
-    box = np.array([_floats(p) for p in args.box.split(";")])
-    nx = _nx(args, g.N)
+    box = _box(args, g.N)
+    nx = _counts(args, "nx", g.N, pde.MIN_AXIS_NODES)
     kind, _, wpart = args.datum.partition(":")
     if kind != "gaussian":
         raise SpecError(f"unknown datum {args.datum!r}")
     w = float(wpart or "0.1")
     params = kern.scaled_params(args.lam, g)
-    pole = point(_floats(args.x0), args.t0)
+    pole = point(_vector(args, "x0", g.N), args.t0)
 
     class Datum:
         def many(self, X, t):
@@ -202,11 +238,11 @@ def cmd_solve_cauchy(args):
 def cmd_solve_fundamental(args):
     spec = specfile.load(args.spec)
     g = spec.geometry
-    box = np.array([_floats(p) for p in args.box.split(";")])
-    nx = _nx(args, g.N)
-    widths = [float(v) for v in args.widths.split(",")]
+    box = _box(args, g.N)
+    nx = _counts(args, "nx", g.N, pde.MIN_AXIS_NODES)
+    widths = _floats(args.widths)
     final, report, _ = pde.approx_fundamental(
-        _coeffs(spec), g, _floats(args.x0), args.t0, args.t1, box, nx,
+        _coeffs(spec), g, _vector(args, "x0", g.N), args.t0, args.t1, box, nx,
         widths, lam=args.lam, dt=args.dt)
     pts = pde._grid_points(final.axes)
     header = [f"x{k + 1}" for k in range(g.N)] + ["value"]
@@ -221,7 +257,8 @@ def cmd_solve_fundamental(args):
 def _simulate(args, spec):
     cfg = mcmod.McConfig(paths=args.paths, dt=args.dt, seed=args.seed,
                          lam=args.lam, threads=args.threads)
-    return mcmod.simulate(_coeffs(spec), spec.geometry, _floats(args.x0),
+    return mcmod.simulate(_coeffs(spec), spec.geometry,
+                          _vector(args, "x0", spec.structure.N),
                           args.t0, args.t1, cfg)
 
 
@@ -240,8 +277,8 @@ def cmd_mc_simulate(args):
 def cmd_mc_density(args):
     spec = specfile.load(args.spec)
     ens = _simulate(args, spec)
-    box = np.array([_floats(p) for p in args.box.split(";")])
-    bins = [int(v) for v in args.bins.split(",")]
+    box = _box(args, spec.structure.N)
+    bins = _counts(args, "bins", spec.structure.N, 1)
     d = mcmod.density_estimate(ens, box, bins)
     centers = [0.5 * (e[:-1] + e[1:]) for e in d["edges"]]
     grids = np.meshgrid(*centers, indexing="ij")
@@ -258,7 +295,8 @@ def cmd_mc_density(args):
 def cmd_mc_mass(args):
     spec = specfile.load(args.spec)
     ens = _simulate(args, spec)
-    m = mcmod.mass_in_DR(ens, _floats(args.y), args.radius, spec.geometry)
+    m = mcmod.mass_in_DR(ens, _vector(args, "y", spec.structure.N),
+                         args.radius, spec.geometry)
     emit({"command": "mc mass", "config": _resolved(args),
           "provenance": ens.provenance, "mass": m})
     return 0
@@ -276,10 +314,10 @@ def cmd_mollify(args):
     ts = rng.uniform(spec.window[0] + 0.05 * T, spec.window[1] - 0.05 * T,
                      size=args.samples)
     report = {"command": "mollify", "config": _resolved(args), "eps": []}
-    raw = np.array([np.ravel(f(x, t))[0] for x, t in zip(X, ts)])
-    for eps in [float(v) for v in args.eps.split(",")]:
+    raw = np.asarray(f.many(X, ts)).reshape(len(X), -1)[:, 0]
+    for eps in _floats(args.eps):
         fm = coeff.mollify(f, eps=eps, T=T)
-        sm = np.array([np.ravel(fm(x, t))[0] for x, t in zip(X, ts)])
+        sm = fm.many(X, ts).reshape(len(X), -1)[:, 0]
         report["eps"].append({
             "eps": eps,
             "l1_distance": float(np.mean(np.abs(sm - raw))),
@@ -292,7 +330,8 @@ def cmd_check_bounds(args):
     spec = specfile.load(args.spec)
     g = spec.geometry
     rng = np.random.default_rng(args.seed)
-    pole = point(_floats(args.x0), args.t0)
+    x0 = _vector(args, "x0", g.N)
+    pole = point(x0, args.t0)
     pts = np.column_stack(
         [rng.uniform(-2.0, 2.0, size=(args.samples, g.N)),
          args.t0 + rng.uniform(0.05, 1.0, size=args.samples)])
@@ -301,11 +340,11 @@ def cmd_check_bounds(args):
         target = kern.gamma_many(pts, pole, params)
         rep = verify.fit_sandwich(pts, target, pole, g, args.lam, args.lam)
     else:
-        box = np.array([_floats(p) for p in args.box.split(";")])
-        nx = _nx(args, g.N)
-        widths = [float(v) for v in args.widths.split(",")]
+        box = _box(args, g.N)
+        nx = _counts(args, "nx", g.N, pde.MIN_AXIS_NODES)
+        widths = _floats(args.widths)
         final, _, ev = pde.approx_fundamental(
-            _coeffs(spec), g, _floats(args.x0), args.t0,
+            _coeffs(spec), g, x0, args.t0,
             args.t0 + 1.0, box, nx, widths, lam=args.lam)
         tq = final.taxis[-1]
         pts = pde._grid_points(final.axes)
@@ -323,7 +362,7 @@ def cmd_check_bounds(args):
 def _kernel_u(spec, args):
     g = spec.geometry
     params = kern.scaled_params(args.lam, g)
-    pole = point(_floats(args.pole), args.pole_t0)
+    pole = point(_vector(args, "pole", g.N), args.pole_t0)
 
     def u(rows):
         return kern.gamma_many(rows, pole, params)
@@ -350,7 +389,7 @@ def cmd_check_harnack(args):
         emit({"command": "check harnack", "config": _resolved(args),
               "rows": len(rows), "out": args.out})
     else:
-        z0 = point(_floats(args.center), args.center_t)
+        z0 = point(_vector(args, "center", g.N), args.center_t)
         h = verify.harnack_local(u, z0, args.radius, g, omega=args.omega,
                                  n_space=args.n_space, n_time=args.n_time)
         emit({"command": "check harnack", "config": _resolved(args),
@@ -362,7 +401,7 @@ def cmd_check_cone(args):
     spec = specfile.load(args.spec)
     g = spec.geometry
     u = _kernel_u(spec, args)
-    vertex = point(_floats(args.center), args.center_t)
+    vertex = point(_vector(args, "center", g.N), args.center_t)
     rep = verify.harnack_cone(u, vertex, args.beta, args.radius, args.R, g)
     emit({"command": "check cone", "config": _resolved(args),
           "report": rep})

@@ -111,26 +111,32 @@ class CheckerboardField(Field):
         self.seed = int(seed)
 
     def _cell_indices(self, X, ts):
-        """Vectorized splitmix-style hash of integer cell coordinates."""
-        pts = np.column_stack([np.atleast_2d(X), np.atleast_1d(ts)])
-        cells = np.floor(pts / self.h).astype(np.int64).view(np.uint64)
-        acc = np.full(cells.shape[0],
-                      (self.seed + 0x9E3779B97F4A7C15) % 2 ** 64,
+        """Vectorized splitmix-style hash of the integer cell coordinates
+        floor(x_1/h), ..., floor(x_N/h), floor(t/h), mixed in that order.
+
+        ts is a scalar or one time per row; a scalar's cell is computed once
+        and broadcast into the xor.  The hash runs in place on one uint64
+        accumulator, column by column, with one scratch column.
+        """
+        n = X.shape[0]
+        acc = np.full(n, (self.seed + 0x9E3779B97F4A7C15) % 2 ** 64,
                       dtype=np.uint64)
-        for col in cells.T:
-            acc ^= col
-            acc *= np.uint64(0xBF58476D1CE4E5B9)
-            acc ^= acc >> np.uint64(31)
+        tmp = np.empty(n, dtype=np.uint64)
+        mult = np.uint64(0xBF58476D1CE4E5B9)
+        shift = np.uint64(31)
+        for col in (*X.T, ts):
+            acc ^= np.floor(col / self.h).astype(np.int64).view(np.uint64)
+            acc *= mult
+            np.right_shift(acc, shift, out=tmp)
+            acc ^= tmp
         return (acc % np.uint64(len(self.values))).astype(np.int64)
 
     def __call__(self, x, t):
-        idx = self._cell_indices(np.atleast_1d(x)[None, :], [t])[0]
-        return self.values[idx]
+        return self.many(np.atleast_1d(x)[None, :], t)[0]
 
     def many(self, X, ts):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        ts = np.broadcast_to(np.asarray(ts, dtype=float), (X.shape[0],))
-        return self.values[self._cell_indices(X, ts)]
+        return self.values[self._cell_indices(X, np.asarray(ts, dtype=float))]
 
 
 def checkerboard_spd(lam, Lam, m0, dim, h=0.25, seed=0,
@@ -289,14 +295,7 @@ class MollifiedField(Field):
                 f"mollified evaluation needs samples outside window ({lo}, {hi})")
 
     def __call__(self, x, t):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        self._check_window([t])
-        acc = np.zeros(self.shape)
-        X = x[None, :] - self._Y
-        for tau, wt in zip(self._TAU, self._WT):
-            vals = self.f.many(X, (1.0 - self.eps) * t + tau)
-            acc = acc + wt * np.tensordot(self._WY, vals, axes=(0, 0))
-        return acc
+        return self.many(np.atleast_1d(x)[None, :], t)[0]
 
     def many(self, X, ts, chunk=256):
         """Batched evaluation: one inner-field batch per (chunk, tau) pair."""

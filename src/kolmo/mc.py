@@ -70,12 +70,30 @@ class PathEnsemble:
 
 
 def _sigma_chunk(A0_vals, lam):
-    """Cholesky factors of lam * A0 for a chunk of states."""
+    """Cholesky factors of lam * A0 for a chunk of states.
+
+    Column by column, vectorised over the chunk: one sqrt per column, so for
+    m0 = 1 the factor is sqrt(lam * A0), bitwise what LAPACK returns.  A
+    pivot that is not > 0 (NaN included) raises NotSPD.
+    """
     A = lam * np.atleast_3d(A0_vals)
-    try:
-        return np.linalg.cholesky(A)
-    except np.linalg.LinAlgError as e:
-        raise NotSPD(f"diffusion matrix not SPD along a path: {e}") from e
+    m = A.shape[-1]
+    L = np.zeros_like(A)
+    for j in range(m):
+        # column j from the diagonal down, less the finished columns; at
+        # j = 0 there are none and the pivots are lam * A0 untouched
+        col = A[:, j:, j]
+        if j:
+            col = col - np.einsum("kil,kl->ki", L[:, j:, :j], L[:, j, :j])
+        piv = col[:, 0]
+        bad = ~(piv > 0.0)
+        if bad.any():
+            raise NotSPD(f"diffusion matrix lam * A0 not SPD: "
+                         f"pivot {j} is {float(piv[bad][0])!r}")
+        d = np.sqrt(piv)
+        L[:, j, j] = d
+        L[:, j + 1:, j] = col[:, 1:] / d[:, None]
+    return L
 
 
 def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
@@ -93,11 +111,8 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
     cf = coeffs.get("c")
     const_sigma = None
     if A0f is not None and getattr(A0f, "value", None) is not None:
-        try:
-            const_sigma = np.linalg.cholesky(
-                config.lam * np.atleast_2d(A0f.value))
-        except np.linalg.LinAlgError as e:
-            raise NotSPD(f"constant diffusion matrix not SPD: {e}") from e
+        const_sigma = _sigma_chunk(np.atleast_2d(A0f.value)[None],
+                                   config.lam)[0]
     elif A0f is None:
         const_sigma = np.sqrt(config.lam) * np.eye(m0)
 

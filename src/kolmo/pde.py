@@ -60,14 +60,36 @@ def _grid_points(axes):
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def _coeff_on_grid(f, axes, t, shape):
-    """Evaluate a Field (or None) on the whole spatial grid at time t."""
-    dims = tuple(len(a) for a in axes)
-    if f is None:
-        return np.zeros(dims + shape)
-    pts = _grid_points(axes)
-    vals = f.many(pts, t)
-    return np.asarray(vals).reshape(dims + shape)
+class _GridCoeffs:
+    """The operator's coefficient fields sampled on one spatial grid.
+
+    The node rows are built once.  A missing coefficient is zero, and it and
+    a field with a fixed `value` (a ConstantField) are sampled once: every t
+    gets the same array back, so callers must not write into it.
+    """
+
+    RANK = {"A0": 2, "a": 1, "b": 1, "c": 0}
+
+    def __init__(self, coeffs, axes, m0):
+        self.coeffs = coeffs
+        self.dims = tuple(len(a) for a in axes)
+        self.pts = _grid_points(axes)
+        self.m0 = m0
+        self._fixed = {}
+
+    def __call__(self, name, t):
+        """Coefficient `name` at time t, shape dims + (m0,) * rank."""
+        if name in self._fixed:
+            return self._fixed[name]
+        f = self.coeffs.get(name)
+        shape = self.dims + (self.m0,) * self.RANK[name]
+        if f is None:
+            vals = np.zeros(shape)
+        else:
+            vals = np.asarray(f.many(self.pts, t)).reshape(shape)
+        if f is None or getattr(f, "value", None) is not None:
+            self._fixed[name] = vals
+        return vals
 
 
 def _pad_zero(u):
@@ -86,12 +108,10 @@ def _shift(a, axis, k):
     return a[tuple(sl)]
 
 
-def _diffusion(u, up, t, axes, coeffs, m0):
+def _diffusion(u, up, A, hs, m0):
     """div(A0 Du) in the first m0 coordinates on the slice u (up: u padded
-    by zeros): diagonal entries in conservative face-flux form, cross terms
-    centered."""
-    hs = [float(a[1] - a[0]) for a in axes]
-    A = _coeff_on_grid(coeffs.get("A0"), axes, t, (m0, m0))
+    by zeros; A: A0 on the grid): diagonal entries in conservative face-flux
+    form, cross terms centered."""
     Ap = _pad_edge(A, u.ndim)
     out = np.zeros_like(u)
     for i in range(m0):
@@ -118,11 +138,11 @@ def spatial_operator(u, t, axes, coeffs, geometry: Geometry,
     m0 = geometry.structure.m0
     N = geometry.N
     hs = [float(a[1] - a[0]) for a in axes]
-    dims = tuple(len(a) for a in axes)
-    X = _grid_points(axes).reshape(dims + (N,))
+    grid = _GridCoeffs(coeffs, axes, m0)
+    X = grid.pts.reshape(grid.dims + (N,))
 
     up = _pad_zero(u)
-    out = _diffusion(u, up, t, axes, coeffs, m0)
+    out = _diffusion(u, up, grid("A0", t), hs, m0)
 
     # drift transport <Bx, Du>
     BX = np.einsum("ij,...j->...i", geometry.B, X)
@@ -139,19 +159,18 @@ def spatial_operator(u, t, axes, coeffs, geometry: Geometry,
 
     # lower order advection <b, Du>, centered
     if coeffs.get("b") is not None:
-        bgrid = _coeff_on_grid(coeffs["b"], axes, t, (m0,))
+        bgrid = grid("b", t)
         for i in range(m0):
             du = (_shift(up, i, 1) - _shift(up, i, -1)) / (2.0 * hs[i])
             out += bgrid[..., i] * du
 
     # reaction c u
     if coeffs.get("c") is not None:
-        out += _coeff_on_grid(coeffs["c"], axes, t, ()) * u
+        out += grid("c", t) * u
 
     # -div(a u), centered fluxes
     if coeffs.get("a") is not None:
-        agrid = _coeff_on_grid(coeffs["a"], axes, t, (m0,))
-        agp = _pad_edge(agrid, N)
+        agp = _pad_edge(grid("a", t), N)
         for i in range(m0):
             Gp = agp[..., i] * up
             out -= (_shift(Gp, i, 1) - _shift(Gp, i, -1)) / (2.0 * hs[i])
@@ -194,24 +213,21 @@ def adjoint_spatial_operator(v, t, axes, coeffs, geometry: Geometry):
     m0 = geometry.structure.m0
     N = geometry.N
     hs = [float(a[1] - a[0]) for a in axes]
-    dims = tuple(len(a) for a in axes)
-    X = _grid_points(axes).reshape(dims + (N,))
+    grid = _GridCoeffs(coeffs, axes, m0)
+    X = grid.pts.reshape(grid.dims + (N,))
     vp = _pad_zero(v)
-    out = _diffusion(v, vp, t, axes, coeffs, m0)
+    out = _diffusion(v, vp, grid("A0", t), hs, m0)
 
     # -sum_i d_i (b_i v), centered fluxes
     if coeffs.get("b") is not None:
-        bgrid = _coeff_on_grid(coeffs["b"], axes, t, (m0,))
-        bgp = _pad_edge(bgrid, N)
+        bgp = _pad_edge(grid("b", t), N)
         for i in range(m0):
             Gp = bgp[..., i] * vp
             out -= (_shift(Gp, i, 1) - _shift(Gp, i, -1)) / (2.0 * hs[i])
 
     # (c - Tr B) v
     trB = float(np.trace(geometry.B))
-    cgrid = (_coeff_on_grid(coeffs["c"], axes, t, ())
-             if coeffs.get("c") is not None else 0.0)
-    out += (cgrid - trB) * v
+    out += (grid("c", t) - trB) * v
 
     # -<Bx, Dv>, upwind on the reversed velocity
     BX = np.einsum("ij,...j->...i", geometry.B, X)
@@ -277,15 +293,16 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
     axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(box, nx)]
     hs = [float(a[1] - a[0]) for a in axes]
 
+    probe_pts = _grid_points([a[::4] for a in axes])
     if Lambda is None:
         Lambda = 1.0
         if coeffs.get("A0") is not None:
-            probe = coeffs["A0"].many(_grid_points([a[::4] for a in axes]), t0)
-            Lambda = float(max(np.max(np.linalg.eigvalsh(np.atleast_2d(p)))
-                               for p in probe))
+            probe = np.asarray(coeffs["A0"].many(probe_pts, t0))
+            Lambda = float(np.max(np.linalg.eigvalsh(
+                probe.reshape(-1, m0, m0))))
     bmax = 0.0
     if coeffs.get("b") is not None:
-        bvals = coeffs["b"].many(_grid_points([a[::4] for a in axes]), t0)
+        bvals = coeffs["b"].many(probe_pts, t0)
         bmax = float(np.max(np.abs(bvals)))
     dt_bound = stability_dt(hs, Lambda, m0, bmax)
     if dt is None:
@@ -297,8 +314,8 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
     taxis = np.linspace(t0, t1, nt)
     dt = float(taxis[1] - taxis[0])
 
-    pts = _grid_points(axes)
-    dims = tuple(len(a) for a in axes)
+    grid = _GridCoeffs(coeffs, axes, m0)
+    pts, dims = grid.pts, grid.dims
     if hasattr(phi, "many"):
         u = np.asarray(phi.many(pts, t0), dtype=float).reshape(dims)
     else:
@@ -321,10 +338,10 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
         if transport is not None:
             u = transport(u)
         # (ii) explicit flux-form diffusion in the x^(0) block
-        u = u + dt * _diffusion(u, _pad_zero(u), t, axes, coeffs, m0)
+        u = u + dt * _diffusion(u, _pad_zero(u), grid("A0", t), hs, m0)
         # (iii) upwind b-advection and the zero-order factor
         if coeffs.get("b") is not None:
-            bgrid = _coeff_on_grid(coeffs["b"], axes, t, (m0,))
+            bgrid = grid("b", t)
             upad = _pad_zero(u)
             adv = np.zeros_like(u)
             for i in range(m0):
@@ -334,7 +351,7 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
                 adv += np.where(bi > 0.0, bi * fwd, bi * bwd)
             u = u + dt * adv
         if coeffs.get("c") is not None:
-            u = u * np.exp(dt * _coeff_on_grid(coeffs["c"], axes, t, ()))
+            u = u * np.exp(dt * grid("c", t))
         if not np.all(np.isfinite(u)):
             raise Unstable(f"non-finite values at step {it}")
         values[it] = u
@@ -570,8 +587,8 @@ def weak_residual(u: GridSolution, tf: TestFunction, coeffs,
         raise SupportExceedsGrid("cylinder time range leaves the grid")
 
     total = 0.0
-    pts = _grid_points(u.axes)
-    dims = tuple(len(a) for a in u.axes)
+    grid = _GridCoeffs(coeffs, u.axes, m0)
+    pts, dims = grid.pts, grid.dims
     interp = u.interpolator()
     s_lie = 0.5 * min(min(hs), dt)
     Efwd = geometry.exp_drift(-s_lie)
@@ -586,7 +603,7 @@ def weak_residual(u: GridSolution, tf: TestFunction, coeffs,
         uslice = u.values[it]
         up = _pad_zero(uslice)
         php = _pad_zero(phi)
-        A = _coeff_on_grid(coeffs.get("A0"), u.axes, t, (m0, m0))
+        A = grid("A0", t)
         integrand = np.zeros(dims)
         Du = [(_shift(up, i, 1) - _shift(up, i, -1)) / (2.0 * hs[i])
               for i in range(m0)]
@@ -605,12 +622,11 @@ def weak_residual(u: GridSolution, tf: TestFunction, coeffs,
         Yu[mask] = (interp(P1) - interp(P2)) / (2.0 * s_lie)
         integrand += phi * Yu
         if coeffs.get("b") is not None:
-            bgrid = _coeff_on_grid(coeffs["b"], u.axes, t, (m0,))
+            bgrid = grid("b", t)
             for i in range(m0):
                 integrand += bgrid[..., i] * Du[i] * phi
         if coeffs.get("c") is not None:
-            integrand += _coeff_on_grid(coeffs["c"], u.axes, t, ()) \
-                * uslice * phi
+            integrand += grid("c", t) * uslice * phi
         total += float(np.sum(integrand)) * np.prod(hs) * dt
     return total
 

@@ -18,6 +18,22 @@ def spec_path(tmp_path):
                              tmp_path / "proto.json"))
 
 
+def _checkerboard_doc(doc):
+    """The prototype with a seeded checkerboard A0 from {1, 2}."""
+    doc["coefficients"]["A0"] = {
+        "kind": "checkerboard", "values": [[[1.0]], [[2.0]]],
+        "h": 0.5, "dim": 2, "seed": 1}
+    return doc
+
+
+@pytest.fixture()
+def cb_spec_path(tmp_path):
+    p = tmp_path / "cb.json"
+    p.write_text(json.dumps(_checkerboard_doc(
+        specfile.prototype_spec().to_dict())))
+    return str(p)
+
+
 def run(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr().out
@@ -79,6 +95,55 @@ def test_solve_bad_nx_exit_2(spec_path, tmp_path, capsys, cmd, nx):
                      "--nx", nx, "--t1", "0.3",
                      "--out", str(tmp_path / "c.csv")]) == cli.EXIT_PARSE
     assert "--nx" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["mc", "simulate", "{spec}", "--x0", "1", "--paths", "10",
+     "--out", "e.csv"],
+    ["mc", "mass", "{spec}", "--y", "1", "--paths", "10"],
+    ["check", "harnack", "{spec}", "--pole", "1"],
+    ["check", "harnack", "{spec}", "--center", "0,0,0"],
+], ids=lambda a: a[3])
+def test_point_option_needs_N_components(spec_path, tmp_path, capsys,
+                                         monkeypatch, argv):
+    """A point option with the wrong number of components is a parse
+    error, not a broadcast point or a traceback."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([a.format(spec=spec_path) for a in argv]) \
+        == cli.EXIT_PARSE
+    assert argv[3] + " needs 2 components" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "eval", "{spec}", "--pole", "0,0",
+     "--grid", "0:1;0:0:1;1:1:1", "--out", "k.csv"],
+    ["kernel", "eval", "{spec}", "--pole", "0,0",
+     "--grid", "0:1:0;0:0:1;1:1:1", "--out", "k.csv"],
+    ["solve", "cauchy", "{spec}", "--box=-4,4", "--nx", "21,21",
+     "--t1", "0.3", "--out", "c.csv"],
+    ["solve", "cauchy", "{spec}", "--box=-4,4;2,-2", "--nx", "21,21",
+     "--t1", "0.3", "--out", "c.csv"],
+    ["solve", "cauchy", "{spec}", "--box=-4,4;-2,x", "--nx", "21,21",
+     "--t1", "0.3", "--out", "c.csv"],
+    ["kernel", "eval", "{spec}", "--pole", "0,0", "--points", "pts.csv",
+     "--out", "k.csv"],
+    ["mc", "density", "{spec}", "--box=-3,3;-2,2", "--bins", "12",
+     "--paths", "10", "--out", "d.csv"],
+    ["solve", "fundamental", "{spec}", "--box=-4,4;-2,2", "--nx", "21,41",
+     "--t1", "0.8", "--widths", "0.45,x", "--out", "f.csv"],
+    ["mollify", "{spec}", "--eps", "0.2,x", "--samples", "10"],
+], ids=["grid-part", "grid-nodes", "box-count", "box-order", "box-number",
+        "points-width", "bins", "widths", "eps"])
+def test_malformed_option_exit_2(spec_path, tmp_path, capsys, monkeypatch,
+                                 argv):
+    """Malformed option values exit 2 through SpecError instead of ending
+    in a traceback or, for a points file of the wrong width, in rows
+    under the wrong header."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pts.csv").write_text("x1,t\n0,1\n")
+    assert cli.main([a.format(spec=spec_path) for a in argv]) \
+        == cli.EXIT_PARSE
+    assert "error:" in capsys.readouterr().err
 
 
 def test_kernel_eval_matches_oracle(spec_path, tmp_path, capsys):
@@ -153,14 +218,34 @@ def test_example_asian_degenerate_sigma(capsys):
     assert abs(rep["price_mc"] - want) < 1e-10
 
 
-def test_mollify_report(spec_path, tmp_path, capsys):
-    doc = json.loads(open(spec_path).read())
+def test_mc_mass_rough_21_deterministic_across_threads(tmp_path, capsys):
+    """Beyond N=2: on the (2,1) structure with a 2x2 checkerboard A0 the
+    per-state factor runs on m0 = 2, and the report does not depend on the
+    thread count."""
+    doc = specfile.prototype_spec().to_dict()
+    doc["structure"] = {"blocks": [2, 1],
+                        "B": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+                              [1.0, 0.5, 0.0]]}
     doc["coefficients"]["A0"] = {
-        "kind": "checkerboard", "values": [[[1.0]], [[2.0]]],
-        "h": 0.5, "dim": 2, "seed": 1}
-    p = tmp_path / "cb.json"
+        "kind": "checkerboard", "h": 0.25, "dim": 3, "seed": 8,
+        "values": [[[1.0, 0.3], [0.3, 0.6]], [[2.0, -0.5], [-0.5, 1.5]]]}
+    p = tmp_path / "rough21.json"
     p.write_text(json.dumps(doc))
-    code, out = run(capsys, ["mollify", str(p), "--samples", "400"])
+    reports = []
+    for threads in (1, 2):
+        code, out = run(capsys, ["--threads", str(threads), "mc", "mass",
+                                 str(p), "--paths", "40000", "--dt", "1e-2",
+                                 "--x0", "0.1,-0.2,0", "--y", "0,0,0"])
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["config"].pop("threads") == threads
+        reports.append(specfile.dumps_stable(rep))
+    assert reports[0] == reports[1]
+    assert 0.0 < json.loads(reports[0])["mass"]["mass"] < 1.0
+
+
+def test_mollify_report(cb_spec_path, capsys):
+    code, out = run(capsys, ["mollify", cb_spec_path, "--samples", "400"])
     rep = json.loads(out)
     assert code == 0
     levels = rep["eps"]
@@ -195,15 +280,19 @@ sys.exit(code)
      "--t1", "0.2", "--out", "c.csv"],
     ["solve", "fundamental", "{spec}", "--box=-4,4;-2,2", "--nx", "21,41",
      "--t1", "0.8", "--widths", "0.45,0.4", "--out", "f.csv"],
+    pytest.param(["--threads", "2", "mc", "mass", "{cb}", "--paths", "20000",
+                  "--dt", "1e-2"], id="mc mass"),
+    pytest.param(["mollify", "{cb}", "--eps", "0.2,0.1", "--samples", "100"],
+                 id="mollify"),
 ], ids=lambda a: " ".join(a[:2]) or "import")
-def test_cold_start_loads_no_scipy(argv, spec_path, tmp_path):
+def test_cold_start_loads_no_scipy(argv, spec_path, cb_spec_path, tmp_path):
     src = str(Path(kolmo.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", _COLD_START]
-        + [a.format(spec=spec_path) for a in argv],
+        + [a.format(spec=spec_path, cb=cb_spec_path) for a in argv],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == []

@@ -34,6 +34,43 @@ def test_checkerboard_reproducible_and_bounded():
     assert len(np.unique(a)) > 1  # genuinely discontinuous
 
 
+def _column_stack_hash(f, X, ts):
+    """Reference checkerboard lookup: the cells of column_stack([X, ts])
+    mixed one column at a time, as the field's values were first drawn."""
+    ts = np.broadcast_to(np.asarray(ts, dtype=float), (len(X),))
+    cells = np.floor(np.column_stack([X, ts]) / f.h).astype(np.int64) \
+        .view(np.uint64)
+    acc = np.full(len(X), (f.seed + 0x9E3779B97F4A7C15) % 2 ** 64,
+                  dtype=np.uint64)
+    for col in cells.T:
+        acc ^= col
+        acc *= np.uint64(0xBF58476D1CE4E5B9)
+        acc ^= acc >> np.uint64(31)
+    return f.values[(acc % np.uint64(len(f.values))).astype(np.int64)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_checkerboard_hash_matches_column_stack_reference(dim):
+    """The column-wise hash draws bitwise the cells of the reference, with
+    negative coordinates, coordinates on cell edges (exact multiples of h),
+    and both a scalar time and one time per row."""
+    h = 0.25
+    f = coeff.CheckerboardField([np.array([[1.0]]), np.array([[2.5]]),
+                                 np.array([[0.7]])], h=h, dim=dim, seed=29)
+    rng = np.random.default_rng(dim)
+    X = np.concatenate([rng.normal(scale=3.0, size=(500, dim)),
+                        h * rng.integers(-12, 12, size=(200, dim)),
+                        -np.abs(rng.normal(size=(100, dim)))])
+    ts = np.concatenate([rng.uniform(-2.0, 2.0, 400),
+                         h * rng.integers(-8, 8, 400)])
+    for t in (ts, -0.5, 0.3, 0.0):
+        want = _column_stack_hash(f, X, t)
+        assert np.array_equal(f.many(X, t), want)
+        assert np.array_equal(f(X[7], np.broadcast_to(t, len(X))[7]),
+                              want[7])
+    assert len(np.unique(f.many(X, ts))) == 3
+
+
 def test_check_ellipticity_checkerboard():
     f = coeff.checkerboard_spd(1.0, 2.0, m0=1, dim=2, h=0.25, seed=11)
     rng = np.random.default_rng(0)

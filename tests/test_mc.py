@@ -3,7 +3,7 @@ import pytest
 
 from kolmo import kernel as kern
 from kolmo import mc
-from kolmo.coefficients import ConstantField
+from kolmo.coefficients import CheckerboardField, ConstantField
 from kolmo.errors import NotSPD
 
 
@@ -53,6 +53,39 @@ def test_not_spd_diffusion(proto):
     cfg = mc.McConfig(paths=100, dt=1e-2, seed=0)
     with pytest.raises(NotSPD):
         mc.simulate(coeffs, proto, np.zeros(2), 0.0, 0.1, cfg)
+
+
+@pytest.mark.parametrize("kind", ["checkerboard", "constant"])
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+def test_not_spd_diffusion_pivots(proto, kind, bad):
+    """Both the per-state factor of a rough A0 and the one factor of a
+    constant A0 reject a zero, a negative or a NaN pivot."""
+    if kind == "checkerboard":
+        A0 = CheckerboardField([np.array([[1.0]]), np.array([[bad]])],
+                               h=0.25, dim=2, seed=3)
+    else:
+        A0 = ConstantField(np.array([[bad]]), dim=2)
+    cfg = mc.McConfig(paths=2000, dt=1e-2, seed=0)
+    with pytest.raises(NotSPD):
+        mc.simulate({"A0": A0}, proto, np.zeros(2), 0.0, 0.5, cfg)
+
+
+def test_sigma_chunk_matches_lapack_cholesky():
+    """The closed-form factor is bitwise LAPACK's for m0 = 1 and agrees to
+    rounding for m0 = 2 and 3."""
+    rng = np.random.default_rng(4)
+    lam = 2.0
+    A = rng.uniform(0.1, 3.0, size=(4096, 1, 1))
+    assert np.array_equal(mc._sigma_chunk(A, lam),
+                          np.linalg.cholesky(lam * A))
+    for m in (2, 3):
+        G = rng.normal(size=(2000, m, m))
+        A = G @ G.transpose(0, 2, 1) + m * np.eye(m)
+        L = mc._sigma_chunk(A, lam)
+        ref = np.linalg.cholesky(lam * A)
+        assert np.array_equal(np.triu(L, 1), np.zeros_like(L))
+        err = np.max(np.abs(L - ref), axis=(1, 2))
+        assert np.all(err <= 1e-14 * np.max(np.abs(ref), axis=(1, 2)))
 
 
 def test_density_estimate_normalization(proto, proto_coeffs):

@@ -3,7 +3,7 @@ import pytest
 
 from kolmo import kernel as kern
 from kolmo import pde
-from kolmo.coefficients import ConstantField
+from kolmo.coefficients import ConstantField, Field
 from kolmo.errors import BoundaryNode, OutOfDomain, SupportExceedsGrid, \
     Unstable
 from kolmo.group import Geometry, point, prototype_geometry
@@ -94,6 +94,35 @@ def test_solver_rejects_short_axis(proto, proto_coeffs):
     with pytest.raises(ValueError, match="at least 2 nodes"):
         pde.solve_cauchy(proto_coeffs, proto, lambda x: 0.0,
                          [[-1, 1], [-1, 1]], [1, 21], 0.0, 0.1)
+
+
+@pytest.mark.filterwarnings("ignore:boundary magnitude")
+def test_solver_samples_fields_per_step_and_constants_once(proto):
+    """A field that may vary in time is sampled at every step's start time;
+    a ConstantField only for the Lambda probe and once on the grid."""
+
+    class CountedConstant(ConstantField):
+        calls = 0
+
+        def many(self, X, ts):
+            self.calls += 1
+            return super().many(X, ts)
+
+    class TimeRecorder(Field):
+        def __init__(self):
+            super().__init__(2, ())
+            self.ts = []
+
+        def many(self, X, ts):
+            self.ts.append(float(ts))
+            return np.full(len(X), -0.5)
+
+    A0, c = CountedConstant(np.eye(1), dim=2), TimeRecorder()
+    sol = pde.solve_cauchy({"A0": A0, "c": c}, proto,
+                           lambda x: np.exp(-x @ x), [[-2, 2], [-2, 2]],
+                           [21, 21], 0.0, 0.1)
+    assert c.ts == list(sol.taxis[:-1])
+    assert A0.calls == 2
 
 
 def test_solver_positivity_and_mass(proto, proto_params, proto_coeffs):

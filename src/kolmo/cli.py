@@ -211,9 +211,10 @@ def cmd_solve_cauchy(args):
     box = _box(args, g.N)
     nx = _counts(args, "nx", g.N, pde.MIN_AXIS_NODES)
     kind, _, wpart = args.datum.partition(":")
-    if kind != "gaussian":
-        raise SpecError(f"unknown datum {args.datum!r}")
-    w = float(wpart or "0.1")
+    w = _floats(wpart or "0.1")
+    if kind != "gaussian" or len(w) != 1 or not w[0] > 0.0:
+        raise SpecError(f"--datum {args.datum!r} is not gaussian:<width > 0>")
+    w = float(w[0])
     params = kern.scaled_params(args.lam, g)
     pole = point(_vector(args, "x0", g.N), args.t0)
 

@@ -132,8 +132,13 @@ def test_point_option_needs_N_components(spec_path, tmp_path, capsys,
     ["solve", "fundamental", "{spec}", "--box=-4,4;-2,2", "--nx", "21,41",
      "--t1", "0.8", "--widths", "0.45,x", "--out", "f.csv"],
     ["mollify", "{spec}", "--eps", "0.2,x", "--samples", "10"],
+    ["solve", "cauchy", "{spec}", "--box=-4,4;-2,2", "--nx", "21,21",
+     "--t1", "0.3", "--datum", "gaussian:-0.1", "--out", "c.csv"],
+    ["solve", "cauchy", "{spec}", "--box=-4,4;-2,2", "--nx", "21,21",
+     "--t1", "0.3", "--datum", "gaussian:x", "--out", "c.csv"],
 ], ids=["grid-part", "grid-nodes", "box-count", "box-order", "box-number",
-        "points-width", "bins", "widths", "eps"])
+        "points-width", "bins", "widths", "eps", "datum-width",
+        "datum-number"])
 def test_malformed_option_exit_2(spec_path, tmp_path, capsys, monkeypatch,
                                  argv):
     """Malformed option values exit 2 through SpecError instead of ending

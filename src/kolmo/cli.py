@@ -31,6 +31,7 @@ EXIT_NOTSPD = 4
 EXIT_SOLVER = 5
 EXIT_MC = 6
 EXIT_VERIFY = 7
+CSV_BLOCK = 1024           # rows per formatted write in write_csv
 
 _SOLVER_ERRORS = (Unstable, BoxTooSmall, SupportExceedsGrid, StepRejected)
 _MC_ERRORS = (NonFinite,)
@@ -38,16 +39,16 @@ _VERIFY_ERRORS = (NoAdmissibleFit, CylinderUnresolved, ConeUnresolved,
                   NotNonnegative, QuadratureUnconverged, Inconsistent)
 
 
-def _g17(x):
-    return f"{float(x):.17g}"
-
-
 def write_csv(path, header, rows):
+    """csv.writer's bytes: "%.17g" cells need no quoting, so rows go out in
+    blocks through one row template; only the header goes through csv."""
+    rows = np.asarray(rows, dtype=float)
+    line = ",".join(["%.17g"] * rows.shape[-1]) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_g17(v) for v in row])
+        csv.writer(fh).writerow(header)
+        for lo in range(0, len(rows), CSV_BLOCK):
+            block = rows[lo:lo + CSV_BLOCK]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def emit(report):
@@ -201,10 +202,6 @@ def cmd_kernel_reproduce(args):
     return 0
 
 
-def _coeffs(spec):
-    return dict(spec.fields)
-
-
 def cmd_solve_cauchy(args):
     spec = specfile.load(args.spec)
     g = spec.geometry
@@ -223,7 +220,7 @@ def cmd_solve_cauchy(args):
             pts = np.column_stack([X, np.full(len(X), args.t0 + w)])
             return kern.gamma_many(pts, pole, params)
 
-    sol = pde.solve_cauchy(_coeffs(spec), g, Datum(), box, nx,
+    sol = pde.solve_cauchy(dict(spec.fields), g, Datum(), box, nx,
                            args.t0 + w, args.t1, dt=args.dt)
     pts = pde._grid_points(sol.axes)
     header = [f"x{k + 1}" for k in range(g.N)] + ["value"]
@@ -243,8 +240,8 @@ def cmd_solve_fundamental(args):
     nx = _counts(args, "nx", g.N, pde.MIN_AXIS_NODES)
     widths = _floats(args.widths)
     final, report, _ = pde.approx_fundamental(
-        _coeffs(spec), g, _vector(args, "x0", g.N), args.t0, args.t1, box, nx,
-        widths, lam=args.lam, dt=args.dt)
+        dict(spec.fields), g, _vector(args, "x0", g.N), args.t0, args.t1,
+        box, nx, widths, lam=args.lam, dt=args.dt)
     pts = pde._grid_points(final.axes)
     header = [f"x{k + 1}" for k in range(g.N)] + ["value"]
     write_csv(args.out, header,
@@ -258,7 +255,7 @@ def cmd_solve_fundamental(args):
 def _simulate(args, spec):
     cfg = mcmod.McConfig(paths=args.paths, dt=args.dt, seed=args.seed,
                          lam=args.lam, threads=args.threads)
-    return mcmod.simulate(_coeffs(spec), spec.geometry,
+    return mcmod.simulate(dict(spec.fields), spec.geometry,
                           _vector(args, "x0", spec.structure.N),
                           args.t0, args.t1, cfg)
 
@@ -345,7 +342,7 @@ def cmd_check_bounds(args):
         nx = _counts(args, "nx", g.N, pde.MIN_AXIS_NODES)
         widths = _floats(args.widths)
         final, _, ev = pde.approx_fundamental(
-            _coeffs(spec), g, x0, args.t0,
+            dict(spec.fields), g, x0, args.t0,
             args.t0 + 1.0, box, nx, widths, lam=args.lam)
         tq = final.taxis[-1]
         pts = pde._grid_points(final.axes)
@@ -691,7 +688,8 @@ def main(argv=None):
         return EXIT_PARSE if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except SpecError as e:
+    except (SpecError, ValueError) as e:
+        # a ValueError is one of the library's own argument checks
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except (NotCanonical, RankDeficient) as e:

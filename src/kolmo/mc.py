@@ -3,9 +3,11 @@ operator: dX = (-B X + b(X, t)) dt + sigma(X, t) dW with noise acting on the
 first m0 coordinates only, sigma sigma^T = lam A0, and Feynman-Kac weights
 exp(int c dt).
 
-Reproducibility: paths are generated in fixed-size chunks, each drawn from
-its own child stream of the master seed, so results are byte-identical
-regardless of how many worker threads consume the chunks.
+Paths run in fixed-size chunks, each stepped in place as a column-major
+(N, n) state, one contiguous row per coordinate, in buffers allocated once
+per chunk; the fields see the (n, N) row view X.T.  Each chunk draws from
+its own child stream of the master seed, so the ensemble and every CSV and
+report made from it are byte-identical at any number of worker threads.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -33,6 +35,8 @@ class McConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.paths <= 0 or self.dt <= 0.0 or self.lam <= 0.0:
             raise ValueError("paths, dt and lam must be positive")
+        if self.threads < 1:
+            raise ValueError("threads must be positive")
 
 
 @dataclass
@@ -62,11 +66,8 @@ class PathEnsemble:
 
     def mean_se(self):
         """Per-coordinate standard error of the weighted mean."""
-        mu = self.weighted_mean()
         w = self.weights / self.weights.sum()
-        var = ((self.final - mu) ** 2 * w[:, None]).sum(axis=0)
-        neff = 1.0 / np.sum(w ** 2)
-        return np.sqrt(var / neff)
+        return np.sqrt(np.diag(self.weighted_cov()) * np.sum(w ** 2))
 
 
 def _sigma_chunk(A0_vals, lam):
@@ -98,6 +99,8 @@ def _sigma_chunk(A0_vals, lam):
 
 def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
     """Euler-Maruyama from the deterministic point x0 at time t0 to t1."""
+    if not t1 > t0:
+        raise ValueError(f"t1 must exceed t0, got t0={t0!r}, t1={t1!r}")
     N = geometry.N
     m0 = geometry.structure.m0
     B = geometry.B
@@ -106,15 +109,12 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
     dt = (t1 - t0) / nsteps
     sqdt = np.sqrt(dt)
 
-    A0f = coeffs.get("A0")
-    bf = coeffs.get("b")
-    cf = coeffs.get("c")
-    const_sigma = None
+    A0f, bf, cf = map(coeffs.get, ("A0", "b", "c"))
+    sigma = None
     if A0f is not None and getattr(A0f, "value", None) is not None:
-        const_sigma = _sigma_chunk(np.atleast_2d(A0f.value)[None],
-                                   config.lam)[0]
+        sigma = _sigma_chunk(np.atleast_2d(A0f.value)[None], config.lam)[0]
     elif A0f is None:
-        const_sigma = np.sqrt(config.lam) * np.eye(m0)
+        sigma = np.sqrt(config.lam) * np.eye(m0)
 
     nchunks = -(-config.paths // CHUNK)
     final = np.empty((config.paths, N))
@@ -122,39 +122,44 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
 
     def run_chunk(ci):
         lo = ci * CHUNK
-        hi = min(lo + CHUNK, config.paths)
-        n = hi - lo
+        n = min(CHUNK, config.paths - lo)
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=config.seed, spawn_key=(ci,)))
-        X = np.tile(x0, (n, 1))
+        X = np.repeat(x0[:, None], n, axis=1)
+        D = np.empty_like(X)
+        dW = np.empty((n, m0))
         lw = np.zeros(n)
         t = t0
         for _ in range(nsteps):
-            dW = rng.standard_normal((n, m0)) * sqdt
-            drift = -X @ B.T
+            rng.standard_normal(out=dW)
+            dW *= sqdt
+            # (-B X + b) dt as (B X - b) * -dt, in place: negation is exact
+            np.matmul(B, X, out=D)
             if bf is not None:
-                drift[:, :m0] += np.atleast_2d(bf.many(X, t))
-            if const_sigma is not None:
-                noise = dW @ const_sigma.T
-            else:
-                sig = _sigma_chunk(A0f.many(X, t), config.lam)
+                D[:m0] -= np.atleast_2d(bf.many(X.T, t)).T
+            D *= -dt
+            if sigma is None:
+                sig = _sigma_chunk(A0f.many(X.T, t), config.lam)
                 noise = np.einsum("kij,kj->ki", sig, dW)
+            elif m0 == 1:
+                noise = np.multiply(dW, sigma[0, 0], out=dW)
+            else:
+                noise = dW @ sigma.T
             if cf is not None:
-                lw += dt * np.asarray(cf.many(X, t)).reshape(n)
-            X[:, :m0] += noise
-            X += drift * dt
+                lw += dt * np.asarray(cf.many(X.T, t)).reshape(n)
+            X[:m0] += noise.T
+            X += D
             t += dt
         if not np.all(np.isfinite(X)):
             raise NonFinite("non-finite state in Euler-Maruyama chunk")
-        final[lo:hi] = X
-        logw[lo:hi] = lw
+        final[lo:lo + n] = X.T
+        logw[lo:lo + n] = lw
 
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as ex:
             list(ex.map(run_chunk, range(nchunks)))
     else:
-        for ci in range(nchunks):
-            run_chunk(ci)
+        list(map(run_chunk, range(nchunks)))
 
     weights = np.exp(logw)
     prov = {"seed": config.seed, "chunk": CHUNK, "nchunks": nchunks,
@@ -167,9 +172,6 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
 def density_estimate(ensemble: PathEnsemble, box, bins):
     """Weighted histogram density on the box with per-bin standard errors."""
     box = np.asarray(box, dtype=float)
-    N = ensemble.final.shape[1]
-    if np.isscalar(bins):
-        bins = [int(bins)] * N
     edges = [np.linspace(lo, hi, b + 1) for (lo, hi), b in zip(box, bins)]
     vol = np.prod([e[1] - e[0] for e in edges])
     n = ensemble.paths

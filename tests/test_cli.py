@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -136,19 +137,66 @@ def test_point_option_needs_N_components(spec_path, tmp_path, capsys,
      "--t1", "0.3", "--datum", "gaussian:-0.1", "--out", "c.csv"],
     ["solve", "cauchy", "{spec}", "--box=-4,4;-2,2", "--nx", "21,21",
      "--t1", "0.3", "--datum", "gaussian:x", "--out", "c.csv"],
+    ["mc", "mass", "{spec}", "--paths", "0"],
+    ["mc", "mass", "{spec}", "--paths", "10", "--dt", "-1"],
+    ["mollify", "{spec}", "--eps", "0,0.1", "--samples", "10"],
+    ["--threads", "0", "mc", "mass", "{spec}", "--paths", "10"],
+    ["--threads", "-4", "mc", "simulate", "{spec}", "--paths", "10",
+     "--out", "e.csv"],
+    ["mc", "mass", "{spec}", "--paths", "10", "--t0", "0.5", "--t1", "0.2"],
+    ["mc", "simulate", "{spec}", "--paths", "10", "--t1", "0.0",
+     "--out", "e.csv"],
 ], ids=["grid-part", "grid-nodes", "box-count", "box-order", "box-number",
         "points-width", "bins", "widths", "eps", "datum-width",
-        "datum-number"])
+        "datum-number", "mc-paths", "mc-dt", "eps-range", "threads-zero",
+        "threads-negative", "mc-reversed-window", "mc-empty-window"])
 def test_malformed_option_exit_2(spec_path, tmp_path, capsys, monkeypatch,
                                  argv):
-    """Malformed option values exit 2 through SpecError instead of ending
-    in a traceback or, for a points file of the wrong width, in rows
-    under the wrong header."""
+    """Malformed option values exit 2, through SpecError or the library's
+    own ValueError, instead of ending in a traceback, in a run that ignores
+    them or, for a points file of the wrong width, in rows under the wrong
+    header."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "pts.csv").write_text("x1,t\n0,1\n")
     assert cli.main([a.format(spec=spec_path) for a in argv]) \
         == cli.EXIT_PARSE
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "e.csv").exists()
+
+
+def _reference_csv(path, header, rows):
+    """The writer as it was: csv.writer with one f-string per value."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([f"{float(v):.17g}" for v in row])
+
+
+@pytest.mark.parametrize("case", ["specials", "blocks", "list", "empty"])
+def test_write_csv_matches_csv_writer(tmp_path, case):
+    """The block writer gives csv.writer's bytes: signed zero, nan, +-inf,
+    subnormals, large and integral floats, a list-of-lists input, more
+    rows than one block and zero rows."""
+    specials = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e22, 3.0,
+                -17.0, 0.1, 1 / 3, 2.0 ** 60, -1e-300]
+    if case == "specials":
+        rows = np.array(specials[:12]).reshape(4, 3)
+    elif case == "blocks":
+        n = 2 * cli.CSV_BLOCK + 7
+        rng = np.random.default_rng(0)
+        rows = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-300, 300,
+                                                              (n, 3))
+        rows[::97, 1] = np.resize(specials, len(rows[::97]))
+    elif case == "list":
+        rows = [[v, 1, 2.5] for v in specials]
+    else:
+        rows = np.empty((0, 3))
+    header = ["x1", "x2", "value"]
+    cli.write_csv(tmp_path / "new.csv", header, rows)
+    _reference_csv(tmp_path / "ref.csv", header, rows)
+    assert (tmp_path / "new.csv").read_bytes() == \
+        (tmp_path / "ref.csv").read_bytes()
 
 
 def test_kernel_eval_matches_oracle(spec_path, tmp_path, capsys):

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+from test_structure import random_canonical_B
+
 from kolmo import kernel as kern
 from kolmo import mc
 from kolmo.coefficients import CheckerboardField, ConstantField
-from kolmo.errors import NotSPD
+from kolmo.errors import NonFinite, NotSPD
+from kolmo.group import Geometry
+from kolmo.structure import BlockStructure
 
 
 def test_config_validation():
@@ -12,6 +16,131 @@ def test_config_validation():
         mc.McConfig(paths=0, dt=1e-3, seed=0)
     with pytest.raises(ValueError):
         mc.McConfig(paths=10, dt=1e-3, seed=0, scheme="milstein")
+    for threads in (0, -4):
+        with pytest.raises(ValueError, match="threads"):
+            mc.McConfig(paths=10, dt=1e-3, seed=0, threads=threads)
+
+
+@pytest.mark.parametrize("t0, t1", [(0.5, 0.2), (0.0, 0.0),
+                                    (0.0, float("nan"))])
+def test_simulate_needs_t1_after_t0(proto, proto_coeffs, t0, t1):
+    """An empty or reversed window is an argument error, not a one-step
+    run at dt = 0 or a blow-up backwards in time."""
+    cfg = mc.McConfig(paths=10, dt=1e-2, seed=0)
+    with pytest.raises(ValueError, match="t1 must exceed t0"):
+        mc.simulate(proto_coeffs, proto, np.zeros(2), t0, t1, cfg)
+
+
+def _row_major_simulate(coeffs, geometry, x0, t0, t1, config):
+    """The Euler-Maruyama loop as it was written before the column-major
+    state: (n, N) rows, drift -X @ B.T and fresh arrays on every step.
+    Returns the terminal states and the log-weights."""
+    N, m0, B = geometry.N, geometry.structure.m0, geometry.B
+    nsteps = max(1, int(round((t1 - t0) / config.dt)))
+    dt = (t1 - t0) / nsteps
+    sqdt = np.sqrt(dt)
+    A0f, bf, cf = coeffs.get("A0"), coeffs.get("b"), coeffs.get("c")
+    const_sigma = None
+    if getattr(A0f, "value", None) is not None:
+        const_sigma = mc._sigma_chunk(np.atleast_2d(A0f.value)[None],
+                                      config.lam)[0]
+    final = np.empty((config.paths, N))
+    logw = np.zeros(config.paths)
+    for ci in range(-(-config.paths // mc.CHUNK)):
+        lo = ci * mc.CHUNK
+        hi = min(lo + mc.CHUNK, config.paths)
+        n = hi - lo
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=config.seed, spawn_key=(ci,)))
+        X = np.tile(x0, (n, 1))
+        lw = np.zeros(n)
+        t = t0
+        for _ in range(nsteps):
+            dW = rng.standard_normal((n, m0)) * sqdt
+            drift = -X @ B.T
+            if bf is not None:
+                drift[:, :m0] += np.atleast_2d(bf.many(X, t))
+            if const_sigma is not None:
+                noise = dW @ const_sigma.T
+            else:
+                sig = mc._sigma_chunk(A0f.many(X, t), config.lam)
+                noise = np.einsum("kij,kj->ki", sig, dW)
+            if cf is not None:
+                lw += dt * np.asarray(cf.many(X, t)).reshape(n)
+            X[:, :m0] += noise
+            X += drift * dt
+            t += dt
+        final[lo:hi] = X
+        logw[lo:hi] = lw
+    return final, logw
+
+
+def _rough_coeffs(m0, N, with_bc):
+    """Checkerboard A0 (SPD cells, off-diagonal for m0 > 1), plus
+    checkerboard b and c when with_bc."""
+    A = np.eye(m0) + 0.3 * (np.ones((m0, m0)) - np.eye(m0))
+    coeffs = {"A0": CheckerboardField([A, 2.0 * np.eye(m0)], h=0.25,
+                                      dim=N, seed=3)}
+    if with_bc:
+        coeffs["b"] = CheckerboardField([np.full(m0, 0.5), np.full(m0, -0.3)],
+                                        h=0.5, dim=N, seed=4)
+        coeffs["c"] = CheckerboardField([-0.2, 0.1], h=0.5, dim=N, seed=5)
+    return coeffs
+
+
+def _ensembles(coeffs, g, x0, paths):
+    return [mc.simulate(coeffs, g, x0, 0.1, 0.3,
+                        mc.McConfig(paths=paths, dt=0.02, seed=11, lam=2.0,
+                                    threads=threads))
+            for threads in (1, 2)]
+
+
+@pytest.mark.parametrize("blocks", [(1, 1), (1, 1, 1)])
+@pytest.mark.parametrize("kind", ["constant", "checkerboard"])
+def test_column_major_loop_bitwise_row_major(blocks, kind):
+    """Where every row of B has one non-zero the column-major loop is
+    bitwise the old row-major one, at 1 and 2 threads, over a partial
+    last chunk, with constant A0 or checkerboard A0, b and c."""
+    g = Geometry(BlockStructure(blocks),
+                 random_canonical_B(blocks, np.random.default_rng(7)))
+    if kind == "constant":
+        coeffs = {"A0": ConstantField(np.array([[0.7]]), dim=g.N)}
+    else:
+        coeffs = _rough_coeffs(1, g.N, with_bc=True)
+    x0 = np.linspace(-0.3, 0.4, g.N)
+    paths = mc.CHUNK + 1000
+    final, logw = _row_major_simulate(
+        coeffs, g, x0, 0.1, 0.3, mc.McConfig(paths=paths, dt=0.02, seed=11))
+    for ens in _ensembles(coeffs, g, x0, paths):
+        assert np.array_equal(ens.final, final)
+        assert np.array_equal(ens.weights, np.exp(logw))
+    assert np.any(logw != 0.0) == (kind == "checkerboard")
+
+
+@pytest.mark.parametrize("blocks", [(2, 1), (2, 2, 1)])
+def test_column_major_loop_matches_row_major_dense_B(blocks):
+    """With several non-zeros in a row of B the matmul may fuse or reorder
+    the multiply-adds, so the old loop is matched to 1e-13 of the state;
+    thread counts still agree bitwise."""
+    g = Geometry(BlockStructure(blocks),
+                 random_canonical_B(blocks, np.random.default_rng(5)))
+    coeffs = _rough_coeffs(2, g.N, with_bc=False)
+    x0 = np.linspace(-0.3, 0.4, g.N)
+    paths = mc.CHUNK + 1000
+    final, _ = _row_major_simulate(
+        coeffs, g, x0, 0.1, 0.3, mc.McConfig(paths=paths, dt=0.02, seed=11))
+    one, two = _ensembles(coeffs, g, x0, paths)
+    assert np.array_equal(one.final, two.final)
+    assert np.max(np.abs(one.final - final)) <= 1e-13 * np.max(np.abs(final))
+
+
+def test_non_finite_state_raises(proto):
+    """A state that overflows ends in NonFinite, not in an ensemble."""
+    coeffs = {"b": ConstantField(np.array([1e308]), dim=2)}
+    cfg = mc.McConfig(paths=100, dt=1.0, seed=0)
+    with pytest.raises(NonFinite), np.errstate(over="ignore",
+                                               invalid="ignore"):
+        mc.simulate(coeffs, proto, np.zeros(2), 0.0, 4.0, cfg)
 
 
 def test_moments_match_kernel(proto, proto_coeffs):

@@ -17,11 +17,11 @@ from . import coefficients as coeff
 from . import kernel as kern
 from . import mc as mcmod
 from . import pde, specfile, verify
-from .errors import (BoxTooSmall, ConeUnresolved, CylinderUnresolved,
-                     Inconsistent, NoAdmissibleFit, NonFinite, NotCanonical,
-                     NotNonnegative, NotSPD, QuadratureUnconverged,
-                     RankDeficient, StepRejected, SupportExceedsGrid,
-                     Unstable)
+from .errors import (ArgumentError, BoxTooSmall, ConeUnresolved,
+                     CylinderUnresolved, Inconsistent, NoAdmissibleFit,
+                     NonFinite, NotCanonical, NotNonnegative, NotSPD,
+                     QuadratureUnconverged, RankDeficient, StepRejected,
+                     SupportExceedsGrid, Unstable)
 from .group import point, split
 from .specfile import SpecError
 
@@ -202,6 +202,10 @@ def cmd_kernel_reproduce(args):
     return 0
 
 
+def _coeffs(spec):
+    return dict(spec.fields)
+
+
 def cmd_solve_cauchy(args):
     spec = specfile.load(args.spec)
     g = spec.geometry
@@ -220,7 +224,7 @@ def cmd_solve_cauchy(args):
             pts = np.column_stack([X, np.full(len(X), args.t0 + w)])
             return kern.gamma_many(pts, pole, params)
 
-    sol = pde.solve_cauchy(dict(spec.fields), g, Datum(), box, nx,
+    sol = pde.solve_cauchy(_coeffs(spec), g, Datum(), box, nx,
                            args.t0 + w, args.t1, dt=args.dt)
     pts = pde._grid_points(sol.axes)
     header = [f"x{k + 1}" for k in range(g.N)] + ["value"]
@@ -240,8 +244,8 @@ def cmd_solve_fundamental(args):
     nx = _counts(args, "nx", g.N, pde.MIN_AXIS_NODES)
     widths = _floats(args.widths)
     final, report, _ = pde.approx_fundamental(
-        dict(spec.fields), g, _vector(args, "x0", g.N), args.t0, args.t1,
-        box, nx, widths, lam=args.lam, dt=args.dt)
+        _coeffs(spec), g, _vector(args, "x0", g.N), args.t0, args.t1, box, nx,
+        widths, lam=args.lam, dt=args.dt)
     pts = pde._grid_points(final.axes)
     header = [f"x{k + 1}" for k in range(g.N)] + ["value"]
     write_csv(args.out, header,
@@ -255,7 +259,7 @@ def cmd_solve_fundamental(args):
 def _simulate(args, spec):
     cfg = mcmod.McConfig(paths=args.paths, dt=args.dt, seed=args.seed,
                          lam=args.lam, threads=args.threads)
-    return mcmod.simulate(dict(spec.fields), spec.geometry,
+    return mcmod.simulate(_coeffs(spec), spec.geometry,
                           _vector(args, "x0", spec.structure.N),
                           args.t0, args.t1, cfg)
 
@@ -342,7 +346,7 @@ def cmd_check_bounds(args):
         nx = _counts(args, "nx", g.N, pde.MIN_AXIS_NODES)
         widths = _floats(args.widths)
         final, _, ev = pde.approx_fundamental(
-            dict(spec.fields), g, x0, args.t0,
+            _coeffs(spec), g, x0, args.t0,
             args.t0 + 1.0, box, nx, widths, lam=args.lam)
         tq = final.taxis[-1]
         pts = pde._grid_points(final.axes)
@@ -688,8 +692,7 @@ def main(argv=None):
         return EXIT_PARSE if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (SpecError, ValueError) as e:
-        # a ValueError is one of the library's own argument checks
+    except (SpecError, ArgumentError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except (NotCanonical, RankDeficient) as e:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import WindowUnderflow
+from .errors import ArgumentError, WindowUnderflow
 
 
 class Field:
@@ -321,7 +321,7 @@ def mollify(f: Field, eps, T, nodes=16):
     up to a few ulps: the quadrature weights sum to 1 only up to rounding,
     so lam = 0.5 can come back as 0.4999999999999999."""
     if not 0.0 < eps <= 1.0:
-        raise ValueError("eps must lie in (0, 1]")
+        raise ArgumentError("eps must lie in (0, 1]")
     return MollifiedField(f, eps, T, nodes=nodes)
 
 

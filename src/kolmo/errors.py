@@ -5,6 +5,10 @@ class KolmoError(Exception):
     """Base class for all library errors."""
 
 
+class ArgumentError(KolmoError, ValueError):
+    """An argument lies outside the range a routine accepts."""
+
+
 class NotCanonical(KolmoError):
     """A block of B that must vanish is nonzero beyond tolerance."""
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotSPD, QuadratureUnconverged
+from .errors import ArgumentError, NotSPD, QuadratureUnconverged
 from .group import Geometry, point
 
 
@@ -119,7 +119,7 @@ class KernelParams:
 
     def __post_init__(self):
         if self.lam <= 0.0:
-            raise ValueError("lam must be positive")
+            raise ArgumentError("lam must be positive")
         self.trB = float(np.trace(self.geometry.B))
         self.poly = covariance_poly_coeffs(
             self.geometry.B, np.eye(self.geometry.structure.m0))
@@ -310,7 +310,7 @@ def reproduction_check(x, t, y, t0, s, params, nodes=8, tol=1e-6):
     agree to tol relative.
     """
     if not t0 < s < t:
-        raise ValueError("need t0 < s < t")
+        raise ArgumentError("need t0 < s < t")
     log_lhs = _log_gamma_pair(np.asarray(x, float), t,
                               np.asarray(y, float), t0, params)
     log_rhs = _log_reproduction_quadrature(x, t, y, t0, s, params, nodes)

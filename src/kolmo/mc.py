@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFinite, NotSPD
+from .errors import ArgumentError, NonFinite, NotSPD
 from .group import Geometry
 
 CHUNK = 1 << 14
@@ -32,11 +32,11 @@ class McConfig:
 
     def __post_init__(self):
         if self.scheme != "euler":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+            raise ArgumentError(f"unknown scheme {self.scheme!r}")
         if self.paths <= 0 or self.dt <= 0.0 or self.lam <= 0.0:
-            raise ValueError("paths, dt and lam must be positive")
+            raise ArgumentError("paths, dt and lam must be positive")
         if self.threads < 1:
-            raise ValueError("threads must be positive")
+            raise ArgumentError("threads must be positive")
 
 
 @dataclass
@@ -66,8 +66,11 @@ class PathEnsemble:
 
     def mean_se(self):
         """Per-coordinate standard error of the weighted mean."""
+        mu = self.weighted_mean()
         w = self.weights / self.weights.sum()
-        return np.sqrt(np.diag(self.weighted_cov()) * np.sum(w ** 2))
+        var = ((self.final - mu) ** 2 * w[:, None]).sum(axis=0)
+        neff = 1.0 / np.sum(w ** 2)
+        return np.sqrt(var / neff)
 
 
 def _sigma_chunk(A0_vals, lam):
@@ -100,7 +103,7 @@ def _sigma_chunk(A0_vals, lam):
 def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
     """Euler-Maruyama from the deterministic point x0 at time t0 to t1."""
     if not t1 > t0:
-        raise ValueError(f"t1 must exceed t0, got t0={t0!r}, t1={t1!r}")
+        raise ArgumentError(f"t1 must exceed t0, got t0={t0!r}, t1={t1!r}")
     N = geometry.N
     m0 = geometry.structure.m0
     B = geometry.B
@@ -109,12 +112,15 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
     dt = (t1 - t0) / nsteps
     sqdt = np.sqrt(dt)
 
-    A0f, bf, cf = map(coeffs.get, ("A0", "b", "c"))
-    sigma = None
+    A0f = coeffs.get("A0")
+    bf = coeffs.get("b")
+    cf = coeffs.get("c")
+    const_sigma = None
     if A0f is not None and getattr(A0f, "value", None) is not None:
-        sigma = _sigma_chunk(np.atleast_2d(A0f.value)[None], config.lam)[0]
+        const_sigma = _sigma_chunk(np.atleast_2d(A0f.value)[None],
+                                   config.lam)[0]
     elif A0f is None:
-        sigma = np.sqrt(config.lam) * np.eye(m0)
+        const_sigma = np.sqrt(config.lam) * np.eye(m0)
 
     nchunks = -(-config.paths // CHUNK)
     final = np.empty((config.paths, N))
@@ -122,7 +128,8 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
 
     def run_chunk(ci):
         lo = ci * CHUNK
-        n = min(CHUNK, config.paths - lo)
+        hi = min(lo + CHUNK, config.paths)
+        n = hi - lo
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=config.seed, spawn_key=(ci,)))
         X = np.repeat(x0[:, None], n, axis=1)
@@ -138,13 +145,15 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
             if bf is not None:
                 D[:m0] -= np.atleast_2d(bf.many(X.T, t)).T
             D *= -dt
-            if sigma is None:
+            if const_sigma is None:
                 sig = _sigma_chunk(A0f.many(X.T, t), config.lam)
                 noise = np.einsum("kij,kj->ki", sig, dW)
             elif m0 == 1:
-                noise = np.multiply(dW, sigma[0, 0], out=dW)
+                # the product dW @ const_sigma.T forms, in place: numpy's
+                # matmul takes over ten times as long on (n, 1) @ (1, 1)
+                noise = np.multiply(dW, const_sigma[0, 0], out=dW)
             else:
-                noise = dW @ sigma.T
+                noise = dW @ const_sigma.T
             if cf is not None:
                 lw += dt * np.asarray(cf.many(X.T, t)).reshape(n)
             X[:m0] += noise.T
@@ -152,14 +161,15 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
             t += dt
         if not np.all(np.isfinite(X)):
             raise NonFinite("non-finite state in Euler-Maruyama chunk")
-        final[lo:lo + n] = X.T
-        logw[lo:lo + n] = lw
+        final[lo:hi] = X.T
+        logw[lo:hi] = lw
 
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as ex:
             list(ex.map(run_chunk, range(nchunks)))
     else:
-        list(map(run_chunk, range(nchunks)))
+        for ci in range(nchunks):
+            run_chunk(ci)
 
     weights = np.exp(logw)
     prov = {"seed": config.seed, "chunk": CHUNK, "nchunks": nchunks,
@@ -172,6 +182,9 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
 def density_estimate(ensemble: PathEnsemble, box, bins):
     """Weighted histogram density on the box with per-bin standard errors."""
     box = np.asarray(box, dtype=float)
+    N = ensemble.final.shape[1]
+    if np.isscalar(bins):
+        bins = [int(bins)] * N
     edges = [np.linspace(lo, hi, b + 1) for (lo, hi), b in zip(box, bins)]
     vol = np.prod([e[1] - e[0] for e in edges])
     n = ensemble.paths

@@ -146,14 +146,17 @@ def test_point_option_needs_N_components(spec_path, tmp_path, capsys,
     ["mc", "mass", "{spec}", "--paths", "10", "--t0", "0.5", "--t1", "0.2"],
     ["mc", "simulate", "{spec}", "--paths", "10", "--t1", "0.0",
      "--out", "e.csv"],
+    ["kernel", "eval", "{spec}", "--pole", "0,0", "--lam", "0",
+     "--grid", "0:0:1;0:0:1;1:1:1", "--out", "e.csv"],
 ], ids=["grid-part", "grid-nodes", "box-count", "box-order", "box-number",
         "points-width", "bins", "widths", "eps", "datum-width",
         "datum-number", "mc-paths", "mc-dt", "eps-range", "threads-zero",
-        "threads-negative", "mc-reversed-window", "mc-empty-window"])
+        "threads-negative", "mc-reversed-window", "mc-empty-window",
+        "kernel-lam"])
 def test_malformed_option_exit_2(spec_path, tmp_path, capsys, monkeypatch,
                                  argv):
     """Malformed option values exit 2, through SpecError or the library's
-    own ValueError, instead of ending in a traceback, in a run that ignores
+    own argument checks (ArgumentError), instead of ending in a traceback, in a run that ignores
     them or, for a points file of the wrong width, in rows under the wrong
     header."""
     monkeypatch.chdir(tmp_path)
@@ -162,6 +165,18 @@ def test_malformed_option_exit_2(spec_path, tmp_path, capsys, monkeypatch,
         == cli.EXIT_PARSE
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "e.csv").exists()
+
+
+@pytest.mark.parametrize("exc", [np.linalg.LinAlgError, ValueError])
+def test_other_value_error_is_not_exit_2(spec_path, monkeypatch, exc):
+    """Only the library's argument checks exit 2: any other ValueError,
+    numpy's LinAlgError among them, ends in its traceback."""
+    def fail(*args, **kwargs):
+        raise exc("raised inside the command")
+
+    monkeypatch.setattr(cli.mcmod, "simulate", fail)
+    with pytest.raises(exc, match="inside the command"):
+        cli.main(["mc", "mass", spec_path, "--paths", "10"])
 
 
 def _reference_csv(path, header, rows):

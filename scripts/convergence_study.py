@@ -25,7 +25,8 @@ def run(geometry, coeffs, box, nx, w, t1, dt, pole, params):
             return kern.gamma_many(pts, pole, params)
 
     tic = time.perf_counter()
-    sol = pde.solve_cauchy(coeffs, geometry, Datum(), box, nx, w, t1, dt=dt)
+    sol = pde.solve_cauchy(coeffs, geometry, Datum(), box, nx, w, t1, dt=dt,
+                           keep="final")
     elapsed = time.perf_counter() - tic
     pts = pde._grid_points(sol.axes)
     exact = kern.gamma_many(

@@ -93,6 +93,14 @@ def _counts(args, name, N, least):
     return v
 
 
+def _threads(s):
+    """--threads: a positive integer, checked for every command."""
+    n = int(s)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"needs an integer >= 1, got {s!r}")
+    return n
+
+
 def _resolved(args, **extra):
     cfg = {k: v for k, v in sorted(vars(args).items())
            if k != "func" and v is not None}
@@ -225,7 +233,8 @@ def cmd_solve_cauchy(args):
             return kern.gamma_many(pts, pole, params)
 
     sol = pde.solve_cauchy(_coeffs(spec), g, Datum(), box, nx,
-                           args.t0 + w, args.t1, dt=args.dt)
+                           args.t0 + w, args.t1, dt=args.dt,
+                           Lambda=spec.ellipticity[1], keep="final")
     pts = pde._grid_points(sol.axes)
     header = [f"x{k + 1}" for k in range(g.N)] + ["value"]
     write_csv(args.out, header,
@@ -245,7 +254,8 @@ def cmd_solve_fundamental(args):
     widths = _floats(args.widths)
     final, report, _ = pde.approx_fundamental(
         _coeffs(spec), g, _vector(args, "x0", g.N), args.t0, args.t1, box, nx,
-        widths, lam=args.lam, dt=args.dt)
+        widths, lam=args.lam, dt=args.dt, Lambda=spec.ellipticity[1],
+        keep="final")
     pts = pde._grid_points(final.axes)
     header = [f"x{k + 1}" for k in range(g.N)] + ["value"]
     write_csv(args.out, header,
@@ -345,9 +355,10 @@ def cmd_check_bounds(args):
         box = _box(args, g.N)
         nx = _counts(args, "nx", g.N, pde.MIN_AXIS_NODES)
         widths = _floats(args.widths)
-        final, _, ev = pde.approx_fundamental(
+        final, _, _ = pde.approx_fundamental(
             _coeffs(spec), g, x0, args.t0,
-            args.t0 + 1.0, box, nx, widths, lam=args.lam)
+            args.t0 + 1.0, box, nx, widths, lam=args.lam,
+            Lambda=spec.ellipticity[1], keep="final")
         tq = final.taxis[-1]
         pts = pde._grid_points(final.axes)
         keep = final.values[-1].ravel() > 1e-3 * final.values[-1].max()
@@ -523,7 +534,9 @@ def cmd_example_asian(args):
 
 def build_parser():
     p = argparse.ArgumentParser(prog="kolmo")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_threads, default=1,
+                   help="worker threads, at least 1; only the mc commands "
+                        "read it")
     sub = p.add_subparsers(dest="command", required=True)
 
     def spec_arg(sp):

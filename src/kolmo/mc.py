@@ -121,6 +121,9 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
                                    config.lam)[0]
     elif A0f is None:
         const_sigma = np.sqrt(config.lam) * np.eye(m0)
+    if const_sigma is not None:
+        # contiguous, so the per-step product need not walk a transposed view
+        sigma_T = np.ascontiguousarray(const_sigma.T)
 
     nchunks = -(-config.paths // CHUNK)
     final = np.empty((config.paths, N))
@@ -149,11 +152,11 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
                 sig = _sigma_chunk(A0f.many(X.T, t), config.lam)
                 noise = np.einsum("kij,kj->ki", sig, dW)
             elif m0 == 1:
-                # the product dW @ const_sigma.T forms, in place: numpy's
-                # matmul takes over ten times as long on (n, 1) @ (1, 1)
+                # the product dW @ sigma_T forms, in place: numpy's matmul
+                # takes over ten times as long on (n, 1) @ (1, 1)
                 noise = np.multiply(dW, const_sigma[0, 0], out=dW)
             else:
-                noise = dW @ const_sigma.T
+                noise = dW @ sigma_T
             if cf is not None:
                 lw += dt * np.asarray(cf.many(X.T, t)).reshape(n)
             X[:m0] += noise.T

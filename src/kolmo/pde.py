@@ -14,11 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (BoundaryNode, BoxTooSmall, OutOfDomain,
+from .errors import (ArgumentError, BoundaryNode, BoxTooSmall, OutOfDomain,
                      SupportExceedsGrid, Unstable)
 from .group import Geometry, point, split
 
 BOUNDARY_MASS_TOL = 1e-12
+# A monotone step cannot raise the sup norm beyond its reaction factor; its
+# arithmetic rounds at the scale of the peak, so the audit allows this much.
+GROWTH_TOL = 64 * np.finfo(float).eps
 # The fewest nodes per axis the solver supports: the grid spacing needs two,
 # and so does the transport's mirror fold, whose period is 2 (n - 1).
 MIN_AXIS_NODES = 2
@@ -27,7 +30,9 @@ MIN_AXIS_NODES = 2
 @dataclass
 class GridSolution:
     """Solution samples on a tensor product of uniform spatial grids and a
-    uniform time grid; values indexed values[it, ix1, ..., ixN]."""
+    uniform time grid; values indexed values[it, ix1, ..., ixN].  A solve
+    that keeps only its final slice has one entry in taxis (its time step
+    is in meta["dt"])."""
 
     axes: list
     taxis: np.ndarray
@@ -264,8 +269,14 @@ def lie_derivative(u: GridSolution, x, t, geometry: Geometry, s=None):
 # -- Cauchy solver -----------------------------------------------------------
 
 
+def _check_keep(keep):
+    if keep not in ("all", "final"):
+        raise ArgumentError(f"keep must be 'all' or 'final', got {keep!r}")
+
+
 def stability_dt(hs, Lambda, m0, bmax=0.0, courant=0.9):
-    """Explicit-diffusion bound with an advection Courant cap."""
+    """Explicit-diffusion bound with an advection Courant cap; bmax bounds
+    the l1 norm of b, so the upwind step stays monotone for any m0."""
     hmin = min(hs[:m0]) if m0 <= len(hs) else min(hs)
     dt = hmin * hmin / (2.0 * Lambda * m0)
     if bmax > 0.0:
@@ -274,14 +285,27 @@ def stability_dt(hs, Lambda, m0, bmax=0.0, courant=0.9):
 
 
 def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
-                 dt=None, Lambda=None, boundary="warn"):
+                 dt=None, Lambda=None, boundary="warn", keep="all"):
     """March the datum phi from t0 to t1 on the truncated box.
 
     box: (N, 2) array of axis intervals; nx: nodes per axis (int or list).
     phi: callable x -> value, or a Field evaluated at t0.  The datum is
-    extended by zero outside the box; the boundary stays audited against
-    BOUNDARY_MASS_TOL times the interior max.
+    extended by zero outside the box.  Lambda, when given, is a declared
+    bound on A0's eigenvalues; the time step is bounded with the larger of
+    it and a probe of A0 at t0.
+
+    keep="all" stores every time slice; keep="final" holds only the current
+    one and returns the final slice alone (values of shape (1,) + dims and
+    taxis [t1]).  Either way values[-1] is the slice at taxis[-1] = t1.
+
+    Every step is audited as it is made: a non-finite value raises
+    Unstable, and so does a sup norm that grows beyond the factor
+    max(1, max exp(dt c)) the monotone scheme allows (checked where A0 is
+    diagonal on the step; centered cross terms are not monotone).  The
+    boundary stays audited against BOUNDARY_MASS_TOL times the max over all
+    slices.
     """
+    _check_keep(keep)
     N = geometry.N
     m0 = geometry.structure.m0
     box = np.asarray(box, dtype=float).reshape(N, 2)
@@ -294,16 +318,15 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
     hs = [float(a[1] - a[0]) for a in axes]
 
     probe_pts = _grid_points([a[::4] for a in axes])
-    if Lambda is None:
-        Lambda = 1.0
-        if coeffs.get("A0") is not None:
-            probe = np.asarray(coeffs["A0"].many(probe_pts, t0))
-            Lambda = float(np.max(np.linalg.eigvalsh(
-                probe.reshape(-1, m0, m0))))
+    probed = 1.0
+    if coeffs.get("A0") is not None:
+        probe = np.asarray(coeffs["A0"].many(probe_pts, t0))
+        probed = float(np.max(np.linalg.eigvalsh(probe.reshape(-1, m0, m0))))
+    Lambda = probed if Lambda is None else max(float(Lambda), probed)
     bmax = 0.0
     if coeffs.get("b") is not None:
-        bvals = coeffs["b"].many(probe_pts, t0)
-        bmax = float(np.max(np.abs(bvals)))
+        bvals = np.abs(coeffs["b"].many(probe_pts, t0))
+        bmax = float(np.max(bvals.reshape(len(probe_pts), -1).sum(axis=1)))
     dt_bound = stability_dt(hs, Lambda, m0, bmax)
     if dt is None:
         dt = dt_bound
@@ -329,16 +352,24 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
             [(feet[:, k] - axes[k][0]) / hs[k] for k in range(N)], axis=0),
             dims)
 
-    values = np.empty((nt,) + dims)
-    values[0] = u
-    warnings_list = []
+    bmask = np.ones(dims, dtype=bool)
+    bmask[(slice(1, -1),) * N] = False
+    offdiag = ~np.eye(m0, dtype=bool)
+    absu = np.abs(u)
+    peak = interior_max = float(absu.max())
+    boundary_max = float(absu[bmask].max())
+    values = None
+    if keep == "all":
+        values = np.empty((nt,) + dims)
+        values[0] = u
     for it in range(1, nt):
         t = taxis[it - 1]
         # (i) transport along Y by quasi-monotone interpolation
         if transport is not None:
             u = transport(u)
         # (ii) explicit flux-form diffusion in the x^(0) block
-        u = u + dt * _diffusion(u, _pad_zero(u), grid("A0", t), hs, m0)
+        A = grid("A0", t)
+        u = u + dt * _diffusion(u, _pad_zero(u), A, hs, m0)
         # (iii) upwind b-advection and the zero-order factor
         if coeffs.get("b") is not None:
             bgrid = grid("b", t)
@@ -350,21 +381,31 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
                 bi = bgrid[..., i]
                 adv += np.where(bi > 0.0, bi * fwd, bi * bwd)
             u = u + dt * adv
+        growth = 1.0
         if coeffs.get("c") is not None:
-            u = u * np.exp(dt * grid("c", t))
-        if not np.all(np.isfinite(u)):
+            factor = np.exp(dt * grid("c", t))
+            u = u * factor
+            growth = max(1.0, float(factor.max()))
+        # audit: one reduction gives the step's sup norm, which is not
+        # finite when any value is not; a monotone step (A0 diagonal, as
+        # always for m0 = 1) cannot raise it beyond the reaction factor
+        np.abs(u, out=absu)
+        prev, peak = peak, float(absu.max())
+        if not math.isfinite(peak):
             raise Unstable(f"non-finite values at step {it}")
-        values[it] = u
+        if peak > prev * growth * (1.0 + GROWTH_TOL) and \
+                (m0 == 1 or not A[..., offdiag].any()):
+            raise Unstable(
+                f"sup norm grew from {prev:.6e} to {peak:.6e} at step {it}, "
+                f"beyond the monotone bound x {growth:.6e}")
+        interior_max = max(interior_max, peak)
+        boundary_max = max(boundary_max, float(absu[bmask].max()))
+        if values is not None:
+            values[it] = u
+    if values is None:
+        values, taxis = u[None], taxis[-1:].copy()
 
-    interior_max = float(np.abs(values).max())
-    bmask = np.zeros(dims, dtype=bool)
-    for k in range(N):
-        sl = [slice(None)] * N
-        sl[k] = 0
-        bmask[tuple(sl)] = True
-        sl[k] = -1
-        bmask[tuple(sl)] = True
-    boundary_max = float(np.abs(values[:, bmask]).max()) if N > 0 else 0.0
+    warnings_list = []
     if interior_max > 0 and boundary_max > BOUNDARY_MASS_TOL * interior_max:
         msg = (f"boundary magnitude {boundary_max:.3e} exceeds "
                f"{BOUNDARY_MASS_TOL:.0e} x interior max {interior_max:.3e}")
@@ -463,17 +504,20 @@ class _Transport:
 
 
 def approx_fundamental(coeffs, geometry, x0, t0, t1, box, nx, widths,
-                       lam=2.0, dt=None):
+                       lam=2.0, dt=None, Lambda=None, keep="all"):
     """Cauchy evolutions from narrow Gaussian data of decreasing widths.
 
     The datum of width w is the exact constant-coefficient kernel at elapsed
-    time w from the pole; the report carries the per-width solutions, the
-    pointwise Richardson extrapolation of the two narrowest, and the spread
+    time w from the pole; the report carries the pointwise Richardson
+    extrapolation of the two narrowest terminal slices and the spread
     between consecutive widths as an error proxy.  Slices at t <= t0 are
-    identically zero by definition.
+    identically zero by definition.  Lambda goes to every solve; keep goes
+    to the narrowest width's, whose solution is returned (the evaluator
+    needs keep="all"), and the wider widths keep only their final slice.
     """
     from . import kernel as kern
 
+    _check_keep(keep)
     widths = sorted(widths, reverse=True)
     params = kern.scaled_params(lam, geometry)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -482,8 +526,8 @@ def approx_fundamental(coeffs, geometry, x0, t0, t1, box, nx, widths,
     boxa = np.asarray(box, dtype=float).reshape(N, 2)
     nxl = [int(nx)] * N if np.isscalar(nx) else list(nx)
     hs = [(hi - lo) / (n - 1) for (lo, hi), n in zip(boxa, nxl)]
-    sols = []
-    for w in widths:
+    finals = []
+    for i, w in enumerate(widths):
         # the datum must be representable on the grid: every marginal
         # standard deviation of the width-w kernel has to span a few cells
         stds = np.sqrt(lam * np.diag(params.cov(w).C))
@@ -498,11 +542,11 @@ def approx_fundamental(coeffs, geometry, x0, t0, t1, box, nx, widths,
                 pts = np.column_stack([X, np.full(len(X), t0 + w)])
                 return kern.gamma_many(pts, pole, params)
         sol = solve_cauchy(coeffs, geometry, _Datum(), box, nx,
-                           t0 + w, t1, dt=dt)
-        sols.append(sol)
+                           t0 + w, t1, dt=dt, Lambda=Lambda,
+                           keep=keep if i == len(widths) - 1 else "final")
+        finals.append(sol.values[-1])
 
     # widths agree only on the terminal slice (the time grids differ)
-    finals = [s.values[-1] for s in sols]
     spread = [float(np.max(np.abs(finals[k + 1] - finals[k])))
               for k in range(len(finals) - 1)]
     report = {"widths": widths, "spread": spread}
@@ -511,14 +555,13 @@ def approx_fundamental(coeffs, geometry, x0, t0, t1, box, nx, widths,
         # first-order-in-width Richardson on the terminal slice
         factor = w2 / (w1 - w2)
         report["extrapolated"] = finals[-1] + factor * (finals[-1] - finals[-2])
-    final = sols[-1]
 
     def evaluate(x, t):
         if t <= t0:
             return 0.0
-        return final.evaluate(x, t)
+        return sol.evaluate(x, t)
 
-    return final, report, evaluate
+    return sol, report, evaluate
 
 
 # -- weak formulation --------------------------------------------------------

@@ -212,7 +212,7 @@ def _cauchy_setup(proto):
 def _cauchy_rel_err(proto, coeffs, nx, dt):
     w, t1, pole, params, box, datum = _cauchy_setup(proto)
     sol = pde.solve_cauchy(coeffs, proto, datum, box, [nx, nx], w, t1,
-                           dt=dt)
+                           dt=dt, keep="final")
     pts = pde._grid_points(sol.axes)
     exact = kern.gamma_many(
         np.column_stack([pts, np.full(len(pts), t1)]), pole,

@@ -87,6 +87,27 @@ def test_unstable_dt_exit_5(spec_path, tmp_path, capsys):
                      "--out", out]) == cli.EXIT_SOLVER
 
 
+@pytest.mark.filterwarnings("ignore:boundary magnitude")
+def test_declared_Lambda_bounds_the_step(step_A0, tmp_path, capsys):
+    """The spec's declared Lambda bounds the time step: an A0 that steps
+    from 1 to 4 after the start, where the probe reads 1, gives a finite,
+    non-negative slice, not values of order 1e9 with exit 0."""
+    specfile.save_grid_field(step_A0, tmp_path / "a0.csv")
+    proto = specfile.prototype_spec()
+    p = specfile.save(specfile.OperatorSpec(
+        structure=proto.structure, B=proto.B, fields={"A0": step_A0},
+        window=(0.0, 1.0), ellipticity=(1.0, 4.0)), tmp_path / "step.json")
+    out = tmp_path / "c.csv"
+    code, rep = run(capsys, ["solve", "cauchy", str(p), "--box=-4,4;-4,4",
+                             "--nx", "41,41", "--t0", "-0.1", "--t1", "0.3",
+                             "--out", str(out)])
+    assert code == 0
+    assert json.loads(rep)["Lambda"] == 4.0
+    vals = np.loadtxt(out, delimiter=",", skiprows=1)[:, 2]
+    assert np.all(np.isfinite(vals))
+    assert np.min(vals) >= -64 * np.finfo(float).eps * np.max(vals)
+
+
 @pytest.mark.parametrize("cmd", ["cauchy", "fundamental"])
 @pytest.mark.parametrize("nx", ["1,21", "21,1", "21", "21,21,21", "21,x"])
 def test_solve_bad_nx_exit_2(spec_path, tmp_path, capsys, cmd, nx):
@@ -148,11 +169,14 @@ def test_point_option_needs_N_components(spec_path, tmp_path, capsys,
      "--out", "e.csv"],
     ["kernel", "eval", "{spec}", "--pole", "0,0", "--lam", "0",
      "--grid", "0:0:1;0:0:1;1:1:1", "--out", "e.csv"],
+    ["--threads", "0", "structure", "{spec}"],
+    ["--threads", "-3", "kernel", "eval", "{spec}", "--pole", "0,0",
+     "--grid", "0:0:1;0:0:1;1:1:1", "--out", "e.csv"],
 ], ids=["grid-part", "grid-nodes", "box-count", "box-order", "box-number",
         "points-width", "bins", "widths", "eps", "datum-width",
         "datum-number", "mc-paths", "mc-dt", "eps-range", "threads-zero",
         "threads-negative", "mc-reversed-window", "mc-empty-window",
-        "kernel-lam"])
+        "kernel-lam", "threads-structure", "threads-kernel"])
 def test_malformed_option_exit_2(spec_path, tmp_path, capsys, monkeypatch,
                                  argv):
     """Malformed option values exit 2, through SpecError or the library's

@@ -121,17 +121,23 @@ def test_column_major_loop_bitwise_row_major(blocks, kind):
 def test_column_major_loop_matches_row_major_dense_B(blocks):
     """With several non-zeros in a row of B the matmul may fuse or reorder
     the multiply-adds, so the old loop is matched to 1e-13 of the state;
-    thread counts still agree bitwise."""
+    thread counts still agree bitwise.  The inputs are an m0 = 2
+    checkerboard A0 and a constant one, which takes the sigma^T product
+    built once per call."""
     g = Geometry(BlockStructure(blocks),
                  random_canonical_B(blocks, np.random.default_rng(5)))
-    coeffs = _rough_coeffs(2, g.N, with_bc=False)
     x0 = np.linspace(-0.3, 0.4, g.N)
     paths = mc.CHUNK + 1000
-    final, _ = _row_major_simulate(
-        coeffs, g, x0, 0.1, 0.3, mc.McConfig(paths=paths, dt=0.02, seed=11))
-    one, two = _ensembles(coeffs, g, x0, paths)
-    assert np.array_equal(one.final, two.final)
-    assert np.max(np.abs(one.final - final)) <= 1e-13 * np.max(np.abs(final))
+    for coeffs in (_rough_coeffs(2, g.N, with_bc=False),
+                   {"A0": ConstantField(np.array([[1.0, 0.3], [0.3, 0.6]]),
+                                        dim=g.N)}):
+        final, _ = _row_major_simulate(
+            coeffs, g, x0, 0.1, 0.3,
+            mc.McConfig(paths=paths, dt=0.02, seed=11))
+        one, two = _ensembles(coeffs, g, x0, paths)
+        assert np.array_equal(one.final, two.final)
+        assert np.max(np.abs(one.final - final)) \
+            <= 1e-13 * np.max(np.abs(final))
 
 
 def test_non_finite_state_raises(proto):

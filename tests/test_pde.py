@@ -1,11 +1,14 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
 from kolmo import kernel as kern
 from kolmo import pde
-from kolmo.coefficients import ConstantField, Field
-from kolmo.errors import BoundaryNode, OutOfDomain, SupportExceedsGrid, \
-    Unstable
+from kolmo.coefficients import CheckerboardField, ConstantField, Field
+from kolmo.errors import ArgumentError, BoundaryNode, OutOfDomain, \
+    SupportExceedsGrid, Unstable
 from kolmo.group import Geometry, point, prototype_geometry
 from kolmo.structure import BlockStructure
 
@@ -203,6 +206,152 @@ def test_solver_chain_n3_positive():
     peak = np.max(np.abs(sol.values))
     assert np.min(sol.values) >= -ROUNDOFF * peak
     assert np.max(np.abs(sol.values[-1] - sol.values[0])) > 1e-3 * peak
+
+
+class _Bump:
+    def many(self, X, t):
+        return np.exp(-4.0 * np.sum(X * X, axis=1))
+
+
+def _keep_coeffs(blocks, with_bc):
+    """A0 with off-diagonal entries for m0 = 2; checkerboard b and c that
+    change in time when with_bc."""
+    g = _canonical_geometry(blocks)
+    m0, N = g.structure.m0, g.N
+    A = np.eye(m0) + 0.3 * (np.ones((m0, m0)) - np.eye(m0))
+    coeffs = {"A0": CheckerboardField([A, 1.5 * np.eye(m0)], h=0.25, dim=N,
+                                      seed=2)}
+    if with_bc:
+        coeffs["b"] = CheckerboardField([np.full(m0, 0.5),
+                                         np.full(m0, -0.8)],
+                                        h=0.05, dim=N, seed=3)
+        coeffs["c"] = CheckerboardField([-0.4, 0.3], h=0.05, dim=N, seed=4)
+    return g, coeffs
+
+
+def _solve_recorded(*args, **kwargs):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sol = pde.solve_cauchy(*args, **kwargs)
+    return sol, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("with_bc", [False, True])
+@pytest.mark.parametrize("blocks", [(1, 1), (2, 1), (1, 1, 1)])
+def test_keep_final_matches_all_bitwise(blocks, with_bc):
+    """The streaming solve gives the stored solve's final slice, meta
+    (boundary ratio and warnings included) and warnings, bitwise."""
+    g, coeffs = _keep_coeffs(blocks, with_bc)
+    nx = 31 if g.N == 2 else 17
+    args = (coeffs, g, _Bump(), [[-1.5, 1.5]] * g.N, nx, 0.0, 0.15)
+    full, warned_full = _solve_recorded(*args)
+    last, warned_last = _solve_recorded(*args, keep="final")
+    assert np.array_equal(last.values[-1], full.values[-1])
+    assert last.meta == full.meta
+    # the running maxima are those of the stored slices
+    edge = np.ones(full.values.shape[1:], dtype=bool)
+    edge[(slice(1, -1),) * g.N] = False
+    ratio = np.abs(full.values[:, edge]).max() / np.abs(full.values).max()
+    assert full.meta["boundary_max_ratio"] == ratio
+    assert warned_last == warned_full == full.meta["warnings"]
+    assert full.meta["warnings"], "the box is cut so the boundary audit warns"
+    assert last.taxis[-1] == full.taxis[-1] == 0.15
+    assert len(full.taxis) > 3
+
+
+@pytest.mark.filterwarnings("ignore:boundary magnitude")
+def test_boundary_ratio_reads_every_slice(proto, proto_coeffs):
+    """A datum that fills the box has its boundary peak at t0, and the
+    streaming solve still reports it."""
+    sol = pde.solve_cauchy(proto_coeffs, proto, lambda x: 1.0,
+                           [[-1, 1], [-1, 1]], 21, 0.0, 0.1, keep="final")
+    assert np.max(np.abs(sol.values[-1][[0, -1]])) < 0.9
+    assert sol.meta["boundary_max_ratio"] == 1.0
+
+
+@pytest.mark.filterwarnings("ignore:boundary magnitude")
+def test_keep_final_stores_one_slice(proto, proto_coeffs):
+    """A "final" solve holds one slice: its values are one slice, and its
+    allocation peak is below the stored solve's by all but a few of the 301
+    slices."""
+    args = (proto_coeffs, proto, _Bump(), [[-2, 2], [-2, 2]], [41, 41],
+            0.0, 0.3)
+    peaks = {}
+    for keep in ("all", "final"):
+        tracemalloc.start()
+        sol = pde.solve_cauchy(*args, dt=1e-3, keep=keep)
+        peaks[keep] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert sol.values.shape == (1, 41, 41)
+    assert sol.taxis.tolist() == [0.3]
+    assert peaks["final"] + 298 * sol.values.nbytes < peaks["all"]
+
+
+@pytest.mark.parametrize("keep", ["last", "ALL", None, 1])
+def test_keep_rejects_other_values(proto, proto_coeffs, keep):
+    with pytest.raises(ArgumentError, match="keep"):
+        pde.solve_cauchy(proto_coeffs, proto, _Bump(), [[-1, 1], [-1, 1]],
+                         11, 0.0, 0.1, keep=keep)
+    with pytest.raises(ArgumentError, match="keep"):
+        pde.approx_fundamental(proto_coeffs, proto, np.zeros(2), 0.0, 0.4,
+                               [[-4, 4], [-2, 2]], [41, 61],
+                               widths=[0.3, 0.25], keep=keep)
+
+
+@pytest.mark.filterwarnings("ignore:boundary magnitude")
+def test_approx_fundamental_keep_final_matches_all(proto, proto_coeffs):
+    """keep reaches only the narrowest width; the report and the returned
+    final slice do not depend on it."""
+    args = (proto_coeffs, proto, np.zeros(2), 0.0, 0.4, [[-4, 4], [-2, 2]],
+            [41, 61], [0.3, 0.25])
+    full, rep_full, _ = pde.approx_fundamental(*args)
+    last, rep_last, _ = pde.approx_fundamental(*args, keep="final")
+    assert len(full.taxis) > 1 and len(last.taxis) == 1
+    assert np.array_equal(last.values[-1], full.values[-1])
+    assert rep_last["spread"] == rep_full["spread"]
+    assert np.array_equal(rep_last["extrapolated"], rep_full["extrapolated"])
+
+
+@pytest.mark.filterwarnings("ignore:boundary magnitude")
+def test_sup_norm_audit_catches_understated_Lambda(proto, step_A0):
+    """A0 steps from 1 to 4 after the start: with Lambda = 1 the explicit
+    diffusion is not monotone, and the per-step sup-norm audit raises
+    instead of returning values of order 1e9; the declared Lambda = 4 gives
+    a finite, non-negative solution."""
+    args = ({"A0": step_A0}, proto, _Bump(), [[-4, 4], [-4, 4]], [41, 41],
+            0.0, 0.3)
+    with pytest.raises(Unstable, match="sup norm grew"):
+        pde.solve_cauchy(*args, Lambda=1.0, keep="final")
+    sol = pde.solve_cauchy(*args, Lambda=4.0, keep="final")
+    assert sol.meta["Lambda"] == 4.0
+    assert np.all(np.isfinite(sol.values))
+    assert np.min(sol.values) >= -ROUNDOFF * np.max(sol.values)
+
+
+@pytest.mark.filterwarnings("ignore:boundary magnitude")
+def test_declared_Lambda_below_probe_is_raised(proto):
+    """The step is bounded with the larger of the declared and probed
+    Lambda."""
+    coeffs = {"A0": ConstantField(np.array([[2.0]]), dim=2)}
+    args = (coeffs, proto, _Bump(), [[-1, 1], [-1, 1]], 21, 0.0, 0.05)
+    low = pde.solve_cauchy(*args, Lambda=1.0, keep="final").meta
+    high = pde.solve_cauchy(*args, Lambda=3.0, keep="final").meta
+    assert low["Lambda"] == 2.0 and high["Lambda"] == 3.0
+    assert high["dt_bound"] == pytest.approx(low["dt_bound"] * 2.0 / 3.0)
+
+
+@pytest.mark.filterwarnings("ignore:boundary magnitude")
+def test_courant_cap_bounds_l1_norm_of_b():
+    """With m0 = 2 the upwind step is monotone only if dt sum_i |b_i| / h
+    <= 1, so the Courant cap reads the l1 norm of b; capping with max |b_i|
+    alone gave values down to -0.07 of a peak of 0.5 here."""
+    g = _canonical_geometry((2, 1))
+    coeffs = {"A0": ConstantField(np.eye(2), dim=3),
+              "b": ConstantField(np.array([30.0, 40.0]), dim=3)}
+    sol = pde.solve_cauchy(coeffs, g, _Bump(), [[-2, 2]] * 3, 21, 0.0, 0.05,
+                           keep="final")
+    assert sol.meta["bmax"] == 70.0
+    assert np.min(sol.values) >= -ROUNDOFF * np.max(sol.values)
 
 
 def test_reaction_factor(proto, proto_coeffs):

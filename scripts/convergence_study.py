@@ -19,14 +19,9 @@ from kolmo.coefficients import ConstantField
 
 
 def run(geometry, coeffs, box, nx, w, t1, dt, pole, params):
-    class Datum:
-        def many(self, X, t):
-            pts = np.column_stack([X, np.full(len(X), w)])
-            return kern.gamma_many(pts, pole, params)
-
     tic = time.perf_counter()
-    sol = pde.solve_cauchy(coeffs, geometry, Datum(), box, nx, w, t1, dt=dt,
-                           keep="final")
+    sol = pde.solve_cauchy(coeffs, geometry, pde.KernelDatum(pole, params),
+                           box, nx, w, t1, dt=dt, keep="final")
     elapsed = time.perf_counter() - tic
     pts = pde._grid_points(sol.axes)
     exact = kern.gamma_many(

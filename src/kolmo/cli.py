@@ -225,14 +225,8 @@ def cmd_solve_cauchy(args):
         raise SpecError(f"--datum {args.datum!r} is not gaussian:<width > 0>")
     w = float(w[0])
     params = kern.scaled_params(args.lam, g)
-    pole = point(_vector(args, "x0", g.N), args.t0)
-
-    class Datum:
-        def many(self, X, t):
-            pts = np.column_stack([X, np.full(len(X), args.t0 + w)])
-            return kern.gamma_many(pts, pole, params)
-
-    sol = pde.solve_cauchy(_coeffs(spec), g, Datum(), box, nx,
+    datum = pde.KernelDatum(point(_vector(args, "x0", g.N), args.t0), params)
+    sol = pde.solve_cauchy(_coeffs(spec), g, datum, box, nx,
                            args.t0 + w, args.t1, dt=args.dt,
                            Lambda=spec.ellipticity[1], keep="final")
     pts = pde._grid_points(sol.axes)

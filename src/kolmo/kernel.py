@@ -192,28 +192,10 @@ def gamma_many(points, zeta, params: KernelParams, log=False):
     return lg if log else np.exp(lg)
 
 
-def log_gamma_at_origin(x, t, params: KernelParams):
-    """log of the kernel at (x, t) with pole at the group origin; -inf for t <= 0."""
-    return float(_log_gamma_rows(point(x, t)[None, :], params)[0])
-
-
-def gamma_at_origin(x, t, params):
-    return math.exp(log_gamma_at_origin(x, t, params))
-
-
 def gamma_K_lambda(z, zeta, params: KernelParams):
-    """Kernel value at the point z with pole zeta."""
+    """Kernel value at the point z with pole zeta: the one-row wrapper of
+    gamma_many."""
     return float(gamma_many(z, zeta, params)[0])
-
-
-def gamma_K(z, zeta, geometry):
-    """Principal-part kernel (lam = 2 normalization)."""
-    return gamma_K_lambda(z, zeta, principal_params(geometry))
-
-
-def gamma_pole(x, t, y, t0, params):
-    """Kernel of the Cauchy problem: value at (x,t) with pole (y,t0)."""
-    return gamma_K_lambda(point(x, t), point(y, t0), params)
 
 
 # -- the 1934 kinetic prototype ---------------------------------------------
@@ -296,10 +278,6 @@ def _log_reproduction_quadrature(x, t, y, t0, s, params, nodes):
     return log_scale + top + math.log(float(np.sum(np.exp(terms - top))))
 
 
-def _log_gamma_pair(x, t, y, t0, params):
-    return float(gamma_many(point(x, t), point(y, t0), params, log=True)[0])
-
-
 def reproduction_check(x, t, y, t0, s, params, nodes=8, tol=1e-6):
     """Chapman-Kolmogorov identity across the intermediate time s.
 
@@ -311,8 +289,8 @@ def reproduction_check(x, t, y, t0, s, params, nodes=8, tol=1e-6):
     """
     if not t0 < s < t:
         raise ArgumentError("need t0 < s < t")
-    log_lhs = _log_gamma_pair(np.asarray(x, float), t,
-                              np.asarray(y, float), t0, params)
+    log_lhs = float(gamma_many(point(x, t), point(y, t0), params,
+                               log=True)[0])
     log_rhs = _log_reproduction_quadrature(x, t, y, t0, s, params, nodes)
     log_rhs2 = _log_reproduction_quadrature(x, t, y, t0, s, params,
                                             2 * nodes)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernel as kern
 from .errors import (ArgumentError, BoundaryNode, BoxTooSmall, OutOfDomain,
                      SupportExceedsGrid, Unstable)
 from .group import Geometry, point, split
@@ -32,7 +33,7 @@ class GridSolution:
     """Solution samples on a tensor product of uniform spatial grids and a
     uniform time grid; values indexed values[it, ix1, ..., ixN].  A solve
     that keeps only its final slice has one entry in taxis (its time step
-    is in meta["dt"])."""
+    is in meta["dt"]) and cannot be interpolated in time."""
 
     axes: list
     taxis: np.ndarray
@@ -45,11 +46,19 @@ class GridSolution:
 
     @property
     def dt(self):
+        """The solver's time step when it recorded one, else the spacing of
+        taxis."""
+        if "dt" in self.meta:
+            return float(self.meta["dt"])
         return float(self.taxis[1] - self.taxis[0])
 
     def interpolator(self):
         from scipy.interpolate import RegularGridInterpolator
 
+        if len(self.taxis) < 2:
+            raise ArgumentError(
+                "interpolation in time needs keep='all': the solution "
+                "holds one slice")
         vals = np.moveaxis(self.values, 0, -1)
         return RegularGridInterpolator(
             tuple(self.axes) + (self.taxis,), vals, method="linear",
@@ -113,6 +122,33 @@ def _shift(a, axis, k):
     return a[tuple(sl)]
 
 
+def _centered(up, i, h):
+    """Centered difference along axis i of the padded array up, on the core."""
+    return (_shift(up, i, 1) - _shift(up, i, -1)) / (2.0 * h)
+
+
+def _centered_div(out, up, vec, hs):
+    """Subtract div(vec u) from out in place by centered fluxes (up: u
+    padded by zeros; vec: a field on the grid, one component per leading
+    coordinate, extended by its edge values)."""
+    vp = _pad_edge(vec, up.ndim)
+    for i in range(vec.shape[-1]):
+        out -= _centered(vp[..., i] * up, i, hs[i])
+
+
+def _upwind(out, up, vel, hs):
+    """Add sum_i vel_i d_i u to out in place, each term differenced on the
+    upwind side: forward where vel_i > 0, backward elsewhere.  A component
+    of vel that is zero on the whole grid adds nothing."""
+    for i in range(vel.shape[-1]):
+        vi = vel[..., i]
+        if not np.any(vi):
+            continue
+        fwd = (_shift(up, i, 1) - _shift(up, i, 0)) / hs[i]
+        bwd = (_shift(up, i, 0) - _shift(up, i, -1)) / hs[i]
+        out += np.where(vi > 0.0, vi * fwd, vi * bwd)
+
+
 def _diffusion(u, up, A, hs, m0):
     """div(A0 Du) in the first m0 coordinates on the slice u (up: u padded
     by zeros; A: A0 on the grid): diagonal entries in conservative face-flux
@@ -131,139 +167,107 @@ def _diffusion(u, up, A, hs, m0):
             if i == j:
                 continue
             du_j_p = (np.roll(up, -1, axis=j) - np.roll(up, 1, axis=j)) / (2.0 * hs[j])
-            Gp = Ap[..., i, j] * du_j_p
-            out += (_shift(Gp, i, 1) - _shift(Gp, i, -1)) / (2.0 * hs[i])
+            out += _centered(Ap[..., i, j] * du_j_p, i, hs[i])
     return out
 
 
-def spatial_operator(u, t, axes, coeffs, geometry: Geometry,
-                     drift_scheme="upwind"):
-    """div(A D u) + <Bx, Du> + <b, Du> + c u - div(a u) on the grid slice u,
-    with zero extension of u outside the box."""
+def _principal(u, t, axes, coeffs, geometry):
+    """What the operator and its adjoint share on the slice u: the spacings,
+    the sampled coefficients, u padded by zeros, div(A0 Du) and the drift
+    velocity Bx on the grid."""
     m0 = geometry.structure.m0
-    N = geometry.N
     hs = [float(a[1] - a[0]) for a in axes]
     grid = _GridCoeffs(coeffs, axes, m0)
-    X = grid.pts.reshape(grid.dims + (N,))
-
     up = _pad_zero(u)
-    out = _diffusion(u, up, grid("A0", t), hs, m0)
+    BX = np.einsum("ij,...j->...i", geometry.B,
+                   grid.pts.reshape(grid.dims + (geometry.N,)))
+    return hs, grid, up, _diffusion(u, up, grid("A0", t), hs, m0), BX
 
-    # drift transport <Bx, Du>
-    BX = np.einsum("ij,...j->...i", geometry.B, X)
-    for i in range(N):
-        ci = BX[..., i]
-        if not np.any(ci):
-            continue
-        fwd = (_shift(up, i, 1) - _shift(up, i, 0)) / hs[i]
-        bwd = (_shift(up, i, 0) - _shift(up, i, -1)) / hs[i]
-        if drift_scheme == "upwind":
-            out += np.where(ci > 0.0, ci * fwd, ci * bwd)
-        else:
-            out += ci * 0.5 * (fwd + bwd)
 
-    # lower order advection <b, Du>, centered
+def spatial_operator(u, t, axes, coeffs, geometry: Geometry):
+    """div(A D u) + <Bx, Du> + <b, Du> + c u - div(a u) on the grid slice u,
+    with zero extension of u outside the box: <Bx, Du> upwind, <b, Du> and
+    div(a u) centered."""
+    hs, grid, up, out, BX = _principal(u, t, axes, coeffs, geometry)
+    _upwind(out, up, BX, hs)
     if coeffs.get("b") is not None:
-        bgrid = grid("b", t)
-        for i in range(m0):
-            du = (_shift(up, i, 1) - _shift(up, i, -1)) / (2.0 * hs[i])
-            out += bgrid[..., i] * du
-
-    # reaction c u
+        b = grid("b", t)
+        for i in range(b.shape[-1]):
+            out += b[..., i] * _centered(up, i, hs[i])
     if coeffs.get("c") is not None:
         out += grid("c", t) * u
-
-    # -div(a u), centered fluxes
     if coeffs.get("a") is not None:
-        agp = _pad_edge(grid("a", t), N)
-        for i in range(m0):
-            Gp = agp[..., i] * up
-            out -= (_shift(Gp, i, 1) - _shift(Gp, i, -1)) / (2.0 * hs[i])
+        _centered_div(out, up, grid("a", t), hs)
     return out
 
 
-def apply_L(u: GridSolution, idx, it, coeffs, geometry,
-            drift_scheme="upwind"):
-    """Full discrete operator at an interior node: spatial part minus the
-    forward time difference."""
+def adjoint_spatial_operator(v, t, axes, coeffs, geometry: Geometry):
+    """Spatial part of the adjoint on a grid slice:
+    div(A Dv) - div(b v) + (c - Tr B) v - <Bx, Dv>, the drift upwind on the
+    reversed velocity."""
+    hs, grid, vp, out, BX = _principal(v, t, axes, coeffs, geometry)
+    if coeffs.get("b") is not None:
+        _centered_div(out, vp, grid("b", t), hs)
+    out += (grid("c", t) - float(np.trace(geometry.B))) * v
+    _upwind(out, vp, -BX, hs)
+    return out
+
+
+def _forward_rate(sol, idx, it):
+    """The node idx as a tuple and the forward time difference of sol there
+    at time node it; raises BoundaryNode unless the node is interior."""
     idx = tuple(int(i) for i in np.atleast_1d(idx))
-    if it >= len(u.taxis) - 1:
+    if it >= len(sol.taxis) - 1:
         raise BoundaryNode("time node has no forward neighbor")
     for k, i in enumerate(idx):
-        if not 0 < i < len(u.axes[k]) - 1:
+        if not 0 < i < len(sol.axes[k]) - 1:
             raise BoundaryNode(f"axis {k} index {i} is not interior")
-    sp = spatial_operator(u.values[it], u.taxis[it], u.axes, coeffs,
-                          geometry, drift_scheme)
-    dudt = (u.values[it + 1][idx] - u.values[it][idx]) / u.dt
+    return idx, (sol.values[it + 1][idx] - sol.values[it][idx]) / sol.dt
+
+
+def apply_L(u: GridSolution, idx, it, coeffs, geometry):
+    """Full discrete operator at an interior node: spatial part minus the
+    forward time difference."""
+    idx, dudt = _forward_rate(u, idx, it)
+    sp = spatial_operator(u.values[it], u.taxis[it], u.axes, coeffs, geometry)
     return float(sp[idx] - dudt)
 
 
 def apply_L_adjoint(v: GridSolution, idx, it, coeffs, geometry):
     """Formal adjoint at an interior node:
     div(A Dv) - sum_i d_i(b_i v) + (c - Tr B) v - <Bx, Dv> + dv/dtau."""
-    idx = tuple(int(i) for i in np.atleast_1d(idx))
-    if it >= len(v.taxis) - 1:
-        raise BoundaryNode("time node has no forward neighbor")
-    for k, i in enumerate(idx):
-        if not 0 < i < len(v.axes[k]) - 1:
-            raise BoundaryNode(f"axis {k} index {i} is not interior")
+    idx, dvdt = _forward_rate(v, idx, it)
     sp = adjoint_spatial_operator(v.values[it], v.taxis[it], v.axes, coeffs,
                                   geometry)
-    dvdt = (v.values[it + 1][idx] - v.values[it][idx]) / v.dt
     return float(sp[idx] + dvdt)
 
 
-def adjoint_spatial_operator(v, t, axes, coeffs, geometry: Geometry):
-    """Spatial part of the adjoint on a grid slice."""
-    m0 = geometry.structure.m0
-    N = geometry.N
-    hs = [float(a[1] - a[0]) for a in axes]
-    grid = _GridCoeffs(coeffs, axes, m0)
-    X = grid.pts.reshape(grid.dims + (N,))
-    vp = _pad_zero(v)
-    out = _diffusion(v, vp, grid("A0", t), hs, m0)
-
-    # -sum_i d_i (b_i v), centered fluxes
-    if coeffs.get("b") is not None:
-        bgp = _pad_edge(grid("b", t), N)
-        for i in range(m0):
-            Gp = bgp[..., i] * vp
-            out -= (_shift(Gp, i, 1) - _shift(Gp, i, -1)) / (2.0 * hs[i])
-
-    # (c - Tr B) v
-    trB = float(np.trace(geometry.B))
-    out += (grid("c", t) - trB) * v
-
-    # -<Bx, Dv>, upwind on the reversed velocity
-    BX = np.einsum("ij,...j->...i", geometry.B, X)
-    for i in range(N):
-        ci = -BX[..., i]
-        if not np.any(ci):
-            continue
-        fwd = (_shift(vp, i, 1) - _shift(vp, i, 0)) / hs[i]
-        bwd = (_shift(vp, i, 0) - _shift(vp, i, -1)) / hs[i]
-        out += np.where(ci > 0.0, ci * fwd, ci * bwd)
-    return out
+def _lie_rows(interp, xs, t, s, geometry):
+    """(u(gamma(s)) - u(gamma(-s))) / 2s for the interpolant u along the
+    drift's integral curves gamma(s) = (E(-s) x, t - s), one per row x of
+    xs."""
+    ends = [np.column_stack([xs @ geometry.exp_drift(-sv).T,
+                             np.full(len(xs), t - sv)]) for sv in (s, -s)]
+    return (interp(ends[0]) - interp(ends[1])) / (2.0 * s)
 
 
 def lie_derivative(u: GridSolution, x, t, geometry: Geometry, s=None):
     """Centered difference along the drift's integral curve
-    gamma(s) = (E(-s) x, t - s), interpolating off-grid values."""
+    gamma(s) = (E(-s) x, t - s), interpolating off-grid values; raises
+    OutOfDomain when an end of the curve leaves the grid."""
     if s is None:
         s = 0.5 * min(min(u.hs), u.dt)
     interp = u.interpolator()
-    x = np.atleast_1d(np.asarray(x, dtype=float))
 
-    def gamma(sv):
-        return np.concatenate([geometry.exp_drift(-sv) @ x, [t - sv]])
-
-    for pt in (gamma(s), gamma(-s)):
+    def inside(pts):
         for k, a in enumerate(u.axes):
-            if not a[0] <= pt[k] <= a[-1]:
+            if not a[0] <= pts[0, k] <= a[-1]:
                 raise OutOfDomain(f"curve point leaves axis {k}")
-        if not u.taxis[0] <= pt[-1] <= u.taxis[-1]:
+        if not u.taxis[0] <= pts[0, -1] <= u.taxis[-1]:
             raise OutOfDomain("curve point leaves the time grid")
-    return float((interp(gamma(s))[0] - interp(gamma(-s))[0]) / (2.0 * s))
+        return interp(pts)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return float(_lie_rows(inside, x[None], t, s, geometry)[0])
 
 
 # -- Cauchy solver -----------------------------------------------------------
@@ -277,7 +281,7 @@ def _check_keep(keep):
 def stability_dt(hs, Lambda, m0, bmax=0.0, courant=0.9):
     """Explicit-diffusion bound with an advection Courant cap; bmax bounds
     the l1 norm of b, so the upwind step stays monotone for any m0."""
-    hmin = min(hs[:m0]) if m0 <= len(hs) else min(hs)
+    hmin = min(hs[:m0])
     dt = hmin * hmin / (2.0 * Lambda * m0)
     if bmax > 0.0:
         dt = min(dt, courant * hmin / bmax)
@@ -372,14 +376,8 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
         u = u + dt * _diffusion(u, _pad_zero(u), A, hs, m0)
         # (iii) upwind b-advection and the zero-order factor
         if coeffs.get("b") is not None:
-            bgrid = grid("b", t)
-            upad = _pad_zero(u)
             adv = np.zeros_like(u)
-            for i in range(m0):
-                fwd = (_shift(upad, i, 1) - _shift(upad, i, 0)) / hs[i]
-                bwd = (_shift(upad, i, 0) - _shift(upad, i, -1)) / hs[i]
-                bi = bgrid[..., i]
-                adv += np.where(bi > 0.0, bi * fwd, bi * bwd)
+            _upwind(adv, _pad_zero(u), grid("b", t), hs)
             u = u + dt * adv
         growth = 1.0
         if coeffs.get("c") is not None:
@@ -503,6 +501,19 @@ class _Transport:
 # -- approximate fundamental solution ---------------------------------------
 
 
+@dataclass(frozen=True)
+class KernelDatum:
+    """The model kernel of params with pole `pole` as a Cauchy datum:
+    many(X, t) is its value at the rows (X, t)."""
+
+    pole: np.ndarray
+    params: kern.KernelParams
+
+    def many(self, X, t):
+        return kern.gamma_many(np.column_stack([X, np.full(len(X), t)]),
+                               self.pole, self.params)
+
+
 def approx_fundamental(coeffs, geometry, x0, t0, t1, box, nx, widths,
                        lam=2.0, dt=None, Lambda=None, keep="all"):
     """Cauchy evolutions from narrow Gaussian data of decreasing widths.
@@ -513,15 +524,14 @@ def approx_fundamental(coeffs, geometry, x0, t0, t1, box, nx, widths,
     between consecutive widths as an error proxy.  Slices at t <= t0 are
     identically zero by definition.  Lambda goes to every solve; keep goes
     to the narrowest width's, whose solution is returned (the evaluator
-    needs keep="all"), and the wider widths keep only their final slice.
+    needs keep="all" past t0 and raises ArgumentError otherwise), and the
+    wider widths keep only their final slice.
     """
-    from . import kernel as kern
-
     _check_keep(keep)
     widths = sorted(widths, reverse=True)
     params = kern.scaled_params(lam, geometry)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    pole = point(x0, float(t0))
+    datum = KernelDatum(point(x0, float(t0)), params)
     N = geometry.N
     boxa = np.asarray(box, dtype=float).reshape(N, 2)
     nxl = [int(nx)] * N if np.isscalar(nx) else list(nx)
@@ -536,13 +546,8 @@ def approx_fundamental(coeffs, geometry, x0, t0, t1, box, nx, widths,
                 raise SupportExceedsGrid(
                     f"width {w}: axis {k} std {stds[k]:.3e} below "
                     f"1.5 h = {1.5 * hs[k]:.3e}")
-
-        class _Datum:
-            def many(self, X, t, w=w):
-                pts = np.column_stack([X, np.full(len(X), t0 + w)])
-                return kern.gamma_many(pts, pole, params)
-        sol = solve_cauchy(coeffs, geometry, _Datum(), box, nx,
-                           t0 + w, t1, dt=dt, Lambda=Lambda,
+        sol = solve_cauchy(coeffs, geometry, datum, box, nx, t0 + w, t1,
+                           dt=dt, Lambda=Lambda,
                            keep=keep if i == len(widths) - 1 else "final")
         finals.append(sol.values[-1])
 
@@ -578,19 +583,8 @@ class TestFunction:
     geometry: Geometry
 
     def __call__(self, z):
-        g = self.geometry
-        zeta = g.dilate(1.0 / self.scale,
-                        g.compose(g.inverse(self.center), z))
-        x, t = split(zeta)
-        if not -1.0 < t < 0.0:
-            return 0.0
-        val = (4.0 * (-t) * (1.0 + t)) ** 3
-        for sl in g.structure.block_slices():
-            r2 = float(np.sum(x[sl] ** 2))
-            if r2 >= 1.0:
-                return 0.0
-            val *= (1.0 - r2) ** 3
-        return val
+        x, t = split(z)
+        return float(self.many(x[None], t)[0])
 
     def many(self, X, t):
         """Vectorized over spatial points at one time slice."""
@@ -621,6 +615,7 @@ def weak_residual(u: GridSolution, tf: TestFunction, coeffs,
     m0 = g.structure.m0
     hs = u.hs
     dt = u.dt
+    interp = u.interpolator()
 
     # support box of Q_r(z0): sample the cylinder's corner images
     r = tf.scale
@@ -632,10 +627,7 @@ def weak_residual(u: GridSolution, tf: TestFunction, coeffs,
     total = 0.0
     grid = _GridCoeffs(coeffs, u.axes, m0)
     pts, dims = grid.pts, grid.dims
-    interp = u.interpolator()
     s_lie = 0.5 * min(min(hs), dt)
-    Efwd = geometry.exp_drift(-s_lie)
-    Ebwd = geometry.exp_drift(s_lie)
     for it in range(1, len(u.taxis) - 1):
         t = u.taxis[it]
         if not tmin <= t <= tmax:
@@ -648,21 +640,17 @@ def weak_residual(u: GridSolution, tf: TestFunction, coeffs,
         php = _pad_zero(phi)
         A = grid("A0", t)
         integrand = np.zeros(dims)
-        Du = [(_shift(up, i, 1) - _shift(up, i, -1)) / (2.0 * hs[i])
-              for i in range(m0)]
-        Dphi = [(_shift(php, i, 1) - _shift(php, i, -1)) / (2.0 * hs[i])
-                for i in range(m0)]
+        Du = [_centered(up, i, hs[i]) for i in range(m0)]
+        Dphi = [_centered(php, i, hs[i]) for i in range(m0)]
         for i in range(m0):
             for j in range(m0):
                 integrand -= A[..., i, j] * Du[j] * Dphi[i]
         # phi * Yu by a centered difference along the integral curves,
         # batched over the support nodes
         mask = phi > 0.0
-        xs = pts.reshape(dims + (N,))[mask]
-        P1 = np.column_stack([xs @ Efwd.T, np.full(len(xs), t - s_lie)])
-        P2 = np.column_stack([xs @ Ebwd.T, np.full(len(xs), t + s_lie)])
         Yu = np.zeros(dims)
-        Yu[mask] = (interp(P1) - interp(P2)) / (2.0 * s_lie)
+        Yu[mask] = _lie_rows(interp, pts.reshape(dims + (N,))[mask], t,
+                             s_lie, g)
         integrand += phi * Yu
         if coeffs.get("b") is not None:
             bgrid = grid("b", t)

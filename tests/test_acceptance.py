@@ -221,6 +221,7 @@ def _cauchy_rel_err(proto, coeffs, nx, dt):
                       / np.max(exact))
 
 
+@pytest.mark.filterwarnings("ignore:boundary magnitude")
 def test_solver_order_in_h(proto, proto_coeffs):
     """Bulk L-infinity error vs the exact kernel: least-squares slope over
     two refinements at least 1.8."""
@@ -232,6 +233,7 @@ def test_solver_order_in_h(proto, proto_coeffs):
     assert slope >= 1.8
 
 
+@pytest.mark.filterwarnings("ignore:boundary magnitude")
 def test_solver_order_in_dt(proto, proto_coeffs):
     """First order in the time step, isolated by self-convergence against a
     small-dt reference on a fixed grid."""
@@ -298,6 +300,7 @@ def test_sandwich_self_test(proto, proto_params):
     assert abs(rep.c_minus - 1.0) <= 10.0 * GRIDTOL
 
 
+@pytest.mark.filterwarnings("ignore:boundary magnitude")
 def test_sandwich_mollified_checkerboard(proto):
     """The numerical fundamental solution of the mollified-checkerboard
     operator fits between the scaled model kernels with zero violations on
@@ -371,6 +374,7 @@ def test_DR_measure_scaling(proto):
 # -- 11. vanishing past ------------------------------------------------------
 
 
+@pytest.mark.filterwarnings("ignore:boundary magnitude")
 def test_vanishing_past(proto, proto_params, proto_coeffs):
     """Kernel and numerical fundamental solution are exactly zero at and
     before the pole time."""
@@ -389,6 +393,7 @@ def test_vanishing_past(proto, proto_params, proto_coeffs):
 # -- 12. determinism ---------------------------------------------------------
 
 
+@pytest.mark.filterwarnings("ignore:boundary magnitude")
 def test_cli_artifacts_deterministic(tmp_path):
     """mc and solve artifacts are byte-identical across repeats and across
     thread counts."""

@@ -52,7 +52,7 @@ def test_kernel_matches_gaussian_oracle(proto):
         d = x - proto.exp_drift(tau) @ y
         oracle = math.exp(-0.5 * d @ np.linalg.solve(C, d)) \
             / (2.0 * math.pi * math.sqrt(np.linalg.det(C)))
-        v = kern.gamma_pole(x, t, y, t0, params)
+        v = kern.gamma_K_lambda(point(x, t), point(y, t0), params)
         assert abs(v - oracle) / oracle < 1e-12
 
 
@@ -178,8 +178,8 @@ def test_prototype_density_equals_kernel():
         v, y = np.array([v0, y0 + t * v0]) + 0.3 * sigma * rng.normal(size=2)
         d1 = kern.prototype_density(v, y, t, v0, y0, sigma)
         params = kern.scaled_params(sigma * sigma, g)
-        d2 = kern.gamma_pole(np.array([v, y]), t, np.array([v0, y0]), 0.0,
-                             params)
+        d2 = kern.gamma_K_lambda(point(np.array([v, y]), t),
+                                 point(np.array([v0, y0]), 0.0), params)
         assert abs(d1 - d2) / d2 < 1e-12
 
 

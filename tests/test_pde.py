@@ -313,6 +313,32 @@ def test_approx_fundamental_keep_final_matches_all(proto, proto_coeffs):
 
 
 @pytest.mark.filterwarnings("ignore:boundary magnitude")
+def test_keep_final_refuses_time_interpolation(proto, proto_coeffs):
+    """A one-slice solution has no time axis to interpolate along: every
+    reader of it raises instead of returning 0 or an IndexError, and its
+    time step is the solver's."""
+    args = (proto_coeffs, proto, _Bump(), [[-2, 2], [-2, 2]], 31, 0.0, 0.2)
+    full = pde.solve_cauchy(*args)
+    last = pde.solve_cauchy(*args, keep="final")
+    assert full.evaluate(np.zeros(2), 0.1) > 0.5
+    assert full.dt == full.taxis[1] - full.taxis[0]
+    assert last.dt == full.dt == full.meta["dt"]
+    tf = pde.TestFunction(center=point(np.zeros(2), 0.2), scale=0.3,
+                          geometry=proto)
+    for read in (lambda: last.evaluate(np.zeros(2), 0.1),
+                 lambda: pde.lie_derivative(last, np.zeros(2), 0.1, proto),
+                 lambda: pde.weak_residual(last, tf, proto_coeffs, proto)):
+        with pytest.raises(ArgumentError, match="keep='all'"):
+            read()
+    _, _, ev = pde.approx_fundamental(
+        proto_coeffs, proto, np.zeros(2), 0.0, 0.4, [[-4, 4], [-2, 2]],
+        [41, 61], widths=[0.3, 0.25], keep="final")
+    assert ev(np.zeros(2), 0.0) == 0.0
+    with pytest.raises(ArgumentError, match="keep='all'"):
+        ev(np.zeros(2), 0.35)
+
+
+@pytest.mark.filterwarnings("ignore:boundary magnitude")
 def test_sup_norm_audit_catches_understated_Lambda(proto, step_A0):
     """A0 steps from 1 to 4 after the start: with Lambda = 1 the explicit
     diffusion is not monotone, and the per-step sup-norm audit raises
@@ -354,6 +380,7 @@ def test_courant_cap_bounds_l1_norm_of_b():
     assert np.min(sol.values) >= -ROUNDOFF * np.max(sol.values)
 
 
+@pytest.mark.filterwarnings("ignore:boundary magnitude")
 def test_reaction_factor(proto, proto_coeffs):
     coeffs = dict(proto_coeffs)
     coeffs["c"] = ConstantField(np.array(-0.7), dim=2)
@@ -396,6 +423,7 @@ def test_approx_fundamental_guards_width(proto, proto_coeffs):
                                [[-4, 4], [-2, 2]], [41, 41], widths=[0.01])
 
 
+@pytest.mark.filterwarnings("ignore:boundary magnitude")
 def test_approx_fundamental_vanishing_past(proto, proto_coeffs):
     _, report, ev = pde.approx_fundamental(
         proto_coeffs, proto, np.zeros(2), 0.0, 0.4,
@@ -421,3 +449,156 @@ def test_principal_part_poly_prototype(proto):
         pde.Poly({(0, 1, 0): 1.0}, 2), proto).terms == {(1, 0, 0): 1.0}
     assert pde.principal_part_poly(
         pde.Poly({(0, 0, 1): 1.0}, 2), proto).terms == {(0, 0, 0): -1.0}
+
+
+# -- the operators as first written, one loop per term -----------------------
+
+
+def _ref_diffusion(up, A, hs, m0):
+    sh = pde._shift
+    Ap = pde._pad_edge(A, up.ndim)
+    out = np.zeros(tuple(n - 2 for n in up.shape))
+    for i in range(m0):
+        a_i = Ap[..., i, i]
+        flux_hi = 0.5 * (sh(a_i, i, 0) + sh(a_i, i, 1)) \
+            * (sh(up, i, 1) - sh(up, i, 0)) / hs[i]
+        flux_lo = 0.5 * (sh(a_i, i, -1) + sh(a_i, i, 0)) \
+            * (sh(up, i, 0) - sh(up, i, -1)) / hs[i]
+        out += (flux_hi - flux_lo) / hs[i]
+    for i in range(m0):
+        for j in range(m0):
+            if i == j:
+                continue
+            du_j_p = (np.roll(up, -1, axis=j) - np.roll(up, 1, axis=j)) \
+                / (2.0 * hs[j])
+            Gp = Ap[..., i, j] * du_j_p
+            out += (sh(Gp, i, 1) - sh(Gp, i, -1)) / (2.0 * hs[i])
+    return out
+
+
+def _ref_operator(u, t, axes, coeffs, g, adjoint):
+    """div(A Du) + <Bx, Du> + <b, Du> + c u - div(a u), or the adjoint's
+    div(A Dv) - div(b v) + (c - Tr B) v - <Bx, Dv>."""
+    sh = pde._shift
+    m0, N = g.structure.m0, g.N
+    hs = [float(a[1] - a[0]) for a in axes]
+    grid = pde._GridCoeffs(coeffs, axes, m0)
+    X = grid.pts.reshape(grid.dims + (N,))
+    up = pde._pad_zero(u)
+    out = _ref_diffusion(up, grid("A0", t), hs, m0)
+
+    def upwind(sign):
+        BX = np.einsum("ij,...j->...i", g.B, X)
+        for i in range(N):
+            ci = sign * BX[..., i]
+            if not np.any(ci):
+                continue
+            fwd = (sh(up, i, 1) - sh(up, i, 0)) / hs[i]
+            bwd = (sh(up, i, 0) - sh(up, i, -1)) / hs[i]
+            out[...] += np.where(ci > 0.0, ci * fwd, ci * bwd)
+
+    def flux_div(name):
+        vp = pde._pad_edge(grid(name, t), N)
+        for i in range(m0):
+            Gp = vp[..., i] * up
+            out[...] -= (sh(Gp, i, 1) - sh(Gp, i, -1)) / (2.0 * hs[i])
+
+    if adjoint:
+        flux_div("b")
+        out += (grid("c", t) - float(np.trace(g.B))) * u
+        upwind(-1.0)
+        return out
+    upwind(1.0)
+    bgrid = grid("b", t)
+    for i in range(m0):
+        du = (sh(up, i, 1) - sh(up, i, -1)) / (2.0 * hs[i])
+        out += bgrid[..., i] * du
+    out += grid("c", t) * u
+    flux_div("a")
+    return out
+
+
+def _ref_lie(u, x, t, g, s):
+    interp = u.interpolator()
+
+    def gamma(sv):
+        return np.concatenate([g.exp_drift(-sv) @ x, [t - sv]])
+    return float((interp(gamma(s))[0] - interp(gamma(-s))[0]) / (2.0 * s))
+
+
+def _ref_weak(u, tf, coeffs, g):
+    sh = pde._shift
+    m0, N = g.structure.m0, g.N
+    hs, dt = u.hs, u.dt
+    tmin, tmax = tf.center[-1] - tf.scale ** 2, tf.center[-1]
+    grid = pde._GridCoeffs(coeffs, u.axes, m0)
+    pts, dims = grid.pts, grid.dims
+    interp = u.interpolator()
+    s = 0.5 * min(min(hs), dt)
+    Efwd, Ebwd = g.exp_drift(-s), g.exp_drift(s)
+    total = 0.0
+    for it in range(1, len(u.taxis) - 1):
+        t = u.taxis[it]
+        if not tmin <= t <= tmax:
+            continue
+        phi = tf.many(pts, t).reshape(dims)
+        if not phi.any():
+            continue
+        up, php = pde._pad_zero(u.values[it]), pde._pad_zero(phi)
+        A = grid("A0", t)
+        integrand = np.zeros(dims)
+        Du = [(sh(up, i, 1) - sh(up, i, -1)) / (2.0 * hs[i])
+              for i in range(m0)]
+        Dphi = [(sh(php, i, 1) - sh(php, i, -1)) / (2.0 * hs[i])
+                for i in range(m0)]
+        for i in range(m0):
+            for j in range(m0):
+                integrand -= A[..., i, j] * Du[j] * Dphi[i]
+        mask = phi > 0.0
+        xs = pts.reshape(dims + (N,))[mask]
+        P1 = np.column_stack([xs @ Efwd.T, np.full(len(xs), t - s)])
+        P2 = np.column_stack([xs @ Ebwd.T, np.full(len(xs), t + s)])
+        Yu = np.zeros(dims)
+        Yu[mask] = (interp(P1) - interp(P2)) / (2.0 * s)
+        integrand += phi * Yu
+        bgrid = grid("b", t)
+        for i in range(m0):
+            integrand += bgrid[..., i] * Du[i] * phi
+        integrand += grid("c", t) * u.values[it] * phi
+        total += float(np.sum(integrand)) * np.prod(hs) * dt
+    return total
+
+
+@pytest.mark.parametrize("blocks", [(1, 1), (2, 1), (1, 1, 1)])
+def test_operators_match_reference_bitwise(blocks):
+    """Every discrete operator gives, bit for bit, the value of a loop per
+    term, with all four coefficients present: a checkerboard A0 (with
+    off-diagonal entries for m0 = 2) and checkerboard a, b and c that
+    change in space and time."""
+    g, coeffs = _keep_coeffs(blocks, with_bc=True)
+    m0, N = g.structure.m0, g.N
+    coeffs["a"] = CheckerboardField([np.full(m0, 0.7), np.full(m0, -0.2)],
+                                    h=0.1, dim=N, seed=5)
+    nx = 21 if N == 2 else 11
+    axes = [np.linspace(-1.5, 1.5, nx)] * N
+    taxis = np.linspace(0.0, 0.2, 9)
+    pts = pde._grid_points(axes)
+    u = pde.GridSolution(axes=axes, taxis=taxis, values=np.stack([
+        np.exp(-2.0 * (1.0 + t) * np.sum(pts ** 2, axis=1) + t * pts[:, 0])
+        .reshape((nx,) * N) for t in taxis]))
+    it, idx = 3, (nx // 2 + 1,) * N
+    dudt = (u.values[it + 1][idx] - u.values[it][idx]) / u.dt
+    for adjoint, op, apply, sign in (
+            (False, pde.spatial_operator, pde.apply_L, -1.0),
+            (True, pde.adjoint_spatial_operator, pde.apply_L_adjoint, 1.0)):
+        ref = _ref_operator(u.values[it], taxis[it], axes, coeffs, g, adjoint)
+        assert np.array_equal(op(u.values[it], taxis[it], axes, coeffs, g),
+                              ref)
+        assert apply(u, idx, it, coeffs, g) == float(ref[idx] + sign * dudt)
+    tf = pde.TestFunction(center=point(np.full(N, 0.1), 0.18), scale=0.35,
+                          geometry=g)
+    assert pde.weak_residual(u, tf, coeffs, g) == _ref_weak(u, tf, coeffs, g)
+    for x in (np.full(N, 0.1), np.array([0.33, -0.2, 0.05][:N])):
+        for s in (0.5 * min(min(u.hs), u.dt), 0.013):
+            assert pde.lie_derivative(u, x, 0.11, g, s=s) == \
+                _ref_lie(u, x, 0.11, g, s)

@@ -300,7 +300,8 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
 
     keep="all" stores every time slice; keep="final" holds only the current
     one and returns the final slice alone (values of shape (1,) + dims and
-    taxis [t1]).  Either way values[-1] is the slice at taxis[-1] = t1.
+    taxis [t1]).  Either way values[-1] is the slice at taxis[-1] = t1,
+    and t1 must exceed t0 (else ArgumentError).
 
     Every step is audited as it is made: a non-finite value raises
     Unstable, and so does a sup norm that grows beyond the factor
@@ -310,6 +311,8 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
     slices.
     """
     _check_keep(keep)
+    if not t1 > t0:
+        raise ArgumentError(f"t1 must exceed t0, got t0={t0!r}, t1={t1!r}")
     N = geometry.N
     m0 = geometry.structure.m0
     box = np.asarray(box, dtype=float).reshape(N, 2)
@@ -348,13 +351,15 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
     else:
         u = np.array([phi(x) for x in pts], dtype=float).reshape(dims)
 
-    # the semi-Lagrangian remap to the feet x_foot = e^{dt B} x, built once
+    # the semi-Lagrangian remap to the feet x_foot = e^{dt B} x, built once;
+    # an axis whose row of E is e_k (x^(0) in canonical form) stays put
     transport = None
     if np.any(geometry.B):
-        feet = pts @ geometry.exp_drift(-dt).T
+        E = geometry.exp_drift(-dt)
+        feet = pts @ E.T
         transport = _Transport(np.stack(
             [(feet[:, k] - axes[k][0]) / hs[k] for k in range(N)], axis=0),
-            dims)
+            dims, _static_axes(E))
 
     bmask = np.ones(dims, dtype=bool)
     bmask[(slice(1, -1),) * N] = False
@@ -448,6 +453,12 @@ def _cubic_weights(x):
     return np.stack([w0, w1, w2, 1.0 - w0 - w1 - w2])
 
 
+def _static_axes(E):
+    """Flags of the axes a transport map E leaves in place: row k of E is
+    exactly e_k (the first m0 axes for B in canonical form)."""
+    return np.all(E == np.eye(len(E)), axis=1)
+
+
 class _Transport:
     """Semi-Lagrangian remap of a grid slice to fixed foot coordinates
     (coords: (N, n_nodes) in index units), built once per time step size.
@@ -455,36 +466,47 @@ class _Transport:
     The remap is the cubic spline interpolant with scipy's
     map_coordinates(order=3, mode="constant") conventions: coefficients from
     a mirror-ended prefilter, stencil indices folded by mirror reflection,
-    and 0 for a foot outside [0, n_k - 1] on any axis.  The result is clipped
-    to the range of the 2^N surrounding corners of the zero-padded slice,
-    which restores the maximum principle while keeping the cubic accuracy on
-    smooth data.  The tables take 16 * 4^N bytes per node for the spline
-    stencil plus 8 * 2^N for the corners.
+    and 0 for a foot outside [0, n_k - 1] on any axis.  A static axis (a
+    flag of `static`: its feet sit on the nodes) is the one-tap case of the
+    same stencil: weight 1 at the node rint(coord), no prefilter.  The
+    result is clipped to the range of the 2^N surrounding corners of the
+    zero-padded slice, which restores the maximum principle while keeping
+    the cubic accuracy on smooth data.  With m0 static axes the tables take
+    16 * 4^(N - m0) bytes per node for the spline stencil plus 8 * 2^N for
+    the corners.
     """
 
-    def __init__(self, coords, dims):
+    def __init__(self, coords, dims, static):
         n = coords.shape[1]
-        base = np.floor(coords).astype(np.intp)
         weights = np.ones((1, n))
         index = np.zeros((1, n), dtype=np.intp)
         corners = np.zeros((1, n), dtype=np.intp)
         outside = np.zeros(n, dtype=bool)
+        self.prefilter = []
         for k, d in enumerate(dims):
-            wk = _cubic_weights(coords[k])
-            ik = _fold_mirror(base[k] + np.arange(-1, 3)[:, None], d)
-            ck = np.clip(base[k] + np.arange(1, 3)[:, None], 0, d + 1)
-            weights = (weights[:, None] * wk[None]).reshape(-1, n)
-            index = (index[:, None] * d + ik[None]).reshape(-1, n)
+            x = coords[k]
+            base = np.floor(x).astype(np.intp)
+            ck = np.clip(base + np.arange(1, 3)[:, None], 0, d + 1)
             corners = (corners[:, None] * (d + 2) + ck[None]).reshape(-1, n)
-            outside |= (coords[k] < 0.0) | (coords[k] > d - 1)
+            if static[k]:
+                ik = np.clip(np.rint(x).astype(np.intp), 0, d - 1)[None]
+                self.prefilter.append(None)
+            else:
+                ik = _fold_mirror(base + np.arange(-1, 3)[:, None], d)
+                weights = (weights[:, None] * _cubic_weights(x)[None]
+                           ).reshape(-1, n)
+                self.prefilter.append(_prefilter_matrix(d))
+            index = (index[:, None] * d + ik[None]).reshape(-1, n)
+            outside |= (x < 0.0) | (x > d - 1)
         weights[:, outside] = 0.0
         self.dims = tuple(dims)
-        self.prefilter = [_prefilter_matrix(d) for d in dims]
         self.weights, self.index, self.corners = weights, index, corners
 
     def __call__(self, u):
         c = u
         for k, P in enumerate(self.prefilter):
+            if P is None:
+                continue
             pre = math.prod(self.dims[:k])
             post = math.prod(self.dims[k + 1:])
             if post == 1:
@@ -525,10 +547,15 @@ def approx_fundamental(coeffs, geometry, x0, t0, t1, box, nx, widths,
     identically zero by definition.  Lambda goes to every solve; keep goes
     to the narrowest width's, whose solution is returned (the evaluator
     needs keep="all" past t0 and raises ArgumentError otherwise), and the
-    wider widths keep only their final slice.
+    wider widths keep only their final slice.  Every width must end
+    before t1: t0 + max(widths) < t1, else ArgumentError.
     """
     _check_keep(keep)
     widths = sorted(widths, reverse=True)
+    if not t0 + widths[0] < t1:
+        raise ArgumentError(
+            f"each solve runs from t0 + width to t1: t0 = {t0!r} plus the "
+            f"width {float(widths[0])!r} does not end before t1 = {t1!r}")
     params = kern.scaled_params(lam, geometry)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     datum = KernelDatum(point(x0, float(t0)), params)

@@ -172,11 +172,21 @@ def test_point_option_needs_N_components(spec_path, tmp_path, capsys,
     ["--threads", "0", "structure", "{spec}"],
     ["--threads", "-3", "kernel", "eval", "{spec}", "--pole", "0,0",
      "--grid", "0:0:1;0:0:1;1:1:1", "--out", "e.csv"],
+    ["solve", "cauchy", "{spec}", "--box=-4,4;-2,2", "--nx", "21,21",
+     "--t0", "0.5", "--t1", "0.1", "--out", "c.csv"],
+    ["solve", "cauchy", "{spec}", "--box=-4,4;-2,2", "--nx", "21,21",
+     "--t0", "0.0", "--t1", "0.1", "--datum", "gaussian:0.1",
+     "--out", "c.csv"],
+    ["solve", "fundamental", "{spec}", "--box=-4,4;-2,2", "--nx", "21,41",
+     "--t1", "0.2", "--out", "f.csv"],
+    ["check", "bounds", "{spec}", "--nx", "21,41", "--widths", "1.5,0.5"],
 ], ids=["grid-part", "grid-nodes", "box-count", "box-order", "box-number",
         "points-width", "bins", "widths", "eps", "datum-width",
         "datum-number", "mc-paths", "mc-dt", "eps-range", "threads-zero",
         "threads-negative", "mc-reversed-window", "mc-empty-window",
-        "kernel-lam", "threads-structure", "threads-kernel"])
+        "kernel-lam", "threads-structure", "threads-kernel",
+        "solve-reversed-window", "solve-empty-window",
+        "fundamental-width-past-t1", "bounds-width-past-t1"])
 def test_malformed_option_exit_2(spec_path, tmp_path, capsys, monkeypatch,
                                  argv):
     """Malformed option values exit 2, through SpecError or the library's
@@ -188,7 +198,7 @@ def test_malformed_option_exit_2(spec_path, tmp_path, capsys, monkeypatch,
     assert cli.main([a.format(spec=spec_path) for a in argv]) \
         == cli.EXIT_PARSE
     assert "error:" in capsys.readouterr().err
-    assert not (tmp_path / "e.csv").exists()
+    assert [p.name for p in tmp_path.glob("*.csv")] == ["pts.csv"]
 
 
 @pytest.mark.parametrize("exc", [np.linalg.LinAlgError, ValueError])

@@ -11,6 +11,7 @@ from kolmo.errors import ArgumentError, BoundaryNode, OutOfDomain, \
     SupportExceedsGrid, Unstable
 from kolmo.group import Geometry, point, prototype_geometry
 from kolmo.structure import BlockStructure
+from test_structure import random_canonical_B
 
 ROUNDOFF = 64 * np.finfo(float).eps
 
@@ -184,7 +185,7 @@ def test_transport_matches_scipy_reference(blocks, dims):
         hit = rng.choice(coords.shape[1], 6, replace=False)
         coords[k, hit] = [0.0, 0.0, d - 1.0, d - 1.0, -1e-15, d - 1 + 2e-15]
 
-    op = pde._Transport(coords, dims)
+    op = pde._Transport(coords, dims, [False] * len(dims))
     for P, d in zip(op.prefilter, dims):
         ref = spline_filter1d(np.eye(d), order=3, axis=0, mode="constant")
         assert np.max(np.abs(P - ref)) <= 1e-14
@@ -192,6 +193,83 @@ def test_transport_matches_scipy_reference(blocks, dims):
         u = rng.normal(size=dims)
         err = np.max(np.abs(op(u) - _scipy_transport(u, coords)))
         assert err <= 1e-14 * np.max(np.abs(u))
+
+
+@pytest.mark.parametrize("blocks, dims", [
+    ((1, 1), (9, 13)), ((2, 1), (7, 6, 9)), ((1, 1, 1), (7, 6, 8)),
+    ((2, 2, 1), (5, 6, 5, 7, 6))])
+def test_static_axis_transport(blocks, dims):
+    """On the solver's own feet, the axes e^{-dt B} leaves in place are the
+    first m0; the remap takes one tap and no prefilter along them and still
+    matches the cubic reference."""
+    rng = np.random.default_rng(len(dims))
+    g = Geometry(BlockStructure(blocks), random_canonical_B(blocks, rng))
+    N, m0 = g.N, g.structure.m0
+    axes = [np.linspace(-1.0, 1.0, d) for d in dims]
+    hs = [a[1] - a[0] for a in axes]
+    E = g.exp_drift(-0.3)
+    feet = pde._grid_points(axes) @ E.T
+    coords = np.stack([(feet[:, k] + 1.0) / hs[k] for k in range(N)])
+    static = pde._static_axes(E)
+    assert static.tolist() == [True] * m0 + [False] * (N - m0)
+
+    op = pde._Transport(coords, dims, static)
+    assert op.weights.shape == op.index.shape == (4 ** (N - m0), len(feet))
+    assert op.corners.shape == (2 ** N, len(feet))
+    assert [P is None for P in op.prefilter] == static.tolist()
+    for _ in range(3):
+        u = rng.normal(size=dims)
+        err = np.max(np.abs(op(u) - _scipy_transport(u, coords)))
+        assert err <= 1e-14 * np.max(np.abs(u))
+
+
+@pytest.mark.filterwarnings("ignore:boundary magnitude")
+@pytest.mark.parametrize("blocks", [(1, 1), (1, 1, 1)])
+def test_static_axes_match_moving_solve(monkeypatch, blocks):
+    """The solver's final slice with the x^(0) axes static is within
+    rounding of a solve that interpolates along every axis."""
+    if blocks == (1, 1):
+        g = _canonical_geometry(blocks)
+        coeffs = {"A0": ConstantField(np.eye(1), dim=2)}
+        box, nx = [[-4, 4], [-2, 2]], [81, 81]
+    else:
+        g, coeffs = _keep_coeffs(blocks, with_bc=True)
+        box, nx = [[-1.5, 1.5]] * 3, 21
+    args = (coeffs, g, _Bump(), box, nx, 0.0, 0.15)
+    flags = []
+    build = pde._Transport
+
+    def record(coords, dims, static):
+        flags.append(list(static))
+        return build(coords, dims, static)
+    monkeypatch.setattr(pde, "_Transport", record)
+    static = pde.solve_cauchy(*args, keep="final").values[-1]
+    assert flags == [[True] + [False] * (g.N - 1)]
+
+    monkeypatch.setattr(pde, "_Transport", lambda coords, dims, static:
+                        build(coords, dims, [False] * len(dims)))
+    moving = pde.solve_cauchy(*args, keep="final").values[-1]
+    peak = np.max(np.abs(moving))
+    assert np.max(np.abs(static - moving)) <= 1e-11 * peak
+    assert not np.array_equal(static, moving), "the two paths differ"
+
+
+def test_solve_needs_t1_after_t0(proto, proto_coeffs):
+    """A solve that would step backwards or not at all is an argument
+    error, and so is a datum width that reaches t1."""
+    box = [[-2, 2], [-2, 2]]
+    for t0, t1 in ((0.5, 0.1), (0.1, 0.1)):
+        with pytest.raises(ArgumentError, match="t1 must exceed t0"):
+            pde.solve_cauchy(proto_coeffs, proto, _Bump(), box, 11, t0, t1)
+    g3 = _canonical_geometry((1, 1, 1))
+    with pytest.raises(ArgumentError, match="width"):
+        pde.approx_fundamental({"A0": ConstantField(np.eye(1), dim=3)}, g3,
+                               np.zeros(3), 0.0, 0.5, [[-2, 2]] * 3, 11,
+                               widths=[0.9, 0.7])
+    with pytest.raises(ArgumentError, match="width"):
+        pde.approx_fundamental(proto_coeffs, proto, np.zeros(2), 0.0, 0.3,
+                               [[-4, 4], [-2, 2]], [41, 61],
+                               widths=[0.3, 0.25])
 
 
 @pytest.mark.filterwarnings("ignore:boundary magnitude")

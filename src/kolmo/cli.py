@@ -20,10 +20,9 @@ from . import pde, specfile, verify
 from .errors import (ArgumentError, BoxTooSmall, ConeUnresolved,
                      CylinderUnresolved, Inconsistent, NoAdmissibleFit,
                      NonFinite, NotCanonical, NotNonnegative, NotSPD,
-                     QuadratureUnconverged, RankDeficient, StepRejected,
-                     SupportExceedsGrid, Unstable)
+                     RankDeficient, SupportExceedsGrid, Unstable)
 from .group import point, split
-from .specfile import SpecError
+from .specfile import SpecError, write_csv
 
 EXIT_PARSE = 2
 EXIT_STRUCTURE = 3
@@ -31,24 +30,11 @@ EXIT_NOTSPD = 4
 EXIT_SOLVER = 5
 EXIT_MC = 6
 EXIT_VERIFY = 7
-CSV_BLOCK = 1024           # rows per formatted write in write_csv
 
-_SOLVER_ERRORS = (Unstable, BoxTooSmall, SupportExceedsGrid, StepRejected)
+_SOLVER_ERRORS = (Unstable, BoxTooSmall, SupportExceedsGrid)
 _MC_ERRORS = (NonFinite,)
 _VERIFY_ERRORS = (NoAdmissibleFit, CylinderUnresolved, ConeUnresolved,
-                  NotNonnegative, QuadratureUnconverged, Inconsistent)
-
-
-def write_csv(path, header, rows):
-    """csv.writer's bytes: "%.17g" cells need no quoting, so rows go out in
-    blocks through one row template; only the header goes through csv."""
-    rows = np.asarray(rows, dtype=float)
-    line = ",".join(["%.17g"] * rows.shape[-1]) + "\r\n"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(header)
-        for lo in range(0, len(rows), CSV_BLOCK):
-            block = rows[lo:lo + CSV_BLOCK]
-            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+                  NotNonnegative, Inconsistent)
 
 
 def emit(report):
@@ -93,12 +79,19 @@ def _counts(args, name, N, least):
     return v
 
 
-def _threads(s):
-    """--threads: a positive integer, checked for every command."""
-    n = int(s)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"needs an integer >= 1, got {s!r}")
-    return n
+def _ranged(conv, ok, what):
+    """An argparse type: conv(s), refused (exit 2) unless ok(value)."""
+    def parse(s):
+        v = conv(s)
+        if not ok(v):
+            raise argparse.ArgumentTypeError(f"needs {what}, got {s!r}")
+        return v
+    parse.__name__ = conv.__name__     # argparse's "invalid int value"
+    return parse
+
+
+_positive_int = _ranged(int, lambda n: n >= 1, "an integer >= 1")
+_positive_float = _ranged(float, lambda x: x > 0.0, "a number > 0")
 
 
 def _resolved(args, **extra):
@@ -528,7 +521,7 @@ def cmd_example_asian(args):
 
 def build_parser():
     p = argparse.ArgumentParser(prog="kolmo")
-    p.add_argument("--threads", type=_threads, default=1,
+    p.add_argument("--threads", type=_positive_int, default=1,
                    help="worker threads, at least 1; only the mc commands "
                         "read it")
     sub = p.add_subparsers(dest="command", required=True)
@@ -554,7 +547,7 @@ def build_parser():
     sp.set_defaults(func=cmd_kernel_eval)
     sp = ksub.add_parser("reproduce")
     spec_arg(sp)
-    sp.add_argument("--configs", type=int, default=100)
+    sp.add_argument("--configs", type=_positive_int, default=100)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--lambda", dest="lam", type=float, default=2.0)
     sp.set_defaults(func=cmd_kernel_reproduce)
@@ -608,14 +601,14 @@ def build_parser():
             sp.add_argument("--out", default="density.csv")
         if name == "mass":
             sp.add_argument("--y", default="0,0")
-            sp.add_argument("--radius", type=float, default=1.0)
+            sp.add_argument("--radius", type=_positive_float, default=1.0)
         sp.set_defaults(func=fn)
 
     sp = sub.add_parser("mollify")
     spec_arg(sp)
     sp.add_argument("--field", default="A0")
     sp.add_argument("--eps", default="0.2,0.1,0.05")
-    sp.add_argument("--samples", type=int, default=2000)
+    sp.add_argument("--samples", type=_positive_int, default=2000)
     sp.set_defaults(func=cmd_mollify)
 
     cp = sub.add_parser("check")
@@ -623,7 +616,7 @@ def build_parser():
     sp = csub.add_parser("bounds")
     spec_arg(sp)
     sp.add_argument("--self-test", action="store_true")
-    sp.add_argument("--samples", type=int, default=500)
+    sp.add_argument("--samples", type=_positive_int, default=500)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--x0", default="0,0")
     sp.add_argument("--t0", type=float, default=0.0)
@@ -642,14 +635,16 @@ def build_parser():
     spec_arg(sp)
     sp.add_argument("--center", default="0,0")
     sp.add_argument("--center-t", dest="center_t", type=float, default=0.5)
-    sp.add_argument("--radius", type=float, default=0.4)
-    sp.add_argument("--omega", type=float, default=0.5)
+    sp.add_argument("--radius", type=_positive_float, default=0.4)
+    sp.add_argument("--omega", default=0.5, type=_ranged(
+        float, lambda x: 0.0 < x < 1.0, "a number in (0, 1)"))
     sp.add_argument("--n-space", dest="n_space", type=int, default=3)
     sp.add_argument("--n-time", dest="n_time", type=int, default=3)
     sp.add_argument("--pole", default="0,0")
     sp.add_argument("--pole-t0", dest="pole_t0", type=float, default=-2.0)
     sp.add_argument("--lambda", dest="lam", type=float, default=2.0)
-    sp.add_argument("--sweep", type=int, default=0)
+    sp.add_argument("--sweep", default=0, type=_ranged(
+        int, lambda n: n >= 0, "an integer >= 0"))
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default="harnack_sweep.csv")
     sp.set_defaults(func=cmd_check_harnack)
@@ -657,16 +652,16 @@ def build_parser():
     spec_arg(sp)
     sp.add_argument("--center", default="0,0")
     sp.add_argument("--center-t", dest="center_t", type=float, default=0.5)
-    sp.add_argument("--beta", type=float, default=1.0)
-    sp.add_argument("--radius", type=float, default=0.5)
-    sp.add_argument("--R", type=float, default=0.5)
+    sp.add_argument("--beta", type=_positive_float, default=1.0)
+    sp.add_argument("--radius", type=_positive_float, default=0.5)
+    sp.add_argument("--R", type=_positive_float, default=0.5)
     sp.add_argument("--pole", default="0,0")
     sp.add_argument("--pole-t0", dest="pole_t0", type=float, default=-2.0)
     sp.add_argument("--lambda", dest="lam", type=float, default=2.0)
     sp.set_defaults(func=cmd_check_cone)
     sp = csub.add_parser("global")
     spec_arg(sp)
-    sp.add_argument("--pairs", type=int, default=50)
+    sp.add_argument("--pairs", type=_positive_int, default=50)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--pole", default="0,0")
     sp.add_argument("--pole-t0", dest="pole_t0", type=float, default=-2.0)

@@ -5,9 +5,6 @@ A Field is evaluable at any (x, t) inside its window and returns a scalar,
 an m0-vector or a symmetric m0 x m0 matrix.  Fields are immutable and pure.
 """
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ArgumentError, WindowUnderflow
@@ -173,114 +170,46 @@ def check_ellipticity(A0_field, samples, ts):
 
 # -- mollification ----------------------------------------------------------
 
+MOLLIFY_NODES = 16         # Gauss-Legendre nodes per axis of the mollifier
+MOLLIFY_CHUNK = 256        # points per inner-field batch in MollifiedField.many
 
-def _bump(u):
-    """exp(-1/(1-u^2)) on |u|<1, 0 outside (unnormalized)."""
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    out[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
+
+def _bump(r2):
+    """exp(-1/(1-r2)) where r2 < 1, 0 elsewhere: the unnormalized bump at
+    squared radius r2."""
+    out = np.zeros_like(r2)
+    inside = r2 < 1.0
+    out[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
     return out
 
 
-_BUMP_NORM_1D = None
-
-
-def _bump_norm_1d(n=200):
-    global _BUMP_NORM_1D
-    if _BUMP_NORM_1D is None:
-        nodes, weights = np.polynomial.legendre.leggauss(n)
-        _BUMP_NORM_1D = float(np.sum(weights * _bump(nodes)))
-    return _BUMP_NORM_1D
-
-
-@dataclass(frozen=True)
-class MollifierPair:
-    """Unit-mass bumps: psi_eps on |y| < eps, rho_eps on eps*(T/4, 3T/4).
-
-    The radial space bump is exp(-1/(1-|x|^2)) normalized numerically; the
-    time bump is the same profile centered at T/2 with radius T/4 before
-    scaling by eps.
-    """
-
-    eps: float
-    T: float
-    dim: int
-
-    def psi(self, y):
-        """Unscaled space bump, unit mass on |y| < 1."""
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        r2 = np.sum(y ** 2, axis=1)
-        out = np.zeros(y.shape[0])
-        inside = r2 < 1.0
-        out[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
-        return out / _psi_norm(self.dim)
-
-    def rho(self, tau):
-        """Unscaled time bump, unit mass on (T/4, 3T/4)."""
-        u = (np.asarray(tau, dtype=float) - self.T / 2.0) / (self.T / 4.0)
-        return _bump(u) / (_bump_norm_1d() * self.T / 4.0)
-
-    def psi_eps(self, y):
-        return self.psi(np.asarray(y) / self.eps) / self.eps ** self.dim
-
-    def rho_eps(self, tau):
-        return self.rho(np.asarray(tau) / self.eps) / self.eps
-
-    def space_support(self):
-        return self.eps
-
-    def time_support(self):
-        return (self.eps * self.T / 4.0, self.eps * 3.0 * self.T / 4.0)
-
-
-_PSI_NORMS = {}
-
-
-def _psi_norm(dim, n=80):
-    """Mass of the unnormalized radial bump on the unit ball of R^dim."""
-    if dim not in _PSI_NORMS:
-        nodes, weights = np.polynomial.legendre.leggauss(n)
-        grids = np.meshgrid(*([nodes] * dim), indexing="ij")
-        W = np.ones(grids[0].size)
-        for wg in np.meshgrid(*([weights] * dim), indexing="ij"):
-            W = W * wg.ravel()
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        r2 = np.sum(pts ** 2, axis=1)
-        vals = np.zeros_like(r2)
-        inside = r2 < 1.0
-        vals[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
-        _PSI_NORMS[dim] = float(np.sum(W * vals))
-    return _PSI_NORMS[dim]
-
-
 class MollifiedField(Field):
-    """(x,t) -> integral of f(x - y, (1-eps) t + tau) psi_eps(y) rho_eps(tau).
+    """(x,t) -> integral of f(x - y, (1-eps) t + tau) psi_eps(y) rho_eps(tau),
+    psi_eps the radial bump on |y| < eps and rho_eps the bump on
+    eps*(T/4, 3T/4), each of unit mass.
 
-    Tensor Gauss-Legendre over the bump supports; quadrature nodes are
-    cached at construction and read-only afterwards.
+    Tensor Gauss-Legendre over the bump supports: nodes u in (-1, 1)^dim and
+    g in (-1, 1) sit at y = eps u and tau = eps T (1/2 + g/4).  A bump
+    scaled onto its support weighs each node by its unscaled shape,
+    exp(-1/(1-|u|^2)) and exp(-1/(1-g^2)), times the Gauss weight; the
+    scale factors and the bumps' masses cancel in the renormalization, so
+    the weights depend on neither eps nor T.  The quadrature is cached at
+    construction and read-only afterwards.
     """
 
-    def __init__(self, f: Field, eps, T, nodes=16):
+    def __init__(self, f: Field, eps, T):
         super().__init__(f.dim, f.shape, f.window, f.box)
         self.f = f
         self.eps = float(eps)
         self.T = float(T)
-        self.pair = MollifierPair(self.eps, self.T, f.dim)
-        gl_nodes, gl_weights = np.polynomial.legendre.leggauss(nodes)
-        # spatial nodes over [-eps, eps]^dim, weights include psi_eps
-        axes = [self.eps * gl_nodes] * f.dim
-        grids = np.meshgrid(*axes, indexing="ij")
-        self._Y = np.stack([g.ravel() for g in grids], axis=1)
-        W = np.ones(self._Y.shape[0])
-        for wg in np.meshgrid(*([gl_weights] * f.dim), indexing="ij"):
-            W = W * wg.ravel()
-        W = W * self.eps ** f.dim
-        WY = W * self.pair.psi_eps(self._Y)
-        # time nodes over eps*(T/4, 3T/4)
-        lo, hi = self.pair.time_support()
-        self._TAU = 0.5 * (hi - lo) * gl_nodes + 0.5 * (hi + lo)
-        WT = 0.5 * (hi - lo) * gl_weights * self.pair.rho_eps(self._TAU)
+        g, w = np.polynomial.legendre.leggauss(MOLLIFY_NODES)
+        U, W = (np.stack([a.ravel() for a in
+                          np.meshgrid(*([v] * f.dim), indexing="ij")], axis=1)
+                for v in (g, w))
+        WY = W.prod(axis=1) * _bump(np.sum(U * U, axis=1))
+        WT = w * _bump(g * g)
+        self._Y = self.eps * U
+        self._TAU = self.eps * self.T * (0.5 + 0.25 * g)
         # renormalize the discrete masses to 1 so that constants are fixed
         # and sup bounds preserved, both up to a few ulps of rounding
         self._WY = WY / WY.sum()
@@ -297,15 +226,15 @@ class MollifiedField(Field):
     def __call__(self, x, t):
         return self.many(np.atleast_1d(x)[None, :], t)[0]
 
-    def many(self, X, ts, chunk=256):
+    def many(self, X, ts):
         """Batched evaluation: one inner-field batch per (chunk, tau) pair."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         ts = np.broadcast_to(np.asarray(ts, dtype=float), (X.shape[0],))
         self._check_window(ts)
         out = np.zeros((X.shape[0],) + self.shape)
         nq = self._Y.shape[0]
-        for lo in range(0, X.shape[0], chunk):
-            hi = min(lo + chunk, X.shape[0])
+        for lo in range(0, X.shape[0], MOLLIFY_CHUNK):
+            hi = min(lo + MOLLIFY_CHUNK, X.shape[0])
             Xc, tc = X[lo:hi], ts[lo:hi]
             pts = (Xc[:, None, :] - self._Y[None, :, :]).reshape(-1, self.dim)
             for tau, wt in zip(self._TAU, self._WT):
@@ -315,14 +244,14 @@ class MollifiedField(Field):
         return out
 
 
-def mollify(f: Field, eps, T, nodes=16):
+def mollify(f: Field, eps, T):
     """Smooth a bounded measurable field; preserves sup bounds and, for
     matrix fields, the ellipticity interval (convex combination of values),
     up to a few ulps: the quadrature weights sum to 1 only up to rounding,
     so lam = 0.5 can come back as 0.4999999999999999."""
     if not 0.0 < eps <= 1.0:
         raise ArgumentError("eps must lie in (0, 1]")
-    return MollifiedField(f, eps, T, nodes=nodes)
+    return MollifiedField(f, eps, T)
 
 
 # -- moduli of continuity ----------------------------------------------------
@@ -354,6 +283,15 @@ def _sample_pairs(geometry, box, twindow, r, n, rng):
     return np.concatenate(zs)[:n], np.concatenate(ws)[:n]
 
 
+def _pair_jumps(f: Field, geometry, box, twindow, r, n, rng):
+    """n sampled pairs (z, w) with d(z, w) < r and, for each, the largest
+    |f(z) - f(w)| over the field's components."""
+    zs, ws = _sample_pairs(geometry, box, twindow, r, n, rng)
+    fz = f.many(zs[:, :-1], zs[:, -1])
+    fw = f.many(ws[:, :-1], ws[:, -1])
+    return zs, ws, np.abs(fz - fw).reshape(len(zs), -1).max(axis=1)
+
+
 def modulus_of_continuity(f: Field, geometry, box, twindow, radii,
                           n_pairs=100000, seed=0):
     """Sampled modulus omega_f(r): sup |f(z)-f(w)| over pairs with d < r.
@@ -365,10 +303,7 @@ def modulus_of_continuity(f: Field, geometry, box, twindow, radii,
     radii = np.asarray(radii, dtype=float)
     omega = np.zeros(len(radii))
     for i, r in enumerate(radii):
-        zs, ws = _sample_pairs(geometry, box, twindow, r, n_pairs, rng)
-        fz = f.many(zs[:, :-1], zs[:, -1])
-        fw = f.many(ws[:, :-1], ws[:, -1])
-        diff = np.abs(fz - fw).reshape(len(zs), -1).max(axis=1)
+        _, _, diff = _pair_jumps(f, geometry, box, twindow, r, n_pairs, rng)
         omega[i] = diff.max()
     return np.maximum.accumulate(omega)
 
@@ -395,10 +330,7 @@ def holder_seminorm(f: Field, geometry, box, twindow, alpha,
     best = 0.0
     per = max(1, n_pairs // len(r_scales))
     for r in r_scales:
-        zs, ws = _sample_pairs(geometry, box, twindow, r, per, rng)
-        fz = f.many(zs[:, :-1], zs[:, -1])
-        fw = f.many(ws[:, :-1], ws[:, -1])
-        diff = np.abs(fz - fw).reshape(len(zs), -1).max(axis=1)
+        zs, ws, diff = _pair_jumps(f, geometry, box, twindow, r, per, rng)
         d = geometry.distance(zs, ws)
         ok = d > 0.0
         if ok.any():

@@ -37,10 +37,6 @@ class NotSPD(KolmoError):
     """Cholesky factorization failed: matrix is not positive definite."""
 
 
-class QuadratureUnconverged(KolmoError):
-    """Doubling the node count changed a quadrature result beyond tolerance."""
-
-
 class WindowUnderflow(KolmoError):
     """A mollified evaluation needs samples outside the field's time window."""
 
@@ -63,10 +59,6 @@ class BoxTooSmall(KolmoError):
 
 class SupportExceedsGrid(KolmoError):
     """Test-function support is not contained in the grid."""
-
-
-class StepRejected(KolmoError):
-    """Monte-Carlo step size violates the recorded sanity bound."""
 
 
 class NonFinite(KolmoError):

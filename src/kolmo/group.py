@@ -26,29 +26,6 @@ def split(z):
     return z[..., :-1], z[..., -1][()]
 
 
-def exp_drift(s, B, nilpotent_terms=None):
-    """E(s) = exp(-s B) by its power series truncated after
-    nilpotent_terms terms (default N), stopping early once a term vanishes.
-
-    For canonical (nilpotent) B, B^{kappa+1} = 0 and the series terminates,
-    so the truncation is exact whenever nilpotent_terms >= kappa + 1, which
-    the default N ensures.  For non-nilpotent B the truncated series is
-    only an approximation of exp(-s B).
-    """
-    B = np.asarray(B, dtype=float)
-    N = B.shape[0]
-    M = -s * B
-    E = np.eye(N)
-    term = np.eye(N)
-    kmax = nilpotent_terms if nilpotent_terms is not None else N
-    for k in range(1, kmax + 1):
-        term = term @ M / k
-        if not term.any():
-            break
-        E = E + term
-    return E
-
-
 @dataclass(frozen=True)
 class Cylinder:
     """Slanted cylinder Q_r(z0) = z0 o delta_r(Q_1)."""
@@ -127,7 +104,17 @@ class Geometry:
     # -- group operations ---------------------------------------------------
 
     def exp_drift(self, s):
-        return exp_drift(s, self.B, nilpotent_terms=self.structure.kappa + 1)
+        """E(s) = exp(-s B) by its power series, stopping early once a term
+        vanishes.  B^{kappa+1} = 0 (checked at construction), so the
+        series ends after kappa + 1 terms and is exact."""
+        M = -s * self.B
+        E = term = np.eye(self.N)
+        for k in range(1, self.structure.kappa + 2):
+            term = term @ M / k
+            if not term.any():
+                break
+            E = E + term
+        return E
 
     def _drift(self, s, x):
         """E(s) x for a vector, or row-wise for rows x and times s: the

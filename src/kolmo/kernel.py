@@ -9,12 +9,11 @@ kernel with prefactor (4 pi)^{-N/2} and exponent -<C^{-1}x, x>/4.
 """
 
 import math
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, NotSPD, QuadratureUnconverged
+from .errors import ArgumentError, NotSPD
 from .group import Geometry, point
 
 
@@ -113,9 +112,6 @@ class KernelParams:
 
     lam: float
     geometry: Geometry
-    _cache: dict = field(default_factory=dict, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-    _cache_limit: int = 4096
 
     def __post_init__(self):
         if self.lam <= 0.0:
@@ -125,16 +121,8 @@ class KernelParams:
             self.geometry.B, np.eye(self.geometry.structure.m0))
 
     def cov(self, t):
-        with self._lock:
-            hit = self._cache.get(t)
-        if hit is not None:
-            return hit
-        cm = covariance(t, self.geometry.B, np.eye(self.geometry.structure.m0))
-        with self._lock:
-            if len(self._cache) >= self._cache_limit:
-                self._cache.clear()
-            self._cache[t] = cm
-        return cm
+        return covariance(t, self.geometry.B,
+                          np.eye(self.geometry.structure.m0))
 
     def cov_many(self, t):
         """C(t) for an array of times, shape (n, N, N)."""
@@ -237,6 +225,8 @@ def prototype_density_1934(v, y, t, v0, y0):
 
 # -- semigroup / reproduction check -----------------------------------------
 
+REPRODUCTION_NODES = 8     # Gauss-Hermite nodes per axis
+
 
 def _gauss_product(x, t, y, t0, s, params):
     """Precision-form product of the two kernel factors as Gaussians in the
@@ -278,29 +268,25 @@ def _log_reproduction_quadrature(x, t, y, t0, s, params, nodes):
     return log_scale + top + math.log(float(np.sum(np.exp(terms - top))))
 
 
-def reproduction_check(x, t, y, t0, s, params, nodes=8, tol=1e-6):
+def reproduction_check(x, t, y, t0, s, params):
     """Chapman-Kolmogorov identity across the intermediate time s.
 
     rhs integrates the product of kernels by Gauss-Hermite quadrature
     centered and scaled by the analytic Gaussian-product moments; lhs is the
     closed form.  Both are compared in the log domain, so the check keeps
-    its meaning where the kernel underflows.  Doubling the node count must
-    agree to tol relative.
+    its meaning where the kernel underflows.  The integrand divided by the
+    Hermite weight is constant for the model kernel, so any node count is
+    exact up to rounding and one pass at REPRODUCTION_NODES suffices.
     """
     if not t0 < s < t:
         raise ArgumentError("need t0 < s < t")
     log_lhs = float(gamma_many(point(x, t), point(y, t0), params,
                                log=True)[0])
-    log_rhs = _log_reproduction_quadrature(x, t, y, t0, s, params, nodes)
-    log_rhs2 = _log_reproduction_quadrature(x, t, y, t0, s, params,
-                                            2 * nodes)
-    moved = abs(math.expm1(log_rhs2 - log_rhs))
-    if not moved <= tol:
-        raise QuadratureUnconverged(
-            f"node doubling moved the integral by {moved:.3e} relative")
-    rel_err = abs(math.expm1(log_rhs2 - log_lhs))
-    return {"lhs": math.exp(log_lhs), "rhs": math.exp(log_rhs2),
-            "log_lhs": log_lhs, "log_rhs": log_rhs2, "rel_err": rel_err}
+    log_rhs = _log_reproduction_quadrature(x, t, y, t0, s, params,
+                                           REPRODUCTION_NODES)
+    rel_err = abs(math.expm1(log_rhs - log_lhs))
+    return {"lhs": math.exp(log_lhs), "rhs": math.exp(log_rhs),
+            "log_lhs": log_lhs, "log_rhs": log_rhs, "rel_err": rel_err}
 
 
 # -- Gaussian envelope shapes ------------------------------------------------

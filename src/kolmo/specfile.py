@@ -18,6 +18,7 @@ from .structure import BlockStructure, check_hypoellipticity, \
     detect_canonical_form
 
 SCHEMA = "kolmo-operator/1"
+CSV_BLOCK = 1024           # rows per formatted write in write_csv
 
 
 class SpecError(KolmoError):
@@ -135,6 +136,20 @@ def dumps_stable(obj):
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
+def write_csv(path, header, rows):
+    """The one CSV artifact format: a header row, then "%.17g" cells and
+    CRLF line ends, csv.writer's bytes.  The cells need no quoting, so rows
+    go out in blocks through one row template; only the header goes
+    through csv."""
+    rows = np.asarray(rows, dtype=float)
+    line = ",".join(["%.17g"] * rows.shape[-1]) + "\r\n"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        for lo in range(0, len(rows), CSV_BLOCK):
+            block = rows[lo:lo + CSV_BLOCK]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+
+
 # -- sidecar grid CSV --------------------------------------------------------
 
 
@@ -174,12 +189,7 @@ def save_grid_field(f, path):
     header = [f"x{k + 1}" for k in range(naxes)] + ["t"] + \
         ([f"v{k + 1}" for k in range(vals.shape[1])]
          if vals.shape[1] > 1 else ["value"])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row, v in zip(flat, vals):
-            w.writerow([f"{u:.17g}" for u in row] +
-                       [f"{u:.17g}" for u in v])
+    write_csv(path, header, np.column_stack([flat, vals]))
     f.source_file = path.name
     return path
 

@@ -11,6 +11,7 @@ import pytest
 import kolmo
 
 from kolmo import cli, specfile
+from kolmo.coefficients import GridField
 
 
 @pytest.fixture()
@@ -180,13 +181,30 @@ def test_point_option_needs_N_components(spec_path, tmp_path, capsys,
     ["solve", "fundamental", "{spec}", "--box=-4,4;-2,2", "--nx", "21,41",
      "--t1", "0.2", "--out", "f.csv"],
     ["check", "bounds", "{spec}", "--nx", "21,41", "--widths", "1.5,0.5"],
+    ["kernel", "reproduce", "{spec}", "--configs", "0"],
+    ["check", "global", "{spec}", "--pairs", "0"],
+    ["mollify", "{spec}", "--samples", "0"],
+    ["mollify", "{spec}", "--samples", "-3"],
+    ["check", "bounds", "{spec}", "--self-test", "--samples", "0"],
+    ["check", "harnack", "{spec}", "--radius", "0"],
+    ["check", "harnack", "{spec}", "--radius", "-0.4"],
+    ["check", "harnack", "{spec}", "--omega", "2"],
+    ["check", "harnack", "{spec}", "--sweep", "-1"],
+    ["check", "cone", "{spec}", "--beta", "0"],
+    ["check", "cone", "{spec}", "--R", "0"],
+    ["check", "cone", "{spec}", "--radius", "0"],
+    ["mc", "mass", "{spec}", "--paths", "10", "--radius", "-1"],
 ], ids=["grid-part", "grid-nodes", "box-count", "box-order", "box-number",
         "points-width", "bins", "widths", "eps", "datum-width",
         "datum-number", "mc-paths", "mc-dt", "eps-range", "threads-zero",
         "threads-negative", "mc-reversed-window", "mc-empty-window",
         "kernel-lam", "threads-structure", "threads-kernel",
         "solve-reversed-window", "solve-empty-window",
-        "fundamental-width-past-t1", "bounds-width-past-t1"])
+        "fundamental-width-past-t1", "bounds-width-past-t1",
+        "reproduce-configs", "global-pairs", "mollify-samples-zero",
+        "mollify-samples-negative", "bounds-samples", "harnack-radius-zero",
+        "harnack-radius-negative", "harnack-omega", "harnack-sweep",
+        "cone-beta", "cone-R", "cone-radius", "mc-mass-radius"])
 def test_malformed_option_exit_2(spec_path, tmp_path, capsys, monkeypatch,
                                  argv):
     """Malformed option values exit 2, through SpecError or the library's
@@ -232,7 +250,7 @@ def test_write_csv_matches_csv_writer(tmp_path, case):
     if case == "specials":
         rows = np.array(specials[:12]).reshape(4, 3)
     elif case == "blocks":
-        n = 2 * cli.CSV_BLOCK + 7
+        n = 2 * specfile.CSV_BLOCK + 7
         rng = np.random.default_rng(0)
         rows = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-300, 300,
                                                               (n, 3))
@@ -245,6 +263,24 @@ def test_write_csv_matches_csv_writer(tmp_path, case):
     cli.write_csv(tmp_path / "new.csv", header, rows)
     _reference_csv(tmp_path / "ref.csv", header, rows)
     assert (tmp_path / "new.csv").read_bytes() == \
+        (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("shape", [(), (2,)])
+def test_grid_field_sidecar_matches_csv_writer(tmp_path, shape):
+    """save_grid_field writes through the one CSV writer: its bytes are
+    csv.writer's for the same header and rows, scalar and vector values."""
+    rng = np.random.default_rng(1)
+    axes = [np.sort(rng.normal(size=4)), np.sort(rng.normal(size=3))]
+    taxis = np.array([0.0, 1 / 3, 1.0])
+    f = GridField(axes, taxis, rng.normal(size=(4, 3, 3) + shape) * 1e-7)
+    specfile.save_grid_field(f, tmp_path / "grid.csv")
+    grids = np.meshgrid(*axes, taxis, indexing="ij")
+    rows = np.column_stack([g.ravel() for g in grids]
+                           + [f.values.reshape(36, -1)])
+    header = ["x1", "x2", "t"] + (["v1", "v2"] if shape else ["value"])
+    _reference_csv(tmp_path / "ref.csv", header, rows)
+    assert (tmp_path / "grid.csv").read_bytes() == \
         (tmp_path / "ref.csv").read_bytes()
 
 

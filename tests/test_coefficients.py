@@ -118,6 +118,79 @@ def test_mollification_preserves_sign():
     assert np.max(sm) <= 0.0
 
 
+def _tensor(a, dim):
+    """Rows of the dim-fold tensor grid of the 1-d array a."""
+    return np.stack([g.ravel() for g in
+                     np.meshgrid(*([a] * dim), indexing="ij")], axis=1)
+
+
+def _bump(r2):
+    out = np.zeros_like(r2)
+    inside = r2 < 1.0
+    out[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
+    return out
+
+
+def _scaled_mollifier(eps, T, dim, nodes=16):
+    """The mollifier quadrature built from unit-mass bumps psi_eps and
+    rho_eps, each scaled onto its support and normalized by a numerically
+    integrated mass (80 Gauss-Legendre nodes per axis for the ball, 200 for
+    the interval), then renormalized.  Returns (Y, WY, TAU, WT)."""
+    u80, w80 = np.polynomial.legendre.leggauss(80)
+    U80 = _tensor(u80, dim)
+    psi_norm = np.sum(_tensor(w80, dim).prod(axis=1)
+                      * _bump(np.sum(U80 * U80, axis=1)))
+    u200, w200 = np.polynomial.legendre.leggauss(200)
+    bump_norm = np.sum(w200 * _bump(u200 * u200))
+
+    def psi_eps(y):
+        y = y / eps
+        return _bump(np.sum(y * y, axis=1)) / psi_norm / eps ** dim
+
+    def rho_eps(tau):
+        u = (tau / eps - T / 2.0) / (T / 4.0)
+        return _bump(u * u) / (bump_norm * T / 4.0) / eps
+
+    g, w = np.polynomial.legendre.leggauss(nodes)
+    Y = eps * _tensor(g, dim)
+    WY = _tensor(w, dim).prod(axis=1) * eps ** dim * psi_eps(Y)
+    lo, hi = eps * T / 4.0, eps * 3.0 * T / 4.0
+    TAU = 0.5 * (hi - lo) * g + 0.5 * (hi + lo)
+    WT = 0.5 * (hi - lo) * w * rho_eps(TAU)
+    return Y, WY / WY.sum(), TAU, WT / WT.sum()
+
+
+class _Smooth(coeff.Field):
+    """A smooth scalar field bounded away from 0, so relative errors of the
+    mollified values measure the quadrature alone."""
+
+    def __init__(self, dim):
+        super().__init__(dim, ())
+
+    def many(self, X, ts):
+        return (2.0 + np.sin(3.0 * X.sum(axis=1) + 1.0)
+                * np.cos(2.0 * ts) + 0.3 * ts)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("eps", [1.0, 0.2, 0.05])
+@pytest.mark.parametrize("T", [1.0, 0.3])
+def test_mollifier_weights_match_scaled_bumps(dim, eps, T):
+    """The mollifier's eps- and T-free weights at the nodes eps u and
+    eps T (1/2 + g/4) give the integral of the normalized, scaled bumps."""
+    f = _Smooth(dim)
+    rng = np.random.default_rng(dim)
+    X, ts = rng.normal(size=(7, dim)), rng.uniform(0.0, 1.0, 7)
+    Y, WY, TAU, WT = _scaled_mollifier(eps, T, dim)
+    want = np.zeros(len(X))
+    for tau, wt in zip(TAU, WT):
+        for i, (x, t) in enumerate(zip(X, ts)):
+            vals = f.many(x - Y, np.full(len(Y), (1.0 - eps) * t + tau))
+            want[i] += wt * (vals @ WY)
+    got = coeff.mollify(f, eps=eps, T=T).many(X, ts)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
+
+
 def test_mollified_window_guard():
     f = coeff.ConstantField(np.array(1.0), dim=1, window=(0.0, 1.0))
     fm = coeff.mollify(f, eps=0.2, T=1.0)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from kolmo import kernel as kern
-from kolmo.errors import NotSPD, QuadratureUnconverged
+from kolmo.errors import NotSPD
 from kolmo.group import Geometry, point, prototype_geometry
 from kolmo.structure import BlockStructure
+from test_structure import random_canonical_B
 
 
 def closed_form_covariance(t):
@@ -151,6 +152,27 @@ def test_reproduction_where_kernel_underflows():
     assert res["rel_err"] < 1e-8
 
 
+@pytest.mark.parametrize("blocks", [(1, 1), (2, 1), (1, 1, 1)])
+def test_reproduction_quadrature_exact_at_any_node_count(blocks):
+    """The integrand divided by the Hermite weight is constant for the model
+    kernel, so 2, 8 and 16 nodes per axis give the same log-integral up to
+    rounding: one pass at 8 nodes loses nothing."""
+    rng = np.random.default_rng(11)
+    g = Geometry(BlockStructure(blocks), random_canonical_B(blocks, rng))
+    params = kern.scaled_params(2.0, g)
+    for _ in range(10):
+        t0 = rng.uniform(-1.0, 0.0)
+        t = t0 + rng.uniform(0.3, 1.5)
+        s = rng.uniform(t0 + 0.1 * (t - t0), t - 0.1 * (t - t0))
+        x, y = rng.normal(size=g.N), rng.normal(size=g.N)
+        log_lhs = kern.reproduction_check(x, t, y, t0, s, params)["log_lhs"]
+        logs = [kern._log_reproduction_quadrature(x, t, y, t0, s, params, n)
+                for n in (2, 8, 16)]
+        tol = 1e-12 * max(1.0, abs(log_lhs))
+        assert max(logs) - min(logs) <= tol
+        assert abs(logs[1] - log_lhs) <= tol
+
+
 def test_non_nilpotent_B_rejected():
     B = np.array([[0.0, 0.5], [1.0, 0.0]])
     with pytest.raises(ValueError, match="nilpotent"):
@@ -202,10 +224,3 @@ def test_envelope_forms(proto):
     assert up > 0.0 and lo > 0.0
     assert kern.gaussian_envelope(x, 0.0, y, 0.0, c=0.5, geometry=proto,
                                   form="upper") == 0.0
-
-
-def test_cov_cache_reuse(proto):
-    params = kern.principal_params(proto)
-    a = params.cov(0.37)
-    b = params.cov(0.37)
-    assert a is b

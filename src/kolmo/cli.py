@@ -18,10 +18,10 @@ from . import kernel as kern
 from . import mc as mcmod
 from . import pde, specfile, verify
 from .errors import (ArgumentError, BoxTooSmall, ConeUnresolved,
-                     CylinderUnresolved, Inconsistent, NoAdmissibleFit,
-                     NonFinite, NotCanonical, NotNonnegative, NotSPD,
-                     RankDeficient, SupportExceedsGrid, Unstable)
-from .group import point, split
+                     CylinderUnresolved, NoAdmissibleFit, NonFinite,
+                     NotCanonical, NotNonnegative, NotSPD, RankDeficient,
+                     SupportExceedsGrid, Unstable)
+from .group import point
 from .specfile import SpecError, write_csv
 
 EXIT_PARSE = 2
@@ -34,7 +34,7 @@ EXIT_VERIFY = 7
 _SOLVER_ERRORS = (Unstable, BoxTooSmall, SupportExceedsGrid)
 _MC_ERRORS = (NonFinite,)
 _VERIFY_ERRORS = (NoAdmissibleFit, CylinderUnresolved, ConeUnresolved,
-                  NotNonnegative, Inconsistent)
+                  NotNonnegative)
 
 
 def emit(report):
@@ -203,10 +203,6 @@ def cmd_kernel_reproduce(args):
     return 0
 
 
-def _coeffs(spec):
-    return dict(spec.fields)
-
-
 def cmd_solve_cauchy(args):
     spec = specfile.load(args.spec)
     g = spec.geometry
@@ -219,7 +215,7 @@ def cmd_solve_cauchy(args):
     w = float(w[0])
     params = kern.scaled_params(args.lam, g)
     datum = pde.KernelDatum(point(_vector(args, "x0", g.N), args.t0), params)
-    sol = pde.solve_cauchy(_coeffs(spec), g, datum, box, nx,
+    sol = pde.solve_cauchy(spec.fields, g, datum, box, nx,
                            args.t0 + w, args.t1, dt=args.dt,
                            Lambda=spec.ellipticity[1], keep="final")
     pts = pde._grid_points(sol.axes)
@@ -240,7 +236,7 @@ def cmd_solve_fundamental(args):
     nx = _counts(args, "nx", g.N, pde.MIN_AXIS_NODES)
     widths = _floats(args.widths)
     final, report, _ = pde.approx_fundamental(
-        _coeffs(spec), g, _vector(args, "x0", g.N), args.t0, args.t1, box, nx,
+        spec.fields, g, _vector(args, "x0", g.N), args.t0, args.t1, box, nx,
         widths, lam=args.lam, dt=args.dt, Lambda=spec.ellipticity[1],
         keep="final")
     pts = pde._grid_points(final.axes)
@@ -256,7 +252,7 @@ def cmd_solve_fundamental(args):
 def _simulate(args, spec):
     cfg = mcmod.McConfig(paths=args.paths, dt=args.dt, seed=args.seed,
                          lam=args.lam, threads=args.threads)
-    return mcmod.simulate(_coeffs(spec), spec.geometry,
+    return mcmod.simulate(spec.fields, spec.geometry,
                           _vector(args, "x0", spec.structure.N),
                           args.t0, args.t1, cfg)
 
@@ -325,16 +321,42 @@ def cmd_mollify(args):
     return 0
 
 
+# The options each mode of `check bounds` reads: dest -> (flag, default).
+# An option of the other mode is refused rather than echoed and ignored.
+_BOUNDS_SELF_TEST = {"samples": ("--samples", 500), "seed": ("--seed", 0)}
+_BOUNDS_FIT = {"lam_plus": ("--lambda-plus", 4.5),
+               "lam_minus": ("--lambda-minus", 1.8),
+               "err_budget": ("--err-budget", 0.05),
+               "box": ("--box", "-4,4;-2,2"), "nx": ("--nx", "81,121"),
+               "widths": ("--widths", "0.3,0.25,0.2")}
+
+
+def _bounds_mode(args):
+    """Fill in the defaults of the options args.self_test's mode reads;
+    raise SpecError if an option of the other mode was given."""
+    reads, other = ((_BOUNDS_SELF_TEST, _BOUNDS_FIT) if args.self_test
+                    else (_BOUNDS_FIT, _BOUNDS_SELF_TEST))
+    for dest, (flag, _) in other.items():
+        if getattr(args, dest) is not None:
+            raise SpecError(f"{flag} is not read "
+                            f"{'with' if args.self_test else 'without'} "
+                            f"--self-test")
+    for dest, (_, default) in reads.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+
+
 def cmd_check_bounds(args):
+    _bounds_mode(args)
     spec = specfile.load(args.spec)
     g = spec.geometry
-    rng = np.random.default_rng(args.seed)
     x0 = _vector(args, "x0", g.N)
     pole = point(x0, args.t0)
-    pts = np.column_stack(
-        [rng.uniform(-2.0, 2.0, size=(args.samples, g.N)),
-         args.t0 + rng.uniform(0.05, 1.0, size=args.samples)])
     if args.self_test:
+        rng = np.random.default_rng(args.seed)
+        pts = np.column_stack(
+            [rng.uniform(-2.0, 2.0, size=(args.samples, g.N)),
+             args.t0 + rng.uniform(0.05, 1.0, size=args.samples)])
         params = kern.scaled_params(args.lam, g)
         target = kern.gamma_many(pts, pole, params)
         rep = verify.fit_sandwich(pts, target, pole, g, args.lam, args.lam)
@@ -343,7 +365,7 @@ def cmd_check_bounds(args):
         nx = _counts(args, "nx", g.N, pde.MIN_AXIS_NODES)
         widths = _floats(args.widths)
         final, _, _ = pde.approx_fundamental(
-            _coeffs(spec), g, x0, args.t0,
+            spec.fields, g, x0, args.t0,
             args.t0 + 1.0, box, nx, widths, lam=args.lam,
             Lambda=spec.ellipticity[1], keep="final")
         tq = final.taxis[-1]
@@ -425,97 +447,6 @@ def cmd_check_global(args):
     return 0
 
 
-# -- Asian option example ----------------------------------------------------
-
-
-def asian_price(S0, K, r, sigma, T, paths=200000, seed=0, dt=1e-3,
-                payoff="geometric"):
-    """Geometric-average Asian call under Black-Scholes.
-
-    With x1 = log S and x2 = int_0^t log S ds the dynamics are the kinetic
-    prototype with constant diffusion sigma^2/2 on x1 and drift x1 feeding
-    x2, so the terminal law is the model Gaussian and the price reduces to a
-    one-dimensional quadrature; an independent Monte Carlo run on the same
-    SDE cross-checks it.
-    """
-    from .structure import BlockStructure
-    from .group import Geometry
-
-    st = BlockStructure((1, 1))
-    B = np.array([[0.0, 0.0], [-1.0, 0.0]])   # dx2 = +x1 dt under -B
-    g = Geometry(st, B)
-    mu = r - 0.5 * sigma * sigma
-    x0 = np.array([math.log(S0), 0.0])
-
-    # terminal law: mean and covariance of (x1, x2) at T
-    mean = np.array([x0[0] + mu * T, x0[1] + x0[0] * T + 0.5 * mu * T * T])
-    if sigma > 0.0:
-        C = kern.covariance_matrix(T, B, np.array([[0.5 * sigma * sigma]]))
-        cov = 2.0 * C
-    else:
-        cov = np.zeros((2, 2))
-
-    def pay(avg_log):
-        if payoff == "unit":
-            return np.ones_like(avg_log)
-        return np.maximum(np.exp(avg_log) - K, 0.0)
-
-    # (i) quadrature: the payoff depends on x2/T only
-    discount = math.exp(-r * T)
-    var2 = cov[1, 1]
-    if var2 <= 0.0:
-        price_quad = discount * float(pay(np.array([mean[1] / T]))[0])
-        quad_tol = 0.0
-    else:
-        nodes, weights = np.polynomial.hermite_e.hermegauss(200)
-        x2 = mean[1] + math.sqrt(var2) * nodes
-        price_quad = discount * float(
-            np.sum(weights * pay(x2 / T)) / math.sqrt(2.0 * math.pi))
-        n2, w2 = np.polynomial.hermite_e.hermegauss(150)
-        alt = discount * float(
-            np.sum(w2 * pay((mean[1] + math.sqrt(var2) * n2) / T))
-            / math.sqrt(2.0 * math.pi))
-        quad_tol = abs(price_quad - alt)
-
-    # (ii) Monte Carlo on the transformed SDE
-    if sigma > 0.0:
-        fields = {"A0": coeff.ConstantField([[0.5 * sigma * sigma]], dim=2),
-                  "b": coeff.ConstantField([mu], dim=2)}
-        cfg = mcmod.McConfig(paths=paths, dt=dt, seed=seed, lam=2.0)
-        ens = mcmod.simulate(fields, g, x0, 0.0, T, cfg)
-        pv = discount * pay(ens.final[:, 1] / T)
-        price_mc = float(np.mean(pv))
-        se = float(np.std(pv) / math.sqrt(paths))
-    else:
-        price_mc, se = price_quad, 0.0
-
-    gap = abs(price_quad - price_mc)
-    budget = 3.0 * se + quad_tol + 1e-12
-    if gap > budget:
-        raise Inconsistent(
-            f"quadrature price {price_quad:.6f} vs MC {price_mc:.6f}: "
-            f"gap {gap:.2e} exceeds budget {budget:.2e}")
-    return {"price_quadrature": price_quad, "price_mc": price_mc,
-            "mc_se": se, "gap": gap, "budget": budget,
-            "quad_tol": quad_tol,
-            "terminal_mean": mean.tolist(), "terminal_cov": cov.tolist(),
-            "reduction": "x1 = log S, x2 = int log S; kinetic prototype "
-                         "with A0 = sigma^2/2, drift b = r - sigma^2/2"}
-
-
-def cmd_example_asian(args):
-    for name in ("S0", "strike", "sigma", "maturity"):
-        if getattr(args, name) < 0 or getattr(args, name) == 0 and \
-                name in ("S0", "maturity"):
-            raise SpecError(f"--{name} must be positive")
-    rep = asian_price(args.S0, args.strike, args.r, args.sigma,
-                      args.maturity, paths=args.paths, seed=args.seed,
-                      dt=args.dt, payoff=args.payoff)
-    emit({"command": "example asian", "config": _resolved(args),
-          "report": rep})
-    return 0
-
-
 # -- argument parsing --------------------------------------------------------
 
 
@@ -560,7 +491,7 @@ def build_parser():
     sp.add_argument("--nx", required=True)
     sp.add_argument("--t0", type=float, default=0.0)
     sp.add_argument("--t1", type=float, required=True)
-    sp.add_argument("--dt", type=float)
+    sp.add_argument("--dt", type=_positive_float)
     sp.add_argument("--x0", default="0,0")
     sp.add_argument("--datum", default="gaussian:0.1")
     sp.add_argument("--lambda", dest="lam", type=float, default=2.0)
@@ -573,7 +504,7 @@ def build_parser():
     sp.add_argument("--x0", default="0,0")
     sp.add_argument("--t0", type=float, default=0.0)
     sp.add_argument("--t1", type=float, required=True)
-    sp.add_argument("--dt", type=float)
+    sp.add_argument("--dt", type=_positive_float)
     sp.add_argument("--widths", default="0.3,0.25,0.2")
     sp.add_argument("--lambda", dest="lam", type=float, default=2.0)
     sp.add_argument("--out", default="fundamental.csv")
@@ -587,7 +518,7 @@ def build_parser():
         sp = msub.add_parser(name)
         spec_arg(sp)
         sp.add_argument("--paths", type=int, default=100000)
-        sp.add_argument("--dt", type=float, default=1e-3)
+        sp.add_argument("--dt", type=_positive_float, default=1e-3)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--x0", default="0,0")
         sp.add_argument("--t0", type=float, default=0.0)
@@ -616,20 +547,19 @@ def build_parser():
     sp = csub.add_parser("bounds")
     spec_arg(sp)
     sp.add_argument("--self-test", action="store_true")
-    sp.add_argument("--samples", type=_positive_int, default=500)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--x0", default="0,0")
     sp.add_argument("--t0", type=float, default=0.0)
     sp.add_argument("--lambda", dest="lam", type=float, default=2.0)
-    sp.add_argument("--lambda-plus", dest="lam_plus", type=float,
-                    default=4.5)
-    sp.add_argument("--lambda-minus", dest="lam_minus", type=float,
-                    default=1.8)
-    sp.add_argument("--err-budget", dest="err_budget", type=float,
-                    default=0.05)
-    sp.add_argument("--box", default="-4,4;-2,2")
-    sp.add_argument("--nx", default="81,121")
-    sp.add_argument("--widths", default="0.3,0.25,0.2")
+    # read with --self-test only
+    sp.add_argument("--samples", type=_positive_int)
+    sp.add_argument("--seed", type=int)
+    # read without --self-test only
+    sp.add_argument("--lambda-plus", dest="lam_plus", type=float)
+    sp.add_argument("--lambda-minus", dest="lam_minus", type=float)
+    sp.add_argument("--err-budget", dest="err_budget", type=float)
+    sp.add_argument("--box")
+    sp.add_argument("--nx")
+    sp.add_argument("--widths")
     sp.set_defaults(func=cmd_check_bounds)
     sp = csub.add_parser("harnack")
     spec_arg(sp)
@@ -638,8 +568,9 @@ def build_parser():
     sp.add_argument("--radius", type=_positive_float, default=0.4)
     sp.add_argument("--omega", default=0.5, type=_ranged(
         float, lambda x: 0.0 < x < 1.0, "a number in (0, 1)"))
-    sp.add_argument("--n-space", dest="n_space", type=int, default=3)
-    sp.add_argument("--n-time", dest="n_time", type=int, default=3)
+    sp.add_argument("--n-space", dest="n_space", type=_positive_int,
+                    default=3)
+    sp.add_argument("--n-time", dest="n_time", type=_positive_int, default=3)
     sp.add_argument("--pole", default="0,0")
     sp.add_argument("--pole-t0", dest="pole_t0", type=float, default=-2.0)
     sp.add_argument("--lambda", dest="lam", type=float, default=2.0)
@@ -667,21 +598,6 @@ def build_parser():
     sp.add_argument("--pole-t0", dest="pole_t0", type=float, default=-2.0)
     sp.add_argument("--lambda", dest="lam", type=float, default=2.0)
     sp.set_defaults(func=cmd_check_global)
-
-    ep = sub.add_parser("example")
-    esub = ep.add_subparsers(dest="subcommand", required=True)
-    sp = esub.add_parser("asian")
-    sp.add_argument("--S0", type=float, default=100.0)
-    sp.add_argument("--strike", type=float, default=100.0)
-    sp.add_argument("--r", type=float, default=0.05)
-    sp.add_argument("--sigma", type=float, default=0.2)
-    sp.add_argument("--maturity", type=float, default=1.0)
-    sp.add_argument("--paths", type=int, default=200000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--dt", type=float, default=1e-3)
-    sp.add_argument("--payoff", choices=("geometric", "unit"),
-                    default="geometric")
-    sp.set_defaults(func=cmd_example_asian)
 
     return p
 

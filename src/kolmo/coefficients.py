@@ -9,6 +9,10 @@ import numpy as np
 
 from .errors import ArgumentError, WindowUnderflow
 
+# The operator's coefficients by name, with the tensor rank of each value:
+# A0 an m0 x m0 matrix, b an m0-vector, c a scalar.
+RANK = {"A0": 2, "b": 1, "c": 0}
+
 
 class Field:
     """Base class: callable at (x, t); shape is the codomain shape."""
@@ -344,8 +348,8 @@ def holder_seminorm(f: Field, geometry, box, twindow, alpha,
 def rescale(fields, geometry, r):
     """Coefficients of the dilation-rescaled operator.
 
-    A -> A o delta_r, a -> r (a o delta_r), b -> r (b o delta_r),
-    c -> r^2 (c o delta_r); wrappers are lazy.
+    A -> A o delta_r, b -> r (b o delta_r), c -> r^2 (c o delta_r);
+    wrappers are lazy.
     """
     if r <= 0.0:
         raise ValueError("r must be positive")
@@ -369,6 +373,5 @@ def rescale(fields, geometry, r):
         return _Wrapped()
 
     return {"A0": wrap(fields.get("A0"), 0),
-            "a": wrap(fields.get("a"), 1),
             "b": wrap(fields.get("b"), 1),
             "c": wrap(fields.get("c"), 2)}

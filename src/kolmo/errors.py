@@ -79,7 +79,3 @@ class ConeUnresolved(KolmoError):
 
 class NoAdmissibleFit(KolmoError):
     """No lambda in the grid yields a positive lower envelope constant."""
-
-
-class Inconsistent(KolmoError):
-    """Two independent methods disagree beyond their combined error budgets."""

@@ -1,12 +1,12 @@
-"""Translation group on R^{N+1}, anisotropic dilations, homogeneous norm,
-quasi-distance, cylinders and cones.
+"""Translation group on R^{N+1}, anisotropic dilations, homogeneous norm
+and quasi-distance.  The Harnack cylinders and cones are node sets in
+kolmo.verify (unit_cylinder_nodes, cone_nodes).
 
 Points are numpy arrays z = [x_1, ..., x_N, t]; the spatial part is split
 into blocks according to a BlockStructure.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,24 +24,6 @@ def split(z):
     """Spatial part and time of a point, or of each row of an (n, N+1) array."""
     z = np.asarray(z, dtype=float)
     return z[..., :-1], z[..., -1][()]
-
-
-@dataclass(frozen=True)
-class Cylinder:
-    """Slanted cylinder Q_r(z0) = z0 o delta_r(Q_1)."""
-
-    center: np.ndarray
-    radius: float
-
-
-@dataclass(frozen=True)
-class Cone:
-    """Cone P_{beta,r,R}(z0) = z0 o {delta_rho(xi, beta) : |xi|<r, 0<rho<=R}."""
-
-    vertex: np.ndarray
-    beta: float
-    r: float
-    R: float
 
 
 def _hom_norm_rows(Z, alpha):
@@ -98,7 +80,6 @@ class Geometry:
                 f" for blocks {structure.blocks}: exp(-sB) would be truncated")
         self.N = structure.N
         self.alpha = np.asarray(structure.alpha, dtype=int)
-        self._slices = structure.block_slices()
         self._degrees = np.append(self.alpha, 2).astype(float)
 
     # -- group operations ---------------------------------------------------
@@ -179,31 +160,6 @@ class Geometry:
     def distance(self, z, w):
         """Quasi-distance d(z,w) = ||z^{-1} o w||; points or rows."""
         return self.hom_norm(self.compose(self.inverse(z), w))
-
-    # -- regions ------------------------------------------------------------
-
-    def in_unit_cylinder(self, z):
-        """Q_1 = B_1 x ... x B_1 x (-1, 0): open spatial balls per block."""
-        x, t = split(z)
-        if not -1.0 < t < 0.0:
-            return False
-        return all(np.linalg.norm(x[sl]) < 1.0 for sl in self._slices)
-
-    def cylinder_contains(self, c: Cylinder, z):
-        zeta = self.dilate(1.0 / c.radius,
-                           self.compose(self.inverse(c.center), z))
-        return self.in_unit_cylinder(zeta)
-
-    def cone_contains(self, p: Cone, z):
-        zeta = self.compose(self.inverse(p.vertex), z)
-        xi_img, tau = split(zeta)
-        if tau >= 0.0:
-            return False
-        rho = np.sqrt(-tau / p.beta)
-        if rho > p.R:
-            return False
-        xi = self.dilate_space(1.0 / rho, xi_img)
-        return np.linalg.norm(xi) < p.r
 
 
 def prototype_geometry():

@@ -87,11 +87,6 @@ class CovMatrix:
         """C^{-1} x = L^{-T} (L^{-1} x): two solves with the stored factor."""
         return np.linalg.solve(self.chol.T, np.linalg.solve(self.chol, x))
 
-    def quad_form(self, x):
-        """<C^{-1} x, x> = |L^{-1} x|^2 via the stored Cholesky factor."""
-        y = np.linalg.solve(self.chol, np.asarray(x, dtype=float))
-        return float(y @ y)
-
 
 def covariance(t, B, A0):
     """Build the CovMatrix at time t > 0; raises NotSPD when Cholesky fails."""
@@ -193,8 +188,7 @@ def prototype_density(v, y, t, v0, y0, sigma=1.0):
     """Transition density of (V, Y) with dV = sigma dW, dY = V dt.
 
     Derived from the first two moments: mean (v0, y0 + t v0) and covariance
-    sigma^2 [[t, t^2/2], [t^2/2, t^3/3]]; the historical closed form is kept
-    separately as a cross-check only (see prototype_density_1934).
+    sigma^2 [[t, t^2/2], [t^2/2, t^3/3]].
     """
     if t <= 0.0:
         return 0.0
@@ -205,22 +199,6 @@ def prototype_density(v, y, t, v0, y0, sigma=1.0):
     quad = (cov[1, 1] * d[0] ** 2 - 2.0 * cov[0, 1] * d[0] * d[1]
             + cov[0, 0] * d[1] ** 2) / det
     return math.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
-
-
-def prototype_density_1934(v, y, t, v0, y0):
-    """Kolmogorov's 1934 closed form, transcribed verbatim.
-
-    Kept only to record its discrepancy against the moment-derived density:
-    the printed formula absorbs a sigma normalization and its last quadratic
-    term reads (y - y0 - t*y0) where the moments require (y - y0 - t*v0).
-    Do not use for computation.
-    """
-    if t <= 0.0:
-        return 0.0
-    return (math.sqrt(3.0) / (2.0 * math.pi * t * t)
-            * math.exp(-((v - v0) ** 2) / t
-                       - 3.0 * (v - v0) * (y - y0 - t * v0) / t ** 2
-                       - 3.0 * (y - y0 - t * y0) ** 2 / t ** 3))
 
 
 # -- semigroup / reproduction check -----------------------------------------
@@ -288,29 +266,3 @@ def reproduction_check(x, t, y, t0, s, params):
     return {"lhs": math.exp(log_lhs), "rhs": math.exp(log_rhs),
             "log_lhs": log_lhs, "log_rhs": log_rhs, "rel_err": rel_err}
 
-
-# -- Gaussian envelope shapes ------------------------------------------------
-
-
-def gaussian_envelope(x, t, y, t0, c, geometry: Geometry, form="upper"):
-    """Envelope shape shared by the two-sided Gaussian bounds.
-
-    upper: c/(t-t0)^{Q/2} * exp(-|delta^0_{1/sqrt(t-t0)}(y - e^{(t-t0)B}x)|^2 / c)
-    lower: same prefactor with exponent -c * <C^{-1}(t-t0) d, d>, d the same
-    displacement.
-    """
-    if t <= t0:
-        return 0.0
-    tau = t - t0
-    Q = geometry.structure.Q
-    d = (np.asarray(y, float)
-         - geometry.exp_drift(-tau) @ np.asarray(x, float))  # e^{tau B} x
-    pref = c / tau ** (Q / 2.0)
-    if form == "upper":
-        w = geometry.dilate_space(1.0 / math.sqrt(tau), d)
-        return pref * math.exp(-float(w @ w) / c)
-    if form == "lower":
-        cm = covariance(tau, geometry.B, np.eye(geometry.structure.m0))
-        quad = cm.quad_form(d)
-        return pref * math.exp(-c * quad)
-    raise ValueError(f"unknown form {form!r}")

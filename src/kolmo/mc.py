@@ -146,10 +146,11 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
             # (-B X + b) dt as (B X - b) * -dt, in place: negation is exact
             np.matmul(B, X, out=D)
             if bf is not None:
-                D[:m0] -= np.atleast_2d(bf.many(X.T, t)).T
+                D[:m0] -= np.reshape(bf.many(X.T, t), (n, m0)).T
             D *= -dt
             if const_sigma is None:
-                sig = _sigma_chunk(A0f.many(X.T, t), config.lam)
+                sig = _sigma_chunk(
+                    np.reshape(A0f.many(X.T, t), (n, m0, m0)), config.lam)
                 noise = np.einsum("kij,kj->ki", sig, dW)
             elif m0 == 1:
                 # the product dW @ sigma_T forms, in place: numpy's matmul

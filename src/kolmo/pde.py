@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel as kern
+from .coefficients import RANK
 from .errors import (ArgumentError, BoundaryNode, BoxTooSmall, OutOfDomain,
                      SupportExceedsGrid, Unstable)
 from .group import Geometry, point, split
@@ -82,8 +83,6 @@ class _GridCoeffs:
     gets the same array back, so callers must not write into it.
     """
 
-    RANK = {"A0": 2, "a": 1, "b": 1, "c": 0}
-
     def __init__(self, coeffs, axes, m0):
         self.coeffs = coeffs
         self.dims = tuple(len(a) for a in axes)
@@ -96,7 +95,7 @@ class _GridCoeffs:
         if name in self._fixed:
             return self._fixed[name]
         f = self.coeffs.get(name)
-        shape = self.dims + (self.m0,) * self.RANK[name]
+        shape = self.dims + (self.m0,) * RANK[name]
         if f is None:
             vals = np.zeros(shape)
         else:
@@ -125,15 +124,6 @@ def _shift(a, axis, k):
 def _centered(up, i, h):
     """Centered difference along axis i of the padded array up, on the core."""
     return (_shift(up, i, 1) - _shift(up, i, -1)) / (2.0 * h)
-
-
-def _centered_div(out, up, vec, hs):
-    """Subtract div(vec u) from out in place by centered fluxes (up: u
-    padded by zeros; vec: a field on the grid, one component per leading
-    coordinate, extended by its edge values)."""
-    vp = _pad_edge(vec, up.ndim)
-    for i in range(vec.shape[-1]):
-        out -= _centered(vp[..., i] * up, i, hs[i])
 
 
 def _upwind(out, up, vel, hs):
@@ -185,9 +175,8 @@ def _principal(u, t, axes, coeffs, geometry):
 
 
 def spatial_operator(u, t, axes, coeffs, geometry: Geometry):
-    """div(A D u) + <Bx, Du> + <b, Du> + c u - div(a u) on the grid slice u,
-    with zero extension of u outside the box: <Bx, Du> upwind, <b, Du> and
-    div(a u) centered."""
+    """div(A D u) + <Bx, Du> + <b, Du> + c u on the grid slice u, with zero
+    extension of u outside the box: <Bx, Du> upwind, <b, Du> centered."""
     hs, grid, up, out, BX = _principal(u, t, axes, coeffs, geometry)
     _upwind(out, up, BX, hs)
     if coeffs.get("b") is not None:
@@ -196,8 +185,6 @@ def spatial_operator(u, t, axes, coeffs, geometry: Geometry):
             out += b[..., i] * _centered(up, i, hs[i])
     if coeffs.get("c") is not None:
         out += grid("c", t) * u
-    if coeffs.get("a") is not None:
-        _centered_div(out, up, grid("a", t), hs)
     return out
 
 
@@ -207,7 +194,10 @@ def adjoint_spatial_operator(v, t, axes, coeffs, geometry: Geometry):
     reversed velocity."""
     hs, grid, vp, out, BX = _principal(v, t, axes, coeffs, geometry)
     if coeffs.get("b") is not None:
-        _centered_div(out, vp, grid("b", t), hs)
+        # div(b v) by centered fluxes, b extended by its edge values
+        bp = _pad_edge(grid("b", t), v.ndim)
+        for i in range(bp.shape[-1]):
+            out -= _centered(bp[..., i] * vp, i, hs[i])
     out += (grid("c", t) - float(np.trace(geometry.B))) * v
     _upwind(out, vp, -BX, hs)
     return out
@@ -301,7 +291,7 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
     keep="all" stores every time slice; keep="final" holds only the current
     one and returns the final slice alone (values of shape (1,) + dims and
     taxis [t1]).  Either way values[-1] is the slice at taxis[-1] = t1,
-    and t1 must exceed t0 (else ArgumentError).
+    t1 must exceed t0 and a given dt must be positive (else ArgumentError).
 
     Every step is audited as it is made: a non-finite value raises
     Unstable, and so does a sup norm that grows beyond the factor
@@ -313,6 +303,8 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
     _check_keep(keep)
     if not t1 > t0:
         raise ArgumentError(f"t1 must exceed t0, got t0={t0!r}, t1={t1!r}")
+    if dt is not None and not dt > 0.0:
+        raise ArgumentError(f"dt must be positive, got {dt!r}")
     N = geometry.N
     m0 = geometry.structure.m0
     box = np.asarray(box, dtype=float).reshape(N, 2)
@@ -687,101 +679,3 @@ def weak_residual(u: GridSolution, tf: TestFunction, coeffs,
             integrand += grid("c", t) * uslice * phi
         total += float(np.sum(integrand)) * np.prod(hs) * dt
     return total
-
-
-# -- dilation invariance on polynomial test functions -------------------------
-
-
-class Poly:
-    """Polynomial in (x_1..x_N, t) as {exponent tuple: coefficient}."""
-
-    def __init__(self, terms, N):
-        self.terms = {tuple(k): float(v) for k, v in terms.items() if v != 0.0}
-        self.N = N
-
-    def __call__(self, z):
-        x, t = split(z)
-        out = 0.0
-        for exps, c in self.terms.items():
-            val = c
-            for xi, e in zip(x, exps[:-1]):
-                val *= xi ** e
-            val *= t ** exps[-1]
-            out += val
-        return out
-
-    def diff(self, axis):
-        """Partial derivative; axis N means time."""
-        out = {}
-        for exps, c in self.terms.items():
-            e = exps[axis]
-            if e == 0:
-                continue
-            ne = list(exps)
-            ne[axis] = e - 1
-            key = tuple(ne)
-            out[key] = out.get(key, 0.0) + c * e
-        return Poly(out, self.N)
-
-    def mul_coord(self, axis):
-        """Multiply by x_axis."""
-        out = {}
-        for exps, c in self.terms.items():
-            ne = list(exps)
-            ne[axis] += 1
-            out[tuple(ne)] = out.get(tuple(ne), 0.0) + c
-        return Poly(out, self.N)
-
-    def scale(self, s):
-        return Poly({k: s * v for k, v in self.terms.items()}, self.N)
-
-    def add(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0.0) + v
-        return Poly(out, self.N)
-
-    def compose_dilation(self, r, alpha):
-        """u o delta_r as a polynomial."""
-        out = {}
-        for exps, c in self.terms.items():
-            s = c
-            for a, e in zip(alpha, exps[:-1]):
-                s *= r ** (a * e)
-            s *= r ** (2 * exps[-1])
-            out[exps] = out.get(exps, 0.0) + s
-        return Poly(out, self.N)
-
-
-def principal_part_poly(u: Poly, geometry: Geometry):
-    """Model operator (unit diffusion) applied analytically to a polynomial:
-    sum of second partials in the first m0 coordinates + <Bx, Du> - du/dt."""
-    N = geometry.N
-    m0 = geometry.structure.m0
-    out = Poly({}, N)
-    for i in range(m0):
-        out = out.add(u.diff(i).diff(i))
-    for i in range(N):
-        dui = u.diff(i)
-        for j in range(N):
-            bij = geometry.B[i, j]
-            if bij != 0.0:
-                out = out.add(dui.mul_coord(j).scale(bij))
-    out = out.add(u.diff(N).scale(-1.0))
-    return out
-
-
-def dilation_invariance_check(r, u: Poly, geometry: Geometry, n_samples=64,
-                              seed=0):
-    """Max over samples of |K(u o delta_r)(z) - r^2 (K u)(delta_r z)|."""
-    rng = np.random.default_rng(seed)
-    alpha = geometry.structure.alpha
-    lhs_poly = principal_part_poly(u.compose_dilation(r, alpha), geometry)
-    rhs_poly = principal_part_poly(u, geometry)
-    worst = 0.0
-    for _ in range(n_samples):
-        z = point(rng.normal(size=geometry.N), rng.normal())
-        lhs = lhs_poly(z)
-        rhs = r * r * rhs_poly(geometry.dilate(r, z))
-        worst = max(worst, abs(lhs - rhs))
-    return worst

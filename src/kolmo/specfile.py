@@ -6,7 +6,7 @@ sidecar CSV files referenced by relative path.
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,6 @@ class OperatorSpec:
     window: tuple
     ellipticity: tuple
     path: Path = None
-    extra: dict = field(default_factory=dict)
 
     @property
     def geometry(self):
@@ -104,12 +103,23 @@ def from_dict(doc, base_dir=Path(".")):
     except (KeyError, TypeError, ValueError) as e:
         raise SpecError(f"missing or malformed field: {e}") from e
     detect_canonical_form(B, blocks)
-    fields = {k: _field_from_dict(v, Path(base_dir))
-              for k, v in fdocs.items()}
-    # constant fields get the ambient spatial dimension
-    for k, f in fields.items():
+    if "A0" not in fdocs or not set(fdocs) <= set(coeff.RANK):
+        raise SpecError(f"coefficients {sorted(fdocs)}: the operator has A0 "
+                        f"and may have b and c, no others")
+    fields = {}
+    for k, v in fdocs.items():
+        shape = (st.m0,) * coeff.RANK[k]
+        f = _field_from_dict(v, Path(base_dir))
+        # a grid sidecar holds its values flat, one column per entry
+        flat = isinstance(getattr(f, "f", f), coeff.GridField)
+        if f.shape != shape and not (
+                flat and np.prod(f.shape) == np.prod(shape)):
+            raise SpecError(f"coefficient {k!r} has values of shape "
+                            f"{f.shape}, not {shape}")
+        # constant fields get the ambient spatial dimension
         if isinstance(f, coeff.ConstantField):
-            fields[k] = coeff.ConstantField(f.value, dim=st.N)
+            f = coeff.ConstantField(f.value, dim=st.N)
+        fields[k] = f
     return OperatorSpec(structure=st, B=B, fields=fields, window=win,
                         ellipticity=ell)
 

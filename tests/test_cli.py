@@ -1,6 +1,8 @@
 import csv
 import json
+import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -58,10 +60,29 @@ def test_structure_zero_coupling_exit_3(tmp_path, capsys):
     assert cli.main(["structure", str(p)]) == cli.EXIT_STRUCTURE
 
 
+def _bad_coefficients(edit):
+    doc = specfile.prototype_spec().to_dict()
+    edit(doc["coefficients"])
+    return json.dumps(doc)
+
+
 def test_malformed_spec_exit_2(tmp_path, capsys):
-    p = tmp_path / "bad.json"
-    p.write_text("{oops")
-    assert cli.main(["structure", str(p)]) == cli.EXIT_PARSE
+    """Unparseable JSON, and a spec whose coefficients are not A0, b and c
+    with values of shape (m0,) * rank (A0 required), exit 2."""
+    constant = {"kind": "constant", "value": [0.5, 0.5]}
+    for text in [
+            "{oops",
+            _bad_coefficients(lambda c: c.pop("A0")),
+            _bad_coefficients(lambda c: c.update(A_0=c.pop("A0"))),
+            _bad_coefficients(lambda c: c.update(a=constant)),
+            _bad_coefficients(lambda c: c.update(b=constant)),
+            _bad_coefficients(lambda c: c["A0"].update(value=[1.0])),
+            _bad_coefficients(lambda c: c.update(c={
+                "kind": "checkerboard", "values": [[0.1], [0.2]],
+                "h": 0.5, "dim": 2, "seed": 1}))]:
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        assert cli.main(["structure", str(p)]) == cli.EXIT_PARSE, text
 
 
 def test_non_canonical_exit_3(tmp_path, capsys):
@@ -107,6 +128,19 @@ def test_declared_Lambda_bounds_the_step(step_A0, tmp_path, capsys):
     vals = np.loadtxt(out, delimiter=",", skiprows=1)[:, 2]
     assert np.all(np.isfinite(vals))
     assert np.min(vals) >= -64 * np.finfo(float).eps * np.max(vals)
+
+
+def test_grid_A0_sidecar_runs_mc(step_A0, tmp_path, capsys):
+    """A grid sidecar holds its values flat, one column per entry; the
+    spec takes it as A0, and Monte Carlo reads it as m0 x m0 matrices."""
+    specfile.save_grid_field(step_A0, tmp_path / "a0.csv")
+    proto = specfile.prototype_spec()
+    p = specfile.save(specfile.OperatorSpec(
+        structure=proto.structure, B=proto.B, fields={"A0": step_A0},
+        window=(0.0, 1.0), ellipticity=(1.0, 4.0)), tmp_path / "step.json")
+    assert specfile.load(p).fields["A0"].shape == ()
+    assert cli.main(["mc", "simulate", str(p), "--paths", "10",
+                     "--out", str(tmp_path / "e.csv")]) == 0
 
 
 @pytest.mark.parametrize("cmd", ["cauchy", "fundamental"])
@@ -194,6 +228,22 @@ def test_point_option_needs_N_components(spec_path, tmp_path, capsys,
     ["check", "cone", "{spec}", "--R", "0"],
     ["check", "cone", "{spec}", "--radius", "0"],
     ["mc", "mass", "{spec}", "--paths", "10", "--radius", "-1"],
+    ["solve", "cauchy", "{spec}", "--box=-4,4;-2,2", "--nx", "21,21",
+     "--t1", "0.3", "--dt", "0", "--out", "c.csv"],
+    ["solve", "cauchy", "{spec}", "--box=-4,4;-2,2", "--nx", "21,21",
+     "--t1", "0.3", "--dt=-0.01", "--out", "c.csv"],
+    ["solve", "fundamental", "{spec}", "--box=-4,4;-2,2", "--nx", "21,41",
+     "--t1", "0.8", "--dt", "0", "--out", "f.csv"],
+    ["check", "harnack", "{spec}", "--n-time=-2"],
+    ["check", "harnack", "{spec}", "--n-space", "0"],
+    ["check", "bounds", "{spec}", "--self-test", "--lambda-plus", "0"],
+    ["check", "bounds", "{spec}", "--self-test", "--lambda-minus", "1"],
+    ["check", "bounds", "{spec}", "--self-test", "--err-budget", "0.1"],
+    ["check", "bounds", "{spec}", "--self-test", "--box=-4,4;-2,2"],
+    ["check", "bounds", "{spec}", "--self-test", "--nx", "81,121"],
+    ["check", "bounds", "{spec}", "--self-test", "--widths", "0.3"],
+    ["check", "bounds", "{spec}", "--samples", "500"],
+    ["check", "bounds", "{spec}", "--seed", "0"],
 ], ids=["grid-part", "grid-nodes", "box-count", "box-order", "box-number",
         "points-width", "bins", "widths", "eps", "datum-width",
         "datum-number", "mc-paths", "mc-dt", "eps-range", "threads-zero",
@@ -204,7 +254,11 @@ def test_point_option_needs_N_components(spec_path, tmp_path, capsys,
         "reproduce-configs", "global-pairs", "mollify-samples-zero",
         "mollify-samples-negative", "bounds-samples", "harnack-radius-zero",
         "harnack-radius-negative", "harnack-omega", "harnack-sweep",
-        "cone-beta", "cone-R", "cone-radius", "mc-mass-radius"])
+        "cone-beta", "cone-R", "cone-radius", "mc-mass-radius",
+        "cauchy-dt-zero", "cauchy-dt-negative", "fundamental-dt-zero",
+        "harnack-n-time", "harnack-n-space", "self-test-lambda-plus",
+        "self-test-lambda-minus", "self-test-err-budget", "self-test-box",
+        "self-test-nx", "self-test-widths", "fit-samples", "fit-seed"])
 def test_malformed_option_exit_2(spec_path, tmp_path, capsys, monkeypatch,
                                  argv):
     """Malformed option values exit 2, through SpecError or the library's
@@ -319,13 +373,32 @@ def test_mc_density_deterministic_across_threads(spec_path, tmp_path,
     assert outs[0] == outs[1]
 
 
+_BOUNDS_COMMON = {"command", "subcommand", "spec", "self_test", "threads",
+                  "x0", "t0", "lam"}
+
+
 def test_check_bounds_self_test(spec_path, capsys):
     code, out = run(capsys, ["check", "bounds", spec_path, "--self-test",
                              "--samples", "200"])
-    rep = json.loads(out)["report"]
+    rep = json.loads(out)
     assert code == 0
-    assert abs(rep["c_plus"] - 1.0) < 1e-11
-    assert abs(rep["c_minus"] - 1.0) < 1e-11
+    assert abs(rep["report"]["c_plus"] - 1.0) < 1e-11
+    assert abs(rep["report"]["c_minus"] - 1.0) < 1e-11
+    assert set(rep["config"]) == _BOUNDS_COMMON | {"samples", "seed"}
+    assert (rep["config"]["samples"], rep["config"]["seed"]) == (200, 0)
+
+
+@pytest.mark.filterwarnings("ignore:boundary magnitude")
+def test_check_bounds_fit_config(spec_path, capsys):
+    """Fit mode echoes the options it reads, with their defaults, and not
+    the self-test's sample count and seed."""
+    code, out = run(capsys, ["check", "bounds", spec_path])
+    cfg = json.loads(out)["config"]
+    assert code == 0
+    assert set(cfg) == _BOUNDS_COMMON | {"lam_plus", "lam_minus",
+                                         "err_budget", "box", "nx", "widths"}
+    assert (cfg["lam_plus"], cfg["lam_minus"], cfg["nx"]) == \
+        (4.5, 1.8, "81,121")
 
 
 def test_check_harnack(spec_path, capsys):
@@ -335,25 +408,42 @@ def test_check_harnack(spec_path, capsys):
     assert rep["report"]["quotient"] > 0.0
 
 
-def test_example_asian_unit_payoff(capsys):
-    code, out = run(capsys, ["example", "asian", "--payoff", "unit",
-                             "--paths", "2000", "--r", "0",
-                             "--sigma", "0.2"])
-    rep = json.loads(out)["report"]
-    assert code == 0
-    assert rep["price_mc"] == 1.0
+# -- the Asian-option script ---------------------------------------------------
+
+_ASIAN_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" \
+    / "price_asian_options.py"
 
 
-def test_example_asian_degenerate_sigma(capsys):
-    code, out = run(capsys, ["example", "asian", "--sigma", "0",
-                             "--paths", "1000"])
-    rep = json.loads(out)["report"]
-    assert code == 0
+def _asian_price(*args, **kwargs):
+    return runpy.run_path(str(_ASIAN_SCRIPT))["asian_price"](*args, **kwargs)
+
+
+def test_example_asian_degenerate_sigma():
+    rep = _asian_price(100.0, 100.0, 0.05, 0.0, 1.0, paths=1000)
     # deterministic geometric average exp(mean of log S) discounted
     S0, r, T, K = 100.0, 0.05, 1.0, 100.0
     geo = S0 * np.exp(0.5 * r * T)
     want = np.exp(-r * T) * max(geo - K, 0.0)
+    assert abs(rep["price_quadrature"] - want) < 1e-10
     assert abs(rep["price_mc"] - want) < 1e-10
+
+
+def test_asian_quadrature_matches_kemna_vorst():
+    """The quadrature price lies within its own quad_tol of the Kemna-Vorst
+    closed form: log G ~ N(m, s^2) with m = log S0 + (r - sigma^2/2) T/2
+    and s^2 = sigma^2 T/3 for the continuous geometric average G."""
+    S0, K, r, sigma, T = 100.0, 100.0, 0.05, 0.2, 1.0
+    m = math.log(S0) + 0.5 * (r - 0.5 * sigma * sigma) * T
+    s = sigma * math.sqrt(T / 3.0)
+    d2 = (m - math.log(K)) / s
+
+    def Phi(x):
+        return 0.5 * math.erfc(-x / math.sqrt(2.0))
+    kv = math.exp(-r * T) * (math.exp(m + 0.5 * s * s) * Phi(d2 + s)
+                             - K * Phi(d2))
+    assert abs(kv - 5.5468) < 1e-4
+    rep = _asian_price(S0, K, r, sigma, T, paths=2000)
+    assert abs(rep["price_quadrature"] - kv) <= rep["quad_tol"]
 
 
 def test_mc_mass_rough_21_deterministic_across_threads(tmp_path, capsys):

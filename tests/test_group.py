@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kolmo.group import Cone, Cylinder, point, split
+from kolmo.group import point, split
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -85,28 +85,6 @@ def test_distance_left_invariant(proto):
         d1 = proto.distance(z, w)
         d2 = proto.distance(proto.compose(a, z), proto.compose(a, w))
         assert abs(d1 - d2) / max(d1, 1e-300) < 1e-10
-
-
-def test_unit_cylinder_membership(proto):
-    assert proto.in_unit_cylinder(point(np.array([0.5, 0.5]), -0.5))
-    assert not proto.in_unit_cylinder(point(np.array([1.5, 0.0]), -0.5))
-    assert not proto.in_unit_cylinder(point(np.array([0.0, 0.0]), 0.5))
-
-
-def test_cylinder_contains(proto):
-    c = Cylinder(center=point(np.array([1.0, 0.0]), 0.3), radius=0.5)
-    assert proto.cylinder_contains(c, point(np.array([1.01, 0.0]), 0.29))
-    assert not proto.cylinder_contains(c, point(np.array([3.0, 0.0]), 0.29))
-
-
-def test_cone_contains(proto):
-    p = Cone(vertex=point(np.zeros(2), 0.0), beta=1.0, r=1.0, R=1.0)
-    inside = point(np.array([0.05, 0.0]), -0.25)
-    assert proto.cone_contains(p, inside)
-    outside_time = point(np.array([0.05, 0.0]), 0.25)
-    assert not proto.cone_contains(p, outside_time)
-    far = point(np.array([5.0, 0.0]), -0.25)
-    assert not proto.cone_contains(p, far)
 
 
 def test_point_split_roundtrip():

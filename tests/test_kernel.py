@@ -203,24 +203,3 @@ def test_prototype_density_equals_kernel():
         d2 = kern.gamma_K_lambda(point(np.array([v, y]), t),
                                  point(np.array([v0, y0]), 0.0), params)
         assert abs(d1 - d2) / d2 < 1e-12
-
-
-def test_1934_formula_is_recorded_not_normalized():
-    # the verbatim historical formula (with its typo) is kept only as a
-    # cross-reference; it must disagree with the correct density somewhere
-    v, y, t, v0, y0 = 0.3, 0.2, 0.7, 0.1, -0.4
-    a = kern.prototype_density_1934(v, y, t, v0, y0)
-    b = kern.prototype_density(v, y, t, v0, y0, 1.0)
-    assert a != b
-
-
-def test_envelope_forms(proto):
-    x = np.array([0.4, -0.3])
-    y = np.array([0.1, 0.2])
-    up = kern.gaussian_envelope(x, 1.0, y, 0.0, c=0.5, geometry=proto,
-                                form="upper")
-    lo = kern.gaussian_envelope(x, 1.0, y, 0.0, c=0.5, geometry=proto,
-                                form="lower")
-    assert up > 0.0 and lo > 0.0
-    assert kern.gaussian_envelope(x, 0.0, y, 0.0, c=0.5, geometry=proto,
-                                  form="upper") == 0.0

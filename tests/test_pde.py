@@ -256,11 +256,16 @@ def test_static_axes_match_moving_solve(monkeypatch, blocks):
 
 def test_solve_needs_t1_after_t0(proto, proto_coeffs):
     """A solve that would step backwards or not at all is an argument
-    error, and so is a datum width that reaches t1."""
+    error, and so are a time step that is not positive and a datum width
+    that reaches t1."""
     box = [[-2, 2], [-2, 2]]
     for t0, t1 in ((0.5, 0.1), (0.1, 0.1)):
         with pytest.raises(ArgumentError, match="t1 must exceed t0"):
             pde.solve_cauchy(proto_coeffs, proto, _Bump(), box, 11, t0, t1)
+    for dt in (0.0, -0.01, float("nan")):
+        with pytest.raises(ArgumentError, match="dt must be positive"):
+            pde.solve_cauchy(proto_coeffs, proto, _Bump(), box, 11, 0.0, 0.3,
+                             dt=dt)
     g3 = _canonical_geometry((1, 1, 1))
     with pytest.raises(ArgumentError, match="width"):
         pde.approx_fundamental({"A0": ConstantField(np.eye(1), dim=3)}, g3,
@@ -512,23 +517,6 @@ def test_approx_fundamental_vanishing_past(proto, proto_coeffs):
     assert len(report["spread"]) == 1
 
 
-def test_dilation_invariance_polynomials(proto):
-    u = pde.Poly({(2, 0, 0): 1.0, (1, 1, 0): 0.5, (0, 1, 1): -2.0,
-                  (3, 0, 0): 0.7, (0, 2, 0): 1.1, (0, 0, 2): 0.3}, 2)
-    for r in (2.0, 0.37, 5.0):
-        assert pde.dilation_invariance_check(r, u, proto) < 1e-10
-
-
-def test_principal_part_poly_prototype(proto):
-    # K(x1^2) = 2, K(x2) = x1, K(t) = -1
-    assert pde.principal_part_poly(
-        pde.Poly({(2, 0, 0): 1.0}, 2), proto).terms == {(0, 0, 0): 2.0}
-    assert pde.principal_part_poly(
-        pde.Poly({(0, 1, 0): 1.0}, 2), proto).terms == {(1, 0, 0): 1.0}
-    assert pde.principal_part_poly(
-        pde.Poly({(0, 0, 1): 1.0}, 2), proto).terms == {(0, 0, 0): -1.0}
-
-
 # -- the operators as first written, one loop per term -----------------------
 
 
@@ -555,7 +543,7 @@ def _ref_diffusion(up, A, hs, m0):
 
 
 def _ref_operator(u, t, axes, coeffs, g, adjoint):
-    """div(A Du) + <Bx, Du> + <b, Du> + c u - div(a u), or the adjoint's
+    """div(A Du) + <Bx, Du> + <b, Du> + c u, or the adjoint's
     div(A Dv) - div(b v) + (c - Tr B) v - <Bx, Dv>."""
     sh = pde._shift
     m0, N = g.structure.m0, g.N
@@ -575,14 +563,11 @@ def _ref_operator(u, t, axes, coeffs, g, adjoint):
             bwd = (sh(up, i, 0) - sh(up, i, -1)) / hs[i]
             out[...] += np.where(ci > 0.0, ci * fwd, ci * bwd)
 
-    def flux_div(name):
-        vp = pde._pad_edge(grid(name, t), N)
-        for i in range(m0):
-            Gp = vp[..., i] * up
-            out[...] -= (sh(Gp, i, 1) - sh(Gp, i, -1)) / (2.0 * hs[i])
-
     if adjoint:
-        flux_div("b")
+        bp = pde._pad_edge(grid("b", t), N)
+        for i in range(m0):
+            Gp = bp[..., i] * up
+            out -= (sh(Gp, i, 1) - sh(Gp, i, -1)) / (2.0 * hs[i])
         out += (grid("c", t) - float(np.trace(g.B))) * u
         upwind(-1.0)
         return out
@@ -592,7 +577,6 @@ def _ref_operator(u, t, axes, coeffs, g, adjoint):
         du = (sh(up, i, 1) - sh(up, i, -1)) / (2.0 * hs[i])
         out += bgrid[..., i] * du
     out += grid("c", t) * u
-    flux_div("a")
     return out
 
 
@@ -650,13 +634,11 @@ def _ref_weak(u, tf, coeffs, g):
 @pytest.mark.parametrize("blocks", [(1, 1), (2, 1), (1, 1, 1)])
 def test_operators_match_reference_bitwise(blocks):
     """Every discrete operator gives, bit for bit, the value of a loop per
-    term, with all four coefficients present: a checkerboard A0 (with
-    off-diagonal entries for m0 = 2) and checkerboard a, b and c that
-    change in space and time."""
+    term, with all three coefficients present: a checkerboard A0 (with
+    off-diagonal entries for m0 = 2) and checkerboard b and c that change
+    in space and time."""
     g, coeffs = _keep_coeffs(blocks, with_bc=True)
-    m0, N = g.structure.m0, g.N
-    coeffs["a"] = CheckerboardField([np.full(m0, 0.7), np.full(m0, -0.2)],
-                                    h=0.1, dim=N, seed=5)
+    N = g.N
     nx = 21 if N == 2 else 11
     axes = [np.linspace(-1.5, 1.5, nx)] * N
     taxis = np.linspace(0.0, 0.2, 9)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kolmo.errors import NotCanonical, RankDeficient
+from kolmo.group import Geometry
 from kolmo.structure import (BlockStructure, check_hypoellipticity,
                              detect_canonical_form, homogeneity_exponents,
                              kalman_matrix)
@@ -110,3 +111,34 @@ def test_random_canonical_is_hypoelliptic(blocks, seed):
     rep = check_hypoellipticity(B, blocks[0])
     assert rep.hypoelliptic
     assert rep.kalman_rank == sum(blocks)
+
+
+def _dilation_defect(B, structure, r):
+    """max over the nonzero entries of delta_r B of the relative gap to
+    r^2 B delta_r, with delta_r = diag(r^alpha) from Geometry.dilate_space."""
+    D = Geometry(structure, B).dilate_space(r, np.ones(structure.N))
+    lhs, rhs = D[:, None] * B, r * r * B * D[None, :]
+    nz = lhs != 0.0
+    return float(np.max(np.abs(lhs - rhs)[nz] / np.abs(lhs[nz])))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from([(1, 1), (2, 1), (1, 1, 1), (2, 2, 1), (1, 1, 1, 1)]),
+       st.integers(min_value=0, max_value=2 ** 31 - 1),
+       st.floats(min_value=0.1, max_value=10.0))
+def test_dilations_scale_canonical_B(blocks, seed, r):
+    """delta_r B = r^2 B delta_r, the matrix form of the operator's
+    invariance under the dilations (Lanconelli & Polidoro, 1994), with
+    alpha = 1 on the first m0 coordinates."""
+    structure = BlockStructure(blocks)
+    assert list(structure.alpha[:structure.m0]) == [1] * structure.m0
+    B = random_canonical_B(blocks, np.random.default_rng(seed))
+    assert _dilation_defect(B, structure, r) <= 1e-15
+
+
+def test_dilations_do_not_scale_non_canonical_B():
+    """An entry of B below the sub-diagonal blocks breaks the identity."""
+    structure = BlockStructure((1, 1, 1))
+    B = random_canonical_B((1, 1, 1), np.random.default_rng(0))
+    B[2, 0] = 1.0
+    assert _dilation_defect(B, structure, 2.0) > 0.5

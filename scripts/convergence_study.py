@@ -46,7 +46,7 @@ def main():
     coeffs = {"A0": ConstantField(np.eye(1), dim=2)}
     box = np.array([[-5.0, 5.0], [-2.5, 2.5]])
     pole = point(np.zeros(2), 0.0)
-    params = kern.principal_params(g)
+    params = kern.scaled_params(2.0, g)
     w, t1 = args.width, args.t1
 
     grids = [int(v) for v in args.grids.split(",")]

@@ -173,7 +173,7 @@ def _homogeneity_defect(g):
         draws.append((t, rng.normal(size=g.N),
                       math.exp(rng.uniform(-1.5, 1.5))))
     t, G, r = map(np.array, zip(*draws))
-    pp = kern.principal_params(g)
+    pp = kern.scaled_params(2.0, g)
     # x from the kernel's own law, so values stay representable at every
     # scale
     L = np.linalg.cholesky(pp.lam * pp.cov_many(t))
@@ -235,7 +235,7 @@ def cmd_solve_fundamental(args):
     box = _box(args, g.N)
     nx = _counts(args, "nx", g.N, pde.MIN_AXIS_NODES)
     widths = _floats(args.widths)
-    final, report, _ = pde.approx_fundamental(
+    final, report = pde.approx_fundamental(
         spec.fields, g, _vector(args, "x0", g.N), args.t0, args.t1, box, nx,
         widths, lam=args.lam, dt=args.dt, Lambda=spec.ellipticity[1],
         keep="final")
@@ -364,7 +364,7 @@ def cmd_check_bounds(args):
         box = _box(args, g.N)
         nx = _counts(args, "nx", g.N, pde.MIN_AXIS_NODES)
         widths = _floats(args.widths)
-        final, _, _ = pde.approx_fundamental(
+        final, _ = pde.approx_fundamental(
             spec.fields, g, x0, args.t0,
             args.t0 + 1.0, box, nx, widths, lam=args.lam,
             Lambda=spec.ellipticity[1], keep="final")

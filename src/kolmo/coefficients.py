@@ -17,11 +17,10 @@ RANK = {"A0": 2, "b": 1, "c": 0}
 class Field:
     """Base class: callable at (x, t); shape is the codomain shape."""
 
-    def __init__(self, dim, shape, window=(-np.inf, np.inf), box=None):
+    def __init__(self, dim, shape, window=(-np.inf, np.inf)):
         self.dim = dim
         self.shape = tuple(shape)
         self.window = tuple(window)
-        self.box = None if box is None else np.asarray(box, dtype=float)
 
     def __call__(self, x, t):
         raise NotImplementedError
@@ -48,12 +47,11 @@ class ConstantField(Field):
 
 
 class ExprField(Field):
-    """Field defined by a python callable (named builtin presets)."""
+    """Field defined by a python callable fn(x, t)."""
 
-    def __init__(self, fn, dim, shape, window=(-np.inf, np.inf), name=None):
-        super().__init__(dim, shape, window)
+    def __init__(self, fn, dim, shape):
+        super().__init__(dim, shape)
         self.fn = fn
-        self.name = name
 
     def __call__(self, x, t):
         return np.asarray(self.fn(np.asarray(x, dtype=float), float(t)))
@@ -77,8 +75,7 @@ class GridField(Field):
                 raise ValueError("axes must be strictly increasing")
         dim = len(axes)
         shape = values.shape[dim + 1:]
-        box = [(a[0], a[-1]) for a in axes]
-        super().__init__(dim, shape, (taxis[0], taxis[-1]), box)
+        super().__init__(dim, shape, (taxis[0], taxis[-1]))
         self.axes = axes
         self.taxis = taxis
         self.values = values
@@ -104,9 +101,9 @@ class CheckerboardField(Field):
     hash-based rule, so evaluation is pure and reproducible.
     """
 
-    def __init__(self, values, h, dim, seed=0, window=(-np.inf, np.inf)):
+    def __init__(self, values, h, dim, seed=0):
         values = [np.asarray(v, dtype=float) for v in values]
-        super().__init__(dim, values[0].shape, window)
+        super().__init__(dim, values[0].shape)
         self.values = np.stack(values)
         self.h = float(h)
         self.seed = int(seed)
@@ -140,12 +137,11 @@ class CheckerboardField(Field):
         return self.values[self._cell_indices(X, np.asarray(ts, dtype=float))]
 
 
-def checkerboard_spd(lam, Lam, m0, dim, h=0.25, seed=0,
-                     window=(-np.inf, np.inf)):
+def checkerboard_spd(lam, Lam, m0, dim, h=0.25, seed=0):
     """Rough synthetic m0 x m0 matrix field on R^dim x R drawing space-time
     cells from {lam*I, Lam*I}."""
     return CheckerboardField([lam * np.eye(m0), Lam * np.eye(m0)], h, dim,
-                             seed=seed, window=window)
+                             seed=seed)
 
 
 # -- ellipticity -------------------------------------------------------------
@@ -202,7 +198,7 @@ class MollifiedField(Field):
     """
 
     def __init__(self, f: Field, eps, T):
-        super().__init__(f.dim, f.shape, f.window, f.box)
+        super().__init__(f.dim, f.shape, f.window)
         self.f = f
         self.eps = float(eps)
         self.T = float(T)
@@ -259,6 +255,8 @@ def mollify(f: Field, eps, T):
 
 
 # -- moduli of continuity ----------------------------------------------------
+
+HOLDER_RADII = (1.0, 0.3, 0.1, 0.03)   # pair radii of holder_seminorm
 
 
 def _sample_pairs(geometry, box, twindow, r, n, rng):
@@ -325,15 +323,16 @@ def dini_integral(radii, omega):
 
 
 def holder_seminorm(f: Field, geometry, box, twindow, alpha,
-                    n_pairs=100000, seed=0, r_scales=(1.0, 0.3, 0.1, 0.03)):
-    """Sampled sup of |f(z)-f(w)| / d(z,w)^alpha; same contract as
+                    n_pairs=100000, seed=0):
+    """Sampled sup of |f(z)-f(w)| / d(z,w)^alpha over pairs with d < r, the
+    n_pairs split evenly over the radii HOLDER_RADII; same contract as
     modulus_of_continuity (a lower bound of the true seminorm)."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     rng = np.random.default_rng(seed)
     best = 0.0
-    per = max(1, n_pairs // len(r_scales))
-    for r in r_scales:
+    per = max(1, n_pairs // len(HOLDER_RADII))
+    for r in HOLDER_RADII:
         zs, ws, diff = _pair_jumps(f, geometry, box, twindow, r, per, rng)
         d = geometry.distance(zs, ws)
         ok = d > 0.0

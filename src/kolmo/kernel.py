@@ -124,13 +124,9 @@ class KernelParams:
         return _cov_from_poly(self.poly, t)
 
 
-def principal_params(geometry):
-    """Kernel of the principal part (unit diffusion, lam = 2 convention)."""
-    return KernelParams(lam=2.0, geometry=geometry)
-
-
 def scaled_params(lam, geometry):
-    """Kernel of the lam-scaled model operator."""
+    """Kernel of the lam-scaled model operator; lam = 2 is the principal
+    part's kernel (unit diffusion)."""
     return KernelParams(lam=lam, geometry=geometry)
 
 
@@ -149,29 +145,21 @@ def quad_logdet(w, params: KernelParams):
     return quad, logdet
 
 
-def _log_gamma_rows(w, params: KernelParams):
-    """log of the kernel with pole at the group origin at each row
-    w = (x, t); -inf where t <= 0."""
-    out = np.full(w.shape[0], -np.inf)
+def gamma_many(points, zeta, params: KernelParams, log=False):
+    """Kernel at each row of points ([x..., t]) with pole zeta, evaluated at
+    zeta^{-1} o z; zeta is one pole or one per row.  With log=True the
+    log-kernel is returned (-inf off the support), avoiding underflow."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    g = params.geometry
+    w = g.compose(g.inverse(np.asarray(zeta, dtype=float)), points)
+    lg = np.full(w.shape[0], -np.inf)
     pos = w[:, -1] > 0.0
     if pos.any():
         wp = w[pos]
         quad, logdet = quad_logdet(wp, params)
-        out[pos] = (-0.5 * params.geometry.N
-                    * math.log(2.0 * math.pi * params.lam)
-                    - 0.5 * logdet - quad / (2.0 * params.lam)
-                    - wp[:, -1] * params.trB)
-    return out
-
-
-def gamma_many(points, zeta, params: KernelParams, log=False):
-    """Kernel at each row of points ([x..., t]) with pole zeta, evaluated at
-    zeta^{-1} o z.  With log=True the log-kernel is returned (-inf off the
-    support), avoiding underflow."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    g = params.geometry
-    lg = _log_gamma_rows(
-        g.compose(g.inverse(np.asarray(zeta, dtype=float)), points), params)
+        lg[pos] = (-0.5 * g.N * math.log(2.0 * math.pi * params.lam)
+                   - 0.5 * logdet - quad / (2.0 * params.lam)
+                   - wp[:, -1] * params.trB)
     return lg if log else np.exp(lg)
 
 
@@ -238,7 +226,7 @@ def _log_reproduction_quadrature(x, t, y, t0, s, params, nodes):
     logW = logW.sum(axis=1)
 
     poles = point(mu + math.sqrt(2.0) * (U @ L.T), np.full(len(U), s))
-    lg1 = _log_gamma_rows(g.compose(g.inverse(poles), point(x, t)), params)
+    lg1 = gamma_many(point(x, t), poles, params, log=True)
     lg2 = gamma_many(poles, point(y, t0), params, log=True)
     terms = logW + lg1 + lg2 + np.einsum("ij,ij->i", U, U)
     top = float(terms.max())
@@ -262,7 +250,10 @@ def reproduction_check(x, t, y, t0, s, params):
                                log=True)[0])
     log_rhs = _log_reproduction_quadrature(x, t, y, t0, s, params,
                                            REPRODUCTION_NODES)
-    rel_err = abs(math.expm1(log_rhs - log_lhs))
+    try:
+        rel_err = abs(math.expm1(log_rhs - log_lhs))
+    except OverflowError:   # log_rhs exceeds log_lhs by more than ~709.78
+        rel_err = math.inf
     return {"lhs": math.exp(log_lhs), "rhs": math.exp(log_rhs),
             "log_lhs": log_lhs, "log_rhs": log_rhs, "rel_err": rel_err}
 

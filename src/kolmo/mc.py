@@ -115,13 +115,12 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
     A0f = coeffs.get("A0")
     bf = coeffs.get("b")
     cf = coeffs.get("c")
+    if A0f is None:
+        raise ArgumentError("the coefficients need A0")
     const_sigma = None
-    if A0f is not None and getattr(A0f, "value", None) is not None:
+    if getattr(A0f, "value", None) is not None:
         const_sigma = _sigma_chunk(np.atleast_2d(A0f.value)[None],
                                    config.lam)[0]
-    elif A0f is None:
-        const_sigma = np.sqrt(config.lam) * np.eye(m0)
-    if const_sigma is not None:
         # contiguous, so the per-step product need not walk a transposed view
         sigma_T = np.ascontiguousarray(const_sigma.T)
 
@@ -168,12 +167,8 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
         final[lo:hi] = X.T
         logw[lo:hi] = lw
 
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as ex:
-            list(ex.map(run_chunk, range(nchunks)))
-    else:
-        for ci in range(nchunks):
-            run_chunk(ci)
+    with ThreadPoolExecutor(max_workers=config.threads) as ex:
+        list(ex.map(run_chunk, range(nchunks)))
 
     weights = np.exp(logw)
     prov = {"seed": config.seed, "chunk": CHUNK, "nchunks": nchunks,
@@ -210,11 +205,11 @@ def standardized_offset(Y, y, tau, geometry: Geometry):
     return d / np.sqrt(tau) ** alpha
 
 
-def mass_in_DR(ensemble: PathEnsemble, y, R, geometry: Geometry, tau=None):
-    """Weighted fraction of paths landing in D_R(y, tau), the set where the
-    standardized offset has Euclidean norm at most R."""
-    if tau is None:
-        tau = ensemble.t1 - ensemble.t0
+def mass_in_DR(ensemble: PathEnsemble, y, R, geometry: Geometry):
+    """Weighted fraction of paths landing in D_R(y, tau), tau = t1 - t0 the
+    ensemble's elapsed time: the set where the standardized offset has
+    Euclidean norm at most R."""
+    tau = ensemble.t1 - ensemble.t0
     u = standardized_offset(ensemble.final, y, tau, geometry)
     inside = np.sum(u * u, axis=1) <= R * R
     w = ensemble.weights

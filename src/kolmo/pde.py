@@ -27,6 +27,8 @@ GROWTH_TOL = 64 * np.finfo(float).eps
 # The fewest nodes per axis the solver supports: the grid spacing needs two,
 # and so does the transport's mirror fold, whose period is 2 (n - 1).
 MIN_AXIS_NODES = 2
+# The advection Courant number: dt |b|_1 / h stays below it.
+COURANT = 0.9
 
 
 @dataclass
@@ -78,12 +80,15 @@ def _grid_points(axes):
 class _GridCoeffs:
     """The operator's coefficient fields sampled on one spatial grid.
 
-    The node rows are built once.  A missing coefficient is zero, and it and
-    a field with a fixed `value` (a ConstantField) are sampled once: every t
-    gets the same array back, so callers must not write into it.
+    The node rows are built once.  A0 is required (ArgumentError without
+    it); a missing b or c is zero, and it and a field with a fixed `value`
+    (a ConstantField) are sampled once: every t gets the same array back,
+    so callers must not write into it.
     """
 
     def __init__(self, coeffs, axes, m0):
+        if coeffs.get("A0") is None:
+            raise ArgumentError("the coefficients need A0")
         self.coeffs = coeffs
         self.dims = tuple(len(a) for a in axes)
         self.pts = _grid_points(axes)
@@ -263,18 +268,20 @@ def lie_derivative(u: GridSolution, x, t, geometry: Geometry, s=None):
 # -- Cauchy solver -----------------------------------------------------------
 
 
-def _check_keep(keep):
-    if keep not in ("all", "final"):
-        raise ArgumentError(f"keep must be 'all' or 'final', got {keep!r}")
+def _check_choice(name, value, choices):
+    if value not in choices:
+        raise ArgumentError(f"{name} must be "
+                            f"{' or '.join(map(repr, choices))}, "
+                            f"got {value!r}")
 
 
-def stability_dt(hs, Lambda, m0, bmax=0.0, courant=0.9):
+def stability_dt(hs, Lambda, m0, bmax=0.0):
     """Explicit-diffusion bound with an advection Courant cap; bmax bounds
     the l1 norm of b, so the upwind step stays monotone for any m0."""
     hmin = min(hs[:m0])
     dt = hmin * hmin / (2.0 * Lambda * m0)
     if bmax > 0.0:
-        dt = min(dt, courant * hmin / bmax)
+        dt = min(dt, COURANT * hmin / bmax)
     return dt
 
 
@@ -283,10 +290,11 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
     """March the datum phi from t0 to t1 on the truncated box.
 
     box: (N, 2) array of axis intervals; nx: nodes per axis (int or list).
-    phi: callable x -> value, or a Field evaluated at t0.  The datum is
-    extended by zero outside the box.  Lambda, when given, is a declared
-    bound on A0's eigenvalues; the time step is bounded with the larger of
-    it and a probe of A0 at t0.
+    phi: the datum, anything with many(X, t) (a Field, a KernelDatum),
+    evaluated once at t0 on the (n, N) rows of grid nodes and extended by
+    zero outside the box.  coeffs must hold A0 (else ArgumentError).
+    Lambda, when given, is a declared bound on A0's eigenvalues; the time
+    step is bounded with the larger of it and a probe of A0 at t0.
 
     keep="all" stores every time slice; keep="final" holds only the current
     one and returns the final slice alone (values of shape (1,) + dims and
@@ -298,9 +306,12 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
     max(1, max exp(dt c)) the monotone scheme allows (checked where A0 is
     diagonal on the step; centered cross terms are not monotone).  The
     boundary stays audited against BOUNDARY_MASS_TOL times the max over all
-    slices.
+    slices: boundary="warn" records a breach in meta["warnings"] and warns,
+    boundary="error" raises BoxTooSmall; any other value is an
+    ArgumentError.
     """
-    _check_keep(keep)
+    _check_choice("keep", keep, ("all", "final"))
+    _check_choice("boundary", boundary, ("warn", "error"))
     if not t1 > t0:
         raise ArgumentError(f"t1 must exceed t0, got t0={t0!r}, t1={t1!r}")
     if dt is not None and not dt > 0.0:
@@ -315,12 +326,12 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
                          f"{MIN_AXIS_NODES} nodes")
     axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(box, nx)]
     hs = [float(a[1] - a[0]) for a in axes]
+    grid = _GridCoeffs(coeffs, axes, m0)
+    pts, dims = grid.pts, grid.dims
 
     probe_pts = _grid_points([a[::4] for a in axes])
-    probed = 1.0
-    if coeffs.get("A0") is not None:
-        probe = np.asarray(coeffs["A0"].many(probe_pts, t0))
-        probed = float(np.max(np.linalg.eigvalsh(probe.reshape(-1, m0, m0))))
+    probe = np.asarray(coeffs["A0"].many(probe_pts, t0))
+    probed = float(np.max(np.linalg.eigvalsh(probe.reshape(-1, m0, m0))))
     Lambda = probed if Lambda is None else max(float(Lambda), probed)
     bmax = 0.0
     if coeffs.get("b") is not None:
@@ -335,13 +346,7 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
     nt = max(2, int(math.ceil((t1 - t0) / dt)) + 1)
     taxis = np.linspace(t0, t1, nt)
     dt = float(taxis[1] - taxis[0])
-
-    grid = _GridCoeffs(coeffs, axes, m0)
-    pts, dims = grid.pts, grid.dims
-    if hasattr(phi, "many"):
-        u = np.asarray(phi.many(pts, t0), dtype=float).reshape(dims)
-    else:
-        u = np.array([phi(x) for x in pts], dtype=float).reshape(dims)
+    u = np.asarray(phi.many(pts, t0), dtype=float).reshape(dims)
 
     # the semi-Lagrangian remap to the feet x_foot = e^{dt B} x, built once;
     # an axis whose row of E is e_k (x^(0) in canonical form) stays put
@@ -533,16 +538,15 @@ def approx_fundamental(coeffs, geometry, x0, t0, t1, box, nx, widths,
     """Cauchy evolutions from narrow Gaussian data of decreasing widths.
 
     The datum of width w is the exact constant-coefficient kernel at elapsed
-    time w from the pole; the report carries the pointwise Richardson
-    extrapolation of the two narrowest terminal slices and the spread
-    between consecutive widths as an error proxy.  Slices at t <= t0 are
-    identically zero by definition.  Lambda goes to every solve; keep goes
-    to the narrowest width's, whose solution is returned (the evaluator
-    needs keep="all" past t0 and raises ArgumentError otherwise), and the
-    wider widths keep only their final slice.  Every width must end
-    before t1: t0 + max(widths) < t1, else ArgumentError.
+    time w from the pole.  Returns (sol, report): sol is the narrowest
+    width's solution, and the report holds the widths and the spread
+    between consecutive widths' terminal slices as an error proxy.  With
+    keep="all", sol.evaluate reads 0 before sol's first slice, so at and
+    before t0.  Lambda goes to every solve; keep goes to the narrowest
+    width's, and the wider widths keep only their final slice.  Every width
+    must end before t1: t0 + max(widths) < t1, else ArgumentError.
     """
-    _check_keep(keep)
+    _check_choice("keep", keep, ("all", "final"))
     widths = sorted(widths, reverse=True)
     if not t0 + widths[0] < t1:
         raise ArgumentError(
@@ -573,19 +577,7 @@ def approx_fundamental(coeffs, geometry, x0, t0, t1, box, nx, widths,
     # widths agree only on the terminal slice (the time grids differ)
     spread = [float(np.max(np.abs(finals[k + 1] - finals[k])))
               for k in range(len(finals) - 1)]
-    report = {"widths": widths, "spread": spread}
-    if len(finals) >= 2:
-        w1, w2 = widths[-2], widths[-1]
-        # first-order-in-width Richardson on the terminal slice
-        factor = w2 / (w1 - w2)
-        report["extrapolated"] = finals[-1] + factor * (finals[-1] - finals[-2])
-
-    def evaluate(x, t):
-        if t <= t0:
-            return 0.0
-        return sol.evaluate(x, t)
-
-    return sol, report, evaluate
+    return sol, {"widths": widths, "spread": spread}
 
 
 # -- weak formulation --------------------------------------------------------

@@ -72,19 +72,24 @@ def _field_to_dict(f):
 
 
 def _field_from_dict(d, base_dir):
+    if not isinstance(d, dict):
+        raise SpecError(f"coefficient descriptor {d!r} is not an object")
     kind = d.get("kind")
-    if kind == "constant":
-        v = np.asarray(d["value"], dtype=float)
-        return coeff.ConstantField(v, dim=int(d.get("dim", 1)))
-    if kind == "checkerboard":
-        return coeff.CheckerboardField(
-            [np.asarray(v, dtype=float) for v in d["values"]],
-            h=float(d["h"]), dim=int(d["dim"]), seed=int(d["seed"]))
-    if kind == "grid":
-        return load_grid_field(base_dir / d["file"])
-    if kind == "mollified":
-        raw = _field_from_dict(d["raw"], base_dir)
-        return coeff.mollify(raw, eps=float(d["eps"]), T=float(d["T"]))
+    try:
+        if kind == "constant":
+            v = np.asarray(d["value"], dtype=float)
+            return coeff.ConstantField(v, dim=int(d.get("dim", 1)))
+        if kind == "checkerboard":
+            return coeff.CheckerboardField(
+                [np.asarray(v, dtype=float) for v in d["values"]],
+                h=float(d["h"]), dim=int(d["dim"]), seed=int(d["seed"]))
+        if kind == "grid":
+            return load_grid_field(base_dir / d["file"])
+        if kind == "mollified":
+            raw = _field_from_dict(d["raw"], base_dir)
+            return coeff.mollify(raw, eps=float(d["eps"]), T=float(d["T"]))
+    except (LookupError, TypeError, ValueError) as e:
+        raise SpecError(f"{kind} field: missing or malformed {e}") from e
     raise SpecError(f"unknown field kind {kind!r}")
 
 
@@ -168,8 +173,11 @@ def load_grid_field(path):
     axis t, then the value column(s); one sample per row, rows in
     lexicographic axis order."""
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as e:
+        raise SpecError(f"cannot read grid file: {e}") from e
     if not rows:
         raise SpecError(f"{path}: empty grid file")
     header = rows[0]

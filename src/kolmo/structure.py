@@ -7,7 +7,10 @@ import numpy as np
 
 from .errors import InternalInconsistency, NotCanonical, RankDeficient
 
-RANK_TOL_FACTOR = 1e-10  # singular values below this (relative) count as zero
+# Singular values below this (relative to the largest, or to 1) count as
+# zero; so do the blocks of B that must vanish, relative to max(|B|, 1), and
+# a min eigenvalue of C(1) below it.
+RANK_TOL_FACTOR = 1e-10
 
 
 def homogeneity_exponents(blocks):
@@ -69,7 +72,7 @@ class HypoReport:
                 "hypoelliptic": self.hypoelliptic}
 
 
-def detect_canonical_form(B, blocks, tol_factor=RANK_TOL_FACTOR):
+def detect_canonical_form(B, blocks):
     """Check that B has the canonical lower-bidiagonal block layout.
 
     Every block must vanish except the sub-diagonal blocks B_j (block row j,
@@ -82,7 +85,7 @@ def detect_canonical_form(B, blocks, tol_factor=RANK_TOL_FACTOR):
         raise ValueError(f"B has shape {B.shape}, blocks require {structure.N}")
 
     scale = max(np.abs(B).max(), 1.0)
-    tol = tol_factor * scale
+    tol = RANK_TOL_FACTOR * scale
     sl = structure.block_slices()
     k = len(structure.blocks)
     for i in range(k):
@@ -138,7 +141,7 @@ def _covariance_at_one(B, m0):
     return E[N:, N:].T @ E[:N, N:]
 
 
-def check_hypoellipticity(B, m0, tol=1e-10):
+def check_hypoellipticity(B, m0):
     """Kalman rank criterion cross-checked against min eig of C(1).
 
     Both computations are carried out; a disagreement signals a numerical
@@ -151,18 +154,18 @@ def check_hypoellipticity(B, m0, tol=1e-10):
 
     K = kalman_matrix(B, m0)
     sv = np.linalg.svd(K, compute_uv=False)
-    cutoff = tol * max(sv[0], 1.0)
+    cutoff = RANK_TOL_FACTOR * max(sv[0], 1.0)
     kalman_rank = int(np.sum(sv > cutoff))
     rank_full = kalman_rank == N
 
     C1 = _covariance_at_one(B, m0)
     min_eig = float(np.linalg.eigvalsh(C1).min())
-    eig_pos = min_eig > tol
+    eig_pos = min_eig > RANK_TOL_FACTOR
 
     if rank_full != eig_pos:
         # near the tolerance boundary the two criteria may legitimately
         # round differently; anything else is a bug
-        if abs(min_eig) > 10 * tol:
+        if abs(min_eig) > 10 * RANK_TOL_FACTOR:
             raise InternalInconsistency(
                 f"Kalman rank {kalman_rank}/{N} vs min eig C(1) = {min_eig:.3e}")
     return HypoReport(kalman_rank=kalman_rank, c_min_eig=min_eig,

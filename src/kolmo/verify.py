@@ -15,6 +15,10 @@ from .errors import (ConeUnresolved, CylinderUnresolved, NoAdmissibleFit,
 from .group import Geometry, point
 
 MIN_CYLINDER_NODES = 27
+CONE_RHO_NODES = 6         # radii rho per cone
+CONE_SPACE_NODES = 3       # ball grid points per axis at each rho
+GLOBAL_C0_MAX = 1e6        # the largest c0 the global bisection tries
+GLOBAL_LOG_TOL = 1e-10     # the bisection's final width in log c0
 
 
 @dataclass(frozen=True)
@@ -154,22 +158,22 @@ def harnack_local(u, z0, r, geometry: Geometry, omega=0.5,
 # -- cones -------------------------------------------------------------------
 
 
-def cone_nodes(vertex, beta, r, R, geometry: Geometry, n_rho=6, n_space=3):
-    """Deterministic nodes of the cone P_{beta, r, R}(vertex): for rho in
-    (0, R], points vertex o (delta_rho xi, -beta rho^2) with |xi| < r in the
-    anisotropic sense; rho-major rows."""
-    rhos = R * (np.arange(1, n_rho + 1) / n_rho)
-    std = _ball_grid(geometry.N, n_space) * r
+def cone_nodes(vertex, beta, r, R, geometry: Geometry):
+    """Deterministic nodes of the cone P_{beta, r, R}(vertex): for
+    CONE_RHO_NODES values of rho in (0, R], points
+    vertex o (delta_rho xi, -beta rho^2) with |xi| < r in the anisotropic
+    sense; rho-major rows."""
+    rhos = R * (np.arange(1, CONE_RHO_NODES + 1) / CONE_RHO_NODES)
+    std = _ball_grid(geometry.N, CONE_SPACE_NODES) * r
     rho = np.repeat(rhos, len(std))
-    xs = geometry.dilate_space(rho, np.tile(std, (n_rho, 1)))
+    xs = geometry.dilate_space(rho, np.tile(std, (CONE_RHO_NODES, 1)))
     return geometry.compose(vertex, point(xs, -beta * rho * rho))
 
 
-def harnack_cone(u, vertex, beta, r, R, geometry: Geometry,
-                 n_rho=6, n_space=3):
+def harnack_cone(u, vertex, beta, r, R, geometry: Geometry):
     """max over cone nodes of u(z) / u at the cone's deepest axis point;
     u takes rows as in harnack_local and is called once."""
-    nodes = cone_nodes(vertex, beta, r, R, geometry, n_rho, n_space)
+    nodes = cone_nodes(vertex, beta, r, R, geometry)
     if len(nodes) < MIN_CYLINDER_NODES:
         raise ConeUnresolved(f"{len(nodes)} cone nodes < "
                              f"{MIN_CYLINDER_NODES}")
@@ -201,11 +205,11 @@ def global_exponent(z, w, geometry: Geometry, lam):
     return float(e[0]) if rel.ndim == 1 else e
 
 
-def harnack_global(u, pairs, geometry: Geometry, lam=2.0, c_max=1e6,
-                   tol=1e-10):
+def harnack_global(u, pairs, geometry: Geometry, lam=2.0):
     """Smallest c0 >= 1 with u(z) <= c0^exponent(z, w) u(w) over the sample
-    pairs (w earlier, z later), found by bisection in log c0.  u takes rows
-    as in harnack_local and is called once for all w and once for all z."""
+    pairs (w earlier, z later), found by bisection in log c0 up to
+    GLOBAL_C0_MAX.  u takes rows as in harnack_local and is called once for
+    all w and once for all z."""
     W, Z = (np.array(side, dtype=float) for side in zip(*pairs))
     uw, uz = _values(u, W), _values(u, Z)
     if np.any(uw <= 0.0) or np.any(uz <= 0.0):
@@ -216,16 +220,16 @@ def harnack_global(u, pairs, geometry: Geometry, lam=2.0, c_max=1e6,
     def ok(log_c0):
         return bool(np.all(lr <= e * log_c0 + 1e-300))
 
-    lo, hi = 0.0, math.log(c_max)
+    lo, hi = 0.0, math.log(GLOBAL_C0_MAX)
     if not ok(hi):
-        raise NoAdmissibleFit(f"no admissible c0 below {c_max}")
+        raise NoAdmissibleFit(f"no admissible c0 below {GLOBAL_C0_MAX}")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if ok(mid):
             hi = mid
         else:
             lo = mid
-        if hi - lo < tol:
+        if hi - lo < GLOBAL_LOG_TOL:
             break
     return {"c0": math.exp(hi), "n_pairs": len(W),
             "max_exponent": float(np.max(e))}

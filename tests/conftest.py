@@ -14,7 +14,7 @@ def proto():
 
 @pytest.fixture(scope="session")
 def proto_params(proto):
-    return kern.principal_params(proto)
+    return kern.scaled_params(2.0, proto)
 
 
 @pytest.fixture(scope="session")

@@ -178,7 +178,7 @@ def test_mc_matches_kernel_law(proto, proto_coeffs):
     pts = np.column_stack([gx.ravel(), gy.ravel(),
                            np.full(gx.size, t1)])
     gam_fine = kern.gamma_many(pts, point(x0, t0),
-                               kern.principal_params(proto))
+                               kern.scaled_params(2.0, proto))
     gam = gam_fine.reshape(nb, sub, nb, sub).mean(axis=(1, 3))
     occupied = dens["density"] > 0.0
     ok = np.abs(dens["density"] - gam) <= 3.0 * dens["se"]
@@ -193,7 +193,7 @@ def test_mc_matches_kernel_law(proto, proto_coeffs):
 def _cauchy_setup(proto):
     w, t1 = 0.25, 0.6
     pole = point(np.zeros(2), 0.0)
-    params = kern.principal_params(proto)
+    params = kern.scaled_params(2.0, proto)
     box = np.array([[-5.0, 5.0], [-2.5, 2.5]])
 
     class Datum:
@@ -313,7 +313,7 @@ def test_sandwich_mollified_checkerboard(proto):
                      for t in taxis], axis=2)
     a0 = coeff.GridField(axes, taxis, vals)
 
-    final, _, _ = pde.approx_fundamental(
+    final, _ = pde.approx_fundamental(
         {"A0": a0}, proto, np.zeros(2), 0.0, 1.0, box, nx, [0.3, 0.25],
         lam=2.0)
     tq = final.taxis[-1]
@@ -336,7 +336,7 @@ def test_harnack_harness(proto):
     stable within 10% under refinement; exact invariance under positive
     rescaling."""
     z0 = point(np.array([0.2, -0.1]), 0.5)
-    params = kern.principal_params(proto)
+    params = kern.scaled_params(2.0, proto)
     pole = point(np.zeros(2), -2.0)
 
     def u(rows):
@@ -378,11 +378,11 @@ def test_vanishing_past(proto, proto_params, proto_coeffs):
                                proto_params) == 0.0
     assert kern.gamma_K_lambda(point(np.ones(2), -3.0), pole,
                                proto_params) == 0.0
-    _, _, ev = pde.approx_fundamental(
+    sol, _ = pde.approx_fundamental(
         proto_coeffs, proto, np.zeros(2), 0.2, 0.8,
         np.array([[-4.0, 4.0], [-2.0, 2.0]]), [41, 81], [0.3, 0.25])
-    assert ev(np.array([0.3, 0.1]), 0.2) == 0.0
-    assert ev(np.array([0.3, 0.1]), -1.0) == 0.0
+    assert sol.evaluate(np.array([0.3, 0.1]), 0.2) == 0.0
+    assert sol.evaluate(np.array([0.3, 0.1]), -1.0) == 0.0
 
 
 # -- 12. determinism ---------------------------------------------------------

@@ -67,10 +67,19 @@ def _bad_coefficients(edit):
 
 
 def test_malformed_spec_exit_2(tmp_path, capsys):
-    """Unparseable JSON, and a spec whose coefficients are not A0, b and c
-    with values of shape (m0,) * rank (A0 required), exit 2."""
+    """Unparseable JSON, a spec whose coefficients are not A0, b and c with
+    values of shape (m0,) * rank (A0 required), and a coefficient
+    descriptor that is not an object, lacks a key its kind needs or names a
+    grid file that does not exist, exit 2."""
     constant = {"kind": "constant", "value": [0.5, 0.5]}
+    board = {"kind": "checkerboard", "values": [[[1.0]], [[2.0]]],
+             "dim": 2, "seed": 1}
     for text in [
+            _bad_coefficients(lambda c: c["A0"].pop("value")),
+            _bad_coefficients(lambda c: c.update(A0=board)),
+            _bad_coefficients(lambda c: c.update(A0=3)),
+            _bad_coefficients(lambda c: c.update(A0={
+                "kind": "grid", "file": "missing.csv"})),
             "{oops",
             _bad_coefficients(lambda c: c.pop("A0")),
             _bad_coefficients(lambda c: c.update(A_0=c.pop("A0"))),

@@ -4,9 +4,9 @@ import pytest
 from test_structure import random_canonical_B
 
 from kolmo import kernel as kern
-from kolmo import mc
+from kolmo import mc, pde
 from kolmo.coefficients import CheckerboardField, ConstantField
-from kolmo.errors import NonFinite, NotSPD
+from kolmo.errors import ArgumentError, NonFinite, NotSPD
 from kolmo.group import Geometry
 from kolmo.structure import BlockStructure
 
@@ -29,6 +29,16 @@ def test_simulate_needs_t1_after_t0(proto, proto_coeffs, t0, t1):
     cfg = mc.McConfig(paths=10, dt=1e-2, seed=0)
     with pytest.raises(ValueError, match="t1 must exceed t0"):
         mc.simulate(proto_coeffs, proto, np.zeros(2), t0, t1, cfg)
+
+
+def test_solver_and_mc_need_A0(proto):
+    """Without A0 the operator has no diffusion: the solver and the Monte
+    Carlo both refuse it, rather than reading it as 0 and I respectively."""
+    with pytest.raises(ArgumentError, match="need A0"):
+        pde.solve_cauchy({}, proto, None, [[-1, 1], [-1, 1]], 11, 0.0, 0.1)
+    with pytest.raises(ArgumentError, match="need A0"):
+        mc.simulate({}, proto, np.zeros(2), 0.0, 0.1,
+                    mc.McConfig(paths=10, dt=1e-2, seed=0))
 
 
 def _row_major_simulate(coeffs, geometry, x0, t0, t1, config):
@@ -140,12 +150,16 @@ def test_column_major_loop_matches_row_major_dense_B(blocks):
             <= 1e-13 * np.max(np.abs(final))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
 def test_non_finite_state_raises(proto):
-    """A state that overflows ends in NonFinite, not in an ensemble."""
-    coeffs = {"b": ConstantField(np.array([1e308]), dim=2)}
+    """A state that overflows ends in NonFinite, not in an ensemble.  The
+    chunks run on worker threads, which the caller's np.errstate does not
+    reach, so the overflow warnings are filtered here instead."""
+    coeffs = {"A0": ConstantField(np.eye(1), dim=2),
+              "b": ConstantField(np.array([1e308]), dim=2)}
     cfg = mc.McConfig(paths=100, dt=1.0, seed=0)
-    with pytest.raises(NonFinite), np.errstate(over="ignore",
-                                               invalid="ignore"):
+    with pytest.raises(NonFinite):
         mc.simulate(coeffs, proto, np.zeros(2), 0.0, 4.0, cfg)
 
 

@@ -7,8 +7,8 @@ import pytest
 from kolmo import kernel as kern
 from kolmo import pde
 from kolmo.coefficients import CheckerboardField, ConstantField, Field
-from kolmo.errors import ArgumentError, BoundaryNode, OutOfDomain, \
-    SupportExceedsGrid, Unstable
+from kolmo.errors import ArgumentError, BoundaryNode, BoxTooSmall, \
+    OutOfDomain, SupportExceedsGrid, Unstable
 from kolmo.group import Geometry, point, prototype_geometry
 from kolmo.structure import BlockStructure
 from test_structure import random_canonical_B
@@ -90,13 +90,13 @@ def test_lie_derivative_out_of_domain(proto, proto_params):
 
 def test_solver_rejects_unstable_dt(proto, proto_coeffs):
     with pytest.raises(Unstable):
-        pde.solve_cauchy(proto_coeffs, proto, lambda x: 0.0,
+        pde.solve_cauchy(proto_coeffs, proto, _Bump(),
                          [[-1, 1], [-1, 1]], 41, 0.0, 0.1, dt=0.1)
 
 
 def test_solver_rejects_short_axis(proto, proto_coeffs):
     with pytest.raises(ValueError, match="at least 2 nodes"):
-        pde.solve_cauchy(proto_coeffs, proto, lambda x: 0.0,
+        pde.solve_cauchy(proto_coeffs, proto, _Bump(),
                          [[-1, 1], [-1, 1]], [1, 21], 0.0, 0.1)
 
 
@@ -122,9 +122,8 @@ def test_solver_samples_fields_per_step_and_constants_once(proto):
             return np.full(len(X), -0.5)
 
     A0, c = CountedConstant(np.eye(1), dim=2), TimeRecorder()
-    sol = pde.solve_cauchy({"A0": A0, "c": c}, proto,
-                           lambda x: np.exp(-x @ x), [[-2, 2], [-2, 2]],
-                           [21, 21], 0.0, 0.1)
+    sol = pde.solve_cauchy({"A0": A0, "c": c}, proto, _Bump(1.0),
+                           [[-2, 2], [-2, 2]], [21, 21], 0.0, 0.1)
     assert c.ts == list(sol.taxis[:-1])
     assert A0.calls == 2
 
@@ -281,8 +280,8 @@ def test_solve_needs_t1_after_t0(proto, proto_coeffs):
 def test_solver_chain_n3_positive():
     g = _canonical_geometry((1, 1, 1))
     sol = pde.solve_cauchy({"A0": ConstantField(np.eye(1), dim=3)}, g,
-                           lambda x: np.exp(-8.0 * x @ x),
-                           [[-2, 2], [-2, 2], [-2, 2]], 21, 0.0, 0.1)
+                           _Bump(8.0), [[-2, 2], [-2, 2], [-2, 2]], 21,
+                           0.0, 0.1)
     assert sol.values.shape[1:] == (21, 21, 21)
     assert len(sol.taxis) > 3
     assert np.all(np.isfinite(sol.values))
@@ -292,8 +291,13 @@ def test_solver_chain_n3_positive():
 
 
 class _Bump:
+    """The datum exp(-k |x|^2) on the rows X; k = 0 gives 1 everywhere."""
+
+    def __init__(self, k=4.0):
+        self.k = k
+
     def many(self, X, t):
-        return np.exp(-4.0 * np.sum(X * X, axis=1))
+        return np.exp(-self.k * np.sum(X * X, axis=1))
 
 
 def _keep_coeffs(blocks, with_bc):
@@ -346,7 +350,7 @@ def test_keep_final_matches_all_bitwise(blocks, with_bc):
 def test_boundary_ratio_reads_every_slice(proto, proto_coeffs):
     """A datum that fills the box has its boundary peak at t0, and the
     streaming solve still reports it."""
-    sol = pde.solve_cauchy(proto_coeffs, proto, lambda x: 1.0,
+    sol = pde.solve_cauchy(proto_coeffs, proto, _Bump(0.0),
                            [[-1, 1], [-1, 1]], 21, 0.0, 0.1, keep="final")
     assert np.max(np.abs(sol.values[-1][[0, -1]])) < 0.9
     assert sol.meta["boundary_max_ratio"] == 1.0
@@ -370,6 +374,31 @@ def test_keep_final_stores_one_slice(proto, proto_coeffs):
     assert peaks["final"] + 298 * sol.values.nbytes < peaks["all"]
 
 
+class _Untouched:
+    """A datum that fails the test if the solver samples it."""
+
+    def many(self, X, t):
+        raise AssertionError("the datum was sampled")
+
+
+def test_boundary_error_raises_what_warn_records(proto, proto_coeffs):
+    """boundary="error" raises BoxTooSmall with the message that "warn"
+    records in meta["warnings"] and warns; any other value is refused
+    before the datum is sampled."""
+    args = (proto_coeffs, proto, _Bump(), [[-1, 1], [-1, 1]], 21, 0.0, 0.1)
+    with pytest.warns(UserWarning) as caught:
+        sol = pde.solve_cauchy(*args, keep="final")
+    msg, = sol.meta["warnings"]
+    assert [str(w.message) for w in caught] == [msg]
+    with pytest.raises(BoxTooSmall) as exc:
+        pde.solve_cauchy(*args, boundary="error", keep="final")
+    assert str(exc.value) == msg
+    for bad in ("eror", "WARN", None):
+        with pytest.raises(ArgumentError, match="boundary"):
+            pde.solve_cauchy(proto_coeffs, proto, _Untouched(),
+                             *args[3:], boundary=bad)
+
+
 @pytest.mark.parametrize("keep", ["last", "ALL", None, 1])
 def test_keep_rejects_other_values(proto, proto_coeffs, keep):
     with pytest.raises(ArgumentError, match="keep"):
@@ -387,12 +416,11 @@ def test_approx_fundamental_keep_final_matches_all(proto, proto_coeffs):
     final slice do not depend on it."""
     args = (proto_coeffs, proto, np.zeros(2), 0.0, 0.4, [[-4, 4], [-2, 2]],
             [41, 61], [0.3, 0.25])
-    full, rep_full, _ = pde.approx_fundamental(*args)
-    last, rep_last, _ = pde.approx_fundamental(*args, keep="final")
+    full, rep_full = pde.approx_fundamental(*args)
+    last, rep_last = pde.approx_fundamental(*args, keep="final")
     assert len(full.taxis) > 1 and len(last.taxis) == 1
     assert np.array_equal(last.values[-1], full.values[-1])
-    assert rep_last["spread"] == rep_full["spread"]
-    assert np.array_equal(rep_last["extrapolated"], rep_full["extrapolated"])
+    assert rep_last == rep_full
 
 
 @pytest.mark.filterwarnings("ignore:boundary magnitude")
@@ -413,12 +441,6 @@ def test_keep_final_refuses_time_interpolation(proto, proto_coeffs):
                  lambda: pde.weak_residual(last, tf, proto_coeffs, proto)):
         with pytest.raises(ArgumentError, match="keep='all'"):
             read()
-    _, _, ev = pde.approx_fundamental(
-        proto_coeffs, proto, np.zeros(2), 0.0, 0.4, [[-4, 4], [-2, 2]],
-        [41, 61], widths=[0.3, 0.25], keep="final")
-    assert ev(np.zeros(2), 0.0) == 0.0
-    with pytest.raises(ArgumentError, match="keep='all'"):
-        ev(np.zeros(2), 0.35)
 
 
 @pytest.mark.filterwarnings("ignore:boundary magnitude")
@@ -467,11 +489,9 @@ def test_courant_cap_bounds_l1_norm_of_b():
 def test_reaction_factor(proto, proto_coeffs):
     coeffs = dict(proto_coeffs)
     coeffs["c"] = ConstantField(np.array(-0.7), dim=2)
-    sol0 = pde.solve_cauchy(proto_coeffs, proto,
-                            lambda x: np.exp(-x @ x), [[-5, 5], [-5, 5]],
-                            [41, 41], 0.0, 0.2)
-    sol1 = pde.solve_cauchy(coeffs, proto,
-                            lambda x: np.exp(-x @ x), [[-5, 5], [-5, 5]],
+    sol0 = pde.solve_cauchy(proto_coeffs, proto, _Bump(1.0),
+                            [[-5, 5], [-5, 5]], [41, 41], 0.0, 0.2)
+    sol1 = pde.solve_cauchy(coeffs, proto, _Bump(1.0), [[-5, 5], [-5, 5]],
                             [41, 41], 0.0, 0.2)
     ratio = sol1.values[-1][20, 20] / sol0.values[-1][20, 20]
     assert abs(ratio - np.exp(-0.7 * 0.2)) < 1e-12
@@ -508,12 +528,14 @@ def test_approx_fundamental_guards_width(proto, proto_coeffs):
 
 @pytest.mark.filterwarnings("ignore:boundary magnitude")
 def test_approx_fundamental_vanishing_past(proto, proto_coeffs):
-    _, report, ev = pde.approx_fundamental(
+    """The returned solution reads 0 at and before the pole time."""
+    sol, report = pde.approx_fundamental(
         proto_coeffs, proto, np.zeros(2), 0.0, 0.4,
         [[-4, 4], [-2, 2]], [41, 61], widths=[0.3, 0.25])
-    assert ev(np.array([0.3, 0.1]), -0.5) == 0.0
-    assert ev(np.array([0.3, 0.1]), 0.0) == 0.0
-    assert ev(np.array([0.0, 0.0]), 0.4) > 0.0
+    assert sol.evaluate(np.array([0.3, 0.1]), -0.5) == 0.0
+    assert sol.evaluate(np.array([0.3, 0.1]), 0.0) == 0.0
+    assert sol.evaluate(np.array([0.0, 0.0]), 0.4) > 0.0
+    assert sorted(report) == ["spread", "widths"]
     assert len(report["spread"]) == 1
 
 

@@ -6,6 +6,9 @@ from pathlib import Path
 import kolmo
 
 SRC = Path(kolmo.__file__).resolve().parent
+# The code whose calls may set a library default.
+CALLERS = [Path(__file__).resolve().parents[1] / d
+           for d in ("src", "scripts", "perfbench", "tests")]
 
 
 def _trees():
@@ -63,3 +66,53 @@ def test_every_exit_code_class_is_raised():
     caught = _cli_caught(trees["cli.py"])
     assert "NotSPD" in caught and "Unstable" in caught
     assert caught <= _raised(trees), sorted(caught - _raised(trees))
+
+
+def _defaulted_params(trees):
+    """(module, function, parameter) -> positional index, or None for a
+    keyword-only one, of every defaulted parameter of a public module-level
+    function."""
+    out = {}
+    for mod, tree in trees.items():
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            a = fn.args
+            pos = a.posonlyargs + a.args
+            first = len(pos) - len(a.defaults)
+            for i, arg in enumerate(pos[first:], first):
+                out[(mod, fn.name, arg.arg)] = i
+            for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                if default is not None:
+                    out[(mod, fn.name, arg.arg)] = None
+    return out
+
+
+def _calls(paths):
+    """Called name -> (positional count, keyword names) of every call in
+    the files; the count stops at a *args, and a **kwargs names nothing."""
+    calls = {}
+    for p in paths:
+        for n in ast.walk(ast.parse(p.read_text(encoding="utf-8"))):
+            if not isinstance(n, ast.Call):
+                continue
+            name = _name(n)
+            npos = next((i for i, a in enumerate(n.args)
+                         if isinstance(a, ast.Starred)), len(n.args))
+            calls.setdefault(name, []).append(
+                (npos, {k.arg for k in n.keywords}))
+    return calls
+
+
+def test_every_default_is_set_by_some_call():
+    """A default that no caller ever overrides is a setting nobody uses:
+    it belongs in a module constant, or nowhere.  Every defaulted parameter
+    of a public module-level function in kolmo is passed, by keyword or by
+    position, in some call under src/, scripts/, perfbench/ or tests/ to a
+    function of that name."""
+    calls = _calls(p for d in CALLERS for p in sorted(d.rglob("*.py")))
+    unset = [f"{mod}: {fn}({arg}=)" for (mod, fn, arg), i
+             in sorted(_defaulted_params(_trees()).items())
+             if not any(arg in kw or (i is not None and npos > i)
+                        for npos, kw in calls.get(fn, ()))]
+    assert not unset, unset

@@ -12,7 +12,7 @@ from kolmo.structure import BlockStructure
 @pytest.fixture(scope="module")
 def kernel_u(request):
     proto = request.getfixturevalue("proto")
-    params = kern.principal_params(proto)
+    params = kern.scaled_params(2.0, proto)
     pole = point(np.zeros(2), -2.0)
 
     def u(rows):

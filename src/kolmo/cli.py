@@ -35,6 +35,12 @@ _SOLVER_ERRORS = (Unstable, BoxTooSmall, SupportExceedsGrid)
 _MC_ERRORS = (NonFinite,)
 _VERIFY_ERRORS = (NoAdmissibleFit, CylinderUnresolved, ConeUnresolved,
                   NotNonnegative)
+DT_HELP = (f"time step; default {pde.DIFFUSION_STEPS} h^2 / (2 Lambda m0) "
+           "(h the finest x^(0) spacing, Lambda the larger of the spec's "
+           "ellipticity bound and a probe of A0), within the caps: "
+           f"{pde.COURANT} h / |b|_1 where b is present and h^2 / "
+           "(2 Lambda m0) where A0 has off-diagonal entries; a --dt above "
+           "a cap exits 5")
 
 
 def emit(report):
@@ -491,7 +497,7 @@ def build_parser():
     sp.add_argument("--nx", required=True)
     sp.add_argument("--t0", type=float, default=0.0)
     sp.add_argument("--t1", type=float, required=True)
-    sp.add_argument("--dt", type=_positive_float)
+    sp.add_argument("--dt", type=_positive_float, help=DT_HELP)
     sp.add_argument("--x0", default="0,0")
     sp.add_argument("--datum", default="gaussian:0.1")
     sp.add_argument("--lambda", dest="lam", type=float, default=2.0)
@@ -504,7 +510,7 @@ def build_parser():
     sp.add_argument("--x0", default="0,0")
     sp.add_argument("--t0", type=float, default=0.0)
     sp.add_argument("--t1", type=float, required=True)
-    sp.add_argument("--dt", type=_positive_float)
+    sp.add_argument("--dt", type=_positive_float, help=DT_HELP)
     sp.add_argument("--widths", default="0.3,0.25,0.2")
     sp.add_argument("--lambda", dest="lam", type=float, default=2.0)
     sp.add_argument("--out", default="fundamental.csv")

@@ -8,8 +8,11 @@ Paths run in fixed-size chunks, each stepped in place as a column-major
 per chunk; the fields see the (n, N) row view X.T.  Each chunk draws from
 its own child stream of the master seed, so the ensemble and every CSV and
 report made from it are byte-identical at any number of worker threads.
+Every chunk runs in a copy of the caller's context, so the caller's
+np.errstate reaches the worker threads.
 """
 
+import contextvars
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -167,8 +170,11 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
         final[lo:hi] = X.T
         logw[lo:hi] = lw
 
+    # one copy per chunk: a context is entered by one thread at a time
+    contexts = [contextvars.copy_context() for _ in range(nchunks)]
     with ThreadPoolExecutor(max_workers=config.threads) as ex:
-        list(ex.map(run_chunk, range(nchunks)))
+        list(ex.map(lambda ctx, ci: ctx.run(run_chunk, ci), contexts,
+                    range(nchunks)))
 
     weights = np.exp(logw)
     prov = {"seed": config.seed, "chunk": CHUNK, "nchunks": nchunks,

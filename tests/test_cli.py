@@ -111,11 +111,20 @@ def test_not_spd_exit_4(tmp_path, capsys):
                      "--dt", "1e-2"]) == cli.EXIT_NOTSPD
 
 
+@pytest.mark.filterwarnings("ignore:boundary magnitude")
 def test_unstable_dt_exit_5(spec_path, tmp_path, capsys):
-    out = str(tmp_path / "c.csv")
-    assert cli.main(["solve", "cauchy", spec_path, "--box=-4,4;-2,2",
-                     "--nx", "41,41", "--t1", "0.3", "--dt", "0.05",
-                     "--out", out]) == cli.EXIT_SOLVER
+    """A --dt above the Courant cap 0.9 h / |b|_1 = 0.09 exits 5 and writes
+    nothing; the diffusion sets no cap, so without b the same --dt runs."""
+    doc = specfile.prototype_spec().to_dict()
+    doc["coefficients"]["b"] = {"kind": "constant", "value": [2.0]}
+    drifted = tmp_path / "b.json"
+    drifted.write_text(json.dumps(doc))
+    out = tmp_path / "c.csv"
+    argv = ["solve", "cauchy", "--box=-4,4;-2,2", "--nx", "41,41", "--t1",
+            "0.3", "--dt", "0.1", "--out", str(out)]
+    assert cli.main(argv[:2] + [str(drifted)] + argv[2:]) == cli.EXIT_SOLVER
+    assert not out.exists()
+    assert cli.main(argv[:2] + [spec_path] + argv[2:]) == 0
 
 
 @pytest.mark.filterwarnings("ignore:boundary magnitude")

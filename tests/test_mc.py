@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -150,17 +152,22 @@ def test_column_major_loop_matches_row_major_dense_B(blocks):
             <= 1e-13 * np.max(np.abs(final))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 def test_non_finite_state_raises(proto):
-    """A state that overflows ends in NonFinite, not in an ensemble.  The
-    chunks run on worker threads, which the caller's np.errstate does not
-    reach, so the overflow warnings are filtered here instead."""
+    """A state that overflows ends in NonFinite, not in an ensemble.  Each
+    chunk runs in a copy of the caller's context, so the caller's
+    np.errstate silences the overflow (and the inf - inf it leads to) on
+    the worker threads too, at one and at two threads: no RuntimeWarning is
+    emitted."""
     coeffs = {"A0": ConstantField(np.eye(1), dim=2),
               "b": ConstantField(np.array([1e308]), dim=2)}
-    cfg = mc.McConfig(paths=100, dt=1.0, seed=0)
-    with pytest.raises(NonFinite):
-        mc.simulate(coeffs, proto, np.zeros(2), 0.0, 4.0, cfg)
+    for threads in (1, 2):
+        cfg = mc.McConfig(paths=2 * mc.CHUNK, dt=1.0, seed=0,
+                          threads=threads)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(NonFinite):
+                    mc.simulate(coeffs, proto, np.zeros(2), 0.0, 4.0, cfg)
 
 
 def test_moments_match_kernel(proto, proto_coeffs):

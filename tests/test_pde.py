@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -6,7 +7,8 @@ import pytest
 
 from kolmo import kernel as kern
 from kolmo import pde
-from kolmo.coefficients import CheckerboardField, ConstantField, Field
+from kolmo.coefficients import CheckerboardField, ConstantField, Field, \
+    GridField
 from kolmo.errors import ArgumentError, BoundaryNode, BoxTooSmall, \
     OutOfDomain, SupportExceedsGrid, Unstable
 from kolmo.group import Geometry, point, prototype_geometry
@@ -88,10 +90,15 @@ def test_lie_derivative_out_of_domain(proto, proto_params):
         pde.lie_derivative(u, np.array([3.9, 0.0]), 0.4, proto, s=0.5)
 
 
-def test_solver_rejects_unstable_dt(proto, proto_coeffs):
-    with pytest.raises(Unstable):
-        pde.solve_cauchy(proto_coeffs, proto, _Bump(),
-                         [[-1, 1], [-1, 1]], 41, 0.0, 0.1, dt=0.1)
+def test_solver_rejects_unstable_dt(proto):
+    """A given dt above the Courant cap on |b|_1 raises Unstable before the
+    datum is sampled; the diffusion sets no cap (A0 is diagonal)."""
+    coeffs = {"A0": ConstantField(np.eye(1), dim=2),
+              "b": ConstantField(np.array([2.0]), dim=2)}
+    args = (coeffs, proto, _Untouched(), [[-1, 1], [-1, 1]], 41, 0.0, 0.1)
+    cap = pde.COURANT * 0.05 / 2.0
+    with pytest.raises(Unstable, match="exceeds the stability bound"):
+        pde.solve_cauchy(*args, dt=1.01 * cap)
 
 
 def test_solver_rejects_short_axis(proto, proto_coeffs):
@@ -129,6 +136,10 @@ def test_solver_samples_fields_per_step_and_constants_once(proto):
 
 
 def test_solver_positivity_and_mass(proto, proto_params, proto_coeffs):
+    """The monotone scheme keeps a kernel datum >= 0, and one implicit
+    diffusion step conserves the sum of the slice up to the flux through
+    the two boundary faces of each x1 line: with A0 = 1 every face
+    coefficient is 1, so sum v - sum u = -dt / h^2 (sum v[0] + sum v[-1])."""
     w, t1 = 0.2, 0.5
     pole = point(np.zeros(2), 0.0)
 
@@ -140,10 +151,14 @@ def test_solver_positivity_and_mass(proto, proto_params, proto_coeffs):
         sol = pde.solve_cauchy(proto_coeffs, proto, D(),
                                [[-4, 4], [-2, 2]], [61, 61], w, t1)
     assert np.all(sol.values >= 0.0)  # monotone scheme keeps positivity
-    hs = sol.hs
-    mass0 = sol.values[0].sum() * hs[0] * hs[1]
-    mass1 = sol.values[-1].sum() * hs[0] * hs[1]
-    assert abs(mass1 - mass0) / mass0 < 1e-3  # Tr B = 0: mass conserved
+    dt, h = sol.dt, sol.hs[0]
+    for u in (sol.values[0], sol.values[len(sol.taxis) // 2]):
+        step = pde._ImplicitDiffusion(np.ones(u.shape + (1, 1)), sol.hs, 1,
+                                      dt)
+        v = step(u)
+        outflow = dt / (h * h) * (v[0].sum() + v[-1].sum())
+        assert outflow > 0.0
+        assert abs(v.sum() - u.sum() + outflow) <= 1e-12 * u.sum()
 
 
 def _scipy_transport(u, coords):
@@ -216,10 +231,29 @@ def test_static_axis_transport(blocks, dims):
     assert op.weights.shape == op.index.shape == (4 ** (N - m0), len(feet))
     assert op.corners.shape == (2 ** N, len(feet))
     assert [P is None for P in op.prefilter] == static.tolist()
+    # a static foot is its node: the reference reads it at the node index
+    exact = np.where(static[:, None], np.rint(coords), coords)
     for _ in range(3):
         u = rng.normal(size=dims)
-        err = np.max(np.abs(op(u) - _scipy_transport(u, coords)))
+        err = np.max(np.abs(op(u) - _scipy_transport(u, exact)))
         assert err <= 1e-14 * np.max(np.abs(u))
+
+
+def test_static_axis_keeps_both_edge_rows(proto):
+    """A slice of ones remapped on the benchmark's 161^2 box keeps 1 on the
+    x1 = lo and the x1 = hi rows at interior x2.  The feet (x - lo) / h
+    read the last x1 node as 160 + O(1e-13); on a static axis the remap
+    takes the node index, and no foot is outside."""
+    axes = [np.linspace(-4.0, 4.0, 161), np.linspace(-2.0, 2.0, 161)]
+    dims = (161, 161)
+    E = proto.exp_drift(-0.005)
+    feet = pde._grid_points(axes) @ E.T
+    coords = np.stack([(feet[:, k] - axes[k][0]) / (axes[k][1] - axes[k][0])
+                       for k in range(2)])
+    assert coords[0, -1] > 160.0
+    out = pde._Transport(coords, dims, pde._static_axes(E))(np.ones(dims))
+    for row in (out[0, 5:-5], out[-1, 5:-5]):
+        assert np.max(np.abs(row - 1.0)) <= ROUNDOFF
 
 
 @pytest.mark.filterwarnings("ignore:boundary magnitude")
@@ -245,8 +279,11 @@ def test_static_axes_match_moving_solve(monkeypatch, blocks):
     static = pde.solve_cauchy(*args, keep="final").values[-1]
     assert flags == [[True] + [False] * (g.N - 1)]
 
+    # the cubic stencil on every axis, at the static axes' node indices
     monkeypatch.setattr(pde, "_Transport", lambda coords, dims, static:
-                        build(coords, dims, [False] * len(dims)))
+                        build(np.where(np.asarray(static)[:, None],
+                                       np.rint(coords), coords),
+                              dims, [False] * len(dims)))
     moving = pde.solve_cauchy(*args, keep="final").values[-1]
     peak = np.max(np.abs(moving))
     assert np.max(np.abs(static - moving)) <= 1e-11 * peak
@@ -281,7 +318,7 @@ def test_solver_chain_n3_positive():
     g = _canonical_geometry((1, 1, 1))
     sol = pde.solve_cauchy({"A0": ConstantField(np.eye(1), dim=3)}, g,
                            _Bump(8.0), [[-2, 2], [-2, 2], [-2, 2]], 21,
-                           0.0, 0.1)
+                           0.0, 0.1, dt=0.01)
     assert sol.values.shape[1:] == (21, 21, 21)
     assert len(sol.taxis) > 3
     assert np.all(np.isfinite(sol.values))
@@ -443,32 +480,207 @@ def test_keep_final_refuses_time_interpolation(proto, proto_coeffs):
             read()
 
 
+def test_evaluate_reuses_one_interpolator(proto, proto_params):
+    """GridSolution builds its interpolator once and evaluate reads it: the
+    values are bitwise those of a fresh RegularGridInterpolator."""
+    from scipy.interpolate import RegularGridInterpolator
+
+    u = kernel_solution(proto, proto_params, 21, 5)
+    interp = u.interpolator()
+    assert u.interpolator() is interp
+    fresh = RegularGridInterpolator(
+        tuple(u.axes) + (u.taxis,), np.moveaxis(u.values, 0, -1),
+        bounds_error=False, fill_value=0.0)
+    for x, t in ((np.array([0.1, -0.05]), 0.37), (np.zeros(2), 0.5),
+                 (np.array([5.0, 0.0]), 0.4)):
+        assert u.evaluate(x, t) == float(fresh(np.append(x, t))[0])
+    assert u.interpolator() is interp
+
+
 @pytest.mark.filterwarnings("ignore:boundary magnitude")
-def test_sup_norm_audit_catches_understated_Lambda(proto, step_A0):
-    """A0 steps from 1 to 4 after the start: with Lambda = 1 the explicit
-    diffusion is not monotone, and the per-step sup-norm audit raises
-    instead of returning values of order 1e9; the declared Lambda = 4 gives
-    a finite, non-negative solution."""
+def test_understated_Lambda_stays_monotone(proto, step_A0):
+    """A0 steps from 1 to 4 after the start, where the probe reads 1: the
+    step taken with Lambda = 1 (declared or probed) is too long for an
+    explicit diffusion, but the implicit one stays monotone, finite and
+    >= 0, its sup norm at most the datum's."""
     args = ({"A0": step_A0}, proto, _Bump(), [[-4, 4], [-4, 4]], [41, 41],
             0.0, 0.3)
+    for Lambda in (1.0, None):
+        sol = pde.solve_cauchy(*args, Lambda=Lambda, keep="final")
+        assert sol.meta["Lambda"] == 1.0
+        assert sol.meta["dt"] > 0.2 ** 2 / (2.0 * 4.0)
+        assert np.all(np.isfinite(sol.values))
+        assert np.min(sol.values) >= 0.0
+        assert 0.0 < np.max(sol.values) <= 1.0
+
+
+@pytest.mark.filterwarnings("ignore:boundary magnitude")
+def test_audits_catch_non_elliptic_A0(proto):
+    """A0 that turns from 1 to -1 after the start (the probe reads 1) makes
+    the line matrices lose their M-matrix property.  From a datum >= 0 the
+    positivity audit raises; from a datum of both signs, which it does not
+    watch, the sup-norm audit does."""
+    ax = np.linspace(-4.0, 4.0, 41)
+    vals = np.ones((41, 41, 4))
+    vals[..., 2:] = -1.0
+    coeffs = {"A0": GridField([ax, ax], np.array([0.0, 0.0599, 0.06, 1.0]),
+                              vals)}
+
+    class Signed:
+        def many(self, X, t):
+            return np.exp(-4.0 * np.sum(X * X, axis=1)) * np.cos(3.0 * X[:, 0])
+
+    args = (coeffs, proto)
+    rest = ([[-4, 4], [-4, 4]], [41, 41], 0.0, 0.3)
+    with pytest.raises(Unstable, match="below zero"):
+        pde.solve_cauchy(*args, _Bump(), *rest, keep="final")
     with pytest.raises(Unstable, match="sup norm grew"):
-        pde.solve_cauchy(*args, Lambda=1.0, keep="final")
-    sol = pde.solve_cauchy(*args, Lambda=4.0, keep="final")
-    assert sol.meta["Lambda"] == 4.0
-    assert np.all(np.isfinite(sol.values))
-    assert np.min(sol.values) >= -ROUNDOFF * np.max(sol.values)
+        pde.solve_cauchy(*args, Signed(), *rest, keep="final")
+
+
+def _diagonal_A0(blocks):
+    """A checkerboard A0 with diagonal values (so the step is monotone),
+    Lambda = 1.5, and no fixed value: the solver samples it every step."""
+    g = _canonical_geometry(blocks)
+    m0 = g.structure.m0
+    lo, hi = np.diag([1.0, 0.5][:m0]), np.diag([1.5, 1.0][:m0])
+    return g, CheckerboardField([lo, hi], h=0.25, dim=g.N, seed=5)
+
+
+@pytest.mark.parametrize("blocks", [(1, 1), (2, 1), (1, 1, 1)])
+def test_implicit_step_inverts_I_minus_dt_D(blocks):
+    """Applying (I - dt D_ii) along the axes in reverse order to the
+    implicit step returns its input plus dt times the cross terms, to
+    1e-12: D_ii and the cross terms are _diffusion on A0 with only its
+    entry (i, i), or only its off-diagonal entries, kept (A0 of _keep_coeffs,
+    with off-diagonal entries for m0 = 2)."""
+    g, coeffs = _keep_coeffs(blocks, with_bc=False)
+    m0, N = g.structure.m0, g.N
+    dims = (13, 11, 9)[:N]
+    axes = [np.linspace(-1.5, 1.5, d) for d in dims]
+    hs = [a[1] - a[0] for a in axes]
+    A = coeffs["A0"].many(pde._grid_points(axes), 0.0).reshape(
+        dims + (m0, m0))
+    dt = 8.0 * min(hs[:m0]) ** 2 / (2.0 * 1.5 * m0)
+    u = np.random.default_rng(N).uniform(-1.0, 1.0, dims)
+    w = pde._ImplicitDiffusion(A, hs, m0, dt)(u)
+    for i in reversed(range(m0)):
+        Ai = np.zeros_like(A)
+        Ai[..., i, i] = A[..., i, i]
+        w = w - dt * pde._diffusion(w, pde._pad_zero(w), Ai, hs, m0)
+    off = A * ~np.eye(m0, dtype=bool)
+    assert np.any(off) == (m0 > 1)
+    rhs = u + dt * pde._diffusion(u, pde._pad_zero(u), off, hs, m0)
+    assert np.max(np.abs(w - rhs)) <= 1e-12 * np.max(np.abs(u))
+
+
+@pytest.mark.filterwarnings("ignore:boundary magnitude")
+@pytest.mark.parametrize("blocks", [(1, 1), (2, 1), (1, 1, 1)])
+def test_implicit_step_monotone_at_8x(monkeypatch, blocks):
+    """At 8 times the explicit bound h^2 / (2 Lambda m0), with a
+    checkerboard A0 factored afresh on every step, the solve keeps a datum
+    >= 0 so and its sup norm never grows; each step's diffusion alone maps
+    data >= 0 to data >= 0 and does not raise the sup norm of any datum."""
+    g, field = _diagonal_A0(blocks)
+    m0, N = g.structure.m0, g.N
+    nx = 31 if N == 2 else 21
+    h = 3.0 / (nx - 1)
+    dt = 8.0 * h * h / (2.0 * 1.5 * m0)
+    steps = []
+    build = pde._ImplicitDiffusion
+
+    def counted(*a):
+        steps.append((a[0], build(*a)))
+        return steps[-1][1]
+    monkeypatch.setattr(pde, "_ImplicitDiffusion", counted)
+    sol = pde.solve_cauchy({"A0": field}, g, _Bump(), [[-1.5, 1.5]] * N, nx,
+                           0.0, 0.6, dt=dt)
+    assert sol.meta["dt"] > 0.9 * dt
+    assert len(steps) == len(sol.taxis) - 1 > 3
+    assert not np.array_equal(steps[0][0], steps[-1][0]), "A0 moved in time"
+    assert np.min(sol.values) >= 0.0
+    peaks = np.max(sol.values.reshape(len(sol.taxis), -1), axis=1)
+    assert np.all(np.diff(peaks) <= ROUNDOFF * peaks[0])
+    rng = np.random.default_rng(N)
+    for _, step in (steps[0], steps[-1]):
+        u = rng.uniform(0.0, 1.0, sol.values.shape[1:])
+        assert np.min(step(u)) >= 0.0
+        assert np.max(step(u)) <= np.max(u) * (1.0 + ROUNDOFF)
+        u = u - 0.5
+        assert np.max(np.abs(step(u))) <= np.max(np.abs(u)) * (1.0 + ROUNDOFF)
+
+
+class _ConstantInTime(Field):
+    """A0 = value at every (x, t), without the fixed `value` that tells the
+    solver it may keep its factors."""
+
+    def __init__(self, value, dim):
+        super().__init__(dim, value.shape)
+        self.A = value
+
+    def many(self, X, t):
+        return np.broadcast_to(self.A, (len(X),) + self.A.shape)
+
+
+@pytest.mark.filterwarnings("ignore:boundary magnitude")
+@pytest.mark.parametrize("blocks", [(1, 1), (2, 1)])
+def test_cached_factors_match_rebuilt(monkeypatch, blocks):
+    """A ConstantField A0 is factored once per solve, a field that may
+    change in time on every step; where that field is in fact constant the
+    two solves agree bitwise."""
+    g = _canonical_geometry(blocks)
+    m0, N = g.structure.m0, g.N
+    A = np.diag([1.0, 0.7][:m0])
+    builds = []
+    build = pde._ImplicitDiffusion
+
+    def counted(*a):
+        builds.append(1)
+        return build(*a)
+    monkeypatch.setattr(pde, "_ImplicitDiffusion", counted)
+    rest = (g, _Bump(), [[-1.5, 1.5]] * N, 17, 0.0, 0.2)
+    cached = pde.solve_cauchy({"A0": ConstantField(A, dim=N)}, *rest)
+    assert len(builds) == 1
+    rebuilt = pde.solve_cauchy({"A0": _ConstantInTime(A, N)}, *rest)
+    assert len(builds) == len(rebuilt.taxis) > 3
+    assert np.array_equal(cached.values, rebuilt.values)
 
 
 @pytest.mark.filterwarnings("ignore:boundary magnitude")
 def test_declared_Lambda_below_probe_is_raised(proto):
-    """The step is bounded with the larger of the declared and probed
-    Lambda."""
+    """The default step DIFFUSION_STEPS h^2 / (2 Lambda) is taken with the
+    larger of the declared and probed Lambda; no cap applies without b and
+    cross terms."""
     coeffs = {"A0": ConstantField(np.array([[2.0]]), dim=2)}
     args = (coeffs, proto, _Bump(), [[-1, 1], [-1, 1]], 21, 0.0, 0.05)
-    low = pde.solve_cauchy(*args, Lambda=1.0, keep="final").meta
-    high = pde.solve_cauchy(*args, Lambda=3.0, keep="final").meta
-    assert low["Lambda"] == 2.0 and high["Lambda"] == 3.0
-    assert high["dt_bound"] == pytest.approx(low["dt_bound"] * 2.0 / 3.0)
+    for declared, used in ((1.0, 2.0), (3.0, 3.0)):
+        sol = pde.solve_cauchy(*args, Lambda=declared, keep="final")
+        assert sol.meta["Lambda"] == used
+        assert sol.meta["dt_bound"] is None
+        h = sol.hs[0]
+        step = pde.DIFFUSION_STEPS * (h * h / (2.0 * used))
+        assert sol.meta["dt"] == pytest.approx(0.05 / math.ceil(0.05 / step))
+
+
+@pytest.mark.filterwarnings("ignore:boundary magnitude")
+def test_cross_terms_cap_the_step():
+    """Where the probe finds an off-diagonal A0 entry, the explicit cross
+    terms cap the step at h^2 / (2 Lambda m0); a diagonal A0 sets no cap."""
+    g = _canonical_geometry((2, 1))
+    args = (g, _Bump(), [[-2, 2]] * 3, 21, 0.0, 0.05)
+    A = np.array([[1.0, 0.3], [0.3, 1.0]])
+    coeffs = {"A0": ConstantField(A, dim=3)}
+    sol = pde.solve_cauchy(coeffs, *args, keep="final")
+    cap = 0.2 ** 2 / (2.0 * 1.3 * 2)
+    assert sol.meta["dt_bound"] == pytest.approx(cap)
+    assert sol.meta["dt"] <= cap
+    with pytest.raises(Unstable, match="exceeds the stability bound"):
+        pde.solve_cauchy(coeffs, *args, dt=1.01 * cap)
+    diagonal = {"A0": ConstantField(np.diag([1.3, 1.0]), dim=3)}
+    sol = pde.solve_cauchy(diagonal, *args, keep="final")
+    assert sol.meta["dt_bound"] is None
+    assert sol.meta["dt"] == pytest.approx(0.05 / math.ceil(
+        0.05 / (pde.DIFFUSION_STEPS * cap)))
 
 
 @pytest.mark.filterwarnings("ignore:boundary magnitude")

@@ -357,7 +357,7 @@ def _check_choice(name, value, choices):
 
 
 def _time_step(hs, Lambda, m0, bmax, cross):
-    """The default time step and the cap on any time step, from the
+    """The default time step, the cap on any time step and the
     explicit-diffusion bound h^2 / (2 Lambda m0).  The cap keeps every step
     monotone: the advection Courant cap COURANT h / bmax (bmax bounds the l1
     norm of b, so the upwind step is monotone for any m0) and, with cross
@@ -370,7 +370,7 @@ def _time_step(hs, Lambda, m0, bmax, cross):
     if cross:
         caps.append(explicit)
     cap = min(caps) if caps else None
-    return min([DIFFUSION_STEPS * explicit] + caps), cap
+    return min([DIFFUSION_STEPS * explicit] + caps), cap, explicit
 
 
 def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
@@ -392,7 +392,9 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
     COURANT h / sum_i |b_i| where b is present, and the explicit bound
     h^2 / (2 Lambda m0) where the probe finds an off-diagonal A0 entry,
     whose cross terms stay explicit.  meta["dt_bound"] holds the smaller
-    cap, None when neither applies.
+    cap, None when neither applies.  A0 is checked again on every step it is
+    sampled: off-diagonal entries where the probe found none, with dt above
+    the explicit bound, raise Unstable.
 
     keep="all" stores every time slice; keep="final" holds only the current
     one and returns the final slice alone (values of shape (1,) + dims and
@@ -436,8 +438,8 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
         bvals = np.abs(coeffs["b"].many(probe_pts, t0))
         bmax = float(np.max(bvals.reshape(len(probe_pts), -1).sum(axis=1)))
     offdiag = ~np.eye(m0, dtype=bool)
-    default_dt, dt_bound = _time_step(hs, Lambda, m0, bmax,
-                                      bool(probe[:, offdiag].any()))
+    default_dt, dt_bound, explicit = _time_step(
+        hs, Lambda, m0, bmax, bool(probe[:, offdiag].any()))
     if dt is None:
         dt = default_dt
     elif dt_bound is not None and dt > dt_bound * (1.0 + 1e-12):
@@ -478,6 +480,13 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
         # each axis; its factors are kept while A0 is a constant field
         if diffuse is None or "A0" not in grid._fixed:
             diffuse = _ImplicitDiffusion(grid("A0", t), hs, m0, dt)
+            # cross terms the probe missed (at nodes it skips, or after
+            # t0) are explicit all the same
+            if diffuse.cross and dt > explicit * (1.0 + 1e-12):
+                raise Unstable(
+                    f"A0 has off-diagonal entries at t = {t:.6g}, whose "
+                    f"explicit cross terms need dt <= {explicit:.3e}; "
+                    f"dt is {dt:.3e}")
         u = diffuse(u)
         # (iii) upwind b-advection and the zero-order factor
         if coeffs.get("b") is not None:
@@ -573,9 +582,9 @@ class _Transport:
     a mirror-ended prefilter, stencil indices folded by mirror reflection,
     and 0 for a foot outside [0, n_k - 1] on any axis.  A static axis (a
     flag of `static`: its feet sit on the nodes) is the one-tap case of the
-    same stencil: weight 1 at the node j = rint(coord), no prefilter, never
-    outside, and the nodes j and j + 1 as its clip corners.  The result is
-    clipped to the range of the 2^N surrounding corners of the
+    same stencil: weight 1 at the node rint(coord), no prefilter, never
+    outside.  The result is clipped to the range of the 2^N surrounding
+    corners, floor(coord) and floor(coord) + 1 on each axis, of the
     zero-padded slice, which restores the maximum principle while keeping
     the cubic accuracy on smooth data.  With m0 static axes the tables take
     16 * 4^(N - m0) bytes per node for the spline stencil plus 8 * 2^N for
@@ -591,19 +600,18 @@ class _Transport:
         self.prefilter = []
         for k, d in enumerate(dims):
             x = coords[k]
+            base = np.floor(x).astype(np.intp)
+            ck = np.clip(base + np.arange(1, 3)[:, None], 0, d + 1)
+            corners = (corners[:, None] * (d + 2) + ck[None]).reshape(-1, n)
             if static[k]:
-                base = np.clip(np.rint(x).astype(np.intp), 0, d - 1)
-                ik = base[None]
+                ik = np.clip(np.rint(x).astype(np.intp), 0, d - 1)[None]
                 self.prefilter.append(None)
             else:
-                base = np.floor(x).astype(np.intp)
                 ik = _fold_mirror(base + np.arange(-1, 3)[:, None], d)
                 weights = (weights[:, None] * _cubic_weights(x)[None]
                            ).reshape(-1, n)
                 self.prefilter.append(_prefilter_matrix(d))
                 outside |= (x < 0.0) | (x > d - 1)
-            ck = np.clip(base + np.arange(1, 3)[:, None], 0, d + 1)
-            corners = (corners[:, None] * (d + 2) + ck[None]).reshape(-1, n)
             index = (index[:, None] * d + ik[None]).reshape(-1, n)
         weights[:, outside] = 0.0
         self.dims = tuple(dims)

@@ -279,10 +279,11 @@ def test_static_axes_match_moving_solve(monkeypatch, blocks):
     static = pde.solve_cauchy(*args, keep="final").values[-1]
     assert flags == [[True] + [False] * (g.N - 1)]
 
-    # the cubic stencil on every axis, at the static axes' node indices
+    # the cubic stencil on every axis, the static feet held in the box
     monkeypatch.setattr(pde, "_Transport", lambda coords, dims, static:
                         build(np.where(np.asarray(static)[:, None],
-                                       np.rint(coords), coords),
+                                       np.clip(coords, 0, np.subtract(
+                                           dims, 1)[:, None]), coords),
                               dims, [False] * len(dims)))
     moving = pde.solve_cauchy(*args, keep="final").values[-1]
     peak = np.max(np.abs(moving))
@@ -681,6 +682,25 @@ def test_cross_terms_cap_the_step():
     assert sol.meta["dt_bound"] is None
     assert sol.meta["dt"] == pytest.approx(0.05 / math.ceil(
         0.05 / (pde.DIFFUSION_STEPS * cap)))
+
+
+@pytest.mark.filterwarnings("ignore:boundary magnitude")
+def test_cross_terms_after_t0_are_refused():
+    """Off-diagonal A0 entries the probe at t0 cannot see (a GridField
+    whose off-diagonal entries appear after t0) raise Unstable at a dt
+    above the explicit bound; at that bound the solve completes."""
+    g = _canonical_geometry((2, 1))
+    box, t1 = [[-2, 2]] * 3, 0.05
+    vals = np.zeros((3, 3, 3, 3, 2, 2))
+    vals[..., :, 0, 0] = vals[..., :, 1, 1] = 1.0
+    vals[..., 1:, 0, 1] = vals[..., 1:, 1, 0] = 0.3
+    A0 = GridField([np.linspace(-2, 2, 3)] * 3, [0.0, 0.01, t1], vals)
+    args = ({"A0": A0}, g, _Bump(), box, 21, 0.0, t1)
+    explicit = 0.2 ** 2 / (2.0 * 1.0 * 2)
+    with pytest.raises(Unstable, match="off-diagonal entries at t = 0.025"):
+        pde.solve_cauchy(*args, keep="final")
+    sol = pde.solve_cauchy(*args, dt=explicit, keep="final")
+    assert np.all(np.isfinite(sol.values))
 
 
 @pytest.mark.filterwarnings("ignore:boundary magnitude")

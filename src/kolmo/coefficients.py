@@ -3,7 +3,11 @@ mollification, moduli of continuity and group rescaling.
 
 A Field is evaluable at any (x, t) inside its window and returns a scalar,
 an m0-vector or a symmetric m0 x m0 matrix.  Fields are immutable and pure.
+A checkerboard reads a batch through a CellLookup, which works out the
+batch's cells once; fields of one cell side can share it.
 """
+
+import math
 
 import numpy as np
 
@@ -94,6 +98,67 @@ class GridField(Field):
         return np.asarray(self._interp(np.column_stack([X, ts])))
 
 
+class CellLookup:
+    """The space-time cells of side h of a batch of rows X at times ts (a
+    scalar or one per row): the integer columns floor(x_1/h), ...,
+    floor(x_N/h), floor(t/h), worked out once and hashed for each
+    checkerboard of side h that reads the batch.
+
+    The hash is splitmix-style, mixing the columns in that order.  When the
+    bounding box of the batch's cells holds fewer cells than the batch has
+    rows, it runs once per box cell and each row gathers its value through
+    its flat index in the box.  Otherwise (a sparse batch, or rows whose
+    non-finite coordinates cast to INT64_MIN) it runs once per row, in
+    place on one uint64 accumulator.  Both give bitwise the same index.
+    """
+
+    def __init__(self, X, ts, h):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        n = X.shape[0]
+        self.n = n
+        self.cols = cols = [np.floor(c / h).astype(np.int64)
+                            for c in (*X.T, np.asarray(ts, dtype=float))]
+        self.box = self.flat = None
+        if n == 0:
+            return
+        # python ints: a non-finite row's span is about 2**64 cells
+        lo = [int(c.min()) for c in cols]
+        spans = [int(c.max()) - a + 1 for c, a in zip(cols, lo)]
+        if math.prod(spans) >= n:
+            return
+        # the box path keeps only each row's flat index
+        self.cols = None
+        self.box = [np.arange(a, a + s, dtype=np.int64)
+                    for a, s in zip(lo, spans)]
+        flat = np.zeros(n, dtype=np.intp)
+        for c, a, s in zip(cols, lo, spans):
+            if s > 1:
+                flat *= s
+                flat += c - a
+        self.flat = flat
+
+    def index(self, seed, count):
+        """Row -> index in [0, count) drawn by the hash seeded with seed."""
+        mult, shift = np.uint64(0xBF58476D1CE4E5B9), np.uint64(31)
+        start = (seed + 0x9E3779B97F4A7C15) % 2 ** 64
+        if self.box is not None:
+            acc = np.full((), start, dtype=np.uint64)
+            for ax in self.box:
+                acc = acc[..., None] ^ ax.view(np.uint64)
+                acc *= mult
+                acc ^= acc >> shift
+            return np.take((acc.ravel() % np.uint64(count)).astype(np.intp),
+                           self.flat)
+        acc = np.full(self.n, start, dtype=np.uint64)
+        tmp = np.empty(self.n, dtype=np.uint64)
+        for col in self.cols:
+            acc ^= col.view(np.uint64)
+            acc *= mult
+            np.right_shift(acc, shift, out=tmp)
+            acc ^= tmp
+        return (acc % np.uint64(count)).astype(np.intp)
+
+
 class CheckerboardField(Field):
     """Seeded piecewise-constant checkerboard: measurable, discontinuous.
 
@@ -108,33 +173,17 @@ class CheckerboardField(Field):
         self.h = float(h)
         self.seed = int(seed)
 
-    def _cell_indices(self, X, ts):
-        """Vectorized splitmix-style hash of the integer cell coordinates
-        floor(x_1/h), ..., floor(x_N/h), floor(t/h), mixed in that order.
-
-        ts is a scalar or one time per row; a scalar's cell is computed once
-        and broadcast into the xor.  The hash runs in place on one uint64
-        accumulator, column by column, with one scratch column.
-        """
-        n = X.shape[0]
-        acc = np.full(n, (self.seed + 0x9E3779B97F4A7C15) % 2 ** 64,
-                      dtype=np.uint64)
-        tmp = np.empty(n, dtype=np.uint64)
-        mult = np.uint64(0xBF58476D1CE4E5B9)
-        shift = np.uint64(31)
-        for col in (*X.T, ts):
-            acc ^= np.floor(col / self.h).astype(np.int64).view(np.uint64)
-            acc *= mult
-            np.right_shift(acc, shift, out=tmp)
-            acc ^= tmp
-        return (acc % np.uint64(len(self.values))).astype(np.int64)
+    def index(self, cells):
+        """Row -> value index of the batch whose cells of side h are
+        `cells`, a CellLookup."""
+        return cells.index(self.seed, len(self.values))
 
     def __call__(self, x, t):
         return self.many(np.atleast_1d(x)[None, :], t)[0]
 
     def many(self, X, ts):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return self.values[self._cell_indices(X, np.asarray(ts, dtype=float))]
+        return np.take(self.values, self.index(CellLookup(X, ts, self.h)),
+                       axis=0)
 
 
 def checkerboard_spd(lam, Lam, m0, dim, h=0.25, seed=0):

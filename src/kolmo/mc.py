@@ -5,11 +5,14 @@ exp(int c dt).
 
 Paths run in fixed-size chunks, each stepped in place as a column-major
 (N, n) state, one contiguous row per coordinate, in buffers allocated once
-per chunk; the fields see the (n, N) row view X.T.  Each chunk draws from
-its own child stream of the master seed, so the ensemble and every CSV and
-report made from it are byte-identical at any number of worker threads.
-Every chunk runs in a copy of the caller's context, so the caller's
-np.errstate reaches the worker threads.
+per chunk; the fields see the (n, N) row view X.T.  Checkerboard fields
+are read as tables: each step works out the state's cells once per cell
+side, and every checkerboard of that side indexes its table through them.
+A checkerboard A0's table holds the factors of its values, made once per
+call.  Each chunk draws from its own child stream of the master seed, so
+the ensemble and every CSV and report made from it are byte-identical at
+any number of worker threads.  Every chunk runs in a copy of the caller's
+context, so the caller's np.errstate reaches the worker threads.
 """
 
 import contextvars
@@ -18,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .coefficients import CellLookup, CheckerboardField
 from .errors import ArgumentError, NonFinite, NotSPD
 from .group import Geometry
 
@@ -126,6 +130,23 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
                                    config.lam)[0]
         # contiguous, so the per-step product need not walk a transposed view
         sigma_T = np.ascontiguousarray(const_sigma.T)
+    # A checkerboard is read as a table indexed through the step's cell
+    # lookup of its side h, one lookup per side shared by the fields: A0's
+    # table holds the factors of its values, so a non-SPD value is refused
+    # before any path is stepped; c's holds dt * c.
+    tables = {}
+    if isinstance(A0f, CheckerboardField):
+        tables["A0"] = _sigma_chunk(
+            np.reshape(A0f.values, (-1, m0, m0)), config.lam)
+    if isinstance(bf, CheckerboardField):
+        tables["b"] = np.reshape(bf.values, (-1, m0))
+    if isinstance(cf, CheckerboardField):
+        tables["c"] = dt * np.reshape(cf.values, (-1,))
+    sides = {coeffs[k].h for k in tables}
+
+    def read(name, cells):
+        f = coeffs[name]
+        return np.take(tables[name], f.index(cells[f.h]), axis=0)
 
     nchunks = -(-config.paths // CHUNK)
     final = np.empty((config.paths, N))
@@ -145,12 +166,17 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
         for _ in range(nsteps):
             rng.standard_normal(out=dW)
             dW *= sqdt
+            cells = {h: CellLookup(X.T, t, h) for h in sides}
             # (-B X + b) dt as (B X - b) * -dt, in place: negation is exact
             np.matmul(B, X, out=D)
-            if bf is not None:
+            if "b" in tables:
+                D[:m0] -= read("b", cells).T
+            elif bf is not None:
                 D[:m0] -= np.reshape(bf.many(X.T, t), (n, m0)).T
             D *= -dt
-            if const_sigma is None:
+            if "A0" in tables:
+                noise = np.einsum("kij,kj->ki", read("A0", cells), dW)
+            elif const_sigma is None:
                 sig = _sigma_chunk(
                     np.reshape(A0f.many(X.T, t), (n, m0, m0)), config.lam)
                 noise = np.einsum("kij,kj->ki", sig, dW)
@@ -160,7 +186,9 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
                 noise = np.multiply(dW, const_sigma[0, 0], out=dW)
             else:
                 noise = dW @ sigma_T
-            if cf is not None:
+            if "c" in tables:
+                lw += read("c", cells)
+            elif cf is not None:
                 lw += dt * np.asarray(cf.many(X.T, t)).reshape(n)
             X[:m0] += noise.T
             X += D

@@ -49,26 +49,55 @@ def _column_stack_hash(f, X, ts):
     return f.values[(acc % np.uint64(len(f.values))).astype(np.int64)]
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
+def _hash_batches(dim, h, rng):
+    """(name, X, ts, whether the lookup must hash per row) for the
+    checkerboard lookup: dense and sparse batches, one inside a single
+    cell, and rows holding inf and NaN, with per-row and scalar times."""
+    dense = np.concatenate([rng.uniform(-0.2, 0.45, size=(3000, dim)),
+                            h * rng.integers(-1, 2, size=(300, dim))])
+    sparse = np.concatenate([rng.normal(scale=100.0, size=(500, dim)),
+                             h * rng.integers(-12, 12, size=(200, dim)),
+                             -np.abs(rng.normal(size=(100, dim)))])
+    one = rng.uniform(1.01 * h, 1.99 * h, size=(50, dim))
+    bad = dense.copy()
+    bad[[3, 50, 700], [0, dim - 1, 0]] = [np.inf, np.nan, -np.inf]
+    out = []
+    for name, X, sparse_rows in (("dense", dense, False),
+                                 ("sparse", sparse, True),
+                                 ("one cell", one, False),
+                                 ("non-finite", bad, True)):
+        per_row = rng.uniform(-0.2, 0.45, len(X))
+        per_row[:len(X) // 10] = h * rng.integers(-1, 2, len(X) // 10)
+        for t in (per_row, -0.5, 0.3, 0.0):
+            out.append((name, X, t, sparse_rows))
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_checkerboard_hash_matches_column_stack_reference(dim):
-    """The column-wise hash draws bitwise the cells of the reference, with
-    negative coordinates, coordinates on cell edges (exact multiples of h),
-    and both a scalar time and one time per row."""
+    """The cell lookup draws bitwise the cells of the reference, with 2
+    and 3 values, whether it hashes the bounding box of a dense batch or
+    each row of a sparse one, with negative coordinates, coordinates on
+    cell edges (exact multiples of h), and both a scalar time and one time
+    per row.  A batch inside one cell takes the box; rows holding inf or
+    NaN, whose cells span about 2**64 box cells, take the per-row hash."""
     h = 0.25
-    f = coeff.CheckerboardField([np.array([[1.0]]), np.array([[2.5]]),
-                                 np.array([[0.7]])], h=h, dim=dim, seed=29)
-    rng = np.random.default_rng(dim)
-    X = np.concatenate([rng.normal(scale=3.0, size=(500, dim)),
-                        h * rng.integers(-12, 12, size=(200, dim)),
-                        -np.abs(rng.normal(size=(100, dim)))])
-    ts = np.concatenate([rng.uniform(-2.0, 2.0, 400),
-                         h * rng.integers(-8, 8, 400)])
-    for t in (ts, -0.5, 0.3, 0.0):
-        want = _column_stack_hash(f, X, t)
-        assert np.array_equal(f.many(X, t), want)
-        assert np.array_equal(f(X[7], np.broadcast_to(t, len(X))[7]),
-                              want[7])
-    assert len(np.unique(f.many(X, ts))) == 3
+    values = [np.array([[1.0]]), np.array([[2.5]]), np.array([[0.7]])]
+    batches = _hash_batches(dim, h, np.random.default_rng(dim))
+    for count in (2, 3):
+        f = coeff.CheckerboardField(values[:count], h=h, dim=dim, seed=29)
+        for name, X, t, sparse_rows in batches:
+            with np.errstate(invalid="ignore"):
+                want = _column_stack_hash(f, X, t)
+                cells = coeff.CellLookup(X, t, h)
+                got = f.many(X, t)
+                one = f(X[7], np.broadcast_to(t, len(X))[7])
+            assert (cells.box is None) == sparse_rows, name
+            assert np.array_equal(f.values[f.index(cells)], want), name
+            assert np.array_equal(got, want), name
+            assert np.array_equal(one, want[7]), name
+            if name == "sparse":
+                assert len(np.unique(got)) == count
 
 
 def test_check_ellipticity_checkerboard():

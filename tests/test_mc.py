@@ -7,7 +7,8 @@ from test_structure import random_canonical_B
 
 from kolmo import kernel as kern
 from kolmo import mc, pde
-from kolmo.coefficients import CheckerboardField, ConstantField
+from kolmo.coefficients import CheckerboardField, ConstantField, \
+    checkerboard_spd
 from kolmo.errors import ArgumentError, NonFinite, NotSPD
 from kolmo.group import Geometry
 from kolmo.structure import BlockStructure
@@ -87,17 +88,27 @@ def _row_major_simulate(coeffs, geometry, x0, t0, t1, config):
     return final, logw
 
 
-def _rough_coeffs(m0, N, with_bc):
-    """Checkerboard A0 (SPD cells, off-diagonal for m0 > 1), plus
-    checkerboard b and c when with_bc."""
+def _rough_coeffs(m0, N, with_bc, h_bc=0.5):
+    """Checkerboard A0 (SPD cells, off-diagonal for m0 > 1) of side 0.25,
+    plus checkerboard b and c of side h_bc when with_bc."""
     A = np.eye(m0) + 0.3 * (np.ones((m0, m0)) - np.eye(m0))
     coeffs = {"A0": CheckerboardField([A, 2.0 * np.eye(m0)], h=0.25,
                                       dim=N, seed=3)}
     if with_bc:
         coeffs["b"] = CheckerboardField([np.full(m0, 0.5), np.full(m0, -0.3)],
-                                        h=0.5, dim=N, seed=4)
-        coeffs["c"] = CheckerboardField([-0.2, 0.1], h=0.5, dim=N, seed=5)
+                                        h=h_bc, dim=N, seed=4)
+        coeffs["c"] = CheckerboardField([-0.2, 0.1], h=h_bc, dim=N, seed=5)
     return coeffs
+
+
+def _benchmark_rough_coeffs(N):
+    """The rough benchmark's layout: checkerboard A0, b and c of one side,
+    A0 drawing from {0.5, 1.5}, b from {-0.5, 0.5} and c from {-0.5, 0}."""
+    return {"A0": checkerboard_spd(0.5, 1.5, 1, N, h=0.25, seed=21),
+            "b": CheckerboardField([np.array([-0.5]), np.array([0.5])],
+                                   h=0.25, dim=N, seed=22),
+            "c": CheckerboardField([np.array(-0.5), np.array(0.0)],
+                                   h=0.25, dim=N, seed=23)}
 
 
 def _ensembles(coeffs, g, x0, paths):
@@ -108,17 +119,22 @@ def _ensembles(coeffs, g, x0, paths):
 
 
 @pytest.mark.parametrize("blocks", [(1, 1), (1, 1, 1)])
-@pytest.mark.parametrize("kind", ["constant", "checkerboard"])
+@pytest.mark.parametrize("kind", ["constant", "checkerboard", "one side"])
 def test_column_major_loop_bitwise_row_major(blocks, kind):
     """Where every row of B has one non-zero the column-major loop is
     bitwise the old row-major one, at 1 and 2 threads, over a partial
-    last chunk, with constant A0 or checkerboard A0, b and c."""
+    last chunk, with constant A0 or checkerboard A0, b and c: of two sides,
+    each read through its own cell lookup, or of one side sharing one, as
+    in the rough benchmark.  The old loop reads each field by its own
+    many."""
     g = Geometry(BlockStructure(blocks),
                  random_canonical_B(blocks, np.random.default_rng(7)))
     if kind == "constant":
         coeffs = {"A0": ConstantField(np.array([[0.7]]), dim=g.N)}
-    else:
+    elif kind == "checkerboard":
         coeffs = _rough_coeffs(1, g.N, with_bc=True)
+    else:
+        coeffs = _benchmark_rough_coeffs(g.N)
     x0 = np.linspace(-0.3, 0.4, g.N)
     paths = mc.CHUNK + 1000
     final, logw = _row_major_simulate(
@@ -126,7 +142,7 @@ def test_column_major_loop_bitwise_row_major(blocks, kind):
     for ens in _ensembles(coeffs, g, x0, paths):
         assert np.array_equal(ens.final, final)
         assert np.array_equal(ens.weights, np.exp(logw))
-    assert np.any(logw != 0.0) == (kind == "checkerboard")
+    assert np.any(logw != 0.0) == (kind != "constant")
 
 
 @pytest.mark.parametrize("blocks", [(2, 1), (2, 2, 1)])
@@ -134,13 +150,15 @@ def test_column_major_loop_matches_row_major_dense_B(blocks):
     """With several non-zeros in a row of B the matmul may fuse or reorder
     the multiply-adds, so the old loop is matched to 1e-13 of the state;
     thread counts still agree bitwise.  The inputs are an m0 = 2
-    checkerboard A0 and a constant one, which takes the sigma^T product
-    built once per call."""
+    checkerboard A0, alone and with b and c of its side, each factored once
+    per value of its table where the old loop factors every state, and a
+    constant one, which takes the sigma^T product built once per call."""
     g = Geometry(BlockStructure(blocks),
                  random_canonical_B(blocks, np.random.default_rng(5)))
     x0 = np.linspace(-0.3, 0.4, g.N)
     paths = mc.CHUNK + 1000
     for coeffs in (_rough_coeffs(2, g.N, with_bc=False),
+                   _rough_coeffs(2, g.N, with_bc=True, h_bc=0.25),
                    {"A0": ConstantField(np.array([[1.0, 0.3], [0.3, 0.6]]),
                                         dim=g.N)}):
         final, _ = _row_major_simulate(
@@ -211,19 +229,27 @@ def test_not_spd_diffusion(proto):
         mc.simulate(coeffs, proto, np.zeros(2), 0.0, 0.1, cfg)
 
 
-@pytest.mark.parametrize("kind", ["checkerboard", "constant"])
+@pytest.mark.parametrize("kind", ["checkerboard", "unvisited", "constant"])
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
 def test_not_spd_diffusion_pivots(proto, kind, bad):
-    """Both the per-state factor of a rough A0 and the one factor of a
-    constant A0 reject a zero, a negative or a NaN pivot."""
-    if kind == "checkerboard":
-        A0 = CheckerboardField([np.array([[1.0]]), np.array([[bad]])],
-                               h=0.25, dim=2, seed=3)
-    else:
+    """The factors of a checkerboard A0's values and the one factor of a
+    constant A0 reject a zero, a negative or a NaN pivot.  A checkerboard
+    is refused before any path is stepped, even where no path can reach
+    the bad value: its cells are 10^6 wide, and every path stays in the
+    cell of x0 and t0, which draws the good value."""
+    x0 = np.zeros(2)
+    if kind == "constant":
         A0 = ConstantField(np.array([[bad]]), dim=2)
+    else:
+        h, seed = (0.25, 3) if kind == "checkerboard" else (1e6, 0)
+        A0 = CheckerboardField([np.array([[1.0]]), np.array([[bad]])],
+                               h=h, dim=2, seed=seed)
+    if kind == "unvisited":
+        x0 = np.full(2, 5e5)
+        assert A0(x0, 0.0)[0, 0] == 1.0 and A0(x0, 0.5)[0, 0] == 1.0
     cfg = mc.McConfig(paths=2000, dt=1e-2, seed=0)
     with pytest.raises(NotSPD):
-        mc.simulate({"A0": A0}, proto, np.zeros(2), 0.0, 0.5, cfg)
+        mc.simulate({"A0": A0}, proto, x0, 0.0, 0.5, cfg)
 
 
 def test_sigma_chunk_matches_lapack_cholesky():

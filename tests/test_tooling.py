@@ -1,6 +1,8 @@
-"""Static checks over the library source, by parsing it with ast."""
+"""Static checks over the library source, by parsing it with ast, and a
+check that the benchmark tracer's targets resolve."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import kolmo
@@ -116,3 +118,20 @@ def test_every_default_is_set_by_some_call():
              if not any(arg in kw or (i is not None and npos > i)
                         for npos, kw in calls.get(fn, ()))]
     assert not unset, unset
+
+
+def test_tracer_targets_resolve():
+    """perfbench/tracer.py wraps its targets where they are looked up: a
+    class's own attribute (`owner.__dict__[attr]`, so a method moved to a
+    base class or out of the class body would be wrapped nowhere) or a
+    module global.  Every target resolves to a callable."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = tracer.targets()
+    assert targets
+    for name, owner, attr, _ in targets:
+        fn = (owner.__dict__.get(attr) if isinstance(owner, type)
+              else getattr(owner, attr, None))
+        assert callable(fn), name

@@ -14,9 +14,7 @@ import sys
 import numpy as np
 
 from . import coefficients as coeff
-from . import kernel as kern
-from . import mc as mcmod
-from . import pde, specfile, verify
+from . import specfile
 from .errors import (ArgumentError, BoxTooSmall, ConeUnresolved,
                      CylinderUnresolved, NoAdmissibleFit, NonFinite,
                      NotCanonical, NotNonnegative, NotSPD, RankDeficient,
@@ -35,10 +33,12 @@ _SOLVER_ERRORS = (Unstable, BoxTooSmall, SupportExceedsGrid)
 _MC_ERRORS = (NonFinite,)
 _VERIFY_ERRORS = (NoAdmissibleFit, CylinderUnresolved, ConeUnresolved,
                   NotNonnegative)
-DT_HELP = (f"time step; default {pde.DIFFUSION_STEPS} h^2 / (2 Lambda m0) "
+# pde.DIFFUSION_STEPS and pde.COURANT, written out so that building the
+# parser does not import the solver
+DT_HELP = ("time step; default 4 h^2 / (2 Lambda m0) "
            "(h the finest x^(0) spacing, Lambda the larger of the spec's "
            "ellipticity bound and a probe of A0), within the caps: "
-           f"{pde.COURANT} h / |b|_1 where b is present and h^2 / "
+           "0.9 h / |b|_1 where b is present and h^2 / "
            "(2 Lambda m0) where A0 has off-diagonal entries; a --dt above "
            "a cap exits 5")
 
@@ -47,9 +47,17 @@ def emit(report):
     sys.stdout.write(specfile.dumps_stable(report) + "\n")
 
 
+def _finite(s):
+    """float(s); a ValueError unless it is finite."""
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError(f"{s!r} is not a finite number")
+    return v
+
+
 def _floats(s):
     try:
-        return np.array([float(v) for v in s.split(",")], dtype=float)
+        return np.array([_finite(v) for v in s.split(",")], dtype=float)
     except ValueError as exc:
         raise SpecError(f"{s!r}: {exc}") from exc
 
@@ -97,7 +105,9 @@ def _ranged(conv, ok, what):
 
 
 _positive_int = _ranged(int, lambda n: n >= 1, "an integer >= 1")
-_positive_float = _ranged(float, lambda x: x > 0.0, "a number > 0")
+_number = _ranged(float, math.isfinite, "a finite number")
+_positive_float = _ranged(float, lambda x: 0.0 < x < math.inf,
+                          "a finite number > 0")
 
 
 def _resolved(args, **extra):
@@ -126,7 +136,7 @@ def _points_from_args(args, N):
         with open(args.points, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         try:
-            pts = np.array([[float(v) for v in r] for r in rows[1:]])
+            pts = np.array([[_finite(v) for v in r] for r in rows[1:]])
         except ValueError as exc:
             raise SpecError(f"--points {args.points!r}: {exc}") from exc
         if pts.ndim != 2 or pts.shape[1] != N + 1:
@@ -138,7 +148,7 @@ def _points_from_args(args, N):
         for part in args.grid.split(";"):
             try:
                 lo, hi, n = part.split(":")
-                lo, hi, n = float(lo), float(hi), int(n)
+                lo, hi, n = _finite(lo), _finite(hi), int(n)
             except ValueError as exc:
                 raise SpecError(f"--grid part {part!r} is not lo:hi:n: "
                                 f"{exc}") from exc
@@ -153,6 +163,7 @@ def _points_from_args(args, N):
 
 
 def cmd_kernel_eval(args):
+    from . import kernel as kern
     spec = specfile.load(args.spec)
     g = spec.geometry
     pole = point(_vector(args, "pole", g.N), args.t0)
@@ -172,6 +183,7 @@ def cmd_kernel_eval(args):
 def _homogeneity_defect(g):
     """max |Gamma(delta_r z) - r^-Q Gamma(z)| / (r^-Q Gamma(z)) over 1000
     seeded samples, pole at the origin, principal kernel."""
+    from . import kernel as kern
     rng = np.random.default_rng(0)
     draws = []
     for _ in range(1000):
@@ -191,6 +203,7 @@ def _homogeneity_defect(g):
 
 
 def cmd_kernel_reproduce(args):
+    from . import kernel as kern
     spec = specfile.load(args.spec)
     g = spec.geometry
     rng = np.random.default_rng(args.seed)
@@ -210,6 +223,7 @@ def cmd_kernel_reproduce(args):
 
 
 def cmd_solve_cauchy(args):
+    from . import kernel as kern, pde
     spec = specfile.load(args.spec)
     g = spec.geometry
     box = _box(args, g.N)
@@ -236,6 +250,7 @@ def cmd_solve_cauchy(args):
 
 
 def cmd_solve_fundamental(args):
+    from . import pde
     spec = specfile.load(args.spec)
     g = spec.geometry
     box = _box(args, g.N)
@@ -256,6 +271,7 @@ def cmd_solve_fundamental(args):
 
 
 def _simulate(args, spec):
+    from . import mc as mcmod
     cfg = mcmod.McConfig(paths=args.paths, dt=args.dt, seed=args.seed,
                          lam=args.lam, threads=args.threads)
     return mcmod.simulate(spec.fields, spec.geometry,
@@ -276,6 +292,7 @@ def cmd_mc_simulate(args):
 
 
 def cmd_mc_density(args):
+    from . import mc as mcmod
     spec = specfile.load(args.spec)
     ens = _simulate(args, spec)
     box = _box(args, spec.structure.N)
@@ -294,6 +311,7 @@ def cmd_mc_density(args):
 
 
 def cmd_mc_mass(args):
+    from . import mc as mcmod
     spec = specfile.load(args.spec)
     ens = _simulate(args, spec)
     m = mcmod.mass_in_DR(ens, _vector(args, "y", spec.structure.N),
@@ -353,12 +371,14 @@ def _bounds_mode(args):
 
 
 def cmd_check_bounds(args):
+    from . import verify
     _bounds_mode(args)
     spec = specfile.load(args.spec)
     g = spec.geometry
     x0 = _vector(args, "x0", g.N)
     pole = point(x0, args.t0)
     if args.self_test:
+        from . import kernel as kern
         rng = np.random.default_rng(args.seed)
         pts = np.column_stack(
             [rng.uniform(-2.0, 2.0, size=(args.samples, g.N)),
@@ -367,6 +387,7 @@ def cmd_check_bounds(args):
         target = kern.gamma_many(pts, pole, params)
         rep = verify.fit_sandwich(pts, target, pole, g, args.lam, args.lam)
     else:
+        from . import pde
         box = _box(args, g.N)
         nx = _counts(args, "nx", g.N, pde.MIN_AXIS_NODES)
         widths = _floats(args.widths)
@@ -388,6 +409,7 @@ def cmd_check_bounds(args):
 
 
 def _kernel_u(spec, args):
+    from . import kernel as kern
     g = spec.geometry
     params = kern.scaled_params(args.lam, g)
     pole = point(_vector(args, "pole", g.N), args.pole_t0)
@@ -398,6 +420,7 @@ def _kernel_u(spec, args):
 
 
 def cmd_check_harnack(args):
+    from . import verify
     spec = specfile.load(args.spec)
     g = spec.geometry
     u = _kernel_u(spec, args)
@@ -426,6 +449,7 @@ def cmd_check_harnack(args):
 
 
 def cmd_check_cone(args):
+    from . import verify
     spec = specfile.load(args.spec)
     g = spec.geometry
     u = _kernel_u(spec, args)
@@ -437,6 +461,7 @@ def cmd_check_cone(args):
 
 
 def cmd_check_global(args):
+    from . import verify
     spec = specfile.load(args.spec)
     g = spec.geometry
     u = _kernel_u(spec, args)
@@ -475,10 +500,10 @@ def build_parser():
     sp = ksub.add_parser("eval")
     spec_arg(sp)
     sp.add_argument("--pole", required=True)
-    sp.add_argument("--t0", type=float, default=0.0)
+    sp.add_argument("--t0", type=_number, default=0.0)
     sp.add_argument("--points")
     sp.add_argument("--grid")
-    sp.add_argument("--lambda", dest="lam", type=float, default=2.0)
+    sp.add_argument("--lambda", dest="lam", type=_number, default=2.0)
     sp.add_argument("--check-homogeneity", action="store_true")
     sp.add_argument("--out", default="kernel_eval.csv")
     sp.set_defaults(func=cmd_kernel_eval)
@@ -486,7 +511,7 @@ def build_parser():
     spec_arg(sp)
     sp.add_argument("--configs", type=_positive_int, default=100)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--lambda", dest="lam", type=float, default=2.0)
+    sp.add_argument("--lambda", dest="lam", type=_number, default=2.0)
     sp.set_defaults(func=cmd_kernel_reproduce)
 
     vp = sub.add_parser("solve")
@@ -495,12 +520,12 @@ def build_parser():
     spec_arg(sp)
     sp.add_argument("--box", required=True, help="lo,hi;lo,hi;...")
     sp.add_argument("--nx", required=True)
-    sp.add_argument("--t0", type=float, default=0.0)
-    sp.add_argument("--t1", type=float, required=True)
+    sp.add_argument("--t0", type=_number, default=0.0)
+    sp.add_argument("--t1", type=_number, required=True)
     sp.add_argument("--dt", type=_positive_float, help=DT_HELP)
     sp.add_argument("--x0", default="0,0")
     sp.add_argument("--datum", default="gaussian:0.1")
-    sp.add_argument("--lambda", dest="lam", type=float, default=2.0)
+    sp.add_argument("--lambda", dest="lam", type=_number, default=2.0)
     sp.add_argument("--out", default="cauchy.csv")
     sp.set_defaults(func=cmd_solve_cauchy)
     sp = vsub.add_parser("fundamental")
@@ -508,11 +533,11 @@ def build_parser():
     sp.add_argument("--box", required=True)
     sp.add_argument("--nx", required=True)
     sp.add_argument("--x0", default="0,0")
-    sp.add_argument("--t0", type=float, default=0.0)
-    sp.add_argument("--t1", type=float, required=True)
+    sp.add_argument("--t0", type=_number, default=0.0)
+    sp.add_argument("--t1", type=_number, required=True)
     sp.add_argument("--dt", type=_positive_float, help=DT_HELP)
     sp.add_argument("--widths", default="0.3,0.25,0.2")
-    sp.add_argument("--lambda", dest="lam", type=float, default=2.0)
+    sp.add_argument("--lambda", dest="lam", type=_number, default=2.0)
     sp.add_argument("--out", default="fundamental.csv")
     sp.set_defaults(func=cmd_solve_fundamental)
 
@@ -527,9 +552,9 @@ def build_parser():
         sp.add_argument("--dt", type=_positive_float, default=1e-3)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--x0", default="0,0")
-        sp.add_argument("--t0", type=float, default=0.0)
-        sp.add_argument("--t1", type=float, default=0.5)
-        sp.add_argument("--lambda", dest="lam", type=float, default=2.0)
+        sp.add_argument("--t0", type=_number, default=0.0)
+        sp.add_argument("--t1", type=_number, default=0.5)
+        sp.add_argument("--lambda", dest="lam", type=_number, default=2.0)
         if name == "simulate":
             sp.add_argument("--out", default="ensemble.csv")
         if name == "density":
@@ -554,15 +579,15 @@ def build_parser():
     spec_arg(sp)
     sp.add_argument("--self-test", action="store_true")
     sp.add_argument("--x0", default="0,0")
-    sp.add_argument("--t0", type=float, default=0.0)
-    sp.add_argument("--lambda", dest="lam", type=float, default=2.0)
+    sp.add_argument("--t0", type=_number, default=0.0)
+    sp.add_argument("--lambda", dest="lam", type=_number, default=2.0)
     # read with --self-test only
     sp.add_argument("--samples", type=_positive_int)
     sp.add_argument("--seed", type=int)
     # read without --self-test only
-    sp.add_argument("--lambda-plus", dest="lam_plus", type=float)
-    sp.add_argument("--lambda-minus", dest="lam_minus", type=float)
-    sp.add_argument("--err-budget", dest="err_budget", type=float)
+    sp.add_argument("--lambda-plus", dest="lam_plus", type=_number)
+    sp.add_argument("--lambda-minus", dest="lam_minus", type=_number)
+    sp.add_argument("--err-budget", dest="err_budget", type=_number)
     sp.add_argument("--box")
     sp.add_argument("--nx")
     sp.add_argument("--widths")
@@ -570,7 +595,7 @@ def build_parser():
     sp = csub.add_parser("harnack")
     spec_arg(sp)
     sp.add_argument("--center", default="0,0")
-    sp.add_argument("--center-t", dest="center_t", type=float, default=0.5)
+    sp.add_argument("--center-t", dest="center_t", type=_number, default=0.5)
     sp.add_argument("--radius", type=_positive_float, default=0.4)
     sp.add_argument("--omega", default=0.5, type=_ranged(
         float, lambda x: 0.0 < x < 1.0, "a number in (0, 1)"))
@@ -578,8 +603,8 @@ def build_parser():
                     default=3)
     sp.add_argument("--n-time", dest="n_time", type=_positive_int, default=3)
     sp.add_argument("--pole", default="0,0")
-    sp.add_argument("--pole-t0", dest="pole_t0", type=float, default=-2.0)
-    sp.add_argument("--lambda", dest="lam", type=float, default=2.0)
+    sp.add_argument("--pole-t0", dest="pole_t0", type=_number, default=-2.0)
+    sp.add_argument("--lambda", dest="lam", type=_number, default=2.0)
     sp.add_argument("--sweep", default=0, type=_ranged(
         int, lambda n: n >= 0, "an integer >= 0"))
     sp.add_argument("--seed", type=int, default=0)
@@ -588,21 +613,21 @@ def build_parser():
     sp = csub.add_parser("cone")
     spec_arg(sp)
     sp.add_argument("--center", default="0,0")
-    sp.add_argument("--center-t", dest="center_t", type=float, default=0.5)
+    sp.add_argument("--center-t", dest="center_t", type=_number, default=0.5)
     sp.add_argument("--beta", type=_positive_float, default=1.0)
     sp.add_argument("--radius", type=_positive_float, default=0.5)
     sp.add_argument("--R", type=_positive_float, default=0.5)
     sp.add_argument("--pole", default="0,0")
-    sp.add_argument("--pole-t0", dest="pole_t0", type=float, default=-2.0)
-    sp.add_argument("--lambda", dest="lam", type=float, default=2.0)
+    sp.add_argument("--pole-t0", dest="pole_t0", type=_number, default=-2.0)
+    sp.add_argument("--lambda", dest="lam", type=_number, default=2.0)
     sp.set_defaults(func=cmd_check_cone)
     sp = csub.add_parser("global")
     spec_arg(sp)
     sp.add_argument("--pairs", type=_positive_int, default=50)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--pole", default="0,0")
-    sp.add_argument("--pole-t0", dest="pole_t0", type=float, default=-2.0)
-    sp.add_argument("--lambda", dest="lam", type=float, default=2.0)
+    sp.add_argument("--pole-t0", dest="pole_t0", type=_number, default=-2.0)
+    sp.add_argument("--lambda", dest="lam", type=_number, default=2.0)
     sp.set_defaults(func=cmd_check_global)
 
     return p

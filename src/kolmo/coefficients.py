@@ -4,9 +4,11 @@ mollification, moduli of continuity and group rescaling.
 A Field is evaluable at any (x, t) inside its window and returns a scalar,
 an m0-vector or a symmetric m0 x m0 matrix.  Fields are immutable and pure.
 A checkerboard reads a batch through a CellLookup, which works out the
-batch's cells once; fields of one cell side can share it.
+batch's cells once; fields of one cell side can share it, and a read
+gathers each scalar component of a value with one 1-D take.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -98,6 +100,13 @@ class GridField(Field):
         return np.asarray(self._interp(np.column_stack([X, ts])))
 
 
+_HASH_MULT, _HASH_SHIFT = np.uint64(0xBF58476D1CE4E5B9), np.uint64(31)
+
+
+def _hash_start(seed):
+    return (seed + 0x9E3779B97F4A7C15) % 2 ** 64
+
+
 class CellLookup:
     """The space-time cells of side h of a batch of rows X at times ts (a
     scalar or one per row): the integer columns floor(x_1/h), ...,
@@ -106,19 +115,24 @@ class CellLookup:
 
     The hash is splitmix-style, mixing the columns in that order.  When the
     bounding box of the batch's cells holds fewer cells than the batch has
-    rows, it runs once per box cell and each row gathers its value through
-    its flat index in the box.  Otherwise (a sparse batch, or rows whose
-    non-finite coordinates cast to INT64_MIN) it runs once per row, in
-    place on one uint64 accumulator.  Both give bitwise the same index.
+    rows, it runs once per box cell and each row reads through its flat
+    index in the box: a checkerboard's values are taken at the box cells,
+    and then each scalar component is gathered for every row by that flat
+    index.  Otherwise (a sparse batch, or rows whose non-finite coordinates
+    cast to INT64_MIN) it runs once per row, in place on one uint64
+    accumulator.  Both give bitwise the same values.  A lookup built with
+    prev, the lookup of the batch a step before, takes over prev's box
+    hashes when its box is the same.
     """
 
-    def __init__(self, X, ts, h):
+    def __init__(self, X, ts, h, prev=None):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         n = X.shape[0]
-        self.n = n
+        self.n, self.h = n, h
         self.cols = cols = [np.floor(c / h).astype(np.int64)
                             for c in (*X.T, np.asarray(ts, dtype=float))]
-        self.box = self.flat = None
+        self.box = self.flat = self.key = None
+        self._hashed = {}
         if n == 0:
             return
         # python ints: a non-finite row's span is about 2**64 cells
@@ -128,35 +142,72 @@ class CellLookup:
             return
         # the box path keeps only each row's flat index
         self.cols = None
+        self.key = (*lo, *spans)
+        if prev is not None and prev.key == self.key:
+            self._hashed = prev._hashed
         self.box = [np.arange(a, a + s, dtype=np.int64)
                     for a, s in zip(lo, spans)]
-        flat = np.zeros(n, dtype=np.intp)
+        flat = None
         for c, a, s in zip(cols, lo, spans):
             if s > 1:
-                flat *= s
-                flat += c - a
-        self.flat = flat
+                c -= a
+                if flat is None:
+                    flat = c.astype(np.intp, copy=False)
+                else:
+                    flat *= s
+                    flat += c
+        self.flat = np.zeros(n, dtype=np.intp) if flat is None else flat
+
+    def at(self, t):
+        """The same rows at the one time t, for a lookup built at one time:
+        only the time column changes, so the spatial cells, the path and
+        the flat indices are shared."""
+        tcell = np.floor(np.asarray(t, dtype=float) / self.h).astype(np.int64)
+        out = copy.copy(self)
+        out.key, out._hashed = None, {}
+        if self.box is None:
+            out.cols = self.cols[:-1] + [tcell]
+        else:
+            out.box = self.box[:-1] + [tcell.reshape(1)]
+        return out
+
+    def _box_index(self, seed, count):
+        """The hash's index at each box cell, in the order of self.flat;
+        computed once per box, seed and count, and shared with the lookups
+        made with this one as prev whose box is the same."""
+        out = self._hashed.get((seed, count))
+        if out is None:
+            acc = np.full((), _hash_start(seed), dtype=np.uint64)
+            for ax in self.box:
+                acc = acc[..., None] ^ ax.view(np.uint64)
+                acc *= _HASH_MULT
+                acc ^= acc >> _HASH_SHIFT
+            out = self._hashed[(seed, count)] = (
+                acc.ravel() % np.uint64(count)).astype(np.intp)
+        return out
 
     def index(self, seed, count):
         """Row -> index in [0, count) drawn by the hash seeded with seed."""
-        mult, shift = np.uint64(0xBF58476D1CE4E5B9), np.uint64(31)
-        start = (seed + 0x9E3779B97F4A7C15) % 2 ** 64
         if self.box is not None:
-            acc = np.full((), start, dtype=np.uint64)
-            for ax in self.box:
-                acc = acc[..., None] ^ ax.view(np.uint64)
-                acc *= mult
-                acc ^= acc >> shift
-            return np.take((acc.ravel() % np.uint64(count)).astype(np.intp),
-                           self.flat)
-        acc = np.full(self.n, start, dtype=np.uint64)
+            return np.take(self._box_index(seed, count), self.flat)
+        acc = np.full(self.n, _hash_start(seed), dtype=np.uint64)
         tmp = np.empty(self.n, dtype=np.uint64)
         for col in self.cols:
             acc ^= col.view(np.uint64)
-            acc *= mult
-            np.right_shift(acc, shift, out=tmp)
+            acc *= _HASH_MULT
+            np.right_shift(acc, _HASH_SHIFT, out=tmp)
             acc ^= tmp
         return (acc % np.uint64(count)).astype(np.intp)
+
+    def read(self, seed, values):
+        """values[index(seed, len(values))] at the rows, as one (n,) array
+        per scalar component of a value, in C order."""
+        table = np.reshape(values, (len(values), -1))
+        if self.box is None:
+            where = self.index(seed, len(values))
+        else:
+            table, where = table[self._box_index(seed, len(values))], self.flat
+        return [np.take(col, where) for col in table.T]
 
 
 class CheckerboardField(Field):
@@ -173,17 +224,12 @@ class CheckerboardField(Field):
         self.h = float(h)
         self.seed = int(seed)
 
-    def index(self, cells):
-        """Row -> value index of the batch whose cells of side h are
-        `cells`, a CellLookup."""
-        return cells.index(self.seed, len(self.values))
-
     def __call__(self, x, t):
         return self.many(np.atleast_1d(x)[None, :], t)[0]
 
     def many(self, X, ts):
-        return np.take(self.values, self.index(CellLookup(X, ts, self.h)),
-                       axis=0)
+        cols = CellLookup(X, ts, self.h).read(self.seed, self.values)
+        return np.stack(cols, axis=-1).reshape((-1,) + self.shape)
 
 
 def checkerboard_spd(lam, Lam, m0, dim, h=0.25, seed=0):

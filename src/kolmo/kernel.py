@@ -109,8 +109,8 @@ class KernelParams:
     geometry: Geometry
 
     def __post_init__(self):
-        if self.lam <= 0.0:
-            raise ArgumentError("lam must be positive")
+        if not self.lam > 0.0:
+            raise ArgumentError(f"lam must be positive, got {self.lam!r}")
         self.trB = float(np.trace(self.geometry.B))
         self.poly = covariance_poly_coeffs(
             self.geometry.B, np.eye(self.geometry.structure.m0))

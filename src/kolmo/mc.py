@@ -7,12 +7,14 @@ Paths run in fixed-size chunks, each stepped in place as a column-major
 (N, n) state, one contiguous row per coordinate, in buffers allocated once
 per chunk; the fields see the (n, N) row view X.T.  Checkerboard fields
 are read as tables: each step works out the state's cells once per cell
-side, and every checkerboard of that side indexes its table through them.
-A checkerboard A0's table holds the factors of its values, made once per
-call.  Each chunk draws from its own child stream of the master seed, so
-the ensemble and every CSV and report made from it are byte-identical at
-any number of worker threads.  Every chunk runs in a copy of the caller's
-context, so the caller's np.errstate reaches the worker threads.
+side, reusing the last step's box hashes while the box of cells holds,
+and every checkerboard of that side gathers each scalar component of its
+table through them.  A checkerboard A0's table holds the factors of its
+values, made once per call.  Each chunk draws from its own child stream
+of the master seed, so the ensemble and every CSV and report made from it
+are byte-identical at any number of worker threads.  Every chunk runs in
+a copy of the caller's context, so the caller's np.errstate reaches the
+worker threads.
 """
 
 import contextvars
@@ -40,7 +42,7 @@ class McConfig:
     def __post_init__(self):
         if self.scheme != "euler":
             raise ArgumentError(f"unknown scheme {self.scheme!r}")
-        if self.paths <= 0 or self.dt <= 0.0 or self.lam <= 0.0:
+        if self.paths <= 0 or not (self.dt > 0.0 and self.lam > 0.0):
             raise ArgumentError("paths, dt and lam must be positive")
         if self.threads < 1:
             raise ArgumentError("threads must be positive")
@@ -130,10 +132,11 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
                                    config.lam)[0]
         # contiguous, so the per-step product need not walk a transposed view
         sigma_T = np.ascontiguousarray(const_sigma.T)
-    # A checkerboard is read as a table indexed through the step's cell
-    # lookup of its side h, one lookup per side shared by the fields: A0's
-    # table holds the factors of its values, so a non-SPD value is refused
-    # before any path is stepped; c's holds dt * c.
+    # A checkerboard is read as a table through the step's cell lookup of
+    # its side h, one lookup per side shared by the fields, one (n,) gather
+    # per scalar component: A0's table holds the factors of its values, so
+    # a non-SPD value is refused before any path is stepped; c's holds
+    # dt * c.
     tables = {}
     if isinstance(A0f, CheckerboardField):
         tables["A0"] = _sigma_chunk(
@@ -146,7 +149,7 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
 
     def read(name, cells):
         f = coeffs[name]
-        return np.take(tables[name], f.index(cells[f.h]), axis=0)
+        return cells[f.h].read(f.seed, tables[name])
 
     nchunks = -(-config.paths // CHUNK)
     final = np.empty((config.paths, N))
@@ -163,19 +166,29 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
         dW = np.empty((n, m0))
         lw = np.zeros(n)
         t = t0
+        cells = {}
         for _ in range(nsteps):
             rng.standard_normal(out=dW)
             dW *= sqdt
-            cells = {h: CellLookup(X.T, t, h) for h in sides}
+            cells = {h: CellLookup(X.T, t, h, cells.get(h)) for h in sides}
             # (-B X + b) dt as (B X - b) * -dt, in place: negation is exact
             np.matmul(B, X, out=D)
             if "b" in tables:
-                D[:m0] -= read("b", cells).T
+                for Di, bi in zip(D, read("b", cells)):
+                    Di -= bi
             elif bf is not None:
                 D[:m0] -= np.reshape(bf.many(X.T, t), (n, m0)).T
             D *= -dt
             if "A0" in tables:
-                noise = np.einsum("kij,kj->ki", read("A0", cells), dW)
+                sig = read("A0", cells)
+                if m0 == 1:
+                    # a plain product, in place
+                    dW[:, 0] *= sig[0]
+                    noise = dW
+                else:
+                    noise = np.einsum(
+                        "kij,kj->ki",
+                        np.stack(sig, axis=-1).reshape(n, m0, m0), dW)
             elif const_sigma is None:
                 sig = _sigma_chunk(
                     np.reshape(A0f.many(X.T, t), (n, m0, m0)), config.lam)
@@ -187,7 +200,7 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
             else:
                 noise = dW @ sigma_T
             if "c" in tables:
-                lw += read("c", cells)
+                lw += read("c", cells)[0]
             elif cf is not None:
                 lw += dt * np.asarray(cf.many(X.T, t)).reshape(n)
             X[:m0] += noise.T

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel as kern
-from .coefficients import RANK
+from .coefficients import RANK, CellLookup, CheckerboardField
 from .errors import (ArgumentError, BoundaryNode, BoxTooSmall, OutOfDomain,
                      SupportExceedsGrid, Unstable)
 from .group import Geometry, point, split
@@ -94,10 +94,12 @@ def _grid_points(axes):
 class _GridCoeffs:
     """The operator's coefficient fields sampled on one spatial grid.
 
-    The node rows are built once.  A0 is required (ArgumentError without
-    it); a missing b or c is zero, and it and a field with a fixed `value`
-    (a ConstantField) are sampled once: every t gets the same array back,
-    so callers must not write into it.
+    The node rows are built once, and so is the spatial part of the cell
+    lookup of each checkerboard side.  A0 is required (ArgumentError
+    without it); a missing b or c is zero.  It and a field with a fixed
+    `value` (a ConstantField) are sampled once, a checkerboard once per
+    time cell floor(t / h): the same array comes back for as long as the
+    sample holds, so callers must not write into it.
     """
 
     def __init__(self, coeffs, axes, m0):
@@ -107,20 +109,32 @@ class _GridCoeffs:
         self.dims = tuple(len(a) for a in axes)
         self.pts = _grid_points(axes)
         self.m0 = m0
-        self._fixed = {}
+        self._cells = {}       # cell side -> CellLookup of the node rows
+        self._held = {}        # name -> (time cell or None, sample)
 
     def __call__(self, name, t):
         """Coefficient `name` at time t, shape dims + (m0,) * rank."""
-        if name in self._fixed:
-            return self._fixed[name]
         f = self.coeffs.get(name)
+        # the time cell for which a checkerboard's sample holds; the sample
+        # of a missing or constant field holds for every t
+        cell = np.floor(t / f.h) if isinstance(f, CheckerboardField) else None
+        held = self._held.get(name)
+        if held is not None and held[0] == cell:
+            return held[1]
         shape = self.dims + (self.m0,) * RANK[name]
         if f is None:
             vals = np.zeros(shape)
+        elif cell is not None:
+            cells = self._cells.get(f.h)
+            cells = self._cells[f.h] = (CellLookup(self.pts, t, f.h)
+                                        if cells is None else cells.at(t))
+            vals = np.stack(cells.read(f.seed, f.values),
+                            axis=-1).reshape(shape)
         else:
             vals = np.asarray(f.many(self.pts, t)).reshape(shape)
-        if f is None or getattr(f, "value", None) is not None:
-            self._fixed[name] = vals
+        if (f is None or cell is not None
+                or getattr(f, "value", None) is not None):
+            self._held[name] = (cell, vals)
         return vals
 
 
@@ -466,7 +480,7 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
     peak = interior_max = float(absu.max())
     boundary_max = float(absu[bmask].max())
     positive = bool(u.min() >= 0.0)
-    diffuse = None
+    diffuse = sampled = None
     values = None
     if keep == "all":
         values = np.empty((nt,) + dims)
@@ -477,9 +491,11 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
         if transport is not None:
             u = transport(u)
         # (ii) flux-form diffusion in the x^(0) block, backward Euler along
-        # each axis; its factors are kept while A0 is a constant field
-        if diffuse is None or "A0" not in grid._fixed:
-            diffuse = _ImplicitDiffusion(grid("A0", t), hs, m0, dt)
+        # each axis; its factors are kept while the grid holds A0's sample
+        A0 = grid("A0", t)
+        if A0 is not sampled:
+            sampled = A0
+            diffuse = _ImplicitDiffusion(A0, hs, m0, dt)
             # cross terms the probe missed (at nodes it skips, or after
             # t0) are explicit all the same
             if diffuse.cross and dt > explicit * (1.0 + 1e-12):

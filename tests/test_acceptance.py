@@ -143,10 +143,12 @@ def test_group_geometry_bulk(proto):
 
 def test_mc_matches_kernel_law(proto, proto_coeffs):
     """1e6 paths: mean and covariance within 3 SE of the kernel law; at
-    least 95% of occupied density bins within 3 SE of gamma_K; < 60 s."""
+    least 95% of occupied density bins within 3 SE of gamma_K; < 60 s.
+    Two threads: the ensemble is byte-identical at any thread count."""
     x0 = np.array([0.3, -0.1])
     t0, t1 = 0.0, 0.5
-    cfg = mcmod.McConfig(paths=1_000_000, dt=5e-4, seed=12345, lam=2.0)
+    cfg = mcmod.McConfig(paths=1_000_000, dt=5e-4, seed=12345, lam=2.0,
+                         threads=2)
     tic = time.perf_counter()
     ens = mcmod.simulate(proto_coeffs, proto, x0, t0, t1, cfg)
     tau = t1 - t0

@@ -262,6 +262,23 @@ def test_point_option_needs_N_components(spec_path, tmp_path, capsys,
     ["check", "bounds", "{spec}", "--self-test", "--widths", "0.3"],
     ["check", "bounds", "{spec}", "--samples", "500"],
     ["check", "bounds", "{spec}", "--seed", "0"],
+    ["kernel", "eval", "{spec}", "--pole", "0,0", "--lambda", "nan",
+     "--grid", "0:0:1;0:0:1;1:1:1", "--out", "e.csv"],
+    ["kernel", "eval", "{spec}", "--pole", "0,0",
+     "--grid", "0:nan:2;0:0:1;1:1:1", "--out", "e.csv"],
+    ["kernel", "eval", "{spec}", "--pole", "0,0", "--points", "nan.csv",
+     "--out", "e.csv"],
+    ["check", "harnack", "{spec}", "--lambda", "nan", "--sweep", "2"],
+    ["check", "harnack", "{spec}", "--pole=nan,0", "--sweep", "2"],
+    ["check", "cone", "{spec}", "--center=nan,0"],
+    ["check", "cone", "{spec}", "--center-t", "inf"],
+    ["mc", "mass", "{spec}", "--paths", "10", "--y=nan,0"],
+    ["mc", "mass", "{spec}", "--paths", "10", "--lambda", "nan"],
+    ["mc", "mass", "{spec}", "--paths", "10", "--dt", "inf"],
+    ["solve", "cauchy", "{spec}", "--box=-4,4;-2,2", "--nx", "21,21",
+     "--t1", "0.3", "--lambda", "nan", "--out", "c.csv"],
+    ["solve", "cauchy", "{spec}", "--box=-4,4;-2,2", "--nx", "21,21",
+     "--t1", "inf", "--out", "c.csv"],
 ], ids=["grid-part", "grid-nodes", "box-count", "box-order", "box-number",
         "points-width", "bins", "widths", "eps", "datum-width",
         "datum-number", "mc-paths", "mc-dt", "eps-range", "threads-zero",
@@ -276,7 +293,11 @@ def test_point_option_needs_N_components(spec_path, tmp_path, capsys,
         "cauchy-dt-zero", "cauchy-dt-negative", "fundamental-dt-zero",
         "harnack-n-time", "harnack-n-space", "self-test-lambda-plus",
         "self-test-lambda-minus", "self-test-err-budget", "self-test-box",
-        "self-test-nx", "self-test-widths", "fit-samples", "fit-seed"])
+        "self-test-nx", "self-test-widths", "fit-samples", "fit-seed",
+        "kernel-lambda-nan", "grid-nan", "points-nan", "harnack-lambda-nan",
+        "harnack-pole-nan", "cone-center-nan", "cone-center-t-inf",
+        "mc-mass-y-nan", "mc-lambda-nan", "mc-dt-inf", "cauchy-lambda-nan",
+        "cauchy-t1-inf"])
 def test_malformed_option_exit_2(spec_path, tmp_path, capsys, monkeypatch,
                                  argv):
     """Malformed option values exit 2, through SpecError or the library's
@@ -285,10 +306,21 @@ def test_malformed_option_exit_2(spec_path, tmp_path, capsys, monkeypatch,
     header."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "pts.csv").write_text("x1,t\n0,1\n")
+    (tmp_path / "nan.csv").write_text("x1,x2,t\n0,nan,1\n")
     assert cli.main([a.format(spec=spec_path) for a in argv]) \
         == cli.EXIT_PARSE
     assert "error:" in capsys.readouterr().err
-    assert [p.name for p in tmp_path.glob("*.csv")] == ["pts.csv"]
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) \
+        == ["nan.csv", "pts.csv"]
+
+
+def test_dt_help_states_the_solver_constants():
+    """DT_HELP writes out the solver's step constants, so that building
+    the parser does not import the solver; they must match."""
+    from kolmo import pde
+    assert f"default {pde.DIFFUSION_STEPS} h^2 / (2 Lambda m0)" \
+        in cli.DT_HELP
+    assert f"{pde.COURANT} h / |b|_1 where b is present" in cli.DT_HELP
 
 
 @pytest.mark.parametrize("exc", [np.linalg.LinAlgError, ValueError])
@@ -298,7 +330,7 @@ def test_other_value_error_is_not_exit_2(spec_path, monkeypatch, exc):
     def fail(*args, **kwargs):
         raise exc("raised inside the command")
 
-    monkeypatch.setattr(cli.mcmod, "simulate", fail)
+    monkeypatch.setattr("kolmo.mc.simulate", fail)
     with pytest.raises(exc, match="inside the command"):
         cli.main(["mc", "mass", spec_path, "--paths", "10"])
 
@@ -508,8 +540,14 @@ from kolmo import cli
 code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 print(json.dumps(sorted(m for m in sys.modules
                         if m == "scipy" or m.startswith("scipy."))))
+print(json.dumps(sorted(m for m in sys.modules if m in %r)))
 sys.exit(code)
 """
+# The modules a cold start imports only for the commands that run them,
+# and, by the command's first word, those it does import.
+_ON_DEMAND = ("kolmo.pde", "kolmo.mc", "kolmo.verify", "concurrent.futures")
+_COMMAND_LOADS = {"check": ["kolmo.verify"], "solve": ["kolmo.pde"],
+                  "mc": ["concurrent.futures", "kolmo.mc"]}
 
 
 @pytest.mark.parametrize("argv", [
@@ -532,13 +570,20 @@ sys.exit(code)
                  id="mollify"),
 ], ids=lambda a: " ".join(a[:2]) or "import")
 def test_cold_start_loads_no_scipy(argv, spec_path, cb_spec_path, tmp_path):
+    """No command imports scipy, and each imports the solver, the Monte
+    Carlo (with its thread pool) and the verifier only if it runs them:
+    `structure`, `kernel` and `mollify` import none of them."""
     src = str(Path(kolmo.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", _COLD_START]
+        [sys.executable, "-c", _COLD_START % (_ON_DEMAND,)]
         + [a.format(spec=spec_path, cb=cb_spec_path) for a in argv],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
+    scipy, loaded = proc.stdout.strip().splitlines()[-2:]
+    assert json.loads(scipy) == []
+    words = argv[2:] if argv[:1] == ["--threads"] else argv
+    assert json.loads(loaded) == _COMMAND_LOADS.get(words[0] if words
+                                                    else "", [])

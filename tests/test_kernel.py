@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kolmo import kernel as kern
-from kolmo.errors import NotSPD
+from kolmo.errors import ArgumentError, NotSPD
 from kolmo.group import Geometry, point, prototype_geometry
 from kolmo.structure import BlockStructure
 from test_structure import random_canonical_B
@@ -261,6 +261,12 @@ def test_non_nilpotent_B_rejected():
         Geometry(BlockStructure((1, 1)), B)
     with pytest.raises(ValueError, match="nilpotent"):
         kern.covariance_matrix(1.0, B, np.eye(1))
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, np.nan])
+def test_kernel_params_need_positive_lam(proto, lam):
+    with pytest.raises(ArgumentError, match="lam must be positive"):
+        kern.scaled_params(lam, proto)
 
 
 def test_reproduction_rejects_bad_interval(proto, proto_params):

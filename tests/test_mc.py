@@ -22,6 +22,11 @@ def test_config_validation():
     for threads in (0, -4):
         with pytest.raises(ValueError, match="threads"):
             mc.McConfig(paths=10, dt=1e-3, seed=0, threads=threads)
+    for bad in (0.0, -1.0, np.nan):
+        with pytest.raises(ArgumentError):
+            mc.McConfig(paths=10, dt=bad, seed=0)
+        with pytest.raises(ArgumentError):
+            mc.McConfig(paths=10, dt=1e-3, seed=0, lam=bad)
 
 
 @pytest.mark.parametrize("t0, t1", [(0.5, 0.2), (0.0, 0.0),
@@ -149,16 +154,18 @@ def test_column_major_loop_bitwise_row_major(blocks, kind):
 def test_column_major_loop_matches_row_major_dense_B(blocks):
     """With several non-zeros in a row of B the matmul may fuse or reorder
     the multiply-adds, so the old loop is matched to 1e-13 of the state;
-    thread counts still agree bitwise.  The inputs are an m0 = 2
-    checkerboard A0, alone and with b and c of its side, each factored once
-    per value of its table where the old loop factors every state, and a
-    constant one, which takes the sigma^T product built once per call."""
+    thread counts still agree bitwise, weights included.  The inputs are
+    an m0 = 2 checkerboard A0, alone and with b and c of its side (one
+    lookup) or of another (two lookups), each factored once per value of
+    its table where the old loop factors every state, and a constant one,
+    which takes the sigma^T product built once per call."""
     g = Geometry(BlockStructure(blocks),
                  random_canonical_B(blocks, np.random.default_rng(5)))
     x0 = np.linspace(-0.3, 0.4, g.N)
     paths = mc.CHUNK + 1000
     for coeffs in (_rough_coeffs(2, g.N, with_bc=False),
                    _rough_coeffs(2, g.N, with_bc=True, h_bc=0.25),
+                   _rough_coeffs(2, g.N, with_bc=True),
                    {"A0": ConstantField(np.array([[1.0, 0.3], [0.3, 0.6]]),
                                         dim=g.N)}):
         final, _ = _row_major_simulate(
@@ -166,6 +173,7 @@ def test_column_major_loop_matches_row_major_dense_B(blocks):
             mc.McConfig(paths=paths, dt=0.02, seed=11))
         one, two = _ensembles(coeffs, g, x0, paths)
         assert np.array_equal(one.final, two.final)
+        assert np.array_equal(one.weights, two.weights)
         assert np.max(np.abs(one.final - final)) \
             <= 1e-13 * np.max(np.abs(final))
 

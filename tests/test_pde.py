@@ -541,7 +541,8 @@ def test_audits_catch_non_elliptic_A0(proto):
 
 def _diagonal_A0(blocks):
     """A checkerboard A0 with diagonal values (so the step is monotone),
-    Lambda = 1.5, and no fixed value: the solver samples it every step."""
+    Lambda = 1.5, and no fixed value: the solver samples it once per time
+    cell of side 0.25."""
     g = _canonical_geometry(blocks)
     m0 = g.structure.m0
     lo, hi = np.diag([1.0, 0.5][:m0]), np.diag([1.5, 1.0][:m0])
@@ -579,7 +580,7 @@ def test_implicit_step_inverts_I_minus_dt_D(blocks):
 @pytest.mark.parametrize("blocks", [(1, 1), (2, 1), (1, 1, 1)])
 def test_implicit_step_monotone_at_8x(monkeypatch, blocks):
     """At 8 times the explicit bound h^2 / (2 Lambda m0), with a
-    checkerboard A0 factored afresh on every step, the solve keeps a datum
+    checkerboard A0 factored afresh in each time cell, the solve keeps a datum
     >= 0 so and its sup norm never grows; each step's diffusion alone maps
     data >= 0 to data >= 0 and does not raise the sup norm of any datum."""
     g, field = _diagonal_A0(blocks)
@@ -597,7 +598,9 @@ def test_implicit_step_monotone_at_8x(monkeypatch, blocks):
     sol = pde.solve_cauchy({"A0": field}, g, _Bump(), [[-1.5, 1.5]] * N, nx,
                            0.0, 0.6, dt=dt)
     assert sol.meta["dt"] > 0.9 * dt
-    assert len(steps) == len(sol.taxis) - 1 > 3
+    assert len(sol.taxis) - 1 > 3
+    assert len(steps) == len({math.floor(t / field.h)
+                              for t in sol.taxis[:-1]}) > 1
     assert not np.array_equal(steps[0][0], steps[-1][0]), "A0 moved in time"
     assert np.min(sol.values) >= 0.0
     peaks = np.max(sol.values.reshape(len(sol.taxis), -1), axis=1)
@@ -611,24 +614,29 @@ def test_implicit_step_monotone_at_8x(monkeypatch, blocks):
         assert np.max(np.abs(step(u))) <= np.max(np.abs(u)) * (1.0 + ROUNDOFF)
 
 
-class _ConstantInTime(Field):
-    """A0 = value at every (x, t), without the fixed `value` that tells the
-    solver it may keep its factors."""
+class _Resampled(Field):
+    """The field f read through its own many, without the fixed `value` or
+    the checkerboard type that let the solver hold its samples: the solver
+    samples it, and factors it as A0, afresh on every step."""
 
-    def __init__(self, value, dim):
-        super().__init__(dim, value.shape)
-        self.A = value
+    def __init__(self, f):
+        super().__init__(f.dim, f.shape)
+        self.f = f
 
     def many(self, X, t):
-        return np.broadcast_to(self.A, (len(X),) + self.A.shape)
+        return self.f.many(X, t)
 
 
 @pytest.mark.filterwarnings("ignore:boundary magnitude")
-@pytest.mark.parametrize("blocks", [(1, 1), (2, 1)])
+@pytest.mark.parametrize("blocks", [(1, 1), (2, 1), (1, 1, 1)])
 def test_cached_factors_match_rebuilt(monkeypatch, blocks):
-    """A ConstantField A0 is factored once per solve, a field that may
-    change in time on every step; where that field is in fact constant the
-    two solves agree bitwise."""
+    """A ConstantField A0 is factored once per solve, a checkerboard A0
+    once per time cell, and a field that may change in time on every step.
+    Each solve is bitwise the one that samples its fields through their
+    many and factors A0 on every step: for a constant A0, and for
+    checkerboard A0, b and c, which the grid reads through its own lookup
+    once per time cell (A0's cells of side 0.08 hash per row, b's and c's
+    of side 0.3 per box cell)."""
     g = _canonical_geometry(blocks)
     m0, N = g.structure.m0, g.N
     A = np.diag([1.0, 0.7][:m0])
@@ -640,11 +648,23 @@ def test_cached_factors_match_rebuilt(monkeypatch, blocks):
         return build(*a)
     monkeypatch.setattr(pde, "_ImplicitDiffusion", counted)
     rest = (g, _Bump(), [[-1.5, 1.5]] * N, 17, 0.0, 0.2)
-    cached = pde.solve_cauchy({"A0": ConstantField(A, dim=N)}, *rest)
-    assert len(builds) == 1
-    rebuilt = pde.solve_cauchy({"A0": _ConstantInTime(A, N)}, *rest)
-    assert len(builds) == len(rebuilt.taxis) > 3
-    assert np.array_equal(cached.values, rebuilt.values)
+    constant = {"A0": ConstantField(A, dim=N)}
+    rough = {"A0": CheckerboardField([A, 1.5 * A], h=0.08, dim=N, seed=6),
+             "b": CheckerboardField([np.full(m0, 0.5), np.full(m0, -0.4)],
+                                    h=0.3, dim=N, seed=7),
+             "c": CheckerboardField([np.array(-0.3), np.array(0.2)],
+                                    h=0.3, dim=N, seed=8)}
+    for coeffs, held in ((constant, lambda taxis: 1),
+                         (rough, lambda taxis: len(
+                             {math.floor(t / 0.08) for t in taxis[:-1]}))):
+        builds.clear()
+        cached = pde.solve_cauchy(coeffs, *rest)
+        assert len(builds) == held(cached.taxis) < len(cached.taxis) - 1
+        rebuilt = pde.solve_cauchy(
+            {k: _Resampled(f) for k, f in coeffs.items()}, *rest)
+        assert len(builds) - held(cached.taxis) == len(rebuilt.taxis) - 1
+        assert np.array_equal(cached.values, rebuilt.values)
+    assert held(cached.taxis) > 1
 
 
 @pytest.mark.filterwarnings("ignore:boundary magnitude")

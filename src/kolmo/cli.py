@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from . import coefficients as coeff
+from . import kernel as kern
 from . import specfile
 from .errors import (ArgumentError, BoxTooSmall, ConeUnresolved,
                      CylinderUnresolved, NoAdmissibleFit, NonFinite,
@@ -163,7 +164,6 @@ def _points_from_args(args, N):
 
 
 def cmd_kernel_eval(args):
-    from . import kernel as kern
     spec = specfile.load(args.spec)
     g = spec.geometry
     pole = point(_vector(args, "pole", g.N), args.t0)
@@ -183,7 +183,6 @@ def cmd_kernel_eval(args):
 def _homogeneity_defect(g):
     """max |Gamma(delta_r z) - r^-Q Gamma(z)| / (r^-Q Gamma(z)) over 1000
     seeded samples, pole at the origin, principal kernel."""
-    from . import kernel as kern
     rng = np.random.default_rng(0)
     draws = []
     for _ in range(1000):
@@ -203,7 +202,6 @@ def _homogeneity_defect(g):
 
 
 def cmd_kernel_reproduce(args):
-    from . import kernel as kern
     spec = specfile.load(args.spec)
     g = spec.geometry
     rng = np.random.default_rng(args.seed)
@@ -223,7 +221,7 @@ def cmd_kernel_reproduce(args):
 
 
 def cmd_solve_cauchy(args):
-    from . import kernel as kern, pde
+    from . import pde
     spec = specfile.load(args.spec)
     g = spec.geometry
     box = _box(args, g.N)
@@ -378,7 +376,6 @@ def cmd_check_bounds(args):
     x0 = _vector(args, "x0", g.N)
     pole = point(x0, args.t0)
     if args.self_test:
-        from . import kernel as kern
         rng = np.random.default_rng(args.seed)
         pts = np.column_stack(
             [rng.uniform(-2.0, 2.0, size=(args.samples, g.N)),
@@ -409,7 +406,6 @@ def cmd_check_bounds(args):
 
 
 def _kernel_u(spec, args):
-    from . import kernel as kern
     g = spec.geometry
     params = kern.scaled_params(args.lam, g)
     pole = point(_vector(args, "pole", g.N), args.pole_t0)

@@ -8,7 +8,6 @@ batch's cells once; fields of one cell side can share it, and a read
 gathers each scalar component of a value with one 1-D take.
 """
 
-import copy
 import math
 
 import numpy as np
@@ -120,19 +119,16 @@ class CellLookup:
     and then each scalar component is gathered for every row by that flat
     index.  Otherwise (a sparse batch, or rows whose non-finite coordinates
     cast to INT64_MIN) it runs once per row, in place on one uint64
-    accumulator.  Both give bitwise the same values.  A lookup built with
-    prev, the lookup of the batch a step before, takes over prev's box
-    hashes when its box is the same.
+    accumulator.  Both give bitwise the same values.
     """
 
-    def __init__(self, X, ts, h, prev=None):
+    def __init__(self, X, ts, h):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         n = X.shape[0]
-        self.n, self.h = n, h
+        self.n = n
         self.cols = cols = [np.floor(c / h).astype(np.int64)
                             for c in (*X.T, np.asarray(ts, dtype=float))]
-        self.box = self.flat = self.key = None
-        self._hashed = {}
+        self.box = self.flat = None
         if n == 0:
             return
         # python ints: a non-finite row's span is about 2**64 cells
@@ -142,9 +138,6 @@ class CellLookup:
             return
         # the box path keeps only each row's flat index
         self.cols = None
-        self.key = (*lo, *spans)
-        if prev is not None and prev.key == self.key:
-            self._hashed = prev._hashed
         self.box = [np.arange(a, a + s, dtype=np.int64)
                     for a, s in zip(lo, spans)]
         flat = None
@@ -158,33 +151,14 @@ class CellLookup:
                     flat += c
         self.flat = np.zeros(n, dtype=np.intp) if flat is None else flat
 
-    def at(self, t):
-        """The same rows at the one time t, for a lookup built at one time:
-        only the time column changes, so the spatial cells, the path and
-        the flat indices are shared."""
-        tcell = np.floor(np.asarray(t, dtype=float) / self.h).astype(np.int64)
-        out = copy.copy(self)
-        out.key, out._hashed = None, {}
-        if self.box is None:
-            out.cols = self.cols[:-1] + [tcell]
-        else:
-            out.box = self.box[:-1] + [tcell.reshape(1)]
-        return out
-
     def _box_index(self, seed, count):
-        """The hash's index at each box cell, in the order of self.flat;
-        computed once per box, seed and count, and shared with the lookups
-        made with this one as prev whose box is the same."""
-        out = self._hashed.get((seed, count))
-        if out is None:
-            acc = np.full((), _hash_start(seed), dtype=np.uint64)
-            for ax in self.box:
-                acc = acc[..., None] ^ ax.view(np.uint64)
-                acc *= _HASH_MULT
-                acc ^= acc >> _HASH_SHIFT
-            out = self._hashed[(seed, count)] = (
-                acc.ravel() % np.uint64(count)).astype(np.intp)
-        return out
+        """The hash's index at each box cell, in the order of self.flat."""
+        acc = np.full((), _hash_start(seed), dtype=np.uint64)
+        for ax in self.box:
+            acc = acc[..., None] ^ ax.view(np.uint64)
+            acc *= _HASH_MULT
+            acc ^= acc >> _HASH_SHIFT
+        return (acc.ravel() % np.uint64(count)).astype(np.intp)
 
     def index(self, seed, count):
         """Row -> index in [0, count) drawn by the hash seeded with seed."""

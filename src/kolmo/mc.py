@@ -7,14 +7,13 @@ Paths run in fixed-size chunks, each stepped in place as a column-major
 (N, n) state, one contiguous row per coordinate, in buffers allocated once
 per chunk; the fields see the (n, N) row view X.T.  Checkerboard fields
 are read as tables: each step works out the state's cells once per cell
-side, reusing the last step's box hashes while the box of cells holds,
-and every checkerboard of that side gathers each scalar component of its
-table through them.  A checkerboard A0's table holds the factors of its
-values, made once per call.  Each chunk draws from its own child stream
-of the master seed, so the ensemble and every CSV and report made from it
-are byte-identical at any number of worker threads.  Every chunk runs in
-a copy of the caller's context, so the caller's np.errstate reaches the
-worker threads.
+side, and every checkerboard of that side gathers each scalar component
+of its table through them.  A checkerboard A0's table holds the factors
+of its values, made once per call.  Each chunk draws from its own child
+stream of the master seed, so the ensemble and every CSV and report made
+from it are byte-identical at any number of worker threads.  Every chunk
+runs in a copy of the caller's context, so the caller's np.errstate
+reaches the worker threads.
 """
 
 import contextvars
@@ -166,11 +165,10 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
         dW = np.empty((n, m0))
         lw = np.zeros(n)
         t = t0
-        cells = {}
         for _ in range(nsteps):
             rng.standard_normal(out=dW)
             dW *= sqdt
-            cells = {h: CellLookup(X.T, t, h, cells.get(h)) for h in sides}
+            cells = {h: CellLookup(X.T, t, h) for h in sides}
             # (-B X + b) dt as (B X - b) * -dt, in place: negation is exact
             np.matmul(B, X, out=D)
             if "b" in tables:

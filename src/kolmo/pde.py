@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel as kern
-from .coefficients import RANK, CellLookup, CheckerboardField
+from .coefficients import RANK, CheckerboardField
 from .errors import (ArgumentError, BoundaryNode, BoxTooSmall, OutOfDomain,
                      SupportExceedsGrid, Unstable)
 from .group import Geometry, point, split
@@ -94,12 +94,11 @@ def _grid_points(axes):
 class _GridCoeffs:
     """The operator's coefficient fields sampled on one spatial grid.
 
-    The node rows are built once, and so is the spatial part of the cell
-    lookup of each checkerboard side.  A0 is required (ArgumentError
-    without it); a missing b or c is zero.  It and a field with a fixed
-    `value` (a ConstantField) are sampled once, a checkerboard once per
-    time cell floor(t / h): the same array comes back for as long as the
-    sample holds, so callers must not write into it.
+    The node rows are built once.  A0 is required (ArgumentError without
+    it); a missing b or c is zero.  It and a field with a fixed `value` (a
+    ConstantField) are sampled once, a checkerboard once per time cell
+    floor(t / h): the same array comes back for as long as the sample
+    holds, so callers must not write into it.
     """
 
     def __init__(self, coeffs, axes, m0):
@@ -109,7 +108,6 @@ class _GridCoeffs:
         self.dims = tuple(len(a) for a in axes)
         self.pts = _grid_points(axes)
         self.m0 = m0
-        self._cells = {}       # cell side -> CellLookup of the node rows
         self._held = {}        # name -> (time cell or None, sample)
 
     def __call__(self, name, t):
@@ -124,12 +122,6 @@ class _GridCoeffs:
         shape = self.dims + (self.m0,) * RANK[name]
         if f is None:
             vals = np.zeros(shape)
-        elif cell is not None:
-            cells = self._cells.get(f.h)
-            cells = self._cells[f.h] = (CellLookup(self.pts, t, f.h)
-                                        if cells is None else cells.at(t))
-            vals = np.stack(cells.read(f.seed, f.values),
-                            axis=-1).reshape(shape)
         else:
             vals = np.asarray(f.many(self.pts, t)).reshape(shape)
         if (f is None or cell is not None

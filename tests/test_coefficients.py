@@ -80,9 +80,7 @@ def test_checkerboard_hash_matches_column_stack_reference(dim):
     each row of a sparse one, with negative coordinates, coordinates on
     cell edges (exact multiples of h), and both a scalar time and one time
     per row.  A batch inside one cell takes the box; rows holding inf or
-    NaN, whose cells span about 2**64 box cells, take the per-row hash.
-    At a scalar time, a lookup moved there from another time cell, and one
-    built after a lookup of the same rows, read the same values."""
+    NaN, whose cells span about 2**64 box cells, take the per-row hash."""
     h = 0.25
     values = [np.array([[1.0]]), np.array([[2.5]]), np.array([[0.7]])]
     batches = _hash_batches(dim, h, np.random.default_rng(dim))
@@ -99,21 +97,6 @@ def test_checkerboard_hash_matches_column_stack_reference(dim):
                 f.values[cells.index(f.seed, count)], want), name
             assert np.array_equal(got, want), name
             assert np.array_equal(one, want[7]), name
-            if np.ndim(t) == 0:
-                # lookups that share work: built a time cell later and
-                # moved to t, and built after one that hashed the same
-                # rows a time cell later (not the same box) or at t
-                with np.errstate(invalid="ignore"):
-                    later = coeff.CellLookup(X, t + 1.0, h)
-                    later.index(f.seed, count)
-                    others = (coeff.CellLookup(X, t + 1.0, h).at(t),
-                              coeff.CellLookup(X, t, h, later),
-                              coeff.CellLookup(X, t, h, cells))
-                for other in others:
-                    assert (other.box is None) == sparse_rows, name
-                    read = np.stack(other.read(f.seed, f.values), axis=-1)
-                    assert np.array_equal(read.reshape(want.shape), want), \
-                        name
             if name == "sparse":
                 assert len(np.unique(got)) == count
 

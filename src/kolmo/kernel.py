@@ -9,7 +9,7 @@ kernel with prefactor (4 pi)^{-N/2} and exponent -<C^{-1}x, x>/4.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -74,14 +74,10 @@ def covariance_matrix(t, B, A0):
     return _cov_from_poly(covariance_poly_coeffs(B, A0), t)
 
 
-@dataclass(frozen=True)
-class CovMatrix:
+class CovMatrix(namedtuple("CovMatrix", "t C chol logdet")):
     """Covariance C(t) with its Cholesky factor and log-determinant."""
 
-    t: float
-    C: np.ndarray
-    chol: np.ndarray
-    logdet: float
+    __slots__ = ()
 
     def solve(self, x):
         """C^{-1} x = L^{-T} (L^{-1} x): two solves with the stored factor."""
@@ -101,16 +97,14 @@ def covariance(t, B, A0):
     return CovMatrix(t=float(t), C=C, chol=chol, logdet=logdet)
 
 
-@dataclass
 class KernelParams:
     """Diffusion scale, drift matrix and block structure of a model kernel."""
 
-    lam: float
-    geometry: Geometry
-
-    def __post_init__(self):
-        if not self.lam > 0.0:
-            raise ArgumentError(f"lam must be positive, got {self.lam!r}")
+    def __init__(self, lam, geometry: Geometry):
+        if not lam > 0.0:
+            raise ArgumentError(f"lam must be positive, got {lam!r}")
+        self.lam = lam
+        self.geometry = geometry
         self.trB = float(np.trace(self.geometry.B))
         self.poly = covariance_poly_coeffs(
             self.geometry.B, np.eye(self.geometry.structure.m0))

@@ -6,7 +6,6 @@ sidecar CSV files referenced by relative path.
 
 import csv
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,14 +24,18 @@ class SpecError(KolmoError):
     """Malformed or inconsistent operator description."""
 
 
-@dataclass
 class OperatorSpec:
-    structure: BlockStructure
-    B: np.ndarray
-    fields: dict
-    window: tuple
-    ellipticity: tuple
-    path: Path = None
+    """An operator as a spec file describes it; `path` is the file it was
+    loaded from, if any."""
+
+    def __init__(self, structure: BlockStructure, B, fields, window,
+                 ellipticity):
+        self.structure = structure
+        self.B = B
+        self.fields = fields
+        self.window = window
+        self.ellipticity = ellipticity
+        self.path = None
 
     @property
     def geometry(self):

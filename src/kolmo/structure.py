@@ -1,7 +1,7 @@
 """Algebraic structure of the operator: block layout of B, hypoellipticity,
 dilation exponents and the homogeneous dimension."""
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -21,31 +21,27 @@ def homogeneity_exponents(blocks):
     return alpha
 
 
-@dataclass(frozen=True)
-class BlockStructure:
+class BlockStructure(namedtuple("BlockStructure",
+                                 "blocks N kappa Q alpha")):
     """Validated block partition of the state space.
 
     blocks = (m_0, ..., m_kappa) with m_0 >= ... >= m_kappa >= 1; the
-    homogeneous dimension of space-time is Q + 2.
+    homogeneous dimension of space-time is Q + 2.  Built from the blocks
+    alone; N, kappa, Q and alpha follow from them.
     """
 
-    blocks: tuple
-    N: int = field(init=False)
-    kappa: int = field(init=False)
-    Q: int = field(init=False)
-    alpha: tuple = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        blocks = tuple(int(m) for m in self.blocks)
+    def __new__(cls, blocks):
+        blocks = tuple(int(m) for m in blocks)
         if not blocks or any(m < 1 for m in blocks):
             raise ValueError("blocks must be positive integers")
         if any(blocks[j] < blocks[j + 1] for j in range(len(blocks) - 1)):
             raise ValueError("blocks must be non-increasing")
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "N", sum(blocks))
-        object.__setattr__(self, "kappa", len(blocks) - 1)
-        object.__setattr__(self, "Q", sum((2 * j + 1) * m for j, m in enumerate(blocks)))
-        object.__setattr__(self, "alpha", tuple(homogeneity_exponents(blocks)))
+        return super().__new__(
+            cls, blocks, sum(blocks), len(blocks) - 1,
+            sum((2 * j + 1) * m for j, m in enumerate(blocks)),
+            tuple(homogeneity_exponents(blocks)))
 
     @property
     def m0(self):
@@ -60,16 +56,12 @@ class BlockStructure:
         return out
 
 
-@dataclass(frozen=True)
-class HypoReport:
-    kalman_rank: int
-    c_min_eig: float
-    hypoelliptic: bool
+class HypoReport(namedtuple("HypoReport",
+                             "kalman_rank c_min_eig hypoelliptic")):
+    __slots__ = ()
 
     def to_dict(self):
-        return {"kalman_rank": self.kalman_rank,
-                "c_min_eig": self.c_min_eig,
-                "hypoelliptic": self.hypoelliptic}
+        return self._asdict()
 
 
 def detect_canonical_form(B, blocks):

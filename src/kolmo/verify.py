@@ -5,7 +5,7 @@ Gaussian-exponent pairs.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -21,33 +21,20 @@ GLOBAL_C0_MAX = 1e6        # the largest c0 the global bisection tries
 GLOBAL_LOG_TOL = 1e-10     # the bisection's final width in log c0
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    c_plus: float
-    c_minus: float
-    lam_plus: float
-    lam_minus: float
-    n_samples: int
-    violations: int
+class BoundReport(namedtuple("BoundReport", "c_plus c_minus lam_plus "
+                              "lam_minus n_samples violations")):
+    __slots__ = ()
 
     def to_dict(self):
-        return {"c_plus": self.c_plus, "c_minus": self.c_minus,
-                "lam_plus": self.lam_plus, "lam_minus": self.lam_minus,
-                "n_samples": self.n_samples, "violations": self.violations}
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class HarnackReport:
-    sup_minus: float
-    inf_plus: float
-    quotient: float
-    n_minus: int
-    n_plus: int
+class HarnackReport(namedtuple("HarnackReport", "sup_minus inf_plus "
+                                "quotient n_minus n_plus")):
+    __slots__ = ()
 
     def to_dict(self):
-        return {"sup_minus": self.sup_minus, "inf_plus": self.inf_plus,
-                "quotient": self.quotient, "n_minus": self.n_minus,
-                "n_plus": self.n_plus}
+        return self._asdict()
 
 
 def fit_sandwich(points, target_vals, pole, geometry: Geometry,

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -279,6 +280,15 @@ def test_point_option_needs_N_components(spec_path, tmp_path, capsys,
      "--t1", "0.3", "--lambda", "nan", "--out", "c.csv"],
     ["solve", "cauchy", "{spec}", "--box=-4,4;-2,2", "--nx", "21,21",
      "--t1", "inf", "--out", "c.csv"],
+    ["kernel", "reproduce", "{spec}", "--configs", "1", "--seed", "-1"],
+    ["check", "harnack", "{spec}", "--sweep", "2", "--seed", "-1"],
+    ["check", "global", "{spec}", "--pairs", "2", "--seed", "-1"],
+    ["check", "bounds", "{spec}", "--self-test", "--seed", "-1"],
+    ["mc", "simulate", "{spec}", "--paths", "10", "--seed", "-1",
+     "--out", "e.csv"],
+    ["mc", "mass", "{spec}", "--paths", "10", "--seed", "-1"],
+    ["mc", "density", "{spec}", "--box=-3,3;-2,2", "--bins", "4,4",
+     "--paths", "10", "--seed", "-1", "--out", "d.csv"],
 ], ids=["grid-part", "grid-nodes", "box-count", "box-order", "box-number",
         "points-width", "bins", "widths", "eps", "datum-width",
         "datum-number", "mc-paths", "mc-dt", "eps-range", "threads-zero",
@@ -297,7 +307,9 @@ def test_point_option_needs_N_components(spec_path, tmp_path, capsys,
         "kernel-lambda-nan", "grid-nan", "points-nan", "harnack-lambda-nan",
         "harnack-pole-nan", "cone-center-nan", "cone-center-t-inf",
         "mc-mass-y-nan", "mc-lambda-nan", "mc-dt-inf", "cauchy-lambda-nan",
-        "cauchy-t1-inf"])
+        "cauchy-t1-inf", "reproduce-seed", "harnack-seed", "global-seed",
+        "self-test-seed", "mc-simulate-seed", "mc-mass-seed",
+        "mc-density-seed"])
 def test_malformed_option_exit_2(spec_path, tmp_path, capsys, monkeypatch,
                                  argv):
     """Malformed option values exit 2, through SpecError or the library's
@@ -312,6 +324,113 @@ def test_malformed_option_exit_2(spec_path, tmp_path, capsys, monkeypatch,
     assert "error:" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.glob("*.csv")) \
         == ["nan.csv", "pts.csv"]
+
+
+def test_points_file_missing_exit_2(spec_path, tmp_path, capsys,
+                                    monkeypatch):
+    """A --points file that cannot be read is refused with one error
+    line, not an OSError traceback."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["kernel", "eval", spec_path, "--pole", "0,0",
+                     "--points", "missing.csv", "--out", "k.csv"]) \
+        == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: --points 'missing.csv'")
+    assert err.count("\n") == 1
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "eval", "{spec}", "--pole", "0,0",
+     "--grid", "0:0:1;0:0:1;1:1:1"],
+    ["solve", "cauchy", "{spec}", "--box=-4,4;-2,2", "--nx", "21,21",
+     "--t1", "0.3"],
+    ["solve", "fundamental", "{spec}", "--box=-4,4;-2,2", "--nx", "21,41",
+     "--t1", "0.8"],
+    ["mc", "simulate", "{spec}", "--paths", "100000"],
+    ["mc", "density", "{spec}", "--box=-3,3;-2,2", "--bins", "4,4"],
+    ["check", "harnack", "{spec}", "--sweep", "2"],
+], ids=lambda a: " ".join(a[:2]))
+def test_out_directory_missing_exit_2(spec_path, tmp_path, capsys,
+                                      monkeypatch, argv):
+    """An --out in a directory that does not exist, a directory or an
+    empty --out is refused with one error line before the command reads
+    its spec, so before any numerics run."""
+    def never(*args, **kwargs):
+        raise AssertionError("the spec was read")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(specfile, "load", never)
+    for out in (str(Path("missing") / "out.csv"), ".", ""):
+        assert cli.main([a.format(spec=spec_path) for a in argv]
+                        + ["--out", out]) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err == (f"error: --out {out!r} is not a file in an "
+                       f"existing directory\n")
+
+
+def _help(parser, argv, capsys):
+    """The text `argv --help` prints, which also builds argv's parsers."""
+    with pytest.raises(SystemExit) as e:
+        parser.parse_args(list(argv) + ["--help"])
+    assert e.value.code == 0
+    return capsys.readouterr().out
+
+
+def _sample_argv(words):
+    """--threads, the words, a spec path and a value for every required
+    option of the command."""
+    argv = ["--threads", "2", *words, "op.json"]
+    for flags, kwargs in cli.COMMANDS[words]:
+        if kwargs.get("required"):
+            argv += [flags[0], "1"]
+    return argv
+
+
+def test_parser_on_the_path_matches_the_full_table(capsys):
+    """A parser built for one command, with the other commands known by
+    name only, gives the same Namespace and the same help texts as one
+    with every command of the table built."""
+    full = cli.build_parser()
+    for words in cli.COMMANDS:
+        _help(full, words, capsys)
+    groups = {w[:1] for w in cli.COMMANDS if len(w) > 1}
+    for words in [(), *sorted(groups), *cli.COMMANDS]:
+        assert _help(cli.build_parser(), words, capsys) \
+            == _help(full, words, capsys), words
+    for words in cli.COMMANDS:
+        argv = _sample_argv(words)
+        assert cli.build_parser().parse_args(argv) == full.parse_args(argv)
+
+
+@pytest.mark.parametrize("argv, code, text", [
+    ([], 2, "required: command"),
+    (["--help"], 0, "{structure,kernel,solve,mc,mollify,check}"),
+    (["check"], 2, "kolmo check [-h] {bounds,harnack,cone,global} ..."),
+    (["bogus"], 2, "(choose from 'structure', 'kernel', 'solve', 'mc', "
+                   "'mollify', 'check')"),
+], ids=["none", "help", "check", "bogus"])
+def test_usage_exit_codes(capsys, argv, code, text):
+    """Help and usage errors keep their exit codes and list every
+    command, though only the parsers argv reaches are built."""
+    assert cli.main(argv) == code
+    io = capsys.readouterr()
+    assert text in (io.out if code == 0 else io.err)
+
+
+def test_check_cone_builds_three_parsers(spec_path, capsys, monkeypatch):
+    """`check cone` builds the top parser, the `check` parser and its
+    own, not one per command."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert cli.main(["check", "cone", spec_path]) == 0
+    assert built == ["kolmo", "kolmo check", "kolmo check cone"]
 
 
 def test_dt_help_states_the_solver_constants():
@@ -545,9 +664,14 @@ sys.exit(code)
 """
 # The modules a cold start imports only for the commands that run them,
 # and, by the command's first word, those it does import.
-_ON_DEMAND = ("kolmo.pde", "kolmo.mc", "kolmo.verify", "concurrent.futures")
-_COMMAND_LOADS = {"check": ["kolmo.verify"], "solve": ["kolmo.pde"],
-                  "mc": ["concurrent.futures", "kolmo.mc"]}
+_ON_DEMAND = ("kolmo.pde", "kolmo.mc", "kolmo.verify", "concurrent.futures",
+              "kolmo.cli_check", "kolmo.cli_kernel", "kolmo.cli_mc",
+              "kolmo.cli_mollify", "kolmo.cli_solve")
+_COMMAND_LOADS = {"check": ["kolmo.cli_check", "kolmo.verify"],
+                  "kernel": ["kolmo.cli_kernel"],
+                  "mc": ["concurrent.futures", "kolmo.cli_mc", "kolmo.mc"],
+                  "mollify": ["kolmo.cli_mollify"],
+                  "solve": ["kolmo.cli_solve", "kolmo.pde"]}
 
 
 @pytest.mark.parametrize("argv", [
@@ -572,7 +696,9 @@ _COMMAND_LOADS = {"check": ["kolmo.verify"], "solve": ["kolmo.pde"],
 def test_cold_start_loads_no_scipy(argv, spec_path, cb_spec_path, tmp_path):
     """No command imports scipy, and each imports the solver, the Monte
     Carlo (with its thread pool) and the verifier only if it runs them:
-    `structure`, `kernel` and `mollify` import none of them."""
+    `structure`, `kernel` and `mollify` import none of them.  Each first
+    word imports its own command module, kolmo.cli_<word>, and no other;
+    `structure` and a bare import, none."""
     src = str(Path(kolmo.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

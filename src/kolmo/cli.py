@@ -19,11 +19,10 @@ without --self-test); `kernel` and `mollify` load nothing more.
 import argparse
 import importlib
 import math
-import os
 import sys
 
 from . import specfile
-from .cliargs import emit, resolved
+from .cliargs import check_out, emit, resolved
 from .errors import (ArgumentError, BoxTooSmall, ConeUnresolved,
                      CylinderUnresolved, NoAdmissibleFit, NonFinite,
                      NotCanonical, NotNonnegative, NotSPD, RankDeficient,
@@ -149,7 +148,8 @@ COMMANDS = {
         _opt("--n-space", dest="n_space", type=_positive_int, default=3),
         _opt("--n-time", dest="n_time", type=_positive_int, default=3),
         _POLE, _POLE_T0, _LAMBDA, _opt("--sweep", default=0, type=_count),
-        _SEED, _opt("--out", default="harnack_sweep.csv")],
+        # read with --sweep only
+        _unset(_SEED), _opt("--out")],
     ("check", "cone"): [
         _SPEC, _CENTER, _CENTER_T,
         _opt("--beta", type=_positive_float, default=1.0),
@@ -214,16 +214,6 @@ def _command(args):
     return getattr(module, "cmd_" + "_".join(words))
 
 
-def _check_out(args):
-    """Refuse, before any work, an --out that names no file in an existing
-    directory."""
-    out = getattr(args, "out", None)
-    if out is not None and (not out or os.path.isdir(out) or not
-                            os.path.isdir(os.path.dirname(out) or ".")):
-        raise SpecError(f"--out {out!r} is not a file in an existing "
-                        f"directory")
-
-
 # -- commands ----------------------------------------------------------------
 
 
@@ -245,7 +235,7 @@ def main(argv=None):
     except SystemExit as e:
         return EXIT_PARSE if e.code not in (0, None) else 0
     try:
-        _check_out(args)
+        check_out(args)
         return _command(args)(args)
     except (SpecError, ArgumentError) as e:
         print(f"error: {e}", file=sys.stderr)

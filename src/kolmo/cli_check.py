@@ -5,37 +5,41 @@ import numpy as np
 
 from . import kernel as kern
 from . import specfile, verify
-from .cliargs import box, counts, emit, floats, resolved, vector
+from .cliargs import box, check_out, counts, emit, floats, resolved, \
+    vector
 from .group import point
 from .specfile import SpecError
 
-# The options each mode of `check bounds` reads: dest -> (flag, default).
-# An option of the other mode is refused rather than echoed and ignored.
+# The options each mode of `check bounds` and `check harnack` reads:
+# dest -> (flag, default).  An option of the other mode is refused rather
+# than echoed and ignored.
 _BOUNDS_SELF_TEST = {"samples": ("--samples", 500), "seed": ("--seed", 0)}
 _BOUNDS_FIT = {"lam_plus": ("--lambda-plus", 4.5),
                "lam_minus": ("--lambda-minus", 1.8),
                "err_budget": ("--err-budget", 0.05),
                "box": ("--box", "-4,4;-2,2"), "nx": ("--nx", "81,121"),
                "widths": ("--widths", "0.3,0.25,0.2")}
+_HARNACK_SWEEP = {"seed": ("--seed", 0),
+                  "out": ("--out", "harnack_sweep.csv")}
 
 
-def _bounds_mode(args):
-    """Fill in the defaults of the options args.self_test's mode reads;
-    raise SpecError if an option of the other mode was given."""
-    reads, other = ((_BOUNDS_SELF_TEST, _BOUNDS_FIT) if args.self_test
-                    else (_BOUNDS_FIT, _BOUNDS_SELF_TEST))
-    for dest, (flag, _) in other.items():
+def _mode(args, flag, on, reads_on, reads_off):
+    """Fill in the defaults of the options the mode reads: reads_on when
+    the option flag is on, else reads_off; raise SpecError if an option of
+    the other mode was given."""
+    reads, other = (reads_on, reads_off) if on else (reads_off, reads_on)
+    for dest, (opt, _) in other.items():
         if getattr(args, dest) is not None:
-            raise SpecError(f"{flag} is not read "
-                            f"{'with' if args.self_test else 'without'} "
-                            f"--self-test")
+            raise SpecError(f"{opt} is not read "
+                            f"{'with' if on else 'without'} {flag}")
     for dest, (_, default) in reads.items():
         if getattr(args, dest) is None:
             setattr(args, dest, default)
 
 
 def cmd_check_bounds(args):
-    _bounds_mode(args)
+    _mode(args, "--self-test", args.self_test, _BOUNDS_SELF_TEST,
+          _BOUNDS_FIT)
     spec = specfile.load(args.spec)
     g = spec.geometry
     x0 = vector(args, "x0", g.N)
@@ -81,6 +85,8 @@ def _kernel_u(spec, args):
 
 
 def cmd_check_harnack(args):
+    _mode(args, "--sweep", args.sweep > 0, _HARNACK_SWEEP, {})
+    check_out(args)
     spec = specfile.load(args.spec)
     g = spec.geometry
     u = _kernel_u(spec, args)

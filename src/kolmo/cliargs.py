@@ -1,10 +1,12 @@
 """What every command module shares: the JSON report on stdout, the echo
-of the resolved options, and the parsing of list-valued options.
+of the resolved options, the check of --out, and the parsing of
+list-valued options.
 
 A malformed value raises SpecError, which the CLI maps to exit 2.
 """
 
 import math
+import os
 import sys
 
 import numpy as np
@@ -22,6 +24,16 @@ def resolved(args, **extra):
     cfg = {k: v for k, v in sorted(vars(args).items()) if v is not None}
     cfg.update(extra)
     return cfg
+
+
+def check_out(args):
+    """Refuse, before any work, an --out that names no file in an existing
+    directory."""
+    out = getattr(args, "out", None)
+    if out is not None and (not out or os.path.isdir(out) or not
+                            os.path.isdir(os.path.dirname(out) or ".")):
+        raise SpecError(f"--out {out!r} is not a file in an existing "
+                        f"directory")
 
 
 def finite(s):

@@ -3,9 +3,12 @@ mollification, moduli of continuity and group rescaling.
 
 A Field is evaluable at any (x, t) inside its window and returns a scalar,
 an m0-vector or a symmetric m0 x m0 matrix.  Fields are immutable and pure.
-A checkerboard reads a batch through a CellLookup, which works out the
-batch's cells once; fields of one cell side can share it, and a read
-gathers each scalar component of a value with one 1-D take.
+A checkerboard reads a batch through a CellLookup, which floors the whole
+batch in one pass.  The reads of the checkerboards of one cell side share
+that cell pass and one gather: a TableStack stacks their value tables, and
+the lookup hashes the cells for every board's seed at once and takes all
+their scalar components into one (k, n) array.  CheckerboardField.many is
+the one-board case.
 """
 
 import math
@@ -106,82 +109,135 @@ def _hash_start(seed):
     return (seed + 0x9E3779B97F4A7C15) % 2 ** 64
 
 
+class TableStack:
+    """The value tables of the checkerboards of one cell side, stacked so
+    that a CellLookup reads them all with one gather.
+
+    tables[j] holds the values of the board hashed with seeds[j], one per
+    draw.  The stack's k components are the scalar components of a value,
+    in C order, of tables[0], then of tables[1], and so on; bounds[j] is
+    the slice of the components of tables[j].  Component r of draw i sits
+    at values[offset[r] + i].
+    """
+
+    def __init__(self, seeds, tables):
+        tables = [np.reshape(t, (len(t), -1)) for t in tables]
+        widths = [t.shape[1] for t in tables]
+        edges = np.cumsum([0] + widths).tolist()
+        self.k = edges[-1]
+        self.bounds = [slice(a, b) for a, b in zip(edges, edges[1:])]
+        self.starts = np.array([_hash_start(int(s)) for s in seeds],
+                               dtype=np.uint64)
+        # each component's board, draw count and offset
+        self.board = np.repeat(np.arange(len(tables)), widths)
+        counts = np.repeat([len(t) for t in tables], widths)
+        self.counts = counts.astype(np.uint64)[:, None]
+        self.offset = (np.cumsum(counts) - counts).astype(np.uint64)[:, None]
+        self.values = np.concatenate([t.T.ravel() for t in tables])
+
+
 class CellLookup:
     """The space-time cells of side h of a batch of rows X at times ts (a
     scalar or one per row): the integer columns floor(x_1/h), ...,
-    floor(x_N/h), floor(t/h), worked out once and hashed for each
-    checkerboard of side h that reads the batch.
+    floor(x_N/h), floor(t/h), worked out with one pass over X.  read hashes
+    the cells for the seed of every checkerboard of a TableStack at once
+    and gathers all their components with one take.
 
     The hash is splitmix-style, mixing the columns in that order.  When the
     bounding box of the batch's cells holds fewer cells than the batch has
-    rows, it runs once per box cell and each row reads through its flat
-    index in the box: a checkerboard's values are taken at the box cells,
-    and then each scalar component is gathered for every row by that flat
-    index.  Otherwise (a sparse batch, or rows whose non-finite coordinates
-    cast to INT64_MIN) it runs once per row, in place on one uint64
-    accumulator.  Both give bitwise the same values.
+    rows, it runs once per box cell and board, and each row reads through
+    its flat index in the box.  Otherwise (a sparse batch, or rows whose
+    cells are non-finite or outside int64, which cast to INT64_MIN) it runs
+    once per row and board.  Both give bitwise the same values.
+
+    move points the lookup at another batch of the same shape and reuses
+    its buffers: the Monte Carlo keeps one lookup per chunk and cell side.
     """
 
     def __init__(self, X, ts, h):
+        self.h = h
+        self._floor = None
+        self.move(X, ts)
+
+    def move(self, X, ts):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        n = X.shape[0]
-        self.n = n
-        self.cols = cols = [np.floor(c / h).astype(np.int64)
-                            for c in (*X.T, np.asarray(ts, dtype=float))]
-        self.box = self.flat = None
-        if n == 0:
-            return
-        # python ints: a non-finite row's span is about 2**64 cells
-        lo = [int(c.min()) for c in cols]
-        spans = [int(c.max()) - a + 1 for c, a in zip(cols, lo)]
-        if math.prod(spans) >= n:
-            return
-        # the box path keeps only each row's flat index
+        n = self.n = X.shape[0]
+        if self._floor is None or self._floor.shape != X.shape:
+            # column-major, so that the reductions over rows and the
+            # broadcasts along them run on contiguous columns
+            self._floor = np.empty_like(X, order="F")
+            self._fflat = np.empty(n)
+            self.flat = np.empty(n, dtype=np.intp)
+        F = self._floor
+        for x, f in zip(X.T, F.T):
+            np.divide(x, self.h, out=f)
+        np.floor(F, out=F)
+        T = np.floor(np.asarray(ts, dtype=float) / self.h)
+        self.box = None
+        if n:
+            lo = F.min(axis=0)
+            los = lo.tolist() + [float(T.min())]
+            his = F.max(axis=0).tolist() + [float(T.max())]
+            # NaN and +-inf fail the range test too
+            if all(-2.0 ** 63 <= a and b < 2.0 ** 63
+                   for a, b in zip(los, his)):
+                los = [int(a) for a in los]
+                spans = [int(b) - a + 1 for a, b in zip(los, his)]
+                if math.prod(spans) < n:
+                    self._box(F, T, lo, los, spans)
+                    return
+        self.cols = [*F.astype(np.int64).T, T.astype(np.int64)]
+
+    def _box(self, F, T, lo, los, spans):
+        """Keep only each row's flat index in the box of the cells.  The
+        float arithmetic is exact: every term is an integer below the box
+        size, which is below the row count."""
         self.cols = None
-        self.box = [np.arange(a, a + s, dtype=np.int64)
-                    for a, s in zip(lo, spans)]
-        flat = None
-        for c, a, s in zip(cols, lo, spans):
-            if s > 1:
-                c -= a
-                if flat is None:
-                    flat = c.astype(np.intp, copy=False)
-                else:
-                    flat *= s
-                    flat += c
-        self.flat = np.zeros(n, dtype=np.intp) if flat is None else flat
+        self.box = [np.arange(a, a + s, dtype=np.int64).view(np.uint64)
+                    for a, s in zip(los, spans)]
+        # time is the last axis, with stride 1
+        strides = [math.prod(spans[i + 1:]) for i in range(len(spans) - 1)]
+        F -= lo
+        np.matmul(F, np.array(strides, dtype=float), out=self._fflat)
+        if spans[-1] > 1:
+            self._fflat += T - los[-1]
+        np.copyto(self.flat, self._fflat, casting="unsafe")
 
-    def _box_index(self, seed, count):
-        """The hash's index at each box cell, in the order of self.flat."""
-        acc = np.full((), _hash_start(seed), dtype=np.uint64)
-        for ax in self.box:
-            acc = acc[..., None] ^ ax.view(np.uint64)
-            acc *= _HASH_MULT
-            acc ^= acc >> _HASH_SHIFT
-        return (acc.ravel() % np.uint64(count)).astype(np.intp)
-
-    def index(self, seed, count):
-        """Row -> index in [0, count) drawn by the hash seeded with seed."""
+    def _hash(self, starts):
+        """The hash seeded at each of the starts over the box cells, in the
+        order of self.flat, or over the rows: one row per start."""
         if self.box is not None:
-            return np.take(self._box_index(seed, count), self.flat)
-        acc = np.full(self.n, _hash_start(seed), dtype=np.uint64)
-        tmp = np.empty(self.n, dtype=np.uint64)
+            acc = starts
+            for ax in self.box:
+                acc = acc[..., None] ^ ax
+                acc *= _HASH_MULT
+                acc ^= acc >> _HASH_SHIFT
+            return acc.reshape(len(starts), -1)
+        acc = np.repeat(starts[:, None], self.n, axis=1)
+        tmp = np.empty_like(acc)
         for col in self.cols:
             acc ^= col.view(np.uint64)
             acc *= _HASH_MULT
             np.right_shift(acc, _HASH_SHIFT, out=tmp)
             acc ^= tmp
-        return (acc % np.uint64(count)).astype(np.intp)
+        return acc
 
-    def read(self, seed, values):
-        """values[index(seed, len(values))] at the rows, as one (n,) array
-        per scalar component of a value, in C order."""
-        table = np.reshape(values, (len(values), -1))
+    def read(self, stack, out=None):
+        """The values of the boards of stack at the rows: a (k, n) array,
+        row r component r of the stack; written to out if given."""
+        where = self._hash(stack.starts)[stack.board]
+        where %= stack.counts
+        where += stack.offset
+        # mode "clip": in the default mode, take copies through a buffer
+        # when given out
         if self.box is None:
-            where = self.index(seed, len(values))
-        else:
-            table, where = table[self._box_index(seed, len(values))], self.flat
-        return [np.take(col, where) for col in table.T]
+            return np.take(stack.values, where, out=out, mode="clip")
+        return np.take(np.take(stack.values, where), self.flat, axis=1,
+                       out=out, mode="clip")
+
+    def index(self, seed, count):
+        """Row -> index in [0, count) drawn by the hash seeded with seed."""
+        return self.read(TableStack([seed], [np.arange(count)]))[0]
 
 
 class CheckerboardField(Field):
@@ -197,13 +253,14 @@ class CheckerboardField(Field):
         self.values = np.stack(values)
         self.h = float(h)
         self.seed = int(seed)
+        self._stack = TableStack([self.seed], [self.values])
 
     def __call__(self, x, t):
         return self.many(np.atleast_1d(x)[None, :], t)[0]
 
     def many(self, X, ts):
-        cols = CellLookup(X, ts, self.h).read(self.seed, self.values)
-        return np.stack(cols, axis=-1).reshape((-1,) + self.shape)
+        got = CellLookup(X, ts, self.h).read(self._stack)
+        return np.ascontiguousarray(got.T).reshape((-1,) + self.shape)
 
 
 def checkerboard_spd(lam, Lam, m0, dim, h=0.25, seed=0):

@@ -6,14 +6,16 @@ exp(int c dt).
 Paths run in fixed-size chunks, each stepped in place as a column-major
 (N, n) state, one contiguous row per coordinate, in buffers allocated once
 per chunk; the fields see the (n, N) row view X.T.  Checkerboard fields
-are read as tables: each step works out the state's cells once per cell
-side, and every checkerboard of that side gathers each scalar component
-of its table through them.  A checkerboard A0's table holds the factors
-of its values, made once per call.  Each chunk draws from its own child
-stream of the master seed, so the ensemble and every CSV and report made
-from it are byte-identical at any number of worker threads.  Every chunk
-runs in a copy of the caller's context, so the caller's np.errstate
-reaches the worker threads.
+are read as tables, and the reads of one cell side share one cell pass and
+one gather: their tables are stacked once per call, and each step floors
+the state once per side, hashes the cells for every board of the side at
+once and gathers all their components with one take, through a lookup
+and into a buffer allocated once per chunk.  A checkerboard A0's table
+holds the factors of its values, made once per call.  Each chunk draws
+from its own child stream of the master seed, so the ensemble and every
+CSV and report made from it are byte-identical at any number of worker
+threads.  Every chunk runs in a copy of the caller's context, so the
+caller's np.errstate reaches the worker threads.
 """
 
 import contextvars
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import CellLookup, CheckerboardField
+from .coefficients import CellLookup, CheckerboardField, TableStack
 from .errors import ArgumentError, NonFinite, NotSPD
 from .group import Geometry
 
@@ -131,11 +133,10 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
                                    config.lam)[0]
         # contiguous, so the per-step product need not walk a transposed view
         sigma_T = np.ascontiguousarray(const_sigma.T)
-    # A checkerboard is read as a table through the step's cell lookup of
-    # its side h, one lookup per side shared by the fields, one (n,) gather
-    # per scalar component: A0's table holds the factors of its values, so
-    # a non-SPD value is refused before any path is stepped; c's holds
-    # dt * c.
+    # A checkerboard is read as a table: A0's holds the factors of its
+    # values, so a non-SPD value is refused before any path is stepped;
+    # c's holds dt * c.  The tables of one cell side are stacked, and each
+    # step reads them all through one lookup of that side.
     tables = {}
     if isinstance(A0f, CheckerboardField):
         tables["A0"] = _sigma_chunk(
@@ -144,11 +145,12 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
         tables["b"] = np.reshape(bf.values, (-1, m0))
     if isinstance(cf, CheckerboardField):
         tables["c"] = dt * np.reshape(cf.values, (-1,))
-    sides = {coeffs[k].h for k in tables}
-
-    def read(name, cells):
-        f = coeffs[name]
-        return cells[f.h].read(f.seed, tables[name])
+    sides = {}
+    for name in tables:
+        sides.setdefault(coeffs[name].h, []).append(name)
+    stacks = {h: TableStack([coeffs[k].seed for k in names],
+                            [tables[k] for k in names])
+              for h, names in sides.items()}
 
     nchunks = -(-config.paths // CHUNK)
     final = np.empty((config.paths, N))
@@ -165,28 +167,34 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
         dW = np.empty((n, m0))
         lw = np.zeros(n)
         t = t0
+        # per cell side, the lookup moved to each step's state and the
+        # buffer its gather fills; each board reads its rows of the buffer
+        cells = {h: CellLookup(X.T, t, h) for h in stacks}
+        got = {h: np.empty((s.k, n)) for h, s in stacks.items()}
+        read = {name: got[h][stacks[h].bounds[j]]
+                for h, names in sides.items() for j, name in enumerate(names)}
         for _ in range(nsteps):
             rng.standard_normal(out=dW)
             dW *= sqdt
-            cells = {h: CellLookup(X.T, t, h) for h in sides}
+            for h, lookup in cells.items():
+                lookup.move(X.T, t)
+                lookup.read(stacks[h], out=got[h])
             # (-B X + b) dt as (B X - b) * -dt, in place: negation is exact
             np.matmul(B, X, out=D)
-            if "b" in tables:
-                for Di, bi in zip(D, read("b", cells)):
-                    Di -= bi
+            if "b" in read:
+                D[:m0] -= read["b"]
             elif bf is not None:
                 D[:m0] -= np.reshape(bf.many(X.T, t), (n, m0)).T
             D *= -dt
-            if "A0" in tables:
-                sig = read("A0", cells)
+            if "A0" in read:
                 if m0 == 1:
                     # a plain product, in place
-                    dW[:, 0] *= sig[0]
+                    dW[:, 0] *= read["A0"][0]
                     noise = dW
                 else:
                     noise = np.einsum(
-                        "kij,kj->ki",
-                        np.stack(sig, axis=-1).reshape(n, m0, m0), dW)
+                        "kij,kj->ki", np.ascontiguousarray(
+                            read["A0"].T).reshape(n, m0, m0), dW)
             elif const_sigma is None:
                 sig = _sigma_chunk(
                     np.reshape(A0f.many(X.T, t), (n, m0, m0)), config.lam)
@@ -197,8 +205,8 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
                 noise = np.multiply(dW, const_sigma[0, 0], out=dW)
             else:
                 noise = dW @ sigma_T
-            if "c" in tables:
-                lw += read("c", cells)[0]
+            if "c" in read:
+                lw += read["c"][0]
             elif cf is not None:
                 lw += dt * np.asarray(cf.many(X.T, t)).reshape(n)
             X[:m0] += noise.T

@@ -289,6 +289,8 @@ def test_point_option_needs_N_components(spec_path, tmp_path, capsys,
     ["mc", "mass", "{spec}", "--paths", "10", "--seed", "-1"],
     ["mc", "density", "{spec}", "--box=-3,3;-2,2", "--bins", "4,4",
      "--paths", "10", "--seed", "-1", "--out", "d.csv"],
+    ["check", "harnack", "{spec}", "--out", "x.csv"],
+    ["check", "harnack", "{spec}", "--sweep", "0", "--seed", "5"],
 ], ids=["grid-part", "grid-nodes", "box-count", "box-order", "box-number",
         "points-width", "bins", "widths", "eps", "datum-width",
         "datum-number", "mc-paths", "mc-dt", "eps-range", "threads-zero",
@@ -309,7 +311,8 @@ def test_point_option_needs_N_components(spec_path, tmp_path, capsys,
         "mc-mass-y-nan", "mc-lambda-nan", "mc-dt-inf", "cauchy-lambda-nan",
         "cauchy-t1-inf", "reproduce-seed", "harnack-seed", "global-seed",
         "self-test-seed", "mc-simulate-seed", "mc-mass-seed",
-        "mc-density-seed"])
+        "mc-density-seed", "harnack-out-without-sweep",
+        "harnack-seed-without-sweep"])
 def test_malformed_option_exit_2(spec_path, tmp_path, capsys, monkeypatch,
                                  argv):
     """Malformed option values exit 2, through SpecError or the library's

@@ -101,6 +101,35 @@ def test_checkerboard_hash_matches_column_stack_reference(dim):
                 assert len(np.unique(got)) == count
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_stacked_read_matches_column_stack_reference(dim):
+    """Two and then three checkerboards of one side, with scalar, m0-vector
+    and m0 x m0 values and each its own seed and value count, read together
+    by one lookup into one buffer give bitwise each board's reference
+    values, on the dense, sparse, one-cell and non-finite batches of the
+    hash test, with a scalar time and one time per row."""
+    h, m0 = 0.25, 2
+    rng = np.random.default_rng(100 + dim)
+    boards = [
+        coeff.CheckerboardField(rng.normal(size=3), h=h, dim=dim, seed=7),
+        coeff.CheckerboardField(rng.normal(size=(2, m0)), h=h, dim=dim,
+                                seed=8),
+        coeff.CheckerboardField(rng.normal(size=(4, m0, m0)), h=h, dim=dim,
+                                seed=9)]
+    for name, X, t, _ in _hash_batches(dim, h, np.random.default_rng(dim)):
+        with np.errstate(invalid="ignore"):
+            wants = [_column_stack_hash(f, X, t) for f in boards]
+            cells = coeff.CellLookup(X, t, h)
+            for count in (2, 3):
+                stack = coeff.TableStack([f.seed for f in boards[:count]],
+                                         [f.values for f in boards[:count]])
+                out = np.full((stack.k, len(X)), np.nan)
+                assert cells.read(stack, out=out) is out
+                for rows, want in zip(stack.bounds, wants):
+                    assert np.array_equal(
+                        out[rows].T.reshape(want.shape), want), name
+
+
 def test_check_ellipticity_checkerboard():
     f = coeff.checkerboard_spd(1.0, 2.0, m0=1, dim=2, h=0.25, seed=11)
     rng = np.random.default_rng(0)

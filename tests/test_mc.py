@@ -178,14 +178,9 @@ def test_column_major_loop_matches_row_major_dense_B(blocks):
             <= 1e-13 * np.max(np.abs(final))
 
 
-def test_non_finite_state_raises(proto):
-    """A state that overflows ends in NonFinite, not in an ensemble.  Each
-    chunk runs in a copy of the caller's context, so the caller's
-    np.errstate silences the overflow (and the inf - inf it leads to) on
-    the worker threads too, at one and at two threads: no RuntimeWarning is
-    emitted."""
-    coeffs = {"A0": ConstantField(np.eye(1), dim=2),
-              "b": ConstantField(np.array([1e308]), dim=2)}
+def _raises_non_finite(coeffs, geometry):
+    """simulate ends in NonFinite at one and at two threads, and emits no
+    RuntimeWarning under the caller's np.errstate."""
     for threads in (1, 2):
         cfg = mc.McConfig(paths=2 * mc.CHUNK, dt=1.0, seed=0,
                           threads=threads)
@@ -193,7 +188,37 @@ def test_non_finite_state_raises(proto):
             warnings.simplefilter("error", RuntimeWarning)
             with np.errstate(over="ignore", invalid="ignore"):
                 with pytest.raises(NonFinite):
-                    mc.simulate(coeffs, proto, np.zeros(2), 0.0, 4.0, cfg)
+                    mc.simulate(coeffs, geometry, np.zeros(2), 0.0, 4.0,
+                                cfg)
+
+
+def test_non_finite_state_raises(proto):
+    """A state that overflows ends in NonFinite, not in an ensemble.  Each
+    chunk runs in a copy of the caller's context, so the caller's
+    np.errstate silences the overflow (and the inf - inf it leads to) on
+    the worker threads too, at one and at two threads: no RuntimeWarning is
+    emitted."""
+    _raises_non_finite({"A0": ConstantField(np.eye(1), dim=2),
+                        "b": ConstantField(np.array([1e308]), dim=2)}, proto)
+
+
+def test_non_finite_rough_state_raises(proto, monkeypatch):
+    """The same for checkerboard A0, b and c of one side, read through one
+    lookup: once the state overflows, its cells are non-finite, and the
+    lookup hashes each row."""
+    coeffs = _benchmark_rough_coeffs(2)
+    coeffs["b"] = CheckerboardField([np.array([1e308]), np.array([-1e308])],
+                                    h=0.25, dim=2, seed=22)
+    per_row = []
+
+    class Lookup(mc.CellLookup):
+        def move(self, X, ts):
+            super().move(X, ts)
+            per_row.append(self.box is None)
+
+    monkeypatch.setattr(mc, "CellLookup", Lookup)
+    _raises_non_finite(coeffs, proto)
+    assert any(per_row) and not all(per_row)
 
 
 def test_moments_match_kernel(proto, proto_coeffs):

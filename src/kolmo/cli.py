@@ -1,7 +1,8 @@
 """Command-line surface.
 
-Exit codes: 0 ok, 2 spec parse error, 3 structure rejection, 4 NotSPD,
-5 solver error, 6 Monte Carlo error, 7 verification error.
+Exit codes: 0 ok, 2 spec parse or argument error (a mollified field read
+outside its raw field's time window among them), 3 structure rejection,
+4 NotSPD, 5 solver error, 6 Monte Carlo error, 7 verification error.
 All CSV artifacts: comma separated, header row, 17-significant-digit floats.
 All JSON reports: UTF-8, stable key order.
 
@@ -26,7 +27,7 @@ from .cliargs import check_out, emit, resolved
 from .errors import (ArgumentError, BoxTooSmall, ConeUnresolved,
                      CylinderUnresolved, NoAdmissibleFit, NonFinite,
                      NotCanonical, NotNonnegative, NotSPD, RankDeficient,
-                     SupportExceedsGrid, Unstable)
+                     SupportExceedsGrid, Unstable, WindowUnderflow)
 from .specfile import SpecError
 # perfbench/tracer.py wraps the CSV writer under this name
 from .specfile import write_csv  # noqa: F401
@@ -237,7 +238,7 @@ def main(argv=None):
     try:
         check_out(args)
         return _command(args)(args)
-    except (SpecError, ArgumentError) as e:
+    except (SpecError, ArgumentError, WindowUnderflow) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except (NotCanonical, RankDeficient) as e:

@@ -1,5 +1,5 @@
 """Coefficient fields: representation, rough synthetic generators,
-mollification, moduli of continuity and group rescaling.
+mollification and moduli of continuity.
 
 A Field is evaluable at any (x, t) inside its window and returns a scalar,
 an m0-vector or a symmetric m0 x m0 matrix.  Fields are immutable and pure.
@@ -270,30 +270,6 @@ def checkerboard_spd(lam, Lam, m0, dim, h=0.25, seed=0):
                              seed=seed)
 
 
-# -- ellipticity -------------------------------------------------------------
-
-
-def check_ellipticity(A0_field, samples, ts):
-    """Min/max Rayleigh quotients over the sample set.
-
-    Returns {lambda_hat, Lambda_hat, violations}; points with a non-positive
-    minimum eigenvalue are reported, never thrown.
-    """
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    ts = np.broadcast_to(np.asarray(ts, dtype=float), (samples.shape[0],))
-    lam_hat, Lam_hat = np.inf, -np.inf
-    violations = []
-    mats = A0_field.many(samples, ts)
-    for x, t, A in zip(samples, ts, mats):
-        eig = np.linalg.eigvalsh(np.atleast_2d(A))
-        lam_hat = min(lam_hat, eig[0])
-        Lam_hat = max(Lam_hat, eig[-1])
-        if eig[0] <= 0.0:
-            violations.append((x.copy(), float(t)))
-    return {"lambda_hat": float(lam_hat), "Lambda_hat": float(Lam_hat),
-            "violations": violations}
-
-
 # -- mollification ----------------------------------------------------------
 
 MOLLIFY_NODES = 16         # Gauss-Legendre nodes per axis of the mollifier
@@ -436,18 +412,6 @@ def modulus_of_continuity(f: Field, geometry, box, twindow, radii,
     return np.maximum.accumulate(omega)
 
 
-def dini_integral(radii, omega):
-    """Trapezoid estimate of int_{r_min}^{r_max} omega(r)/r dr.
-
-    The true lower endpoint 0 is unreachable numerically; r_min is reported
-    alongside the estimate.
-    """
-    radii = np.asarray(radii, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    val = float(np.trapezoid(omega / radii, radii))
-    return {"integral": val, "r_min": float(radii[0]), "r_max": float(radii[-1])}
-
-
 def holder_seminorm(f: Field, geometry, box, twindow, alpha,
                     n_pairs=100000, seed=0):
     """Sampled sup of |f(z)-f(w)| / d(z,w)^alpha over pairs with d < r, the
@@ -465,38 +429,3 @@ def holder_seminorm(f: Field, geometry, box, twindow, alpha,
         if ok.any():
             best = max(best, float(np.max(diff[ok] / d[ok] ** alpha)))
     return best
-
-
-# -- group rescaling ---------------------------------------------------------
-
-
-def rescale(fields, geometry, r):
-    """Coefficients of the dilation-rescaled operator.
-
-    A -> A o delta_r, b -> r (b o delta_r), c -> r^2 (c o delta_r);
-    wrappers are lazy.
-    """
-    if r <= 0.0:
-        raise ValueError("r must be positive")
-
-    def wrap(f, power):
-        if f is None:
-            return None
-
-        class _Wrapped(Field):
-            def __init__(self):
-                T0, T1 = f.window
-                r2 = r * r
-                super().__init__(f.dim, f.shape,
-                                 (T0 / r2 if np.isfinite(T0) else T0,
-                                  T1 / r2 if np.isfinite(T1) else T1))
-
-            def __call__(self, x, t):
-                xs = geometry.dilate_space(r, np.atleast_1d(x))
-                return (r ** power) * np.asarray(f(xs, r * r * t))
-
-        return _Wrapped()
-
-    return {"A0": wrap(fields.get("A0"), 0),
-            "b": wrap(fields.get("b"), 1),
-            "c": wrap(fields.get("c"), 2)}

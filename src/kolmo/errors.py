@@ -41,16 +41,12 @@ class WindowUnderflow(KolmoError):
     """A mollified evaluation needs samples outside the field's time window."""
 
 
-class BoundaryNode(KolmoError):
-    """Discrete operator requested at a non-interior grid node."""
-
-
-class OutOfDomain(KolmoError):
-    """Requested point lies outside the grid."""
-
-
 class Unstable(KolmoError):
-    """A time step produced non-finite values."""
+    """The solver's step breaks a promise that keeps it stable: a requested
+    dt above the step's cap, or a step with off-diagonal A0 entries past
+    their explicit bound, or a step that produced non-finite values, grew
+    the sup norm beyond its monotone bound or took a datum >= 0 below
+    zero."""
 
 
 class BoxTooSmall(KolmoError):
@@ -58,7 +54,9 @@ class BoxTooSmall(KolmoError):
 
 
 class SupportExceedsGrid(KolmoError):
-    """Test-function support is not contained in the grid."""
+    """A support does not fit the grid: a test function's cylinder leaves
+    the solution's time range, or a fundamental-solution datum's standard
+    deviation spans too few cells of an axis."""
 
 
 class NonFinite(KolmoError):

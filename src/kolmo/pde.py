@@ -1,5 +1,5 @@
-"""Discrete operator application and a monotone splitting solver for the
-Cauchy problem on a truncated box.
+"""A monotone splitting solver for the Cauchy problem on a truncated box,
+and the weak-form residual of a grid solution.
 
 The time step alternates (i) semi-Lagrangian transport along the drift's
 integral curves, (ii) flux-form diffusion in the first m0 coordinates, a
@@ -19,8 +19,8 @@ import numpy as np
 
 from . import kernel as kern
 from .coefficients import RANK, CheckerboardField
-from .errors import (ArgumentError, BoundaryNode, BoxTooSmall, OutOfDomain,
-                     SupportExceedsGrid, Unstable)
+from .errors import (ArgumentError, BoxTooSmall, SupportExceedsGrid,
+                     Unstable)
 from .group import Geometry, point, split
 
 BOUNDARY_MASS_TOL = 1e-12
@@ -185,27 +185,12 @@ def _cross_terms(out, up, Ap, m0, hs):
             out += _centered(Ap[..., i, j] * du_j_p, i, hs[i])
 
 
-def _diffusion(u, up, A, hs, m0):
-    """div(A0 Du) in the first m0 coordinates on the slice u (up: u padded
-    by zeros; A: A0 on the grid): diagonal entries in conservative face-flux
-    form, cross terms centered."""
-    Ap = _pad_edge(A, u.ndim)
-    out = np.zeros_like(u)
-    for i in range(m0):
-        lo, hi = _faces(Ap, i)
-        flux_hi = hi * (_shift(up, i, 1) - _shift(up, i, 0)) / hs[i]
-        flux_lo = lo * (_shift(up, i, 0) - _shift(up, i, -1)) / hs[i]
-        out += (flux_hi - flux_lo) / hs[i]
-    _cross_terms(out, up, Ap, m0, hs)
-    return out
-
-
 class _ImplicitDiffusion:
     """Step (ii) of length dt for one A0 slice A: the centered cross terms
-    of _diffusion explicitly (only where A has off-diagonal entries), then
-    backward Euler (I - dt D_ii) v = u along each of the first m0 axes in
-    turn, D_ii the face-flux part of _diffusion for entry (i, i) (the same
-    faces, the same zero padding).
+    d_i(a_ij d_j u), i != j, of div(A0 Du) explicitly (only where A has
+    off-diagonal entries), then backward Euler (I - dt D_ii) v = u along each
+    of the first m0 axes in turn, D_ii the face-flux difference
+    d_i(a_ii d_i u) on the faces of _faces, u extended by zero.
 
     A line matrix has diagonal 1 + r (lo + hi) and off-diagonals -r lo,
     -r hi (r = dt / h_i^2).  For a_ii >= 0 it is an M-matrix with row sums
@@ -253,105 +238,6 @@ class _ImplicitDiffusion:
         return u
 
 
-def _principal(u, t, axes, coeffs, geometry):
-    """What the operator and its adjoint share on the slice u: the spacings,
-    the sampled coefficients, u padded by zeros, div(A0 Du) and the drift
-    velocity Bx on the grid."""
-    m0 = geometry.structure.m0
-    hs = [float(a[1] - a[0]) for a in axes]
-    grid = _GridCoeffs(coeffs, axes, m0)
-    up = _pad_zero(u)
-    BX = np.einsum("ij,...j->...i", geometry.B,
-                   grid.pts.reshape(grid.dims + (geometry.N,)))
-    return hs, grid, up, _diffusion(u, up, grid("A0", t), hs, m0), BX
-
-
-def spatial_operator(u, t, axes, coeffs, geometry: Geometry):
-    """div(A D u) + <Bx, Du> + <b, Du> + c u on the grid slice u, with zero
-    extension of u outside the box: <Bx, Du> upwind, <b, Du> centered."""
-    hs, grid, up, out, BX = _principal(u, t, axes, coeffs, geometry)
-    _upwind(out, up, BX, hs)
-    if coeffs.get("b") is not None:
-        b = grid("b", t)
-        for i in range(b.shape[-1]):
-            out += b[..., i] * _centered(up, i, hs[i])
-    if coeffs.get("c") is not None:
-        out += grid("c", t) * u
-    return out
-
-
-def adjoint_spatial_operator(v, t, axes, coeffs, geometry: Geometry):
-    """Spatial part of the adjoint on a grid slice:
-    div(A Dv) - div(b v) + (c - Tr B) v - <Bx, Dv>, the drift upwind on the
-    reversed velocity."""
-    hs, grid, vp, out, BX = _principal(v, t, axes, coeffs, geometry)
-    if coeffs.get("b") is not None:
-        # div(b v) by centered fluxes, b extended by its edge values
-        bp = _pad_edge(grid("b", t), v.ndim)
-        for i in range(bp.shape[-1]):
-            out -= _centered(bp[..., i] * vp, i, hs[i])
-    out += (grid("c", t) - float(np.trace(geometry.B))) * v
-    _upwind(out, vp, -BX, hs)
-    return out
-
-
-def _forward_rate(sol, idx, it):
-    """The node idx as a tuple and the forward time difference of sol there
-    at time node it; raises BoundaryNode unless the node is interior."""
-    idx = tuple(int(i) for i in np.atleast_1d(idx))
-    if it >= len(sol.taxis) - 1:
-        raise BoundaryNode("time node has no forward neighbor")
-    for k, i in enumerate(idx):
-        if not 0 < i < len(sol.axes[k]) - 1:
-            raise BoundaryNode(f"axis {k} index {i} is not interior")
-    return idx, (sol.values[it + 1][idx] - sol.values[it][idx]) / sol.dt
-
-
-def apply_L(u: GridSolution, idx, it, coeffs, geometry):
-    """Full discrete operator at an interior node: spatial part minus the
-    forward time difference."""
-    idx, dudt = _forward_rate(u, idx, it)
-    sp = spatial_operator(u.values[it], u.taxis[it], u.axes, coeffs, geometry)
-    return float(sp[idx] - dudt)
-
-
-def apply_L_adjoint(v: GridSolution, idx, it, coeffs, geometry):
-    """Formal adjoint at an interior node:
-    div(A Dv) - sum_i d_i(b_i v) + (c - Tr B) v - <Bx, Dv> + dv/dtau."""
-    idx, dvdt = _forward_rate(v, idx, it)
-    sp = adjoint_spatial_operator(v.values[it], v.taxis[it], v.axes, coeffs,
-                                  geometry)
-    return float(sp[idx] + dvdt)
-
-
-def _lie_rows(interp, xs, t, s, geometry):
-    """(u(gamma(s)) - u(gamma(-s))) / 2s for the interpolant u along the
-    drift's integral curves gamma(s) = (E(-s) x, t - s), one per row x of
-    xs."""
-    ends = [np.column_stack([xs @ geometry.exp_drift(-sv).T,
-                             np.full(len(xs), t - sv)]) for sv in (s, -s)]
-    return (interp(ends[0]) - interp(ends[1])) / (2.0 * s)
-
-
-def lie_derivative(u: GridSolution, x, t, geometry: Geometry, s=None):
-    """Centered difference along the drift's integral curve
-    gamma(s) = (E(-s) x, t - s), interpolating off-grid values; raises
-    OutOfDomain when an end of the curve leaves the grid."""
-    if s is None:
-        s = 0.5 * min(min(u.hs), u.dt)
-    interp = u.interpolator()
-
-    def inside(pts):
-        for k, a in enumerate(u.axes):
-            if not a[0] <= pts[0, k] <= a[-1]:
-                raise OutOfDomain(f"curve point leaves axis {k}")
-        if not u.taxis[0] <= pts[0, -1] <= u.taxis[-1]:
-            raise OutOfDomain("curve point leaves the time grid")
-        return interp(pts)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return float(_lie_rows(inside, x[None], t, s, geometry)[0])
-
-
 # -- Cauchy solver -----------------------------------------------------------
 
 
@@ -360,6 +246,19 @@ def _check_choice(name, value, choices):
         raise ArgumentError(f"{name} must be "
                             f"{' or '.join(map(repr, choices))}, "
                             f"got {value!r}")
+
+
+def _grid_axes(box, nx, N):
+    """The (N, 2) box, the nodes per axis as a list, and the node axes and
+    spacings of a solve on it; nx is an int or one count per axis, and
+    anything but N axes of at least MIN_AXIS_NODES nodes is a ValueError."""
+    box = np.asarray(box, dtype=float).reshape(N, 2)
+    nx = [int(nx)] * N if np.isscalar(nx) else list(nx)
+    if len(nx) != N or min(nx) < MIN_AXIS_NODES:
+        raise ValueError(f"nx = {nx}: need {N} axes of at least "
+                         f"{MIN_AXIS_NODES} nodes")
+    axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(box, nx)]
+    return box, nx, axes, [float(a[1] - a[0]) for a in axes]
 
 
 def _time_step(hs, Lambda, m0, bmax, cross):
@@ -424,14 +323,7 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
         raise ArgumentError(f"dt must be positive, got {dt!r}")
     N = geometry.N
     m0 = geometry.structure.m0
-    box = np.asarray(box, dtype=float).reshape(N, 2)
-    if np.isscalar(nx):
-        nx = [int(nx)] * N
-    if len(nx) != N or min(nx) < MIN_AXIS_NODES:
-        raise ValueError(f"nx = {list(nx)}: need {N} axes of at least "
-                         f"{MIN_AXIS_NODES} nodes")
-    axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(box, nx)]
-    hs = [float(a[1] - a[0]) for a in axes]
+    box, nx, axes, hs = _grid_axes(box, nx, N)
     grid = _GridCoeffs(coeffs, axes, m0)
     pts, dims = grid.pts, grid.dims
 
@@ -542,7 +434,7 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
     meta = {"dt": dt, "dt_bound": dt_bound, "Lambda": Lambda, "bmax": bmax,
             "boundary_max_ratio": (boundary_max / interior_max
                                    if interior_max > 0 else 0.0),
-            "warnings": warnings_list, "box": box.tolist(), "nx": list(nx),
+            "warnings": warnings_list, "box": box.tolist(), "nx": nx,
             "t0": t0, "t1": t1}
     return GridSolution(axes=axes, taxis=taxis, values=values, meta=meta)
 
@@ -682,9 +574,7 @@ def approx_fundamental(coeffs, geometry, x0, t0, t1, box, nx, widths,
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     datum = KernelDatum(point(x0, float(t0)), params)
     N = geometry.N
-    boxa = np.asarray(box, dtype=float).reshape(N, 2)
-    nxl = [int(nx)] * N if np.isscalar(nx) else list(nx)
-    hs = [(hi - lo) / (n - 1) for (lo, hi), n in zip(boxa, nxl)]
+    *_, hs = _grid_axes(box, nx, N)
     finals = []
     for i, w in enumerate(widths):
         # the datum must be representable on the grid: every marginal
@@ -754,7 +644,7 @@ def weak_residual(u: GridSolution, tf: TestFunction, coeffs,
     dt = u.dt
     interp = u.interpolator()
 
-    # support box of Q_r(z0): sample the cylinder's corner images
+    # the cylinder Q_r(z0) spans the times [t0 - r^2, t0]
     r = tf.scale
     z0 = tf.center
     tmin, tmax = z0[-1] - r * r, z0[-1]
@@ -764,7 +654,10 @@ def weak_residual(u: GridSolution, tf: TestFunction, coeffs,
     total = 0.0
     grid = _GridCoeffs(coeffs, u.axes, m0)
     pts, dims = grid.pts, grid.dims
+    # Yu by a centered difference along the drift's integral curves
+    # gamma(s) = (E(-s) x, t - s), batched over the support nodes
     s_lie = 0.5 * min(min(hs), dt)
+    ends = [(g.exp_drift(-sv).T, sv) for sv in (s_lie, -s_lie)]
     for it in range(1, len(u.taxis) - 1):
         t = u.taxis[it]
         if not tmin <= t <= tmax:
@@ -782,12 +675,12 @@ def weak_residual(u: GridSolution, tf: TestFunction, coeffs,
         for i in range(m0):
             for j in range(m0):
                 integrand -= A[..., i, j] * Du[j] * Dphi[i]
-        # phi * Yu by a centered difference along the integral curves,
-        # batched over the support nodes
         mask = phi > 0.0
+        xs = pts.reshape(dims + (N,))[mask]
+        ys = [interp(np.column_stack([xs @ ET, np.full(len(xs), t - sv)]))
+              for ET, sv in ends]
         Yu = np.zeros(dims)
-        Yu[mask] = _lie_rows(interp, pts.reshape(dims + (N,))[mask], t,
-                             s_lie, g)
+        Yu[mask] = (ys[0] - ys[1]) / (2.0 * s_lie)
         integrand += phi * Yu
         if coeffs.get("b") is not None:
             bgrid = grid("b", t)

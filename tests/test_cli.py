@@ -162,6 +162,57 @@ def test_grid_A0_sidecar_runs_mc(step_A0, tmp_path, capsys):
                      "--out", str(tmp_path / "e.csv")]) == 0
 
 
+@pytest.fixture()
+def short_A0_specs(tmp_path):
+    """A spec whose A0 is a grid sidecar sampled on t in [0, 0.5] under the
+    window [0, 1], and the same spec with that A0 wrapped as `mollified`."""
+    ax = np.linspace(-4.0, 4.0, 11)
+    f = GridField([ax, ax], [0.0, 0.5], np.ones((11, 11, 2)))
+    specfile.save_grid_field(f, tmp_path / "a0.csv")
+    proto = specfile.prototype_spec()
+    grid = specfile.save(specfile.OperatorSpec(
+        structure=proto.structure, B=proto.B, fields={"A0": f},
+        window=(0.0, 1.0), ellipticity=(1.0, 1.0)), tmp_path / "grid.json")
+    doc = json.loads(Path(grid).read_text())
+    doc["coefficients"]["A0"] = {"kind": "mollified", "eps": 0.1, "T": 1.0,
+                                 "raw": doc["coefficients"]["A0"]}
+    moll = tmp_path / "moll.json"
+    moll.write_text(json.dumps(doc))
+    return {"grid": str(grid), "moll": str(moll)}
+
+
+@pytest.mark.parametrize("argv", [
+    ["mollify", "{grid}", "--field", "A0"],
+    ["solve", "cauchy", "{moll}", "--box=-4,4;-2,2", "--nx", "21,21",
+     "--t1", "0.9", "--out", "out.csv"],
+    ["mc", "simulate", "{moll}", "--paths", "10", "--t1", "0.9",
+     "--out", "out.csv"],
+], ids=["mollify", "solve-cauchy", "mc-simulate"])
+def test_window_underflow_exit_2(short_A0_specs, tmp_path, capsys,
+                                 monkeypatch, argv):
+    """A mollified A0 read outside its raw field's time axis [0, 0.5] is
+    refused like a malformed spec: exit 2, one error line, no artifact."""
+    monkeypatch.chdir(tmp_path)
+    argv = [a.format(**short_A0_specs) for a in argv]
+    assert cli.main(argv) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: mollified evaluation needs samples "
+                          "outside window") and err.count("\n") == 1
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_check_cone_unresolved_exit_7(tmp_path, capsys):
+    """On an N = 1 spec (blocks [1], B [[0]]) the probed cone holds 18
+    nodes, fewer than the 27 a quotient needs: `check cone` exits 7."""
+    doc = specfile.prototype_spec().to_dict()
+    doc["structure"] = {"blocks": [1], "B": [[0.0]]}
+    p = tmp_path / "n1.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main(["check", "cone", str(p), "--center", "0",
+                     "--pole", "0"]) == cli.EXIT_VERIFY
+    assert capsys.readouterr().err == "verify error: 18 cone nodes < 27\n"
+
+
 @pytest.mark.parametrize("cmd", ["cauchy", "fundamental"])
 @pytest.mark.parametrize("nx", ["1,21", "21,1", "21", "21,21,21", "21,x"])
 def test_solve_bad_nx_exit_2(spec_path, tmp_path, capsys, cmd, nx):

@@ -130,15 +130,6 @@ def test_stacked_read_matches_column_stack_reference(dim):
                         out[rows].T.reshape(want.shape), want), name
 
 
-def test_check_ellipticity_checkerboard():
-    f = coeff.checkerboard_spd(1.0, 2.0, m0=1, dim=2, h=0.25, seed=11)
-    rng = np.random.default_rng(0)
-    rep = coeff.check_ellipticity(f, rng.uniform(-1, 1, size=(500, 2)),
-                                  rng.uniform(0, 1, 500))
-    assert len(rep["violations"]) == 0
-    assert 1.0 <= rep["lambda_hat"] <= rep["Lambda_hat"] <= 2.0
-
-
 def test_mollification_preserves_interval_and_converges():
     f = coeff.checkerboard_spd(1.0, 2.0, m0=1, dim=2, h=0.25, seed=11)
     X, ts = probe_grid(n=33)
@@ -305,31 +296,9 @@ def test_sample_pairs_matches_pairwise_loop():
         assert np.all(g.distance(zs, ws) < r)
 
 
-def test_dini_integral_of_linear_modulus():
-    radii = np.linspace(0.01, 1.0, 400)
-    res = coeff.dini_integral(radii, radii.copy())
-    assert abs(res["integral"] - 0.99) < 1e-6
-
-
 def test_holder_seminorm_of_coordinate():
     f = coeff.ExprField(lambda x, t: x[0], dim=2, shape=())
     s = coeff.holder_seminorm(f, prototype_geometry(), alpha=1.0,
                               box=[(-1, 1), (-1, 1)], twindow=(0.0, 1.0),
                               n_pairs=20000, seed=1)
     assert 0.8 <= s <= 1.1
-
-
-def test_rescale_powers():
-    g = prototype_geometry()
-    fields = {
-        "A0": coeff.ExprField(lambda x, t: np.array([[1.0 + 0.1 * x[0]]]),
-                              dim=2, shape=(1, 1)),
-        "c": coeff.ExprField(lambda x, t: x[0], dim=2, shape=()),
-    }
-    r = 0.5
-    rs = coeff.rescale(fields, g, r)
-    x = np.array([0.4, 0.2])
-    xd = g.dilate_space(r, x)
-    assert np.allclose(rs["A0"](x, 0.1), fields["A0"](xd, r * r * 0.1))
-    assert np.allclose(rs["c"](x, 0.1),
-                       r * r * fields["c"](xd, r * r * 0.1))

@@ -9,8 +9,8 @@ from kolmo import kernel as kern
 from kolmo import pde
 from kolmo.coefficients import CheckerboardField, ConstantField, Field, \
     GridField
-from kolmo.errors import ArgumentError, BoundaryNode, BoxTooSmall, \
-    OutOfDomain, SupportExceedsGrid, Unstable
+from kolmo.errors import ArgumentError, BoxTooSmall, SupportExceedsGrid, \
+    Unstable
 from kolmo.group import Geometry, point, prototype_geometry
 from kolmo.structure import BlockStructure
 from test_structure import random_canonical_B
@@ -39,55 +39,6 @@ def kernel_solution(proto, proto_params, nx, nt, box=(-4, 4, -2, 2),
         kern.gamma_many(np.column_stack([pts, np.full(len(pts), t)]),
                         pole, proto_params).reshape(nx, nx) for t in ta])
     return pde.GridSolution(axes=axes, taxis=ta, values=vals)
-
-
-def test_apply_L_residual_refines(proto, proto_params, proto_coeffs):
-    errs = []
-    for nx, nt in ((41, 81), (81, 321)):
-        u = kernel_solution(proto, proto_params, nx, nt)
-        worst = max(abs(pde.apply_L(u, idx, 1, proto_coeffs, proto))
-                    for idx in [(nx // 2 + nx // 8, nx // 2 - nx // 8),
-                                (nx // 3, nx // 3)])
-        errs.append(worst)
-    assert errs[1] < 0.5 * errs[0]
-
-
-def test_apply_L_rejects_boundary(proto, proto_coeffs, proto_params):
-    u = kernel_solution(proto, proto_params, 21, 5)
-    with pytest.raises(BoundaryNode):
-        pde.apply_L(u, (0, 10), 1, proto_coeffs, proto)
-    with pytest.raises(BoundaryNode):
-        pde.apply_L(u, (10, 10), 4, proto_coeffs, proto)
-
-
-def test_adjoint_on_constants(proto, proto_coeffs):
-    axes = [np.linspace(-1, 1, 11)] * 2
-    v = pde.GridSolution(axes=axes, taxis=np.linspace(0, 0.1, 5),
-                         values=np.ones((5, 11, 11)))
-    # L* 1 = (c - Tr B) = 0 with c absent and trace-free B
-    assert pde.apply_L_adjoint(v, (5, 5), 1, proto_coeffs, proto) == 0.0
-
-
-def test_lie_derivative_matches_operator_identity(proto, proto_params,
-                                                  proto_coeffs):
-    # K Gamma = 0 forces Y Gamma = -d11 Gamma away from the pole
-    u = kernel_solution(proto, proto_params, 161, 81)
-    x, t = np.array([0.4, -0.2]), 0.4
-    Y = pde.lie_derivative(u, x, t, proto)
-    eps = 1e-5
-    pole = point(np.zeros(2), 0.0)
-
-    def G(x1):
-        return kern.gamma_K_lambda(point(np.array([x1, x[1]]), t), pole,
-                                   proto_params)
-    d11 = (G(x[0] + eps) - 2.0 * G(x[0]) + G(x[0] - eps)) / eps ** 2
-    assert abs(Y + d11) / abs(d11) < 0.1
-
-
-def test_lie_derivative_out_of_domain(proto, proto_params):
-    u = kernel_solution(proto, proto_params, 21, 5)
-    with pytest.raises(OutOfDomain):
-        pde.lie_derivative(u, np.array([3.9, 0.0]), 0.4, proto, s=0.5)
 
 
 def test_solver_rejects_unstable_dt(proto):
@@ -475,7 +426,6 @@ def test_keep_final_refuses_time_interpolation(proto, proto_coeffs):
     tf = pde.TestFunction(center=point(np.zeros(2), 0.2), scale=0.3,
                           geometry=proto)
     for read in (lambda: last.evaluate(np.zeros(2), 0.1),
-                 lambda: pde.lie_derivative(last, np.zeros(2), 0.1, proto),
                  lambda: pde.weak_residual(last, tf, proto_coeffs, proto)):
         with pytest.raises(ArgumentError, match="keep='all'"):
             read()
@@ -553,7 +503,7 @@ def _diagonal_A0(blocks):
 def test_implicit_step_inverts_I_minus_dt_D(blocks):
     """Applying (I - dt D_ii) along the axes in reverse order to the
     implicit step returns its input plus dt times the cross terms, to
-    1e-12: D_ii and the cross terms are _diffusion on A0 with only its
+    1e-12: D_ii and the cross terms are _ref_diffusion on A0 with only its
     entry (i, i), or only its off-diagonal entries, kept (A0 of _keep_coeffs,
     with off-diagonal entries for m0 = 2)."""
     g, coeffs = _keep_coeffs(blocks, with_bc=False)
@@ -569,10 +519,10 @@ def test_implicit_step_inverts_I_minus_dt_D(blocks):
     for i in reversed(range(m0)):
         Ai = np.zeros_like(A)
         Ai[..., i, i] = A[..., i, i]
-        w = w - dt * pde._diffusion(w, pde._pad_zero(w), Ai, hs, m0)
+        w = w - dt * _ref_diffusion(pde._pad_zero(w), Ai, hs, m0)
     off = A * ~np.eye(m0, dtype=bool)
     assert np.any(off) == (m0 > 1)
-    rhs = u + dt * pde._diffusion(u, pde._pad_zero(u), off, hs, m0)
+    rhs = u + dt * _ref_diffusion(pde._pad_zero(u), off, hs, m0)
     assert np.max(np.abs(w - rhs)) <= 1e-12 * np.max(np.abs(u))
 
 
@@ -760,6 +710,19 @@ def test_weak_residual_refines(proto, proto_params, proto_coeffs):
     assert res[1] < 0.5 * res[0]
 
 
+@pytest.mark.parametrize("center_t, scale", [(0.7, 0.3), (0.45, 0.5)])
+def test_weak_residual_refuses_cylinder_off_grid(proto, proto_params,
+                                                 proto_coeffs, center_t,
+                                                 scale):
+    """A test function whose cylinder [t0 - r^2, t0] ends after the last
+    time node, or starts before the first, raises SupportExceedsGrid."""
+    u = kernel_solution(proto, proto_params, 21, 5)
+    tf = pde.TestFunction(center=point(np.zeros(2), center_t), scale=scale,
+                          geometry=proto)
+    with pytest.raises(SupportExceedsGrid, match="time range"):
+        pde.weak_residual(u, tf, proto_coeffs, proto)
+
+
 def test_testfunction_support_and_batch(proto):
     tf = pde.TestFunction(center=point(np.zeros(2), 0.5), scale=0.5,
                           geometry=proto)
@@ -778,6 +741,17 @@ def test_approx_fundamental_guards_width(proto, proto_coeffs):
                                [[-4, 4], [-2, 2]], [41, 41], widths=[0.01])
 
 
+@pytest.mark.parametrize("nx", [[81], [81, 81, 81], [1, 81]])
+def test_approx_fundamental_refuses_bad_nx(proto, proto_coeffs, nx):
+    """The box and nx are read by the solver's own helper: the wrong number
+    of axes, or an axis of fewer than MIN_AXIS_NODES nodes, is the solver's
+    ValueError, raised before the width check (the width 0.01 would fail
+    it), not an IndexError, a SupportExceedsGrid or a division by zero."""
+    with pytest.raises(ValueError, match="need 2 axes of at least 2 nodes"):
+        pde.approx_fundamental(proto_coeffs, proto, np.zeros(2), 0.0, 0.3,
+                               [[-4, 4], [-2, 2]], nx, widths=[0.01])
+
+
 @pytest.mark.filterwarnings("ignore:boundary magnitude")
 def test_approx_fundamental_vanishing_past(proto, proto_coeffs):
     """The returned solution reads 0 at and before the pole time."""
@@ -791,7 +765,7 @@ def test_approx_fundamental_vanishing_past(proto, proto_coeffs):
     assert len(report["spread"]) == 1
 
 
-# -- the operators as first written, one loop per term -----------------------
+# -- the diffusion and the weak form as first written, one loop per term ----
 
 
 def _ref_diffusion(up, A, hs, m0):
@@ -814,52 +788,6 @@ def _ref_diffusion(up, A, hs, m0):
             Gp = Ap[..., i, j] * du_j_p
             out += (sh(Gp, i, 1) - sh(Gp, i, -1)) / (2.0 * hs[i])
     return out
-
-
-def _ref_operator(u, t, axes, coeffs, g, adjoint):
-    """div(A Du) + <Bx, Du> + <b, Du> + c u, or the adjoint's
-    div(A Dv) - div(b v) + (c - Tr B) v - <Bx, Dv>."""
-    sh = pde._shift
-    m0, N = g.structure.m0, g.N
-    hs = [float(a[1] - a[0]) for a in axes]
-    grid = pde._GridCoeffs(coeffs, axes, m0)
-    X = grid.pts.reshape(grid.dims + (N,))
-    up = pde._pad_zero(u)
-    out = _ref_diffusion(up, grid("A0", t), hs, m0)
-
-    def upwind(sign):
-        BX = np.einsum("ij,...j->...i", g.B, X)
-        for i in range(N):
-            ci = sign * BX[..., i]
-            if not np.any(ci):
-                continue
-            fwd = (sh(up, i, 1) - sh(up, i, 0)) / hs[i]
-            bwd = (sh(up, i, 0) - sh(up, i, -1)) / hs[i]
-            out[...] += np.where(ci > 0.0, ci * fwd, ci * bwd)
-
-    if adjoint:
-        bp = pde._pad_edge(grid("b", t), N)
-        for i in range(m0):
-            Gp = bp[..., i] * up
-            out -= (sh(Gp, i, 1) - sh(Gp, i, -1)) / (2.0 * hs[i])
-        out += (grid("c", t) - float(np.trace(g.B))) * u
-        upwind(-1.0)
-        return out
-    upwind(1.0)
-    bgrid = grid("b", t)
-    for i in range(m0):
-        du = (sh(up, i, 1) - sh(up, i, -1)) / (2.0 * hs[i])
-        out += bgrid[..., i] * du
-    out += grid("c", t) * u
-    return out
-
-
-def _ref_lie(u, x, t, g, s):
-    interp = u.interpolator()
-
-    def gamma(sv):
-        return np.concatenate([g.exp_drift(-sv) @ x, [t - sv]])
-    return float((interp(gamma(s))[0] - interp(gamma(-s))[0]) / (2.0 * s))
 
 
 def _ref_weak(u, tf, coeffs, g):
@@ -907,8 +835,8 @@ def _ref_weak(u, tf, coeffs, g):
 
 @pytest.mark.parametrize("blocks", [(1, 1), (2, 1), (1, 1, 1)])
 def test_operators_match_reference_bitwise(blocks):
-    """Every discrete operator gives, bit for bit, the value of a loop per
-    term, with all three coefficients present: a checkerboard A0 (with
+    """The weak residual gives, bit for bit, the value of a loop per term,
+    with all three coefficients present: a checkerboard A0 (with
     off-diagonal entries for m0 = 2) and checkerboard b and c that change
     in space and time."""
     g, coeffs = _keep_coeffs(blocks, with_bc=True)
@@ -920,19 +848,6 @@ def test_operators_match_reference_bitwise(blocks):
     u = pde.GridSolution(axes=axes, taxis=taxis, values=np.stack([
         np.exp(-2.0 * (1.0 + t) * np.sum(pts ** 2, axis=1) + t * pts[:, 0])
         .reshape((nx,) * N) for t in taxis]))
-    it, idx = 3, (nx // 2 + 1,) * N
-    dudt = (u.values[it + 1][idx] - u.values[it][idx]) / u.dt
-    for adjoint, op, apply, sign in (
-            (False, pde.spatial_operator, pde.apply_L, -1.0),
-            (True, pde.adjoint_spatial_operator, pde.apply_L_adjoint, 1.0)):
-        ref = _ref_operator(u.values[it], taxis[it], axes, coeffs, g, adjoint)
-        assert np.array_equal(op(u.values[it], taxis[it], axes, coeffs, g),
-                              ref)
-        assert apply(u, idx, it, coeffs, g) == float(ref[idx] + sign * dudt)
     tf = pde.TestFunction(center=point(np.full(N, 0.1), 0.18), scale=0.35,
                           geometry=g)
     assert pde.weak_residual(u, tf, coeffs, g) == _ref_weak(u, tf, coeffs, g)
-    for x in (np.full(N, 0.1), np.array([0.33, -0.2, 0.05][:N])):
-        for s in (0.5 * min(min(u.hs), u.dt), 0.013):
-            assert pde.lie_derivative(u, x, 0.11, g, s=s) == \
-                _ref_lie(u, x, 0.11, g, s)

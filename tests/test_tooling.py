@@ -70,6 +70,31 @@ def test_every_exit_code_class_is_raised():
     assert caught <= _raised(trees), sorted(caught - _raised(trees))
 
 
+def _error_classes(trees):
+    """Every class in the library derived from KolmoError, KolmoError
+    itself included, by following the base names through all modules."""
+    bases = {n.name: {_name(b) for b in n.bases} for t in trees.values()
+             for n in t.body if isinstance(n, ast.ClassDef)}
+    found = {"KolmoError"}
+    while True:
+        more = {c for c, bs in bases.items() if bs & found} - found
+        if not more:
+            return found
+        found |= more
+
+
+def test_every_raised_error_class_has_an_exit_code():
+    """A library error that cli.main does not catch escapes as a traceback
+    with exit 1.  Every KolmoError class the library raises is caught by
+    cli.main, but InternalInconsistency, which marks a bug in kolmo."""
+    trees = _trees()
+    raised = _error_classes(trees) & _raised(trees)
+    assert "SpecError" in raised and "NotSPD" in raised
+    uncaught = raised - _cli_caught(trees["cli.py"]) - {
+        "InternalInconsistency"}
+    assert not uncaught, sorted(uncaught)
+
+
 def _defaulted_params(trees):
     """(module, function, parameter) -> positional index, or None for a
     keyword-only one, of every defaulted parameter of a public module-level

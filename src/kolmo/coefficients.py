@@ -69,7 +69,9 @@ class GridField(Field):
     """Tensor-grid samples with multilinear interpolation.
 
     axes: strictly increasing spatial axes; taxis: time axis; values indexed
-    as values[i1, ..., iN, it, *shape].
+    as values[i1, ..., iN, it, *shape].  Each query coordinate, in space and
+    in time, is clipped to its axis first, so a point outside the axes reads
+    the nearest edge sample and every value lies in the samples' range.
     """
 
     def __init__(self, axes, taxis, values):
@@ -87,19 +89,20 @@ class GridField(Field):
         self.axes = axes
         self.taxis = taxis
         self.values = values
+        self._lo = np.array([a[0] for a in axes + [taxis]])
+        self._hi = np.array([a[-1] for a in axes + [taxis]])
         self._interp = RegularGridInterpolator(
             tuple(axes) + (taxis,), values, method="linear",
             bounds_error=False, fill_value=None)
 
     def __call__(self, x, t):
-        pt = np.concatenate([np.atleast_1d(x), [t]])
-        out = self._interp(pt)[0]
-        return np.asarray(out)
+        return self.many(np.atleast_1d(x)[None, :], t)[0]
 
     def many(self, X, ts):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         ts = np.broadcast_to(np.asarray(ts, dtype=float), (X.shape[0],))
-        return np.asarray(self._interp(np.column_stack([X, ts])))
+        pts = np.clip(np.column_stack([X, ts]), self._lo, self._hi)
+        return np.asarray(self._interp(pts))
 
 
 _HASH_MULT, _HASH_SHIFT = np.uint64(0xBF58476D1CE4E5B9), np.uint64(31)
@@ -234,10 +237,6 @@ class CellLookup:
             return np.take(stack.values, where, out=out, mode="clip")
         return np.take(np.take(stack.values, where), self.flat, axis=1,
                        out=out, mode="clip")
-
-    def index(self, seed, count):
-        """Row -> index in [0, count) drawn by the hash seeded with seed."""
-        return self.read(TableStack([seed], [np.arange(count)]))[0]
 
 
 class CheckerboardField(Field):

@@ -5,13 +5,16 @@ exp(int c dt).
 
 Paths run in fixed-size chunks, each stepped in place as a column-major
 (N, n) state, one contiguous row per coordinate, in buffers allocated once
-per chunk; the fields see the (n, N) row view X.T.  Checkerboard fields
-are read as tables, and the reads of one cell side share one cell pass and
-one gather: their tables are stacked once per call, and each step floors
-the state once per side, hashes the cells for every board of the side at
-once and gathers all their components with one take, through a lookup
-and into a buffer allocated once per chunk.  A checkerboard A0's table
-holds the factors of its values, made once per call.  Each chunk draws
+per chunk; the fields see the (n, N) row view X.T.  Each step reads every
+coefficient as a (k, n) array of components (A0 as the factor of lam * A0,
+b as it is, c as dt * c): a constant's is made once per call as (k, 1), a
+checkerboard's is gathered from a table of its values' components, made
+once per call, and any other field's is made from its values at the state.
+The checkerboards of one cell side share one cell pass and one gather per
+step: their tables are stacked, and a lookup per side hashes the cells for
+every board at once and takes all their components into one buffer.  The
+step then has one drift update, one weight update and one noise product,
+an in-place lower-triangular pass over the columns of dW.  Each chunk draws
 from its own child stream of the master seed, so the ensemble and every
 CSV and report made from it are byte-identical at any number of worker
 threads.  Every chunk runs in a copy of the caller's context, so the
@@ -84,13 +87,13 @@ class PathEnsemble:
 
 
 def _sigma_chunk(A0_vals, lam):
-    """Cholesky factors of lam * A0 for a chunk of states.
+    """Cholesky factors of lam * A0 for a chunk of (count, m0, m0) values.
 
     Column by column, vectorised over the chunk: one sqrt per column, so for
     m0 = 1 the factor is sqrt(lam * A0), bitwise what LAPACK returns.  A
     pivot that is not > 0 (NaN included) raises NotSPD.
     """
-    A = lam * np.atleast_3d(A0_vals)
+    A = lam * A0_vals
     m = A.shape[-1]
     L = np.zeros_like(A)
     for j in range(m):
@@ -121,33 +124,34 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
     nsteps = max(1, int(round((t1 - t0) / config.dt)))
     dt = (t1 - t0) / nsteps
     sqdt = np.sqrt(dt)
-
-    A0f = coeffs.get("A0")
-    bf = coeffs.get("b")
-    cf = coeffs.get("c")
-    if A0f is None:
+    if coeffs.get("A0") is None:
         raise ArgumentError("the coefficients need A0")
-    const_sigma = None
-    if getattr(A0f, "value", None) is not None:
-        const_sigma = _sigma_chunk(np.atleast_2d(A0f.value)[None],
-                                   config.lam)[0]
-        # contiguous, so the per-step product need not walk a transposed view
-        sigma_T = np.ascontiguousarray(const_sigma.T)
-    # A checkerboard is read as a table: A0's holds the factors of its
-    # values, so a non-SPD value is refused before any path is stepped;
-    # c's holds dt * c.  The tables of one cell side are stacked, and each
-    # step reads them all through one lookup of that side.
-    tables = {}
-    if isinstance(A0f, CheckerboardField):
-        tables["A0"] = _sigma_chunk(
-            np.reshape(A0f.values, (-1, m0, m0)), config.lam)
-    if isinstance(bf, CheckerboardField):
-        tables["b"] = np.reshape(bf.values, (-1, m0))
-    if isinstance(cf, CheckerboardField):
-        tables["c"] = dt * np.reshape(cf.values, (-1,))
-    sides = {}
-    for name in tables:
-        sides.setdefault(coeffs[name].h, []).append(name)
+
+    def components(name, vals):
+        """(count, k) components of count values of coefficient name."""
+        if name == "A0":
+            L = _sigma_chunk(np.reshape(vals, (-1, m0, m0)), config.lam)
+            return L.reshape(-1, m0 * m0)
+        if name == "b":
+            return np.reshape(vals, (-1, m0))
+        return dt * np.reshape(vals, (-1, 1))
+
+    # Each field is held (a constant), a table (a checkerboard: so a
+    # non-SPD A0 value is refused before any path is stepped, even one no
+    # path reaches) or other, read by many at every step; the tables are
+    # grouped by cell side.
+    held, tables, other, sides = {}, {}, [], {}
+    for name in ("A0", "b", "c"):
+        f = coeffs.get(name)
+        if f is None:
+            continue
+        if getattr(f, "value", None) is not None:
+            held[name] = components(name, f.value).T
+        elif isinstance(f, CheckerboardField):
+            tables[name] = components(name, f.values)
+            sides.setdefault(f.h, []).append(name)
+        else:
+            other.append(name)
     stacks = {h: TableStack([coeffs[k].seed for k in names],
                             [tables[k] for k in names])
               for h, names in sides.items()}
@@ -171,45 +175,34 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
         # buffer its gather fills; each board reads its rows of the buffer
         cells = {h: CellLookup(X.T, t, h) for h in stacks}
         got = {h: np.empty((s.k, n)) for h, s in stacks.items()}
-        read = {name: got[h][stacks[h].bounds[j]]
-                for h, names in sides.items() for j, name in enumerate(names)}
+        read = dict(held)
+        read.update({name: got[h][stacks[h].bounds[j]]
+                     for h, names in sides.items()
+                     for j, name in enumerate(names)})
         for _ in range(nsteps):
             rng.standard_normal(out=dW)
             dW *= sqdt
             for h, lookup in cells.items():
                 lookup.move(X.T, t)
                 lookup.read(stacks[h], out=got[h])
+            for name in other:
+                read[name] = components(name, coeffs[name].many(X.T, t)).T
             # (-B X + b) dt as (B X - b) * -dt, in place: negation is exact
             np.matmul(B, X, out=D)
             if "b" in read:
                 D[:m0] -= read["b"]
-            elif bf is not None:
-                D[:m0] -= np.reshape(bf.many(X.T, t), (n, m0)).T
             D *= -dt
-            if "A0" in read:
-                if m0 == 1:
-                    # a plain product, in place
-                    dW[:, 0] *= read["A0"][0]
-                    noise = dW
-                else:
-                    noise = np.einsum(
-                        "kij,kj->ki", np.ascontiguousarray(
-                            read["A0"].T).reshape(n, m0, m0), dW)
-            elif const_sigma is None:
-                sig = _sigma_chunk(
-                    np.reshape(A0f.many(X.T, t), (n, m0, m0)), config.lam)
-                noise = np.einsum("kij,kj->ki", sig, dW)
-            elif m0 == 1:
-                # the product dW @ sigma_T forms, in place: numpy's matmul
-                # takes over ten times as long on (n, 1) @ (1, 1)
-                noise = np.multiply(dW, const_sigma[0, 0], out=dW)
-            else:
-                noise = dW @ sigma_T
+            # noise L dW, L the factor of lam * A0, in place from the last
+            # column down, so each reads the columns before it untouched;
+            # for m0 = 1 a plain product
+            L = read["A0"]
+            for i in reversed(range(m0)):
+                dW[:, i] *= L[i * m0 + i]
+                for j in range(i):
+                    dW[:, i] += L[i * m0 + j] * dW[:, j]
             if "c" in read:
                 lw += read["c"][0]
-            elif cf is not None:
-                lw += dt * np.asarray(cf.many(X.T, t)).reshape(n)
-            X[:m0] += noise.T
+            X[:m0] += dW.T
             X += D
             t += dt
         if not np.all(np.isfinite(X)):

@@ -95,8 +95,8 @@ class _GridCoeffs:
     """The operator's coefficient fields sampled on one spatial grid.
 
     The node rows are built once.  A0 is required (ArgumentError without
-    it); a missing b or c is zero.  It and a field with a fixed `value` (a
-    ConstantField) are sampled once, a checkerboard once per time cell
+    it); b and c are read only where present.  A field with a fixed `value`
+    (a ConstantField) is sampled once, a checkerboard once per time cell
     floor(t / h): the same array comes back for as long as the sample
     holds, so callers must not write into it.
     """
@@ -114,18 +114,14 @@ class _GridCoeffs:
         """Coefficient `name` at time t, shape dims + (m0,) * rank."""
         f = self.coeffs.get(name)
         # the time cell for which a checkerboard's sample holds; the sample
-        # of a missing or constant field holds for every t
+        # of a constant field holds for every t
         cell = np.floor(t / f.h) if isinstance(f, CheckerboardField) else None
         held = self._held.get(name)
         if held is not None and held[0] == cell:
             return held[1]
         shape = self.dims + (self.m0,) * RANK[name]
-        if f is None:
-            vals = np.zeros(shape)
-        else:
-            vals = np.asarray(f.many(self.pts, t)).reshape(shape)
-        if (f is None or cell is not None
-                or getattr(f, "value", None) is not None):
+        vals = np.asarray(f.many(self.pts, t)).reshape(shape)
+        if cell is not None or getattr(f, "value", None) is not None:
             self._held[name] = (cell, vals)
         return vals
 
@@ -180,8 +176,8 @@ def _cross_terms(out, up, Ap, m0, hs):
         for j in range(m0):
             if i == j:
                 continue
-            du_j_p = (np.roll(up, -1, axis=j)
-                      - np.roll(up, 1, axis=j)) / (2.0 * hs[j])
+            # padded by zeros again: along j the pad is never read
+            du_j_p = _pad_zero(_centered(up, j, hs[j]))
             out += _centered(Ap[..., i, j] * du_j_p, i, hs[i])
 
 

@@ -74,22 +74,30 @@ def _field_to_dict(f):
     raise SpecError(f"field {type(f).__name__} has no serial form")
 
 
-def _field_from_dict(d, base_dir):
+def _field_from_dict(d, base_dir, N):
+    """The field a descriptor describes on R^N x R; a `dim` other than N
+    is refused."""
     if not isinstance(d, dict):
         raise SpecError(f"coefficient descriptor {d!r} is not an object")
     kind = d.get("kind")
     try:
+        if "dim" in d and int(d["dim"]) != N:
+            raise SpecError(f"{kind} field has dim {d['dim']!r}, not N = {N}")
         if kind == "constant":
             v = np.asarray(d["value"], dtype=float)
-            return coeff.ConstantField(v, dim=int(d.get("dim", 1)))
+            return coeff.ConstantField(v, dim=N)
         if kind == "checkerboard":
             return coeff.CheckerboardField(
                 [np.asarray(v, dtype=float) for v in d["values"]],
-                h=float(d["h"]), dim=int(d["dim"]), seed=int(d["seed"]))
+                h=float(d["h"]), dim=N, seed=int(d["seed"]))
         if kind == "grid":
-            return load_grid_field(base_dir / d["file"])
+            f = load_grid_field(base_dir / d["file"])
+            if f.dim != N:
+                raise SpecError(f"grid file {d['file']!r} has {f.dim} "
+                                f"spatial axes, not N = {N}")
+            return f
         if kind == "mollified":
-            raw = _field_from_dict(d["raw"], base_dir)
+            raw = _field_from_dict(d["raw"], base_dir, N)
             return coeff.mollify(raw, eps=float(d["eps"]), T=float(d["T"]))
     except (LookupError, TypeError, ValueError) as e:
         raise SpecError(f"{kind} field: missing or malformed {e}") from e
@@ -117,16 +125,13 @@ def from_dict(doc, base_dir=Path(".")):
     fields = {}
     for k, v in fdocs.items():
         shape = (st.m0,) * coeff.RANK[k]
-        f = _field_from_dict(v, Path(base_dir))
+        f = _field_from_dict(v, Path(base_dir), st.N)
         # a grid sidecar holds its values flat, one column per entry
         flat = isinstance(getattr(f, "f", f), coeff.GridField)
         if f.shape != shape and not (
                 flat and np.prod(f.shape) == np.prod(shape)):
             raise SpecError(f"coefficient {k!r} has values of shape "
                             f"{f.shape}, not {shape}")
-        # constant fields get the ambient spatial dimension
-        if isinstance(f, coeff.ConstantField):
-            f = coeff.ConstantField(f.value, dim=st.N)
         fields[k] = f
     return OperatorSpec(structure=st, B=B, fields=fields, window=win,
                         ellipticity=ell)

@@ -95,6 +95,50 @@ def test_malformed_spec_exit_2(tmp_path, capsys):
         assert cli.main(["structure", str(p)]) == cli.EXIT_PARSE, text
 
 
+def _dim_descriptors(tmp_path):
+    """A0 descriptors on R^dim for the prototype (N = 2): a checkerboard
+    with dim 3, the same wrapped as `mollified`, a constant with dim 7,
+    and a grid sidecar with three spatial axes."""
+    board = _checkerboard_doc(specfile.prototype_spec().to_dict())[
+        "coefficients"]["A0"]
+    board["dim"] = 3
+    ax = np.linspace(-1.0, 1.0, 3)
+    specfile.save_grid_field(GridField([ax] * 3, [0.0, 1.0],
+                                       np.ones((3, 3, 3, 2))),
+                             tmp_path / "a0.csv")
+    return {"checkerboard": board,
+            "mollified": {"kind": "mollified", "eps": 0.1, "T": 1.0,
+                          "raw": board},
+            "constant": {"kind": "constant", "value": [[1.0]], "dim": 7},
+            "grid": {"kind": "grid", "file": "a0.csv"}}
+
+
+@pytest.mark.parametrize("kind", ["checkerboard", "mollified", "constant",
+                                  "grid"])
+@pytest.mark.parametrize("argv", [
+    ["structure", "{spec}"],
+    ["mollify", "{spec}", "--field", "A0"],
+    ["solve", "cauchy", "{spec}", "--box=-4,4;-2,2", "--nx", "21,21",
+     "--t1", "0.3", "--out", "out.csv"],
+    ["mc", "simulate", "{spec}", "--paths", "10", "--out", "out.csv"],
+], ids=["structure", "mollify", "solve-cauchy", "mc-simulate"])
+def test_field_dim_other_than_N_exit_2(tmp_path, capsys, monkeypatch, kind,
+                                       argv):
+    """A descriptor whose `dim`, or a grid sidecar whose spatial axis
+    count, is not the spec's N is a parse error: exit 2 with one error
+    line and no artifact, not a field sampled on R^3, a broadcast
+    traceback or a dim read and thrown away."""
+    monkeypatch.chdir(tmp_path)
+    doc = specfile.prototype_spec().to_dict()
+    doc["coefficients"]["A0"] = _dim_descriptors(tmp_path)[kind]
+    p = tmp_path / "dim.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main([a.format(spec=p) for a in argv]) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "not N = 2" in err and err.count("\n") == 1
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_non_canonical_exit_3(tmp_path, capsys):
     doc = specfile.prototype_spec().to_dict()
     doc["structure"]["B"] = [[1.0, 0.0], [1.0, 0.0]]

@@ -24,6 +24,26 @@ def test_constant_field_fixed_by_mollification():
     assert abs(v[0, 0] - 1.5) < 1e-14
 
 
+def test_grid_field_reads_edge_samples_outside_its_axes():
+    """A query outside the axes, in time or in space, reads the nearest
+    edge sample, not a linear extrapolation: every value lies in the
+    samples' range."""
+    ax = np.linspace(-4.0, 4.0, 11)
+    in_time = coeff.GridField([ax, ax], [0.0, 0.5],
+                              np.stack([np.ones((11, 11)),
+                                        np.full((11, 11), 2.0)], axis=-1))
+    x = np.array([0.3, -0.2])
+    assert in_time(x, 2.0) == 2.0
+    assert in_time(x, -1.0) == 1.0
+    vals = np.ones((11, 11, 2))
+    vals[-1] = 2.0
+    edge_row = coeff.GridField([ax, ax], [0.0, 0.5], vals)
+    assert edge_row(np.array([5.6, 0.3]), 0.2) == 2.0
+    got = edge_row.many(np.array([[5.6, 0.3], [-7.0, 9.0], [4.0, 0.0]]),
+                        np.array([0.2, 3.0, -2.0]))
+    assert np.array_equal(got, [2.0, 1.0, 2.0])
+
+
 def test_checkerboard_reproducible_and_bounded():
     f = coeff.checkerboard_spd(1.0, 2.0, m0=1, dim=2, h=0.25, seed=11)
     X, ts = probe_grid()
@@ -94,7 +114,8 @@ def test_checkerboard_hash_matches_column_stack_reference(dim):
                 one = f(X[7], np.broadcast_to(t, len(X))[7])
             assert (cells.box is None) == sparse_rows, name
             assert np.array_equal(
-                f.values[cells.index(f.seed, count)], want), name
+                f.values[cells.read(coeff.TableStack(
+                    [f.seed], [np.arange(count)]))[0]], want), name
             assert np.array_equal(got, want), name
             assert np.array_equal(one, want[7]), name
             if name == "sparse":

@@ -8,7 +8,7 @@ from test_structure import random_canonical_B
 from kolmo import kernel as kern
 from kolmo import mc, pde
 from kolmo.coefficients import CheckerboardField, ConstantField, \
-    checkerboard_spd
+    GridField, checkerboard_spd
 from kolmo.errors import ArgumentError, NonFinite, NotSPD
 from kolmo.group import Geometry
 from kolmo.structure import BlockStructure
@@ -116,6 +116,43 @@ def _benchmark_rough_coeffs(N):
                                    h=0.25, dim=N, seed=23)}
 
 
+def _grid_field(N, shape, values, seed):
+    """A grid field on R^N x R with 3 nodes per axis on [-1, 1] x [0, 0.4],
+    its samples drawn by values(rng, size) for the sample shape; the paths
+    leave the axes, where the field reads its edge samples."""
+    rng = np.random.default_rng(seed)
+    ax = np.linspace(-1.0, 1.0, 3)
+    return GridField([ax] * N, [0.0, 0.2, 0.4],
+                     values(rng, (3,) * (N + 1)) * np.ones(shape))
+
+
+def _sampled_coeffs(m0, N, with_bc):
+    """Grid-field A0 (SPD at every sample, so at every convex combination
+    of samples), plus grid-field b and c when with_bc: none has a `value`
+    or a table, so each is read by its many at every step."""
+    def spd(rng, size):
+        G = rng.uniform(-0.5, 0.5, size=size + (m0, m0))
+        return G @ np.swapaxes(G, -1, -2) + 0.5 * np.eye(m0)
+    coeffs = {"A0": _grid_field(N, (m0, m0), spd, 1)}
+    if with_bc:
+        coeffs["b"] = _grid_field(
+            N, (m0,), lambda rng, size: rng.uniform(-0.5, 0.5, size + (m0,)),
+            2)
+        coeffs["c"] = _grid_field(
+            N, (), lambda rng, size: rng.uniform(-0.5, 0.0, size), 3)
+    return coeffs
+
+
+def _constant_coeffs(m0, N):
+    """Constant A0, b and c: the Asian pricing script's layout (constant A0
+    and b) with a constant c."""
+    A = np.diag(np.linspace(1.0, 0.6, m0)) \
+        + 0.3 * (np.ones((m0, m0)) - np.eye(m0))
+    return {"A0": ConstantField(A, dim=N),
+            "b": ConstantField(np.linspace(0.2, -0.1, m0), dim=N),
+            "c": ConstantField(np.array(-0.3), dim=N)}
+
+
 def _ensembles(coeffs, g, x0, paths):
     return [mc.simulate(coeffs, g, x0, 0.1, 0.3,
                         mc.McConfig(paths=paths, dt=0.02, seed=11, lam=2.0,
@@ -124,22 +161,28 @@ def _ensembles(coeffs, g, x0, paths):
 
 
 @pytest.mark.parametrize("blocks", [(1, 1), (1, 1, 1)])
-@pytest.mark.parametrize("kind", ["constant", "checkerboard", "one side"])
+@pytest.mark.parametrize("kind", ["constant", "checkerboard", "one side",
+                                  "sampled", "constant b, c"])
 def test_column_major_loop_bitwise_row_major(blocks, kind):
     """Where every row of B has one non-zero the column-major loop is
     bitwise the old row-major one, at 1 and 2 threads, over a partial
-    last chunk, with constant A0 or checkerboard A0, b and c: of two sides,
+    last chunk, with constant A0; checkerboard A0, b and c of two sides,
     each read through its own cell lookup, or of one side sharing one, as
-    in the rough benchmark.  The old loop reads each field by its own
-    many."""
+    in the rough benchmark; grid-field A0, b and c, read by many at every
+    step; or constant A0, b and c.  The old loop reads each field by its
+    own many."""
     g = Geometry(BlockStructure(blocks),
                  random_canonical_B(blocks, np.random.default_rng(7)))
     if kind == "constant":
         coeffs = {"A0": ConstantField(np.array([[0.7]]), dim=g.N)}
     elif kind == "checkerboard":
         coeffs = _rough_coeffs(1, g.N, with_bc=True)
-    else:
+    elif kind == "one side":
         coeffs = _benchmark_rough_coeffs(g.N)
+    elif kind == "sampled":
+        coeffs = _sampled_coeffs(1, g.N, with_bc=True)
+    else:
+        coeffs = _constant_coeffs(1, g.N)
     x0 = np.linspace(-0.3, 0.4, g.N)
     paths = mc.CHUNK + 1000
     final, logw = _row_major_simulate(
@@ -150,24 +193,27 @@ def test_column_major_loop_bitwise_row_major(blocks, kind):
     assert np.any(logw != 0.0) == (kind != "constant")
 
 
-@pytest.mark.parametrize("blocks", [(2, 1), (2, 2, 1)])
+@pytest.mark.parametrize("blocks", [(2, 1), (2, 2, 1), (3, 1)])
 def test_column_major_loop_matches_row_major_dense_B(blocks):
     """With several non-zeros in a row of B the matmul may fuse or reorder
-    the multiply-adds, so the old loop is matched to 1e-13 of the state;
-    thread counts still agree bitwise, weights included.  The inputs are
-    an m0 = 2 checkerboard A0, alone and with b and c of its side (one
-    lookup) or of another (two lookups), each factored once per value of
-    its table where the old loop factors every state, and a constant one,
-    which takes the sigma^T product built once per call."""
+    the multiply-adds, and for m0 >= 2 the noise product sums its terms in
+    another order than the old loop's einsum, so the old loop is matched
+    to 1e-13 of the state; thread counts still agree bitwise, weights
+    included.  The inputs are a checkerboard A0 with cross terms, alone
+    and with b and c of its side (one lookup) or of another (two lookups),
+    each factored once per value of its table where the old loop factors
+    every state; a grid-field A0, factored per state; and constant A0, b
+    and c, the factor made once per call."""
     g = Geometry(BlockStructure(blocks),
                  random_canonical_B(blocks, np.random.default_rng(5)))
+    m0 = g.structure.m0
     x0 = np.linspace(-0.3, 0.4, g.N)
     paths = mc.CHUNK + 1000
-    for coeffs in (_rough_coeffs(2, g.N, with_bc=False),
-                   _rough_coeffs(2, g.N, with_bc=True, h_bc=0.25),
-                   _rough_coeffs(2, g.N, with_bc=True),
-                   {"A0": ConstantField(np.array([[1.0, 0.3], [0.3, 0.6]]),
-                                        dim=g.N)}):
+    for coeffs in (_rough_coeffs(m0, g.N, with_bc=False),
+                   _rough_coeffs(m0, g.N, with_bc=True, h_bc=0.25),
+                   _rough_coeffs(m0, g.N, with_bc=True),
+                   _sampled_coeffs(m0, g.N, with_bc=False),
+                   _constant_coeffs(m0, g.N)):
         final, _ = _row_major_simulate(
             coeffs, g, x0, 0.1, 0.3,
             mc.McConfig(paths=paths, dt=0.02, seed=11))
@@ -176,6 +222,40 @@ def test_column_major_loop_matches_row_major_dense_B(blocks):
         assert np.array_equal(one.weights, two.weights)
         assert np.max(np.abs(one.final - final)) \
             <= 1e-13 * np.max(np.abs(final))
+
+
+def test_stepping_reads_no_constant_or_checkerboard_by_many(proto):
+    """A constant's components are made once per call and a checkerboard's
+    gathered from its table: stepping calls the many of neither, in both
+    roles of each coefficient."""
+
+    class CountedConstant(ConstantField):
+        calls = 0
+
+        def many(self, X, ts):
+            self.calls += 1
+            return super().many(X, ts)
+
+    class CountedBoard(CheckerboardField):
+        calls = 0
+
+        def many(self, X, ts):
+            self.calls += 1
+            return super().many(X, ts)
+
+    def board(values, seed):
+        return CountedBoard([np.asarray(v, dtype=float) for v in values],
+                            h=0.25, dim=2, seed=seed)
+
+    cfg = mc.McConfig(paths=1000, dt=0.02, seed=3)
+    for coeffs in ({"A0": CountedConstant(np.eye(1), dim=2),
+                    "b": board([[0.5], [-0.5]], 4),
+                    "c": CountedConstant(np.array(-0.2), dim=2)},
+                   {"A0": board([[[1.0]], [[2.0]]], 3),
+                    "b": CountedConstant(np.array([0.3]), dim=2),
+                    "c": board([-0.2, 0.0], 5)}):
+        mc.simulate(coeffs, proto, np.zeros(2), 0.0, 0.2, cfg)
+        assert [f.calls for f in coeffs.values()] == [0, 0, 0]
 
 
 def _raises_non_finite(coeffs, geometry):

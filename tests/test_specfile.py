@@ -107,7 +107,7 @@ def test_non_canonical_drift_rejected(tmp_path):
 
 def test_unknown_field_kind_rejected():
     with pytest.raises(SpecError):
-        specfile._field_from_dict({"kind": "mystery"}, ".")
+        specfile._field_from_dict({"kind": "mystery"}, ".", 2)
 
 
 def test_empty_grid_file_rejected(tmp_path):

@@ -8,7 +8,8 @@ batch in one pass.  The reads of the checkerboards of one cell side share
 that cell pass and one gather: a TableStack stacks their value tables, and
 the lookup hashes the cells for every board's seed at once and takes all
 their scalar components into one (k, n) array.  CheckerboardField.many is
-the one-board case.
+the one-board case.  A lookup moved from step to step keeps the values it
+gathered over the box of cells while the box and the stack hold.
 """
 
 import math
@@ -155,11 +156,17 @@ class CellLookup:
 
     move points the lookup at another batch of the same shape and reuses
     its buffers: the Monte Carlo keeps one lookup per chunk and cell side.
+    The box's key is every axis's lo and span, the time cell's included.
+    While it holds, a moved lookup keeps the box's axes and strides, and
+    the (k, box cells) value table that read gathered for its last stack
+    (held, and compared with `is`); a new key or stack builds them afresh,
+    and the per-row path drops them.
     """
 
     def __init__(self, X, ts, h):
         self.h = h
         self._floor = None
+        self.key = None
         self.move(X, ts)
 
     def move(self, X, ts):
@@ -172,11 +179,9 @@ class CellLookup:
             self._fflat = np.empty(n)
             self.flat = np.empty(n, dtype=np.intp)
         F = self._floor
-        for x, f in zip(X.T, F.T):
-            np.divide(x, self.h, out=f)
+        np.divide(X, self.h, out=F)
         np.floor(F, out=F)
         T = np.floor(np.asarray(ts, dtype=float) / self.h)
-        self.box = None
         if n:
             lo = F.min(axis=0)
             los = lo.tolist() + [float(T.min())]
@@ -189,6 +194,7 @@ class CellLookup:
                 if math.prod(spans) < n:
                     self._box(F, T, lo, los, spans)
                     return
+        self.box = self.key = self._stack = self._table = None
         self.cols = [*F.astype(np.int64).T, T.astype(np.int64)]
 
     def _box(self, F, T, lo, los, spans):
@@ -196,12 +202,18 @@ class CellLookup:
         float arithmetic is exact: every term is an integer below the box
         size, which is below the row count."""
         self.cols = None
-        self.box = [np.arange(a, a + s, dtype=np.int64).view(np.uint64)
-                    for a, s in zip(los, spans)]
-        # time is the last axis, with stride 1
-        strides = [math.prod(spans[i + 1:]) for i in range(len(spans) - 1)]
+        key = (*los, *spans)
+        if key != self.key:
+            self.key = key
+            self._stack = self._table = None
+            self.box = [np.arange(a, a + s, dtype=np.int64).view(np.uint64)
+                        for a, s in zip(los, spans)]
+            # time is the last axis, with stride 1
+            self._strides = np.array(
+                [math.prod(spans[i + 1:]) for i in range(len(spans) - 1)],
+                dtype=float)
         F -= lo
-        np.matmul(F, np.array(strides, dtype=float), out=self._fflat)
+        np.matmul(F, self._strides, out=self._fflat)
         if spans[-1] > 1:
             self._fflat += T - los[-1]
         np.copyto(self.flat, self._fflat, casting="unsafe")
@@ -228,15 +240,18 @@ class CellLookup:
     def read(self, stack, out=None):
         """The values of the boards of stack at the rows: a (k, n) array,
         row r component r of the stack; written to out if given."""
+        # mode "clip": in the default mode, take copies through a buffer
+        # when given out
+        if self.box is not None and stack is self._stack:
+            return np.take(self._table, self.flat, axis=1, out=out,
+                           mode="clip")
         where = self._hash(stack.starts)[stack.board]
         where %= stack.counts
         where += stack.offset
-        # mode "clip": in the default mode, take copies through a buffer
-        # when given out
         if self.box is None:
             return np.take(stack.values, where, out=out, mode="clip")
-        return np.take(np.take(stack.values, where), self.flat, axis=1,
-                       out=out, mode="clip")
+        self._stack, self._table = stack, np.take(stack.values, where)
+        return np.take(self._table, self.flat, axis=1, out=out, mode="clip")
 
 
 class CheckerboardField(Field):

@@ -12,13 +12,15 @@ checkerboard's is gathered from a table of its values' components, made
 once per call, and any other field's is made from its values at the state.
 The checkerboards of one cell side share one cell pass and one gather per
 step: their tables are stacked, and a lookup per side hashes the cells for
-every board at once and takes all their components into one buffer.  The
-step then has one drift update, one weight update and one noise product,
-an in-place lower-triangular pass over the columns of dW.  Each chunk draws
-from its own child stream of the master seed, so the ensemble and every
-CSV and report made from it are byte-identical at any number of worker
-threads.  Every chunk runs in a copy of the caller's context, so the
-caller's np.errstate reaches the worker threads.
+every board at once and takes all their components into one buffer; it
+hashes the box of the state's cells only on a step where the box is not
+the one of the step before, in the rough benchmark's layout about one step
+in four.  The step then has one drift update, one weight update and one
+noise product, an in-place lower-triangular pass over the columns of dW.
+Each chunk draws from its own child stream of the master seed, so the
+ensemble and every CSV and report made from it are byte-identical at any
+number of worker threads.  Every chunk runs in a copy of the caller's
+context, so the caller's np.errstate reaches the worker threads.
 """
 
 import contextvars

@@ -558,10 +558,14 @@ def approx_fundamental(coeffs, geometry, x0, t0, t1, box, nx, widths,
     keep="all", sol.evaluate reads 0 before sol's first slice, so at and
     before t0.  Lambda goes to every solve; keep goes to the narrowest
     width's, and the wider widths keep only their final slice.  Every width
-    must end before t1: t0 + max(widths) < t1, else ArgumentError.
+    must be positive and end before t1: 0 < width and t0 + max(widths) <
+    t1, else ArgumentError, before any solve.
     """
     _check_choice("keep", keep, ("all", "final"))
     widths = sorted(widths, reverse=True)
+    if not widths[-1] > 0:
+        raise ArgumentError(f"each width must be positive, got "
+                            f"{float(widths[-1])!r}")
     if not t0 + widths[0] < t1:
         raise ArgumentError(
             f"each solve runs from t0 + width to t1: t0 = {t0!r} plus the "

@@ -329,6 +329,11 @@ def test_point_option_needs_N_components(spec_path, tmp_path, capsys,
     ["solve", "fundamental", "{spec}", "--box=-4,4;-2,2", "--nx", "21,41",
      "--t1", "0.2", "--out", "f.csv"],
     ["check", "bounds", "{spec}", "--nx", "21,41", "--widths", "1.5,0.5"],
+    ["solve", "fundamental", "{spec}", "--box=-4,4;-2,2", "--nx", "101,101",
+     "--t1", "0.8", "--widths", "0.3,-0.1", "--out", "f.csv"],
+    ["solve", "fundamental", "{spec}", "--box=-4,4;-2,2", "--nx", "21,41",
+     "--t1", "0.8", "--widths", "0", "--out", "f.csv"],
+    ["check", "bounds", "{spec}", "--nx", "21,41", "--widths", "0.3,0"],
     ["kernel", "reproduce", "{spec}", "--configs", "0"],
     ["check", "global", "{spec}", "--pairs", "0"],
     ["mollify", "{spec}", "--samples", "0"],
@@ -393,6 +398,8 @@ def test_point_option_needs_N_components(spec_path, tmp_path, capsys,
         "kernel-lam", "threads-structure", "threads-kernel",
         "solve-reversed-window", "solve-empty-window",
         "fundamental-width-past-t1", "bounds-width-past-t1",
+        "fundamental-width-negative", "fundamental-width-zero",
+        "bounds-width-zero",
         "reproduce-configs", "global-pairs", "mollify-samples-zero",
         "mollify-samples-negative", "bounds-samples", "harnack-radius-zero",
         "harnack-radius-negative", "harnack-omega", "harnack-sweep",

@@ -151,6 +151,54 @@ def test_stacked_read_matches_column_stack_reference(dim):
                         out[rows].T.reshape(want.shape), want), name
 
 
+def test_moved_lookup_reads_as_a_fresh_one():
+    """A moved lookup keeps the value table of its last box key and stack.
+    Moved through the same box twice, the box shifted by one cell, the
+    next time cell, a batch with an inf row (the per-row path) and a dense
+    batch again, reading two stacks alternately and then a stack made after
+    the old one was freed, it reads bitwise what a fresh lookup reads."""
+    h = 0.25
+    rng = np.random.default_rng(41)
+    X = rng.uniform(-0.2, 0.45, size=(3000, 2))
+    shifted = X + [h, 0.0]
+    bad = X.copy()
+    bad[17, 1] = np.inf
+
+    def stack(seeds):
+        return coeff.TableStack(seeds, [rng.normal(size=(3, 2, 2)),
+                                        rng.normal(size=(2, 1))])
+
+    a, b = stack([3, 4]), stack([5, 6])
+    batches = [(X, 0.1), (X.copy(), 0.1), (shifted, 0.1), (shifted, 0.1 + h),
+               (bad, 0.1 + h), (shifted, 0.1 + h)]
+    cells = coeff.CellLookup(*batches[0], h)
+    keys = []
+    for Xb, t in batches:
+        with np.errstate(invalid="ignore"):
+            cells.move(Xb, t)
+            fresh = coeff.CellLookup(Xb, t, h)
+        keys.append(cells.key)
+        # a first: the stack the lookup read last, on the previous batch
+        for s in (a, b, a):
+            out = np.empty((s.k, len(Xb)))
+            assert cells.read(s, out=out) is out
+            assert np.array_equal(out, fresh.read(s))
+    lo, spans = keys[0][:3], keys[0][3:]
+    assert keys[1] == keys[0]
+    assert keys[2] == (lo[0] + 1, lo[1], lo[2], *spans)
+    assert keys[3] == (lo[0] + 1, lo[1], lo[2] + 1, *spans)
+    assert keys[4] is None and keys[5] == keys[3]
+    # free the stack the lookup read last, and read one made after it,
+    # which may take the freed one's place in memory
+    cells.read(b)
+    seeds, tables = [7, 8], [rng.normal(size=(3, 2, 2)),
+                             rng.normal(size=(2, 1))]
+    del b
+    c = coeff.TableStack(seeds, tables)
+    assert np.array_equal(cells.read(c), coeff.CellLookup(
+        *batches[-1], h).read(c))
+
+
 def test_mollification_preserves_interval_and_converges():
     f = coeff.checkerboard_spd(1.0, 2.0, m0=1, dim=2, h=0.25, seed=11)
     X, ts = probe_grid(n=33)

@@ -301,6 +301,70 @@ def test_non_finite_rough_state_raises(proto, monkeypatch):
     assert any(per_row) and not all(per_row)
 
 
+def test_rough_box_table_built_once_per_box(proto, monkeypatch):
+    """In the rough benchmark's layout (one chunk of 16384 paths, 500
+    steps), the lookup hashes its box and gathers the box's value table
+    only when the box key changes from the step before, so on fewer than a
+    third of the steps; a table gathered afresh on every step would be
+    built 500 times."""
+    keys, builds = [], []
+
+    class Lookup(mc.CellLookup):
+        def move(self, X, ts):
+            super().move(X, ts)
+            keys.append(self.key)
+
+        def _hash(self, starts):
+            if self.box is not None:
+                builds.append(self.key)
+            return super()._hash(starts)
+
+    monkeypatch.setattr(mc, "CellLookup", Lookup)
+    cfg = mc.McConfig(paths=mc.CHUNK, dt=1e-3, seed=7)
+    mc.simulate(_benchmark_rough_coeffs(2), proto, np.array([0.1, -0.2]),
+                0.0, 0.5, cfg)
+    # the first move is the lookup's construction; each step moves, then
+    # reads
+    steps = keys[1:]
+    assert len(steps) == 500 and None not in steps
+    assert builds == [k for i, k in enumerate(steps)
+                      if i == 0 or k != steps[i - 1]]
+    assert len(builds) < len(steps) / 3
+
+
+@pytest.mark.parametrize("blocks", [(1, 1), (2, 1), (1, 1, 1), (2, 2, 1),
+                                    (1, 1, 1, 1)])
+def test_mc_matches_lam_C_over_block_structures(blocks):
+    """Constant A0 = I on a random canonical drift: the ensemble's mean and
+    covariance match e^{-tB} x0 and lam C(t) within 5 standard errors plus
+    the exact O(dt) bias of the Euler recursion, the benchmark's Monte
+    Carlo criterion."""
+    rng = np.random.default_rng(sum(blocks) * 10 + len(blocks))
+    g = Geometry(BlockStructure(blocks), random_canonical_B(blocks, rng))
+    N, m0, lam, t = g.N, g.structure.m0, 2.0, 0.5
+    x0 = rng.uniform(-0.5, 0.5, N)
+    cfg = mc.McConfig(paths=100_000, dt=0.01, seed=len(blocks), lam=lam)
+    ens = mc.simulate({"A0": ConstantField(np.eye(m0), dim=N)}, g, x0,
+                      0.0, t, cfg)
+    nsteps = ens.provenance["nsteps"]
+    # the Euler recursion X <- F X + sqrt(lam dt) (dW, 0), exactly
+    F = np.eye(N) - cfg.dt * g.B
+    Q = np.zeros((N, N))
+    Q[:m0, :m0] = lam * cfg.dt * np.eye(m0)
+    S = np.zeros((N, N))
+    for _ in range(nsteps):
+        S = F @ S @ F.T + Q
+    mean = g.exp_drift(t) @ x0
+    C = lam * kern.covariance_matrix(t, g.B, np.eye(m0))
+    mean_bias = np.abs(np.linalg.matrix_power(F, nsteps) @ x0 - mean)
+    assert np.all(np.abs(ens.weighted_mean() - mean)
+                  <= 5.0 * ens.mean_se() + mean_bias)
+    D = ens.final - ens.final.mean(axis=0)
+    prod = D[:, :, None] * D[:, None, :]
+    se = prod.std(axis=0) / np.sqrt(cfg.paths)
+    assert np.all(np.abs(prod.mean(axis=0) - C) <= 5.0 * se + np.abs(S - C))
+
+
 def test_moments_match_kernel(proto, proto_coeffs):
     x0 = np.array([0.3, -0.1])
     tau = 0.4

@@ -245,7 +245,8 @@ def test_static_axes_match_moving_solve(monkeypatch, blocks):
 def test_solve_needs_t1_after_t0(proto, proto_coeffs):
     """A solve that would step backwards or not at all is an argument
     error, and so are a time step that is not positive and a datum width
-    that reaches t1."""
+    that reaches t1 or is not positive (refused before any solve, not by
+    NotSPD for a covariance at t = width after the wider widths' solves)."""
     box = [[-2, 2], [-2, 2]]
     for t0, t1 in ((0.5, 0.1), (0.1, 0.1)):
         with pytest.raises(ArgumentError, match="t1 must exceed t0"):
@@ -263,6 +264,11 @@ def test_solve_needs_t1_after_t0(proto, proto_coeffs):
         pde.approx_fundamental(proto_coeffs, proto, np.zeros(2), 0.0, 0.3,
                                [[-4, 4], [-2, 2]], [41, 61],
                                widths=[0.3, 0.25])
+    for widths in ([0.3, -0.1], [0.0], [0.3, 0.0]):
+        with pytest.raises(ArgumentError, match="width must be positive"):
+            pde.approx_fundamental(proto_coeffs, proto, np.zeros(2), 0.0,
+                                   0.8, [[-4, 4], [-2, 2]], [41, 41],
+                                   widths=widths)
 
 
 @pytest.mark.filterwarnings("ignore:boundary magnitude")

@@ -10,24 +10,32 @@ from .specfile import SpecError
 
 
 def cmd_mollify(args):
+    """Per eps: l1_distance, the mean over the samples of the largest
+    component difference from the raw field; min and max, the extreme
+    eigenvalues of A0, or the extreme components of b and c."""
     spec = specfile.load(args.spec)
     name = args.field
     f = spec.fields.get(name)
     if f is None:
         raise SpecError(f"spec has no coefficient {name!r}")
+    m0 = spec.structure.m0
     T = spec.window[1] - spec.window[0]
     rng = np.random.default_rng(0)
     X = rng.uniform(-1.0, 1.0, size=(args.samples, f.dim))
     ts = rng.uniform(spec.window[0] + 0.05 * T, spec.window[1] - 0.05 * T,
                      size=args.samples)
     report = {"command": "mollify", "config": resolved(args), "eps": []}
-    raw = np.asarray(f.many(X, ts)).reshape(len(X), -1)[:, 0]
+    raw = np.reshape(f.many(X, ts), (len(X), -1))
     for eps in floats(args.eps):
         fm = coeff.mollify(f, eps=eps, T=T)
-        sm = fm.many(X, ts).reshape(len(X), -1)[:, 0]
+        sm = np.reshape(fm.many(X, ts), (len(X), -1))
+        ext = sm
+        if name == "A0":
+            # for m0 = 1, eigvalsh returns each 1 x 1 value bitwise
+            ext = np.linalg.eigvalsh(sm.reshape(-1, m0, m0))
         report["eps"].append({
             "eps": eps,
-            "l1_distance": float(np.mean(np.abs(sm - raw))),
-            "min": float(np.min(sm)), "max": float(np.max(sm))})
+            "l1_distance": float(np.mean(np.abs(sm - raw).max(axis=1))),
+            "min": float(np.min(ext)), "max": float(np.max(ext))})
     emit(report)
     return 0

@@ -42,9 +42,9 @@ class Field:
 
 
 class ConstantField(Field):
-    def __init__(self, value, dim, window=(-np.inf, np.inf)):
+    def __init__(self, value, dim):
         value = np.asarray(value, dtype=float)
-        super().__init__(dim, value.shape, window)
+        super().__init__(dim, value.shape)
         self.value = value
 
     def __call__(self, x, t):

@@ -163,26 +163,6 @@ def gamma_K_lambda(z, zeta, params: KernelParams):
     return float(gamma_many(z, zeta, params)[0])
 
 
-# -- the 1934 kinetic prototype ---------------------------------------------
-
-
-def prototype_density(v, y, t, v0, y0, sigma=1.0):
-    """Transition density of (V, Y) with dV = sigma dW, dY = V dt.
-
-    Derived from the first two moments: mean (v0, y0 + t v0) and covariance
-    sigma^2 [[t, t^2/2], [t^2/2, t^3/3]].
-    """
-    if t <= 0.0:
-        return 0.0
-    s2 = sigma * sigma
-    cov = s2 * np.array([[t, t * t / 2.0], [t * t / 2.0, t ** 3 / 3.0]])
-    d = np.array([v - v0, y - y0 - t * v0])
-    det = cov[0, 0] * cov[1, 1] - cov[0, 1] ** 2
-    quad = (cov[1, 1] * d[0] ** 2 - 2.0 * cov[0, 1] * d[0] * d[1]
-            + cov[0, 0] * d[1] ** 2) / det
-    return math.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
-
-
 # -- semigroup / reproduction check -----------------------------------------
 
 REPRODUCTION_NODES = 8     # Gauss-Hermite nodes per axis

@@ -43,11 +43,8 @@ class McConfig:
     seed: int
     lam: float = 2.0
     threads: int = 1
-    scheme: str = "euler"
 
     def __post_init__(self):
-        if self.scheme != "euler":
-            raise ArgumentError(f"unknown scheme {self.scheme!r}")
         if self.paths <= 0 or not (self.dt > 0.0 and self.lam > 0.0):
             raise ArgumentError("paths, dt and lam must be positive")
         if self.threads < 1:
@@ -72,20 +69,6 @@ class PathEnsemble:
 
     def weighted_mean(self):
         return np.average(self.final, axis=0, weights=self.weights)
-
-    def weighted_cov(self):
-        mu = self.weighted_mean()
-        d = self.final - mu
-        w = self.weights / self.weights.sum()
-        return (d.T * w) @ d
-
-    def mean_se(self):
-        """Per-coordinate standard error of the weighted mean."""
-        mu = self.weighted_mean()
-        w = self.weights / self.weights.sum()
-        var = ((self.final - mu) ** 2 * w[:, None]).sum(axis=0)
-        neff = 1.0 / np.sum(w ** 2)
-        return np.sqrt(var / neff)
 
 
 def _sigma_chunk(A0_vals, lam):
@@ -221,7 +204,7 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
     weights = np.exp(logw)
     prov = {"seed": config.seed, "chunk": CHUNK, "nchunks": nchunks,
             "nsteps": nsteps, "dt": dt, "lam": config.lam,
-            "scheme": config.scheme}
+            "scheme": "euler"}
     return PathEnsemble(final=final, weights=weights, t0=t0, t1=t1,
                         x0=np.array(x0), config=config, provenance=prov)
 
@@ -265,40 +248,3 @@ def mass_in_DR(ensemble: PathEnsemble, y, R, geometry: Geometry):
     se = float(np.std(w * inside) / np.sqrt(ensemble.paths))
     return {"mass": frac, "se": se, "tau": tau, "R": R,
             "count": int(np.count_nonzero(inside))}
-
-
-def measure_DR(y, tau, R, geometry: Geometry, n=200000, seed=0):
-    """Lebesgue measure of D_R(y, tau) by rejection sampling over the
-    bounding box of the affine image of the R-ball.
-
-    D_R is the image of {|u| <= R} under xi(u) = e^{-tau B}(y - delta^0_{sqrt
-    tau} u); the box is computed from the parallelotope spanned by the
-    column images.
-    """
-    N = geometry.N
-    alpha = np.asarray(geometry.structure.alpha, dtype=float)
-    Einv = geometry.exp_drift(tau)        # e^{-tau B}
-    scale = np.sqrt(tau) ** alpha
-    M = Einv * scale[None, :]             # xi = center - M u
-    center = Einv @ np.atleast_1d(y)
-    half = R * np.sum(np.abs(M), axis=1)
-    lo, hi = center - half, center + half
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(lo, hi, size=(n, N))
-    u = standardized_offset(pts, y, tau, geometry)
-    frac = np.mean(np.sum(u * u, axis=1) <= R * R)
-    box_vol = float(np.prod(hi - lo))
-    meas = box_vol * float(frac)
-    se = box_vol * float(np.sqrt(frac * (1.0 - frac) / n))
-    return {"measure": meas, "se": se, "box_volume": box_vol}
-
-
-def measure_scaling_slope(y, R, geometry: Geometry, taus, n=200000, seed=0):
-    """Least-squares slope of log measure(D_R) against log tau; the graded
-    dilations make the exact value Q/2."""
-    logs = []
-    for k, tau in enumerate(taus):
-        m = measure_DR(y, tau, R, geometry, n=n, seed=seed + k)
-        logs.append(np.log(m["measure"]))
-    slope = np.polyfit(np.log(np.asarray(taus, dtype=float)), logs, 1)[0]
-    return {"slope": float(slope), "taus": list(taus), "log_measures": logs}

@@ -177,9 +177,10 @@ def write_csv(path, header, rows):
 
 
 def load_grid_field(path):
-    """CSV grid field: header names the spatial axes (x1..xN) and the time
-    axis t, then the value column(s); one sample per row, rows in
-    lexicographic axis order."""
+    """CSV grid field: the header is x1..xN, t, then the value column(s);
+    one sample per row, and the coordinate columns are the tensor grid of
+    their axes in lexicographic order (the last column fastest).  Any other
+    header or row order is a SpecError."""
     path = Path(path)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -189,35 +190,31 @@ def load_grid_field(path):
     if not rows:
         raise SpecError(f"{path}: empty grid file")
     header = rows[0]
-    naxes = sum(1 for h in header if h.startswith("x"))
-    if naxes == 0 or "t" not in header:
-        raise SpecError(f"{path}: header must name axes x1.., t, then values")
-    it = header.index("t")
+    naxes = 0
+    while naxes < len(header) and header[naxes] == f"x{naxes + 1}":
+        naxes += 1
+    if naxes == 0 or header[naxes:naxes + 1] != ["t"] \
+            or len(header) < naxes + 2:
+        raise SpecError(f"{path}: header must be x1..xN, t, then values")
     data = np.asarray([[float(v) for v in r] for r in rows[1:]])
-    axes = [np.unique(data[:, k]) for k in range(naxes)]
-    taxis = np.unique(data[:, it])
-    shape = tuple(len(a) for a in axes) + (len(taxis),)
-    nvals = len(header) - naxes - 1
+    if data.ndim != 2 or data.shape[1] != len(header):
+        raise SpecError(f"{path}: rows must hold one cell per header name")
+    axes = [np.unique(data[:, k]) for k in range(naxes + 1)]
+    shape = tuple(len(a) for a in axes)
     if np.prod(shape) != len(data):
         raise SpecError(f"{path}: rows do not fill the grid")
-    vals = data[:, it + 1:].reshape(shape + ((nvals,) if nvals > 1 else ()))
+    grids = np.meshgrid(*axes, indexing="ij")
+    if not np.array_equal(np.stack([g.ravel() for g in grids], axis=1),
+                          data[:, :naxes + 1]):
+        raise SpecError(f"{path}: rows are not the grid of their axes in "
+                        f"lexicographic order")
+    *axes, taxis = axes
+    nvals = len(header) - naxes - 1
+    vals = data[:, naxes + 1:].reshape(
+        shape + ((nvals,) if nvals > 1 else ()))
     f = coeff.GridField(axes, taxis, vals)
     f.source_file = path.name
     return f
-
-
-def save_grid_field(f, path):
-    path = Path(path)
-    naxes = len(f.axes)
-    grids = np.meshgrid(*f.axes, f.taxis, indexing="ij")
-    flat = np.stack([g.ravel() for g in grids], axis=1)
-    vals = np.asarray(f.values).reshape(len(flat), -1)
-    header = [f"x{k + 1}" for k in range(naxes)] + ["t"] + \
-        ([f"v{k + 1}" for k in range(vals.shape[1])]
-         if vals.shape[1] > 1 else ["value"])
-    write_csv(path, header, np.column_stack([flat, vals]))
-    f.source_file = path.name
-    return path
 
 
 def prototype_spec():

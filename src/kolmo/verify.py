@@ -17,8 +17,7 @@ from .group import Geometry, point
 MIN_CYLINDER_NODES = 27
 CONE_RHO_NODES = 6         # radii rho per cone
 CONE_SPACE_NODES = 3       # ball grid points per axis at each rho
-GLOBAL_C0_MAX = 1e6        # the largest c0 the global bisection tries
-GLOBAL_LOG_TOL = 1e-10     # the bisection's final width in log c0
+GLOBAL_C0_MAX = 1e6        # the largest c0 the global Harnack admits
 
 
 class BoundReport(namedtuple("BoundReport", "c_plus c_minus lam_plus "
@@ -44,7 +43,10 @@ def fit_sandwich(points, target_vals, pole, geometry: Geometry,
 
     err_budget widens the fit by a relative margin per sample (e.g. the grid
     tolerance of a numerical target).  Samples where the target is positive
-    while an envelope vanishes admit no fit.
+    while an envelope vanishes admit no fit.  A subnormal target carries
+    too few digits for its log ratio to mean anything (5e-324 stands for
+    anything below about 7e-324), so only targets of at least the smallest
+    normal float enter the fit.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     target = np.asarray(target_vals, dtype=float).reshape(len(points))
@@ -60,7 +62,8 @@ def fit_sandwich(points, target_vals, pole, geometry: Geometry,
         raise NoAdmissibleFit(
             "target positive outside the model envelopes' support")
     violations = int(np.count_nonzero(target < 0.0))
-    mask = pos & np.isfinite(log_up) & np.isfinite(log_lo)
+    mask = ((target >= np.finfo(float).tiny) & np.isfinite(log_up)
+            & np.isfinite(log_lo))
     if not np.any(mask):
         raise NoAdmissibleFit("no sample with positive target and envelopes")
     lt = np.log(target[mask])
@@ -194,29 +197,18 @@ def global_exponent(z, w, geometry: Geometry, lam):
 
 def harnack_global(u, pairs, geometry: Geometry, lam=2.0):
     """Smallest c0 >= 1 with u(z) <= c0^exponent(z, w) u(w) over the sample
-    pairs (w earlier, z later), found by bisection in log c0 up to
-    GLOBAL_C0_MAX.  u takes rows as in harnack_local and is called once for
-    all w and once for all z."""
+    pairs (w earlier, z later), at most GLOBAL_C0_MAX (else
+    NoAdmissibleFit).  Every exponent is at least 1, so in closed form
+    log c0 = max(0, max over pairs of log(u(z) / u(w)) / exponent).  u takes
+    rows as in harnack_local and is called once for all w and once for
+    all z."""
     W, Z = (np.array(side, dtype=float) for side in zip(*pairs))
     uw, uz = _values(u, W), _values(u, Z)
     if np.any(uw <= 0.0) or np.any(uz <= 0.0):
         raise NotNonnegative("global Harnack needs positive samples")
     e = global_exponent(Z, W, geometry, lam)
-    lr = np.log(uz / uw)
-
-    def ok(log_c0):
-        return bool(np.all(lr <= e * log_c0 + 1e-300))
-
-    lo, hi = 0.0, math.log(GLOBAL_C0_MAX)
-    if not ok(hi):
+    log_c0 = max(0.0, float(np.max(np.log(uz / uw) / e)))
+    if log_c0 > math.log(GLOBAL_C0_MAX):
         raise NoAdmissibleFit(f"no admissible c0 below {GLOBAL_C0_MAX}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < GLOBAL_LOG_TOL:
-            break
-    return {"c0": math.exp(hi), "n_pairs": len(W),
+    return {"c0": math.exp(log_c0), "n_pairs": len(W),
             "max_exponent": float(np.max(e))}

@@ -17,6 +17,7 @@ from kolmo import kernel as kern
 from kolmo import mc as mcmod
 from kolmo import pde, specfile, verify
 from kolmo.group import point
+from test_mc import mean_se, measure_scaling_slope
 
 
 # -- 1. kernel correctness ---------------------------------------------------
@@ -156,7 +157,7 @@ def test_mc_matches_kernel_law(proto, proto_coeffs):
     cov_exact = 2.0 * kern.covariance_matrix(tau, proto.B, np.eye(1))
 
     mu = ens.weighted_mean()
-    se = ens.mean_se()
+    se = mean_se(ens)
     assert np.all(np.abs(mu - mean_exact) <= 3.0 * se)
 
     d = ens.final - mu
@@ -363,8 +364,8 @@ def test_harnack_harness(proto):
 def test_DR_measure_scaling(proto):
     """log meas(D_R) vs log tau has slope Q/2 = 2 within 0.05."""
     taus = (0.1, 0.2, 0.4, 0.8)
-    rep = mcmod.measure_scaling_slope(np.array([0.3, -0.2]), 1.0, proto,
-                                      taus, n=200_000, seed=0)
+    rep = measure_scaling_slope(np.array([0.3, -0.2]), 1.0, proto, taus,
+                                n=200_000, seed=0)
     assert abs(rep["slope"] - 2.0) <= 0.05
 
 

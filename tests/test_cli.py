@@ -14,7 +14,10 @@ import pytest
 import kolmo
 
 from kolmo import cli, specfile
-from kolmo.coefficients import GridField
+from kolmo.coefficients import CheckerboardField, GridField
+from kolmo.structure import BlockStructure
+from test_specfile import save_grid_field
+from test_structure import random_canonical_B
 
 
 @pytest.fixture()
@@ -103,7 +106,7 @@ def _dim_descriptors(tmp_path):
         "coefficients"]["A0"]
     board["dim"] = 3
     ax = np.linspace(-1.0, 1.0, 3)
-    specfile.save_grid_field(GridField([ax] * 3, [0.0, 1.0],
+    save_grid_field(GridField([ax] * 3, [0.0, 1.0],
                                        np.ones((3, 3, 3, 2))),
                              tmp_path / "a0.csv")
     return {"checkerboard": board,
@@ -177,7 +180,7 @@ def test_declared_Lambda_bounds_the_step(step_A0, tmp_path, capsys):
     """The spec's declared Lambda bounds the time step: an A0 that steps
     from 1 to 4 after the start, where the probe reads 1, gives a finite,
     non-negative slice, not values of order 1e9 with exit 0."""
-    specfile.save_grid_field(step_A0, tmp_path / "a0.csv")
+    save_grid_field(step_A0, tmp_path / "a0.csv")
     proto = specfile.prototype_spec()
     p = specfile.save(specfile.OperatorSpec(
         structure=proto.structure, B=proto.B, fields={"A0": step_A0},
@@ -193,10 +196,52 @@ def test_declared_Lambda_bounds_the_step(step_A0, tmp_path, capsys):
     assert np.min(vals) >= -64 * np.finfo(float).eps * np.max(vals)
 
 
+def _reversed_rows(lines):
+    return lines[:1] + lines[:0:-1]
+
+
+def _duplicated_row(lines):
+    return lines[:3] + [lines[3], lines[3]] + lines[5:]
+
+
+def _columns(order):
+    """The sidecar's columns in another order, header included."""
+    def reorder(lines):
+        cells = [line.split(",") for line in lines]
+        return [",".join(c[k] for k in order) for c in cells]
+    return reorder
+
+
+@pytest.mark.parametrize("corrupt", [
+    _reversed_rows, _duplicated_row, _columns([0, 1, 3, 2]),
+    _columns([1, 0, 2, 3])], ids=["reversed", "duplicated", "t-last",
+                                  "axes-swapped"])
+def test_grid_sidecar_rows_must_be_the_grid(tmp_path, capsys, corrupt):
+    """A sidecar is read only if its header is x1..xN, t, values and its
+    coordinate columns are the tensor grid in lexicographic order.  Each
+    corruption here keeps every row: reversed, A0 = 1 + x1 read as 2 - x1;
+    a row duplicated in place of the next, which keeps the row count; the
+    time column last; and the x axes' columns swapped."""
+    ax1, ax2 = np.array([0.0, 1.0]), np.array([0.0, 0.5, 1.0])
+    vals = np.broadcast_to((1.0 + ax1)[:, None, None], (2, 3, 2))
+    f = GridField([ax1, ax2], [0.0, 1.0], vals)
+    save_grid_field(f, tmp_path / "a0.csv")
+    proto = specfile.prototype_spec()
+    p = specfile.save(specfile.OperatorSpec(
+        structure=proto.structure, B=proto.B, fields={"A0": f},
+        window=(0.0, 1.0), ellipticity=(1.0, 2.0)), tmp_path / "op.json")
+    assert np.array_equal(specfile.load(p).fields["A0"].many(
+        [[0.0, 0.5], [1.0, 0.5]], 0.5), [1.0, 2.0])
+    lines = (tmp_path / "a0.csv").read_text().splitlines()
+    (tmp_path / "a0.csv").write_text("\n".join(corrupt(lines)) + "\n")
+    code, _ = run(capsys, ["structure", str(p)])
+    assert code == cli.EXIT_PARSE
+
+
 def test_grid_A0_sidecar_runs_mc(step_A0, tmp_path, capsys):
     """A grid sidecar holds its values flat, one column per entry; the
     spec takes it as A0, and Monte Carlo reads it as m0 x m0 matrices."""
-    specfile.save_grid_field(step_A0, tmp_path / "a0.csv")
+    save_grid_field(step_A0, tmp_path / "a0.csv")
     proto = specfile.prototype_spec()
     p = specfile.save(specfile.OperatorSpec(
         structure=proto.structure, B=proto.B, fields={"A0": step_A0},
@@ -212,7 +257,7 @@ def short_A0_specs(tmp_path):
     window [0, 1], and the same spec with that A0 wrapped as `mollified`."""
     ax = np.linspace(-4.0, 4.0, 11)
     f = GridField([ax, ax], [0.0, 0.5], np.ones((11, 11, 2)))
-    specfile.save_grid_field(f, tmp_path / "a0.csv")
+    save_grid_field(f, tmp_path / "a0.csv")
     proto = specfile.prototype_spec()
     grid = specfile.save(specfile.OperatorSpec(
         structure=proto.structure, B=proto.B, fields={"A0": f},
@@ -602,7 +647,7 @@ def test_grid_field_sidecar_matches_csv_writer(tmp_path, shape):
     axes = [np.sort(rng.normal(size=4)), np.sort(rng.normal(size=3))]
     taxis = np.array([0.0, 1 / 3, 1.0])
     f = GridField(axes, taxis, rng.normal(size=(4, 3, 3) + shape) * 1e-7)
-    specfile.save_grid_field(f, tmp_path / "grid.csv")
+    save_grid_field(f, tmp_path / "grid.csv")
     grids = np.meshgrid(*axes, taxis, indexing="ij")
     rows = np.column_stack([g.ravel() for g in grids]
                            + [f.values.reshape(36, -1)])
@@ -660,6 +705,19 @@ def test_check_bounds_self_test(spec_path, capsys):
     assert abs(rep["report"]["c_minus"] - 1.0) < 1e-11
     assert set(rep["config"]) == _BOUNDS_COMMON | {"samples", "seed"}
     assert (rep["config"]["samples"], rep["config"]["seed"]) == (200, 0)
+
+
+def test_check_bounds_self_test_skips_subnormal_targets(spec_path,
+                                                       capsys):
+    """Three of these 2000 samples have a subnormal target (one reads
+    5e-324, with a log ratio of 0.369 to the same kernel as envelope): they
+    stay out of the fit, so C+ and C- are 1 to rounding."""
+    code, out = run(capsys, ["check", "bounds", spec_path, "--self-test",
+                             "--samples", "2000", "--seed", "7"])
+    rep = json.loads(out)["report"]
+    assert code == 0
+    assert abs(math.log(rep["c_plus"])) <= 1e-12
+    assert abs(math.log(rep["c_minus"])) <= 1e-12
 
 
 @pytest.mark.filterwarnings("ignore:boundary magnitude")
@@ -754,6 +812,30 @@ def test_mollify_report(cb_spec_path, capsys):
     assert sorted(l["eps"] for l in levels) == [0.05, 0.1, 0.2]
     for l in levels:
         assert 1.0 - 1e-12 <= l["min"] <= l["max"] <= 2.0 + 1e-12
+
+
+def test_mollify_reads_every_component(tmp_path, capsys):
+    """On blocks (2, 2), with the checkerboard A0 = diag(1, {1, 9}), the
+    report reads the second diagonal entry too: min and max are A0's
+    extreme eigenvalues, and the distance is that of the largest
+    component, not 0 from the constant first entry."""
+    rng = np.random.default_rng(3)
+    spec = specfile.OperatorSpec(
+        structure=BlockStructure((2, 2)),
+        B=random_canonical_B((2, 2), rng),
+        fields={"A0": CheckerboardField([np.diag([1.0, 1.0]),
+                                         np.diag([1.0, 9.0])],
+                                        h=0.25, dim=4, seed=2)},
+        window=(0.0, 1.0), ellipticity=(1.0, 9.0))
+    p = specfile.save(spec, tmp_path / "op.json")
+    # N = 4: 16^4 space nodes per mollified value, so few samples
+    code, out = run(capsys, ["mollify", str(p), "--samples", "8",
+                             "--eps", "0.2"])
+    assert code == 0
+    for level in json.loads(out)["eps"]:
+        assert level["l1_distance"] > 0.5
+        assert 1.0 - 1e-12 <= level["min"] <= 1.0 + 1e-12
+        assert 4.0 < level["max"] <= 9.0 + 1e-12
 
 
 # Runs one command in a fresh interpreter and prints, as its last stdout

@@ -311,7 +311,8 @@ def test_mollifier_weights_match_scaled_bumps(dim, eps, T):
 
 
 def test_mollified_window_guard():
-    f = coeff.ConstantField(np.array(1.0), dim=1, window=(0.0, 1.0))
+    f = coeff.GridField([np.linspace(-1.0, 1.0, 3)], [0.0, 1.0],
+                        np.ones((3, 2)))
     fm = coeff.mollify(f, eps=0.2, T=1.0)
     with pytest.raises(WindowUnderflow):
         fm(np.zeros(1), 1.5)

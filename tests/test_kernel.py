@@ -275,6 +275,21 @@ def test_reproduction_rejects_bad_interval(proto, proto_params):
                                 proto_params)
 
 
+def prototype_density(v, y, t, v0, y0, sigma):
+    """Transition density of (V, Y) with dV = sigma dW, dY = V dt.
+
+    Derived from the first two moments: mean (v0, y0 + t v0) and covariance
+    sigma^2 [[t, t^2/2], [t^2/2, t^3/3]].
+    """
+    s2 = sigma * sigma
+    cov = s2 * np.array([[t, t * t / 2.0], [t * t / 2.0, t ** 3 / 3.0]])
+    d = np.array([v - v0, y - y0 - t * v0])
+    det = cov[0, 0] * cov[1, 1] - cov[0, 1] ** 2
+    quad = (cov[1, 1] * d[0] ** 2 - 2.0 * cov[0, 1] * d[0] * d[1]
+            + cov[0, 0] * d[1] ** 2) / det
+    return math.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
+
+
 def test_prototype_density_equals_kernel():
     """The classical kinetic density is the model kernel with lam =
     sigma^2 for the drift writing dY = V dt."""
@@ -286,7 +301,7 @@ def test_prototype_density_equals_kernel():
         v0, y0 = rng.normal(size=2)
         t = rng.uniform(0.3, 2.0)
         v, y = np.array([v0, y0 + t * v0]) + 0.3 * sigma * rng.normal(size=2)
-        d1 = kern.prototype_density(v, y, t, v0, y0, sigma)
+        d1 = prototype_density(v, y, t, v0, y0, sigma)
         params = kern.scaled_params(sigma * sigma, g)
         d2 = kern.gamma_K_lambda(point(np.array([v, y]), t),
                                  point(np.array([v0, y0]), 0.0), params)

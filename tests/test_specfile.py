@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,13 +42,28 @@ def test_checkerboard_round_trip(tmp_path):
         assert np.array_equal(g(x, 0.3), f(x, 0.3))
 
 
+def save_grid_field(f, path):
+    """Write the GridField f as a sidecar CSV, the layout load_grid_field
+    reads, and point f at it, so that a spec holding f names the file."""
+    path = Path(path)
+    grids = np.meshgrid(*f.axes, f.taxis, indexing="ij")
+    flat = np.stack([g.ravel() for g in grids], axis=1)
+    vals = np.asarray(f.values).reshape(len(flat), -1)
+    header = [f"x{k + 1}" for k in range(len(f.axes))] + ["t"] + \
+        ([f"v{k + 1}" for k in range(vals.shape[1])]
+         if vals.shape[1] > 1 else ["value"])
+    specfile.write_csv(path, header, np.column_stack([flat, vals]))
+    f.source_file = path.name
+    return path
+
+
 def test_grid_field_sidecar_round_trip(tmp_path):
     axes = [np.linspace(-1, 1, 5), np.linspace(-2, 2, 4)]
     taxis = np.linspace(0, 1, 3)
     rng = np.random.default_rng(2)
     vals = rng.uniform(1.0, 2.0, size=(5, 4, 3))
     f = coeff.GridField(axes, taxis, vals)
-    specfile.save_grid_field(f, tmp_path / "A0.csv")
+    save_grid_field(f, tmp_path / "A0.csv")
     spec = specfile.prototype_spec()
     spec.fields["A0"] = f
     specfile.save(spec, tmp_path / "op.json")

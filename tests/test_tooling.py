@@ -8,9 +8,26 @@ from pathlib import Path
 import kolmo
 
 SRC = Path(kolmo.__file__).resolve().parent
-# The code whose calls may set a library default.
-CALLERS = [Path(__file__).resolve().parents[1] / d
-           for d in ("src", "scripts", "perfbench", "tests")]
+ROOT = Path(__file__).resolve().parents[1]
+# The code that uses the library: its calls may set a library default.
+# Tests do not count; a name or a setting that only tests use goes, or
+# moves into tests/.
+CALLERS = [ROOT / d for d in ("src", "scripts", "perfbench")]
+
+# Library names that no command, script or benchmark step reaches, each
+# with the reason it stays.
+UNREACHED = {
+    "pde.weak_residual": "ROADMAP item 6, the certificate's weak form",
+    "pde.TestFunction": "ROADMAP item 6, the certificate's weak form",
+    "pde.GridSolution.interpolator":
+        "ROADMAP item 6, the certificate's weak form",
+    "pde.GridSolution.evaluate": "ROADMAP item 6, the certificate's weak form",
+}
+# Defaults that no caller overrides, each with the reason it stays.
+UNSET = {
+    "pde.solve_cauchy(boundary=)": "ROADMAP item 1, a solve that refuses "
+                                   "a box too small for its datum",
+}
 
 
 def _trees():
@@ -95,54 +112,210 @@ def test_every_raised_error_class_has_an_exit_code():
     assert not uncaught, sorted(uncaught)
 
 
-def _defaulted_params(trees):
-    """(module, function, parameter) -> positional index, or None for a
-    keyword-only one, of every defaulted parameter of a public module-level
-    function."""
+def _is_command(module):
+    """The command modules: cli.py, cliargs.py and cli_*.py."""
+    return module in ("cli.py", "cliargs.py") or module.startswith("cli_")
+
+
+def _uses(node):
+    """Every name the subtree uses: an identifier, an attribute or a string
+    that is an identifier (as a getattr or a benchmark target names one)."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif (isinstance(n, ast.Constant) and isinstance(n.value, str)
+              and n.value.isidentifier()):
+            out.add(n.value)
+    return out
+
+
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(trees):
+    """"module.name" -> the names its body uses, for every module-level
+    function, class and constant and every method of a class but a dunder
+    one, in the library modules (all but the command modules).  A class's
+    body is its bases, decorators and statements, its dunder methods
+    included: they run whenever the class is used."""
     out = {}
     for mod, tree in trees.items():
-        for fn in tree.body:
-            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
-                continue
-            a = fn.args
-            pos = a.posonlyargs + a.args
-            first = len(pos) - len(a.defaults)
-            for i, arg in enumerate(pos[first:], first):
-                out[(mod, fn.name, arg.arg)] = i
-            for arg, default in zip(a.kwonlyargs, a.kw_defaults):
-                if default is not None:
-                    out[(mod, fn.name, arg.arg)] = None
+        if _is_command(mod):
+            continue
+        stem = mod[:-3]
+        for n in tree.body:
+            if isinstance(n, ast.FunctionDef):
+                out[f"{stem}.{n.name}"] = _uses(n)
+            elif isinstance(n, ast.ClassDef):
+                body = set()
+                for m in n.body:
+                    if isinstance(m, ast.FunctionDef) and not _dunder(m.name):
+                        out[f"{stem}.{n.name}.{m.name}"] = _uses(m)
+                    else:
+                        body |= _uses(m)
+                for part in n.bases + n.keywords + n.decorator_list:
+                    body |= _uses(part)
+                out[f"{stem}.{n.name}"] = body
+            elif isinstance(n, (ast.Assign, ast.AnnAssign)):
+                targets = n.targets if isinstance(n, ast.Assign) \
+                    else [n.target]
+                for t in targets:
+                    for name in _uses(t):
+                        if not _dunder(name):
+                            out[f"{stem}.{name}"] = _uses(n.value)
     return out
+
+
+def _reached(definitions, roots):
+    """The definitions reached from the names in roots: a definition is
+    reached when its own (last) name is used by a root or by the body of a
+    reached definition, taken to a fixpoint."""
+    used, reached = set(roots), set()
+    while True:
+        new = {d for d in definitions
+               if d not in reached and d.rsplit(".", 1)[-1] in used}
+        if not new:
+            return reached
+        reached |= new
+        for d in new:
+            used |= definitions[d]
+
+
+def test_every_library_name_is_reached():
+    """The library's surface is what its commands, scripts and benchmark
+    use.  Every module-level function, class and constant and every method
+    but a dunder one in the library modules is named (an identifier, an
+    attribute or an identifier string) from a command module, a script, a
+    perfbench/ file, or the body of another such name, to a fixpoint; or it
+    is in UNREACHED, with a reason.  __all__ reaches nothing, and neither
+    do tests.  An UNREACHED entry that is gone or reached fails too."""
+    trees = _trees()
+    roots = set()
+    for mod, tree in trees.items():
+        if _is_command(mod):
+            roots |= _uses(tree)
+    for d in ("scripts", "perfbench"):
+        for p in sorted((ROOT / d).rglob("*.py")):
+            roots |= _uses(ast.parse(p.read_text(encoding="utf-8")))
+    definitions = _definitions(trees)
+    unreached = set(definitions) - _reached(definitions, roots)
+    assert not unreached - set(UNREACHED), sorted(unreached - set(UNREACHED))
+    assert not set(UNREACHED) - unreached, \
+        sorted(set(UNREACHED) - unreached)
+
+
+def _params(fn, skip):
+    """parameter -> positional index, or None for a keyword-only one, of
+    every defaulted parameter of fn, less its first `skip` (self)."""
+    out = {}
+    a = fn.args
+    pos = a.posonlyargs + a.args
+    first = len(pos) - len(a.defaults)
+    for i, arg in enumerate(pos[first:], first):
+        out[arg.arg] = i - skip
+    for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+        if default is not None:
+            out[arg.arg] = None
+    return out
+
+
+def _is_dataclass(cls):
+    return any(_name(d) == "dataclass" for d in cls.decorator_list)
+
+
+def _fields(cls):
+    """field -> position in the generated __init__, of every defaulted
+    init field of a dataclass: a field(init=False) is no parameter."""
+    out, i = {}, 0
+    for n in cls.body:
+        if not (isinstance(n, ast.AnnAssign)
+                and isinstance(n.target, ast.Name)):
+            continue
+        if (isinstance(n.value, ast.Call) and _name(n.value) == "field"
+                and any(k.arg == "init" and getattr(k.value, "value", True)
+                        is False for k in n.value.keywords)):
+            continue
+        if n.value is not None:
+            out[n.target.id] = i
+        i += 1
+    return out
+
+
+def _defaulted_params(trees):
+    """"module.callable(parameter=)" -> (callable, parameter, positional
+    index or None for a keyword-only one) of every defaulted parameter of
+    a public module-level function, of the __init__ of a public class, and
+    of a public dataclass's init fields."""
+    out = {}
+    for mod, tree in trees.items():
+        for n in tree.body:
+            if (not isinstance(n, (ast.FunctionDef, ast.ClassDef))
+                    or n.name.startswith("_")):
+                continue
+            if isinstance(n, ast.FunctionDef):
+                params = _params(n, 0)
+            elif _is_dataclass(n):
+                params = _fields(n)
+            else:
+                init = next((m for m in n.body
+                             if isinstance(m, ast.FunctionDef)
+                             and m.name == "__init__"), None)
+                params = _params(init, 1) if init else {}
+            for arg, i in params.items():
+                out[f"{mod[:-3]}.{n.name}({arg}=)"] = (n.name, arg, i)
+    return out
+
+
+def _is_super_init(node):
+    f = node.func
+    return (isinstance(node, ast.Call) and isinstance(f, ast.Attribute)
+            and f.attr == "__init__" and isinstance(f.value, ast.Call)
+            and _name(f.value) == "super")
 
 
 def _calls(paths):
     """Called name -> (positional count, keyword names) of every call in
-    the files; the count stops at a *args, and a **kwargs names nothing."""
+    the files; the count stops at a *args, and a **kwargs names nothing.
+    A super().__init__(...) in a class calls its bases by name."""
     calls = {}
     for p in paths:
-        for n in ast.walk(ast.parse(p.read_text(encoding="utf-8"))):
+        tree = ast.parse(p.read_text(encoding="utf-8"))
+        bases = {}
+        # outer classes first, so a nested class's bases win
+        for c in ast.walk(tree):
+            if isinstance(c, ast.ClassDef):
+                for n in ast.walk(c):
+                    if isinstance(n, ast.Call) and _is_super_init(n):
+                        bases[n] = [_name(b) for b in c.bases]
+        for n in ast.walk(tree):
             if not isinstance(n, ast.Call):
                 continue
-            name = _name(n)
             npos = next((i for i, a in enumerate(n.args)
                          if isinstance(a, ast.Starred)), len(n.args))
-            calls.setdefault(name, []).append(
-                (npos, {k.arg for k in n.keywords}))
+            for name in bases.get(n, [_name(n)]):
+                calls.setdefault(name, []).append(
+                    (npos, {k.arg for k in n.keywords}))
     return calls
 
 
 def test_every_default_is_set_by_some_call():
     """A default that no caller ever overrides is a setting nobody uses:
     it belongs in a module constant, or nowhere.  Every defaulted parameter
-    of a public module-level function in kolmo is passed, by keyword or by
-    position, in some call under src/, scripts/, perfbench/ or tests/ to a
-    function of that name."""
+    of a public module-level function or of a public class's __init__, and
+    every defaulted init field of a public dataclass, is passed by keyword
+    or by position in some call under src/, scripts/ or perfbench/ to a
+    callable of that name; or it is in UNSET, with a reason.  Tests do not
+    count.  An UNSET entry that is gone or set fails too."""
     calls = _calls(p for d in CALLERS for p in sorted(d.rglob("*.py")))
-    unset = [f"{mod}: {fn}({arg}=)" for (mod, fn, arg), i
-             in sorted(_defaulted_params(_trees()).items())
+    unset = {key for key, (fn, arg, i) in _defaulted_params(_trees()).items()
              if not any(arg in kw or (i is not None and npos > i)
-                        for npos, kw in calls.get(fn, ()))]
-    assert not unset, unset
+                        for npos, kw in calls.get(fn, ()))}
+    assert not unset - set(UNSET), sorted(unset - set(UNSET))
+    assert not set(UNSET) - unset, sorted(set(UNSET) - unset)
 
 
 def test_tracer_targets_resolve():

@@ -7,6 +7,7 @@ from kolmo.errors import (CylinderUnresolved, NoAdmissibleFit,
                           NotNonnegative)
 from kolmo.group import Geometry, point
 from kolmo.structure import BlockStructure
+from test_structure import random_canonical_B
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +36,29 @@ def test_sandwich_self_test(proto, proto_params):
     assert abs(rep.c_plus - 1.0) <= 10.0 * gridtol
     assert abs(rep.c_minus - 1.0) <= 10.0 * gridtol
     assert rep.violations == 0
+
+
+@pytest.mark.parametrize("blocks", [(1, 1), (2, 1), (1, 1, 1), (2, 2, 1),
+                                    (1, 1, 1, 1)])
+def test_sandwich_self_test_block_structures(blocks):
+    """The kernel fitted against itself gives C- <= 1 <= C+, both 1 to
+    rounding, past the prototype.  The points come from the kernel's own
+    law at times in (0.05, 1], so their targets are of the kernel's size;
+    uniform points leave no positive target on (1, 1, 1)."""
+    rng = np.random.default_rng(len(blocks) * 10 + sum(blocks))
+    g = Geometry(BlockStructure(blocks), random_canonical_B(blocks, rng))
+    params = kern.scaled_params(2.0, g)
+    n = 500
+    t = rng.uniform(0.05, 1.0, n)
+    L = np.linalg.cholesky(params.lam * params.cov_many(t))
+    x = np.einsum("nij,nj->ni", L, rng.standard_normal((n, g.N)))
+    pole = point(np.zeros(g.N), 0.0)
+    pts = point(x, t)
+    target = kern.gamma_many(pts, pole, params)
+    rep = verify.fit_sandwich(pts, target, pole, g, 2.0, 2.0)
+    assert rep.c_minus <= 1.0 <= rep.c_plus
+    assert abs(np.log(rep.c_plus)) <= 1e-12
+    assert abs(np.log(rep.c_minus)) <= 1e-12
 
 
 def test_sandwich_wide_envelopes_bracket(proto, proto_params):

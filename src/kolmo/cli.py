@@ -52,6 +52,9 @@ DT_HELP = ("time step; default 4 h^2 / (2 Lambda m0) "
            "(2 Lambda m0) where A0 has off-diagonal entries; a --dt above "
            "a cap exits 5")
 
+# the point options' default, set by cliargs.load once the spec is read
+ORIGIN = "N comma-separated numbers; default the origin of R^N"
+
 
 def _ranged(conv, ok, what):
     """An argparse type: conv(s), refused (exit 2) unless ok(value)."""
@@ -90,12 +93,12 @@ _LAMBDA = _opt("--lambda", dest="lam", type=_number, default=2.0)
 _SEED = _opt("--seed", type=_count, default=0)
 _T0 = _opt("--t0", type=_number, default=0.0)
 _T1 = _opt("--t1", type=_number, required=True)
-_X0 = _opt("--x0", default="0,0")
+_X0 = _opt("--x0", help=ORIGIN)
 _DT = _opt("--dt", type=_positive_float, help=DT_HELP)
 _NX = _opt("--nx", required=True)
-_CENTER = _opt("--center", default="0,0")
+_CENTER = _opt("--center", help=ORIGIN)
 _CENTER_T = _opt("--center-t", dest="center_t", type=_number, default=0.5)
-_POLE = _opt("--pole", default="0,0")
+_POLE = _opt("--pole", help=ORIGIN)
 _POLE_T0 = _opt("--pole-t0", dest="pole_t0", type=_number, default=-2.0)
 _MC = [_SPEC, _opt("--paths", type=int, default=100000),
        _opt("--dt", type=_positive_float, default=1e-3), _SEED, _X0, _T0,
@@ -126,7 +129,7 @@ COMMANDS = {
         _opt("--box", required=True), _opt("--bins", required=True),
         _opt("--out", default="density.csv")],
     ("mc", "mass"): _MC + [
-        _opt("--y", default="0,0"),
+        _opt("--y", help=ORIGIN),
         _opt("--radius", type=_positive_float, default=1.0)],
     ("mollify",): [
         _SPEC, _opt("--field", default="A0"),

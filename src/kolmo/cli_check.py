@@ -5,8 +5,8 @@ import numpy as np
 
 from . import kernel as kern
 from . import specfile, verify
-from .cliargs import box, check_out, counts, emit, floats, resolved, \
-    vector
+from .cliargs import box, check_out, counts, emit, floats, load, \
+    resolved, vector
 from .group import point
 from .specfile import SpecError
 
@@ -40,16 +40,17 @@ def _mode(args, flag, on, reads_on, reads_off):
 def cmd_check_bounds(args):
     _mode(args, "--self-test", args.self_test, _BOUNDS_SELF_TEST,
           _BOUNDS_FIT)
-    spec = specfile.load(args.spec)
+    spec = load(args)
     g = spec.geometry
     x0 = vector(args, "x0", g.N)
     pole = point(x0, args.t0)
     if args.self_test:
         rng = np.random.default_rng(args.seed)
-        pts = np.column_stack(
-            [rng.uniform(-2.0, 2.0, size=(args.samples, g.N)),
-             args.t0 + rng.uniform(0.05, 1.0, size=args.samples)])
+        tau = rng.uniform(0.05, 1.0, size=args.samples)
+        G = rng.standard_normal((args.samples, g.N))
         params = kern.scaled_params(args.lam, g)
+        # points from the kernel's own law: normal floats in any dimension
+        pts = g.compose(pole, kern.law_points(tau, G, params))
         target = kern.gamma_many(pts, pole, params)
         rep = verify.fit_sandwich(pts, target, pole, g, args.lam, args.lam)
     else:
@@ -87,7 +88,7 @@ def _kernel_u(spec, args):
 def cmd_check_harnack(args):
     _mode(args, "--sweep", args.sweep > 0, _HARNACK_SWEEP, {})
     check_out(args)
-    spec = specfile.load(args.spec)
+    spec = load(args)
     g = spec.geometry
     u = _kernel_u(spec, args)
     if args.sweep:
@@ -115,7 +116,7 @@ def cmd_check_harnack(args):
 
 
 def cmd_check_cone(args):
-    spec = specfile.load(args.spec)
+    spec = load(args)
     g = spec.geometry
     u = _kernel_u(spec, args)
     vertex = point(vector(args, "center", g.N), args.center_t)
@@ -126,7 +127,7 @@ def cmd_check_cone(args):
 
 
 def cmd_check_global(args):
-    spec = specfile.load(args.spec)
+    spec = load(args)
     g = spec.geometry
     u = _kernel_u(spec, args)
     rng = np.random.default_rng(args.seed)

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import kernel as kern
 from . import specfile
-from .cliargs import emit, finite, resolved, vector
+from .cliargs import emit, finite, load, resolved, vector
 from .group import point
 from .specfile import SpecError
 
@@ -49,7 +49,7 @@ def _points_from_args(args, N):
 
 
 def cmd_kernel_eval(args):
-    spec = specfile.load(args.spec)
+    spec = load(args)
     g = spec.geometry
     pole = point(vector(args, "pole", g.N), args.t0)
     params = kern.scaled_params(args.lam, g)
@@ -76,10 +76,7 @@ def _homogeneity_defect(g):
                       math.exp(rng.uniform(-1.5, 1.5))))
     t, G, r = map(np.array, zip(*draws))
     pp = kern.scaled_params(2.0, g)
-    # x from the kernel's own law, so values stay representable at every
-    # scale
-    L = np.linalg.cholesky(pp.lam * pp.cov_many(t))
-    Z = point(np.einsum("nij,nj->ni", L, G), t)
+    Z = kern.law_points(t, G, pp)
     origin = point(np.zeros(g.N), 0.0)
     v = kern.gamma_many(g.dilate(r, Z), origin, pp)
     vref = r ** (-g.structure.Q) * kern.gamma_many(Z, origin, pp)
@@ -87,7 +84,7 @@ def _homogeneity_defect(g):
 
 
 def cmd_kernel_reproduce(args):
-    spec = specfile.load(args.spec)
+    spec = load(args)
     g = spec.geometry
     rng = np.random.default_rng(args.seed)
     params = kern.scaled_params(args.lam, g)

@@ -4,7 +4,7 @@ out, binned, or measured on a D_R ball."""
 import numpy as np
 
 from . import mc, specfile
-from .cliargs import box, counts, emit, resolved, vector
+from .cliargs import box, counts, emit, load, resolved, vector
 
 
 def _simulate(args, spec):
@@ -16,7 +16,7 @@ def _simulate(args, spec):
 
 
 def cmd_mc_simulate(args):
-    spec = specfile.load(args.spec)
+    spec = load(args)
     ens = _simulate(args, spec)
     header = [f"x{k + 1}" for k in range(spec.structure.N)] + ["weight"]
     specfile.write_csv(args.out, header,
@@ -28,7 +28,7 @@ def cmd_mc_simulate(args):
 
 
 def cmd_mc_density(args):
-    spec = specfile.load(args.spec)
+    spec = load(args)
     bx = box(args, spec.structure.N)
     bins = counts(args, "bins", spec.structure.N, 1)
     ens = _simulate(args, spec)
@@ -46,7 +46,7 @@ def cmd_mc_density(args):
 
 
 def cmd_mc_mass(args):
-    spec = specfile.load(args.spec)
+    spec = load(args)
     ens = _simulate(args, spec)
     m = mc.mass_in_DR(ens, vector(args, "y", spec.structure.N),
                       args.radius, spec.geometry)

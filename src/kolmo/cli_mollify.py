@@ -4,8 +4,7 @@ one, at each eps."""
 import numpy as np
 
 from . import coefficients as coeff
-from . import specfile
-from .cliargs import emit, floats, resolved
+from .cliargs import emit, floats, load, resolved
 from .specfile import SpecError
 
 
@@ -13,7 +12,7 @@ def cmd_mollify(args):
     """Per eps: l1_distance, the mean over the samples of the largest
     component difference from the raw field; min and max, the extreme
     eigenvalues of A0, or the extreme components of b and c."""
-    spec = specfile.load(args.spec)
+    spec = load(args)
     name = args.field
     f = spec.fields.get(name)
     if f is None:

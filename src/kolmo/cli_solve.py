@@ -5,13 +5,14 @@ import numpy as np
 
 from . import kernel as kern
 from . import pde, specfile
-from .cliargs import box, counts, emit, floats, resolved, vector
+from .cliargs import box, counts, emit, floats, load, resolved, \
+    vector
 from .group import point
 from .specfile import SpecError
 
 
 def cmd_solve_cauchy(args):
-    spec = specfile.load(args.spec)
+    spec = load(args)
     g = spec.geometry
     bx = box(args, g.N)
     nx = counts(args, "nx", g.N, pde.MIN_AXIS_NODES)
@@ -37,7 +38,7 @@ def cmd_solve_cauchy(args):
 
 
 def cmd_solve_fundamental(args):
-    spec = specfile.load(args.spec)
+    spec = load(args)
     g = spec.geometry
     bx = box(args, g.N)
     nx = counts(args, "nx", g.N, pde.MIN_AXIS_NODES)

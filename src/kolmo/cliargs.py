@@ -1,6 +1,6 @@
-"""What every command module shares: the JSON report on stdout, the echo
-of the resolved options, the check of --out, and the parsing of
-list-valued options.
+"""What every command module shares: the spec with the point options'
+defaults, the JSON report on stdout, the echo of the resolved options, the
+check of --out, and the parsing of list-valued options.
 
 A malformed value raises SpecError, which the CLI maps to exit 2.
 """
@@ -13,6 +13,16 @@ import numpy as np
 
 from . import specfile
 from .specfile import SpecError
+
+
+def load(args):
+    """The spec args.spec names; each point option left unset becomes the
+    origin of its R^N, "0,...,0"."""
+    spec = specfile.load(args.spec)
+    for name in ("x0", "y", "pole", "center"):
+        if name in args and getattr(args, name) is None:
+            setattr(args, name, ",".join(["0"] * spec.structure.N))
+    return spec
 
 
 def emit(report):

@@ -85,21 +85,14 @@ class Geometry:
     # -- group operations ---------------------------------------------------
 
     def exp_drift(self, s):
-        """E(s) = exp(-s B) by its power series, stopping early once a term
-        vanishes.  B^{kappa+1} = 0 (checked at construction), so the
-        series ends after kappa + 1 terms and is exact."""
-        M = -s * self.B
-        E = term = np.eye(self.N)
-        for k in range(1, self.structure.kappa + 2):
-            term = term @ M / k
-            if not term.any():
-                break
-            E = E + term
-        return E
+        """E(s) = exp(-s B) as a matrix: the columns E(s) e_i of _drift."""
+        return self._drift(s, np.eye(self.N)).T
 
     def _drift(self, s, x):
-        """E(s) x for a vector, or row-wise for rows x and times s: the
-        series of exp_drift (kappa + 1 terms) applied to x."""
+        """E(s) x for a vector, or row-wise for rows x and times s, by the
+        power series of exp(-s B).  B^{kappa+1} = 0 (checked at
+        construction), so the series ends after kappa + 1 terms and is
+        exact."""
         s = np.asarray(s, dtype=float)[..., None]
         out = term = x
         for k in range(1, self.structure.kappa + 2):

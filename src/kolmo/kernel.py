@@ -9,20 +9,11 @@ kernel with prefactor (4 pi)^{-N/2} and exponent -<C^{-1}x, x>/4.
 """
 
 import math
-from collections import namedtuple
 
 import numpy as np
 
 from .errors import ArgumentError, NotSPD
 from .group import Geometry, point
-
-
-def _pad_A0(A0, N):
-    A0 = np.atleast_2d(np.asarray(A0, dtype=float))
-    m0 = A0.shape[0]
-    Abar = np.zeros((N, N))
-    Abar[:m0, :m0] = A0
-    return Abar
 
 
 def covariance_poly_coeffs(B, A0):
@@ -35,7 +26,9 @@ def covariance_poly_coeffs(B, A0):
     """
     B = np.asarray(B, dtype=float)
     N = B.shape[0]
-    Abar = _pad_A0(A0, N)
+    A0 = np.atleast_2d(np.asarray(A0, dtype=float))
+    Abar = np.zeros((N, N))
+    Abar[:len(A0), :len(A0)] = A0
     powers = [np.eye(N)]
     while powers[-1].any() and len(powers) <= N:
         powers.append(powers[-1] @ B)
@@ -74,27 +67,16 @@ def covariance_matrix(t, B, A0):
     return _cov_from_poly(covariance_poly_coeffs(B, A0), t)
 
 
-class CovMatrix(namedtuple("CovMatrix", "t C chol logdet")):
-    """Covariance C(t) with its Cholesky factor and log-determinant."""
-
-    __slots__ = ()
-
-    def solve(self, x):
-        """C^{-1} x = L^{-T} (L^{-1} x): two solves with the stored factor."""
-        return np.linalg.solve(self.chol.T, np.linalg.solve(self.chol, x))
-
-
 def covariance(t, B, A0):
-    """Build the CovMatrix at time t > 0; raises NotSPD when Cholesky fails."""
+    """C(t) at one time t > 0; NotSPD if it has no Cholesky factor."""
     if t <= 0.0:
         raise NotSPD(f"covariance requested at t = {t} <= 0")
     C = covariance_matrix(t, B, A0)
     try:
-        chol = np.linalg.cholesky(C)
+        np.linalg.cholesky(C)
     except np.linalg.LinAlgError as exc:
         raise NotSPD(f"C({t}) is not positive definite") from exc
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return CovMatrix(t=float(t), C=C, chol=chol, logdet=logdet)
+    return C
 
 
 class KernelParams:
@@ -105,7 +87,6 @@ class KernelParams:
             raise ArgumentError(f"lam must be positive, got {lam!r}")
         self.lam = lam
         self.geometry = geometry
-        self.trB = float(np.trace(self.geometry.B))
         self.poly = covariance_poly_coeffs(
             self.geometry.B, np.eye(self.geometry.structure.m0))
 
@@ -122,6 +103,14 @@ def scaled_params(lam, geometry):
     """Kernel of the lam-scaled model operator; lam = 2 is the principal
     part's kernel (unit diffusion)."""
     return KernelParams(lam=lam, geometry=geometry)
+
+
+def law_points(t, G, params: KernelParams):
+    """Rows (L(t) g, t) with L L^T = lam C(t), one per time t and row g of
+    standard normals G: draws from the law of the kernel with its pole at
+    the origin, so the kernel stays representable at every scale."""
+    L = np.linalg.cholesky(params.lam * params.cov_many(t))
+    return point(np.einsum("nij,nj->ni", L, G), t)
 
 
 def quad_logdet(w, params: KernelParams):
@@ -152,8 +141,7 @@ def gamma_many(points, zeta, params: KernelParams, log=False):
         wp = w[pos]
         quad, logdet = quad_logdet(wp, params)
         lg[pos] = (-0.5 * g.N * math.log(2.0 * math.pi * params.lam)
-                   - 0.5 * logdet - quad / (2.0 * params.lam)
-                   - wp[:, -1] * params.trB)
+                   - 0.5 * logdet - quad / (2.0 * params.lam))
     return lg if log else np.exp(lg)
 
 
@@ -176,9 +164,8 @@ def _gauss_product(x, t, y, t0, s, params):
     E1 = g.exp_drift(t - s)
     C1 = params.cov(t - s)
     C2 = params.cov(s - t0)
-    C1inv_E1 = C1.solve(E1)
-    P1 = (E1.T @ C1inv_E1) / lam
-    P2 = np.linalg.inv(C2.C) / lam
+    P1 = (E1.T @ np.linalg.solve(C1, E1)) / lam
+    P2 = np.linalg.inv(C2) / lam
     c1 = g.exp_drift(-(t - s)) @ x  # E(t-s)^{-1} x
     c2 = g.exp_drift(s - t0) @ y
     P = P1 + P2

@@ -579,7 +579,7 @@ def approx_fundamental(coeffs, geometry, x0, t0, t1, box, nx, widths,
     for i, w in enumerate(widths):
         # the datum must be representable on the grid: every marginal
         # standard deviation of the width-w kernel has to span a few cells
-        stds = np.sqrt(lam * np.diag(params.cov(w).C))
+        stds = np.sqrt(lam * np.diag(params.cov(w)))
         for k in range(N):
             if stds[k] < 1.5 * hs[k]:
                 raise SupportExceedsGrid(

@@ -74,9 +74,19 @@ def _field_to_dict(f):
     raise SpecError(f"field {type(f).__name__} has no serial form")
 
 
+def _finite(a):
+    """a as a float array; a ValueError unless every entry is finite."""
+    a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError("values: not all finite")
+    return a
+
+
 def _field_from_dict(d, base_dir, N):
-    """The field a descriptor describes on R^N x R; a `dim` other than N
-    is refused."""
+    """The field a descriptor describes on R^N x R; a `dim` other than N, a
+    value that is not finite, a checkerboard without values or with a cell
+    side h that is not finite and > 0, and a mollified T that is not finite
+    and > 0 are refused."""
     if not isinstance(d, dict):
         raise SpecError(f"coefficient descriptor {d!r} is not an object")
     kind = d.get("kind")
@@ -84,12 +94,14 @@ def _field_from_dict(d, base_dir, N):
         if "dim" in d and int(d["dim"]) != N:
             raise SpecError(f"{kind} field has dim {d['dim']!r}, not N = {N}")
         if kind == "constant":
-            v = np.asarray(d["value"], dtype=float)
-            return coeff.ConstantField(v, dim=N)
+            return coeff.ConstantField(_finite(d["value"]), dim=N)
         if kind == "checkerboard":
-            return coeff.CheckerboardField(
-                [np.asarray(v, dtype=float) for v in d["values"]],
-                h=float(d["h"]), dim=N, seed=int(d["seed"]))
+            h = float(d["h"])
+            if not d["values"] or not 0.0 < h < np.inf:
+                raise ValueError(f"h = {h} (needs a finite h > 0 and at "
+                                 f"least one value)")
+            return coeff.CheckerboardField([_finite(v) for v in d["values"]],
+                                           h=h, dim=N, seed=int(d["seed"]))
         if kind == "grid":
             f = load_grid_field(base_dir / d["file"])
             if f.dim != N:
@@ -98,13 +110,19 @@ def _field_from_dict(d, base_dir, N):
             return f
         if kind == "mollified":
             raw = _field_from_dict(d["raw"], base_dir, N)
-            return coeff.mollify(raw, eps=float(d["eps"]), T=float(d["T"]))
+            T = float(d["T"])
+            if not 0.0 < T < np.inf:
+                raise ValueError(f"T = {T} (needs a finite T > 0)")
+            return coeff.mollify(raw, eps=float(d["eps"]), T=T)
     except (LookupError, TypeError, ValueError) as e:
         raise SpecError(f"{kind} field: missing or malformed {e}") from e
     raise SpecError(f"unknown field kind {kind!r}")
 
 
 def from_dict(doc, base_dir=Path(".")):
+    """The OperatorSpec a document describes.  Besides the structure and
+    the fields, the window must be finite with T0 < T1 and the ellipticity
+    finite with 0 < lambda <= Lambda, else SpecError."""
     if doc.get("schema") != SCHEMA:
         raise SpecError(f"unsupported schema {doc.get('schema')!r}; "
                         f"expected {SCHEMA}")
@@ -118,6 +136,10 @@ def from_dict(doc, base_dir=Path(".")):
         fdocs = doc.get("coefficients", {})
     except (KeyError, TypeError, ValueError) as e:
         raise SpecError(f"missing or malformed field: {e}") from e
+    if not (-np.inf < win[0] < win[1] < np.inf
+            and 0.0 < ell[0] <= ell[1] < np.inf):
+        raise SpecError(f"window {win} and ellipticity {ell}: need finite "
+                        f"T0 < T1 and 0 < lambda <= Lambda")
     detect_canonical_form(B, blocks)
     if "A0" not in fdocs or not set(fdocs) <= set(coeff.RANK):
         raise SpecError(f"coefficients {sorted(fdocs)}: the operator has A0 "
@@ -196,7 +218,7 @@ def load_grid_field(path):
     if naxes == 0 or header[naxes:naxes + 1] != ["t"] \
             or len(header) < naxes + 2:
         raise SpecError(f"{path}: header must be x1..xN, t, then values")
-    data = np.asarray([[float(v) for v in r] for r in rows[1:]])
+    data = _finite([[float(v) for v in r] for r in rows[1:]])
     if data.ndim != 2 or data.shape[1] != len(header):
         raise SpecError(f"{path}: rows must hold one cell per header name")
     axes = [np.unique(data[:, k]) for k in range(naxes + 1)]

@@ -111,34 +111,16 @@ def kalman_matrix(B, m0):
     return np.hstack(cols)
 
 
-def _covariance_at_one(B, m0):
-    """C(1) = int_0^1 E(s) Abar E(s)^T ds, E(s) = exp(-sB), for any B.
-
-    Nilpotent B takes the kernel's exact polynomial.  Otherwise one matrix
-    exponential of Van Loan's block matrix [[B, Abar], [0, -B^T]] gives it:
-    its top-right block is F = int_0^1 e^{(1-s)B} Abar e^{-sB^T} ds and its
-    bottom-right block e^{-B^T}, so C(1) = e^{-B} F."""
-    from .kernel import covariance_matrix  # deferred to avoid import cycle
-
-    N = B.shape[0]
-    if not np.linalg.matrix_power(B, N).any():
-        return covariance_matrix(1.0, B, np.eye(m0))
-    from scipy.linalg import expm
-
-    M = np.zeros((2 * N, 2 * N))
-    M[:N, :N] = B
-    M[:m0, N:N + m0] = np.eye(m0)
-    M[N:, N:] = -B.T
-    E = expm(M)
-    return E[N:, N:].T @ E[:N, N:]
-
-
 def check_hypoellipticity(B, m0):
     """Kalman rank criterion cross-checked against min eig of C(1).
 
     Both computations are carried out; a disagreement signals a numerical
-    bug and raises InternalInconsistency.
+    bug and raises InternalInconsistency.  C(1) is the kernel's exact
+    polynomial, so a B that is not nilpotent raises ValueError, as it does
+    in Geometry and the kernel.
     """
+    from .kernel import covariance_matrix  # deferred to avoid import cycle
+
     B = np.asarray(B, dtype=float)
     N = B.shape[0]
     if not 1 <= m0 <= N:
@@ -150,7 +132,7 @@ def check_hypoellipticity(B, m0):
     kalman_rank = int(np.sum(sv > cutoff))
     rank_full = kalman_rank == N
 
-    C1 = _covariance_at_one(B, m0)
+    C1 = covariance_matrix(1.0, B, np.eye(m0))
     min_eig = float(np.linalg.eigvalsh(C1).min())
     eig_pos = min_eig > RANK_TOL_FACTOR
 

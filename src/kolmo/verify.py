@@ -10,8 +10,8 @@ from collections import namedtuple
 import numpy as np
 
 from . import kernel as kern
-from .errors import (ConeUnresolved, CylinderUnresolved, NoAdmissibleFit,
-                     NotNonnegative)
+from .errors import (ArgumentError, ConeUnresolved, CylinderUnresolved,
+                     NoAdmissibleFit, NotNonnegative)
 from .group import Geometry, point
 
 MIN_CYLINDER_NODES = 27
@@ -42,12 +42,16 @@ def fit_sandwich(points, target_vals, pole, geometry: Geometry,
     C- Gamma^{lam-} <= target <= C+ Gamma^{lam+}  at the sample points.
 
     err_budget widens the fit by a relative margin per sample (e.g. the grid
-    tolerance of a numerical target).  Samples where the target is positive
-    while an envelope vanishes admit no fit.  A subnormal target carries
-    too few digits for its log ratio to mean anything (5e-324 stands for
-    anything below about 7e-324), so only targets of at least the smallest
-    normal float enter the fit.
+    tolerance of a numerical target); it must lie in [0, 1), else
+    ArgumentError.  Samples where the target is positive while an envelope
+    vanishes admit no fit.  A subnormal target carries too few digits for
+    its log ratio to mean anything (5e-324 stands for anything below about
+    7e-324), so only targets of at least the smallest normal float enter
+    the fit.
     """
+    if not 0.0 <= err_budget < 1.0:
+        raise ArgumentError(f"err_budget must lie in [0, 1), got "
+                            f"{err_budget!r}")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     target = np.asarray(target_vals, dtype=float).reshape(len(points))
     # log-domain ratios: the envelopes span many orders of magnitude and

@@ -98,6 +98,100 @@ def test_malformed_spec_exit_2(tmp_path, capsys):
         assert cli.main(["structure", str(p)]) == cli.EXIT_PARSE, text
 
 
+def _grid_sidecar(tmp_path, x1=None, value=None):
+    """A0 = 1 on the grid {0, 1}^2 x {0, 1} as a sidecar, its x1 axis
+    written as x1 and its first value as value, where given."""
+    ax = np.array([0.0, 1.0])
+    save_grid_field(GridField([ax, ax], ax, np.ones((2, 2, 2))),
+                    tmp_path / "a0.csv")
+    rows = list(csv.reader((tmp_path / "a0.csv").open(newline="")))
+    for r in rows[1:]:
+        if x1 is not None and r[0] == "1":
+            r[0] = x1
+    if value is not None:
+        rows[1][-1] = value
+    with (tmp_path / "a0.csv").open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return {"kind": "grid", "file": "a0.csv"}
+
+
+def _board(**edit):
+    board = _checkerboard_doc(specfile.prototype_spec().to_dict())[
+        "coefficients"]["A0"]
+    board.update(edit)
+    return board
+
+
+# Spec edits that make a number malformed, each with the command that ran
+# on it: a traceback (exit 1) or a report of NaN or of one constant cell
+# (exit 0) before they were refused.
+_NOT_FINITE_SPECS = {
+    "Lambda-nan": (lambda d, p: d["ellipticity"].update(Lambda=math.nan),
+                   "solve"),
+    "Lambda-inf": (lambda d, p: d["ellipticity"].update(Lambda=math.inf),
+                   "solve"),
+    "lambda-above-Lambda": (
+        lambda d, p: d["ellipticity"].update({"lambda": 2.0}), "solve"),
+    "lambda-0": (lambda d, p: d["ellipticity"].update({"lambda": 0.0}),
+                 "solve"),
+    "window-reversed": (lambda d, p: d["window"].update(T0=1.0, T1=0.5),
+                        "mollify"),
+    "window-nan": (lambda d, p: d["window"].update(T1=math.nan), "mollify"),
+    "A0-nan": (lambda d, p: d["coefficients"]["A0"].update(
+        value=[[math.nan]]), "structure"),
+    "A0-nan-mollify": (lambda d, p: d["coefficients"]["A0"].update(
+        value=[[math.nan]]), "mollify"),
+    "grid-value-nan": (lambda d, p: d["coefficients"].update(
+        A0=_grid_sidecar(p, value="nan")), "mollify"),
+    "grid-axis-inf": (lambda d, p: d["coefficients"].update(
+        A0=_grid_sidecar(p, x1="inf")), "structure"),
+    "board-value-inf": (lambda d, p: d["coefficients"].update(
+        A0=_board(values=[[[1.0]], [[math.inf]]])), "structure"),
+    "board-no-values": (lambda d, p: d["coefficients"].update(
+        A0=_board(values=[])), "structure"),
+    "board-h-0": (lambda d, p: d["coefficients"].update(A0=_board(h=0.0)),
+                  "mc"),
+    "board-h-negative": (lambda d, p: d["coefficients"].update(
+        A0=_board(h=-0.25)), "solve"),
+    "board-h-nan": (lambda d, p: d["coefficients"].update(
+        A0=_board(h=math.nan)), "mc"),
+    "mollified-T-0": (lambda d, p: d["coefficients"].update(A0={
+        "kind": "mollified", "eps": 0.1, "T": 0.0, "raw": _board()}),
+        "structure"),
+    "mollified-T-nan": (lambda d, p: d["coefficients"].update(A0={
+        "kind": "mollified", "eps": 0.1, "T": math.nan, "raw": _board()}),
+        "structure"),
+}
+_ON_SPEC = {
+    "structure": ["structure", "{spec}"],
+    "mollify": ["mollify", "{spec}", "--samples", "10"],
+    "solve": ["solve", "cauchy", "{spec}", "--box=-4,4;-2,2",
+              "--nx", "21,21", "--t1", "0.3", "--out", "out.csv"],
+    "mc": ["mc", "mass", "{spec}", "--paths", "100", "--dt", "0.05"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_FINITE_SPECS))
+def test_malformed_number_in_spec_exit_2(tmp_path, capsys, monkeypatch,
+                                         case):
+    """A window that is not finite with T0 < T1, an ellipticity that is not
+    finite with 0 < lambda <= Lambda, a coefficient value or grid
+    coordinate that is not finite, a checkerboard without values or with
+    an h that is not finite and > 0, and a mollified T that is not finite
+    and > 0 are parse errors: exit 2 with one error line."""
+    monkeypatch.chdir(tmp_path)
+    edit, command = _NOT_FINITE_SPECS[case]
+    doc = specfile.prototype_spec().to_dict()
+    edit(doc, tmp_path)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    code = cli.main([a.format(spec=p) for a in _ON_SPEC[command]])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_PARSE, err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out.csv").exists()
+
+
 def _dim_descriptors(tmp_path):
     """A0 descriptors on R^dim for the prototype (N = 2): a checkerboard
     with dim 3, the same wrapped as `mollified`, a constant with dim 7,
@@ -328,6 +422,38 @@ def test_point_option_needs_N_components(spec_path, tmp_path, capsys,
     assert cli.main([a.format(spec=spec_path) for a in argv]) \
         == cli.EXIT_PARSE
     assert argv[3] + " needs 2 components" in capsys.readouterr().err
+
+
+def _chain_spec(tmp_path, N):
+    """The chain (1, ..., 1) on R^N, x1 -> x2 -> ... -> xN, with A0 = 1."""
+    doc = specfile.prototype_spec().to_dict()
+    doc["structure"] = {"blocks": [1] * N, "B": np.eye(N, k=-1).tolist()}
+    p = tmp_path / f"chain{N}.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+@pytest.mark.parametrize("argv", [
+    ["check", "bounds", "{spec}", "--self-test", "--samples", "50"],
+    ["check", "harnack", "{spec}"],
+    ["check", "cone", "{spec}"],
+    # at the default --pole-t0 of -2 every pair's kernel value underflows
+    # on the chain (1,1,1,1)
+    ["check", "global", "{spec}", "--pairs", "5", "--pole-t0=-10"],
+    ["mc", "mass", "{spec}", "--paths", "100", "--dt", "0.05"],
+], ids=lambda a: " ".join(a[:2]))
+def test_point_defaults_are_the_origin(tmp_path, capsys, monkeypatch, N,
+                                       argv):
+    """--x0, --y, --pole and --center default to the origin of R^N, and
+    the report echoes it as N zeros: "0,0" on the prototype."""
+    monkeypatch.chdir(tmp_path)
+    code, out = run(capsys, [a.format(spec=_chain_spec(tmp_path, N))
+                             for a in argv])
+    assert code == 0
+    cfg = json.loads(out)["config"]
+    points = {k: cfg[k] for k in ("x0", "y", "pole", "center") if k in cfg}
+    assert points and set(points.values()) == {",".join(["0"] * N)}
 
 
 @pytest.mark.parametrize("argv", [
@@ -709,15 +835,43 @@ def test_check_bounds_self_test(spec_path, capsys):
 
 def test_check_bounds_self_test_skips_subnormal_targets(spec_path,
                                                        capsys):
-    """Three of these 2000 samples have a subnormal target (one reads
-    5e-324, with a log ratio of 0.369 to the same kernel as envelope): they
-    stay out of the fit, so C+ and C- are 1 to rounding."""
+    """The self-test draws its points from the kernel's own law, so each of
+    these 2000 targets is a normal float and enters the fit, and C+ and C-
+    are 1 to rounding.  test_fit_sandwich_skips_subnormal_targets covers
+    targets below the smallest normal float."""
     code, out = run(capsys, ["check", "bounds", spec_path, "--self-test",
                              "--samples", "2000", "--seed", "7"])
     rep = json.loads(out)["report"]
     assert code == 0
+    assert rep["n_samples"] == 2000
     assert abs(math.log(rep["c_plus"])) <= 1e-12
     assert abs(math.log(rep["c_minus"])) <= 1e-12
+
+
+def test_check_bounds_self_test_draws_from_the_kernel_law(tmp_path,
+                                                         capsys):
+    """On the chain (1,1,1,1) the targets at points from the kernel's own
+    law are normal floats; uniform points in [-2, 2]^4 left 21 of 2000."""
+    code, out = run(capsys, ["check", "bounds", _chain_spec(tmp_path, 4),
+                             "--self-test", "--samples", "2000",
+                             "--seed", "3"])
+    rep = json.loads(out)["report"]
+    assert code == 0
+    assert rep["n_samples"] >= 1900
+    assert abs(math.log(rep["c_plus"])) <= 1e-12
+    assert abs(math.log(rep["c_minus"])) <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:boundary magnitude")
+@pytest.mark.parametrize("budget", ["-0.5", "1.5"])
+def test_check_bounds_err_budget_outside_unit_interval_exit_2(
+        spec_path, capsys, budget):
+    """An --err-budget outside [0, 1) is refused, not a C+ halved by
+    -0.5 or a negative C- from 1.5."""
+    code = cli.main(["check", "bounds", spec_path,
+                     f"--err-budget={budget}"])
+    assert code == cli.EXIT_PARSE
+    assert "err_budget must lie in [0, 1)" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore:boundary magnitude")

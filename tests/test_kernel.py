@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from kolmo import kernel as kern
 from kolmo.errors import ArgumentError, NotSPD
 from kolmo.group import Geometry, point, prototype_geometry
-from kolmo.structure import BlockStructure
+from kolmo.structure import BlockStructure, check_hypoellipticity
 from test_structure import random_canonical_B
 
 
@@ -211,7 +211,7 @@ def test_homogeneity_over_canonical_structures(blocks, seed, lam):
     lhs = kern.gamma_many(g.dilate(r, z), origin, params, log=True)
     rhs = (kern.gamma_many(z, origin, params, log=True)
            - g.structure.Q * np.log(r))
-    cond = np.linalg.cond(params.cov(1.0).C)
+    cond = np.linalg.cond(params.cov(1.0))
     tol = max(1e-10, 8.0 * np.finfo(float).eps * cond)
     assert np.max(np.abs(lhs - rhs)) <= tol
 
@@ -232,7 +232,7 @@ def test_reproduction_over_canonical_structures(blocks, seed, lam):
     res = kern.reproduction_check(rng.normal(size=N), t, rng.normal(size=N),
                                   t0, s, params)
     gap = abs(res["log_rhs"] - res["log_lhs"])
-    cond = np.linalg.cond(params.cov(1.0).C)
+    cond = np.linalg.cond(params.cov(1.0))
     tol = max(1e-9, np.finfo(float).eps * cond)
     assert gap <= tol * max(1.0, abs(res["log_lhs"]))
 
@@ -261,6 +261,8 @@ def test_non_nilpotent_B_rejected():
         Geometry(BlockStructure((1, 1)), B)
     with pytest.raises(ValueError, match="nilpotent"):
         kern.covariance_matrix(1.0, B, np.eye(1))
+    with pytest.raises(ValueError, match="nilpotent"):
+        check_hypoellipticity(B, 1)
 
 
 @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan])

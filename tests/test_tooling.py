@@ -333,3 +333,40 @@ def test_tracer_targets_resolve():
         fn = (owner.__dict__.get(attr) if isinstance(owner, type)
               else getattr(owner, attr, None))
         assert callable(fn), name
+
+
+# The only library functions that import scipy: both interpolate on a grid.
+SCIPY_IMPORTERS = {"coefficients.GridField.__init__",
+                   "pde.GridSolution.interpolator"}
+
+
+def _scipy_imports(node, where, in_function, out):
+    """Append (qualified name, inside a function body) for every import of
+    scipy or a scipy submodule under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            _scipy_imports(child, f"{where}.{child.name}", in_function
+                           or not isinstance(child, ast.ClassDef), out)
+            continue
+        if isinstance(child, ast.Import):
+            names = [a.name for a in child.names]
+        elif isinstance(child, ast.ImportFrom):
+            names = [child.module or ""]
+        else:
+            names = []
+        if any(n.split(".")[0] == "scipy" for n in names):
+            out.append((where, in_function))
+        _scipy_imports(child, where, in_function, out)
+    return out
+
+
+def test_scipy_loads_lazily_for_grid_interpolation_only():
+    """Every scipy import in the library sits inside a function body, so no
+    import of a kolmo module loads scipy, and the functions that import it
+    are exactly the two grid interpolations."""
+    found = []
+    for name, tree in _trees().items():
+        _scipy_imports(tree, name[:-len(".py")], False, found)
+    assert all(inside for _, inside in found), found
+    assert {where for where, _ in found} == SCIPY_IMPORTERS

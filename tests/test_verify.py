@@ -3,8 +3,8 @@ import pytest
 
 from kolmo import kernel as kern
 from kolmo import verify
-from kolmo.errors import (CylinderUnresolved, NoAdmissibleFit,
-                          NotNonnegative)
+from kolmo.errors import (ArgumentError, CylinderUnresolved,
+                          NoAdmissibleFit, NotNonnegative)
 from kolmo.group import Geometry, point
 from kolmo.structure import BlockStructure
 from test_structure import random_canonical_B
@@ -59,6 +59,37 @@ def test_sandwich_self_test_block_structures(blocks):
     assert rep.c_minus <= 1.0 <= rep.c_plus
     assert abs(np.log(rep.c_plus)) <= 1e-12
     assert abs(np.log(rep.c_minus)) <= 1e-12
+
+
+def test_fit_sandwich_skips_subnormal_targets(proto, proto_params):
+    """Of 2000 uniform points in [-2, 2]^2 x [0.05, 1], three have a
+    subnormal target (one reads 5e-324, with a log ratio of 0.369 to the
+    same kernel as envelope): they stay out of the fit, so C+ and C- are 1
+    to rounding."""
+    rng = np.random.default_rng(7)
+    pts = np.column_stack([rng.uniform(-2.0, 2.0, size=(2000, 2)),
+                           rng.uniform(0.05, 1.0, size=2000)])
+    pole = point(np.zeros(2), 0.0)
+    target = kern.gamma_many(pts, pole, proto_params)
+    normal = target >= np.finfo(float).tiny
+    assert np.count_nonzero((target > 0.0) & ~normal) == 3
+    rep = verify.fit_sandwich(pts, target, pole, proto, 2.0, 2.0)
+    assert rep.n_samples == np.count_nonzero(normal)
+    assert abs(np.log(rep.c_plus)) <= 1e-12
+    assert abs(np.log(rep.c_minus)) <= 1e-12
+
+
+@pytest.mark.parametrize("budget", [-0.5, 1.0, 1.5, np.nan])
+def test_fit_sandwich_err_budget_outside_unit_interval(proto, proto_params,
+                                                       budget):
+    """err_budget scales C+ by 1 + err_budget and C- by 1 - err_budget, so
+    outside [0, 1) it would shrink C+ or make C- <= 0."""
+    pole = point(np.zeros(2), -1.0)
+    pts = sample_points(np.random.default_rng(0))
+    target = kern.gamma_many(pts, pole, proto_params)
+    with pytest.raises(ArgumentError, match=r"err_budget must lie in"):
+        verify.fit_sandwich(pts, target, pole, proto, 2.0, 2.0,
+                            err_budget=budget)
 
 
 def test_sandwich_wide_envelopes_bracket(proto, proto_params):

@@ -145,7 +145,8 @@ COMMANDS = {
         _opt("--err-budget", dest="err_budget", type=_number),
         _opt("--box"), _opt("--nx"), _opt("--widths")],
     ("check", "harnack"): [
-        _SPEC, _CENTER, _CENTER_T,
+        # --center and --center-t are read without --sweep only
+        _SPEC, _CENTER, _unset(_CENTER_T),
         _opt("--radius", type=_positive_float, default=0.4),
         _opt("--omega", default=0.5, type=_ranged(
             float, lambda x: 0.0 < x < 1.0, "a number in (0, 1)")),

@@ -12,7 +12,7 @@ from .specfile import SpecError
 
 # The options each mode of `check bounds` and `check harnack` reads:
 # dest -> (flag, default).  An option of the other mode is refused rather
-# than echoed and ignored.
+# than echoed and ignored; a default of None leaves the option to `load`.
 _BOUNDS_SELF_TEST = {"samples": ("--samples", 500), "seed": ("--seed", 0)}
 _BOUNDS_FIT = {"lam_plus": ("--lambda-plus", 4.5),
                "lam_minus": ("--lambda-minus", 1.8),
@@ -21,17 +21,21 @@ _BOUNDS_FIT = {"lam_plus": ("--lambda-plus", 4.5),
                "widths": ("--widths", "0.3,0.25,0.2")}
 _HARNACK_SWEEP = {"seed": ("--seed", 0),
                   "out": ("--out", "harnack_sweep.csv")}
+_HARNACK_SINGLE = {"center": ("--center", None),
+                "center_t": ("--center-t", 0.5)}
 
 
 def _mode(args, flag, on, reads_on, reads_off):
     """Fill in the defaults of the options the mode reads: reads_on when
     the option flag is on, else reads_off; raise SpecError if an option of
-    the other mode was given."""
+    the other mode was given, else drop it from args, so that neither
+    `load` nor the report's echo sees it."""
     reads, other = (reads_on, reads_off) if on else (reads_off, reads_on)
     for dest, (opt, _) in other.items():
         if getattr(args, dest) is not None:
             raise SpecError(f"{opt} is not read "
                             f"{'with' if on else 'without'} {flag}")
+        delattr(args, dest)
     for dest, (_, default) in reads.items():
         if getattr(args, dest) is None:
             setattr(args, dest, default)
@@ -86,7 +90,7 @@ def _kernel_u(spec, args):
 
 
 def cmd_check_harnack(args):
-    _mode(args, "--sweep", args.sweep > 0, _HARNACK_SWEEP, {})
+    _mode(args, "--sweep", args.sweep > 0, _HARNACK_SWEEP, _HARNACK_SINGLE)
     check_out(args)
     spec = load(args)
     g = spec.geometry

@@ -14,6 +14,11 @@ from .specfile import SpecError
 
 
 def _points_from_args(args, N):
+    """The rows (x..., t) to evaluate at, and the axes they are the grid of:
+    () for --points, the N + 1 axes of --grid.  Exactly one of the two must
+    be given."""
+    if bool(args.points) == bool(args.grid):
+        raise SpecError("need exactly one of --points and --grid")
     if args.points:
         try:
             with open(args.points, newline="", encoding="utf-8") as fh:
@@ -28,24 +33,22 @@ def _points_from_args(args, N):
         if pts.ndim != 2 or pts.shape[1] != N + 1:
             raise SpecError(f"--points {args.points!r} needs rows of "
                             f"{N + 1} numbers (x..., t)")
-        return pts
-    if args.grid:
-        axes = []
-        for part in args.grid.split(";"):
-            try:
-                lo, hi, n = part.split(":")
-                lo, hi, n = finite(lo), finite(hi), int(n)
-            except ValueError as exc:
-                raise SpecError(f"--grid part {part!r} is not lo:hi:n: "
-                                f"{exc}") from exc
-            if n < 1:
-                raise SpecError(f"--grid part {part!r} has no nodes")
-            axes.append(np.linspace(lo, hi, n))
-        if len(axes) != N + 1:
-            raise SpecError(f"--grid needs {N + 1} axes (x..., t)")
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
-    raise SpecError("need --points or --grid")
+        return pts, ()
+    axes = []
+    for part in args.grid.split(";"):
+        try:
+            lo, hi, n = part.split(":")
+            lo, hi, n = finite(lo), finite(hi), int(n)
+        except ValueError as exc:
+            raise SpecError(f"--grid part {part!r} is not lo:hi:n: "
+                            f"{exc}") from exc
+        if n < 1:
+            raise SpecError(f"--grid part {part!r} has no nodes")
+        axes.append(np.linspace(lo, hi, n))
+    if len(axes) != N + 1:
+        raise SpecError(f"--grid needs {N + 1} axes (x..., t)")
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1), axes
 
 
 def cmd_kernel_eval(args):
@@ -53,10 +56,12 @@ def cmd_kernel_eval(args):
     g = spec.geometry
     pole = point(vector(args, "pole", g.N), args.t0)
     params = kern.scaled_params(args.lam, g)
-    pts = _points_from_args(args, g.N)
+    pts, axes = _points_from_args(args, g.N)
     vals = kern.gamma_many(pts, pole, params)
     header = [f"x{k + 1}" for k in range(g.N)] + ["t", "value"]
-    specfile.write_csv(args.out, header, np.column_stack([pts, vals]))
+    specfile.write_csv(args.out, header,
+                       vals if axes else np.column_stack([pts, vals]),
+                       axes=axes)
     rep = {"command": "kernel eval", "config": resolved(args),
            "n_points": len(pts), "out": args.out}
     if args.check_homogeneity:

@@ -34,12 +34,11 @@ def cmd_mc_density(args):
     ens = _simulate(args, spec)
     d = mc.density_estimate(ens, bx, bins)
     centers = [0.5 * (e[:-1] + e[1:]) for e in d["edges"]]
-    grids = np.meshgrid(*centers, indexing="ij")
-    rows = np.column_stack([g.ravel() for g in grids] +
-                           [d["density"].ravel(), d["se"].ravel()])
     header = [f"x{k + 1}" for k in range(spec.structure.N)] \
         + ["density", "se"]
-    specfile.write_csv(args.out, header, rows)
+    specfile.write_csv(args.out, header,
+                       np.column_stack([d["density"].ravel(),
+                                        d["se"].ravel()]), axes=centers)
     emit({"command": "mc density", "config": resolved(args),
           "provenance": ens.provenance, "out": args.out})
     return 0

@@ -1,8 +1,6 @@
 """`kolmo solve cauchy|fundamental`: the splitting solver from a model-kernel
 datum, and the fundamental-solution approximation over shrinking widths."""
 
-import numpy as np
-
 from . import kernel as kern
 from . import pde, specfile
 from .cliargs import box, counts, emit, floats, load, resolved, \
@@ -26,10 +24,9 @@ def cmd_solve_cauchy(args):
     sol = pde.solve_cauchy(spec.fields, g, datum, bx, nx,
                            args.t0 + w, args.t1, dt=args.dt,
                            Lambda=spec.ellipticity[1], keep="final")
-    pts = pde._grid_points(sol.axes)
     header = [f"x{k + 1}" for k in range(g.N)] + ["value"]
-    specfile.write_csv(args.out, header,
-                       np.column_stack([pts, sol.values[-1].ravel()]))
+    specfile.write_csv(args.out, header, sol.values[-1].ravel(),
+                       axes=sol.axes)
     meta = dict(sol.meta)
     meta["config"] = resolved(args, datum_width=w)
     meta["command"] = "solve cauchy"
@@ -47,11 +44,10 @@ def cmd_solve_fundamental(args):
         spec.fields, g, vector(args, "x0", g.N), args.t0, args.t1, bx, nx,
         widths, lam=args.lam, dt=args.dt, Lambda=spec.ellipticity[1],
         keep="final")
-    pts = pde._grid_points(final.axes)
     header = [f"x{k + 1}" for k in range(g.N)] + ["value"]
-    specfile.write_csv(args.out, header,
-                       np.column_stack([pts, final.values[-1].ravel()]))
+    specfile.write_csv(args.out, header, final.values[-1].ravel(),
+                       axes=final.axes)
     emit({"command": "solve fundamental", "config": resolved(args),
           "widths": report["widths"], "spread": report["spread"],
-          "out": args.out})
+          "solves": report["solves"], "out": args.out})
     return 0

@@ -114,18 +114,21 @@ def law_points(t, G, params: KernelParams):
 
 
 def quad_logdet(w, params: KernelParams):
-    """<C(t)^{-1} x, x> and log det C(t) for rows w = (x, t) with t > 0:
-    one batched Cholesky and one batched solve; raises NotSPD if a C(t) is
-    not positive definite."""
+    """<C(t)^{-1} x, x> and log det C(t) for rows w = (x, t) with t > 0.
+    C(t), its Cholesky factor and log det are built once per distinct time
+    and gathered to the rows, then one batched solve: each row's numbers
+    are those of its own factor and solve.  Raises NotSPD if a C(t) is not
+    positive definite."""
     x, t = w[:, :-1], w[:, -1]
+    times, row_time = np.unique(t, return_inverse=True)
     try:
-        chol = np.linalg.cholesky(params.cov_many(t))
+        chol = np.linalg.cholesky(params.cov_many(times))
     except np.linalg.LinAlgError as exc:
         raise NotSPD("C(t) is not positive definite") from exc
-    y = np.linalg.solve(chol, x[:, :, None])[:, :, 0]
+    y = np.linalg.solve(chol[row_time], x[:, :, None])[:, :, 0]
     quad = np.einsum("ij,ij->i", y, y)
     logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-    return quad, logdet
+    return quad, logdet[row_time]
 
 
 def gamma_many(points, zeta, params: KernelParams, log=False):

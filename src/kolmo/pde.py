@@ -553,8 +553,9 @@ def approx_fundamental(coeffs, geometry, x0, t0, t1, box, nx, widths,
 
     The datum of width w is the exact constant-coefficient kernel at elapsed
     time w from the pole.  Returns (sol, report): sol is the narrowest
-    width's solution, and the report holds the widths and the spread
-    between consecutive widths' terminal slices as an error proxy.  With
+    width's solution, and the report holds the widths, the spread between
+    consecutive widths' terminal slices as an error proxy, and under
+    "solves" each width's dt, boundary_max_ratio and warnings.  With
     keep="all", sol.evaluate reads 0 before sol's first slice, so at and
     before t0.  Lambda goes to every solve; keep goes to the narrowest
     width's, and the wider widths keep only their final slice.  Every width
@@ -575,7 +576,7 @@ def approx_fundamental(coeffs, geometry, x0, t0, t1, box, nx, widths,
     datum = KernelDatum(point(x0, float(t0)), params)
     N = geometry.N
     *_, hs = _grid_axes(box, nx, N)
-    finals = []
+    finals, solves = [], []
     for i, w in enumerate(widths):
         # the datum must be representable on the grid: every marginal
         # standard deviation of the width-w kernel has to span a few cells
@@ -589,11 +590,13 @@ def approx_fundamental(coeffs, geometry, x0, t0, t1, box, nx, widths,
                            dt=dt, Lambda=Lambda,
                            keep=keep if i == len(widths) - 1 else "final")
         finals.append(sol.values[-1])
+        solves.append({k: sol.meta[k]
+                       for k in ("dt", "boundary_max_ratio", "warnings")})
 
     # widths agree only on the terminal slice (the time grids differ)
     spread = [float(np.max(np.abs(finals[k + 1] - finals[k])))
               for k in range(len(finals) - 1)]
-    return sol, {"widths": widths, "spread": spread}
+    return sol, {"widths": widths, "spread": spread, "solves": solves}
 
 
 # -- weak formulation --------------------------------------------------------

@@ -5,7 +5,9 @@ sidecar CSV files referenced by relative path.
 """
 
 import csv
+import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -181,18 +183,38 @@ def dumps_stable(obj):
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
-def write_csv(path, header, rows):
+def write_csv(path, header, rows, axes=()):
     """The one CSV artifact format: a header row, then "%.17g" cells and
     CRLF line ends, csv.writer's bytes.  The cells need no quoting, so rows
-    go out in blocks through one row template; only the header goes
-    through csv."""
+    go out in blocks of CSV_BLOCK rows through a row template; only the
+    header goes through csv.
+
+    With axes, rows holds the value columns of a tensor grid (a 1-D array
+    is one column) and each line starts with the coordinates of its node:
+    the grid of the axes in C order, the last axis fastest.  Each axis
+    value is formatted once and spliced into the templates, so only the
+    values are formatted per row; len(rows) must be the node count."""
     rows = np.asarray(rows, dtype=float)
+    if axes and rows.ndim == 1:
+        rows = rows[:, None]
     line = ",".join(["%.17g"] * rows.shape[-1]) + "\r\n"
+    nodes = None
+    if axes:
+        cells = [["%.17g," % v for v in np.asarray(a, dtype=float).tolist()]
+                 for a in axes]
+        if len(rows) != math.prod(map(len, cells)):
+            raise ValueError(f"{len(rows)} rows for a grid of "
+                             f"{[len(c) for c in cells]} nodes")
+        cells[-1] = [c + line for c in cells[-1]]
+        nodes = itertools.product(*cells)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
         for lo in range(0, len(rows), CSV_BLOCK):
             block = rows[lo:lo + CSV_BLOCK]
-            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+            template = line * len(block) if nodes is None else "".join(
+                itertools.chain.from_iterable(
+                    itertools.islice(nodes, len(block))))
+            fh.write(template % tuple(block.ravel().tolist()))
 
 
 # -- sidecar grid CSV --------------------------------------------------------

@@ -562,6 +562,8 @@ def test_point_defaults_are_the_origin(tmp_path, capsys, monkeypatch, N,
      "--paths", "10", "--seed", "-1", "--out", "d.csv"],
     ["check", "harnack", "{spec}", "--out", "x.csv"],
     ["check", "harnack", "{spec}", "--sweep", "0", "--seed", "5"],
+    ["check", "harnack", "{spec}", "--sweep", "2", "--center", "0.3,0.3"],
+    ["check", "harnack", "{spec}", "--sweep", "2", "--center-t", "0.5"],
 ], ids=["grid-part", "grid-nodes", "box-count", "box-order", "box-number",
         "points-width", "bins", "widths", "eps", "datum-width",
         "datum-number", "mc-paths", "mc-dt", "eps-range", "threads-zero",
@@ -585,7 +587,8 @@ def test_point_defaults_are_the_origin(tmp_path, capsys, monkeypatch, N,
         "cauchy-t1-inf", "reproduce-seed", "harnack-seed", "global-seed",
         "self-test-seed", "mc-simulate-seed", "mc-mass-seed",
         "mc-density-seed", "harnack-out-without-sweep",
-        "harnack-seed-without-sweep"])
+        "harnack-seed-without-sweep", "harnack-center-with-sweep",
+        "harnack-center-t-with-sweep"])
 def test_malformed_option_exit_2(spec_path, tmp_path, capsys, monkeypatch,
                                  argv):
     """Malformed option values exit 2, through SpecError or the library's
@@ -600,6 +603,61 @@ def test_malformed_option_exit_2(spec_path, tmp_path, capsys, monkeypatch,
     assert "error:" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.glob("*.csv")) \
         == ["nan.csv", "pts.csv"]
+
+
+def test_kernel_eval_points_and_grid_exit_2(spec_path, tmp_path, capsys,
+                                           monkeypatch):
+    """--points and --grid together are refused, not the grid ignored."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pts.csv").write_text("x1,x2,t\n0,0,1\n")
+    assert cli.main(["kernel", "eval", spec_path, "--pole", "0,0",
+                     "--points", "pts.csv", "--grid", "0:1:2;0:1:2;1:2:2",
+                     "--out", "k.csv"]) == cli.EXIT_PARSE
+    assert capsys.readouterr().err == \
+        "error: need exactly one of --points and --grid\n"
+    assert not (tmp_path / "k.csv").exists()
+
+
+def test_harnack_echoes_only_the_options_its_mode_reads(spec_path,
+                                                        tmp_path, capsys):
+    """The sweep draws its own centers, so its config has no center and
+    no center_t; the single run echoes both, the origin and 0.5 by
+    default."""
+    out = str(tmp_path / "sweep.csv")
+    code, text = run(capsys, ["check", "harnack", spec_path, "--sweep", "2",
+                              "--out", out])
+    assert code == 0
+    cfg = json.loads(text)["config"]
+    assert "center" not in cfg and "center_t" not in cfg
+    assert cfg["seed"] == 0 and cfg["out"] == out
+    code, text = run(capsys, ["check", "harnack", spec_path])
+    assert code == 0
+    cfg = json.loads(text)["config"]
+    assert cfg["center"] == "0,0" and cfg["center_t"] == 0.5
+    assert "seed" not in cfg and "out" not in cfg
+
+
+def test_solve_fundamental_reports_each_solve(spec_path, tmp_path, capsys):
+    """The report holds each width's dt, boundary ratio and warnings under
+    "solves", in width order, and the warnings are those the solver
+    warned; the top level has no solver fields."""
+    argv = ["solve", "fundamental", spec_path, "--box=-2,2;-1,1",
+            "--nx", "41,61", "--t1", "0.5", "--widths", "0.25,0.3",
+            "--out", str(tmp_path / "f.csv")]
+    with pytest.warns(UserWarning) as caught:
+        code, text = run(capsys, argv)
+    assert code == 0
+    rep = json.loads(text)
+    assert rep["widths"] == [0.3, 0.25]
+    solves = rep["solves"]
+    assert [sorted(s) for s in solves] == \
+        [["boundary_max_ratio", "dt", "warnings"]] * 2
+    assert all(s["dt"] > 0.0 for s in solves)
+    warned = [m for s in solves for m in s["warnings"]]
+    assert warned and warned == [str(w.message) for w in caught]
+    assert all(s["boundary_max_ratio"] > 1e-12 for s in solves
+               if s["warnings"])
+    assert not {"dt", "boundary_max_ratio", "warnings"} & set(rep)
 
 
 def test_points_file_missing_exit_2(spec_path, tmp_path, capsys,
@@ -739,14 +797,41 @@ def _reference_csv(path, header, rows):
             w.writerow([f"{float(v):.17g}" for v in row])
 
 
-@pytest.mark.parametrize("case", ["specials", "blocks", "list", "empty"])
+# grid case -> (node counts per axis, value columns); 0 columns is one
+# column passed as a 1-D array
+_GRIDS = {"grid-1": ((2 * specfile.CSV_BLOCK + 7,), 0),
+          "grid-2": ((37, 61), 0), "grid-3": ((7, 13, 29), 1),
+          "grid-4": ((9, 9, 9, 5), 2), "grid-one-node": ((1, 40, 1), 0),
+          "grid-specials": ((13, 3), 2), "grid-empty": ((3, 0), 1)}
+
+
+@pytest.mark.parametrize("case", ["specials", "blocks", "list", "empty",
+                                  *_GRIDS])
 def test_write_csv_matches_csv_writer(tmp_path, case):
     """The block writer gives csv.writer's bytes: signed zero, nan, +-inf,
     subnormals, large and integral floats, a list-of-lists input, more
-    rows than one block and zero rows."""
+    rows than one block and zero rows.  Given the axes of a tensor grid and
+    only the value columns, it writes the rows of the full grid: one to
+    four axes, blocks that split an axis, an axis of one node, two value
+    columns, the specials in the axes and in the values, and no nodes."""
     specials = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e22, 3.0,
                 -17.0, 0.1, 1 / 3, 2.0 ** 60, -1e-300]
-    if case == "specials":
+    axes = ()
+    if case in _GRIDS:
+        counts, ncols = _GRIDS[case]
+        rng = np.random.default_rng(len(counts))
+        axes = [np.sort(rng.normal(size=n)) * 10.0 ** rng.integers(-300, 300)
+                for n in counts]
+        n = math.prod(counts)
+        vals = rng.normal(size=(n, max(ncols, 1)))
+        if case == "grid-specials":
+            axes[0] = np.array(specials)
+            vals[::5] = np.resize(specials, vals[::5].shape)
+        grids = np.meshgrid(*axes, indexing="ij")
+        rows = np.column_stack([g.ravel() for g in grids] + [vals])
+        if ncols == 0:
+            vals = vals[:, 0]
+    elif case == "specials":
         rows = np.array(specials[:12]).reshape(4, 3)
     elif case == "blocks":
         n = 2 * specfile.CSV_BLOCK + 7
@@ -758,8 +843,11 @@ def test_write_csv_matches_csv_writer(tmp_path, case):
         rows = [[v, 1, 2.5] for v in specials]
     else:
         rows = np.empty((0, 3))
-    header = ["x1", "x2", "value"]
-    cli.write_csv(tmp_path / "new.csv", header, rows)
+    header = [f"c{k}" for k in range(np.shape(rows)[1])]
+    if axes:
+        cli.write_csv(tmp_path / "new.csv", header, vals, axes=axes)
+    else:
+        cli.write_csv(tmp_path / "new.csv", header, rows)
     _reference_csv(tmp_path / "ref.csv", header, rows)
     assert (tmp_path / "new.csv").read_bytes() == \
         (tmp_path / "ref.csv").read_bytes()

@@ -191,6 +191,27 @@ def _canonical_params(blocks, seed, lam):
     return rng, kern.scaled_params(lam, g)
 
 
+@pytest.mark.parametrize("times", ["repeated", "distinct"])
+@pytest.mark.parametrize("blocks", [(1, 1), (2, 1), (1, 1, 1),
+                                    (1, 1, 1, 1)])
+def test_quad_logdet_matches_one_factor_per_row(blocks, times):
+    """quad_logdet factors C(t) once per distinct time; each row's
+    <C(t)^-1 x, x> and log det C(t) are bitwise those of its own Cholesky
+    factor and solve."""
+    rng, params = _canonical_params(blocks, 5, 2.0)
+    n = 300
+    t = (rng.choice([0.05, 0.3, 0.7, 1.9], size=n) if times == "repeated"
+         else rng.uniform(0.05, 2.0, size=n))
+    x = rng.normal(size=(n, params.geometry.N))
+    quad, logdet = kern.quad_logdet(np.column_stack([x, t]), params)
+    for i in range(n):
+        chol = np.linalg.cholesky(params.cov_many(t[i:i + 1]))
+        y = np.linalg.solve(chol, x[i:i + 1, :, None])[:, :, 0]
+        assert quad[i] == np.einsum("ij,ij->i", y, y)[0]
+        assert logdet[i] == 2.0 * np.sum(
+            np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)[0]
+
+
 @settings(max_examples=60, deadline=None)
 @canonical_draws
 def test_homogeneity_over_canonical_structures(blocks, seed, lam):

@@ -767,8 +767,9 @@ def test_approx_fundamental_vanishing_past(proto, proto_coeffs):
     assert sol.evaluate(np.array([0.3, 0.1]), -0.5) == 0.0
     assert sol.evaluate(np.array([0.3, 0.1]), 0.0) == 0.0
     assert sol.evaluate(np.array([0.0, 0.0]), 0.4) > 0.0
-    assert sorted(report) == ["spread", "widths"]
+    assert sorted(report) == ["solves", "spread", "widths"]
     assert len(report["spread"]) == 1
+    assert [s["dt"] for s in report["solves"]][-1] == sol.dt
 
 
 # -- the diffusion and the weak form as first written, one loop per term ----

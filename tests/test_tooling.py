@@ -3,9 +3,13 @@ check that the benchmark tracer's targets resolve."""
 
 import ast
 import importlib.util
+import sys
 from pathlib import Path
 
+import pytest
+
 import kolmo
+from kolmo import cli, specfile
 
 SRC = Path(kolmo.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parents[1]
@@ -333,6 +337,65 @@ def test_tracer_targets_resolve():
         fn = (owner.__dict__.get(attr) if isinstance(owner, type)
               else getattr(owner, attr, None))
         assert callable(fn), name
+
+
+def _write_csv_callers(trees):
+    """(module, function) of every call to write_csv in the library, and
+    the calls whose rows are not the third positional argument."""
+    sites, keyword = set(), []
+    for mod, tree in trees.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for n in ast.walk(fn):
+                if isinstance(n, ast.Call) and _name(n) == "write_csv":
+                    sites.add((mod[:-3], fn.name))
+                    if (len(n.args) < 3 or any(isinstance(a, ast.Starred)
+                                               for a in n.args[:3])):
+                        keyword.append((mod, n.lineno))
+    return sites, keyword
+
+
+@pytest.mark.filterwarnings("ignore:boundary magnitude")
+def test_write_csv_rows_are_the_rows_written(proto_spec_path, tmp_path,
+                                             monkeypatch, capsys):
+    """perfbench's tracer counts the rows of cli.write_csv as len(args[2]).
+    Every library call passes path, header and rows by position, and in a
+    run of every command that writes a CSV, each call's len(rows) is the
+    number of rows in the file, a grid's axes notwithstanding."""
+    sites, keyword = _write_csv_callers(_trees())
+    assert not keyword
+    spec = str(proto_spec_path)
+    (tmp_path / "pts.csv").write_text("x1,x2,t\n0,0,1\n1,0,0.5\n")
+    monkeypatch.chdir(tmp_path)
+    seen = []
+    write = specfile.write_csv
+
+    def counted(*args, **kwargs):
+        write(*args, **kwargs)
+        caller = sys._getframe(1).f_code
+        rows = Path(args[0]).read_bytes().count(b"\r\n") - 1
+        seen.append((Path(caller.co_filename).stem, caller.co_name,
+                     len(args[2]), rows))
+
+    monkeypatch.setattr(specfile, "write_csv", counted)
+    for argv in (
+            ["kernel", "eval", spec, "--pole", "0,0",
+             "--grid=-1:1:3;-1:1:4;0.1:1:5"],
+            ["kernel", "eval", spec, "--pole", "0,0", "--points", "pts.csv"],
+            ["solve", "cauchy", spec, "--box=-4,4;-2,2", "--nx", "21,31",
+             "--t1", "0.3"],
+            ["solve", "fundamental", spec, "--box=-4,4;-2,2", "--nx",
+             "21,81", "--t1", "0.8", "--widths", "0.3,0.25"],
+            ["mc", "simulate", spec, "--paths", "100"],
+            ["mc", "density", spec, "--paths", "100", "--box=-3,3;-2,2",
+             "--bins", "4,5"],
+            ["check", "harnack", spec, "--sweep", "2"]):
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+    assert {(m, f) for m, f, _, _ in seen} == sites
+    assert all(n == rows for _, _, n, rows in seen), seen
+    assert [n for *_, n in seen] == [60, 2, 651, 1701, 100, 20, 2]
 
 
 # The only library functions that import scipy: both interpolate on a grid.

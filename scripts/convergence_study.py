@@ -14,7 +14,7 @@ import numpy as np
 
 from kolmo import kernel as kern
 from kolmo import pde
-from kolmo.group import point, prototype_geometry
+from kolmo.group import grid, point, prototype_geometry
 from kolmo.coefficients import ConstantField
 
 
@@ -23,7 +23,7 @@ def run(geometry, coeffs, box, nx, w, t1, dt, pole, params):
     sol = pde.solve_cauchy(coeffs, geometry, pde.KernelDatum(pole, params),
                            box, nx, w, t1, dt=dt, keep="final")
     elapsed = time.perf_counter() - tic
-    pts = pde._grid_points(sol.axes)
+    pts = grid(sol.axes)
     exact = kern.gamma_many(
         np.column_stack([pts, np.full(len(pts), t1)]), pole,
         params).reshape(sol.values[-1].shape)

@@ -15,15 +15,20 @@ is dispatched.  Beyond what `structure` loads, `solve` loads the solver
 (kolmo.pde), `mc` the Monte Carlo (kolmo.mc, with its thread pool) and
 `check` the verifier (kolmo.verify, and the solver for `check bounds`
 without --self-test); `kernel` and `mollify` load nothing more.
+
+Every report goes one way, through main: it settles the mode of `check
+bounds` and `check harnack`, checks --out, loads the spec, runs the
+command, a function of (args, spec) that returns its report's body, and
+writes {"command", "config", **body} to stdout.
 """
 
 import argparse
 import importlib
 import math
+import os
 import sys
 
 from . import specfile
-from .cliargs import check_out, emit, resolved
 from .errors import (ArgumentError, BoxTooSmall, ConeUnresolved,
                      CylinderUnresolved, NoAdmissibleFit, NonFinite,
                      NotCanonical, NotNonnegative, NotSPD, RankDeficient,
@@ -52,7 +57,7 @@ DT_HELP = ("time step; default 4 h^2 / (2 Lambda m0) "
            "(2 Lambda m0) where A0 has off-diagonal entries; a --dt above "
            "a cap exits 5")
 
-# the point options' default, set by cliargs.load once the spec is read
+# the point options' default, set by point_defaults once the spec is read
 ORIGIN = "N comma-separated numbers; default the origin of R^N"
 
 
@@ -82,10 +87,9 @@ def _opt(*flags, **kwargs):
     return flags, kwargs
 
 
-def _unset(option):
-    """`option` without its default, for a mode that fills in its own."""
-    flags, kwargs = option
-    return flags, {k: v for k, v in kwargs.items() if k != "default"}
+def _dest(flags, kwargs):
+    """The attribute argparse stores the option under."""
+    return kwargs.get("dest", flags[0].lstrip("-").replace("-", "_"))
 
 
 _SPEC = _opt("spec", help="OperatorSpec JSON path")
@@ -100,6 +104,23 @@ _CENTER = _opt("--center", help=ORIGIN)
 _CENTER_T = _opt("--center-t", dest="center_t", type=_number, default=0.5)
 _POLE = _opt("--pole", help=ORIGIN)
 _POLE_T0 = _opt("--pole-t0", dest="pole_t0", type=_number, default=-2.0)
+# The options each mode of `check bounds` and `check harnack` reads.  They
+# are declared without their defaults: main refuses one of the other mode
+# rather than echo and ignore it, and fills in the mode's own.
+_BOUNDS_SELF_TEST = [_opt("--samples", type=_positive_int, default=500),
+                     _SEED]
+_BOUNDS_FIT = [
+    _opt("--lambda-plus", dest="lam_plus", type=_number, default=4.5),
+    _opt("--lambda-minus", dest="lam_minus", type=_number, default=1.8),
+    _opt("--err-budget", dest="err_budget", type=_number, default=0.05),
+    _opt("--box", default="-4,4;-2,2"), _opt("--nx", default="81,121"),
+    _opt("--widths", default="0.3,0.25,0.2")]
+_HARNACK_SWEEP = [_SEED, _opt("--out", default="harnack_sweep.csv")]
+_HARNACK_SINGLE = [_CENTER, _CENTER_T]
+# words -> (the mode's switch, the options read with it on, those read
+# with it off)
+MODES = {("check", "bounds"): ("--self-test", _BOUNDS_SELF_TEST, _BOUNDS_FIT),
+         ("check", "harnack"): ("--sweep", _HARNACK_SWEEP, _HARNACK_SINGLE)}
 _MC = [_SPEC, _opt("--paths", type=int, default=100000),
        _opt("--dt", type=_positive_float, default=1e-3), _SEED, _X0, _T0,
        _opt("--t1", type=_number, default=0.5), _LAMBDA]
@@ -137,24 +158,16 @@ COMMANDS = {
         _opt("--samples", type=_positive_int, default=2000)],
     ("check", "bounds"): [
         _SPEC, _opt("--self-test", action="store_true"), _X0, _T0, _LAMBDA,
-        # read with --self-test only
-        _opt("--samples", type=_positive_int), _unset(_SEED),
-        # read without --self-test only
-        _opt("--lambda-plus", dest="lam_plus", type=_number),
-        _opt("--lambda-minus", dest="lam_minus", type=_number),
-        _opt("--err-budget", dest="err_budget", type=_number),
-        _opt("--box"), _opt("--nx"), _opt("--widths")],
+        *_BOUNDS_SELF_TEST, *_BOUNDS_FIT],
     ("check", "harnack"): [
-        # --center and --center-t are read without --sweep only
-        _SPEC, _CENTER, _unset(_CENTER_T),
+        _SPEC, *_HARNACK_SINGLE,
         _opt("--radius", type=_positive_float, default=0.4),
         _opt("--omega", default=0.5, type=_ranged(
             float, lambda x: 0.0 < x < 1.0, "a number in (0, 1)")),
         _opt("--n-space", dest="n_space", type=_positive_int, default=3),
         _opt("--n-time", dest="n_time", type=_positive_int, default=3),
         _POLE, _POLE_T0, _LAMBDA, _opt("--sweep", default=0, type=_count),
-        # read with --sweep only
-        _unset(_SEED), _opt("--out")],
+        *_HARNACK_SWEEP],
     ("check", "cone"): [
         _SPEC, _CENTER, _CENTER_T,
         _opt("--beta", type=_positive_float, default=1.0),
@@ -193,7 +206,10 @@ def _declare(parser, words):
     """Give `parser` the options of the command `words`, or, for a first
     word with commands under it, those commands."""
     if words in COMMANDS:
+        moded = [o for opts in MODES.get(words, ())[1:] for o in opts]
         for flags, kwargs in COMMANDS[words]:
+            if (flags, kwargs) in moded:
+                kwargs = {k: v for k, v in kwargs.items() if k != "default"}
             parser.add_argument(*flags, **kwargs)
     else:
         parser.add_subparsers(dest="subcommand" if words else "command",
@@ -209,28 +225,73 @@ def build_parser():
     return _declare(p, ())
 
 
-def _command(args):
-    """The function that runs args's command."""
-    if args.command == "structure":
+def _command(words):
+    """The function that runs the command `words`."""
+    if words == ("structure",):
         return cmd_structure
-    words = [args.command] + ([args.subcommand] if "subcommand" in args
-                              else [])
-    module = importlib.import_module(f"kolmo.cli_{args.command}")
+    module = importlib.import_module(f"kolmo.cli_{words[0]}")
     return getattr(module, "cmd_" + "_".join(words))
+
+
+# -- the report pipeline -----------------------------------------------------
+
+
+def settle_mode(args, words):
+    """For a command with modes: raise SpecError if an option of the mode
+    not chosen was given, else drop it from args, so that neither the point
+    defaults nor the report's echo sees it; fill in the defaults of the
+    chosen mode's options."""
+    if words not in MODES:
+        return
+    flag, on_opts, off_opts = MODES[words]
+    on = bool(getattr(args, _dest((flag,), {})))
+    reads, other = (on_opts, off_opts) if on else (off_opts, on_opts)
+    for flags, kwargs in other:
+        dest = _dest(flags, kwargs)
+        if getattr(args, dest) is not None:
+            raise SpecError(f"{flags[0]} is not read "
+                            f"{'with' if on else 'without'} {flag}")
+        delattr(args, dest)
+    for flags, kwargs in reads:
+        dest = _dest(flags, kwargs)
+        if getattr(args, dest) is None:
+            setattr(args, dest, kwargs.get("default"))
+
+
+def check_out(args):
+    """Refuse, before any work, an --out that names no file in an existing
+    directory."""
+    out = getattr(args, "out", None)
+    if out is not None and (not out or os.path.isdir(out) or not
+                            os.path.isdir(os.path.dirname(out) or ".")):
+        raise SpecError(f"--out {out!r} is not a file in an existing "
+                        f"directory")
+
+
+def point_defaults(args, N):
+    """Each point option left unset becomes the origin of R^N, "0,...,0"."""
+    for name in ("x0", "y", "pole", "center"):
+        if name in args and getattr(args, name) is None:
+            setattr(args, name, ",".join(["0"] * N))
+
+
+def resolved(args):
+    """The options a report echoes: every one that has a value."""
+    return {k: v for k, v in sorted(vars(args).items()) if v is not None}
+
+
+def emit(report):
+    sys.stdout.write(specfile.dumps_stable(report) + "\n")
 
 
 # -- commands ----------------------------------------------------------------
 
 
-def cmd_structure(args):
-    spec = specfile.load(args.spec)
-    rep = spec.hypo_report()
-    emit({"command": "structure", "config": resolved(args),
-          "N": spec.structure.N, "Q": spec.structure.Q,
-          "alpha": list(spec.structure.alpha),
-          "blocks": list(spec.structure.blocks),
-          "report": rep.to_dict()})
-    return 0
+def cmd_structure(args, spec):
+    return {"N": spec.structure.N, "Q": spec.structure.Q,
+            "alpha": list(spec.structure.alpha),
+            "blocks": list(spec.structure.blocks),
+            "report": spec.hypo_report().to_dict()}
 
 
 def main(argv=None):
@@ -239,9 +300,16 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_PARSE if e.code not in (0, None) else 0
+    words = (args.command,) + ((args.subcommand,) if "subcommand" in args
+                               else ())
     try:
+        settle_mode(args, words)
         check_out(args)
-        return _command(args)(args)
+        spec = specfile.load(args.spec)
+        point_defaults(args, spec.structure.N)
+        body = _command(words)(args, spec)
+        emit({"command": " ".join(words), "config": resolved(args), **body})
+        return 0
     except (SpecError, ArgumentError, WindowUnderflow) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE

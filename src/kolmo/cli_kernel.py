@@ -8,8 +8,8 @@ import numpy as np
 
 from . import kernel as kern
 from . import specfile
-from .cliargs import emit, finite, load, resolved, vector
-from .group import point
+from .cliargs import finite, vector
+from .group import grid, point
 from .specfile import SpecError
 
 
@@ -47,12 +47,10 @@ def _points_from_args(args, N):
         axes.append(np.linspace(lo, hi, n))
     if len(axes) != N + 1:
         raise SpecError(f"--grid needs {N + 1} axes (x..., t)")
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1), axes
+    return grid(axes), axes
 
 
-def cmd_kernel_eval(args):
-    spec = load(args)
+def cmd_kernel_eval(args, spec):
     g = spec.geometry
     pole = point(vector(args, "pole", g.N), args.t0)
     params = kern.scaled_params(args.lam, g)
@@ -62,12 +60,10 @@ def cmd_kernel_eval(args):
     specfile.write_csv(args.out, header,
                        vals if axes else np.column_stack([pts, vals]),
                        axes=axes)
-    rep = {"command": "kernel eval", "config": resolved(args),
-           "n_points": len(pts), "out": args.out}
+    rep = {"n_points": len(pts), "out": args.out}
     if args.check_homogeneity:
         rep["homogeneity_max_defect"] = _homogeneity_defect(g)
-    emit(rep)
-    return 0
+    return rep
 
 
 def _homogeneity_defect(g):
@@ -88,8 +84,7 @@ def _homogeneity_defect(g):
     return float(np.max(np.abs(v - vref) / np.abs(vref)))
 
 
-def cmd_kernel_reproduce(args):
-    spec = load(args)
+def cmd_kernel_reproduce(args, spec):
     g = spec.geometry
     rng = np.random.default_rng(args.seed)
     params = kern.scaled_params(args.lam, g)
@@ -102,6 +97,4 @@ def cmd_kernel_reproduce(args):
         y = rng.normal(size=g.N)
         res = kern.reproduction_check(x, t, y, t0, s, params)
         worst = max(worst, res["rel_err"])
-    emit({"command": "kernel reproduce", "config": resolved(args),
-          "configs": args.configs, "max_rel_err": worst})
-    return 0
+    return {"configs": args.configs, "max_rel_err": worst}

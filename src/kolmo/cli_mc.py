@@ -4,7 +4,7 @@ out, binned, or measured on a D_R ball."""
 import numpy as np
 
 from . import mc, specfile
-from .cliargs import box, counts, emit, load, resolved, vector
+from .cliargs import box, counts, vector
 
 
 def _simulate(args, spec):
@@ -15,20 +15,16 @@ def _simulate(args, spec):
                        args.t0, args.t1, cfg)
 
 
-def cmd_mc_simulate(args):
-    spec = load(args)
+def cmd_mc_simulate(args, spec):
     ens = _simulate(args, spec)
     header = [f"x{k + 1}" for k in range(spec.structure.N)] + ["weight"]
     specfile.write_csv(args.out, header,
                        np.column_stack([ens.final, ens.weights]))
-    emit({"command": "mc simulate", "config": resolved(args),
-          "provenance": ens.provenance,
-          "mean": [float(v) for v in ens.weighted_mean()]})
-    return 0
+    return {"provenance": ens.provenance,
+            "mean": [float(v) for v in ens.weighted_mean()]}
 
 
-def cmd_mc_density(args):
-    spec = load(args)
+def cmd_mc_density(args, spec):
     bx = box(args, spec.structure.N)
     bins = counts(args, "bins", spec.structure.N, 1)
     ens = _simulate(args, spec)
@@ -39,16 +35,11 @@ def cmd_mc_density(args):
     specfile.write_csv(args.out, header,
                        np.column_stack([d["density"].ravel(),
                                         d["se"].ravel()]), axes=centers)
-    emit({"command": "mc density", "config": resolved(args),
-          "provenance": ens.provenance, "out": args.out})
-    return 0
+    return {"provenance": ens.provenance, "out": args.out}
 
 
-def cmd_mc_mass(args):
-    spec = load(args)
+def cmd_mc_mass(args, spec):
     ens = _simulate(args, spec)
     m = mc.mass_in_DR(ens, vector(args, "y", spec.structure.N),
                       args.radius, spec.geometry)
-    emit({"command": "mc mass", "config": resolved(args),
-          "provenance": ens.provenance, "mass": m})
-    return 0
+    return {"provenance": ens.provenance, "mass": m}

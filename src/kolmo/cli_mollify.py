@@ -4,15 +4,14 @@ one, at each eps."""
 import numpy as np
 
 from . import coefficients as coeff
-from .cliargs import emit, floats, load, resolved
+from .cliargs import floats
 from .specfile import SpecError
 
 
-def cmd_mollify(args):
+def cmd_mollify(args, spec):
     """Per eps: l1_distance, the mean over the samples of the largest
     component difference from the raw field; min and max, the extreme
     eigenvalues of A0, or the extreme components of b and c."""
-    spec = load(args)
     name = args.field
     f = spec.fields.get(name)
     if f is None:
@@ -23,7 +22,7 @@ def cmd_mollify(args):
     X = rng.uniform(-1.0, 1.0, size=(args.samples, f.dim))
     ts = rng.uniform(spec.window[0] + 0.05 * T, spec.window[1] - 0.05 * T,
                      size=args.samples)
-    report = {"command": "mollify", "config": resolved(args), "eps": []}
+    rows = []
     raw = np.reshape(f.many(X, ts), (len(X), -1))
     for eps in floats(args.eps):
         fm = coeff.mollify(f, eps=eps, T=T)
@@ -32,9 +31,8 @@ def cmd_mollify(args):
         if name == "A0":
             # for m0 = 1, eigvalsh returns each 1 x 1 value bitwise
             ext = np.linalg.eigvalsh(sm.reshape(-1, m0, m0))
-        report["eps"].append({
+        rows.append({
             "eps": eps,
             "l1_distance": float(np.mean(np.abs(sm - raw).max(axis=1))),
             "min": float(np.min(ext)), "max": float(np.max(ext))})
-    emit(report)
-    return 0
+    return {"eps": rows}

@@ -3,14 +3,12 @@ datum, and the fundamental-solution approximation over shrinking widths."""
 
 from . import kernel as kern
 from . import pde, specfile
-from .cliargs import box, counts, emit, floats, load, resolved, \
-    vector
+from .cliargs import box, counts, floats, vector
 from .group import point
 from .specfile import SpecError
 
 
-def cmd_solve_cauchy(args):
-    spec = load(args)
+def cmd_solve_cauchy(args, spec):
     g = spec.geometry
     bx = box(args, g.N)
     nx = counts(args, "nx", g.N, pde.MIN_AXIS_NODES)
@@ -18,7 +16,7 @@ def cmd_solve_cauchy(args):
     w = floats(wpart or "0.1")
     if kind != "gaussian" or len(w) != 1 or not w[0] > 0.0:
         raise SpecError(f"--datum {args.datum!r} is not gaussian:<width > 0>")
-    w = float(w[0])
+    args.datum_width = w = float(w[0])      # the report echoes it
     params = kern.scaled_params(args.lam, g)
     datum = pde.KernelDatum(point(vector(args, "x0", g.N), args.t0), params)
     sol = pde.solve_cauchy(spec.fields, g, datum, bx, nx,
@@ -27,15 +25,10 @@ def cmd_solve_cauchy(args):
     header = [f"x{k + 1}" for k in range(g.N)] + ["value"]
     specfile.write_csv(args.out, header, sol.values[-1].ravel(),
                        axes=sol.axes)
-    meta = dict(sol.meta)
-    meta["config"] = resolved(args, datum_width=w)
-    meta["command"] = "solve cauchy"
-    emit(meta)
-    return 0
+    return sol.meta
 
 
-def cmd_solve_fundamental(args):
-    spec = load(args)
+def cmd_solve_fundamental(args, spec):
     g = spec.geometry
     bx = box(args, g.N)
     nx = counts(args, "nx", g.N, pde.MIN_AXIS_NODES)
@@ -47,7 +40,4 @@ def cmd_solve_fundamental(args):
     header = [f"x{k + 1}" for k in range(g.N)] + ["value"]
     specfile.write_csv(args.out, header, final.values[-1].ravel(),
                        axes=final.axes)
-    emit({"command": "solve fundamental", "config": resolved(args),
-          "widths": report["widths"], "spread": report["spread"],
-          "solves": report["solves"], "out": args.out})
-    return 0
+    return dict(report, out=args.out)

@@ -1,49 +1,14 @@
-"""What every command module shares: the spec with the point options'
-defaults, the JSON report on stdout, the echo of the resolved options, the
-check of --out, and the parsing of list-valued options.
+"""The parsing of the command modules' list-valued options: points,
+boxes, counts and comma-separated numbers.
 
 A malformed value raises SpecError, which the CLI maps to exit 2.
 """
 
 import math
-import os
-import sys
 
 import numpy as np
 
-from . import specfile
 from .specfile import SpecError
-
-
-def load(args):
-    """The spec args.spec names; each point option left unset becomes the
-    origin of its R^N, "0,...,0"."""
-    spec = specfile.load(args.spec)
-    for name in ("x0", "y", "pole", "center"):
-        if name in args and getattr(args, name) is None:
-            setattr(args, name, ",".join(["0"] * spec.structure.N))
-    return spec
-
-
-def emit(report):
-    sys.stdout.write(specfile.dumps_stable(report) + "\n")
-
-
-def resolved(args, **extra):
-    """The options a report echoes: every one that has a value."""
-    cfg = {k: v for k, v in sorted(vars(args).items()) if v is not None}
-    cfg.update(extra)
-    return cfg
-
-
-def check_out(args):
-    """Refuse, before any work, an --out that names no file in an existing
-    directory."""
-    out = getattr(args, "out", None)
-    if out is not None and (not out or os.path.isdir(out) or not
-                            os.path.isdir(os.path.dirname(out) or ".")):
-        raise SpecError(f"--out {out!r} is not a file in an existing "
-                        f"directory")
 
 
 def finite(s):

@@ -17,6 +17,7 @@ import math
 import numpy as np
 
 from .errors import ArgumentError, WindowUnderflow
+from .group import grid
 
 # The operator's coefficients by name, with the tensor rank of each value:
 # A0 an m0 x m0 matrix, b an m0-vector, c a scalar.
@@ -319,9 +320,7 @@ class MollifiedField(Field):
         self.eps = float(eps)
         self.T = float(T)
         g, w = np.polynomial.legendre.leggauss(MOLLIFY_NODES)
-        U, W = (np.stack([a.ravel() for a in
-                          np.meshgrid(*([v] * f.dim), indexing="ij")], axis=1)
-                for v in (g, w))
+        U, W = (grid([v] * f.dim) for v in (g, w))
         WY = W.prod(axis=1) * _bump(np.sum(U * U, axis=1))
         WT = w * _bump(g * g)
         self._Y = self.eps * U

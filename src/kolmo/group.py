@@ -26,6 +26,13 @@ def split(z):
     return z[..., :-1], z[..., -1][()]
 
 
+def grid(axes):
+    """The rows of the tensor grid of `axes`, in C order: the last axis
+    varies fastest."""
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
+                    axis=1)
+
+
 def _hom_norm_rows(Z, alpha):
     """Homogeneous norm of each row of Z; alpha holds the degrees of the
     coordinates, 2 for time.

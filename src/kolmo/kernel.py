@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import ArgumentError, NotSPD
-from .group import Geometry, point
+from .group import Geometry, grid, point
 
 
 def covariance_poly_coeffs(B, A0):
@@ -184,9 +184,7 @@ def _log_reproduction_quadrature(x, t, y, t0, s, params, nodes):
                            t0, s, params)
     L = np.linalg.cholesky(np.linalg.inv(P))
     u, w = np.polynomial.hermite.hermgauss(nodes)
-    U, logW = (np.stack([gr.ravel() for gr in
-                         np.meshgrid(*([a] * g.N), indexing="ij")], axis=1)
-               for a in (u, np.log(w)))
+    U, logW = (grid([a] * g.N) for a in (u, np.log(w)))
     logW = logW.sum(axis=1)
 
     poles = point(mu + math.sqrt(2.0) * (U @ L.T), np.full(len(U), s))

@@ -21,7 +21,7 @@ from . import kernel as kern
 from .coefficients import RANK, CheckerboardField
 from .errors import (ArgumentError, BoxTooSmall, SupportExceedsGrid,
                      Unstable)
-from .group import Geometry, point, split
+from .group import Geometry, grid, point, split
 
 BOUNDARY_MASS_TOL = 1e-12
 # A monotone step cannot raise the sup norm beyond its reaction factor; its
@@ -86,11 +86,6 @@ class GridSolution:
         return float(self.interpolator()(pt)[0])
 
 
-def _grid_points(axes):
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
-
-
 class _GridCoeffs:
     """The operator's coefficient fields sampled on one spatial grid.
 
@@ -106,7 +101,7 @@ class _GridCoeffs:
             raise ArgumentError("the coefficients need A0")
         self.coeffs = coeffs
         self.dims = tuple(len(a) for a in axes)
-        self.pts = _grid_points(axes)
+        self.pts = grid(axes)
         self.m0 = m0
         self._held = {}        # name -> (time cell or None, sample)
 
@@ -320,10 +315,10 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
     N = geometry.N
     m0 = geometry.structure.m0
     box, nx, axes, hs = _grid_axes(box, nx, N)
-    grid = _GridCoeffs(coeffs, axes, m0)
-    pts, dims = grid.pts, grid.dims
+    on_grid = _GridCoeffs(coeffs, axes, m0)
+    pts, dims = on_grid.pts, on_grid.dims
 
-    probe_pts = _grid_points([a[::4] for a in axes])
+    probe_pts = grid([a[::4] for a in axes])
     probe = np.asarray(coeffs["A0"].many(probe_pts, t0)).reshape(-1, m0, m0)
     probed = float(np.max(np.linalg.eigvalsh(probe)))
     Lambda = probed if Lambda is None else max(float(Lambda), probed)
@@ -372,7 +367,7 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
             u = transport(u)
         # (ii) flux-form diffusion in the x^(0) block, backward Euler along
         # each axis; its factors are kept while the grid holds A0's sample
-        A0 = grid("A0", t)
+        A0 = on_grid("A0", t)
         if A0 is not sampled:
             sampled = A0
             diffuse = _ImplicitDiffusion(A0, hs, m0, dt)
@@ -387,11 +382,11 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
         # (iii) upwind b-advection and the zero-order factor
         if coeffs.get("b") is not None:
             adv = np.zeros_like(u)
-            _upwind(adv, _pad_zero(u), grid("b", t), hs)
+            _upwind(adv, _pad_zero(u), on_grid("b", t), hs)
             u = u + dt * adv
         growth = 1.0
         if coeffs.get("c") is not None:
-            factor = np.exp(dt * grid("c", t))
+            factor = np.exp(dt * on_grid("c", t))
             u = u * factor
             growth = max(1.0, float(factor.max()))
         # audit: one reduction gives the step's sup norm, which is not
@@ -655,8 +650,8 @@ def weak_residual(u: GridSolution, tf: TestFunction, coeffs,
         raise SupportExceedsGrid("cylinder time range leaves the grid")
 
     total = 0.0
-    grid = _GridCoeffs(coeffs, u.axes, m0)
-    pts, dims = grid.pts, grid.dims
+    on_grid = _GridCoeffs(coeffs, u.axes, m0)
+    pts, dims = on_grid.pts, on_grid.dims
     # Yu by a centered difference along the drift's integral curves
     # gamma(s) = (E(-s) x, t - s), batched over the support nodes
     s_lie = 0.5 * min(min(hs), dt)
@@ -671,7 +666,7 @@ def weak_residual(u: GridSolution, tf: TestFunction, coeffs,
         uslice = u.values[it]
         up = _pad_zero(uslice)
         php = _pad_zero(phi)
-        A = grid("A0", t)
+        A = on_grid("A0", t)
         integrand = np.zeros(dims)
         Du = [_centered(up, i, hs[i]) for i in range(m0)]
         Dphi = [_centered(php, i, hs[i]) for i in range(m0)]
@@ -686,10 +681,10 @@ def weak_residual(u: GridSolution, tf: TestFunction, coeffs,
         Yu[mask] = (ys[0] - ys[1]) / (2.0 * s_lie)
         integrand += phi * Yu
         if coeffs.get("b") is not None:
-            bgrid = grid("b", t)
+            bgrid = on_grid("b", t)
             for i in range(m0):
                 integrand += bgrid[..., i] * Du[i] * phi
         if coeffs.get("c") is not None:
-            integrand += grid("c", t) * uslice * phi
+            integrand += on_grid("c", t) * uslice * phi
         total += float(np.sum(integrand)) * np.prod(hs) * dt
     return total

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import coefficients as coeff
 from .errors import KolmoError
-from .group import Geometry
+from .group import Geometry, grid
 from .structure import BlockStructure, check_hypoellipticity, \
     detect_canonical_form
 
@@ -247,9 +247,7 @@ def load_grid_field(path):
     shape = tuple(len(a) for a in axes)
     if np.prod(shape) != len(data):
         raise SpecError(f"{path}: rows do not fill the grid")
-    grids = np.meshgrid(*axes, indexing="ij")
-    if not np.array_equal(np.stack([g.ravel() for g in grids], axis=1),
-                          data[:, :naxes + 1]):
+    if not np.array_equal(grid(axes), data[:, :naxes + 1]):
         raise SpecError(f"{path}: rows are not the grid of their axes in "
                         f"lexicographic order")
     *axes, taxis = axes

@@ -12,7 +12,7 @@ import numpy as np
 from . import kernel as kern
 from .errors import (ArgumentError, ConeUnresolved, CylinderUnresolved,
                      NoAdmissibleFit, NotNonnegative)
-from .group import Geometry, point
+from .group import Geometry, grid, point
 
 MIN_CYLINDER_NODES = 27
 CONE_RHO_NODES = 6         # radii rho per cone
@@ -86,8 +86,7 @@ def _ball_grid(dim, n):
     if dim == 0:
         return np.zeros((1, 0))
     axis = np.linspace(-1.0, 1.0, n + 2)[1:-1]
-    grids = np.meshgrid(*([axis] * dim), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
+    pts = grid([axis] * dim)
     return pts[np.sum(pts * pts, axis=1) < 1.0]
 
 

@@ -16,7 +16,7 @@ from kolmo import coefficients as coeff
 from kolmo import kernel as kern
 from kolmo import mc as mcmod
 from kolmo import pde, specfile, verify
-from kolmo.group import point
+from kolmo.group import grid, point
 from test_mc import mean_se, measure_scaling_slope
 
 
@@ -211,7 +211,7 @@ def _cauchy_rel_err(proto, coeffs, nx, dt):
     w, t1, pole, params, box, datum = _cauchy_setup(proto)
     sol = pde.solve_cauchy(coeffs, proto, datum, box, [nx, nx], w, t1,
                            dt=dt, keep="final")
-    pts = pde._grid_points(sol.axes)
+    pts = grid(sol.axes)
     exact = kern.gamma_many(
         np.column_stack([pts, np.full(len(pts), t1)]), pole,
         params).reshape(sol.values[-1].shape)
@@ -311,7 +311,7 @@ def test_sandwich_mollified_checkerboard(proto):
     # slow to evaluate inside the time loop
     axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(box, nx)]
     taxis = np.linspace(0.0, 1.1, 5)
-    pts = pde._grid_points(axes)
+    pts = grid(axes)
     vals = np.stack([fm.many(pts, t).reshape(nx[0], nx[1], 1, 1)
                      for t in taxis], axis=2)
     a0 = coeff.GridField(axes, taxis, vals)
@@ -320,7 +320,7 @@ def test_sandwich_mollified_checkerboard(proto):
         {"A0": a0}, proto, np.zeros(2), 0.0, 1.0, box, nx, [0.3, 0.25],
         lam=2.0)
     tq = final.taxis[-1]
-    gp = pde._grid_points(final.axes)
+    gp = grid(final.axes)
     bulk = final.values[-1].ravel() > 1e-3 * final.values[-1].max()
     sample = np.column_stack([gp, np.full(len(gp), tq)])[bulk]
     target = final.values[-1].ravel()[bulk]

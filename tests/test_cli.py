@@ -438,9 +438,7 @@ def _chain_spec(tmp_path, N):
     ["check", "bounds", "{spec}", "--self-test", "--samples", "50"],
     ["check", "harnack", "{spec}"],
     ["check", "cone", "{spec}"],
-    # at the default --pole-t0 of -2 every pair's kernel value underflows
-    # on the chain (1,1,1,1)
-    ["check", "global", "{spec}", "--pairs", "5", "--pole-t0=-10"],
+    ["check", "global", "{spec}", "--pairs", "5"],
     ["mc", "mass", "{spec}", "--paths", "100", "--dt", "0.05"],
 ], ids=lambda a: " ".join(a[:2]))
 def test_point_defaults_are_the_origin(tmp_path, capsys, monkeypatch, N,
@@ -454,6 +452,50 @@ def test_point_defaults_are_the_origin(tmp_path, capsys, monkeypatch, N,
     cfg = json.loads(out)["config"]
     points = {k: cfg[k] for k in ("x0", "y", "pole", "center") if k in cfg}
     assert points and set(points.values()) == {",".join(["0"] * N)}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_check_global_draws_pairs_from_the_kernel_law(tmp_path, capsys,
+                                                      seed):
+    """The pairs are draws from the kernel's law at the default pole time,
+    so on the chain (1,1,1,1) every kernel value is positive; points
+    uniform in [-1, 1]^4 gave values that underflow to 0 (exit 7)."""
+    code, out = run(capsys, ["check", "global", _chain_spec(tmp_path, 4),
+                             "--seed", str(seed)])
+    assert code == 0
+    rep = json.loads(out)["report"]
+    assert rep["n_pairs"] == 50 and rep["c0"] >= 1.0
+
+
+# one minimal run of each command on the prototype
+_MINIMAL = {
+    ("kernel", "eval"): ["--pole", "0,0", "--grid", "0:0:1;0:0:1;1:1:1"],
+    ("kernel", "reproduce"): ["--configs", "1"],
+    ("solve", "cauchy"): ["--box=-4,4;-2,2", "--nx", "21,21", "--t1",
+                          "0.2"],
+    ("solve", "fundamental"): ["--box=-4,4;-2,2", "--nx", "21,41", "--t1",
+                               "0.8", "--widths", "0.45,0.4"],
+    ("mc", "simulate"): ["--paths", "100"],
+    ("mc", "density"): ["--paths", "100", "--box=-3,3;-2,2", "--bins",
+                        "4,5"],
+    ("mc", "mass"): ["--paths", "100"],
+    ("mollify",): ["--eps", "0.2", "--samples", "10"],
+    ("check", "bounds"): ["--self-test", "--samples", "50"],
+    ("check", "global"): ["--pairs", "5"],
+}
+
+
+@pytest.mark.filterwarnings("ignore:boundary magnitude")
+@pytest.mark.parametrize("words", list(cli.COMMANDS), ids=" ".join)
+def test_report_envelope(words, spec_path, tmp_path, capsys, monkeypatch):
+    """Every command's report names the command by its words, joined by a
+    space, and echoes the spec path in its config."""
+    monkeypatch.chdir(tmp_path)
+    code, out = run(capsys, [*words, spec_path, *_MINIMAL.get(words, [])])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["command"] == " ".join(words)
+    assert rep["config"]["spec"] == spec_path
 
 
 @pytest.mark.parametrize("argv", [

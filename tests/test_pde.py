@@ -11,7 +11,7 @@ from kolmo.coefficients import CheckerboardField, ConstantField, Field, \
     GridField
 from kolmo.errors import ArgumentError, BoxTooSmall, SupportExceedsGrid, \
     Unstable
-from kolmo.group import Geometry, point, prototype_geometry
+from kolmo.group import Geometry, grid, point, prototype_geometry
 from kolmo.structure import BlockStructure
 from test_structure import random_canonical_B
 
@@ -33,7 +33,7 @@ def kernel_solution(proto, proto_params, nx, nt, box=(-4, 4, -2, 2),
                     tspan=(0.3, 0.5)):
     axes = [np.linspace(box[0], box[1], nx), np.linspace(box[2], box[3], nx)]
     ta = np.linspace(*tspan, nt)
-    pts = pde._grid_points(axes)
+    pts = grid(axes)
     pole = point(np.zeros(2), 0.0)
     vals = np.stack([
         kern.gamma_many(np.column_stack([pts, np.full(len(pts), t)]),
@@ -141,7 +141,7 @@ def test_transport_matches_scipy_reference(blocks, dims):
     axes = [np.linspace(-1.0, 1.0, d) for d in dims]
     hs = [a[1] - a[0] for a in axes]
     # a long step shears the feet across several cells and out of the box
-    feet = pde._grid_points(axes) @ g.exp_drift(-0.6).T
+    feet = grid(axes) @ g.exp_drift(-0.6).T
     coords = np.stack([(feet[:, k] + 1.0) / hs[k]
                        for k in range(len(dims))])
     last = np.array(dims)[:, None] - 1.0
@@ -173,7 +173,7 @@ def test_static_axis_transport(blocks, dims):
     axes = [np.linspace(-1.0, 1.0, d) for d in dims]
     hs = [a[1] - a[0] for a in axes]
     E = g.exp_drift(-0.3)
-    feet = pde._grid_points(axes) @ E.T
+    feet = grid(axes) @ E.T
     coords = np.stack([(feet[:, k] + 1.0) / hs[k] for k in range(N)])
     static = pde._static_axes(E)
     assert static.tolist() == [True] * m0 + [False] * (N - m0)
@@ -198,7 +198,7 @@ def test_static_axis_keeps_both_edge_rows(proto):
     axes = [np.linspace(-4.0, 4.0, 161), np.linspace(-2.0, 2.0, 161)]
     dims = (161, 161)
     E = proto.exp_drift(-0.005)
-    feet = pde._grid_points(axes) @ E.T
+    feet = grid(axes) @ E.T
     coords = np.stack([(feet[:, k] - axes[k][0]) / (axes[k][1] - axes[k][0])
                        for k in range(2)])
     assert coords[0, -1] > 160.0
@@ -517,7 +517,7 @@ def test_implicit_step_inverts_I_minus_dt_D(blocks):
     dims = (13, 11, 9)[:N]
     axes = [np.linspace(-1.5, 1.5, d) for d in dims]
     hs = [a[1] - a[0] for a in axes]
-    A = coeffs["A0"].many(pde._grid_points(axes), 0.0).reshape(
+    A = coeffs["A0"].many(grid(axes), 0.0).reshape(
         dims + (m0, m0))
     dt = 8.0 * min(hs[:m0]) ** 2 / (2.0 * 1.5 * m0)
     u = np.random.default_rng(N).uniform(-1.0, 1.0, dims)
@@ -851,7 +851,7 @@ def test_operators_match_reference_bitwise(blocks):
     nx = 21 if N == 2 else 11
     axes = [np.linspace(-1.5, 1.5, nx)] * N
     taxis = np.linspace(0.0, 0.2, 9)
-    pts = pde._grid_points(axes)
+    pts = grid(axes)
     u = pde.GridSolution(axes=axes, taxis=taxis, values=np.stack([
         np.exp(-2.0 * (1.0 + t) * np.sum(pts ** 2, axis=1) + t * pts[:, 0])
         .reshape((nx,) * N) for t in taxis]))

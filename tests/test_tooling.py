@@ -116,6 +116,37 @@ def test_every_raised_error_class_has_an_exit_code():
     assert not uncaught, sorted(uncaught)
 
 
+# The steps of the report pipeline, which cli.main alone runs.
+PIPELINE = {"settle_mode", "check_out", "load", "point_defaults", "resolved",
+            "emit"}
+
+
+def test_one_report_path():
+    """Every command is a function of (args, spec) that returns its
+    report's body, and cli.main alone settles the mode, checks --out, loads
+    the spec and emits the report: every cmd_* in cli.py and cli_*.py takes
+    exactly (args, spec), there is one per command, and every call in the
+    command modules of a PIPELINE step is in cli.main."""
+    commands, callers = set(), set()
+    for mod, tree in _trees().items():
+        if not _is_command(mod):
+            continue
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            if fn.name.startswith("cmd_"):
+                a = fn.args
+                assert [p.arg for p in a.posonlyargs + a.args] \
+                    == ["args", "spec"], (mod, fn.name)
+                assert not (a.vararg or a.kwonlyargs or a.kwarg
+                            or a.defaults), (mod, fn.name)
+                commands.add(fn.name)
+            callers |= {(mod, fn.name) for n in ast.walk(fn)
+                        if isinstance(n, ast.Call) and _name(n) in PIPELINE}
+    assert commands == {"cmd_" + "_".join(w) for w in cli.COMMANDS}
+    assert callers == {("cli.py", "main")}
+
+
 def _is_command(module):
     """The command modules: cli.py, cliargs.py and cli_*.py."""
     return module in ("cli.py", "cliargs.py") or module.startswith("cli_")

@@ -1,7 +1,7 @@
 """Command-line surface.
 
-Exit codes: 0 ok, 2 spec parse or argument error (a mollified field read
-outside its raw field's time window among them), 3 structure rejection,
+Exit codes (EXITS): 0 ok, 2 spec parse or argument error (a mollified field
+read outside its raw field's time window among them), 3 structure rejection,
 4 NotSPD, 5 solver error, 6 Monte Carlo error, 7 verification error.
 All CSV artifacts: comma separated, header row, 17-significant-digit floats.
 All JSON reports: UTF-8, stable key order.
@@ -30,9 +30,10 @@ import sys
 
 from . import specfile
 from .errors import (ArgumentError, BoxTooSmall, ConeUnresolved,
-                     CylinderUnresolved, NoAdmissibleFit, NonFinite,
-                     NotCanonical, NotNonnegative, NotSPD, RankDeficient,
-                     SupportExceedsGrid, Unstable, WindowUnderflow)
+                     CylinderUnresolved, KolmoError, NoAdmissibleFit,
+                     NonFinite, NotCanonical, NotNonnegative, NotSPD,
+                     RankDeficient, SupportExceedsGrid, Unstable,
+                     WindowUnderflow)
 from .specfile import SpecError
 # perfbench/tracer.py wraps the CSV writer under this name
 from .specfile import write_csv  # noqa: F401
@@ -44,10 +45,16 @@ EXIT_SOLVER = 5
 EXIT_MC = 6
 EXIT_VERIFY = 7
 
-_SOLVER_ERRORS = (Unstable, BoxTooSmall, SupportExceedsGrid)
-_MC_ERRORS = (NonFinite,)
-_VERIFY_ERRORS = (NoAdmissibleFit, CylinderUnresolved, ConeUnresolved,
-                  NotNonnegative)
+# The one map from library errors to exit codes: (code, stderr label, error
+# classes).  main re-raises any other KolmoError (InternalInconsistency).
+EXITS = ((EXIT_PARSE, "error", (SpecError, ArgumentError, WindowUnderflow)),
+         (EXIT_STRUCTURE, "structure error", (NotCanonical, RankDeficient)),
+         (EXIT_NOTSPD, "not SPD", (NotSPD,)),
+         (EXIT_SOLVER, "solver error",
+          (Unstable, BoxTooSmall, SupportExceedsGrid)),
+         (EXIT_MC, "mc error", (NonFinite,)),
+         (EXIT_VERIFY, "verify error", (NoAdmissibleFit, CylinderUnresolved,
+                                        ConeUnresolved, NotNonnegative)))
 # pde.DIFFUSION_STEPS and pde.COURANT, written out so that building the
 # parser does not import the solver
 DT_HELP = ("time step; default 4 h^2 / (2 Lambda m0) "
@@ -291,7 +298,7 @@ def cmd_structure(args, spec):
     return {"N": spec.structure.N, "Q": spec.structure.Q,
             "alpha": list(spec.structure.alpha),
             "blocks": list(spec.structure.blocks),
-            "report": spec.hypo_report().to_dict()}
+            "report": spec.hypo_report()._asdict()}
 
 
 def main(argv=None):
@@ -310,24 +317,12 @@ def main(argv=None):
         body = _command(words)(args, spec)
         emit({"command": " ".join(words), "config": resolved(args), **body})
         return 0
-    except (SpecError, ArgumentError, WindowUnderflow) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except (NotCanonical, RankDeficient) as e:
-        print(f"structure error: {e}", file=sys.stderr)
-        return EXIT_STRUCTURE
-    except NotSPD as e:
-        print(f"not SPD: {e}", file=sys.stderr)
-        return EXIT_NOTSPD
-    except _SOLVER_ERRORS as e:
-        print(f"solver error: {e}", file=sys.stderr)
-        return EXIT_SOLVER
-    except _MC_ERRORS as e:
-        print(f"mc error: {e}", file=sys.stderr)
-        return EXIT_MC
-    except _VERIFY_ERRORS as e:
-        print(f"verify error: {e}", file=sys.stderr)
-        return EXIT_VERIFY
+    except KolmoError as e:
+        for code, label, errors in EXITS:
+            if isinstance(e, errors):
+                print(f"{label}: {e}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -39,7 +39,7 @@ def cmd_check_bounds(args, spec):
         rep = verify.fit_sandwich(pts, target, pole, g,
                                   args.lam_plus, args.lam_minus,
                                   err_budget=args.err_budget)
-    return {"report": rep.to_dict()}
+    return {"report": rep._asdict()}
 
 
 def _kernel_u(args, g):
@@ -60,7 +60,7 @@ def cmd_check_harnack(args, spec):
         z0 = point(vector(args, "center", g.N), args.center_t)
         h = verify.harnack_local(u, z0, args.radius, g, omega=args.omega,
                                  n_space=args.n_space, n_time=args.n_time)
-        return {"report": h.to_dict()}
+        return {"report": h._asdict()}
     rows = []
     rng = np.random.default_rng(args.seed)
     for _ in range(args.sweep):

@@ -1,7 +1,6 @@
 """`kolmo kernel eval|reproduce`: the exact model kernel on points or a
 grid, and its Chapman-Kolmogorov check."""
 
-import csv
 import math
 
 import numpy as np
@@ -21,16 +20,10 @@ def _points_from_args(args, N):
         raise SpecError("need exactly one of --points and --grid")
     if args.points:
         try:
-            with open(args.points, newline="", encoding="utf-8") as fh:
-                rows = list(csv.reader(fh))
-        except OSError as exc:
-            raise SpecError(f"--points {args.points!r}: {exc.strerror}") \
-                from exc
-        try:
-            pts = np.array([[finite(v) for v in r] for r in rows[1:]])
-        except ValueError as exc:
+            _, pts = specfile.read_csv(args.points)
+        except SpecError as exc:
             raise SpecError(f"--points {args.points!r}: {exc}") from exc
-        if pts.ndim != 2 or pts.shape[1] != N + 1:
+        if pts.shape[1] != N + 1:
             raise SpecError(f"--points {args.points!r} needs rows of "
                             f"{N + 1} numbers (x..., t)")
         return pts, ()

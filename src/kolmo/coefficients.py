@@ -148,20 +148,21 @@ class CellLookup:
     the cells for the seed of every checkerboard of a TableStack at once
     and gathers all their components with one take.
 
-    The hash is splitmix-style, mixing the columns in that order.  When the
-    bounding box of the batch's cells holds fewer cells than the batch has
-    rows, it runs once per box cell and board, and each row reads through
-    its flat index in the box.  Otherwise (a sparse batch, or rows whose
-    cells are non-finite or outside int64, which cast to INT64_MIN) it runs
-    once per row and board.  Both give bitwise the same values.
+    The hash is splitmix-style, mixing the columns in that order, one loop
+    over the cell columns it is given.  When the bounding box of the
+    batch's cells holds fewer cells than the batch has rows, those are the
+    box's cell columns (built with group.grid once per box), and each row
+    reads through its flat index in the box.  Otherwise (a sparse batch, or
+    rows whose cells are non-finite or outside int64, which cast to
+    INT64_MIN) they are the rows' own.  Both give bitwise the same values.
 
     move points the lookup at another batch of the same shape and reuses
     its buffers: the Monte Carlo keeps one lookup per chunk and cell side.
     The box's key is every axis's lo and span, the time cell's included.
-    While it holds, a moved lookup keeps the box's axes and strides, and
-    the (k, box cells) value table that read gathered for its last stack
-    (held, and compared with `is`); a new key or stack builds them afresh,
-    and the per-row path drops them.
+    While it holds, a moved lookup keeps the box's cell columns and
+    strides, and the (k, box cells) value table that read gathered for its
+    last stack (held, and compared with `is`); a new key or stack builds
+    them afresh, and the per-row path drops them.
     """
 
     def __init__(self, X, ts, h):
@@ -172,7 +173,7 @@ class CellLookup:
 
     def move(self, X, ts):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        n = self.n = X.shape[0]
+        n = X.shape[0]
         if self._floor is None or self._floor.shape != X.shape:
             # column-major, so that the reductions over rows and the
             # broadcasts along them run on contiguous columns
@@ -202,13 +203,13 @@ class CellLookup:
         """Keep only each row's flat index in the box of the cells.  The
         float arithmetic is exact: every term is an integer below the box
         size, which is below the row count."""
-        self.cols = None
         key = (*los, *spans)
         if key != self.key:
             self.key = key
             self._stack = self._table = None
-            self.box = [np.arange(a, a + s, dtype=np.int64).view(np.uint64)
-                        for a, s in zip(los, spans)]
+            axes = [np.arange(a, a + s, dtype=np.int64)
+                    for a, s in zip(los, spans)]
+            self.box = self.cols = list(grid(axes).T)
             # time is the last axis, with stride 1
             self._strides = np.array(
                 [math.prod(spans[i + 1:]) for i in range(len(spans) - 1)],
@@ -220,16 +221,10 @@ class CellLookup:
         np.copyto(self.flat, self._fflat, casting="unsafe")
 
     def _hash(self, starts):
-        """The hash seeded at each of the starts over the box cells, in the
-        order of self.flat, or over the rows: one row per start."""
-        if self.box is not None:
-            acc = starts
-            for ax in self.box:
-                acc = acc[..., None] ^ ax
-                acc *= _HASH_MULT
-                acc ^= acc >> _HASH_SHIFT
-            return acc.reshape(len(starts), -1)
-        acc = np.repeat(starts[:, None], self.n, axis=1)
+        """The hash seeded at each of the starts over the cells of
+        self.cols, the box's (in the order of self.flat) or the rows': one
+        row per start."""
+        acc = np.repeat(starts[:, None], len(self.cols[0]), axis=1)
         tmp = np.empty_like(acc)
         for col in self.cols:
             acc ^= col.view(np.uint64)

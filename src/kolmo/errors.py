@@ -12,21 +12,9 @@ class ArgumentError(KolmoError, ValueError):
 class NotCanonical(KolmoError):
     """A block of B that must vanish is nonzero beyond tolerance."""
 
-    def __init__(self, position, magnitude=None):
-        self.position = position
-        self.magnitude = magnitude
-        super().__init__(f"off-pattern block at {position}"
-                         + (f" with magnitude {magnitude:.3e}" if magnitude is not None else ""))
-
 
 class RankDeficient(KolmoError):
     """A sub-diagonal block B_j has rank below m_j."""
-
-    def __init__(self, j, rank=None, expected=None):
-        self.j = j
-        self.rank = rank
-        self.expected = expected
-        super().__init__(f"block B_{j} has rank {rank} < {expected}")
 
 
 class InternalInconsistency(KolmoError):

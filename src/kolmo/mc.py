@@ -99,7 +99,8 @@ def _sigma_chunk(A0_vals, lam):
 
 
 def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
-    """Euler-Maruyama from the deterministic point x0 at time t0 to t1."""
+    """Euler-Maruyama from the deterministic point x0 at time t0 to t1; a
+    state or a sum of squared weights that is not finite raises NonFinite."""
     if not t1 > t0:
         raise ArgumentError(f"t1 must exceed t0, got t0={t0!r}, t1={t1!r}")
     N = geometry.N
@@ -201,7 +202,11 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
         list(ex.map(lambda ctx, ci: ctx.run(run_chunk, ci), contexts,
                     range(nchunks)))
 
-    weights = np.exp(logw)
+    with np.errstate(over="ignore"):
+        weights = np.exp(logw)
+    # every estimate's weighted sums stay finite where sum w^2 does
+    if not np.isfinite(weights @ weights):
+        raise NonFinite("Feynman-Kac weights overflow: sum w^2 is not finite")
     prov = {"seed": config.seed, "chunk": CHUNK, "nchunks": nchunks,
             "nsteps": nsteps, "dt": dt, "lam": config.lam,
             "scheme": "euler"}

@@ -156,12 +156,15 @@ def _upwind(out, up, vel, hs):
 
 
 def _faces(Ap, i):
-    """The coefficients 1/2 (a_k + a_k+1) of A0's entry (i, i) on the low
-    and high face of each node along axis i (Ap: A0 padded by its edge
-    values, so a boundary face takes the boundary node's value)."""
-    a_i = Ap[..., i, i]
-    return (0.5 * (_shift(a_i, i, -1) + _shift(a_i, i, 0)),
-            0.5 * (_shift(a_i, i, 0) + _shift(a_i, i, 1)))
+    """The coefficients of A0's entry (i, i) on the low and high face of
+    each node along axis i (Ap: A0 padded by its edge values): 2 a b / (a +
+    b) for the face's two nodes' values a and b, the harmonic mean, which
+    carries the exact two-point flux across a jump; a itself where a == b,
+    so that a constant A0 keeps its last bit."""
+    lo, mid, hi = (_shift(Ap[..., i, i], i, s) for s in (-1, 0, 1))
+    with np.errstate(invalid="ignore"):
+        return tuple(np.where(a == b, a, 2.0 * a * b / (a + b))
+                     for a, b in ((lo, mid), (mid, hi)))
 
 
 def _cross_terms(out, up, Ap, m0, hs):

@@ -76,34 +76,54 @@ def _field_to_dict(f):
     raise SpecError(f"field {type(f).__name__} has no serial form")
 
 
-def _finite(a):
-    """a as a float array; a ValueError unless every entry is finite."""
-    a = np.asarray(a, dtype=float)
+def _numbers(v):
+    """v, a number or lists of numbers of one shape, as a float array; a
+    ValueError for anything else (a boolean, a string, a ragged list) or an
+    entry that is not finite."""
+    a = np.asarray(v, dtype=object)
+    if not all(type(c) in (int, float) for c in a.flat):
+        raise ValueError(f"{v!r} is not a number or an array of numbers")
+    a = a.astype(float)
     if not np.isfinite(a).all():
         raise ValueError("values: not all finite")
     return a
 
 
+def _number(v):
+    """The JSON number v as a finite float, else a ValueError."""
+    if type(v) not in (int, float) or not math.isfinite(v):
+        raise ValueError(f"{v!r} is not a finite number")
+    return float(v)
+
+
+def _integer(v):
+    """The JSON integer v (not a boolean, 1.5 or "7"), else a ValueError."""
+    if type(v) is not int:
+        raise ValueError(f"{v!r} is not an integer")
+    return v
+
+
 def _field_from_dict(d, base_dir, N):
     """The field a descriptor describes on R^N x R; a `dim` other than N, a
-    value that is not finite, a checkerboard without values or with a cell
-    side h that is not finite and > 0, and a mollified T that is not finite
-    and > 0 are refused."""
+    value that is not a finite number, a checkerboard without values or
+    with a cell side h that is not > 0, and a mollified T that is not > 0
+    are refused."""
     if not isinstance(d, dict):
         raise SpecError(f"coefficient descriptor {d!r} is not an object")
     kind = d.get("kind")
     try:
-        if "dim" in d and int(d["dim"]) != N:
+        if "dim" in d and _integer(d["dim"]) != N:
             raise SpecError(f"{kind} field has dim {d['dim']!r}, not N = {N}")
         if kind == "constant":
-            return coeff.ConstantField(_finite(d["value"]), dim=N)
+            return coeff.ConstantField(_numbers(d["value"]), dim=N)
         if kind == "checkerboard":
-            h = float(d["h"])
-            if not d["values"] or not 0.0 < h < np.inf:
-                raise ValueError(f"h = {h} (needs a finite h > 0 and at "
-                                 f"least one value)")
-            return coeff.CheckerboardField([_finite(v) for v in d["values"]],
-                                           h=h, dim=N, seed=int(d["seed"]))
+            h = _number(d["h"])
+            if not d["values"] or not h > 0.0:
+                raise ValueError(f"h = {h} (needs h > 0 and at least one "
+                                 f"value)")
+            return coeff.CheckerboardField(
+                [_numbers(v) for v in d["values"]], h=h, dim=N,
+                seed=_integer(d["seed"]))
         if kind == "grid":
             f = load_grid_field(base_dir / d["file"])
             if f.dim != N:
@@ -112,37 +132,36 @@ def _field_from_dict(d, base_dir, N):
             return f
         if kind == "mollified":
             raw = _field_from_dict(d["raw"], base_dir, N)
-            T = float(d["T"])
-            if not 0.0 < T < np.inf:
-                raise ValueError(f"T = {T} (needs a finite T > 0)")
-            return coeff.mollify(raw, eps=float(d["eps"]), T=T)
-    except (LookupError, TypeError, ValueError) as e:
+            T = _number(d["T"])
+            if not T > 0.0:
+                raise ValueError(f"T = {T} (needs T > 0)")
+            return coeff.mollify(raw, eps=_number(d["eps"]), T=T)
+    except (LookupError, TypeError, ValueError, OverflowError) as e:
         raise SpecError(f"{kind} field: missing or malformed {e}") from e
     raise SpecError(f"unknown field kind {kind!r}")
 
 
 def from_dict(doc, base_dir=Path(".")):
-    """The OperatorSpec a document describes.  Besides the structure and
-    the fields, the window must be finite with T0 < T1 and the ellipticity
-    finite with 0 < lambda <= Lambda, else SpecError."""
-    if doc.get("schema") != SCHEMA:
-        raise SpecError(f"unsupported schema {doc.get('schema')!r}; "
-                        f"expected {SCHEMA}")
+    """The OperatorSpec a document describes.  Besides the structure (the
+    blocks integers, B a finite N x N matrix) and the fields, the window
+    must be finite with T0 < T1 and the ellipticity finite with 0 < lambda
+    <= Lambda, else SpecError."""
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != SCHEMA:
+        raise SpecError(f"unsupported schema {schema!r}; expected {SCHEMA}")
     try:
-        blocks = tuple(int(m) for m in doc["structure"]["blocks"])
-        B = np.asarray(doc["structure"]["B"], dtype=float)
-        st = BlockStructure(blocks)
-        win = (float(doc["window"]["T0"]), float(doc["window"]["T1"]))
-        ell = (float(doc["ellipticity"]["lambda"]),
-               float(doc["ellipticity"]["Lambda"]))
-        fdocs = doc.get("coefficients", {})
-    except (KeyError, TypeError, ValueError) as e:
+        blocks = tuple(_integer(m) for m in doc["structure"]["blocks"])
+        B = _numbers(doc["structure"]["B"])
+        win = (_number(doc["window"]["T0"]), _number(doc["window"]["T1"]))
+        ell = (_number(doc["ellipticity"]["lambda"]),
+               _number(doc["ellipticity"]["Lambda"]))
+        fdocs = dict(doc.get("coefficients", {}))
+        if not (win[0] < win[1] and 0.0 < ell[0] <= ell[1]):
+            raise ValueError(f"window {win} and ellipticity {ell}: need "
+                             f"T0 < T1 and 0 < lambda <= Lambda")
+        st = detect_canonical_form(B, blocks)
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise SpecError(f"missing or malformed field: {e}") from e
-    if not (-np.inf < win[0] < win[1] < np.inf
-            and 0.0 < ell[0] <= ell[1] < np.inf):
-        raise SpecError(f"window {win} and ellipticity {ell}: need finite "
-                        f"T0 < T1 and 0 < lambda <= Lambda")
-    detect_canonical_form(B, blocks)
     if "A0" not in fdocs or not set(fdocs) <= set(coeff.RANK):
         raise SpecError(f"coefficients {sorted(fdocs)}: the operator has A0 "
                         f"and may have b and c, no others")
@@ -220,28 +239,41 @@ def write_csv(path, header, rows, axes=()):
 # -- sidecar grid CSV --------------------------------------------------------
 
 
+def read_csv(path):
+    """The one CSV reader: the header row of the file at path, and the rows
+    below it as a (rows, width) array of finite floats.  A file that cannot
+    be read or decoded, has no header, no row below it, rows of unequal
+    width or a cell that is not a finite number is a SpecError."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh)) or [[]]
+        widths = {len(r) for r in rows}
+        if len(widths) != 1 or 0 in widths:
+            raise ValueError("needs rows below the header, all of one width")
+        return header, _numbers([[float(v) for v in r] for r in rows])
+    except OSError as e:
+        raise SpecError(e.strerror) from e
+    except (ValueError, csv.Error) as e:
+        raise SpecError(str(e)) from e
+
+
 def load_grid_field(path):
     """CSV grid field: the header is x1..xN, t, then the value column(s);
     one sample per row, and the coordinate columns are the tensor grid of
     their axes in lexicographic order (the last column fastest).  Any other
-    header or row order is a SpecError."""
+    header or row order, or a file read_csv refuses, is a SpecError."""
     path = Path(path)
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as e:
-        raise SpecError(f"cannot read grid file: {e}") from e
-    if not rows:
-        raise SpecError(f"{path}: empty grid file")
-    header = rows[0]
+        header, data = read_csv(path)
+    except SpecError as e:
+        raise SpecError(f"{path}: {e}") from e
     naxes = 0
     while naxes < len(header) and header[naxes] == f"x{naxes + 1}":
         naxes += 1
     if naxes == 0 or header[naxes:naxes + 1] != ["t"] \
             or len(header) < naxes + 2:
         raise SpecError(f"{path}: header must be x1..xN, t, then values")
-    data = _finite([[float(v) for v in r] for r in rows[1:]])
-    if data.ndim != 2 or data.shape[1] != len(header):
+    if data.shape[1] != len(header):
         raise SpecError(f"{path}: rows must hold one cell per header name")
     axes = [np.unique(data[:, k]) for k in range(naxes + 1)]
     shape = tuple(len(a) for a in axes)

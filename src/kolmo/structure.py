@@ -56,12 +56,7 @@ class BlockStructure(namedtuple("BlockStructure",
         return out
 
 
-class HypoReport(namedtuple("HypoReport",
-                             "kalman_rank c_min_eig hypoelliptic")):
-    __slots__ = ()
-
-    def to_dict(self):
-        return self._asdict()
+HypoReport = namedtuple("HypoReport", "kalman_rank c_min_eig hypoelliptic")
 
 
 def detect_canonical_form(B, blocks):
@@ -89,11 +84,13 @@ def detect_canonical_form(B, blocks):
                 cutoff = RANK_TOL_FACTOR * max(sv[0], 1.0) if sv.size else 0.0
                 rank = int(np.sum(sv > cutoff))
                 if rank < mj:
-                    raise RankDeficient(i, rank=rank, expected=mj)
+                    raise RankDeficient(
+                        f"block B_{i} has rank {rank} < {mj}")
             else:
                 mag = np.abs(sub).max() if sub.size else 0.0
                 if mag > tol:
-                    raise NotCanonical((i, j), magnitude=float(mag))
+                    raise NotCanonical(f"off-pattern block at {(i, j)} "
+                                       f"with magnitude {mag:.3e}")
     return structure
 
 

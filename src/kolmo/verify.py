@@ -20,20 +20,10 @@ CONE_SPACE_NODES = 3       # ball grid points per axis at each rho
 GLOBAL_C0_MAX = 1e6        # the largest c0 the global Harnack admits
 
 
-class BoundReport(namedtuple("BoundReport", "c_plus c_minus lam_plus "
-                              "lam_minus n_samples violations")):
-    __slots__ = ()
-
-    def to_dict(self):
-        return self._asdict()
-
-
-class HarnackReport(namedtuple("HarnackReport", "sup_minus inf_plus "
-                                "quotient n_minus n_plus")):
-    __slots__ = ()
-
-    def to_dict(self):
-        return self._asdict()
+BoundReport = namedtuple("BoundReport", "c_plus c_minus lam_plus lam_minus "
+                         "n_samples violations")
+HarnackReport = namedtuple("HarnackReport", "sup_minus inf_plus quotient "
+                           "n_minus n_plus")
 
 
 def fit_sandwich(points, target_vals, pole, geometry: Geometry,

@@ -161,6 +161,45 @@ _NOT_FINITE_SPECS = {
     "mollified-T-nan": (lambda d, p: d["coefficients"].update(A0={
         "kind": "mollified", "eps": 0.1, "T": math.nan, "raw": _board()}),
         "structure"),
+    # a B of another shape, or with an entry that is not finite, was a
+    # traceback or, for 1e400 (which JSON reads as inf), exit 3
+    "B-3x3-for-(1,1)": (lambda d, p: d["structure"].update(
+        B=[[0, 0, 0], [1, 0, 0], [0, 1, 0]]), "structure"),
+    "B-2x3": (lambda d, p: d["structure"].update(B=[[0, 0, 0], [1, 0, 0]]),
+              "structure"),
+    "B-scalar": (lambda d, p: d["structure"].update(B=1.0), "structure"),
+    "B-nan": (lambda d, p: d["structure"].update(
+        B=[[0.0, 0.0], [math.nan, 0.0]]), "structure"),
+    "B-1e400": (lambda d, p: d["structure"].update(
+        B=[[0.0, 0.0], [math.inf, 0.0]]), "structure"),
+    # int() truncated 1.5 and read true and "7"; float() read true
+    "blocks-1.5": (lambda d, p: d["structure"].update(blocks=[1, 1.5]),
+                   "structure"),
+    "blocks-true": (lambda d, p: d["structure"].update(blocks=[1, True]),
+                    "structure"),
+    "blocks-string": (lambda d, p: d["structure"].update(blocks=[1, "1"]),
+                      "structure"),
+    "dim-1.5": (lambda d, p: d["coefficients"].update(A0=_board(dim=1.5)),
+                "structure"),
+    "dim-true": (lambda d, p: d["coefficients"].update(A0=_board(dim=True)),
+                 "structure"),
+    "dim-string": (lambda d, p: d["coefficients"].update(
+        A0=_board(dim="2")), "structure"),
+    "seed-1.5": (lambda d, p: d["coefficients"].update(A0=_board(seed=1.5)),
+                 "structure"),
+    "seed-true": (lambda d, p: d["coefficients"].update(
+        A0=_board(seed=True)), "structure"),
+    "seed-string": (lambda d, p: d["coefficients"].update(
+        A0=_board(seed="7")), "structure"),
+    "h-true": (lambda d, p: d["coefficients"].update(A0=_board(h=True)),
+               "structure"),
+    "Lambda-true": (lambda d, p: d["ellipticity"].update(Lambda=True),
+                    "solve"),
+    "T1-true": (lambda d, p: d["window"].update(T1=True), "mollify"),
+    "A0-true": (lambda d, p: d["coefficients"]["A0"].update(
+        value=[[True]]), "structure"),
+    "A0-string": (lambda d, p: d["coefficients"]["A0"].update(
+        value=[["1"]]), "structure"),
 }
 _ON_SPEC = {
     "structure": ["structure", "{spec}"],
@@ -177,8 +216,10 @@ def test_malformed_number_in_spec_exit_2(tmp_path, capsys, monkeypatch,
     """A window that is not finite with T0 < T1, an ellipticity that is not
     finite with 0 < lambda <= Lambda, a coefficient value or grid
     coordinate that is not finite, a checkerboard without values or with
-    an h that is not finite and > 0, and a mollified T that is not finite
-    and > 0 are parse errors: exit 2 with one error line."""
+    an h that is not finite and > 0, a mollified T that is not finite
+    and > 0, a B that is not a finite N x N matrix, blocks, dim or seed
+    that are not JSON integers, and a boolean or a string where a number
+    belongs are parse errors: exit 2 with one error line."""
     monkeypatch.chdir(tmp_path)
     edit, command = _NOT_FINITE_SPECS[case]
     doc = specfile.prototype_spec().to_dict()
@@ -267,6 +308,44 @@ def test_unstable_dt_exit_5(spec_path, tmp_path, capsys):
     assert cli.main(argv[:2] + [str(drifted)] + argv[2:]) == cli.EXIT_SOLVER
     assert not out.exists()
     assert cli.main(argv[:2] + [spec_path] + argv[2:]) == 0
+
+
+_MC_MASS = ["mc", "mass", "{spec}", "--paths", "100", "--dt", "0.05"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name, value, argv, code, lead", [
+    ("A0", [[1e308]], _MC_MASS, cli.EXIT_MC, "mc error: non-finite state"),
+    ("c", 1e308, ["solve", "cauchy", "{spec}", "--box=-4,4;-2,2", "--nx",
+                  "21,21", "--t1", "0.3", "--out", "out.csv"],
+     cli.EXIT_SOLVER, "solver error: non-finite values"),
+    ("c", 2000.0, _MC_MASS, cli.EXIT_MC, "mc error: Feynman-Kac weights"),
+    ("c", 2000.0, ["mc", "simulate", "{spec}", "--paths", "100", "--dt",
+                   "0.05", "--out", "out.csv"],
+     cli.EXIT_MC, "mc error: Feynman-Kac weights"),
+    ("c", 2000.0, ["mc", "density", "{spec}", "--paths", "100", "--dt",
+                   "0.05", "--box=-3,3;-2,2", "--bins", "4,4",
+                   "--out", "out.csv"],
+     cli.EXIT_MC, "mc error: Feynman-Kac weights"),
+], ids=["mc-state", "solve-reaction", "mc-mass-weights",
+        "mc-simulate-weights", "mc-density-weights"])
+def test_overflow_exits_with_its_code(tmp_path, capsys, monkeypatch, name,
+                                      value, argv, code, lead):
+    """A run whose numbers overflow ends in its documented exit code with
+    one error line and no artifact, not in a report or CSV of inf and NaN
+    with exit 0: an Euler-Maruyama state that overflows (A0 = 1e308)
+    exits 6, a solve whose reaction factor exp(dt c) overflows (c = 1e308)
+    exits 5, and Feynman-Kac weights exp(int c dt) past the float range
+    (c = 2000 to t1 = 0.5) exit 6 in every mc command."""
+    monkeypatch.chdir(tmp_path)
+    doc = specfile.prototype_spec().to_dict()
+    doc["coefficients"][name] = {"kind": "constant", "value": value}
+    p = tmp_path / "overflow.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main([a.format(spec=p) for a in argv]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(lead) and err.count("\n") == 1
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.filterwarnings("ignore:boundary magnitude")

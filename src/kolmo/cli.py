@@ -58,11 +58,10 @@ EXITS = ((EXIT_PARSE, "error", (SpecError, ArgumentError, WindowUnderflow)),
 # pde.DIFFUSION_STEPS and pde.COURANT, written out so that building the
 # parser does not import the solver
 DT_HELP = ("time step; default 4 h^2 / (2 Lambda m0) "
-           "(h the finest x^(0) spacing, Lambda the larger of the spec's "
-           "ellipticity bound and a probe of A0), within the caps: "
-           "0.9 h / |b|_1 where b is present and h^2 / "
-           "(2 Lambda m0) where A0 has off-diagonal entries; a --dt above "
-           "a cap exits 5")
+           "(h the finest x^(0) spacing, Lambda the largest eigenvalue A0 "
+           "takes), within the caps: 0.9 h / |b|_1 where b is present "
+           "(|b|_1 the largest b takes) and h^2 / (2 Lambda m0) where A0 "
+           "takes off-diagonal entries; a --dt above a cap exits 5")
 
 # the point options' default, set by point_defaults once the spec is read
 ORIGIN = "N comma-separated numbers; default the origin of R^N"

@@ -29,8 +29,7 @@ def cmd_check_bounds(args, spec):
         widths = floats(args.widths)
         final, _ = pde.approx_fundamental(
             spec.fields, g, x0, args.t0,
-            args.t0 + 1.0, bx, nx, widths, lam=args.lam,
-            Lambda=spec.ellipticity[1], keep="final")
+            args.t0 + 1.0, bx, nx, widths, lam=args.lam, keep="final")
         tq = final.taxis[-1]
         pts = grid(final.axes)
         keep = final.values[-1].ravel() > 1e-3 * final.values[-1].max()

@@ -364,6 +364,21 @@ def mollify(f: Field, eps, T):
     return MollifiedField(f, eps, T)
 
 
+def value_set(f: Field):
+    """Values whose convex hull holds every value of f, shaped (k,) +
+    f.shape: a constant's value, a checkerboard's draws, a grid field's
+    samples (its multilinear interpolation mixes them convexly) and a
+    mollified field's raw set (its quadrature mixes them convexly).  Any
+    other field is an ArgumentError."""
+    if isinstance(f, MollifiedField):
+        return value_set(f.f)
+    if isinstance(f, ConstantField):
+        return f.value[None]
+    if isinstance(f, (CheckerboardField, GridField)):
+        return np.reshape(f.values, (-1,) + f.shape)
+    raise ArgumentError(f"a {type(f).__name__} has no known value set")
+
+
 # -- moduli of continuity ----------------------------------------------------
 
 HOLDER_RADII = (1.0, 0.3, 0.1, 0.03)   # pair radii of holder_seminorm

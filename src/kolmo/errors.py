@@ -10,7 +10,7 @@ class ArgumentError(KolmoError, ValueError):
 
 
 class NotCanonical(KolmoError):
-    """A block of B that must vanish is nonzero beyond tolerance."""
+    """A block of B that must vanish has a nonzero entry."""
 
 
 class RankDeficient(KolmoError):
@@ -22,7 +22,9 @@ class InternalInconsistency(KolmoError):
 
 
 class NotSPD(KolmoError):
-    """Cholesky factorization failed: matrix is not positive definite."""
+    """A diffusion matrix breaks its ellipticity: an eigenvalue of A0's
+    value set outside the spec's declared [lambda, Lambda], or a Cholesky
+    factorization that fails."""
 
 
 class WindowUnderflow(KolmoError):
@@ -31,9 +33,8 @@ class WindowUnderflow(KolmoError):
 
 class Unstable(KolmoError):
     """The solver's step breaks a promise that keeps it stable: a requested
-    dt above the step's cap, or a step with off-diagonal A0 entries past
-    their explicit bound, or a step that produced non-finite values, grew
-    the sup norm beyond its monotone bound or took a datum >= 0 below
+    dt above the step's cap, or a step that produced non-finite values,
+    grew the sup norm beyond its monotone bound or took a datum >= 0 below
     zero."""
 
 

@@ -19,8 +19,9 @@ in four.  The step then has one drift update, one weight update and one
 noise product, an in-place lower-triangular pass over the columns of dW.
 Each chunk draws from its own child stream of the master seed, so the
 ensemble and every CSV and report made from it are byte-identical at any
-number of worker threads.  Every chunk runs in a copy of the caller's
-context, so the caller's np.errstate reaches the worker threads.
+number of worker threads.  simulate runs under np.errstate(over="ignore",
+invalid="ignore"), and every chunk in a copy of its context, so an
+overflow on any thread ends in NonFinite alone, with no numpy warning.
 """
 
 import contextvars
@@ -98,6 +99,7 @@ def _sigma_chunk(A0_vals, lam):
     return L
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
     """Euler-Maruyama from the deterministic point x0 at time t0 to t1; a
     state or a sum of squared weights that is not finite raises NonFinite."""
@@ -202,8 +204,7 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
         list(ex.map(lambda ctx, ci: ctx.run(run_chunk, ci), contexts,
                     range(nchunks)))
 
-    with np.errstate(over="ignore"):
-        weights = np.exp(logw)
+    weights = np.exp(logw)
     # every estimate's weighted sums stay finite where sum w^2 does
     if not np.isfinite(weights @ weights):
         raise NonFinite("Feynman-Kac weights overflow: sum w^2 is not finite")

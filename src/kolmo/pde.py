@@ -12,13 +12,12 @@ by the explicit-diffusion bound h^2 / (2 Lambda m0).
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernel as kern
-from .coefficients import RANK, CheckerboardField
+from .coefficients import RANK, CheckerboardField, value_set
 from .errors import (ArgumentError, BoxTooSmall, SupportExceedsGrid,
                      Unstable)
 from .group import Geometry, grid, point, split
@@ -255,45 +254,26 @@ def _grid_axes(box, nx, N):
     return box, nx, axes, [float(a[1] - a[0]) for a in axes]
 
 
-def _time_step(hs, Lambda, m0, bmax, cross):
-    """The default time step, the cap on any time step and the
-    explicit-diffusion bound h^2 / (2 Lambda m0).  The cap keeps every step
-    monotone: the advection Courant cap COURANT h / bmax (bmax bounds the l1
-    norm of b, so the upwind step is monotone for any m0) and, with cross
-    terms (explicit, centered), the explicit bound; None when neither
-    applies.  The default is DIFFUSION_STEPS times the explicit bound, at
-    most the cap."""
-    hmin = min(hs[:m0])
-    explicit = hmin * hmin / (2.0 * Lambda * m0)
-    caps = [COURANT * hmin / bmax] if bmax > 0.0 else []
-    if cross:
-        caps.append(explicit)
-    cap = min(caps) if caps else None
-    return min([DIFFUSION_STEPS * explicit] + caps), cap, explicit
-
-
 def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
-                 dt=None, Lambda=None, boundary="warn", keep="all"):
+                 dt=None, boundary="warn", keep="all"):
     """March the datum phi from t0 to t1 on the truncated box.
 
     box: (N, 2) array of axis intervals; nx: nodes per axis (int or list).
     phi: the datum, anything with many(X, t) (a Field, a KernelDatum),
     evaluated once at t0 on the (n, N) rows of grid nodes and extended by
-    zero outside the box.  coeffs must hold A0 (else ArgumentError).
+    zero outside the box.  coeffs must hold A0 (else ArgumentError); A0
+    and b must be fields with a value set (coefficients.value_set).
 
     The time step: the transport and the backward-Euler diffusion are
     monotone at any dt, so the default dt is chosen for accuracy,
-    DIFFUSION_STEPS x h^2 / (2 Lambda m0) (h the finest x^(0) spacing).
-    Lambda, when given, is a declared bound on A0's eigenvalues; the step
-    uses the larger of it and a probe of A0 at t0.  Two caps keep the step
-    monotone, and bound the default as well as a given dt, which must not
-    exceed them (else Unstable): the advection Courant cap
-    COURANT h / sum_i |b_i| where b is present, and the explicit bound
-    h^2 / (2 Lambda m0) where the probe finds an off-diagonal A0 entry,
-    whose cross terms stay explicit.  meta["dt_bound"] holds the smaller
-    cap, None when neither applies.  A0 is checked again on every step it is
-    sampled: off-diagonal entries where the probe found none, with dt above
-    the explicit bound, raise Unstable.
+    DIFFUSION_STEPS x h^2 / (2 Lambda m0) (h the finest x^(0) spacing,
+    Lambda the largest eigenvalue in A0's value set, meta["Lambda"]).  Two
+    caps keep the step monotone, and bound the default as well as a given
+    dt, which must not exceed them (else Unstable): the advection Courant
+    cap COURANT h / bmax, bmax the largest sum_i |b_i| in b's value set,
+    where b is present; and the explicit bound h^2 / (2 Lambda m0) where a
+    value of A0 has an off-diagonal entry, whose cross terms stay explicit.
+    meta["dt_bound"] holds the smaller cap, None when neither applies.
 
     keep="all" stores every time slice; keep="final" holds only the current
     one and returns the final slice alone (values of shape (1,) + dims and
@@ -306,8 +286,8 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
     and, for a datum >= 0, a value below -GROWTH_TOL times the step's sup
     norm.  The boundary stays audited against BOUNDARY_MASS_TOL times the
     max over all slices: boundary="warn" records a breach in
-    meta["warnings"] and warns, boundary="error" raises BoxTooSmall; any
-    other value is an ArgumentError.
+    meta["warnings"], boundary="error" raises BoxTooSmall; any other value
+    is an ArgumentError.
     """
     _check_choice("keep", keep, ("all", "final"))
     _check_choice("boundary", boundary, ("warn", "error"))
@@ -321,19 +301,23 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
     on_grid = _GridCoeffs(coeffs, axes, m0)
     pts, dims = on_grid.pts, on_grid.dims
 
-    probe_pts = grid([a[::4] for a in axes])
-    probe = np.asarray(coeffs["A0"].many(probe_pts, t0)).reshape(-1, m0, m0)
-    probed = float(np.max(np.linalg.eigvalsh(probe)))
-    Lambda = probed if Lambda is None else max(float(Lambda), probed)
+    # the caps: the Courant cap on the l1 norm of b, under which the upwind
+    # step is monotone for any m0, and the explicit bound where cross terms
+    # (explicit, centered) are present
+    A0s = value_set(coeffs["A0"]).reshape(-1, m0, m0)
+    Lambda = float(np.max(np.linalg.eigvalsh(A0s)))
     bmax = 0.0
     if coeffs.get("b") is not None:
-        bvals = np.abs(coeffs["b"].many(probe_pts, t0))
-        bmax = float(np.max(bvals.reshape(len(probe_pts), -1).sum(axis=1)))
-    offdiag = ~np.eye(m0, dtype=bool)
-    default_dt, dt_bound, explicit = _time_step(
-        hs, Lambda, m0, bmax, bool(probe[:, offdiag].any()))
+        bmax = float(np.max(np.abs(value_set(coeffs["b"])).reshape(
+            -1, m0).sum(axis=1)))
+    hmin = min(hs[:m0])
+    explicit = hmin * hmin / (2.0 * Lambda * m0)
+    caps = [COURANT * hmin / bmax] if bmax > 0.0 else []
+    if A0s[:, ~np.eye(m0, dtype=bool)].any():
+        caps.append(explicit)
+    dt_bound = min(caps) if caps else None
     if dt is None:
-        dt = default_dt
+        dt = min([DIFFUSION_STEPS * explicit] + caps)
     elif dt_bound is not None and dt > dt_bound * (1.0 + 1e-12):
         raise Unstable(
             f"requested dt {dt:.3e} exceeds the stability bound {dt_bound:.3e}")
@@ -374,13 +358,6 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
         if A0 is not sampled:
             sampled = A0
             diffuse = _ImplicitDiffusion(A0, hs, m0, dt)
-            # cross terms the probe missed (at nodes it skips, or after
-            # t0) are explicit all the same
-            if diffuse.cross and dt > explicit * (1.0 + 1e-12):
-                raise Unstable(
-                    f"A0 has off-diagonal entries at t = {t:.6g}, whose "
-                    f"explicit cross terms need dt <= {explicit:.3e}; "
-                    f"dt is {dt:.3e}")
         u = diffuse(u)
         # (iii) upwind b-advection and the zero-order factor
         if coeffs.get("b") is not None:
@@ -389,8 +366,10 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
             u = u + dt * adv
         growth = 1.0
         if coeffs.get("c") is not None:
-            factor = np.exp(dt * on_grid("c", t))
-            u = u * factor
+            # a factor that overflows is refused by the audit below
+            with np.errstate(over="ignore", invalid="ignore"):
+                factor = np.exp(dt * on_grid("c", t))
+                u = u * factor
             growth = max(1.0, float(factor.max()))
         # audit: one reduction gives the step's sup norm, which is not
         # finite when any value is not; a monotone step (A0 diagonal, as
@@ -423,7 +402,6 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
         if boundary == "error":
             raise BoxTooSmall(msg)
         warnings_list.append(msg)
-        warnings.warn(msg, stacklevel=2)
 
     meta = {"dt": dt, "dt_bound": dt_bound, "Lambda": Lambda, "bmax": bmax,
             "boundary_max_ratio": (boundary_max / interior_max
@@ -546,7 +524,7 @@ class KernelDatum:
 
 
 def approx_fundamental(coeffs, geometry, x0, t0, t1, box, nx, widths,
-                       lam=2.0, dt=None, Lambda=None, keep="all"):
+                       lam=2.0, dt=None, keep="all"):
     """Cauchy evolutions from narrow Gaussian data of decreasing widths.
 
     The datum of width w is the exact constant-coefficient kernel at elapsed
@@ -555,10 +533,10 @@ def approx_fundamental(coeffs, geometry, x0, t0, t1, box, nx, widths,
     consecutive widths' terminal slices as an error proxy, and under
     "solves" each width's dt, boundary_max_ratio and warnings.  With
     keep="all", sol.evaluate reads 0 before sol's first slice, so at and
-    before t0.  Lambda goes to every solve; keep goes to the narrowest
-    width's, and the wider widths keep only their final slice.  Every width
-    must be positive and end before t1: 0 < width and t0 + max(widths) <
-    t1, else ArgumentError, before any solve.
+    before t0.  keep goes to the narrowest width's solve, and the wider
+    widths keep only their final slice.  Every width must be positive and
+    end before t1: 0 < width and t0 + max(widths) < t1, else ArgumentError,
+    before any solve.
     """
     _check_choice("keep", keep, ("all", "final"))
     widths = sorted(widths, reverse=True)
@@ -584,8 +562,7 @@ def approx_fundamental(coeffs, geometry, x0, t0, t1, box, nx, widths,
                 raise SupportExceedsGrid(
                     f"width {w}: axis {k} std {stds[k]:.3e} below "
                     f"1.5 h = {1.5 * hs[k]:.3e}")
-        sol = solve_cauchy(coeffs, geometry, datum, box, nx, t0 + w, t1,
-                           dt=dt, Lambda=Lambda,
+        sol = solve_cauchy(coeffs, geometry, datum, box, nx, t0 + w, t1, dt=dt,
                            keep=keep if i == len(widths) - 1 else "final")
         finals.append(sol.values[-1])
         solves.append({k: sol.meta[k]

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import coefficients as coeff
-from .errors import KolmoError
+from .errors import KolmoError, NotSPD
 from .group import Geometry, grid
 from .structure import BlockStructure, check_hypoellipticity, \
     detect_canonical_form
@@ -145,7 +145,8 @@ def from_dict(doc, base_dir=Path(".")):
     """The OperatorSpec a document describes.  Besides the structure (the
     blocks integers, B a finite N x N matrix) and the fields, the window
     must be finite with T0 < T1 and the ellipticity finite with 0 < lambda
-    <= Lambda, else SpecError."""
+    <= Lambda, else SpecError.  Every eigenvalue of A0's value set must lie
+    in [lambda, Lambda], else NotSPD."""
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != SCHEMA:
         raise SpecError(f"unsupported schema {schema!r}; expected {SCHEMA}")
@@ -176,6 +177,15 @@ def from_dict(doc, base_dir=Path(".")):
             raise SpecError(f"coefficient {k!r} has values of shape "
                             f"{f.shape}, not {shape}")
         fields[k] = f
+    eigs = np.linalg.eigvalsh(coeff.value_set(fields["A0"]).reshape(
+        -1, st.m0, st.m0))
+    lo, hi = float(eigs.min()), float(eigs.max())
+    # eigvalsh rounds at the scale of the largest eigenvalue
+    slack = 64 * np.finfo(float).eps * max(abs(lo), abs(hi))
+    if lo < ell[0] - slack or hi > ell[1] + slack:
+        raise NotSPD(f"A0 takes the eigenvalue "
+                     f"{lo if lo < ell[0] - slack else hi!r}, outside the "
+                     f"declared ellipticity [{ell[0]!r}, {ell[1]!r}]")
     return OperatorSpec(structure=st, B=B, fields=fields, window=win,
                         ellipticity=ell)
 

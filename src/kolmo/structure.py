@@ -8,8 +8,7 @@ import numpy as np
 from .errors import InternalInconsistency, NotCanonical, RankDeficient
 
 # Singular values below this (relative to the largest, or to 1) count as
-# zero; so do the blocks of B that must vanish, relative to max(|B|, 1), and
-# a min eigenvalue of C(1) below it.
+# zero, and so does a min eigenvalue of C(1) below it.
 RANK_TOL_FACTOR = 1e-10
 
 
@@ -62,17 +61,16 @@ HypoReport = namedtuple("HypoReport", "kalman_rank c_min_eig hypoelliptic")
 def detect_canonical_form(B, blocks):
     """Check that B has the canonical lower-bidiagonal block layout.
 
-    Every block must vanish except the sub-diagonal blocks B_j (block row j,
-    block column j-1), each of full rank m_j.  Returns the BlockStructure on
-    success; raises NotCanonical / RankDeficient otherwise.
+    Every block must vanish exactly except the sub-diagonal blocks B_j
+    (block row j, block column j-1), each of full rank m_j: the exact
+    kernel needs B nilpotent.  Returns the BlockStructure on success;
+    raises NotCanonical / RankDeficient otherwise.
     """
     B = np.asarray(B, dtype=float)
     structure = BlockStructure(tuple(blocks))
     if B.shape != (structure.N, structure.N):
         raise ValueError(f"B has shape {B.shape}, blocks require {structure.N}")
 
-    scale = max(np.abs(B).max(), 1.0)
-    tol = RANK_TOL_FACTOR * scale
     sl = structure.block_slices()
     k = len(structure.blocks)
     for i in range(k):
@@ -86,11 +84,9 @@ def detect_canonical_form(B, blocks):
                 if rank < mj:
                     raise RankDeficient(
                         f"block B_{i} has rank {rank} < {mj}")
-            else:
-                mag = np.abs(sub).max() if sub.size else 0.0
-                if mag > tol:
-                    raise NotCanonical(f"off-pattern block at {(i, j)} "
-                                       f"with magnitude {mag:.3e}")
+            elif sub.any():
+                raise NotCanonical(f"off-pattern block at {(i, j)} with "
+                                   f"magnitude {np.abs(sub).max():.3e}")
     return structure
 
 

@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from kolmo import cli
 from kolmo import coefficients as coeff
@@ -219,7 +218,6 @@ def _cauchy_rel_err(proto, coeffs, nx, dt):
                       / np.max(exact))
 
 
-@pytest.mark.filterwarnings("ignore:boundary magnitude")
 def test_solver_order_in_h(proto, proto_coeffs):
     """Bulk L-infinity error vs the exact kernel: least-squares slope over
     two refinements at least 1.8."""
@@ -231,7 +229,6 @@ def test_solver_order_in_h(proto, proto_coeffs):
     assert slope >= 1.8
 
 
-@pytest.mark.filterwarnings("ignore:boundary magnitude")
 def test_solver_order_in_dt(proto, proto_coeffs):
     """First order in the time step, isolated by self-convergence against a
     small-dt reference on a fixed grid."""
@@ -298,7 +295,6 @@ def test_sandwich_self_test(proto, proto_params):
     assert abs(rep.c_minus - 1.0) <= 10.0 * GRIDTOL
 
 
-@pytest.mark.filterwarnings("ignore:boundary magnitude")
 def test_sandwich_mollified_checkerboard(proto):
     """The numerical fundamental solution of the mollified-checkerboard
     operator fits between the scaled model kernels with zero violations on
@@ -372,7 +368,6 @@ def test_DR_measure_scaling(proto):
 # -- 11. vanishing past ------------------------------------------------------
 
 
-@pytest.mark.filterwarnings("ignore:boundary magnitude")
 def test_vanishing_past(proto, proto_params, proto_coeffs):
     """Kernel and numerical fundamental solution are exactly zero at and
     before the pole time."""
@@ -391,7 +386,6 @@ def test_vanishing_past(proto, proto_params, proto_coeffs):
 # -- 12. determinism ---------------------------------------------------------
 
 
-@pytest.mark.filterwarnings("ignore:boundary magnitude")
 def test_cli_artifacts_deterministic(tmp_path):
     """mc and solve artifacts are byte-identical across repeats and across
     thread counts."""

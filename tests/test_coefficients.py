@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kolmo import coefficients as coeff
-from kolmo.errors import WindowUnderflow
+from kolmo.errors import ArgumentError, WindowUnderflow
 from kolmo.group import prototype_geometry
 
 
@@ -316,6 +316,35 @@ def test_mollified_window_guard():
     fm = coeff.mollify(f, eps=0.2, T=1.0)
     with pytest.raises(WindowUnderflow):
         fm(np.zeros(1), 1.5)
+
+
+def test_value_set_holds_every_value():
+    """value_set gives (k,) + shape values whose convex hull holds every
+    value of the field: a constant's value, a checkerboard's draws, a grid
+    field's samples and a mollified field's raw set; sampled values on a
+    lattice lie between the set's min and max, up to the few ulps a
+    mollifier's weights round by.  A field defined by a callable has no
+    known set."""
+    rng = np.random.default_rng(4)
+    board = coeff.CheckerboardField([np.array([v]) for v in (-0.5, 2.0)],
+                                    h=0.25, dim=2, seed=9)
+    grid = coeff.GridField([np.linspace(-1.0, 1.0, 3)] * 2, [0.0, 1.0],
+                           rng.uniform(1.0, 3.0, (3, 3, 2)))
+    cases = [(coeff.ConstantField(np.eye(2), dim=2), np.eye(2)[None]),
+             (board, [[-0.5], [2.0]]),
+             (grid, grid.values.reshape(-1)),
+             (coeff.mollify(board, eps=0.2, T=1.0), [[-0.5], [2.0]])]
+    X, ts = probe_grid(n=9)
+    for f, want in cases:
+        got = coeff.value_set(f)
+        assert got.shape[1:] == f.shape
+        assert np.array_equal(got, want)
+        vals = f.many(X, ts)
+        ulps = 4 * np.finfo(float).eps * np.abs(got).max()
+        assert got.min() - ulps <= vals.min()
+        assert vals.max() <= got.max() + ulps
+    with pytest.raises(ArgumentError, match="ExprField has no known value"):
+        coeff.value_set(coeff.ExprField(lambda x, t: x[0], dim=2, shape=()))
 
 
 def test_modulus_of_continuity_lipschitz():

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ def test_checkerboard_round_trip(tmp_path):
                                 h=0.25, dim=2, seed=11)
     spec = specfile.prototype_spec()
     spec.fields["A0"] = f
+    spec.ellipticity = (1.0, 2.4)
     specfile.save(spec, tmp_path / "cb.json")
     g = specfile.load(tmp_path / "cb.json").fields["A0"]
     pts = rng.uniform(-2, 2, size=(50, 2))
@@ -66,6 +68,7 @@ def test_grid_field_sidecar_round_trip(tmp_path):
     save_grid_field(f, tmp_path / "A0.csv")
     spec = specfile.prototype_spec()
     spec.fields["A0"] = f
+    spec.ellipticity = (1.0, 2.0)
     specfile.save(spec, tmp_path / "op.json")
     g = specfile.load(tmp_path / "op.json").fields["A0"]
     for a, b in zip(g.axes, axes):
@@ -79,11 +82,45 @@ def test_mollified_round_trip(tmp_path):
                                   h=0.5, dim=2, seed=3)
     spec = specfile.prototype_spec()
     spec.fields["A0"] = coeff.mollify(raw, eps=0.1, T=1.0)
+    spec.ellipticity = (1.0, 2.0)
     specfile.save(spec, tmp_path / "m.json")
     g = specfile.load(tmp_path / "m.json").fields["A0"]
     x = np.array([0.37, -0.21])
     assert np.allclose(g(x, 0.5), spec.fields["A0"](x, 0.5), rtol=0,
                        atol=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["checkerboard", "grid", "mollified"])
+def test_A0_must_lie_in_the_declared_ellipticity(tmp_path, kind):
+    """Every eigenvalue of A0's value set lies in the declared [lambda,
+    Lambda], else the spec is refused with NotSPD, whose message names the
+    extreme eigenvalue and the interval.  A0 takes the values 1 and 2: it
+    loads under (1, 2) and is refused under (1, 1) and (1.5, 2)."""
+    from kolmo.errors import NotSPD
+    board = coeff.CheckerboardField([np.array([[1.0]]), np.array([[2.0]])],
+                                    h=0.5, dim=2, seed=3)
+    if kind == "checkerboard":
+        A0 = board
+    elif kind == "grid":
+        vals = np.ones((2, 2, 2))
+        vals[1, 1, 1] = 2.0
+        A0 = coeff.GridField([[0.0, 1.0]] * 2, [0.0, 1.0], vals)
+        save_grid_field(A0, tmp_path / "A0.csv")
+    else:
+        A0 = coeff.mollify(board, eps=0.1, T=1.0)
+    spec = specfile.prototype_spec()
+    spec.fields["A0"] = A0
+    for ell, bad in (((1.0, 2.0), None), ((1.0, 1.0), 2.0),
+                     ((1.5, 2.0), 1.0)):
+        spec.ellipticity = ell
+        p = specfile.save(spec, tmp_path / "op.json")
+        if bad is None:
+            assert specfile.load(p).ellipticity == ell
+            continue
+        with pytest.raises(NotSPD, match=re.escape(
+                f"eigenvalue {bad!r}, outside the declared ellipticity "
+                f"[{ell[0]!r}, {ell[1]!r}]")):
+            specfile.load(p)
 
 
 def test_bad_schema_rejected(tmp_path):

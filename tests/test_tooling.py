@@ -6,8 +6,6 @@ import importlib.util
 import sys
 from pathlib import Path
 
-import pytest
-
 import kolmo
 from kolmo import cli, specfile
 
@@ -384,7 +382,6 @@ def _write_csv_callers(trees):
     return sites, keyword
 
 
-@pytest.mark.filterwarnings("ignore:boundary magnitude")
 def test_write_csv_rows_are_the_rows_written(proto_spec_path, tmp_path,
                                              monkeypatch, capsys):
     """perfbench's tracer counts the rows of cli.write_csv as len(args[2]).
@@ -461,3 +458,21 @@ def test_scipy_loads_lazily_for_grid_interpolation_only():
         _scipy_imports(tree, name[:-len(".py")], False, found)
     assert all(inside for _, inside in found), found
     assert {where for where, _ in found} == SCIPY_IMPORTERS
+
+
+def test_no_module_imports_warnings():
+    """The library reports what goes wrong through its return values (a
+    solve's meta["warnings"]) and its errors, never through Python's
+    warnings module, whose output names the file that warned and so
+    differs between two installs of the same code."""
+    found = []
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [name for n in names if n.split(".")[0] == "warnings"]
+    assert found == []

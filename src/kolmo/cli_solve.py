@@ -17,6 +17,11 @@ def cmd_solve_cauchy(args, spec):
     if kind != "gaussian" or len(w) != 1 or not w[0] > 0.0:
         raise SpecError(f"--datum {args.datum!r} is not gaussian:<width > 0>")
     args.datum_width = w = float(w[0])      # the report echoes it
+    if not args.t0 + w < args.t1:
+        raise SpecError(
+            f"the solve runs from t0 + the --datum width to t1: t0 = "
+            f"{args.t0!r} plus the width {w!r} does not end before t1 = "
+            f"{args.t1!r}")
     params = kern.scaled_params(args.lam, g)
     datum = pde.KernelDatum(point(vector(args, "x0", g.N), args.t0), params)
     sol = pde.solve_cauchy(spec.fields, g, datum, bx, nx,

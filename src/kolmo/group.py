@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .structure import BlockStructure
+from .structure import BlockStructure, detect_canonical_form
 
 
 def point(x, t):
@@ -74,17 +74,18 @@ def _hom_norm_rows(Z, alpha):
 
 
 class Geometry:
-    """Group operations for a fixed block structure and drift matrix B."""
+    """Group operations for a fixed block structure and drift matrix B.
+
+    B must be in the canonical form of its blocks
+    (structure.detect_canonical_form: NotCanonical or RankDeficient
+    otherwise).  So B^{kappa+1} = 0, and e^{-sB} is unit lower
+    block-triangular: the x^(0) block stays put under the drift.
+    """
 
     def __init__(self, structure: BlockStructure, B):
         self.structure = structure
         self.B = np.asarray(B, dtype=float)
-        if self.B.shape != (structure.N, structure.N):
-            raise ValueError("B shape does not match structure")
-        if np.linalg.matrix_power(self.B, structure.kappa + 1).any():
-            raise ValueError(
-                f"B is not nilpotent of order kappa + 1 = {structure.kappa + 1}"
-                f" for blocks {structure.blocks}: exp(-sB) would be truncated")
+        detect_canonical_form(self.B, structure.blocks)
         self.N = structure.N
         self.alpha = np.asarray(structure.alpha, dtype=int)
         self._degrees = np.append(self.alpha, 2).astype(float)
@@ -97,9 +98,9 @@ class Geometry:
 
     def _drift(self, s, x):
         """E(s) x for a vector, or row-wise for rows x and times s, by the
-        power series of exp(-s B).  B^{kappa+1} = 0 (checked at
-        construction), so the series ends after kappa + 1 terms and is
-        exact."""
+        power series of exp(-s B).  B^{kappa+1} = 0 (canonical form,
+        checked at construction), so the series ends after kappa + 1 terms
+        and is exact."""
         s = np.asarray(s, dtype=float)[..., None]
         out = term = x
         for k in range(1, self.structure.kappa + 2):

@@ -327,14 +327,13 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
     u = np.asarray(phi.many(pts, t0), dtype=float).reshape(dims)
 
     # the semi-Lagrangian remap to the feet x_foot = e^{dt B} x, built once;
-    # an axis whose row of E is e_k (x^(0) in canonical form) stays put
+    # the x^(0) block stays put
     transport = None
     if np.any(geometry.B):
-        E = geometry.exp_drift(-dt)
-        feet = pts @ E.T
+        feet = pts @ geometry.exp_drift(-dt).T
         transport = _Transport(np.stack(
             [(feet[:, k] - axes[k][0]) / hs[k] for k in range(N)], axis=0),
-            dims, _static_axes(E))
+            dims, m0)
 
     bmask = np.ones(dims, dtype=bool)
     bmask[(slice(1, -1),) * N] = False
@@ -439,71 +438,60 @@ def _cubic_weights(x):
     return np.stack([w0, w1, w2, 1.0 - w0 - w1 - w2])
 
 
-def _static_axes(E):
-    """Flags of the axes a transport map E leaves in place: row k of E is
-    exactly e_k (the first m0 axes for B in canonical form)."""
-    return np.all(E == np.eye(len(E)), axis=1)
-
-
 class _Transport:
     """Semi-Lagrangian remap of a grid slice to fixed foot coordinates
     (coords: (N, n_nodes) in index units), built once per time step size.
 
-    The remap is the cubic spline interpolant with scipy's
-    map_coordinates(order=3, mode="constant") conventions: coefficients from
-    a mirror-ended prefilter, stencil indices folded by mirror reflection,
-    and 0 for a foot outside [0, n_k - 1] on any axis.  A static axis (a
-    flag of `static`: its feet sit on the nodes) is the one-tap case of the
-    same stencil: weight 1 at the node rint(coord), no prefilter, never
-    outside.  The result is clipped to the range of the 2^N surrounding
-    corners, floor(coord) and floor(coord) + 1 on each axis, of the
-    zero-padded slice, which restores the maximum principle while keeping
-    the cubic accuracy on smooth data.  With m0 static axes the tables take
-    16 * 4^(N - m0) bytes per node for the spline stencil plus 8 * 2^N for
-    the corners.
+    For B in canonical form e^{-dt B} is unit lower block-triangular: the
+    first m0 axes stay put, and the foot along an axis k >= m0 depends only
+    on x_k and the blocks before k's.  So the cubic spline interpolant with
+    scipy's map_coordinates(order=3, mode="constant") conventions is one
+    1-D pass per axis k >= m0, in axis order (a shear, as in Unser,
+    Thevenaz & Yaroslavsky, 1995): a mirror-ended prefilter along k, then 4
+    taps at the node's own indices on every other axis, folded by mirror
+    reflection along k, with weight 0 where the foot is outside [0, n_k -
+    1].  Pass k's foot is constant along every later axis, so each later
+    prefilter commutes with it and the passes compose to the tensor spline.
+    The result is clipped to the range of the 2^N surrounding corners,
+    floor(coord) and floor(coord) + 1 on each axis, of the zero-padded
+    slice, which restores the maximum principle while keeping the cubic
+    accuracy on smooth data.  The tables take 64 bytes per node per pass
+    plus 8 * 2^N for the corners.
     """
 
-    def __init__(self, coords, dims, static):
+    def __init__(self, coords, dims, m0):
         n = coords.shape[1]
-        weights = np.ones((1, n))
-        index = np.zeros((1, n), dtype=np.intp)
+        node = np.arange(n)
         corners = np.zeros((1, n), dtype=np.intp)
-        outside = np.zeros(n, dtype=bool)
-        self.prefilter = []
+        self.passes = []
         for k, d in enumerate(dims):
             x = coords[k]
             base = np.floor(x).astype(np.intp)
             ck = np.clip(base + np.arange(1, 3)[:, None], 0, d + 1)
             corners = (corners[:, None] * (d + 2) + ck[None]).reshape(-1, n)
-            if static[k]:
-                ik = np.clip(np.rint(x).astype(np.intp), 0, d - 1)[None]
-                self.prefilter.append(None)
-            else:
-                ik = _fold_mirror(base + np.arange(-1, 3)[:, None], d)
-                weights = (weights[:, None] * _cubic_weights(x)[None]
-                           ).reshape(-1, n)
-                self.prefilter.append(_prefilter_matrix(d))
-                outside |= (x < 0.0) | (x > d - 1)
-            index = (index[:, None] * d + ik[None]).reshape(-1, n)
-        weights[:, outside] = 0.0
+            if k < m0:
+                continue
+            stride = math.prod(dims[k + 1:])
+            taps = _fold_mirror(base + np.arange(-1, 3)[:, None], d)
+            index = node + (taps - node // stride % d) * stride
+            weights = _cubic_weights(x)
+            weights[:, (x < 0.0) | (x > d - 1)] = 0.0
+            self.passes.append((k, _prefilter_matrix(d), weights, index))
         self.dims = tuple(dims)
-        self.weights, self.index, self.corners = weights, index, corners
+        self.corners = corners
 
     def __call__(self, u):
         c = u
-        for k, P in enumerate(self.prefilter):
-            if P is None:
-                continue
+        for k, P, weights, index in self.passes:
             pre = math.prod(self.dims[:k])
             post = math.prod(self.dims[k + 1:])
             if post == 1:
                 c = c.reshape(pre, -1) @ P.T
             else:
                 c = np.matmul(P, c.reshape(pre, -1, post))
-        u3 = np.einsum("ji,ji->i", self.weights,
-                       np.take(c.reshape(-1), self.index))
+            c = np.einsum("ji,ji->i", weights, np.take(c.reshape(-1), index))
         corner = np.take(_pad_zero(u).reshape(-1), self.corners)
-        return np.clip(u3, np.minimum.reduce(corner, axis=0),
+        return np.clip(c, np.minimum.reduce(corner, axis=0),
                        np.maximum.reduce(corner, axis=0)).reshape(self.dims)
 
 

@@ -110,7 +110,8 @@ def check_hypoellipticity(B, m0):
     Both computations are carried out; a disagreement signals a numerical
     bug and raises InternalInconsistency.  C(1) is the kernel's exact
     polynomial, so a B that is not nilpotent raises ValueError, as it does
-    in Geometry and the kernel.
+    in the kernel.  Any B is taken, canonical or not; Geometry takes only
+    a canonical one (detect_canonical_form).
     """
     from .kernel import covariance_matrix  # deferred to avoid import cycle
 

@@ -577,6 +577,20 @@ def test_solve_bad_nx_exit_2(spec_path, tmp_path, capsys, cmd, nx):
     assert "--nx" in capsys.readouterr().err
 
 
+def test_solve_cauchy_names_the_datum_width(spec_path, tmp_path, capsys):
+    """A datum width that reaches t1 is refused in the user's terms: the
+    message names --datum's width and the given t0, not t0 plus the width
+    as the solver's own t0."""
+    out = tmp_path / "c.csv"
+    assert cli.main(["solve", "cauchy", spec_path, "--box=-4,4;-2,2",
+                     "--nx", "41,41", "--t0", "0.5", "--t1", "0.55",
+                     "--out", str(out)]) == cli.EXIT_PARSE
+    assert capsys.readouterr().err == (
+        "error: the solve runs from t0 + the --datum width to t1: t0 = 0.5 "
+        "plus the width 0.1 does not end before t1 = 0.55\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["mc", "simulate", "{spec}", "--x0", "1", "--paths", "10",
      "--out", "e.csv"],

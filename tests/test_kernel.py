@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kolmo import kernel as kern
-from kolmo.errors import ArgumentError, NotSPD
+from kolmo.errors import ArgumentError, NotCanonical, NotSPD
 from kolmo.group import Geometry, point, prototype_geometry
 from kolmo.structure import BlockStructure, check_hypoellipticity
 from test_structure import random_canonical_B
@@ -277,8 +277,11 @@ def test_reproduction_gap_past_exp_range_reads_inf():
 
 
 def test_non_nilpotent_B_rejected():
+    """Geometry takes only a canonical B, so it refuses this one as not
+    canonical; the kernel and the hypoellipticity check take any B and
+    refuse it as not nilpotent."""
     B = np.array([[0.0, 0.5], [1.0, 0.0]])
-    with pytest.raises(ValueError, match="nilpotent"):
+    with pytest.raises(NotCanonical, match="off-pattern block at"):
         Geometry(BlockStructure((1, 1)), B)
     with pytest.raises(ValueError, match="nilpotent"):
         kern.covariance_matrix(1.0, B, np.eye(1))

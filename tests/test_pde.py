@@ -110,12 +110,15 @@ def test_solver_positivity_and_mass(proto, proto_params, proto_coeffs):
         assert abs(v.sum() - u.sum() + outflow) <= 1e-12 * u.sum()
 
 
-def _scipy_transport(u, coords):
-    """The remap as map_coordinates(order=3, mode="constant") clipped to the
-    range of the surrounding corners of the zero-padded slice."""
+def _scipy_transport(u, coords, m0):
+    """The remap as map_coordinates(order=3, mode="constant"), its first m0
+    axes read at the node rint(coords), clipped to the range of the
+    surrounding corners floor(coords) + {0, 1} of the zero-padded slice."""
     from scipy.ndimage import map_coordinates
 
-    u3 = map_coordinates(u, coords, order=3, mode="constant", cval=0.0)
+    at = np.where(np.arange(len(coords))[:, None] < m0, np.rint(coords),
+                  coords)
+    u3 = map_coordinates(u, at, order=3, mode="constant", cval=0.0)
     up = np.pad(u, 1)
     base = np.floor(coords).astype(int)
     lo = np.full(coords.shape[1], np.inf)
@@ -128,33 +131,48 @@ def _scipy_transport(u, coords):
     return np.clip(u3, lo, hi).reshape(u.shape)
 
 
+def _solver_feet(g, dims, s):
+    """The solver's feet e^{-s B} x on the nodes of [-1, 1]^N, in index
+    units, as solve_cauchy builds them."""
+    axes = [np.linspace(-1.0, 1.0, d) for d in dims]
+    feet = grid(axes) @ g.exp_drift(-s).T
+    return np.stack([(feet[:, k] + 1.0) / (axes[k][1] - axes[k][0])
+                     for k in range(len(dims))])
+
+
 @pytest.mark.parametrize("blocks, dims", [
     ((1, 1), (3, 17)), ((2, 1), (9, 3, 8)), ((1, 1, 1), (7, 6, 3)),
-    ((1, 1), (2, 17))])
+    ((2, 2, 1), (5, 6, 5, 7, 6)), ((1, 1, 1, 1), (6, 7, 5, 8)),
+    ((1, 1), (17, 2))])
 def test_transport_matches_scipy_reference(blocks, dims):
+    """On the solver's own feet the shear passes are the cubic reference
+    within rounding: one pass per axis past m0, in axis order, each with
+    scipy's prefilter."""
     from scipy.ndimage import spline_filter1d
 
-    g = _canonical_geometry(blocks)
     rng = np.random.default_rng(sum(dims))
-    axes = [np.linspace(-1.0, 1.0, d) for d in dims]
-    hs = [a[1] - a[0] for a in axes]
+    g = prototype_geometry() if blocks == (1, 1) else Geometry(
+        BlockStructure(blocks), random_canonical_B(blocks, rng))
+    m0 = g.structure.m0
     # a long step shears the feet across several cells and out of the box
-    feet = grid(axes) @ g.exp_drift(-0.6).T
-    coords = np.stack([(feet[:, k] + 1.0) / hs[k]
-                       for k in range(len(dims))])
+    coords = _solver_feet(g, dims, 1.2)
     last = np.array(dims)[:, None] - 1.0
     assert np.any(coords < -0.5) and np.any(coords > last + 0.5)
-    for k, d in enumerate(dims):
-        hit = rng.choice(coords.shape[1], 6, replace=False)
-        coords[k, hit] = [0.0, 0.0, d - 1.0, d - 1.0, -1e-15, d - 1 + 2e-15]
+    # feet on and next to the edges, on the last axis, which no later pass
+    # reads
+    d = dims[-1]
+    hit = rng.choice(coords.shape[1], 6, replace=False)
+    coords[-1, hit] = [0.0, 0.0, d - 1.0, d - 1.0, -1e-15, d - 1 + 2e-15]
 
-    op = pde._Transport(coords, dims, [False] * len(dims))
-    for P, d in zip(op.prefilter, dims):
-        ref = spline_filter1d(np.eye(d), order=3, axis=0, mode="constant")
+    op = pde._Transport(coords, dims, m0)
+    assert [k for k, *_ in op.passes] == list(range(m0, len(dims)))
+    for k, P, _, _ in op.passes:
+        ref = spline_filter1d(np.eye(dims[k]), order=3, axis=0,
+                              mode="constant")
         assert np.max(np.abs(P - ref)) <= 1e-14
     for _ in range(3):
         u = rng.normal(size=dims)
-        err = np.max(np.abs(op(u) - _scipy_transport(u, coords)))
+        err = np.max(np.abs(op(u) - _scipy_transport(u, coords, m0)))
         assert err <= 1e-14 * np.max(np.abs(u))
 
 
@@ -163,36 +181,35 @@ def test_transport_matches_scipy_reference(blocks, dims):
     ((2, 2, 1), (5, 6, 5, 7, 6))])
 def test_static_axis_transport(blocks, dims):
     """On the solver's own feet, the axes e^{-dt B} leaves in place are the
-    first m0; the remap takes one tap and no prefilter along them and still
-    matches the cubic reference."""
+    first m0; the remap makes no pass along them, one pass of a (4, n)
+    weight and index table along each other axis, and still matches the
+    cubic reference."""
     rng = np.random.default_rng(len(dims))
     g = Geometry(BlockStructure(blocks), random_canonical_B(blocks, rng))
     N, m0 = g.N, g.structure.m0
-    axes = [np.linspace(-1.0, 1.0, d) for d in dims]
-    hs = [a[1] - a[0] for a in axes]
     E = g.exp_drift(-0.3)
-    feet = grid(axes) @ E.T
-    coords = np.stack([(feet[:, k] + 1.0) / hs[k] for k in range(N)])
-    static = pde._static_axes(E)
-    assert static.tolist() == [True] * m0 + [False] * (N - m0)
+    assert np.all(E[:m0] == np.eye(N)[:m0])
+    assert not np.any(np.all(E[m0:] == np.eye(N)[m0:], axis=1))
+    coords = _solver_feet(g, dims, 0.3)
 
-    op = pde._Transport(coords, dims, static)
-    assert op.weights.shape == op.index.shape == (4 ** (N - m0), len(feet))
-    assert op.corners.shape == (2 ** N, len(feet))
-    assert [P is None for P in op.prefilter] == static.tolist()
-    # a static foot is its node: the reference reads it at the node index
-    exact = np.where(static[:, None], np.rint(coords), coords)
+    op = pde._Transport(coords, dims, m0)
+    n = coords.shape[1]
+    assert [k for k, *_ in op.passes] == list(range(m0, N))
+    for k, P, weights, index in op.passes:
+        assert P.shape == (dims[k], dims[k])
+        assert weights.shape == index.shape == (4, n)
+    assert op.corners.shape == (2 ** N, n)
     for _ in range(3):
         u = rng.normal(size=dims)
-        err = np.max(np.abs(op(u) - _scipy_transport(u, exact)))
+        err = np.max(np.abs(op(u) - _scipy_transport(u, coords, m0)))
         assert err <= 1e-14 * np.max(np.abs(u))
 
 
 def test_static_axis_keeps_both_edge_rows(proto):
     """A slice of ones remapped on the benchmark's 161^2 box keeps 1 on the
     x1 = lo and the x1 = hi rows at interior x2.  The feet (x - lo) / h
-    read the last x1 node as 160 + O(1e-13); on a static axis the remap
-    takes the node index, and no foot is outside."""
+    read the last x1 node as 160 + O(1e-13); the remap makes no pass along
+    the static x1 axis, and no foot is outside."""
     axes = [np.linspace(-4.0, 4.0, 161), np.linspace(-2.0, 2.0, 161)]
     dims = (161, 161)
     E = proto.exp_drift(-0.005)
@@ -200,15 +217,16 @@ def test_static_axis_keeps_both_edge_rows(proto):
     coords = np.stack([(feet[:, k] - axes[k][0]) / (axes[k][1] - axes[k][0])
                        for k in range(2)])
     assert coords[0, -1] > 160.0
-    out = pde._Transport(coords, dims, pde._static_axes(E))(np.ones(dims))
+    out = pde._Transport(coords, dims, 1)(np.ones(dims))
     for row in (out[0, 5:-5], out[-1, 5:-5]):
         assert np.max(np.abs(row - 1.0)) <= ROUNDOFF
 
 
 @pytest.mark.parametrize("blocks", [(1, 1), (1, 1, 1)])
 def test_static_axes_match_moving_solve(monkeypatch, blocks):
-    """The solver's final slice with the x^(0) axes static is within
-    rounding of a solve that interpolates along every axis."""
+    """The solver's final slice, its x^(0) axes static and one pass along
+    each other axis, is within rounding of a solve whose transport is the
+    scipy reference."""
     if blocks == (1, 1):
         g = _canonical_geometry(blocks)
         coeffs = {"A0": ConstantField(np.eye(1), dim=2)}
@@ -217,26 +235,22 @@ def test_static_axes_match_moving_solve(monkeypatch, blocks):
         g, coeffs = _keep_coeffs(blocks, with_bc=True)
         box, nx = [[-1.5, 1.5]] * 3, 21
     args = (coeffs, g, _Bump(), box, nx, 0.0, 0.15)
-    flags = []
+    built = []
     build = pde._Transport
 
-    def record(coords, dims, static):
-        flags.append(list(static))
-        return build(coords, dims, static)
+    def record(coords, dims, m0):
+        built.append(m0)
+        return build(coords, dims, m0)
     monkeypatch.setattr(pde, "_Transport", record)
-    static = pde.solve_cauchy(*args, keep="final").values[-1]
-    assert flags == [[True] + [False] * (g.N - 1)]
+    passes = pde.solve_cauchy(*args, keep="final").values[-1]
+    assert built == [g.structure.m0]
 
-    # the cubic stencil on every axis, the static feet held in the box
-    monkeypatch.setattr(pde, "_Transport", lambda coords, dims, static:
-                        build(np.where(np.asarray(static)[:, None],
-                                       np.clip(coords, 0, np.subtract(
-                                           dims, 1)[:, None]), coords),
-                              dims, [False] * len(dims)))
-    moving = pde.solve_cauchy(*args, keep="final").values[-1]
-    peak = np.max(np.abs(moving))
-    assert np.max(np.abs(static - moving)) <= 1e-11 * peak
-    assert not np.array_equal(static, moving), "the two paths differ"
+    monkeypatch.setattr(pde, "_Transport", lambda coords, dims, m0:
+                        lambda u: _scipy_transport(u, coords, m0))
+    reference = pde.solve_cauchy(*args, keep="final").values[-1]
+    peak = np.max(np.abs(reference))
+    assert np.max(np.abs(passes - reference)) <= 1e-11 * peak
+    assert not np.array_equal(passes, reference), "the two paths differ"
 
 
 def test_solve_needs_t1_after_t0(proto, proto_coeffs):
@@ -279,6 +293,40 @@ def test_solver_chain_n3_positive():
     peak = np.max(np.abs(sol.values))
     assert np.min(sol.values) >= -ROUNDOFF * peak
     assert np.max(np.abs(sol.values[-1] - sol.values[0])) > 1e-3 * peak
+
+
+def test_solver_self_converges_n3():
+    """On the (1,1,1) chain the final slice converges under refinement:
+    with A0 = 1 and the default dt, the gap between the 17^3 and 33^3
+    solves on their shared nodes (8.1% of the peak) is at least 2.5 times
+    the gap between the 33^3 and 65^3 solves (2.5%)."""
+    g = _canonical_geometry((1, 1, 1))
+    finals = [pde.solve_cauchy({"A0": ConstantField(np.eye(1), dim=3)}, g,
+                               _Bump(), [[-2, 2]] * 3, n, 0.0, 0.2,
+                               keep="final").values[-1]
+              for n in (17, 33, 65)]
+    gaps = [np.max(np.abs(fine[::2, ::2, ::2] - coarse)) / np.max(fine)
+            for coarse, fine in zip(finals, finals[1:])]
+    assert gaps[0] >= 2.5 * gaps[1]
+
+
+@pytest.mark.parametrize("blocks, nx", [
+    ((2, 1), 15), ((1, 1, 1), 15), ((2, 2, 1), 7), ((1, 1, 1, 1), 9),
+    ((3, 2, 1), 6)])
+def test_solver_positive_over_random_structures(blocks, nx):
+    """On a random canonical B and a checkerboard A0 in {I, 3I} the solve
+    completes, so the monotone audits hold at every step, and a datum >= 0
+    stays >= 0 up to rounding."""
+    rng = np.random.default_rng(sum(blocks) + len(blocks))
+    g = Geometry(BlockStructure(blocks), random_canonical_B(blocks, rng))
+    m0, N = g.structure.m0, g.N
+    A0 = CheckerboardField([np.eye(m0), 3.0 * np.eye(m0)], h=0.25, dim=N,
+                           seed=1)
+    sol = pde.solve_cauchy({"A0": A0}, g, _Bump(), [[-1.5, 1.5]] * N, nx,
+                           0.0, 0.2, keep="final")
+    peak = np.max(np.abs(sol.values))
+    assert peak > 0.0
+    assert np.min(sol.values) >= -ROUNDOFF * peak
 
 
 class _Bump:

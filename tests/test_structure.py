@@ -100,8 +100,12 @@ def test_random_canonical_is_hypoelliptic(blocks, seed):
 
 def _dilation_defect(B, structure, r):
     """max over the nonzero entries of delta_r B of the relative gap to
-    r^2 B delta_r, with delta_r = diag(r^alpha) from Geometry.dilate_space."""
-    D = Geometry(structure, B).dilate_space(r, np.ones(structure.N))
+    r^2 B delta_r, with delta_r = diag(r^alpha) from Geometry.dilate_space
+    of a canonical B of the same structure (Geometry refuses any other B;
+    the dilations depend on the structure alone)."""
+    canonical = random_canonical_B(structure.blocks,
+                                   np.random.default_rng(0))
+    D = Geometry(structure, canonical).dilate_space(r, np.ones(structure.N))
     lhs, rhs = D[:, None] * B, r * r * B * D[None, :]
     nz = lhs != 0.0
     return float(np.max(np.abs(lhs - rhs)[nz] / np.abs(lhs[nz])))

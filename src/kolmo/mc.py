@@ -17,11 +17,14 @@ hashes the box of the state's cells only on a step where the box is not
 the one of the step before, in the rough benchmark's layout about one step
 in four.  The step then has one drift update, one weight update and one
 noise product, an in-place lower-triangular pass over the columns of dW.
-Each chunk draws from its own child stream of the master seed, so the
-ensemble and every CSV and report made from it are byte-identical at any
-number of worker threads.  simulate runs under np.errstate(over="ignore",
-invalid="ignore"), and every chunk in a copy of its context, so an
-overflow on any thread ends in NonFinite alone, with no numpy warning.
+Each chunk draws its noise from its own stream, made by chunk_rng alone:
+an SFC64 generator on the child of the master seed's SeedSequence keyed
+by the chunk's index.  So the ensemble and every CSV and report made from
+it are byte-identical at any number of worker threads, and the provenance
+names the bit generator under "rng".  simulate runs under
+np.errstate(over="ignore", invalid="ignore"), and every chunk in a copy
+of its context, so an overflow on any thread ends in NonFinite alone,
+with no numpy warning.
 """
 
 import contextvars
@@ -99,9 +102,19 @@ def _sigma_chunk(A0_vals, lam):
     return L
 
 
+def chunk_rng(seed, ci):
+    """The generator chunk ci of a run seeded with seed draws its noise
+    from: SFC64, numpy's fastest bit generator, on the child ci of the
+    seed's SeedSequence, so the chunks' streams are independent of each
+    other and of the thread that runs each."""
+    return np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(entropy=seed, spawn_key=(ci,))))
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
-    """Euler-Maruyama from the deterministic point x0 at time t0 to t1; a
+    """Euler-Maruyama from the deterministic point x0 at time t0 to t1; t1
+    must exceed t0 and (t1 - t0) / dt be finite, else ArgumentError.  A
     state or a sum of squared weights that is not finite raises NonFinite."""
     if not t1 > t0:
         raise ArgumentError(f"t1 must exceed t0, got t0={t0!r}, t1={t1!r}")
@@ -109,7 +122,11 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
     m0 = geometry.structure.m0
     B = geometry.B
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), (N,))
-    nsteps = max(1, int(round((t1 - t0) / config.dt)))
+    steps = (t1 - t0) / config.dt
+    if not np.isfinite(steps):
+        raise ArgumentError(f"dt {config.dt!r} makes {steps!r} steps from "
+                            f"t0 = {t0!r} to t1 = {t1!r}")
+    nsteps = max(1, int(round(steps)))
     dt = (t1 - t0) / nsteps
     sqdt = np.sqrt(dt)
     if coeffs.get("A0") is None:
@@ -147,13 +164,13 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
     nchunks = -(-config.paths // CHUNK)
     final = np.empty((config.paths, N))
     logw = np.zeros(config.paths)
+    rngs = [chunk_rng(config.seed, ci) for ci in range(nchunks)]
 
     def run_chunk(ci):
         lo = ci * CHUNK
         hi = min(lo + CHUNK, config.paths)
         n = hi - lo
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=config.seed, spawn_key=(ci,)))
+        rng = rngs[ci]
         X = np.repeat(x0[:, None], n, axis=1)
         D = np.empty_like(X)
         dW = np.empty((n, m0))
@@ -210,7 +227,8 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
         raise NonFinite("Feynman-Kac weights overflow: sum w^2 is not finite")
     prov = {"seed": config.seed, "chunk": CHUNK, "nchunks": nchunks,
             "nsteps": nsteps, "dt": dt, "lam": config.lam,
-            "scheme": "euler"}
+            "scheme": "euler",
+            "rng": type(rngs[0].bit_generator).__name__}
     return PathEnsemble(final=final, weights=weights, t0=t0, t1=t1,
                         x0=np.array(x0), config=config, provenance=prov)
 

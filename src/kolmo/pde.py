@@ -278,7 +278,8 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
     keep="all" stores every time slice; keep="final" holds only the current
     one and returns the final slice alone (values of shape (1,) + dims and
     taxis [t1]).  Either way values[-1] is the slice at taxis[-1] = t1,
-    t1 must exceed t0 and a given dt must be positive (else ArgumentError).
+    t1 must exceed t0, a given dt must be positive and (t1 - t0) / dt must
+    be finite (else ArgumentError).
 
     Every step is audited as it is made: a non-finite value raises
     Unstable; where A0 is diagonal on the step (the step is then monotone),
@@ -321,7 +322,12 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
     elif dt_bound is not None and dt > dt_bound * (1.0 + 1e-12):
         raise Unstable(
             f"requested dt {dt:.3e} exceeds the stability bound {dt_bound:.3e}")
-    nt = max(2, int(math.ceil((t1 - t0) / dt)) + 1)
+    # as Python floats, whose overflow is inf without a numpy warning
+    steps = float(t1 - t0) / float(dt)
+    if not math.isfinite(steps):
+        raise ArgumentError(f"dt {dt!r} makes {steps!r} steps from t0 = "
+                            f"{t0!r} to t1 = {t1!r}")
+    nt = max(2, int(math.ceil(steps)) + 1)
     taxis = np.linspace(t0, t1, nt)
     dt = float(taxis[1] - taxis[0])
     u = np.asarray(phi.many(pts, t0), dtype=float).reshape(dims)

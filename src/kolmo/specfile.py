@@ -15,8 +15,7 @@ import numpy as np
 from . import coefficients as coeff
 from .errors import KolmoError, NotSPD
 from .group import Geometry, grid
-from .structure import BlockStructure, check_hypoellipticity, \
-    detect_canonical_form
+from .structure import BlockStructure, check_hypoellipticity
 
 SCHEMA = "kolmo-operator/1"
 CSV_BLOCK = 1024           # rows per formatted write in write_csv
@@ -28,20 +27,18 @@ class SpecError(KolmoError):
 
 class OperatorSpec:
     """An operator as a spec file describes it; `path` is the file it was
-    loaded from, if any."""
+    loaded from, if any.  Its one Geometry is built here, which checks that
+    B is in the canonical form of the structure's blocks."""
 
     def __init__(self, structure: BlockStructure, B, fields, window,
                  ellipticity):
+        self.geometry = Geometry(structure, B)
         self.structure = structure
-        self.B = B
+        self.B = self.geometry.B
         self.fields = fields
         self.window = window
         self.ellipticity = ellipticity
         self.path = None
-
-    @property
-    def geometry(self):
-        return Geometry(self.structure, self.B)
 
     def hypo_report(self):
         return check_hypoellipticity(self.B, self.structure.m0)
@@ -160,13 +157,14 @@ def from_dict(doc, base_dir=Path(".")):
         if not (win[0] < win[1] and 0.0 < ell[0] <= ell[1]):
             raise ValueError(f"window {win} and ellipticity {ell}: need "
                              f"T0 < T1 and 0 < lambda <= Lambda")
-        st = detect_canonical_form(B, blocks)
+        spec = OperatorSpec(structure=BlockStructure(blocks), B=B,
+                            fields={}, window=win, ellipticity=ell)
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise SpecError(f"missing or malformed field: {e}") from e
     if "A0" not in fdocs or not set(fdocs) <= set(coeff.RANK):
         raise SpecError(f"coefficients {sorted(fdocs)}: the operator has A0 "
                         f"and may have b and c, no others")
-    fields = {}
+    st, fields = spec.structure, spec.fields
     for k, v in fdocs.items():
         shape = (st.m0,) * coeff.RANK[k]
         f = _field_from_dict(v, Path(base_dir), st.N)
@@ -186,8 +184,7 @@ def from_dict(doc, base_dir=Path(".")):
         raise NotSPD(f"A0 takes the eigenvalue "
                      f"{lo if lo < ell[0] - slack else hi!r}, outside the "
                      f"declared ellipticity [{ell[0]!r}, {ell[1]!r}]")
-    return OperatorSpec(structure=st, B=B, fields=fields, window=win,
-                        ellipticity=ell)
+    return spec
 
 
 def load(path):

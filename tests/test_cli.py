@@ -772,6 +772,16 @@ def test_report_envelope(words, spec_path, tmp_path, capsys, monkeypatch):
     ["mc", "mass", "{spec}", "--paths", "10", "--y=nan,0"],
     ["mc", "mass", "{spec}", "--paths", "10", "--lambda", "nan"],
     ["mc", "mass", "{spec}", "--paths", "10", "--dt", "inf"],
+    ["mc", "simulate", "{spec}", "--paths", "10", "--dt", "1e-320",
+     "--out", "e.csv"],
+    ["mc", "mass", "{spec}", "--paths", "10", "--dt", "1e-320"],
+    ["mc", "density", "{spec}", "--box=-3,3;-2,2", "--bins", "4,4",
+     "--paths", "10", "--dt", "1e-320", "--out", "d.csv"],
+    ["solve", "cauchy", "{spec}", "--box=-4,4;-2,2", "--nx", "21,21",
+     "--t1", "0.3", "--dt", "1e-320", "--out", "c.csv"],
+    ["solve", "fundamental", "{spec}", "--box=-4,4;-2,2", "--nx", "21,41",
+     "--t1", "0.8", "--widths", "0.45,0.4", "--dt", "1e-320",
+     "--out", "f.csv"],
     ["solve", "cauchy", "{spec}", "--box=-4,4;-2,2", "--nx", "21,21",
      "--t1", "0.3", "--lambda", "nan", "--out", "c.csv"],
     ["solve", "cauchy", "{spec}", "--box=-4,4;-2,2", "--nx", "21,21",
@@ -808,7 +818,10 @@ def test_report_envelope(words, spec_path, tmp_path, capsys, monkeypatch):
         "self-test-nx", "self-test-widths", "fit-samples", "fit-seed",
         "kernel-lambda-nan", "grid-nan", "points-nan", "harnack-lambda-nan",
         "harnack-pole-nan", "cone-center-nan", "cone-center-t-inf",
-        "mc-mass-y-nan", "mc-lambda-nan", "mc-dt-inf", "cauchy-lambda-nan",
+        "mc-mass-y-nan", "mc-lambda-nan", "mc-dt-inf",
+        "mc-simulate-dt-overflow", "mc-mass-dt-overflow",
+        "mc-density-dt-overflow", "cauchy-dt-overflow",
+        "fundamental-dt-overflow", "cauchy-lambda-nan",
         "cauchy-t1-inf", "reproduce-seed", "harnack-seed", "global-seed",
         "self-test-seed", "mc-simulate-seed", "mc-mass-seed",
         "mc-density-seed", "harnack-out-without-sweep",

@@ -118,8 +118,7 @@ def _row_major_simulate(coeffs, geometry, x0, t0, t1, config):
         lo = ci * mc.CHUNK
         hi = min(lo + mc.CHUNK, config.paths)
         n = hi - lo
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=config.seed, spawn_key=(ci,)))
+        rng = mc.chunk_rng(config.seed, ci)
         X = np.tile(x0, (n, 1))
         lw = np.zeros(n)
         t = t0
@@ -438,6 +437,21 @@ def test_determinism_and_thread_independence(proto, proto_coeffs):
                     mc.McConfig(**kw, threads=4))
     assert np.array_equal(a.final, b.final)
     assert np.array_equal(a.final, c.final)
+
+
+def test_provenance_names_the_chunk_stream(proto, proto_coeffs):
+    """The provenance's "rng" is the bit generator a chunk's noise is drawn
+    from, the one chunk_rng builds, beside the scheme; and two chunks of one
+    seed draw different streams."""
+    cfg = mc.McConfig(paths=mc.CHUNK + 10, dt=5e-2, seed=7)
+    ens = mc.simulate(proto_coeffs, proto, np.zeros(2), 0.0, 0.1, cfg)
+    rng = mc.chunk_rng(cfg.seed, 0)
+    assert ens.provenance["rng"] == type(rng.bit_generator).__name__ \
+        == "SFC64"
+    assert ens.provenance["scheme"] == "euler"
+    assert ens.provenance["nchunks"] == 2
+    assert not np.array_equal(rng.standard_normal(8),
+                              mc.chunk_rng(cfg.seed, 1).standard_normal(8))
 
 
 def test_feynman_kac_weights(proto, proto_coeffs):

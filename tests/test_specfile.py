@@ -1,12 +1,13 @@
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kolmo import coefficients as coeff
-from kolmo import specfile
+from kolmo import specfile, structure
 from kolmo.specfile import SpecError
 
 
@@ -156,6 +157,29 @@ def test_non_canonical_drift_rejected(tmp_path):
     p.write_text(json.dumps(doc))
     with pytest.raises(NotCanonical):
         specfile.load(p)
+
+
+def test_load_checks_the_canonical_form_once(tmp_path, monkeypatch):
+    """A loaded spec holds the one Geometry its load built: loading runs
+    the canonical-form check once, and every read of spec.geometry returns
+    that object without checking again."""
+    p = specfile.save(specfile.prototype_spec(), tmp_path / "proto.json")
+    calls = []
+    orig = structure.detect_canonical_form
+
+    def counted(B, blocks):
+        calls.append(tuple(blocks))
+        return orig(B, blocks)
+
+    # patch every module global bound to the check, as perfbench's tracer
+    for name, m in list(sys.modules.items()):
+        if (name.split(".")[0] == "kolmo"
+                and getattr(m, "detect_canonical_form", None) is orig):
+            monkeypatch.setattr(m, "detect_canonical_form", counted)
+    spec = specfile.load(p)
+    g = spec.geometry
+    assert spec.geometry is g and g.B is spec.B
+    assert calls == [(1, 1)]
 
 
 def test_unknown_field_kind_rejected():

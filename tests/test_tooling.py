@@ -480,3 +480,25 @@ def test_no_module_imports_warnings():
                 continue
             found += [name for n in names if n.split(".")[0] == "warnings"]
     assert found == []
+
+
+def _call_sites(trees, callee):
+    """(module, enclosing top-level definition or None) of every call in
+    the library to a callable named callee."""
+    sites = set()
+    for mod, tree in trees.items():
+        for top in tree.body:
+            where = top.name if isinstance(
+                top, (ast.FunctionDef, ast.ClassDef)) else None
+            sites |= {(mod[:-3], where) for n in ast.walk(top)
+                      if isinstance(n, ast.Call) and _name(n) == callee}
+    return sites
+
+
+def test_one_ensemble_stream_rule():
+    """The Monte Carlo ensemble's noise stream is defined in one place:
+    the only SeedSequence the library builds is the one in mc.chunk_rng,
+    which simulate draws every chunk's generator from."""
+    trees = _trees()
+    assert _call_sites(trees, "SeedSequence") == {("mc", "chunk_rng")}
+    assert ("mc", "simulate") in _call_sites(trees, "chunk_rng")

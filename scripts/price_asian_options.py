@@ -3,9 +3,12 @@
 The path-dependent payoff closes under (log-price, running integral of the
 log-price), whose generator is the degenerate prototype operator; the price
 follows from a one-dimensional quadrature over the terminal Gaussian and is
-cross-checked by Monte Carlo on the same SDE.  A strike whose two prices
-differ by more than the cross-check's budget ends the run with a non-zero
-exit status.
+cross-checked by Monte Carlo on the same SDE.  The coefficients are
+constants, so `kolmo.mc` draws each terminal state from the Euler chain's
+law, computed by the chain's own recursion on its mean and covariance: the
+cross-check stays independent of `kernel.covariance_matrix` and of the
+quadrature.  A strike whose two prices differ by more than the
+cross-check's budget ends the run with a non-zero exit status.
 
     python scripts/price_asian_options.py --strikes 90,100,110 --paths 100000
 """
@@ -30,9 +33,10 @@ def asian_price(S0, K, r, sigma, T, paths=200000, seed=0, dt=1e-3):
     prototype with constant diffusion sigma^2/2 on x1 and drift x1 feeding
     x2, so the terminal law is the model Gaussian and the price reduces to a
     one-dimensional quadrature; an independent Monte Carlo run on the same
-    SDE cross-checks it.  The report's gap is |quadrature - MC| and its
-    budget 3 MC standard errors plus quad_tol, the quadrature's own error
-    estimate (the change from 150 to 200 nodes).
+    SDE, drawn from its Euler chain's law at step dt, cross-checks it.  The
+    report's gap is |quadrature - MC| and its budget 3 MC standard errors
+    plus quad_tol, the quadrature's own error estimate (the change from 150
+    to 200 nodes).
     """
     B = np.array([[0.0, 0.0], [-1.0, 0.0]])   # dx2 = +x1 dt under -B
     g = Geometry(BlockStructure((1, 1)), B)

@@ -1,5 +1,8 @@
 """`kolmo mc simulate|density|mass`: one Euler-Maruyama ensemble, written
-out, binned, or measured on a D_R ball."""
+out, binned, or measured on a D_R ball.  A spec whose coefficients are all
+constants gets end states drawn from the Euler chain's law, any other spec
+stepped paths; the report's provenance names which, "draw": "law" or
+"steps"."""
 
 import numpy as np
 

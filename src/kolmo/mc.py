@@ -1,30 +1,41 @@
 """Monte Carlo simulation of the degenerate diffusion attached to the
 operator: dX = (-B X + b(X, t)) dt + sigma(X, t) dW with noise acting on the
 first m0 coordinates only, sigma sigma^T = lam A0, and Feynman-Kac weights
-exp(int c dt).
+exp(int c dt), by the Euler-Maruyama chain of step dt.
 
-Paths run in fixed-size chunks, each stepped in place as a column-major
-(N, n) state, one contiguous row per coordinate, in buffers allocated once
-per chunk; the fields see the (n, N) row view X.T.  Each step reads every
-coefficient as a (k, n) array of components (A0 as the factor of lam * A0,
-b as it is, c as dt * c): a constant's is made once per call as (k, 1), a
-checkerboard's is gathered from a table of its values' components, made
-once per call, and any other field's is made from its values at the state.
-The checkerboards of one cell side share one cell pass and one gather per
-step: their tables are stacked, and a lookup per side hashes the cells for
-every board at once and takes all their components into one buffer; it
-hashes the box of the state's cells only on a step where the box is not
-the one of the step before, in the rough benchmark's layout about one step
-in four.  The step then has one drift update, one weight update and one
-noise product, an in-place lower-triangular pass over the columns of dW.
-Each chunk draws its noise from its own stream, made by chunk_rng alone:
-an SFC64 generator on the child of the master seed's SeedSequence keyed
-by the chunk's index.  So the ensemble and every CSV and report made from
-it are byte-identical at any number of worker threads, and the provenance
-names the bit generator under "rng".  simulate runs under
-np.errstate(over="ignore", invalid="ignore"), and every chunk in a copy
-of its context, so an overflow on any thread ends in NonFinite alone,
-with no numpy warning.
+An ensemble is made one of two ways, and the provenance names which under
+"draw".  Where every coefficient present is held (has a value: a
+constant), the chain is a linear Gaussian recursion, and each path's end
+state is drawn from its law N(mu, S), computed once per call by running
+the recursion on the mean and covariance ("law"): N normals per path.
+Its weight is the chain's own, exp of the float sum of dt * c over the
+steps.  Any other ensemble is stepped ("steps"): m0 normals per path and
+step.
+
+Stepped paths run in fixed-size chunks, each stepped in place as a
+column-major (N, n) state, one contiguous row per coordinate, in buffers
+allocated once per chunk; the fields see the (n, N) row view X.T.  Each
+step reads every coefficient as a (k, n) array of components (A0 as the
+factor of lam * A0, b as it is, c as dt * c): a constant's is made once
+per call as (k, 1), a checkerboard's is gathered from a table of its
+values' components, made once per call, and any other field's is made
+from its values at the state.  The checkerboards of one cell side share
+one cell pass and one gather per step: their tables are stacked, and a
+lookup per side hashes the cells for every board at once and takes all
+their components into one buffer; it hashes the box of the state's cells
+only on a step where the box is not the one of the step before, in the
+rough benchmark's layout about one step in four.  The step then has one
+drift update, one weight update and one noise product, an in-place
+lower-triangular pass over the columns of dW.
+
+Both draws run in the same chunks, and each chunk draws its normals from
+its own stream, made by chunk_rng alone: an SFC64 generator on the child
+of the master seed's SeedSequence keyed by the chunk's index.  So the
+ensemble and every CSV and report made from it are byte-identical at any
+number of worker threads, and the provenance names the bit generator
+under "rng".  simulate runs under np.errstate(over="ignore",
+invalid="ignore"), and every chunk in a copy of its context, so an
+overflow on any thread ends in NonFinite alone, with no numpy warning.
 """
 
 import contextvars
@@ -111,11 +122,48 @@ def chunk_rng(seed, ci):
         np.random.SeedSequence(entropy=seed, spawn_key=(ci,))))
 
 
+def _euler_law(held, geometry: Geometry, x0, dt, nsteps, tau):
+    """The law N(mu, S) of the Euler chain's end state after nsteps steps
+    from x0 when every coefficient is held: X <- F X + g + Sigma Z, Z
+    standard normal, with F = I - dt B, g = dt b on the first m0
+    coordinates and Sigma = sqrt(dt) [L; 0], L the factor of lam * A0, so
+    mu <- F mu + g and S <- F S F^T + Sigma Sigma^T.  Returns mu, a factor
+    R with R R^T = S and the chain's log-weight, the float sum of dt c over
+    the steps as the stepped loop adds it.  A mean or covariance that is
+    not finite raises NonFinite.  R is taken from S scaled by the dilation
+    sqrt(tau)^alpha, with its eigenvalues clipped at 0, so a chain shorter
+    than its block count, whose S is singular, is factored too."""
+    N, m0 = geometry.N, geometry.structure.m0
+    F = np.eye(N) - dt * geometry.B
+    g = np.zeros(N)
+    if "b" in held:
+        g[:m0] = dt * held["b"][:, 0]
+    Sigma = np.zeros((N, m0))
+    Sigma[:m0] = np.sqrt(dt) * held["A0"].reshape(m0, m0)
+    Q = Sigma @ Sigma.T
+    dc = held["c"][0] if "c" in held else 0.0
+    mu, S, lw = np.array(x0), np.zeros((N, N)), np.zeros(1)
+    for _ in range(nsteps):
+        mu = F @ mu + g
+        S = F @ S @ F.T + Q
+        lw += dc
+    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(S))):
+        raise NonFinite("non-finite state in the Euler chain's law")
+    d = np.sqrt(tau) ** np.asarray(geometry.structure.alpha, dtype=float)
+    w, V = np.linalg.eigh(S / np.outer(d, d))
+    return mu, d[:, None] * V * np.sqrt(np.maximum(w, 0.0)), lw
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
     """Euler-Maruyama from the deterministic point x0 at time t0 to t1; t1
-    must exceed t0 and (t1 - t0) / dt be finite, else ArgumentError.  A
-    state or a sum of squared weights that is not finite raises NonFinite."""
+    must exceed t0 and (t1 - t0) / dt be finite, else ArgumentError.  With
+    every coefficient present held, each end state is drawn from the
+    chain's law (provenance "draw": "law"); with any checkerboard or other
+    field the chain is stepped ("draw": "steps").  Either way the law is
+    the Euler chain's at the step dt.  A state, a mean or covariance of the
+    law, or a sum of squared weights that is not finite raises
+    NonFinite."""
     if not t1 > t0:
         raise ArgumentError(f"t1 must exceed t0, got t0={t0!r}, t1={t1!r}")
     N = geometry.N
@@ -165,12 +213,18 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
     final = np.empty((config.paths, N))
     logw = np.zeros(config.paths)
     rngs = [chunk_rng(config.seed, ci) for ci in range(nchunks)]
+    # with every coefficient held the chain is a linear Gaussian recursion:
+    # each chunk draws its end states from the chain's law
+    law = None if tables or other else _euler_law(held, geometry, x0, dt,
+                                                  nsteps, t1 - t0)
 
-    def run_chunk(ci):
-        lo = ci * CHUNK
-        hi = min(lo + CHUNK, config.paths)
-        n = hi - lo
-        rng = rngs[ci]
+    def draw(rng, n):
+        mu, R, lw = law
+        Y = rng.standard_normal((n, N)) @ R.T
+        Y += mu
+        return Y, lw
+
+    def step(rng, n):
         X = np.repeat(x0[:, None], n, axis=1)
         D = np.empty_like(X)
         dW = np.empty((n, m0))
@@ -210,9 +264,15 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
             X[:m0] += dW.T
             X += D
             t += dt
-        if not np.all(np.isfinite(X)):
+        return X.T, lw
+
+    def run_chunk(ci):
+        lo = ci * CHUNK
+        hi = min(lo + CHUNK, config.paths)
+        Y, lw = (step if law is None else draw)(rngs[ci], hi - lo)
+        if not np.all(np.isfinite(Y)):
             raise NonFinite("non-finite state in Euler-Maruyama chunk")
-        final[lo:hi] = X.T
+        final[lo:hi] = Y
         logw[lo:hi] = lw
 
     # one copy per chunk: a context is entered by one thread at a time
@@ -227,7 +287,7 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
         raise NonFinite("Feynman-Kac weights overflow: sum w^2 is not finite")
     prov = {"seed": config.seed, "chunk": CHUNK, "nchunks": nchunks,
             "nsteps": nsteps, "dt": dt, "lam": config.lam,
-            "scheme": "euler",
+            "scheme": "euler", "draw": "steps" if law is None else "law",
             "rng": type(rngs[0].bit_generator).__name__}
     return PathEnsemble(final=final, weights=weights, t0=t0, t1=t1,
                         x0=np.array(x0), config=config, provenance=prov)

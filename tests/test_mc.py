@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -202,6 +203,15 @@ def _constant_coeffs(m0, N):
             "c": ConstantField(np.array(-0.3), dim=N)}
 
 
+def _as_boards(coeffs, names=("A0",)):
+    """coeffs with each held field of names passed as a one-value
+    checkerboard of its value: a board is read from its table, so the
+    ensemble is stepped, where held fields alone are drawn from the Euler
+    chain's law; a one-value board steps bitwise as its constant."""
+    return {k: CheckerboardField([f.value], h=0.25, dim=f.dim, seed=3)
+            if k in names else f for k, f in coeffs.items()}
+
+
 def _ensembles(coeffs, g, x0, paths):
     return [mc.simulate(coeffs, g, x0, 0.1, 0.3,
                         mc.McConfig(paths=paths, dt=0.02, seed=11, lam=2.0,
@@ -215,15 +225,18 @@ def _ensembles(coeffs, g, x0, paths):
 def test_column_major_loop_bitwise_row_major(blocks, kind):
     """Where every row of B has one non-zero the column-major loop is
     bitwise the old row-major one, at 1 and 2 threads, over a partial
-    last chunk, with constant A0; checkerboard A0, b and c of two sides,
-    each read through its own cell lookup, or of one side sharing one, as
-    in the rough benchmark; grid-field A0, b and c, read by many at every
-    step; or constant A0, b and c.  The old loop reads each field by its
-    own many."""
+    last chunk, with a one-value checkerboard A0; checkerboard A0, b and c
+    of two sides, each read through its own cell lookup, or of one side
+    sharing one, as in the rough benchmark; grid-field A0, b and c, read by
+    many at every step; or a one-value checkerboard A0 with constant b and
+    c, read from the table and held.  The old loop reads each field by its
+    own many.  (With every field held the ensemble is drawn from the
+    chain's law and not stepped, so A0 is a board here.)"""
     g = Geometry(BlockStructure(blocks),
                  random_canonical_B(blocks, np.random.default_rng(7)))
     if kind == "constant":
-        coeffs = {"A0": ConstantField(np.array([[0.7]]), dim=g.N)}
+        coeffs = _as_boards({"A0": ConstantField(np.array([[0.7]]),
+                                                 dim=g.N)})
     elif kind == "checkerboard":
         coeffs = _rough_coeffs(1, g.N, with_bc=True)
     elif kind == "one side":
@@ -231,7 +244,7 @@ def test_column_major_loop_bitwise_row_major(blocks, kind):
     elif kind == "sampled":
         coeffs = _sampled_coeffs(1, g.N, with_bc=True)
     else:
-        coeffs = _constant_coeffs(1, g.N)
+        coeffs = _as_boards(_constant_coeffs(1, g.N))
     x0 = np.linspace(-0.3, 0.4, g.N)
     paths = mc.CHUNK + 1000
     final, logw = _row_major_simulate(
@@ -251,8 +264,9 @@ def test_column_major_loop_matches_row_major_dense_B(blocks):
     included.  The inputs are a checkerboard A0 with cross terms, alone
     and with b and c of its side (one lookup) or of another (two lookups),
     each factored once per value of its table where the old loop factors
-    every state; a grid-field A0, factored per state; and constant A0, b
-    and c, the factor made once per call."""
+    every state; a grid-field A0, factored per state; and a one-value
+    checkerboard A0 with constant b and c, which steps (held fields alone
+    are drawn from the chain's law), its one factor made once per call."""
     g = Geometry(BlockStructure(blocks),
                  random_canonical_B(blocks, np.random.default_rng(5)))
     m0 = g.structure.m0
@@ -262,7 +276,7 @@ def test_column_major_loop_matches_row_major_dense_B(blocks):
                    _rough_coeffs(m0, g.N, with_bc=True, h_bc=0.25),
                    _rough_coeffs(m0, g.N, with_bc=True),
                    _sampled_coeffs(m0, g.N, with_bc=False),
-                   _constant_coeffs(m0, g.N)):
+                   _as_boards(_constant_coeffs(m0, g.N))):
         final, _ = _row_major_simulate(
             coeffs, g, x0, 0.1, 0.3,
             mc.McConfig(paths=paths, dt=0.02, seed=11))
@@ -322,19 +336,29 @@ def _raises_non_finite(coeffs, geometry):
 
 
 def test_non_finite_state_raises(proto):
-    """A state that overflows ends in NonFinite, not in an ensemble.  Each
-    chunk runs in a copy of the caller's context, so the caller's
-    np.errstate silences the overflow (and the inf - inf it leads to) on
-    the worker threads too, at one and at two threads: no RuntimeWarning is
-    emitted."""
+    """A state that overflows ends in NonFinite, not in an ensemble.  With
+    A0 and b held, the mean of the chain's law overflows: at one and at two
+    threads no RuntimeWarning is emitted."""
     _raises_non_finite({"A0": ConstantField(np.eye(1), dim=2),
                         "b": ConstantField(np.array([1e308]), dim=2)}, proto)
 
 
+def test_law_refuses_a_non_finite_law(proto):
+    """Held A0 = 1e308: lam * A0 overflows, so the covariance of the
+    chain's law is not finite, and the law itself raises NonFinite before
+    any chunk draws, where eigh would hand back NaN factors silently."""
+    coeffs = {"A0": ConstantField(np.array([[1e308]]), dim=2)}
+    with pytest.raises(NonFinite, match="chain's law"):
+        mc.simulate(coeffs, proto, np.zeros(2), 0.0, 1.0,
+                    mc.McConfig(paths=10, dt=0.5, seed=0))
+
+
 def test_non_finite_rough_state_raises(proto, monkeypatch):
     """The same for checkerboard A0, b and c of one side, read through one
-    lookup: once the state overflows, its cells are non-finite, and the
-    lookup hashes each row."""
+    lookup, so the paths are stepped: once the state overflows, its cells
+    are non-finite, and the lookup hashes each row.  Each chunk runs in a
+    copy of the caller's context, so the caller's np.errstate silences the
+    overflow (and the inf - inf it leads to) on the worker threads too."""
     coeffs = _benchmark_rough_coeffs(2)
     coeffs["b"] = CheckerboardField([np.array([1e308]), np.array([-1e308])],
                                     h=0.25, dim=2, seed=22)
@@ -414,6 +438,77 @@ def test_mc_matches_lam_C_over_block_structures(blocks):
     assert np.all(np.abs(prod.mean(axis=0) - C) <= 5.0 * se + np.abs(S - C))
 
 
+@pytest.mark.parametrize("blocks", [(1, 1), (2, 1), (1, 1, 1), (2, 2, 1),
+                                    (1, 1, 1, 1)])
+def test_law_draw_has_the_stepped_chains_law(blocks):
+    """Held A0 (with cross terms for m0 >= 2), b and c: the ensemble is
+    drawn from the Euler chain's law.  Its mean and covariance lie within
+    5 standard errors of the chain's exact moments, from the recursion
+    X <- X - dt (B X - b) + sqrt(dt) sigma dW run on the moments here; at
+    this dt the chain's covariance is off lam C(t) by more than that.  Its
+    weights are bitwise those of the same fields stepped as one-value
+    checkerboards: exp of the float sum of dt c over the steps, which over
+    these 12 steps differs from exp(nsteps * dt c).  It is byte-identical
+    at 1 and 2 threads."""
+    rng = np.random.default_rng(sum(blocks) * 10 + len(blocks))
+    g = Geometry(BlockStructure(blocks), random_canonical_B(blocks, rng))
+    N, m0, lam, t0, t1 = g.N, g.structure.m0, 2.0, 0.1, 0.7
+    x0 = rng.uniform(-0.5, 0.5, N)
+    coeffs = _constant_coeffs(m0, N)
+    cfg = mc.McConfig(paths=100_000, dt=0.05, seed=len(blocks), lam=lam)
+    one, two = [mc.simulate(coeffs, g, x0, t0, t1, replace(cfg, threads=th))
+                for th in (1, 2)]
+    assert one.provenance["draw"] == "law"
+    assert np.array_equal(one.final, two.final)
+    assert np.array_equal(one.weights, two.weights)
+
+    nsteps, dt = one.provenance["nsteps"], one.provenance["dt"]
+    b = np.zeros(N)
+    b[:m0] = coeffs["b"].value
+    Q = np.zeros((N, N))
+    Q[:m0, :m0] = lam * dt * coeffs["A0"].value
+    mean, S = x0.copy(), np.zeros((N, N))
+    for _ in range(nsteps):
+        mean = mean - dt * (g.B @ mean - b)
+        S = S - dt * (g.B @ S + S @ g.B.T) + dt * dt * g.B @ S @ g.B.T + Q
+    X = one.final
+    assert np.all(np.abs(X.mean(axis=0) - mean)
+                  <= 5.0 * X.std(axis=0) / np.sqrt(cfg.paths))
+    D = X - mean
+    prod = D[:, :, None] * D[:, None, :]
+    se = prod.std(axis=0) / np.sqrt(cfg.paths)
+    assert np.all(np.abs(prod.mean(axis=0) - S) <= 5.0 * se)
+    C = lam * kern.covariance_matrix(t1 - t0, g.B, coeffs["A0"].value)
+    assert np.any(np.abs(S - C) > 5.0 * se)
+
+    stepped = mc.simulate(_as_boards(coeffs, ("A0", "b", "c")), g, x0, t0,
+                          t1, cfg)
+    assert stepped.provenance["draw"] == "steps"
+    assert np.array_equal(one.weights, stepped.weights)
+    dc = dt * float(coeffs["c"].value)
+    assert np.all(one.weights != np.exp(nsteps * dc))
+
+
+def test_law_draw_of_one_step_noises_the_first_block_alone():
+    """On (1,1,1) with dt = t1 - t0 the chain takes one step, fewer than
+    its 3 blocks, so its covariance is singular: x^(0) varies and x^(1),
+    x^(2) are their deterministic one-step values on every path."""
+    blocks = (1, 1, 1)
+    g = Geometry(BlockStructure(blocks),
+                 random_canonical_B(blocks, np.random.default_rng(3)))
+    x0 = np.array([0.2, -0.4, 0.3])
+    coeffs = _constant_coeffs(1, g.N)
+    t0, t1 = 0.0, 0.3
+    ens = mc.simulate(coeffs, g, x0, t0, t1,
+                      mc.McConfig(paths=1000, dt=t1 - t0, seed=2))
+    assert ens.provenance["draw"] == "law"
+    assert ens.provenance["nsteps"] == 1
+    step = x0 - (t1 - t0) * (g.B @ x0)
+    assert np.all(ens.final[:, 1:] == ens.final[0, 1:])
+    assert np.allclose(ens.final[0, 1:], step[1:], rtol=1e-14, atol=0.0)
+    assert np.std(ens.final[:, 0]) > 0.0
+
+
 def test_moments_match_kernel(proto, proto_coeffs):
     x0 = np.array([0.3, -0.1])
     tau = 0.4
@@ -427,29 +522,36 @@ def test_moments_match_kernel(proto, proto_coeffs):
 
 
 def test_determinism_and_thread_independence(proto, proto_coeffs):
+    """Repeats and thread counts give the same ensemble, drawn from the
+    chain's law (constant A0) or stepped (the rough benchmark's layout)."""
     x0 = np.zeros(2)
     kw = dict(paths=50_000, dt=5e-3, seed=17, lam=2.0)
-    a = mc.simulate(proto_coeffs, proto, x0, 0.0, 0.2,
-                    mc.McConfig(**kw, threads=1))
-    b = mc.simulate(proto_coeffs, proto, x0, 0.0, 0.2,
-                    mc.McConfig(**kw, threads=1))
-    c = mc.simulate(proto_coeffs, proto, x0, 0.0, 0.2,
-                    mc.McConfig(**kw, threads=4))
-    assert np.array_equal(a.final, b.final)
-    assert np.array_equal(a.final, c.final)
+    for coeffs, draw in ((proto_coeffs, "law"),
+                         (_benchmark_rough_coeffs(2), "steps")):
+        a, b, c = [mc.simulate(coeffs, proto, x0, 0.0, 0.2,
+                               mc.McConfig(**kw, threads=threads))
+                   for threads in (1, 1, 4)]
+        assert a.provenance["draw"] == draw
+        for other in (b, c):
+            assert np.array_equal(a.final, other.final)
+            assert np.array_equal(a.weights, other.weights)
 
 
 def test_provenance_names_the_chunk_stream(proto, proto_coeffs):
     """The provenance's "rng" is the bit generator a chunk's noise is drawn
-    from, the one chunk_rng builds, beside the scheme; and two chunks of one
-    seed draw different streams."""
+    from, the one chunk_rng builds, beside the scheme and the draw: "law"
+    for held coefficients, "steps" for a checkerboard; and two chunks of
+    one seed draw different streams."""
     cfg = mc.McConfig(paths=mc.CHUNK + 10, dt=5e-2, seed=7)
-    ens = mc.simulate(proto_coeffs, proto, np.zeros(2), 0.0, 0.1, cfg)
     rng = mc.chunk_rng(cfg.seed, 0)
-    assert ens.provenance["rng"] == type(rng.bit_generator).__name__ \
-        == "SFC64"
-    assert ens.provenance["scheme"] == "euler"
-    assert ens.provenance["nchunks"] == 2
+    for coeffs, draw in ((proto_coeffs, "law"),
+                         (_as_boards(proto_coeffs), "steps")):
+        ens = mc.simulate(coeffs, proto, np.zeros(2), 0.0, 0.1, cfg)
+        assert ens.provenance["rng"] == type(rng.bit_generator).__name__ \
+            == "SFC64"
+        assert ens.provenance["scheme"] == "euler"
+        assert ens.provenance["draw"] == draw
+        assert ens.provenance["nchunks"] == 2
     assert not np.array_equal(rng.standard_normal(8),
                               mc.chunk_rng(cfg.seed, 1).standard_normal(8))
 

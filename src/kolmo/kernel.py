@@ -15,6 +15,10 @@ import numpy as np
 from .errors import ArgumentError, NotSPD
 from .group import Geometry, grid, point
 
+# The most rows gamma_many evaluates at once; more are taken block by
+# block, which holds its scratch near 0.5 MB on the prototype.
+GAMMA_BLOCK = 4096
+
 
 def covariance_poly_coeffs(B, A0):
     """Exact polynomial C(t) = sum_p t^p M_p for nilpotent B.
@@ -134,10 +138,31 @@ def quad_logdet(w, params: KernelParams):
 def gamma_many(points, zeta, params: KernelParams, log=False):
     """Kernel at each row of points ([x..., t]) with pole zeta, evaluated at
     zeta^{-1} o z; zeta is one pole or one per row.  With log=True the
-    log-kernel is returned (-inf off the support), avoiding underflow."""
+    log-kernel is returned (-inf off the support), avoiding underflow.
+    Rows are evaluated GAMMA_BLOCK at a time, a per-row pole sliced with
+    its rows; each row's numbers are its own, so the blocks change no
+    value, only the scratch held at once."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    zeta = np.asarray(zeta, dtype=float)
+    n = max(len(points), len(zeta) if zeta.ndim == 2 else 1)
+    if n <= GAMMA_BLOCK:
+        return _gamma_block(points, zeta, params, log)
+    out = np.empty(n)
+    for start in range(0, n, GAMMA_BLOCK):
+        rows = slice(start, start + GAMMA_BLOCK)
+        out[rows] = _gamma_block(_rows(points, rows), _rows(zeta, rows),
+                                 params, log)
+    return out
+
+
+def _rows(a, rows):
+    """The rows of a per-row array; a itself where it is one point."""
+    return a[rows] if a.ndim == 2 and len(a) > 1 else a
+
+
+def _gamma_block(points, zeta, params, log):
     g = params.geometry
-    w = g.compose(g.inverse(np.asarray(zeta, dtype=float)), points)
+    w = g.compose(g.inverse(zeta), points)
     lg = np.full(w.shape[0], -np.inf)
     pos = w[:, -1] > 0.0
     if pos.any():

@@ -36,6 +36,15 @@ COURANT = 0.9
 # 161^2, the worst final-slice error against the exact kernel read 3.9, 3.7,
 # 3.2 and 3.8% of the peak at 1, 2, 4 and 8 times that bound.
 DIFFUSION_STEPS = 4
+# The most time steps a solve makes.  On a 2-core x86-64 VM a prototype
+# step takes 0.15 ms at 21^2 and 1.6 ms at 161^2, so 10^6 steps take 2.5
+# and 27 minutes; past the bound a dt is refused before the time axis is
+# made.
+MAX_STEPS = 10 ** 6
+# The most bytes of node rows and transport tables a solve may hold, 1 GiB:
+# the benchmark's 161^2 solve holds 2.7 MB.  A grid past it is refused
+# before its node rows are built.
+MAX_SOLVE_BYTES = 2 ** 30
 
 
 @dataclass
@@ -121,7 +130,9 @@ class _GridCoeffs:
 
 
 def _pad_zero(u):
-    return np.pad(u, 1, mode="constant")
+    up = np.zeros(tuple(d + 2 for d in u.shape), dtype=u.dtype)
+    up[(slice(1, -1),) * u.ndim] = u
+    return up
 
 
 def _pad_edge(a, spatial_ndim):
@@ -279,7 +290,8 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
     one and returns the final slice alone (values of shape (1,) + dims and
     taxis [t1]).  Either way values[-1] is the slice at taxis[-1] = t1,
     t1 must exceed t0, a given dt must be positive and (t1 - t0) / dt must
-    be finite (else ArgumentError).
+    not exceed MAX_STEPS, nor may the node rows and transport tables take
+    more than MAX_SOLVE_BYTES (else ArgumentError, before they are made).
 
     Every step is audited as it is made: a non-finite value raises
     Unstable; where A0 is diagonal on the step (the step is then monotone),
@@ -299,6 +311,13 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
     N = geometry.N
     m0 = geometry.structure.m0
     box, nx, axes, hs = _grid_axes(box, nx, N)
+    held = 8 * N * math.prod(nx)
+    if np.any(geometry.B):
+        held += _table_bytes(nx, m0)
+    if held > MAX_SOLVE_BYTES:
+        raise ArgumentError(f"nx = {nx}: the node rows and transport tables "
+                            f"take {held:.3e} bytes, beyond the bound "
+                            f"{MAX_SOLVE_BYTES:.3e}")
     on_grid = _GridCoeffs(coeffs, axes, m0)
     pts, dims = on_grid.pts, on_grid.dims
 
@@ -324,22 +343,26 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
             f"requested dt {dt:.3e} exceeds the stability bound {dt_bound:.3e}")
     # as Python floats, whose overflow is inf without a numpy warning
     steps = float(t1 - t0) / float(dt)
-    if not math.isfinite(steps):
+    if not steps <= MAX_STEPS:
         raise ArgumentError(f"dt {dt!r} makes {steps!r} steps from t0 = "
-                            f"{t0!r} to t1 = {t1!r}")
+                            f"{t0!r} to t1 = {t1!r}, beyond the bound of "
+                            f"{MAX_STEPS} steps")
     nt = max(2, int(math.ceil(steps)) + 1)
     taxis = np.linspace(t0, t1, nt)
     dt = float(taxis[1] - taxis[0])
     u = np.asarray(phi.many(pts, t0), dtype=float).reshape(dims)
 
     # the semi-Lagrangian remap to the feet x_foot = e^{dt B} x, built once;
-    # the x^(0) block stays put
+    # the x^(0) block stays put.  The feet and their index coordinates are
+    # freed as soon as they have been read.
     transport = None
     if np.any(geometry.B):
         feet = pts @ geometry.exp_drift(-dt).T
-        transport = _Transport(np.stack(
-            [(feet[:, k] - axes[k][0]) / hs[k] for k in range(N)], axis=0),
-            dims, m0)
+        coords = np.stack([(feet[:, k] - axes[k][0]) / hs[k]
+                           for k in range(N)], axis=0)
+        del feet
+        transport = _Transport(coords, dims, m0)
+        del coords
 
     bmask = np.ones(dims, dtype=bool)
     bmask[(slice(1, -1),) * N] = False
@@ -435,13 +458,26 @@ def _prefilter_matrix(n):
 
 
 def _cubic_weights(x):
-    """Cubic B-spline weights of the nodes floor(x)-1 .. floor(x)+2, (4, n)."""
+    """Cubic B-spline weights of the nodes floor(x)-1 .. floor(x)+2, (4, n),
+    filled one row at a time."""
     y = x - np.floor(x)
     z = 1.0 - y
-    w0 = z * z * z / 6.0
-    w1 = 2.0 / 3.0 + 0.5 * y * y * (y - 2.0)
-    w2 = 2.0 / 3.0 + 0.5 * z * z * (z - 2.0)
-    return np.stack([w0, w1, w2, 1.0 - w0 - w1 - w2])
+    w = np.empty((4,) + x.shape)
+    w[0] = z * z * z / 6.0
+    w[1] = 2.0 / 3.0 + 0.5 * y * y * (y - 2.0)
+    w[2] = 2.0 / 3.0 + 0.5 * z * z * (z - 2.0)
+    w[3] = 1.0 - w[0] - w[1] - w[2]
+    return w
+
+
+def _table_bytes(dims, m0):
+    """The bytes _Transport holds for dims: 64 per node per pass, 8 per
+    node for the corner index, a dense d x d prefilter per pass and the
+    bordered buffer."""
+    moving = dims[m0:]
+    return (math.prod(dims) * (8 + 64 * len(moving))
+            + sum(8 * d * d for d in moving)
+            + 8 * math.prod(d + 4 for d in dims))
 
 
 class _Transport:
@@ -458,33 +494,62 @@ class _Transport:
     reflection along k, with weight 0 where the foot is outside [0, n_k -
     1].  Pass k's foot is constant along every later axis, so each later
     prefilter commutes with it and the passes compose to the tensor spline.
+
     The result is clipped to the range of the 2^N surrounding corners,
     floor(coord) and floor(coord) + 1 on each axis, of the zero-padded
-    slice, which restores the maximum principle while keeping the cubic
-    accuracy on smooth data.  The tables take 64 bytes per node per pass
-    plus 8 * 2^N for the corners.
+    slice (the quasi-monotone clip of Bermejo & Staniforth, 1992), which
+    restores the maximum principle while keeping the cubic accuracy on
+    smooth data.  That range is separable: the slice is copied into a
+    buffer with two zeros before and two after it on each axis, the buffer
+    is folded to its pairwise min and its pairwise max along each axis in
+    turn, and both are read at one flat index per node, the buffer's ravel
+    of clip(floor(coord) + 2, 0, n_k + 2).  min and max are exact, so the
+    bounds are those of the 2^N corners bitwise.  The tables take 64 bytes
+    per node per pass plus 8 for that index, 72 bytes per node at (1,1)
+    and 200 at (1,1,1,1), and the buffer 8 per node of the bordered grid.
     """
 
     def __init__(self, coords, dims, m0):
         n = coords.shape[1]
         node = np.arange(n)
-        corners = np.zeros((1, n), dtype=np.intp)
+        self.corner = np.zeros(n, dtype=np.intp)
         self.passes = []
         for k, d in enumerate(dims):
             x = coords[k]
             base = np.floor(x).astype(np.intp)
-            ck = np.clip(base + np.arange(1, 3)[:, None], 0, d + 1)
-            corners = (corners[:, None] * (d + 2) + ck[None]).reshape(-1, n)
+            self.corner *= d + 4
+            self.corner += np.clip(base + 2, 0, d + 2)
             if k < m0:
                 continue
             stride = math.prod(dims[k + 1:])
-            taps = _fold_mirror(base + np.arange(-1, 3)[:, None], d)
-            index = node + (taps - node // stride % d) * stride
+            # the node's index with its own offset along k taken out; each
+            # tap row puts back the folded tap's
+            own = node - node // stride % d * stride
+            index = np.empty((4, n), dtype=np.intp)
+            for j in range(4):
+                index[j] = own + _fold_mirror(base + (j - 1), d) * stride
             weights = _cubic_weights(x)
             weights[:, (x < 0.0) | (x > d - 1)] = 0.0
             self.passes.append((k, _prefilter_matrix(d), weights, index))
         self.dims = tuple(dims)
-        self.corners = corners
+        self.buffer = np.zeros(tuple(d + 4 for d in dims))
+
+    def bounds(self, u):
+        """The min and the max of the zero-padded slice u over each node's
+        2^N corners, (n_nodes,) each.  Each fold pairs the flat buffer with
+        itself one axis stride on; the pairs that wrap past an axis's end
+        are never read.  The min is read before the max is folded, so one
+        fold's input and output are all the scratch alive at once."""
+        self.buffer[(slice(2, -2),) * u.ndim] = u
+        shape = self.buffer.shape
+        strides = [math.prod(shape[k + 1:]) for k in range(u.ndim)]
+        out = []
+        for pair in (np.minimum, np.maximum):
+            a = self.buffer.reshape(-1)
+            for s in strides:
+                a = pair(a[:-s], a[s:])
+            out.append(np.take(a, self.corner))
+        return out
 
     def __call__(self, u):
         c = u
@@ -496,9 +561,7 @@ class _Transport:
             else:
                 c = np.matmul(P, c.reshape(pre, -1, post))
             c = np.einsum("ji,ji->i", weights, np.take(c.reshape(-1), index))
-        corner = np.take(_pad_zero(u).reshape(-1), self.corners)
-        return np.clip(c, np.minimum.reduce(corner, axis=0),
-                       np.maximum.reduce(corner, axis=0)).reshape(self.dims)
+        return np.clip(c, *self.bounds(u)).reshape(self.dims)
 
 
 # -- approximate fundamental solution ---------------------------------------

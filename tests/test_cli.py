@@ -6,6 +6,7 @@ import os
 import runpy
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -841,6 +842,37 @@ def test_malformed_option_exit_2(spec_path, tmp_path, capsys, monkeypatch,
     assert "error:" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.glob("*.csv")) \
         == ["nan.csv", "pts.csv"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "cauchy", "{spec}", "--box=-4,4;-2,2", "--nx", "21,21",
+     "--t1", "0.3", "--dt", "1e-300", "--out", "c.csv"],
+    ["solve", "fundamental", "{spec}", "--box=-4,4;-2,2", "--nx", "21,41",
+     "--t1", "0.8", "--widths", "0.45,0.4", "--dt", "1e-300",
+     "--out", "f.csv"],
+    ["solve", "cauchy", "{spec}", "--box=-4,4;-2,2", "--nx", "81,40000",
+     "--t1", "0.3", "--out", "c.csv"],
+    ["solve", "fundamental", "{spec}", "--box=-4,4;-2,2", "--nx", "81,40000",
+     "--t1", "0.8", "--out", "f.csv"],
+    ["check", "bounds", "{spec}", "--nx", "81,40000"],
+], ids=["cauchy-steps", "fundamental-steps", "cauchy-tables",
+        "fundamental-tables", "bounds-tables"])
+def test_solve_refuses_work_past_its_bounds(spec_path, tmp_path, capsys,
+                                            monkeypatch, argv):
+    """A --dt of 1e-300 (3e299 steps) and --nx 81,40000 (12.8 GB of
+    prefilter) exit 2 with one error line that names the bound, well
+    within a second and with no artifact, not after a traceback from
+    numpy or an allocation."""
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    code = cli.main([a.format(spec=spec_path) for a in argv])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_PARSE
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "beyond the bound" in err
+    assert elapsed < 1.0
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_kernel_eval_points_and_grid_exit_2(spec_path, tmp_path, capsys,

@@ -107,6 +107,41 @@ def test_gamma_many_matches_scalar(proto, proto_params):
                                  for z in pts])
 
 
+@pytest.mark.parametrize("poles", ["one", "per-row", "one-point"])
+@pytest.mark.parametrize("log", [False, True])
+def test_gamma_many_blocks_change_no_value(proto, proto_params, poles, log):
+    """Past GAMMA_BLOCK rows gamma_many works block by block; its values
+    are bitwise those of the same rows evaluated 1000 at a time, with one
+    pole, with one pole per row, and with one point against one pole per
+    row.  Rows at or before their pole's time read 0, -inf under log."""
+    rng = np.random.default_rng(3)
+    n = 2 * kern.GAMMA_BLOCK + 123
+    pts = np.column_stack([rng.normal(size=(n, 2)),
+                           rng.uniform(-0.5, 2.0, n)])
+    pts[::7, -1] = 0.1
+    zeta = point(np.array([0.3, -0.2]), 0.1)
+    if poles == "per-row":
+        zeta = np.column_stack([rng.normal(size=(n, 2)),
+                                rng.uniform(-0.5, 0.5, n)])
+        pts[::5, -1] = zeta[::5, -1]
+    elif poles == "one-point":
+        pts, zeta = pts[:1], pts
+        pts[0, -1] = 0.9
+    vals = kern.gamma_many(pts, zeta, proto_params, log=log)
+    assert vals.shape == (n,)
+    ref = np.concatenate([
+        kern.gamma_many(pts[i:i + 1000] if len(pts) > 1 else pts,
+                        zeta[i:i + 1000] if zeta.ndim == 2 else zeta,
+                        proto_params, log=log) for i in range(0, n, 1000)])
+    assert np.array_equal(vals, ref)
+    z_t = zeta[:, -1] if zeta.ndim == 2 else zeta[-1]
+    past = pts[:, -1] <= z_t
+    assert 0 < past.sum() < n
+    assert np.all(vals[past] == (-np.inf if log else 0.0))
+    if log:
+        assert np.all(np.isfinite(vals[~past]))
+
+
 def test_homogeneity(proto, proto_params):
     rng = np.random.default_rng(2)
     origin = point(np.zeros(2), 0.0)

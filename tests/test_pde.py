@@ -119,6 +119,12 @@ def _scipy_transport(u, coords, m0):
     at = np.where(np.arange(len(coords))[:, None] < m0, np.rint(coords),
                   coords)
     u3 = map_coordinates(u, at, order=3, mode="constant", cval=0.0)
+    return np.clip(u3, *_corner_bounds(u, coords)).reshape(u.shape)
+
+
+def _corner_bounds(u, coords):
+    """The min and the max of the zero-padded slice over the 2^N corners
+    floor(coords) + {0, 1} of each foot, gathered corner by corner."""
     up = np.pad(u, 1)
     base = np.floor(coords).astype(int)
     lo = np.full(coords.shape[1], np.inf)
@@ -128,7 +134,7 @@ def _scipy_transport(u, coords, m0):
                             u.shape[k] + 1) for k in range(u.ndim))
         lo = np.minimum(lo, up[idx])
         hi = np.maximum(hi, up[idx])
-    return np.clip(u3, lo, hi).reshape(u.shape)
+    return lo, hi
 
 
 def _solver_feet(g, dims, s):
@@ -198,11 +204,36 @@ def test_static_axis_transport(blocks, dims):
     for k, P, weights, index in op.passes:
         assert P.shape == (dims[k], dims[k])
         assert weights.shape == index.shape == (4, n)
-    assert op.corners.shape == (2 ** N, n)
+    assert op.corner.shape == (n,)
     for _ in range(3):
         u = rng.normal(size=dims)
         err = np.max(np.abs(op(u) - _scipy_transport(u, coords, m0)))
         assert err <= 1e-14 * np.max(np.abs(u))
+
+
+@pytest.mark.parametrize("blocks, dims", [
+    ((1, 1), (161, 161)), ((1, 1), (3, 17)), ((1, 1), (17, 2)),
+    ((1, 1), (2, 9)), ((2, 1), (9, 3, 8)), ((1, 1, 1), (7, 6, 3)),
+    ((1, 1, 1, 1), (6, 7, 5, 8))])
+def test_separable_bounds_are_the_corner_bounds(blocks, dims):
+    """The clip's pairwise min and max filters, read at one index per node,
+    give bitwise the min and max over each foot's 2^N zero-padded corners,
+    on feet sheared more than a cell out of the box on both sides, on feet
+    at the edges and on axes of 2 nodes."""
+    rng = np.random.default_rng(sum(dims) + len(dims))
+    g = prototype_geometry() if blocks == (1, 1) else Geometry(
+        BlockStructure(blocks), random_canonical_B(blocks, rng))
+    coords = _solver_feet(g, dims, 3.0)
+    last = np.array(dims)[:, None] - 1.0
+    assert np.any(coords < -1.0) and np.any(coords > last + 1.0)
+    hit = rng.choice(coords.shape[1], 4, replace=False)
+    coords[-1, hit] = [0.0, dims[-1] - 1.0, -1e-15, dims[-1] - 1 + 2e-15]
+    op = pde._Transport(coords, dims, g.structure.m0)
+    for u in (rng.normal(size=dims), rng.uniform(0.5, 1.0, size=dims),
+              -rng.uniform(0.5, 1.0, size=dims)):
+        lo, hi = op.bounds(u)
+        ref_lo, ref_hi = _corner_bounds(u, coords)
+        assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
 
 
 def test_static_axis_keeps_both_edge_rows(proto):
@@ -401,6 +432,47 @@ def test_keep_final_stores_one_slice(proto, proto_coeffs):
     assert sol.values.shape == (1, 41, 41)
     assert sol.taxis.tolist() == [0.3]
     assert peaks["final"] + 298 * sol.values.nbytes < peaks["all"]
+
+
+def test_solve_memory_per_node(proto):
+    """The benchmark's 161^2 solve cauchy (the lam = 2 kernel datum of width
+    0.1, box [-4, 4] x [-2, 2], t1 = 0.5, keep="final") peaks at most at
+    240 bytes per node under tracemalloc: it measured 212, against 265
+    with a (2^N, n) corner table and the transport's set-up scratch all
+    alive at once; the bound leaves a 13% margin."""
+    params = kern.scaled_params(2.0, proto)
+    datum = pde.KernelDatum(point(np.array([0.3, -0.1]), 0.0), params)
+    coeffs = {"A0": ConstantField(np.eye(1), dim=2)}
+    tracemalloc.start()
+    try:
+        pde.solve_cauchy(coeffs, proto, datum, [[-4, 4], [-2, 2]],
+                         [161, 161], 0.1, 0.5, keep="final")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 240 * 161 * 161
+
+
+@pytest.mark.parametrize("nx, dt", [([21, 21], 1e-300),
+                                    ([81, 40000], None)],
+                         ids=["steps", "tables"])
+def test_solve_refuses_work_past_its_bounds(proto, monkeypatch, nx, dt):
+    """A step count past MAX_STEPS and node rows and transport tables past
+    MAX_SOLVE_BYTES are refused by name and bound, before the time axis,
+    the node rows or the datum is made: --nx 81,40000 would ask 12.8 GB
+    for its prefilter."""
+    class NoGrid:
+        def __init__(self, *args):
+            raise AssertionError("the node rows were built")
+
+    if dt is None:
+        monkeypatch.setattr(pde, "_GridCoeffs", NoGrid)
+    coeffs = {"A0": ConstantField(np.eye(1), dim=2)}
+    with pytest.raises(ArgumentError, match="beyond the bound") as err:
+        pde.solve_cauchy(coeffs, proto, _Untouched(), [[-4, 4], [-2, 2]],
+                         nx, 0.0, 0.3, dt=dt)
+    assert (f"{pde.MAX_STEPS} steps" if dt else
+            f"{pde.MAX_SOLVE_BYTES:.3e}") in str(err.value)
 
 
 class _Untouched:

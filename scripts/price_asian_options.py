@@ -4,11 +4,12 @@ The path-dependent payoff closes under (log-price, running integral of the
 log-price), whose generator is the degenerate prototype operator; the price
 follows from a one-dimensional quadrature over the terminal Gaussian and is
 cross-checked by Monte Carlo on the same SDE.  The coefficients are
-constants, so `kolmo.mc` draws each terminal state from the Euler chain's
-law, computed by the chain's own recursion on its mean and covariance: the
-cross-check stays independent of `kernel.covariance_matrix` and of the
-quadrature.  A strike whose two prices differ by more than the
-cross-check's budget ends the run with a non-zero exit status.
+constants, so `kolmo.mc` draws each terminal state from the SDE's exact
+law, whose covariance is `kernel.covariance_matrix`; the quadrature takes
+the terminal covariance in closed form instead, so the cross-check stays
+independent of the kernel's polynomial.  A strike whose two prices differ
+by more than the cross-check's budget ends the run with a non-zero exit
+status.
 
     python scripts/price_asian_options.py --strikes 90,100,110 --paths 100000
 """
@@ -19,37 +20,33 @@ import sys
 
 import numpy as np
 
-from kolmo import kernel as kern
 from kolmo import mc as mcmod
 from kolmo.coefficients import ConstantField
 from kolmo.group import Geometry
 from kolmo.structure import BlockStructure
 
 
-def asian_price(S0, K, r, sigma, T, paths=200000, seed=0, dt=1e-3):
+def asian_price(S0, K, r, sigma, T, paths=200000, seed=0):
     """Geometric-average Asian call under Black-Scholes.
 
     With x1 = log S and x2 = int_0^t log S ds the dynamics are the kinetic
     prototype with constant diffusion sigma^2/2 on x1 and drift x1 feeding
-    x2, so the terminal law is the model Gaussian and the price reduces to a
-    one-dimensional quadrature; an independent Monte Carlo run on the same
-    SDE, drawn from its Euler chain's law at step dt, cross-checks it.  The
-    report's gap is |quadrature - MC| and its budget 3 MC standard errors
-    plus quad_tol, the quadrature's own error estimate (the change from 150
-    to 200 nodes).
+    x2, so the terminal law is the Gaussian with covariance sigma^2 (T,
+    T^2/2; T^2/2, T^3/3) and the price reduces to a one-dimensional
+    quadrature; a Monte Carlo run on the same SDE, drawn from kolmo.mc's
+    exact law, cross-checks it.  The report's gap is |quadrature - MC| and
+    its budget 3 MC standard errors plus quad_tol, the quadrature's own
+    error estimate (the change from 150 to 200 nodes).
     """
     B = np.array([[0.0, 0.0], [-1.0, 0.0]])   # dx2 = +x1 dt under -B
     g = Geometry(BlockStructure((1, 1)), B)
     mu = r - 0.5 * sigma * sigma
     x0 = np.array([math.log(S0), 0.0])
 
-    # terminal law: mean and covariance of (x1, x2) at T
+    # terminal law: mean and covariance of (x1, x2) at T, in closed form
     mean = np.array([x0[0] + mu * T, x0[1] + x0[0] * T + 0.5 * mu * T * T])
-    if sigma > 0.0:
-        C = kern.covariance_matrix(T, B, np.array([[0.5 * sigma * sigma]]))
-        cov = 2.0 * C
-    else:
-        cov = np.zeros((2, 2))
+    cov = sigma * sigma * np.array([[T, T * T / 2.0],
+                                    [T * T / 2.0, T ** 3 / 3.0]])
 
     def pay(avg_log):
         return np.maximum(np.exp(avg_log) - K, 0.0)
@@ -75,7 +72,7 @@ def asian_price(S0, K, r, sigma, T, paths=200000, seed=0, dt=1e-3):
     if sigma > 0.0:
         fields = {"A0": ConstantField([[0.5 * sigma * sigma]], dim=2),
                   "b": ConstantField([mu], dim=2)}
-        cfg = mcmod.McConfig(paths=paths, dt=dt, seed=seed, lam=2.0)
+        cfg = mcmod.McConfig(paths=paths, seed=seed, lam=2.0)
         ens = mcmod.simulate(fields, g, x0, 0.0, T, cfg)
         pv = discount * pay(ens.final[:, 1] / T)
         price_mc = float(np.mean(pv))

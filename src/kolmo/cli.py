@@ -128,7 +128,9 @@ _HARNACK_SINGLE = [_CENTER, _CENTER_T]
 MODES = {("check", "bounds"): ("--self-test", _BOUNDS_SELF_TEST, _BOUNDS_FIT),
          ("check", "harnack"): ("--sweep", _HARNACK_SWEEP, _HARNACK_SINGLE)}
 _MC = [_SPEC, _opt("--paths", type=int, default=100000),
-       _opt("--dt", type=_positive_float, default=1e-3), _SEED, _X0, _T0,
+       _opt("--dt", type=_positive_float, help="Euler step, default 1e-3 "
+            "(mc.DT); exits 2 if every coefficient is a constant, whose end "
+            "states are drawn from the exact law"), _SEED, _X0, _T0,
        _opt("--t1", type=_number, default=0.5), _LAMBDA]
 
 # words -> options, in help order; the first words and each group's

@@ -1,8 +1,8 @@
-"""`kolmo mc simulate|density|mass`: one Euler-Maruyama ensemble, written
+"""`kolmo mc simulate|density|mass`: one Monte Carlo ensemble, written
 out, binned, or measured on a D_R ball.  A spec whose coefficients are all
-constants gets end states drawn from the Euler chain's law, any other spec
-stepped paths; the report's provenance names which, "draw": "law" or
-"steps"."""
+constants gets end states drawn from the exact law (a --dt exits 2), any
+other spec Euler-Maruyama paths stepped at --dt; the report's provenance
+names which, "scheme": "exact" or "euler"."""
 
 import numpy as np
 

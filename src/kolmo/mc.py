@@ -1,16 +1,15 @@
 """Monte Carlo simulation of the degenerate diffusion attached to the
 operator: dX = (-B X + b(X, t)) dt + sigma(X, t) dW with noise acting on the
 first m0 coordinates only, sigma sigma^T = lam A0, and Feynman-Kac weights
-exp(int c dt), by the Euler-Maruyama chain of step dt.
+exp(int c dt).
 
-An ensemble is made one of two ways, and the provenance names which under
-"draw".  Where every coefficient present is held (has a value: a
-constant), the chain is a linear Gaussian recursion, and each path's end
-state is drawn from its law N(mu, S), computed once per call by running
-the recursion on the mean and covariance ("law"): N normals per path.
-Its weight is the chain's own, exp of the float sum of dt * c over the
-steps.  Any other ensemble is stepped ("steps"): m0 normals per path and
-step.
+An ensemble is made one of two ways, named in the provenance under
+"scheme".  Where every coefficient present is held (a constant), each end
+state is drawn from the diffusion's exact Gaussian law ("exact"), N
+normals per path, with weight exp(tau c), tau = t1 - t0; no time step is
+read, and a given one is refused.  Any other ensemble is stepped by the
+Euler-Maruyama chain ("euler") at the step dt, DT unless given, at most
+MAX_STEPS steps: m0 normals per path and step.
 
 Stepped paths run in fixed-size chunks, each stepped in place as a
 column-major (N, n) state, one contiguous row per coordinate, in buffers
@@ -28,7 +27,7 @@ rough benchmark's layout about one step in four.  The step then has one
 drift update, one weight update and one noise product, an in-place
 lower-triangular pass over the columns of dW.
 
-Both draws run in the same chunks, and each chunk draws its normals from
+Both ways run in the same chunks, and each chunk draws its normals from
 its own stream, made by chunk_rng alone: an SFC64 generator on the child
 of the master seed's SeedSequence keyed by the chunk's index.  So the
 ensemble and every CSV and report made from it are byte-identical at any
@@ -47,20 +46,27 @@ import numpy as np
 from .coefficients import CellLookup, CheckerboardField, TableStack
 from .errors import ArgumentError, NonFinite, NotSPD
 from .group import Geometry
+from .kernel import covariance_matrix
 
 CHUNK = 1 << 14
+DT = 1e-3      # the stepped chain's step when none is given
+# The most steps a stepped ensemble may take: a step of one chunk takes
+# about 0.5 ms in the rough benchmark's layout on a 2-core Xeon, so 10^6
+# steps take 8 minutes a chunk.  A dt past it is refused before any buffer.
+MAX_STEPS = 10 ** 6
 
 
 @dataclass(frozen=True)
 class McConfig:
     paths: int
-    dt: float
     seed: int
+    dt: float | None = None    # the stepped chain's step; None for DT
     lam: float = 2.0
     threads: int = 1
 
     def __post_init__(self):
-        if self.paths <= 0 or not (self.dt > 0.0 and self.lam > 0.0):
+        if self.paths <= 0 or not ((self.dt is None or self.dt > 0.0)
+                                   and self.lam > 0.0):
             raise ArgumentError("paths, dt and lam must be positive")
         if self.threads < 1:
             raise ArgumentError("threads must be positive")
@@ -74,8 +80,6 @@ class PathEnsemble:
     weights: np.ndarray    # (paths,)
     t0: float
     t1: float
-    x0: np.ndarray
-    config: McConfig
     provenance: dict = field(default_factory=dict)
 
     @property
@@ -122,63 +126,63 @@ def chunk_rng(seed, ci):
         np.random.SeedSequence(entropy=seed, spawn_key=(ci,))))
 
 
-def _euler_law(held, geometry: Geometry, x0, dt, nsteps, tau):
-    """The law N(mu, S) of the Euler chain's end state after nsteps steps
-    from x0 when every coefficient is held: X <- F X + g + Sigma Z, Z
-    standard normal, with F = I - dt B, g = dt b on the first m0
-    coordinates and Sigma = sqrt(dt) [L; 0], L the factor of lam * A0, so
-    mu <- F mu + g and S <- F S F^T + Sigma Sigma^T.  Returns mu, a factor
-    R with R R^T = S and the chain's log-weight, the float sum of dt c over
-    the steps as the stepped loop adds it.  A mean or covariance that is
-    not finite raises NonFinite.  R is taken from S scaled by the dilation
-    sqrt(tau)^alpha, with its eigenvalues clipped at 0, so a chain shorter
-    than its block count, whose S is singular, is factored too."""
-    N, m0 = geometry.N, geometry.structure.m0
-    F = np.eye(N) - dt * geometry.B
-    g = np.zeros(N)
-    if "b" in held:
-        g[:m0] = dt * held["b"][:, 0]
-    Sigma = np.zeros((N, m0))
-    Sigma[:m0] = np.sqrt(dt) * held["A0"].reshape(m0, m0)
-    Q = Sigma @ Sigma.T
-    dc = held["c"][0] if "c" in held else 0.0
-    mu, S, lw = np.array(x0), np.zeros((N, N)), np.zeros(1)
-    for _ in range(nsteps):
-        mu = F @ mu + g
-        S = F @ S @ F.T + Q
-        lw += dc
-    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(S))):
-        raise NonFinite("non-finite state in the Euler chain's law")
-    d = np.sqrt(tau) ** np.asarray(geometry.structure.alpha, dtype=float)
-    w, V = np.linalg.eigh(S / np.outer(d, d))
-    return mu, d[:, None] * V * np.sqrt(np.maximum(w, 0.0)), lw
+def _exact_law(held, A0, geometry: Geometry, x0, tau, lam):
+    """mu, R and the log-weight tau c (held["c"] at dt = tau) of the end
+    state's law N(mu, R R^T) after tau from x0 with every coefficient held:
+    mu = e^{-tau B} x0 + sum_{k<N} (-B)^k tau^{k+1} / (k+1)! b, exact as
+    B^N = 0, and R R^T = kernel.covariance_matrix(tau, B, lam A0).  A mean
+    or covariance that is not finite raises NonFinite, one with no Cholesky
+    factor NotSPD."""
+    N, m0, B = geometry.N, geometry.structure.m0, geometry.B
+    mu = geometry.exp_drift(tau) @ x0
+    term = np.zeros(N)
+    term[:m0] = tau * held["b"][:, 0] if "b" in held else 0.0
+    for k in range(N):
+        mu = mu + term
+        term = -tau / (k + 2) * (B @ term)
+    C = covariance_matrix(tau, B, lam * np.reshape(A0, (m0, m0)))
+    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(C))):
+        raise NonFinite("non-finite state in the exact law")
+    try:
+        R = np.linalg.cholesky(C)
+    except np.linalg.LinAlgError as exc:
+        raise NotSPD(f"lam C({tau!r}) is not positive definite") from exc
+    return mu, R, held["c"][0] if "c" in held else 0.0
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
-    """Euler-Maruyama from the deterministic point x0 at time t0 to t1; t1
-    must exceed t0 and (t1 - t0) / dt be finite, else ArgumentError.  With
-    every coefficient present held, each end state is drawn from the
-    chain's law (provenance "draw": "law"); with any checkerboard or other
-    field the chain is stepped ("draw": "steps").  Either way the law is
-    the Euler chain's at the step dt.  A state, a mean or covariance of the
-    law, or a sum of squared weights that is not finite raises
-    NonFinite."""
+    """The ensemble of paths from the point x0 at t0 to t1 > t0, under
+    coefficients that hold A0 (else ArgumentError): drawn from the exact law
+    in one step of dt = t1 - t0 where every coefficient is held (a given
+    config.dt is then an ArgumentError), else stepped at config.dt, DT if
+    unset (more than MAX_STEPS steps are an ArgumentError, before any
+    buffer).  The provenance records nsteps and dt.  A non-finite state,
+    law or sum of squared weights raises NonFinite."""
     if not t1 > t0:
         raise ArgumentError(f"t1 must exceed t0, got t0={t0!r}, t1={t1!r}")
+    fields = {k: coeffs[k] for k in ("A0", "b", "c")
+              if coeffs.get(k) is not None}
+    if "A0" not in fields:
+        raise ArgumentError("the coefficients need A0")
     N = geometry.N
     m0 = geometry.structure.m0
     B = geometry.B
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), (N,))
-    steps = (t1 - t0) / config.dt
-    if not np.isfinite(steps):
-        raise ArgumentError(f"dt {config.dt!r} makes {steps!r} steps from "
-                            f"t0 = {t0!r} to t1 = {t1!r}")
+    exact = all(getattr(f, "value", None) is not None
+                for f in fields.values())
+    if exact and config.dt is not None:
+        raise ArgumentError(f"dt {config.dt!r} is not read: every "
+                            f"coefficient is held, and the law is exact")
+    # as Python floats, whose overflow is inf without a numpy warning
+    steps = 1.0 if exact else float(t1 - t0) / float(config.dt or DT)
+    if not steps <= MAX_STEPS:
+        raise ArgumentError(f"dt {config.dt or DT!r} makes {steps!r} steps "
+                            f"from t0 = {t0!r} to t1 = {t1!r}, beyond the "
+                            f"bound of {MAX_STEPS} steps")
     nsteps = max(1, int(round(steps)))
     dt = (t1 - t0) / nsteps
     sqdt = np.sqrt(dt)
-    if coeffs.get("A0") is None:
-        raise ArgumentError("the coefficients need A0")
 
     def components(name, vals):
         """(count, k) components of count values of coefficient name."""
@@ -194,10 +198,7 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
     # path reaches) or other, read by many at every step; the tables are
     # grouped by cell side.
     held, tables, other, sides = {}, {}, [], {}
-    for name in ("A0", "b", "c"):
-        f = coeffs.get(name)
-        if f is None:
-            continue
+    for name, f in fields.items():
         if getattr(f, "value", None) is not None:
             held[name] = components(name, f.value).T
         elif isinstance(f, CheckerboardField):
@@ -213,10 +214,8 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
     final = np.empty((config.paths, N))
     logw = np.zeros(config.paths)
     rngs = [chunk_rng(config.seed, ci) for ci in range(nchunks)]
-    # with every coefficient held the chain is a linear Gaussian recursion:
-    # each chunk draws its end states from the chain's law
-    law = None if tables or other else _euler_law(held, geometry, x0, dt,
-                                                  nsteps, t1 - t0)
+    law = _exact_law(held, fields["A0"].value, geometry, x0, dt,
+                     config.lam) if exact else None
 
     def draw(rng, n):
         mu, R, lw = law
@@ -269,9 +268,9 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
     def run_chunk(ci):
         lo = ci * CHUNK
         hi = min(lo + CHUNK, config.paths)
-        Y, lw = (step if law is None else draw)(rngs[ci], hi - lo)
+        Y, lw = (draw if exact else step)(rngs[ci], hi - lo)
         if not np.all(np.isfinite(Y)):
-            raise NonFinite("non-finite state in Euler-Maruyama chunk")
+            raise NonFinite(f"non-finite state in chunk {ci}")
         final[lo:hi] = Y
         logw[lo:hi] = lw
 
@@ -287,18 +286,16 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
         raise NonFinite("Feynman-Kac weights overflow: sum w^2 is not finite")
     prov = {"seed": config.seed, "chunk": CHUNK, "nchunks": nchunks,
             "nsteps": nsteps, "dt": dt, "lam": config.lam,
-            "scheme": "euler", "draw": "steps" if law is None else "law",
+            "scheme": "exact" if exact else "euler",
             "rng": type(rngs[0].bit_generator).__name__}
     return PathEnsemble(final=final, weights=weights, t0=t0, t1=t1,
-                        x0=np.array(x0), config=config, provenance=prov)
+                        provenance=prov)
 
 
 def density_estimate(ensemble: PathEnsemble, box, bins):
-    """Weighted histogram density on the box with per-bin standard errors."""
+    """Weighted histogram density on the box, with bins[k] bins along
+    axis k, and per-bin standard errors."""
     box = np.asarray(box, dtype=float)
-    N = ensemble.final.shape[1]
-    if np.isscalar(bins):
-        bins = [int(bins)] * N
     edges = [np.linspace(lo, hi, b + 1) for (lo, hi), b in zip(box, bins)]
     vol = np.prod([e[1] - e[0] for e in edges])
     n = ensemble.paths

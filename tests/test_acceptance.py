@@ -147,8 +147,7 @@ def test_mc_matches_kernel_law(proto, proto_coeffs):
     Two threads: the ensemble is byte-identical at any thread count."""
     x0 = np.array([0.3, -0.1])
     t0, t1 = 0.0, 0.5
-    cfg = mcmod.McConfig(paths=1_000_000, dt=5e-4, seed=12345, lam=2.0,
-                         threads=2)
+    cfg = mcmod.McConfig(paths=1_000_000, seed=12345, lam=2.0, threads=2)
     tic = time.perf_counter()
     ens = mcmod.simulate(proto_coeffs, proto, x0, t0, t1, cfg)
     tau = t1 - t0
@@ -395,7 +394,7 @@ def test_cli_artifacts_deterministic(tmp_path):
     for i, threads in enumerate((1, 1, 4)):
         out = tmp_path / f"d{i}.csv"
         code = cli.main(["--threads", str(threads), "mc", "density", spec,
-                         "--paths", "40000", "--dt", "1e-2", "--seed", "9",
+                         "--paths", "40000", "--seed", "9",
                          "--box=-3,3;-2,2", "--bins", "14,14",
                          "--out", str(out)])
         assert code == 0

@@ -209,7 +209,7 @@ _ON_SPEC = {
     "mollify": ["mollify", "{spec}", "--samples", "10"],
     "solve": ["solve", "cauchy", "{spec}", "--box=-4,4;-2,2",
               "--nx", "21,21", "--t1", "0.3", "--out", "out.csv"],
-    "mc": ["mc", "mass", "{spec}", "--paths", "100", "--dt", "0.05"],
+    "mc": ["mc", "mass", "{spec}", "--paths", "100"],
 }
 
 
@@ -288,7 +288,7 @@ def test_non_canonical_exit_3(tmp_path, capsys):
     assert cli.main(["structure", str(p)]) == cli.EXIT_STRUCTURE
 
 
-_MC_MASS = ["mc", "mass", "{spec}", "--paths", "100", "--dt", "0.05"]
+_MC_MASS = ["mc", "mass", "{spec}", "--paths", "100"]
 _SOLVE_21 = ["solve", "cauchy", "{spec}", "--box=-4,4;-2,2", "--nx", "21,21",
              "--t1", "0.3", "--out", "out.csv"]
 # One command of each kind that loads a spec; each writes only to out.csv.
@@ -354,8 +354,8 @@ def test_not_spd_exit_4(tmp_path, capsys):
     doc["coefficients"]["A0"] = {"kind": "constant", "value": [[-1.0]]}
     p = tmp_path / "neg.json"
     p.write_text(json.dumps(doc))
-    assert cli.main(["mc", "simulate", str(p), "--paths", "100",
-                     "--dt", "1e-2"]) == cli.EXIT_NOTSPD
+    assert cli.main(["mc", "simulate", str(p), "--paths", "100"]) \
+        == cli.EXIT_NOTSPD
 
 
 def test_unstable_dt_exit_5(spec_path, tmp_path, capsys):
@@ -389,12 +389,11 @@ def _overflow_doc(name, value):
     ("c", 1e308, _SOLVE_21, cli.EXIT_SOLVER,
      "solver error: non-finite values"),
     ("c", 2000.0, _MC_MASS, cli.EXIT_MC, "mc error: Feynman-Kac weights"),
-    ("c", 2000.0, ["mc", "simulate", "{spec}", "--paths", "100", "--dt",
-                   "0.05", "--out", "out.csv"],
-     cli.EXIT_MC, "mc error: Feynman-Kac weights"),
-    ("c", 2000.0, ["mc", "density", "{spec}", "--paths", "100", "--dt",
-                   "0.05", "--box=-3,3;-2,2", "--bins", "4,4",
+    ("c", 2000.0, ["mc", "simulate", "{spec}", "--paths", "100",
                    "--out", "out.csv"],
+     cli.EXIT_MC, "mc error: Feynman-Kac weights"),
+    ("c", 2000.0, ["mc", "density", "{spec}", "--paths", "100",
+                   "--box=-3,3;-2,2", "--bins", "4,4", "--out", "out.csv"],
      cli.EXIT_MC, "mc error: Feynman-Kac weights"),
 ], ids=["mc-state", "solve-reaction", "mc-mass-weights",
         "mc-simulate-weights", "mc-density-weights"])
@@ -402,8 +401,8 @@ def test_overflow_exits_with_its_code(tmp_path, capsys, monkeypatch, name,
                                       value, argv, code, lead):
     """A run whose numbers overflow ends in its documented exit code with
     one error line and no artifact, not in a report or CSV of inf and NaN
-    with exit 0, and with no numpy RuntimeWarning on the way: an
-    Euler-Maruyama state that overflows (A0 = 1e308, declared so) exits 6,
+    with exit 0, and with no numpy RuntimeWarning on the way: an exact
+    law whose covariance overflows (A0 = 1e308, declared so) exits 6,
     a solve whose reaction factor exp(dt c) overflows (c = 1e308) exits 5,
     and Feynman-Kac weights exp(int c dt) past the float range (c = 2000
     to t1 = 0.5) exit 6 in every mc command."""
@@ -624,7 +623,7 @@ def _chain_spec(tmp_path, N):
     ["check", "harnack", "{spec}"],
     ["check", "cone", "{spec}"],
     ["check", "global", "{spec}", "--pairs", "5"],
-    ["mc", "mass", "{spec}", "--paths", "100", "--dt", "0.05"],
+    ["mc", "mass", "{spec}", "--paths", "100"],
 ], ids=lambda a: " ".join(a[:2]))
 def test_point_defaults_are_the_origin(tmp_path, capsys, monkeypatch, N,
                                        argv):
@@ -705,7 +704,7 @@ def test_report_envelope(words, spec_path, tmp_path, capsys, monkeypatch):
     ["solve", "cauchy", "{spec}", "--box=-4,4;-2,2", "--nx", "21,21",
      "--t1", "0.3", "--datum", "gaussian:x", "--out", "c.csv"],
     ["mc", "mass", "{spec}", "--paths", "0"],
-    ["mc", "mass", "{spec}", "--paths", "10", "--dt", "-1"],
+    ["mc", "mass", "{cb}", "--paths", "10", "--dt", "-1"],
     ["mollify", "{spec}", "--eps", "0,0.1", "--samples", "10"],
     ["--threads", "0", "mc", "mass", "{spec}", "--paths", "10"],
     ["--threads", "-4", "mc", "simulate", "{spec}", "--paths", "10",
@@ -772,11 +771,11 @@ def test_report_envelope(words, spec_path, tmp_path, capsys, monkeypatch):
     ["check", "cone", "{spec}", "--center-t", "inf"],
     ["mc", "mass", "{spec}", "--paths", "10", "--y=nan,0"],
     ["mc", "mass", "{spec}", "--paths", "10", "--lambda", "nan"],
-    ["mc", "mass", "{spec}", "--paths", "10", "--dt", "inf"],
-    ["mc", "simulate", "{spec}", "--paths", "10", "--dt", "1e-320",
+    ["mc", "mass", "{cb}", "--paths", "10", "--dt", "inf"],
+    ["mc", "simulate", "{cb}", "--paths", "10", "--dt", "1e-320",
      "--out", "e.csv"],
-    ["mc", "mass", "{spec}", "--paths", "10", "--dt", "1e-320"],
-    ["mc", "density", "{spec}", "--box=-3,3;-2,2", "--bins", "4,4",
+    ["mc", "mass", "{cb}", "--paths", "10", "--dt", "1e-320"],
+    ["mc", "density", "{cb}", "--box=-3,3;-2,2", "--bins", "4,4",
      "--paths", "10", "--dt", "1e-320", "--out", "d.csv"],
     ["solve", "cauchy", "{spec}", "--box=-4,4;-2,2", "--nx", "21,21",
      "--t1", "0.3", "--dt", "1e-320", "--out", "c.csv"],
@@ -828,17 +827,19 @@ def test_report_envelope(words, spec_path, tmp_path, capsys, monkeypatch):
         "mc-density-seed", "harnack-out-without-sweep",
         "harnack-seed-without-sweep", "harnack-center-with-sweep",
         "harnack-center-t-with-sweep"])
-def test_malformed_option_exit_2(spec_path, tmp_path, capsys, monkeypatch,
-                                 argv):
+def test_malformed_option_exit_2(spec_path, cb_spec_path, tmp_path, capsys,
+                                 monkeypatch, argv):
     """Malformed option values exit 2, through SpecError or the library's
     own argument checks (ArgumentError), instead of ending in a traceback, in a run that ignores
     them or, for a points file of the wrong width, in rows under the wrong
-    header."""
+    header.  The mc cases of a bad --dt run on a checkerboard spec ({cb}),
+    whose paths are stepped at --dt, so that they do not exit 2 merely
+    because a spec of constants reads no --dt."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "pts.csv").write_text("x1,t\n0,1\n")
     (tmp_path / "nan.csv").write_text("x1,x2,t\n0,nan,1\n")
-    assert cli.main([a.format(spec=spec_path) for a in argv]) \
-        == cli.EXIT_PARSE
+    assert cli.main([a.format(spec=spec_path, cb=cb_spec_path)
+                     for a in argv]) == cli.EXIT_PARSE
     assert "error:" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.glob("*.csv")) \
         == ["nan.csv", "pts.csv"]
@@ -871,6 +872,40 @@ def test_solve_refuses_work_past_its_bounds(spec_path, tmp_path, capsys,
     assert code == cli.EXIT_PARSE
     assert err.startswith("error:") and err.count("\n") == 1
     assert "beyond the bound" in err
+    assert elapsed < 1.0
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("argv, says", [
+    (["mc", "simulate", "{cb}", "--paths", "10", "--dt", "1e-300",
+      "--out", "e.csv"], "beyond the bound"),
+    (["mc", "mass", "{cb}", "--paths", "10", "--dt", "1e-300"],
+     "beyond the bound"),
+    (["mc", "density", "{cb}", "--box=-3,3;-2,2", "--bins", "4,4",
+      "--paths", "10", "--dt", "1e-300", "--out", "d.csv"],
+     "beyond the bound"),
+    (["mc", "mass", "{spec}", "--paths", "10", "--dt", "1e-300"],
+     "is not read"),
+    (["mc", "mass", "{spec}", "--paths", "10", "--dt", "1e-3"],
+     "is not read"),
+], ids=["simulate-steps", "mass-steps", "density-steps", "held-tiny-dt",
+        "held-dt"])
+def test_mc_refuses_work_past_its_bounds(spec_path, cb_spec_path, tmp_path,
+                                         capsys, monkeypatch, argv, says):
+    """On a checkerboard spec, whose paths are stepped, a --dt of 1e-300
+    (5e299 steps) exits 2 with one error line that names the bound; on
+    the prototype, whose constants are drawn from the exact law, any given
+    --dt is refused, since it would not be read.  Each exits well within a
+    second and writes no artifact."""
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    code = cli.main([a.format(spec=spec_path, cb=cb_spec_path)
+                     for a in argv])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_PARSE
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert says in err
     assert elapsed < 1.0
     assert not list(tmp_path.glob("*.csv"))
 
@@ -1170,9 +1205,9 @@ def test_mc_density_deterministic_across_threads(spec_path, tmp_path,
     for i, threads in enumerate((1, 4)):
         out = tmp_path / f"d{i}.csv"
         code, _ = run(capsys, ["--threads", str(threads), "mc", "density",
-                               spec_path, "--paths", "20000", "--dt",
-                               "1e-2", "--seed", "7", "--box=-3,3;-2,2",
-                               "--bins", "12,12", "--out", str(out)])
+                               spec_path, "--paths", "20000", "--seed", "7",
+                               "--box=-3,3;-2,2", "--bins", "12,12",
+                               "--out", str(out)])
         assert code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]

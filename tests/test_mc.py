@@ -68,6 +68,7 @@ def measure_scaling_slope(y, R, geometry, taus, n, seed):
 
 
 def test_config_validation():
+    assert mc.McConfig(paths=10, seed=0).dt is None
     with pytest.raises(ValueError):
         mc.McConfig(paths=0, dt=1e-3, seed=0)
     for threads in (0, -4):
@@ -85,7 +86,7 @@ def test_config_validation():
 def test_simulate_needs_t1_after_t0(proto, proto_coeffs, t0, t1):
     """An empty or reversed window is an argument error, not a one-step
     run at dt = 0 or a blow-up backwards in time."""
-    cfg = mc.McConfig(paths=10, dt=1e-2, seed=0)
+    cfg = mc.McConfig(paths=10, seed=0)
     with pytest.raises(ValueError, match="t1 must exceed t0"):
         mc.simulate(proto_coeffs, proto, np.zeros(2), t0, t1, cfg)
 
@@ -97,7 +98,7 @@ def test_solver_and_mc_need_A0(proto):
         pde.solve_cauchy({}, proto, None, [[-1, 1], [-1, 1]], 11, 0.0, 0.1)
     with pytest.raises(ArgumentError, match="need A0"):
         mc.simulate({}, proto, np.zeros(2), 0.0, 0.1,
-                    mc.McConfig(paths=10, dt=1e-2, seed=0))
+                    mc.McConfig(paths=10, seed=0))
 
 
 def _row_major_simulate(coeffs, geometry, x0, t0, t1, config):
@@ -206,8 +207,8 @@ def _constant_coeffs(m0, N):
 def _as_boards(coeffs, names=("A0",)):
     """coeffs with each held field of names passed as a one-value
     checkerboard of its value: a board is read from its table, so the
-    ensemble is stepped, where held fields alone are drawn from the Euler
-    chain's law; a one-value board steps bitwise as its constant."""
+    ensemble is stepped, where held fields alone are drawn from the exact
+    law; a one-value board steps bitwise as its constant."""
     return {k: CheckerboardField([f.value], h=0.25, dim=f.dim, seed=3)
             if k in names else f for k, f in coeffs.items()}
 
@@ -231,7 +232,7 @@ def test_column_major_loop_bitwise_row_major(blocks, kind):
     many at every step; or a one-value checkerboard A0 with constant b and
     c, read from the table and held.  The old loop reads each field by its
     own many.  (With every field held the ensemble is drawn from the
-    chain's law and not stepped, so A0 is a board here.)"""
+    exact law and not stepped, so A0 is a board here.)"""
     g = Geometry(BlockStructure(blocks),
                  random_canonical_B(blocks, np.random.default_rng(7)))
     if kind == "constant":
@@ -266,7 +267,7 @@ def test_column_major_loop_matches_row_major_dense_B(blocks):
     each factored once per value of its table where the old loop factors
     every state; a grid-field A0, factored per state; and a one-value
     checkerboard A0 with constant b and c, which steps (held fields alone
-    are drawn from the chain's law), its one factor made once per call."""
+    are drawn from the exact law), its one factor made once per call."""
     g = Geometry(BlockStructure(blocks),
                  random_canonical_B(blocks, np.random.default_rng(5)))
     m0 = g.structure.m0
@@ -321,11 +322,11 @@ def test_stepping_reads_no_constant_or_checkerboard_by_many(proto):
         assert [f.calls for f in coeffs.values()] == [0, 0, 0]
 
 
-def _raises_non_finite(coeffs, geometry):
-    """simulate ends in NonFinite at one and at two threads, and emits no
-    RuntimeWarning under the caller's np.errstate."""
+def _raises_non_finite(coeffs, geometry, dt=None):
+    """simulate at the step dt ends in NonFinite at one and at two threads,
+    and emits no RuntimeWarning under the caller's np.errstate."""
     for threads in (1, 2):
-        cfg = mc.McConfig(paths=2 * mc.CHUNK, dt=1.0, seed=0,
+        cfg = mc.McConfig(paths=2 * mc.CHUNK, dt=dt, seed=0,
                           threads=threads)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -337,7 +338,8 @@ def _raises_non_finite(coeffs, geometry):
 
 def test_non_finite_state_raises(proto):
     """A state that overflows ends in NonFinite, not in an ensemble.  With
-    A0 and b held, the mean of the chain's law overflows: at one and at two
+    A0 and b held, the mean of the exact law overflows: its drift series,
+    of a fixed number of terms, ends on inf and NaN, and at one and at two
     threads no RuntimeWarning is emitted."""
     _raises_non_finite({"A0": ConstantField(np.eye(1), dim=2),
                         "b": ConstantField(np.array([1e308]), dim=2)}, proto)
@@ -345,12 +347,12 @@ def test_non_finite_state_raises(proto):
 
 def test_law_refuses_a_non_finite_law(proto):
     """Held A0 = 1e308: lam * A0 overflows, so the covariance of the
-    chain's law is not finite, and the law itself raises NonFinite before
-    any chunk draws, where eigh would hand back NaN factors silently."""
+    exact law is not finite, and the law itself raises NonFinite before any
+    chunk draws, where a factor would hold NaN silently."""
     coeffs = {"A0": ConstantField(np.array([[1e308]]), dim=2)}
-    with pytest.raises(NonFinite, match="chain's law"):
+    with pytest.raises(NonFinite, match="exact law"):
         mc.simulate(coeffs, proto, np.zeros(2), 0.0, 1.0,
-                    mc.McConfig(paths=10, dt=0.5, seed=0))
+                    mc.McConfig(paths=10, seed=0))
 
 
 def test_non_finite_rough_state_raises(proto, monkeypatch):
@@ -370,7 +372,7 @@ def test_non_finite_rough_state_raises(proto, monkeypatch):
             per_row.append(self.box is None)
 
     monkeypatch.setattr(mc, "CellLookup", Lookup)
-    _raises_non_finite(coeffs, proto)
+    _raises_non_finite(coeffs, proto, dt=1.0)
     assert any(per_row) and not all(per_row)
 
 
@@ -408,17 +410,18 @@ def test_rough_box_table_built_once_per_box(proto, monkeypatch):
 @pytest.mark.parametrize("blocks", [(1, 1), (2, 1), (1, 1, 1), (2, 2, 1),
                                     (1, 1, 1, 1)])
 def test_mc_matches_lam_C_over_block_structures(blocks):
-    """Constant A0 = I on a random canonical drift: the ensemble's mean and
-    covariance match e^{-tB} x0 and lam C(t) within 5 standard errors plus
-    the exact O(dt) bias of the Euler recursion, the benchmark's Monte
-    Carlo criterion."""
+    """A0 = I on a random canonical drift, as a one-value checkerboard, so
+    the Euler chain is stepped: the ensemble's mean and covariance match
+    e^{-tB} x0 and lam C(t) within 5 standard errors plus the exact O(dt)
+    bias of the Euler recursion, the benchmark's Monte Carlo criterion."""
     rng = np.random.default_rng(sum(blocks) * 10 + len(blocks))
     g = Geometry(BlockStructure(blocks), random_canonical_B(blocks, rng))
     N, m0, lam, t = g.N, g.structure.m0, 2.0, 0.5
     x0 = rng.uniform(-0.5, 0.5, N)
     cfg = mc.McConfig(paths=100_000, dt=0.01, seed=len(blocks), lam=lam)
-    ens = mc.simulate({"A0": ConstantField(np.eye(m0), dim=N)}, g, x0,
-                      0.0, t, cfg)
+    ens = mc.simulate(_as_boards({"A0": ConstantField(np.eye(m0), dim=N)}),
+                      g, x0, 0.0, t, cfg)
+    assert ens.provenance["scheme"] == "euler"
     nsteps = ens.provenance["nsteps"]
     # the Euler recursion X <- F X + sqrt(lam dt) (dW, 0), exactly
     F = np.eye(N) - cfg.dt * g.B
@@ -440,79 +443,87 @@ def test_mc_matches_lam_C_over_block_structures(blocks):
 
 @pytest.mark.parametrize("blocks", [(1, 1), (2, 1), (1, 1, 1), (2, 2, 1),
                                     (1, 1, 1, 1)])
-def test_law_draw_has_the_stepped_chains_law(blocks):
+def test_held_ensemble_has_the_exact_law(blocks):
     """Held A0 (with cross terms for m0 >= 2), b and c: the ensemble is
-    drawn from the Euler chain's law.  Its mean and covariance lie within
-    5 standard errors of the chain's exact moments, from the recursion
-    X <- X - dt (B X - b) + sqrt(dt) sigma dW run on the moments here; at
-    this dt the chain's covariance is off lam C(t) by more than that.  Its
-    weights are bitwise those of the same fields stepped as one-value
-    checkerboards: exp of the float sum of dt c over the steps, which over
-    these 12 steps differs from exp(nsteps * dt c).  It is byte-identical
-    at 1 and 2 threads."""
+    drawn from the diffusion's exact law, in one step of t1 - t0.  Its mean
+    and covariance lie within 5 standard errors of the exact moments: the
+    mean from the matrix exponential of the drift augmented by b (scipy's
+    expm, not the library's series) and the covariance lam C_{A0}(tau).
+    At the step 0.05 the Euler chain's law is off lam C(tau) by more than
+    that, so a draw from it fails the check.  Its weights are exp(tau c),
+    bitwise, and it is byte-identical at 1 and 2 threads."""
+    from scipy.linalg import expm
+
     rng = np.random.default_rng(sum(blocks) * 10 + len(blocks))
     g = Geometry(BlockStructure(blocks), random_canonical_B(blocks, rng))
     N, m0, lam, t0, t1 = g.N, g.structure.m0, 2.0, 0.1, 0.7
+    tau = t1 - t0
     x0 = rng.uniform(-0.5, 0.5, N)
     coeffs = _constant_coeffs(m0, N)
-    cfg = mc.McConfig(paths=100_000, dt=0.05, seed=len(blocks), lam=lam)
+    cfg = mc.McConfig(paths=100_000, seed=len(blocks), lam=lam)
     one, two = [mc.simulate(coeffs, g, x0, t0, t1, replace(cfg, threads=th))
                 for th in (1, 2)]
-    assert one.provenance["draw"] == "law"
+    assert one.provenance["scheme"] == "exact"
+    assert (one.provenance["nsteps"], one.provenance["dt"]) == (1, tau)
+    assert "draw" not in one.provenance
     assert np.array_equal(one.final, two.final)
     assert np.array_equal(one.weights, two.weights)
+    assert np.all(one.weights == np.exp(tau * float(coeffs["c"].value)))
 
-    nsteps, dt = one.provenance["nsteps"], one.provenance["dt"]
-    b = np.zeros(N)
-    b[:m0] = coeffs["b"].value
-    Q = np.zeros((N, N))
-    Q[:m0, :m0] = lam * dt * coeffs["A0"].value
-    mean, S = x0.copy(), np.zeros((N, N))
-    for _ in range(nsteps):
-        mean = mean - dt * (g.B @ mean - b)
-        S = S - dt * (g.B @ S + S @ g.B.T) + dt * dt * g.B @ S @ g.B.T + Q
+    # d/dt (x, 1) = [[-B, b], [0, 0]] (x, 1)
+    M = np.zeros((N + 1, N + 1))
+    M[:N, :N] = -g.B
+    M[:m0, N] = coeffs["b"].value
+    mean = (expm(tau * M) @ np.append(x0, 1.0))[:N]
+    C = lam * kern.covariance_matrix(tau, g.B, coeffs["A0"].value)
     X = one.final
     assert np.all(np.abs(X.mean(axis=0) - mean)
                   <= 5.0 * X.std(axis=0) / np.sqrt(cfg.paths))
     D = X - mean
     prod = D[:, :, None] * D[:, None, :]
     se = prod.std(axis=0) / np.sqrt(cfg.paths)
-    assert np.all(np.abs(prod.mean(axis=0) - S) <= 5.0 * se)
-    C = lam * kern.covariance_matrix(t1 - t0, g.B, coeffs["A0"].value)
+    assert np.all(np.abs(prod.mean(axis=0) - C) <= 5.0 * se)
+
+    # the Euler chain's covariance at dt = 0.05, 12 steps
+    dt = 0.05
+    F = np.eye(N) - dt * g.B
+    Q = np.zeros((N, N))
+    Q[:m0, :m0] = lam * dt * coeffs["A0"].value
+    S = np.zeros((N, N))
+    for _ in range(round(tau / dt)):
+        S = F @ S @ F.T + Q
     assert np.any(np.abs(S - C) > 5.0 * se)
 
-    stepped = mc.simulate(_as_boards(coeffs, ("A0", "b", "c")), g, x0, t0,
-                          t1, cfg)
-    assert stepped.provenance["draw"] == "steps"
-    assert np.array_equal(one.weights, stepped.weights)
-    dc = dt * float(coeffs["c"].value)
-    assert np.all(one.weights != np.exp(nsteps * dc))
+
+def test_held_ensemble_refuses_a_time_step(proto, proto_coeffs):
+    """A held ensemble reads no time step, so a given dt is refused rather
+    than accepted and ignored."""
+    with pytest.raises(ArgumentError, match="dt 0.01 is not read"):
+        mc.simulate(proto_coeffs, proto, np.zeros(2), 0.0, 0.5,
+                    mc.McConfig(paths=10, dt=0.01, seed=0))
 
 
-def test_law_draw_of_one_step_noises_the_first_block_alone():
-    """On (1,1,1) with dt = t1 - t0 the chain takes one step, fewer than
-    its 3 blocks, so its covariance is singular: x^(0) varies and x^(1),
-    x^(2) are their deterministic one-step values on every path."""
-    blocks = (1, 1, 1)
-    g = Geometry(BlockStructure(blocks),
-                 random_canonical_B(blocks, np.random.default_rng(3)))
-    x0 = np.array([0.2, -0.4, 0.3])
-    coeffs = _constant_coeffs(1, g.N)
-    t0, t1 = 0.0, 0.3
-    ens = mc.simulate(coeffs, g, x0, t0, t1,
-                      mc.McConfig(paths=1000, dt=t1 - t0, seed=2))
-    assert ens.provenance["draw"] == "law"
-    assert ens.provenance["nsteps"] == 1
-    step = x0 - (t1 - t0) * (g.B @ x0)
-    assert np.all(ens.final[:, 1:] == ens.final[0, 1:])
-    assert np.allclose(ens.final[0, 1:], step[1:], rtol=1e-14, atol=0.0)
-    assert np.std(ens.final[:, 0]) > 0.0
+@pytest.mark.parametrize("dt", [1e-300, 0.5 / (mc.MAX_STEPS + 1)])
+def test_stepped_ensemble_refuses_steps_past_the_bound(proto, proto_coeffs,
+                                                       monkeypatch, dt):
+    """A stepped ensemble of more than MAX_STEPS steps is refused with an
+    ArgumentError that names the step count and the bound, before any
+    generator or thread pool is made."""
+    def made(*args, **kwargs):
+        raise AssertionError("a generator or pool was made")
+
+    monkeypatch.setattr(mc, "chunk_rng", made)
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", made)
+    with pytest.raises(ArgumentError,
+                       match=f"beyond the bound of {mc.MAX_STEPS} steps"):
+        mc.simulate(_as_boards(proto_coeffs), proto, np.zeros(2), 0.0, 0.5,
+                    mc.McConfig(paths=10, dt=dt, seed=0))
 
 
 def test_moments_match_kernel(proto, proto_coeffs):
     x0 = np.array([0.3, -0.1])
     tau = 0.4
-    cfg = mc.McConfig(paths=200_000, dt=1e-3, seed=5, lam=2.0)
+    cfg = mc.McConfig(paths=200_000, seed=5, lam=2.0)
     ens = mc.simulate(proto_coeffs, proto, x0, 0.0, tau, cfg)
     mean_exact = proto.exp_drift(tau) @ x0
     cov_exact = 2.0 * kern.covariance_matrix(tau, proto.B, np.eye(1))
@@ -523,15 +534,15 @@ def test_moments_match_kernel(proto, proto_coeffs):
 
 def test_determinism_and_thread_independence(proto, proto_coeffs):
     """Repeats and thread counts give the same ensemble, drawn from the
-    chain's law (constant A0) or stepped (the rough benchmark's layout)."""
+    exact law (constant A0) or stepped (the rough benchmark's layout)."""
     x0 = np.zeros(2)
-    kw = dict(paths=50_000, dt=5e-3, seed=17, lam=2.0)
-    for coeffs, draw in ((proto_coeffs, "law"),
-                         (_benchmark_rough_coeffs(2), "steps")):
+    for coeffs, scheme, dt in ((proto_coeffs, "exact", None),
+                               (_benchmark_rough_coeffs(2), "euler", 5e-3)):
         a, b, c = [mc.simulate(coeffs, proto, x0, 0.0, 0.2,
-                               mc.McConfig(**kw, threads=threads))
+                               mc.McConfig(paths=50_000, dt=dt, seed=17,
+                                           threads=threads))
                    for threads in (1, 1, 4)]
-        assert a.provenance["draw"] == draw
+        assert a.provenance["scheme"] == scheme
         for other in (b, c):
             assert np.array_equal(a.final, other.final)
             assert np.array_equal(a.weights, other.weights)
@@ -539,18 +550,22 @@ def test_determinism_and_thread_independence(proto, proto_coeffs):
 
 def test_provenance_names_the_chunk_stream(proto, proto_coeffs):
     """The provenance's "rng" is the bit generator a chunk's noise is drawn
-    from, the one chunk_rng builds, beside the scheme and the draw: "law"
-    for held coefficients, "steps" for a checkerboard; and two chunks of
-    one seed draw different streams."""
-    cfg = mc.McConfig(paths=mc.CHUNK + 10, dt=5e-2, seed=7)
+    from, the one chunk_rng builds, beside the scheme with its step count
+    and step: "exact" in one step of t1 - t0 for held coefficients,
+    "euler" for a checkerboard; and two chunks of one seed draw different
+    streams."""
+    cfg = mc.McConfig(paths=mc.CHUNK + 10, seed=7)
     rng = mc.chunk_rng(cfg.seed, 0)
-    for coeffs, draw in ((proto_coeffs, "law"),
-                         (_as_boards(proto_coeffs), "steps")):
-        ens = mc.simulate(coeffs, proto, np.zeros(2), 0.0, 0.1, cfg)
+    for coeffs, dt, scheme, nsteps in (
+            (proto_coeffs, None, "exact", 1),
+            (_as_boards(proto_coeffs), 5e-2, "euler", 2)):
+        ens = mc.simulate(coeffs, proto, np.zeros(2), 0.0, 0.1,
+                          replace(cfg, dt=dt))
         assert ens.provenance["rng"] == type(rng.bit_generator).__name__ \
             == "SFC64"
-        assert ens.provenance["scheme"] == "euler"
-        assert ens.provenance["draw"] == draw
+        assert ens.provenance["scheme"] == scheme
+        assert ens.provenance["nsteps"] == nsteps
+        assert ens.provenance["dt"] == 0.1 / nsteps
         assert ens.provenance["nchunks"] == 2
     assert not np.array_equal(rng.standard_normal(8),
                               mc.chunk_rng(cfg.seed, 1).standard_normal(8))
@@ -559,7 +574,7 @@ def test_provenance_names_the_chunk_stream(proto, proto_coeffs):
 def test_feynman_kac_weights(proto, proto_coeffs):
     coeffs = dict(proto_coeffs)
     coeffs["c"] = ConstantField(np.array(-0.5), dim=2)
-    cfg = mc.McConfig(paths=1000, dt=1e-2, seed=0)
+    cfg = mc.McConfig(paths=1000, seed=0)
     ens = mc.simulate(coeffs, proto, np.zeros(2), 0.0, 0.3, cfg)
     # constant c: deterministic weight exp(c * tau)
     assert np.allclose(ens.weights, np.exp(-0.5 * 0.3), rtol=1e-12)
@@ -567,7 +582,7 @@ def test_feynman_kac_weights(proto, proto_coeffs):
 
 def test_not_spd_diffusion(proto):
     coeffs = {"A0": ConstantField(np.array([[-1.0]]), dim=2)}
-    cfg = mc.McConfig(paths=100, dt=1e-2, seed=0)
+    cfg = mc.McConfig(paths=100, seed=0)
     with pytest.raises(NotSPD):
         mc.simulate(coeffs, proto, np.zeros(2), 0.0, 0.1, cfg)
 
@@ -590,7 +605,7 @@ def test_not_spd_diffusion_pivots(proto, kind, bad):
     if kind == "unvisited":
         x0 = np.full(2, 5e5)
         assert A0(x0, 0.0)[0, 0] == 1.0 and A0(x0, 0.5)[0, 0] == 1.0
-    cfg = mc.McConfig(paths=2000, dt=1e-2, seed=0)
+    cfg = mc.McConfig(paths=2000, seed=0)
     with pytest.raises(NotSPD):
         mc.simulate({"A0": A0}, proto, x0, 0.0, 0.5, cfg)
 
@@ -614,7 +629,7 @@ def test_sigma_chunk_matches_lapack_cholesky():
 
 
 def test_density_estimate_normalization(proto, proto_coeffs):
-    cfg = mc.McConfig(paths=100_000, dt=2e-3, seed=2)
+    cfg = mc.McConfig(paths=100_000, seed=2)
     ens = mc.simulate(proto_coeffs, proto, np.zeros(2), 0.0, 0.3, cfg)
     d = mc.density_estimate(ens, [(-3, 3), (-1.5, 1.5)], [30, 30])
     total = d["density"].sum() * d["bin_volume"]
@@ -624,7 +639,7 @@ def test_density_estimate_normalization(proto, proto_coeffs):
 
 def test_mass_in_DR_matches_gaussian_oracle(proto, proto_coeffs):
     tau = 0.3
-    cfg = mc.McConfig(paths=100_000, dt=1e-3, seed=9)
+    cfg = mc.McConfig(paths=100_000, seed=9)
     ens = mc.simulate(proto_coeffs, proto, np.zeros(2), 0.0, tau, cfg)
     m = mc.mass_in_DR(ens, np.zeros(2), 1.0, proto)
     # oracle: X ~ N(0, 2 C(tau)); u = -delta_{1/sqrt tau} e^{tau B} X

@@ -8,6 +8,7 @@ import numpy as np
 from . import kernel as kern
 from . import specfile
 from .cliargs import finite, vector
+from .errors import ArgumentError
 from .group import grid, point
 from .specfile import SpecError
 
@@ -49,6 +50,11 @@ def cmd_kernel_eval(args, spec):
     params = kern.scaled_params(args.lam, g)
     pts, axes = _points_from_args(args, g.N)
     vals = kern.gamma_many(pts, pole, params)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        raise ArgumentError(f"the kernel is {vals[bad][0]} at the row with "
+                            f"t = {float(pts[bad][0, -1])!r}: past the "
+                            f"range of a double")
     header = [f"x{k + 1}" for k in range(g.N)] + ["t", "value"]
     specfile.write_csv(args.out, header,
                        vals if axes else np.column_stack([pts, vals]),

@@ -6,6 +6,12 @@ kernel is an anisotropic Gaussian parameterized by the covariance integral
 C(t) = int_0^t E(s) Abar E(s)^T ds with E(s) = exp(-sB) and Abar the
 zero-padding of A0 = I_{m0}.  The lam = 2 member is the principal-part
 kernel with prefactor (4 pi)^{-N/2} and exponent -<C^{-1}x, x>/4.
+
+B is canonical, so delta_r B delta_r^{-1} = r^2 B and
+C(t) = delta_sqrt(t) C(1) delta_sqrt(t), delta the spatial dilation
+(Lanconelli & Polidoro 1994).  One Cholesky factor L1 of C(1) therefore
+serves every t: delta_sqrt(t) L1 factors C(t), and log det C(t) is
+log det C(1) + Q log t, so the kernel keeps full precision at every scale.
 """
 
 import math
@@ -48,27 +54,10 @@ def covariance_poly_coeffs(B, A0):
     return [(p, Mp) for p, Mp in enumerate(M) if Mp.any()]
 
 
-def _cov_from_poly(coeffs, t):
-    """C(t) = sum_p t^p M_p at a time (N, N) or at each of n times (n, N, N).
-
-    The powers are repeated products and the sum is elementwise, so an
-    entry's rounding does not depend on the other times in the batch."""
-    t = np.asarray(t, dtype=float)
-    N = coeffs[0][1].shape[0]
-    C = np.zeros(t.shape + (N, N))
-    tpow, q = np.ones_like(t), 0
-    for p, Mp in coeffs:
-        for _ in range(p - q):
-            tpow = tpow * t
-        q = p
-        C += tpow[..., None, None] * Mp
-    return C
-
-
 def covariance_matrix(t, B, A0):
-    """C(t) = int_0^t E(s) Abar E(s)^T ds for nilpotent B, from its exact
-    polynomial; t a time or an array of times."""
-    return _cov_from_poly(covariance_poly_coeffs(B, A0), t)
+    """C(t) = int_0^t E(s) Abar E(s)^T ds for nilpotent B at one time t,
+    the sum of t^p M_p over its exact polynomial."""
+    return sum(t ** p * Mp for p, Mp in covariance_poly_coeffs(B, A0))
 
 
 def covariance(t, B, A0):
@@ -84,23 +73,27 @@ def covariance(t, B, A0):
 
 
 class KernelParams:
-    """Diffusion scale, drift matrix and block structure of a model kernel."""
+    """Diffusion scale, drift matrix and block structure of a model kernel,
+    with the Cholesky factor chol1 of C(1), its inverse inv1 and
+    logdet1 = log det C(1): the one factor every time reads through the
+    dilation.  NotSPD if C(1) has no Cholesky factor."""
 
     def __init__(self, lam, geometry: Geometry):
         if not lam > 0.0:
             raise ArgumentError(f"lam must be positive, got {lam!r}")
         self.lam = lam
         self.geometry = geometry
-        self.poly = covariance_poly_coeffs(
-            self.geometry.B, np.eye(self.geometry.structure.m0))
+        try:
+            self.chol1 = np.linalg.cholesky(covariance_matrix(
+                1.0, geometry.B, np.eye(geometry.structure.m0)))
+        except np.linalg.LinAlgError as exc:
+            raise NotSPD("C(1) is not positive definite") from exc
+        self.inv1 = np.linalg.inv(self.chol1)
+        self.logdet1 = 2.0 * float(np.sum(np.log(np.diag(self.chol1))))
 
     def cov(self, t):
         return covariance(t, self.geometry.B,
                           np.eye(self.geometry.structure.m0))
-
-    def cov_many(self, t):
-        """C(t) for an array of times, shape (n, N, N)."""
-        return _cov_from_poly(self.poly, t)
 
 
 def scaled_params(lam, geometry):
@@ -110,35 +103,33 @@ def scaled_params(lam, geometry):
 
 
 def law_points(t, G, params: KernelParams):
-    """Rows (L(t) g, t) with L L^T = lam C(t), one per time t and row g of
-    standard normals G: draws from the law of the kernel with its pole at
-    the origin, so the kernel stays representable at every scale."""
-    L = np.linalg.cholesky(params.lam * params.cov_many(t))
-    return point(np.einsum("nij,nj->ni", L, G), t)
+    """Rows (sqrt(lam) delta_sqrt(t) L1 g, t), L1 the factor of C(1), one
+    per time t and row g of standard normals G: draws from the law of the
+    kernel with its pole at the origin, so the kernel stays representable
+    at every scale."""
+    Y = np.einsum("ij,nj->ni", params.chol1, G) * np.sqrt(params.lam)
+    return point(params.geometry.dilate_space(np.sqrt(t), Y), t)
 
 
 def quad_logdet(w, params: KernelParams):
-    """<C(t)^{-1} x, x> and log det C(t) for rows w = (x, t) with t > 0.
-    C(t), its Cholesky factor and log det are built once per distinct time
-    and gathered to the rows, then one batched solve: each row's numbers
-    are those of its own factor and solve.  Raises NotSPD if a C(t) is not
-    positive definite."""
+    """<C(t)^{-1} x, x> and log det C(t) for rows w = (x, t) with t > 0,
+    read through the one factor L1 of C(1): |L1^{-1} delta_{1/sqrt(t)} x|^2
+    and log det C(1) + Q log t.  Every step is row by row, so each row's
+    numbers are those of a one-row call."""
     x, t = w[:, :-1], w[:, -1]
-    times, row_time = np.unique(t, return_inverse=True)
-    try:
-        chol = np.linalg.cholesky(params.cov_many(times))
-    except np.linalg.LinAlgError as exc:
-        raise NotSPD("C(t) is not positive definite") from exc
-    y = np.linalg.solve(chol[row_time], x[:, :, None])[:, :, 0]
-    quad = np.einsum("ij,ij->i", y, y)
-    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-    return quad, logdet[row_time]
+    g = params.geometry
+    u = g.dilate_space(1.0 / np.sqrt(t), x)
+    y = np.einsum("ij,nj->ni", params.inv1, u)
+    return (np.einsum("ij,ij->i", y, y),
+            params.logdet1 + g.structure.Q * np.log(t))
 
 
 def gamma_many(points, zeta, params: KernelParams, log=False):
     """Kernel at each row of points ([x..., t]) with pole zeta, evaluated at
     zeta^{-1} o z; zeta is one pole or one per row.  With log=True the
-    log-kernel is returned (-inf off the support), avoiding underflow.
+    log-kernel is returned (-inf off the support), avoiding underflow;
+    without it a value past the largest double is inf.  A row whose
+    dilation delta_{1/sqrt(t)} overflows reads NaN.  Neither warns.
     Rows are evaluated GAMMA_BLOCK at a time, a per-row pole sliced with
     its rows; each row's numbers are its own, so the blocks change no
     value, only the scratch held at once."""
@@ -160,6 +151,7 @@ def _rows(a, rows):
     return a[rows] if a.ndim == 2 and len(a) > 1 else a
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _gamma_block(points, zeta, params, log):
     g = params.geometry
     w = g.compose(g.inverse(zeta), points)

@@ -54,6 +54,10 @@ DT = 1e-3      # the stepped chain's step when none is given
 # about 0.5 ms in the rough benchmark's layout on a 2-core Xeon, so 10^6
 # steps take 8 minutes a chunk.  A dt past it is refused before any buffer.
 MAX_STEPS = 10 ** 6
+# The most bytes of end states and log-weights an ensemble may hold,
+# paths * (N + 1) * 8, 1 GiB: README's 10^6 paths on N = 2 hold 24 MB.  More
+# paths are refused before any buffer, generator or pool.
+MAX_ENSEMBLE_BYTES = 2 ** 30
 
 
 @dataclass(frozen=True)
@@ -130,9 +134,11 @@ def _exact_law(held, A0, geometry: Geometry, x0, tau, lam):
     """mu, R and the log-weight tau c (held["c"] at dt = tau) of the end
     state's law N(mu, R R^T) after tau from x0 with every coefficient held:
     mu = e^{-tau B} x0 + sum_{k<N} (-B)^k tau^{k+1} / (k+1)! b, exact as
-    B^N = 0, and R R^T = kernel.covariance_matrix(tau, B, lam A0).  A mean
-    or covariance that is not finite raises NonFinite, one with no Cholesky
-    factor NotSPD."""
+    B^N = 0, and R = delta_sqrt(tau) R1 with R1 the factor of
+    lam C_{A0}(1) (kernel.covariance_matrix), since B is canonical and
+    C_{A0}(tau) = delta_sqrt(tau) C_{A0}(1) delta_sqrt(tau): R keeps full
+    precision at every tau.  A mean or lam C_{A0}(1) that is not finite
+    raises NonFinite, one with no Cholesky factor NotSPD."""
     N, m0, B = geometry.N, geometry.structure.m0, geometry.B
     mu = geometry.exp_drift(tau) @ x0
     term = np.zeros(N)
@@ -140,13 +146,11 @@ def _exact_law(held, A0, geometry: Geometry, x0, tau, lam):
     for k in range(N):
         mu = mu + term
         term = -tau / (k + 2) * (B @ term)
-    C = covariance_matrix(tau, B, lam * np.reshape(A0, (m0, m0)))
-    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(C))):
+    C1 = covariance_matrix(1.0, B, np.reshape(A0, (m0, m0)))
+    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(lam * C1))):
         raise NonFinite("non-finite state in the exact law")
-    try:
-        R = np.linalg.cholesky(C)
-    except np.linalg.LinAlgError as exc:
-        raise NotSPD(f"lam C({tau!r}) is not positive definite") from exc
+    R1 = _sigma_chunk(C1[None], lam)[0]
+    R = geometry.dilate_space(np.sqrt(tau), R1.T).T
     return mu, R, held["c"][0] if "c" in held else 0.0
 
 
@@ -156,9 +160,10 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
     coefficients that hold A0 (else ArgumentError): drawn from the exact law
     in one step of dt = t1 - t0 where every coefficient is held (a given
     config.dt is then an ArgumentError), else stepped at config.dt, DT if
-    unset (more than MAX_STEPS steps are an ArgumentError, before any
-    buffer).  The provenance records nsteps and dt.  A non-finite state,
-    law or sum of squared weights raises NonFinite."""
+    unset (more than MAX_STEPS steps, or end states and weights past
+    MAX_ENSEMBLE_BYTES, are an ArgumentError, before any buffer).  The
+    provenance records nsteps and dt.  A non-finite state, law or sum of
+    squared weights raises NonFinite."""
     if not t1 > t0:
         raise ArgumentError(f"t1 must exceed t0, got t0={t0!r}, t1={t1!r}")
     fields = {k: coeffs[k] for k in ("A0", "b", "c")
@@ -180,6 +185,11 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
         raise ArgumentError(f"dt {config.dt or DT!r} makes {steps!r} steps "
                             f"from t0 = {t0!r} to t1 = {t1!r}, beyond the "
                             f"bound of {MAX_STEPS} steps")
+    held_bytes = 8 * config.paths * (N + 1)
+    if held_bytes > MAX_ENSEMBLE_BYTES:
+        raise ArgumentError(f"paths = {config.paths}: the end states and "
+                            f"weights take {held_bytes:.3e} bytes, beyond "
+                            f"the bound {MAX_ENSEMBLE_BYTES:.3e}")
     nsteps = max(1, int(round(steps)))
     dt = (t1 - t0) / nsteps
     sqdt = np.sqrt(dt)
@@ -310,11 +320,11 @@ def density_estimate(ensemble: PathEnsemble, box, bins):
 
 
 def standardized_offset(Y, y, tau, geometry: Geometry):
-    """u = delta^0_{1/sqrt(tau)} (y - e^{tau B} Y) for rows Y."""
+    """u = delta^0_{1/sqrt(tau)} (y - e^{tau B} Y) for rows Y, the
+    dilation from Geometry.dilate_space."""
     E = geometry.exp_drift(-tau)          # e^{tau B}
     d = np.atleast_1d(y)[None, :] - np.atleast_2d(Y) @ E.T
-    alpha = np.asarray(geometry.structure.alpha, dtype=float)
-    return d / np.sqrt(tau) ** alpha
+    return geometry.dilate_space(1.0 / np.sqrt(tau), d)
 
 
 def mass_in_DR(ensemble: PathEnsemble, y, R, geometry: Geometry):

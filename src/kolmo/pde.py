@@ -660,7 +660,7 @@ class TestFunction:
         tau_d = tau / (r * r)
         if not -1.0 < tau_d < 0.0:
             return np.zeros(len(X))
-        xi_d = xi / (r ** np.asarray(g.structure.alpha, dtype=float))
+        xi_d = g.dilate_space(1.0 / r, xi)
         val = np.full(len(X), (4.0 * (-tau_d) * (1.0 + tau_d)) ** 3)
         for sl in g.structure.block_slices():
             r2 = np.sum(xi_d[:, sl] ** 2, axis=1)

@@ -14,7 +14,7 @@ import pytest
 
 import kolmo
 
-from kolmo import cli, specfile
+from kolmo import cli, mc, specfile
 from kolmo.coefficients import CheckerboardField, GridField
 from kolmo.structure import BlockStructure
 from test_specfile import save_grid_field
@@ -437,6 +437,34 @@ def test_overflow_refusal_is_one_stderr_line(tmp_path, name, value, argv,
     assert proc.returncode == code
     assert proc.stderr.count("\n") == 1, proc.stderr
     assert proc.stderr.startswith(("mc error", "solver error"))
+
+
+@pytest.mark.parametrize("argv, code, lead", [
+    (["kernel", "eval", "{spec}", "--pole", "0,0,0,0", "--points", "p.csv",
+      "--out", "k.csv"], cli.EXIT_PARSE,
+     "error: the kernel is inf at the row with t = 1e-40"),
+    (["solve", "cauchy", "{spec}", "--datum", "gaussian:1e-40",
+      "--box=-1,1;-1,1;-1,1;-1,1", "--nx", "5,5,5,5", "--t1", "0.1",
+      "--out", "c.csv"], cli.EXIT_SOLVER,
+     "solver error: non-finite values")], ids=["kernel-eval", "solve"])
+def test_kernel_overflow_is_one_stderr_line(tmp_path, argv, code, lead):
+    """On the chain (1,1,1,1) the kernel at the pole overflows at
+    t = 1e-40 (t^{-Q/2} = 1e320): kernel eval refuses the value, naming
+    its row's time, and a solve from it exits 5, each with one line on
+    stderr, no numpy warning ahead of it, and no CSV."""
+    (tmp_path / "p.csv").write_text("x1,x2,x3,x4,t\n0,0,0,0,1e-40\n")
+    src = str(Path(kolmo.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "kolmo.cli"]
+        + [a.format(spec=_chain_spec(tmp_path, 4)) for a in argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == code
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.startswith(lead)
+    assert not {"k.csv", "c.csv"} & {p.name for p in tmp_path.iterdir()}
 
 
 def test_declared_Lambda_bounds_the_step(step_A0, tmp_path, capsys):
@@ -908,6 +936,57 @@ def test_mc_refuses_work_past_its_bounds(spec_path, cb_spec_path, tmp_path,
     assert says in err
     assert elapsed < 1.0
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["mc", "simulate", "{spec}", "--out", "e.csv"],
+    ["mc", "mass", "{spec}"],
+    ["mc", "density", "{spec}", "--box=-3,3;-2,2", "--bins", "4,4",
+     "--out", "d.csv"],
+    ["mc", "mass", "{cb}"],
+], ids=["simulate", "mass", "density", "mass-stepped"])
+def test_mc_refuses_paths_past_the_byte_bound(spec_path, cb_spec_path,
+                                              tmp_path, capsys, monkeypatch,
+                                              argv):
+    """--paths 10^12 would hold 2.4e13 bytes of end states and weights on
+    N = 2: each mc command exits 2 with one error line naming the bytes
+    and mc.MAX_ENSEMBLE_BYTES, within a second, before any generator is
+    made, and with no artifact."""
+    def never(*args):
+        raise AssertionError("chunk_rng called past the bound")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(mc, "chunk_rng", never)
+    start = time.perf_counter()
+    code = cli.main([a.format(spec=spec_path, cb=cb_spec_path) for a in argv]
+                    + ["--paths", "1000000000000"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_PARSE
+    assert err.count("\n") == 1
+    assert err.startswith("error: paths = 1000000000000: the end states and "
+                          "weights take 2.400e+13 bytes, beyond the bound "
+                          f"{mc.MAX_ENSEMBLE_BYTES:.3e}")
+    assert elapsed < 1.0
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_mc_mass_is_scale_free(tmp_path, capsys):
+    """With x0 = y = 0 and A0 constant, the exact law is the dilation of
+    its law at tau = 1, and D_R is read through the same dilation, so
+    mc mass on the chain (1,1,1) counts the same paths at --t1 0.5, 1e-60
+    and 1e-120, where C(tau)'s last entry, tau^5 / 20, is far below the
+    smallest double."""
+    spec = _chain_spec(tmp_path, 3)
+    masses = []
+    for t1 in ("0.5", "1e-60", "1e-120"):
+        code, out = run(capsys, ["mc", "mass", spec, "--paths", "100000",
+                                 "--seed", "3", "--t1", t1])
+        assert code == 0
+        m = json.loads(out)["mass"]
+        masses.append((m["mass"], m["count"]))
+    assert masses == [masses[0]] * 3
+    assert 0 < masses[0][1] < 100000
 
 
 def test_kernel_eval_points_and_grid_exit_2(spec_path, tmp_path, capsys,

@@ -39,6 +39,27 @@ def test_kernel_value_at_origin(proto, proto_params):
     assert abs(v - math.sqrt(12.0) / (4.0 * math.pi)) < 1e-14
 
 
+@pytest.mark.parametrize("blocks, B, t", [
+    ((1, 1), [[0, 0], [1, 0]], 1e-106),
+    ((2, 1), [[0, 0, 0], [0, 0, 0], [1, 1, 0]], 1e-106),
+    ((1, 1, 1), [[0, 0, 0], [1, 0, 0], [0, 1, 0]], 1e-64)])
+def test_kernel_at_origin_across_scales(blocks, B, t):
+    """Gamma(0, t) with its pole at the origin is
+    (2 pi lam)^{-N/2} det C(1)^{-1/2} t^{-Q/2} to 1e-12 relative at times
+    where C(t)'s last block is subnormal: the kernel reads C(t) through
+    the dilation of C(1), so its precision does not depend on the scale.
+    A factor of C(t) made afresh read these 2.5e-5, 1.1e-5 and 3.2e-2 off."""
+    g = Geometry(BlockStructure(blocks), np.array(B, dtype=float))
+    params = kern.scaled_params(2.0, g)
+    v = kern.gamma_many(point(np.zeros(g.N), t), point(np.zeros(g.N), 0.0),
+                        params)[0]
+    _, logdet1 = np.linalg.slogdet(
+        kern.covariance_matrix(1.0, g.B, np.eye(g.structure.m0)))
+    log_ref = (-0.5 * g.N * math.log(4.0 * math.pi) - 0.5 * logdet1
+               - 0.5 * g.structure.Q * math.log(t))
+    assert abs(v / math.exp(log_ref) - 1.0) <= 1e-12
+
+
 def test_kernel_matches_gaussian_oracle(proto):
     rng = np.random.default_rng(0)
     lam = 1.7
@@ -230,21 +251,43 @@ def _canonical_params(blocks, seed, lam):
 @pytest.mark.parametrize("blocks", [(1, 1), (2, 1), (1, 1, 1),
                                     (1, 1, 1, 1)])
 def test_quad_logdet_matches_one_factor_per_row(blocks, times):
-    """quad_logdet factors C(t) once per distinct time; each row's
-    <C(t)^-1 x, x> and log det C(t) are bitwise those of its own Cholesky
-    factor and solve."""
+    """quad_logdet reads every C(t) through the one factor of C(1): each
+    row's <C(t)^-1 x, x> and log det C(t) are bitwise those of a one-row
+    call, and agree with a Cholesky factor and solve of C(t) itself, made
+    per row, to 1e-11 (relative for the form, absolute for log det).  The
+    gaps reached 7.6e-13 and 7.7e-13, on (1,1,1,1) at cond(C(1)) 1.8e6."""
     rng, params = _canonical_params(blocks, 5, 2.0)
+    g = params.geometry
     n = 300
     t = (rng.choice([0.05, 0.3, 0.7, 1.9], size=n) if times == "repeated"
          else rng.uniform(0.05, 2.0, size=n))
-    x = rng.normal(size=(n, params.geometry.N))
-    quad, logdet = kern.quad_logdet(np.column_stack([x, t]), params)
+    x = rng.normal(size=(n, g.N))
+    w = np.column_stack([x, t])
+    quad, logdet = kern.quad_logdet(w, params)
     for i in range(n):
-        chol = np.linalg.cholesky(params.cov_many(t[i:i + 1]))
-        y = np.linalg.solve(chol, x[i:i + 1, :, None])[:, :, 0]
-        assert quad[i] == np.einsum("ij,ij->i", y, y)[0]
-        assert logdet[i] == 2.0 * np.sum(
-            np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)[0]
+        one = kern.quad_logdet(w[i:i + 1], params)
+        assert (quad[i], logdet[i]) == (one[0][0], one[1][0])
+        chol = np.linalg.cholesky(
+            kern.covariance_matrix(t[i], g.B, np.eye(g.structure.m0)))
+        y = np.linalg.solve(chol, x[i])
+        assert abs(quad[i] - y @ y) <= 1e-11 * (y @ y)
+        assert abs(logdet[i] - 2.0 * np.sum(np.log(np.diag(chol)))) <= 1e-11
+
+
+@pytest.mark.parametrize("blocks", [(1, 1), (2, 1), (1, 1, 1),
+                                    (1, 1, 1, 1)])
+def test_law_points_have_the_kernels_covariance(blocks):
+    """law_points maps the unit vectors at one time t to the columns of a
+    factor of lam C(t), so the rows' Gram matrix is lam C(t) to rounding,
+    entry by entry relative to sqrt(C_ii C_jj), at t from 1e-20 to 2."""
+    rng, params = _canonical_params(blocks, 3, 1.7)
+    g = params.geometry
+    for t in (1e-20, 0.05, 0.7, 2.0):
+        Z = kern.law_points(np.full(g.N, t), np.eye(g.N), params)[:, :-1]
+        C = params.lam * kern.covariance_matrix(t, g.B,
+                                                np.eye(g.structure.m0))
+        d = np.sqrt(np.diag(C))
+        assert np.max(np.abs(Z.T @ Z - C) / np.outer(d, d)) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -260,7 +303,8 @@ def test_homogeneity_over_canonical_structures(blocks, seed, lam):
     rng, params = _canonical_params(blocks, seed, lam)
     g = params.geometry
     t = np.abs(rng.normal(size=20)) + 0.05
-    L = np.linalg.cholesky(lam * params.cov_many(t))
+    L = np.stack([np.linalg.cholesky(lam * kern.covariance_matrix(
+        ti, g.B, np.eye(g.structure.m0))) for ti in t])
     z = point(np.einsum("nij,nj->ni", L, rng.normal(size=(20, g.N))), t)
     r = np.exp(rng.uniform(-1.5, 1.5, size=20))
     origin = point(np.zeros(g.N), 0.0)

@@ -502,3 +502,15 @@ def test_one_ensemble_stream_rule():
     trees = _trees()
     assert _call_sites(trees, "SeedSequence") == {("mc", "chunk_rng")}
     assert ("mc", "simulate") in _call_sites(trees, "chunk_rng")
+
+
+def test_one_covariance_factor_rule():
+    """C(t) is factored once per operator: KernelParams factors C(1), and
+    the kernel and the exact Monte Carlo law read every C(t) through the
+    dilation of that factor.  covariance only checks that a C(t) has a
+    factor, and _log_reproduction_quadrature factors the covariance of
+    the Gauss-Hermite product, not C(t); no other library code calls
+    cholesky."""
+    assert _call_sites(_trees(), "cholesky") == {
+        ("kernel", "KernelParams"), ("kernel", "covariance"),
+        ("kernel", "_log_reproduction_quadrature")}

@@ -50,7 +50,8 @@ def test_sandwich_self_test_block_structures(blocks):
     params = kern.scaled_params(2.0, g)
     n = 500
     t = rng.uniform(0.05, 1.0, n)
-    L = np.linalg.cholesky(params.lam * params.cov_many(t))
+    L = np.stack([np.linalg.cholesky(params.lam * kern.covariance_matrix(
+        ti, g.B, np.eye(g.structure.m0))) for ti in t])
     x = np.einsum("nij,nj->ni", L, rng.standard_normal((n, g.N)))
     pole = point(np.zeros(g.N), 0.0)
     pts = point(x, t)

@@ -120,7 +120,7 @@ _BOUNDS_FIT = [
     _opt("--lambda-minus", dest="lam_minus", type=_number, default=1.8),
     _opt("--err-budget", dest="err_budget", type=_number, default=0.05),
     _opt("--box", default="-4,4;-2,2"), _opt("--nx", default="81,121"),
-    _opt("--widths", default="0.3,0.25,0.2")]
+    _opt("--width", type=_positive_float, default=0.2)]
 _HARNACK_SWEEP = [_SEED, _opt("--out", default="harnack_sweep.csv")]
 _HARNACK_SINGLE = [_CENTER, _CENTER_T]
 # words -> (the mode's switch, the options read with it on, those read

@@ -5,7 +5,7 @@ import numpy as np
 
 from . import kernel as kern
 from . import specfile, verify
-from .cliargs import box, counts, floats, vector
+from .cliargs import box, counts, vector
 from .group import grid, point
 
 
@@ -26,10 +26,9 @@ def cmd_check_bounds(args, spec):
         from . import pde
         bx = box(args, g.N)
         nx = counts(args, "nx", g.N, pde.MIN_AXIS_NODES)
-        widths = floats(args.widths)
         final, _ = pde.approx_fundamental(
-            spec.fields, g, x0, args.t0,
-            args.t0 + 1.0, bx, nx, widths, lam=args.lam, keep="final")
+            spec.fields, g, x0, args.t0, args.t0 + 1.0, bx, nx,
+            [args.width], lam=args.lam, keep="final")
         tq = final.taxis[-1]
         pts = grid(final.axes)
         keep = final.values[-1].ravel() > 1e-3 * final.values[-1].max()

@@ -114,22 +114,29 @@ def law_points(t, G, params: KernelParams):
 def quad_logdet(w, params: KernelParams):
     """<C(t)^{-1} x, x> and log det C(t) for rows w = (x, t) with t > 0,
     read through the one factor L1 of C(1): |L1^{-1} delta_{1/sqrt(t)} x|^2
-    and log det C(1) + Q log t.  Every step is row by row, so each row's
+    and log det C(1) + Q log t.  Where the dilation overflows, a zero
+    coordinate still contributes 0 and a row with an infinite dilated
+    coordinate reads +inf.  Every step is row by row, so each row's
     numbers are those of a one-row call."""
     x, t = w[:, :-1], w[:, -1]
     g = params.geometry
-    u = g.dilate_space(1.0 / np.sqrt(t), x)
-    y = np.einsum("ij,nj->ni", params.inv1, u)
-    return (np.einsum("ij,ij->i", y, y),
-            params.logdet1 + g.structure.Q * np.log(t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = g.dilate_space(1.0 / np.sqrt(t), x)
+        u[x == 0.0] = 0.0
+        y = np.einsum("ij,nj->ni", params.inv1, u)
+        quad = np.einsum("ij,ij->i", y, y)
+    quad[np.isinf(u).any(axis=1)] = np.inf
+    return quad, params.logdet1 + g.structure.Q * np.log(t)
 
 
 def gamma_many(points, zeta, params: KernelParams, log=False):
     """Kernel at each row of points ([x..., t]) with pole zeta, evaluated at
     zeta^{-1} o z; zeta is one pole or one per row.  With log=True the
     log-kernel is returned (-inf off the support), avoiding underflow;
-    without it a value past the largest double is inf.  A row whose
-    dilation delta_{1/sqrt(t)} overflows reads NaN.  Neither warns.
+    without it a value past the largest double is inf.  Where the dilation
+    delta_{1/sqrt(t)} overflows, a zero coordinate contributes 0, so the
+    pole's row stays finite, and a row with an infinite dilated coordinate
+    reads 0 (-inf with log=True).  Neither warns.
     Rows are evaluated GAMMA_BLOCK at a time, a per-row pole sliced with
     its rows; each row's numbers are its own, so the blocks change no
     value, only the scratch held at once."""

@@ -2,13 +2,15 @@
 and the weak-form residual of a grid solution.
 
 The time step alternates (i) semi-Lagrangian transport along the drift's
-integral curves, (ii) flux-form diffusion in the first m0 coordinates, a
+integral curves, a local cubic Lagrange interpolant clipped to the range
+of its corners, (ii) flux-form diffusion in the first m0 coordinates, a
 backward-Euler line solve along each of them with any cross terms of A0
 explicit, (iii) upwind lower-order advection and the zero-order factor.
-First order in time by construction; monotonicity is preferred over formal
-order because the Harnack/positivity checks need it.  Steps (i) and (ii)
-are monotone at any dt, so the default step is chosen for accuracy, not set
-by the explicit-diffusion bound h^2 / (2 Lambda m0).
+Every stage extends the slice by zero outside the box.  First order in
+time by construction; monotonicity is preferred over formal order because
+the Harnack/positivity checks need it.  Steps (i) and (ii) are monotone at
+any dt, so the default step is chosen for accuracy, not set by the
+explicit-diffusion bound h^2 / (2 Lambda m0).
 """
 
 import math
@@ -26,15 +28,15 @@ BOUNDARY_MASS_TOL = 1e-12
 # A monotone step cannot raise the sup norm beyond its reaction factor; its
 # arithmetic rounds at the scale of the peak, so the audit allows this much.
 GROWTH_TOL = 64 * np.finfo(float).eps
-# The fewest nodes per axis the solver supports: the grid spacing needs two,
-# and so does the transport's mirror fold, whose period is 2 (n - 1).
+# The fewest nodes per axis the solver supports: the grid spacing needs two.
 MIN_AXIS_NODES = 2
 # The advection Courant number: dt |b|_1 / h stays below it.
 COURANT = 0.9
 # The default time step in units of the explicit-diffusion bound
-# h^2 / (2 Lambda m0).  Over 12 poles of the prototype's kernel datum at
-# 161^2, the worst final-slice error against the exact kernel read 3.9, 3.7,
-# 3.2 and 3.8% of the peak at 1, 2, 4 and 8 times that bound.
+# h^2 / (2 Lambda m0).  Over 12 poles of the prototype's kernel datum of
+# width 0.1 at 161^2, the worst final-slice error against the exact kernel
+# read 4.40, 4.29, 4.25 and 4.45% of the peak at 1, 2, 4 and 8 times that
+# bound.
 DIFFUSION_STEPS = 4
 # The most time steps a solve makes.  On a 2-core x86-64 VM a prototype
 # step takes 0.15 ms at 21^2 and 1.6 ms at 161^2, so 10^6 steps take 2.5
@@ -42,7 +44,7 @@ DIFFUSION_STEPS = 4
 # made.
 MAX_STEPS = 10 ** 6
 # The most bytes of node rows and transport tables a solve may hold, 1 GiB:
-# the benchmark's 161^2 solve holds 2.7 MB.  A grid past it is refused
+# the benchmark's 161^2 solve holds 2.5 MB.  A grid past it is refused
 # before its node rows are built.
 MAX_SOLVE_BYTES = 2 ** 30
 
@@ -439,44 +441,23 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
     return GridSolution(axes=axes, taxis=taxis, values=values, meta=meta)
 
 
-def _fold_mirror(i, n):
-    """Reflect integer indices into [0, n-1] about the end samples
-    (d c b | a b c d | c b a), as scipy's "mirror" mode extends data."""
-    period = 2 * (n - 1)
-    i = np.abs(i) % period
-    return np.where(i > n - 1, period - i, i)
-
-
-def _prefilter_matrix(n):
-    """Inverse of the cubic B-spline collocation matrix on n nodes with mirror
-    ends: maps samples to spline coefficients along one axis."""
-    rows = np.arange(n)
-    M = np.zeros((n, n))
-    for off, w in ((-1, 1.0 / 6.0), (0, 4.0 / 6.0), (1, 1.0 / 6.0)):
-        np.add.at(M, (rows, _fold_mirror(rows + off, n)), w)
-    return np.linalg.inv(M)
-
-
-def _cubic_weights(x):
-    """Cubic B-spline weights of the nodes floor(x)-1 .. floor(x)+2, (4, n),
+def _lagrange_weights(x):
+    """Cubic Lagrange weights of the nodes floor(x)-1 .. floor(x)+2, (4, n),
     filled one row at a time."""
     y = x - np.floor(x)
-    z = 1.0 - y
     w = np.empty((4,) + x.shape)
-    w[0] = z * z * z / 6.0
-    w[1] = 2.0 / 3.0 + 0.5 * y * y * (y - 2.0)
-    w[2] = 2.0 / 3.0 + 0.5 * z * z * (z - 2.0)
-    w[3] = 1.0 - w[0] - w[1] - w[2]
+    w[0] = y * (y - 1.0) * (2.0 - y) / 6.0
+    w[1] = (y + 1.0) * (y - 1.0) * (y - 2.0) / 2.0
+    w[2] = (y + 1.0) * y * (2.0 - y) / 2.0
+    w[3] = (y + 1.0) * y * (y - 1.0) / 6.0
     return w
 
 
 def _table_bytes(dims, m0):
-    """The bytes _Transport holds for dims: 64 per node per pass, 8 per
-    node for the corner index, a dense d x d prefilter per pass and the
+    """The bytes _Transport holds for dims: a (4, n) weight and index table
+    per pass, 64 bytes per node, 8 per node for the corner index and the
     bordered buffer."""
-    moving = dims[m0:]
-    return (math.prod(dims) * (8 + 64 * len(moving))
-            + sum(8 * d * d for d in moving)
+    return (math.prod(dims) * (8 + 64 * (len(dims) - m0))
             + 8 * math.prod(d + 4 for d in dims))
 
 
@@ -486,14 +467,15 @@ class _Transport:
 
     For B in canonical form e^{-dt B} is unit lower block-triangular: the
     first m0 axes stay put, and the foot along an axis k >= m0 depends only
-    on x_k and the blocks before k's.  So the cubic spline interpolant with
-    scipy's map_coordinates(order=3, mode="constant") conventions is one
-    1-D pass per axis k >= m0, in axis order (a shear, as in Unser,
-    Thevenaz & Yaroslavsky, 1995): a mirror-ended prefilter along k, then 4
-    taps at the node's own indices on every other axis, folded by mirror
-    reflection along k, with weight 0 where the foot is outside [0, n_k -
-    1].  Pass k's foot is constant along every later axis, so each later
-    prefilter commutes with it and the passes compose to the tensor spline.
+    on x_k and the blocks before k's.  So the tensor-product cubic Lagrange
+    interpolant is one 1-D pass per axis k >= m0, in axis order (a shear,
+    as in Unser, Thevenaz & Yaroslavsky, 1995): 4 taps at floor(x_k) - 1 ..
+    floor(x_k) + 2 along k and the node's own indices on every other axis.
+    The slice is extended by zero, as the datum, the diffusion and the
+    upwind step extend it: a tap outside [0, n_k - 1] has its index clipped
+    and its weight 0, and a foot outside [0, n_k - 1] reads 0.  Pass k's
+    foot is constant along every later axis, so the passes compose to the
+    tensor-product interpolant.
 
     The result is clipped to the range of the 2^N surrounding corners,
     floor(coord) and floor(coord) + 1 on each axis, of the zero-padded
@@ -523,15 +505,16 @@ class _Transport:
                 continue
             stride = math.prod(dims[k + 1:])
             # the node's index with its own offset along k taken out; each
-            # tap row puts back the folded tap's
+            # tap row puts back its tap's
             own = node - node // stride % d * stride
-            index = np.empty((4, n), dtype=np.intp)
-            for j in range(4):
-                index[j] = own + _fold_mirror(base + (j - 1), d) * stride
-            weights = _cubic_weights(x)
+            taps = base + np.arange(-1, 3)[:, None]
+            weights = _lagrange_weights(x)
+            weights[(taps < 0) | (taps > d - 1)] = 0.0
             weights[:, (x < 0.0) | (x > d - 1)] = 0.0
-            self.passes.append((k, _prefilter_matrix(d), weights, index))
-        self.dims = tuple(dims)
+            np.clip(taps, 0, d - 1, out=taps)
+            taps *= stride
+            taps += own
+            self.passes.append((k, weights, taps))
         self.buffer = np.zeros(tuple(d + 4 for d in dims))
 
     def bounds(self, u):
@@ -552,16 +535,10 @@ class _Transport:
         return out
 
     def __call__(self, u):
-        c = u
-        for k, P, weights, index in self.passes:
-            pre = math.prod(self.dims[:k])
-            post = math.prod(self.dims[k + 1:])
-            if post == 1:
-                c = c.reshape(pre, -1) @ P.T
-            else:
-                c = np.matmul(P, c.reshape(pre, -1, post))
-            c = np.einsum("ji,ji->i", weights, np.take(c.reshape(-1), index))
-        return np.clip(c, *self.bounds(u)).reshape(self.dims)
+        c = u.reshape(-1)
+        for _, weights, index in self.passes:
+            c = np.einsum("ji,ji->i", weights, np.take(c, index))
+        return np.clip(c, *self.bounds(u)).reshape(u.shape)
 
 
 # -- approximate fundamental solution ---------------------------------------
@@ -609,11 +586,14 @@ def approx_fundamental(coeffs, geometry, x0, t0, t1, box, nx, widths,
     datum = KernelDatum(point(x0, float(t0)), params)
     N = geometry.N
     *_, hs = _grid_axes(box, nx, N)
+    # C(w) = delta_sqrt(w) C(1) delta_sqrt(w): axis k's standard deviation
+    # is sqrt(lam) w^(alpha_k / 2) times the norm of row k of C(1)'s factor
+    row_norms = np.sqrt(lam) * np.linalg.norm(params.chol1, axis=1)
     finals, solves = [], []
     for i, w in enumerate(widths):
         # the datum must be representable on the grid: every marginal
         # standard deviation of the width-w kernel has to span a few cells
-        stds = np.sqrt(lam * np.diag(params.cov(w)))
+        stds = geometry.dilate_space(math.sqrt(w), row_norms)
         for k in range(N):
             if stds[k] < 1.5 * hs[k]:
                 raise SupportExceedsGrid(
@@ -671,7 +651,10 @@ class TestFunction:
 def weak_residual(u: GridSolution, tf: TestFunction, coeffs,
                   geometry: Geometry):
     """Trapezoid quadrature of the weak form over the grid:
-    int -<A Du, Dphi> + phi Yu + <b, Du> phi + c u phi."""
+    int -<A Du, Dphi> + phi Yu + <b, Du> phi + c u phi, D by centered
+    differences and Y by a centered difference along the drift's integral
+    curves, batched over the support nodes.  SupportExceedsGrid when the
+    cylinder's time range leaves the grid."""
     g = geometry
     N = g.N
     m0 = g.structure.m0

@@ -752,12 +752,12 @@ def test_report_envelope(words, spec_path, tmp_path, capsys, monkeypatch):
      "--out", "c.csv"],
     ["solve", "fundamental", "{spec}", "--box=-4,4;-2,2", "--nx", "21,41",
      "--t1", "0.2", "--out", "f.csv"],
-    ["check", "bounds", "{spec}", "--nx", "21,41", "--widths", "1.5,0.5"],
+    ["check", "bounds", "{spec}", "--nx", "21,41", "--width", "1.5"],
     ["solve", "fundamental", "{spec}", "--box=-4,4;-2,2", "--nx", "101,101",
      "--t1", "0.8", "--widths", "0.3,-0.1", "--out", "f.csv"],
     ["solve", "fundamental", "{spec}", "--box=-4,4;-2,2", "--nx", "21,41",
      "--t1", "0.8", "--widths", "0", "--out", "f.csv"],
-    ["check", "bounds", "{spec}", "--nx", "21,41", "--widths", "0.3,0"],
+    ["check", "bounds", "{spec}", "--nx", "21,41", "--width", "0"],
     ["kernel", "reproduce", "{spec}", "--configs", "0"],
     ["check", "global", "{spec}", "--pairs", "0"],
     ["mollify", "{spec}", "--samples", "0"],
@@ -784,7 +784,7 @@ def test_report_envelope(words, spec_path, tmp_path, capsys, monkeypatch):
     ["check", "bounds", "{spec}", "--self-test", "--err-budget", "0.1"],
     ["check", "bounds", "{spec}", "--self-test", "--box=-4,4;-2,2"],
     ["check", "bounds", "{spec}", "--self-test", "--nx", "81,121"],
-    ["check", "bounds", "{spec}", "--self-test", "--widths", "0.3"],
+    ["check", "bounds", "{spec}", "--self-test", "--width", "0.3"],
     ["check", "bounds", "{spec}", "--samples", "500"],
     ["check", "bounds", "{spec}", "--seed", "0"],
     ["kernel", "eval", "{spec}", "--pole", "0,0", "--lambda", "nan",
@@ -879,19 +879,19 @@ def test_malformed_option_exit_2(spec_path, cb_spec_path, tmp_path, capsys,
     ["solve", "fundamental", "{spec}", "--box=-4,4;-2,2", "--nx", "21,41",
      "--t1", "0.8", "--widths", "0.45,0.4", "--dt", "1e-300",
      "--out", "f.csv"],
-    ["solve", "cauchy", "{spec}", "--box=-4,4;-2,2", "--nx", "81,40000",
+    ["solve", "cauchy", "{spec}", "--box=-4,4;-2,2", "--nx", "81,160000",
      "--t1", "0.3", "--out", "c.csv"],
-    ["solve", "fundamental", "{spec}", "--box=-4,4;-2,2", "--nx", "81,40000",
-     "--t1", "0.8", "--out", "f.csv"],
-    ["check", "bounds", "{spec}", "--nx", "81,40000"],
+    ["solve", "fundamental", "{spec}", "--box=-4,4;-2,2", "--nx",
+     "81,160000", "--t1", "0.8", "--out", "f.csv"],
+    ["check", "bounds", "{spec}", "--nx", "81,160000"],
 ], ids=["cauchy-steps", "fundamental-steps", "cauchy-tables",
         "fundamental-tables", "bounds-tables"])
 def test_solve_refuses_work_past_its_bounds(spec_path, tmp_path, capsys,
                                             monkeypatch, argv):
-    """A --dt of 1e-300 (3e299 steps) and --nx 81,40000 (12.8 GB of
-    prefilter) exit 2 with one error line that names the bound, well
-    within a second and with no artifact, not after a traceback from
-    numpy or an allocation."""
+    """A --dt of 1e-300 (3e299 steps) and --nx 81,160000 (1.25 GB of node
+    rows and transport tables) exit 2 with one error line that names the
+    bound, well within a second and with no artifact, not after a
+    traceback from numpy or an allocation."""
     monkeypatch.chdir(tmp_path)
     start = time.perf_counter()
     code = cli.main([a.format(spec=spec_path) for a in argv])
@@ -902,6 +902,25 @@ def test_solve_refuses_work_past_its_bounds(spec_path, tmp_path, capsys,
     assert "beyond the bound" in err
     assert elapsed < 1.0
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("N, box, nx", [(2, "-4,4;-2,2", "41,41"),
+                                         (3, "-4,4;-2,2;-2,2", "11,11,11")],
+                         ids=["1,1", "1,1,1"])
+def test_fundamental_refuses_a_width_below_the_grid(tmp_path, capsys, N, box,
+                                                     nx):
+    """A width of 1e-110 is below 1.5 h on every axis and exits 5, as
+    1e-60 does, with no CSV: the standard deviations are read through the
+    factor of C(1), not through C(1e-110), whose last block underflows and
+    made the width check exit 4 (not SPD)."""
+    out = tmp_path / "f.csv"
+    code = cli.main(["solve", "fundamental", _chain_spec(tmp_path, N),
+                     f"--box={box}", "--nx", nx, "--t1", "0.5",
+                     "--widths", "1e-110", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_SOLVER
+    assert "below 1.5 h" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, says", [
@@ -1354,7 +1373,7 @@ def test_check_bounds_fit_config(spec_path, capsys):
     cfg = json.loads(out)["config"]
     assert code == 0
     assert set(cfg) == _BOUNDS_COMMON | {"lam_plus", "lam_minus",
-                                         "err_budget", "box", "nx", "widths"}
+                                         "err_budget", "box", "nx", "width"}
     assert (cfg["lam_plus"], cfg["lam_minus"], cfg["nx"]) == \
         (4.5, 1.8, "81,121")
 

@@ -60,6 +60,31 @@ def test_kernel_at_origin_across_scales(blocks, B, t):
     assert abs(v / math.exp(log_ref) - 1.0) <= 1e-12
 
 
+def test_log_kernel_where_the_dilation_overflows():
+    """On (1,1,1,1) at t = 1e-100, delta_{1/sqrt(t)} overflows on the last
+    coordinate (1e50 to the 7th power).  A zero coordinate contributes 0,
+    so the pole's row keeps its log-kernel -N/2 log(2 pi lam) -
+    (log det C(1) + Q log t) / 2 and x = (1, 0, 0, 0) that value less
+    C(1)^{-1}_11 / (2 lam t); both read NaN when 0 * inf entered the
+    quadratic form.  x = (0, 0, 0, 1), whose dilated coordinate is
+    infinite, reads -inf."""
+    g = Geometry(BlockStructure((1, 1, 1, 1)), np.eye(4, k=-1))
+    lam, t = 2.0, 1e-100
+    params = kern.scaled_params(lam, g)
+    rows = point(np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+                           [0.0, 0.0, 0.0, 1.0]]), np.full(3, t))
+    with np.errstate(all="raise"):
+        lg = kern.gamma_many(rows, point(np.zeros(4), 0.0), params, log=True)
+    C1 = kern.covariance_matrix(1.0, g.B, np.eye(1))
+    log_ref = (-2.0 * math.log(2.0 * math.pi * lam)
+               - 0.5 * np.linalg.slogdet(C1)[1]
+               - 0.5 * g.structure.Q * math.log(t))
+    assert abs(lg[0] - log_ref) <= 1e-12 * abs(log_ref)
+    far = log_ref - np.linalg.inv(C1)[0, 0] / (2.0 * lam * t)
+    assert abs(lg[1] - far) <= 1e-12 * abs(far)
+    assert lg[2] == -np.inf
+
+
 def test_kernel_matches_gaussian_oracle(proto):
     rng = np.random.default_rng(0)
     lam = 1.7

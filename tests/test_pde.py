@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -110,16 +111,39 @@ def test_solver_positivity_and_mass(proto, proto_params, proto_coeffs):
         assert abs(v.sum() - u.sum() + outflow) <= 1e-12 * u.sum()
 
 
-def _scipy_transport(u, coords, m0):
-    """The remap as map_coordinates(order=3, mode="constant"), its first m0
-    axes read at the node rint(coords), clipped to the range of the
-    surrounding corners floor(coords) + {0, 1} of the zero-padded slice."""
-    from scipy.ndimage import map_coordinates
+def _lagrange_basis(j, y):
+    """The cubic Lagrange basis function of the node j in {-1, 0, 1, 2} at
+    y, as the product over the other three nodes."""
+    out = np.ones_like(y)
+    for m in (-1, 0, 1, 2):
+        if m != j:
+            out = out * (y - m) / (j - m)
+    return out
 
-    at = np.where(np.arange(len(coords))[:, None] < m0, np.rint(coords),
-                  coords)
-    u3 = map_coordinates(u, at, order=3, mode="constant", cval=0.0)
-    return np.clip(u3, *_corner_bounds(u, coords)).reshape(u.shape)
+
+def _lagrange_transport(u, coords, m0):
+    """The remap as the tensor-product cubic Lagrange interpolant, summed
+    over all 4^(N - m0) taps at once: its first m0 axes read at the node
+    rint(coords), each other axis at floor(coords) - 1 .. floor(coords) + 2,
+    a tap outside the box reading 0 and a foot outside [0, n_k - 1] on any
+    of those axes reading 0; clipped to the range of the surrounding
+    corners floor(coords) + {0, 1} of the zero-padded slice."""
+    N, dims = u.ndim, u.shape
+    up = np.pad(u, 2)
+    base = np.floor(coords).astype(int)
+    y = coords - base
+    u3 = np.zeros(coords.shape[1])
+    for taps in itertools.product(range(-1, 3), repeat=N - m0):
+        w = np.ones(coords.shape[1])
+        idx = [np.rint(coords[k]).astype(int) + 2 for k in range(m0)]
+        for k, j in zip(range(m0, N), taps):
+            w = w * _lagrange_basis(j, y[k])
+            idx.append(np.clip(base[k] + j + 2, 0, dims[k] + 3))
+        u3 += w * up[tuple(idx)]
+    last = np.array(dims)[m0:, None] - 1.0
+    inside = np.all((coords[m0:] >= 0.0) & (coords[m0:] <= last), axis=0)
+    u3[~inside] = 0.0
+    return np.clip(u3, *_corner_bounds(u, coords)).reshape(dims)
 
 
 def _corner_bounds(u, coords):
@@ -151,11 +175,9 @@ def _solver_feet(g, dims, s):
     ((2, 2, 1), (5, 6, 5, 7, 6)), ((1, 1, 1, 1), (6, 7, 5, 8)),
     ((1, 1), (17, 2))])
 def test_transport_matches_scipy_reference(blocks, dims):
-    """On the solver's own feet the shear passes are the cubic reference
-    within rounding: one pass per axis past m0, in axis order, each with
-    scipy's prefilter."""
-    from scipy.ndimage import spline_filter1d
-
+    """On the solver's own feet the shear passes are the tensor-product
+    cubic Lagrange reference within rounding: one pass per axis past m0, in
+    axis order, taps and feet outside the box reading 0."""
     rng = np.random.default_rng(sum(dims))
     g = prototype_geometry() if blocks == (1, 1) else Geometry(
         BlockStructure(blocks), random_canonical_B(blocks, rng))
@@ -172,13 +194,9 @@ def test_transport_matches_scipy_reference(blocks, dims):
 
     op = pde._Transport(coords, dims, m0)
     assert [k for k, *_ in op.passes] == list(range(m0, len(dims)))
-    for k, P, _, _ in op.passes:
-        ref = spline_filter1d(np.eye(dims[k]), order=3, axis=0,
-                              mode="constant")
-        assert np.max(np.abs(P - ref)) <= 1e-14
     for _ in range(3):
         u = rng.normal(size=dims)
-        err = np.max(np.abs(op(u) - _scipy_transport(u, coords, m0)))
+        err = np.max(np.abs(op(u) - _lagrange_transport(u, coords, m0)))
         assert err <= 1e-14 * np.max(np.abs(u))
 
 
@@ -201,13 +219,13 @@ def test_static_axis_transport(blocks, dims):
     op = pde._Transport(coords, dims, m0)
     n = coords.shape[1]
     assert [k for k, *_ in op.passes] == list(range(m0, N))
-    for k, P, weights, index in op.passes:
-        assert P.shape == (dims[k], dims[k])
+    for k, weights, index in op.passes:
         assert weights.shape == index.shape == (4, n)
+        assert index.min() >= 0 and index.max() < n
     assert op.corner.shape == (n,)
     for _ in range(3):
         u = rng.normal(size=dims)
-        err = np.max(np.abs(op(u) - _scipy_transport(u, coords, m0)))
+        err = np.max(np.abs(op(u) - _lagrange_transport(u, coords, m0)))
         assert err <= 1e-14 * np.max(np.abs(u))
 
 
@@ -236,6 +254,23 @@ def test_separable_bounds_are_the_corner_bounds(blocks, dims):
         assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
 
 
+@pytest.mark.parametrize("blocks, dims", [
+    ((1, 1), (9, 13)), ((2, 1), (7, 6, 9)), ((1, 1, 1), (7, 6, 8)),
+    ((1, 1, 1, 1), (6, 7, 5, 8))])
+def test_table_bytes_are_the_transports(blocks, dims):
+    """_table_bytes, the figure MAX_SOLVE_BYTES refuses on, is the bytes a
+    built _Transport holds: its weight and index tables, its corner index
+    and its bordered buffer."""
+    rng = np.random.default_rng(len(dims))
+    g = prototype_geometry() if blocks == (1, 1) else Geometry(
+        BlockStructure(blocks), random_canonical_B(blocks, rng))
+    m0 = g.structure.m0
+    op = pde._Transport(_solver_feet(g, dims, 0.3), dims, m0)
+    held = (sum(w.nbytes + i.nbytes for _, w, i in op.passes)
+            + op.corner.nbytes + op.buffer.nbytes)
+    assert pde._table_bytes(dims, m0) == held
+
+
 def test_static_axis_keeps_both_edge_rows(proto):
     """A slice of ones remapped on the benchmark's 161^2 box keeps 1 on the
     x1 = lo and the x1 = hi rows at interior x2.  The feet (x - lo) / h
@@ -257,7 +292,7 @@ def test_static_axis_keeps_both_edge_rows(proto):
 def test_static_axes_match_moving_solve(monkeypatch, blocks):
     """The solver's final slice, its x^(0) axes static and one pass along
     each other axis, is within rounding of a solve whose transport is the
-    scipy reference."""
+    tensor-product Lagrange reference."""
     if blocks == (1, 1):
         g = _canonical_geometry(blocks)
         coeffs = {"A0": ConstantField(np.eye(1), dim=2)}
@@ -277,7 +312,7 @@ def test_static_axes_match_moving_solve(monkeypatch, blocks):
     assert built == [g.structure.m0]
 
     monkeypatch.setattr(pde, "_Transport", lambda coords, dims, m0:
-                        lambda u: _scipy_transport(u, coords, m0))
+                        lambda u: _lagrange_transport(u, coords, m0))
     reference = pde.solve_cauchy(*args, keep="final").values[-1]
     peak = np.max(np.abs(reference))
     assert np.max(np.abs(passes - reference)) <= 1e-11 * peak
@@ -329,8 +364,8 @@ def test_solver_chain_n3_positive():
 def test_solver_self_converges_n3():
     """On the (1,1,1) chain the final slice converges under refinement:
     with A0 = 1 and the default dt, the gap between the 17^3 and 33^3
-    solves on their shared nodes (8.1% of the peak) is at least 2.5 times
-    the gap between the 33^3 and 65^3 solves (2.5%)."""
+    solves on their shared nodes (7.6% of the peak) is at least 2.5 times
+    the gap between the 33^3 and 65^3 solves (2.4%)."""
     g = _canonical_geometry((1, 1, 1))
     finals = [pde.solve_cauchy({"A0": ConstantField(np.eye(1), dim=3)}, g,
                                _Bump(), [[-2, 2]] * 3, n, 0.0, 0.2,
@@ -437,9 +472,8 @@ def test_keep_final_stores_one_slice(proto, proto_coeffs):
 def test_solve_memory_per_node(proto):
     """The benchmark's 161^2 solve cauchy (the lam = 2 kernel datum of width
     0.1, box [-4, 4] x [-2, 2], t1 = 0.5, keep="final") peaks at most at
-    240 bytes per node under tracemalloc: it measured 212, against 265
-    with a (2^N, n) corner table and the transport's set-up scratch all
-    alive at once; the bound leaves a 13% margin."""
+    240 bytes per node under tracemalloc: it measured 196; the bound
+    leaves a 22% margin."""
     params = kern.scaled_params(2.0, proto)
     datum = pde.KernelDatum(point(np.array([0.3, -0.1]), 0.0), params)
     coeffs = {"A0": ConstantField(np.eye(1), dim=2)}
@@ -454,13 +488,13 @@ def test_solve_memory_per_node(proto):
 
 
 @pytest.mark.parametrize("nx, dt", [([21, 21], 1e-300),
-                                    ([81, 40000], None)],
+                                    ([81, 160000], None)],
                          ids=["steps", "tables"])
 def test_solve_refuses_work_past_its_bounds(proto, monkeypatch, nx, dt):
     """A step count past MAX_STEPS and node rows and transport tables past
     MAX_SOLVE_BYTES are refused by name and bound, before the time axis,
-    the node rows or the datum is made: --nx 81,40000 would ask 12.8 GB
-    for its prefilter."""
+    the node rows or the datum is made: --nx 81,160000 would ask 1.25 GB
+    for its node rows and tables."""
     class NoGrid:
         def __init__(self, *args):
             raise AssertionError("the node rows were built")

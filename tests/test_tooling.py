@@ -514,3 +514,13 @@ def test_one_covariance_factor_rule():
     assert _call_sites(_trees(), "cholesky") == {
         ("kernel", "KernelParams"), ("kernel", "covariance"),
         ("kernel", "_log_reproduction_quadrature")}
+
+
+def test_no_dense_inverse_rule():
+    """The library inverts a matrix only where the matrix is N x N: the
+    factor of C(1) in KernelParams, and the Gaussian product's precision
+    and covariance in _gauss_product and _log_reproduction_quadrature.  No
+    solver stage builds or applies a dense inverse over a grid axis."""
+    assert _call_sites(_trees(), "inv") == {
+        ("kernel", "KernelParams"), ("kernel", "_gauss_product"),
+        ("kernel", "_log_reproduction_quadrature")}

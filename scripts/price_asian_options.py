@@ -5,7 +5,7 @@ log-price), whose generator is the degenerate prototype operator; the price
 follows from a one-dimensional quadrature over the terminal Gaussian and is
 cross-checked by Monte Carlo on the same SDE.  The coefficients are
 constants, so `kolmo.mc` draws each terminal state from the SDE's exact
-law, whose covariance is `kernel.covariance_matrix`; the quadrature takes
+law, whose covariance is `structure.covariance_matrix`; the quadrature takes
 the terminal covariance in closed form instead, so the cross-check stays
 independent of the kernel's polynomial.  A strike whose two prices differ
 by more than the cross-check's budget ends the run with a non-zero exit

@@ -11,10 +11,12 @@ only the parsers on its command's path (the top one, the first word's and
 the command's own); the others are known by name only, so usage, help and
 error texts list them all.  `structure` runs here.  Every other first
 word's commands live in kolmo.cli_<first word>, imported when one of them
-is dispatched.  Beyond what `structure` loads, `solve` loads the solver
-(kolmo.pde), `mc` the Monte Carlo (kolmo.mc, with its thread pool) and
-`check` the verifier (kolmo.verify, and the solver for `check bounds`
-without --self-test); `kernel` and `mollify` load nothing more.
+is dispatched.  Beyond what `structure` loads, `kernel` loads the kernel
+(kolmo.kernel), `solve` the kernel and the solver (kolmo.pde), `mc` the
+Monte Carlo (kolmo.mc), `check` the kernel and the verifier (kolmo.verify,
+and the solver for `check bounds` without --self-test) and `mollify` the
+mollifier (kolmo.regularity), which a spec with a mollified field loads
+too.
 
 Every report goes one way, through main: it settles the mode of `check
 bounds` and `check harnack`, checks --out, loads the spec, runs the
@@ -227,9 +229,11 @@ def _declare(parser, words):
 
 def build_parser():
     p = argparse.ArgumentParser(prog="kolmo")
+    # mc.MAX_THREADS written out, so that building the parser does not
+    # import the Monte Carlo
     p.add_argument("--threads", type=_positive_int, default=1,
                    help="worker threads, at least 1; only the mc commands "
-                        "read it")
+                        "read it, and they refuse more than 64")
     return _declare(p, ())
 
 

@@ -3,7 +3,7 @@ one, at each eps."""
 
 import numpy as np
 
-from . import coefficients as coeff
+from . import regularity
 from .cliargs import floats
 from .specfile import SpecError
 
@@ -11,11 +11,14 @@ from .specfile import SpecError
 def cmd_mollify(args, spec):
     """Per eps: l1_distance, the mean over the samples of the largest
     component difference from the raw field; min and max, the extreme
-    eigenvalues of A0, or the extreme components of b and c."""
+    eigenvalues of A0, or the extreme components of b and c.  A run past
+    regularity.MAX_MOLLIFY_READS quadrature reads is refused first."""
     name = args.field
     f = spec.fields.get(name)
     if f is None:
         raise SpecError(f"spec has no coefficient {name!r}")
+    epsilons = floats(args.eps)
+    regularity.check_mollify_reads(args.samples, len(epsilons), f.dim)
     m0 = spec.structure.m0
     T = spec.window[1] - spec.window[0]
     rng = np.random.default_rng(0)
@@ -24,8 +27,8 @@ def cmd_mollify(args, spec):
                      size=args.samples)
     rows = []
     raw = np.reshape(f.many(X, ts), (len(X), -1))
-    for eps in floats(args.eps):
-        fm = coeff.mollify(f, eps=eps, T=T)
+    for eps in epsilons:
+        fm = regularity.mollify(f, eps=eps, T=T)
         sm = np.reshape(fm.many(X, ts), (len(X), -1))
         ext = sm
         if name == "A0":

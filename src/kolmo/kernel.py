@@ -4,8 +4,10 @@ The model operator with diffusion scale lam acts as
 (lam/2) * Laplacian on the first m0 coordinates + <Bx, D> - d/dt, and its
 kernel is an anisotropic Gaussian parameterized by the covariance integral
 C(t) = int_0^t E(s) Abar E(s)^T ds with E(s) = exp(-sB) and Abar the
-zero-padding of A0 = I_{m0}.  The lam = 2 member is the principal-part
-kernel with prefactor (4 pi)^{-N/2} and exponent -<C^{-1}x, x>/4.
+zero-padding of A0 = I_{m0} (structure.covariance_matrix, beside the
+Kalman check its positivity answers).  The lam = 2 member is the
+principal-part kernel with prefactor (4 pi)^{-N/2} and exponent
+-<C^{-1}x, x>/4.
 
 B is canonical, so delta_r B delta_r^{-1} = r^2 B and
 C(t) = delta_sqrt(t) C(1) delta_sqrt(t), delta the spatial dilation
@@ -20,44 +22,12 @@ import numpy as np
 
 from .errors import ArgumentError, NotSPD
 from .group import Geometry, grid, point
+# also read as kernel.covariance_matrix: perfbench/tracer.py wraps it there
+from .structure import covariance_matrix
 
 # The most rows gamma_many evaluates at once; more are taken block by
 # block, which holds its scratch near 0.5 MB on the prototype.
 GAMMA_BLOCK = 4096
-
-
-def covariance_poly_coeffs(B, A0):
-    """Exact polynomial C(t) = sum_p t^p M_p for nilpotent B.
-
-    Expanding E(s) = sum_k (-s)^k B^k / k! termwise gives
-    M_{j+k+1} = (-1)^{j+k} / ((j+k+1) j! k!) * B^j Abar (B^T)^k.
-    Returns the pairs (p, M_p) with M_p != 0; raises ValueError when B is
-    not nilpotent, where the expansion does not terminate.
-    """
-    B = np.asarray(B, dtype=float)
-    N = B.shape[0]
-    A0 = np.atleast_2d(np.asarray(A0, dtype=float))
-    Abar = np.zeros((N, N))
-    Abar[:len(A0), :len(A0)] = A0
-    powers = [np.eye(N)]
-    while powers[-1].any() and len(powers) <= N:
-        powers.append(powers[-1] @ B)
-    if powers[-1].any():
-        raise ValueError("B is not nilpotent: C(t) has no polynomial form")
-    K = len(powers) - 1
-    M = [np.zeros((N, N)) for _ in range(2 * K)]
-    for j in range(K):
-        for k in range(K):
-            p = j + k + 1
-            coef = (-1.0) ** (j + k) / (p * math.factorial(j) * math.factorial(k))
-            M[p] += coef * (powers[j] @ Abar @ powers[k].T)
-    return [(p, Mp) for p, Mp in enumerate(M) if Mp.any()]
-
-
-def covariance_matrix(t, B, A0):
-    """C(t) = int_0^t E(s) Abar E(s)^T ds for nilpotent B at one time t,
-    the sum of t^p M_p over its exact polynomial."""
-    return sum(t ** p * Mp for p, Mp in covariance_poly_coeffs(B, A0))
 
 
 def covariance(t, B, A0):

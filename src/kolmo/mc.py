@@ -29,24 +29,28 @@ lower-triangular pass over the columns of dW.
 
 Both ways run in the same chunks, and each chunk draws its normals from
 its own stream, made by chunk_rng alone: an SFC64 generator on the child
-of the master seed's SeedSequence keyed by the chunk's index.  So the
-ensemble and every CSV and report made from it are byte-identical at any
-number of worker threads, and the provenance names the bit generator
-under "rng".  simulate runs under np.errstate(over="ignore",
-invalid="ignore"), and every chunk in a copy of its context, so an
-overflow on any thread ends in NonFinite alone, with no numpy warning.
+of the master seed's SeedSequence keyed by the chunk's index.  The chunks
+are spread over min(threads, chunks) workers, plain threads of which the
+calling thread is one: worker w runs chunks w, w + workers, ... in turn,
+and stops at the first that fails; the error of the lowest-numbered
+failing chunk is raised.  So the ensemble, every CSV and report made from
+it and the error a run ends in are the same at any number of worker
+threads, and the provenance names the bit generator under "rng".
+simulate runs under np.errstate(over="ignore", invalid="ignore"), and
+every chunk in a copy of its context, so an overflow on any thread ends
+in NonFinite alone, with no numpy warning.
 """
 
 import contextvars
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from threading import Thread
 
 import numpy as np
 
 from .coefficients import CellLookup, CheckerboardField, TableStack
 from .errors import ArgumentError, NonFinite, NotSPD
 from .group import Geometry
-from .kernel import covariance_matrix
+from .structure import covariance_matrix
 
 CHUNK = 1 << 14
 DT = 1e-3      # the stepped chain's step when none is given
@@ -56,8 +60,17 @@ DT = 1e-3      # the stepped chain's step when none is given
 MAX_STEPS = 10 ** 6
 # The most bytes of end states and log-weights an ensemble may hold,
 # paths * (N + 1) * 8, 1 GiB: README's 10^6 paths on N = 2 hold 24 MB.  More
-# paths are refused before any buffer, generator or pool.
+# paths are refused before any buffer, generator or thread.
 MAX_ENSEMBLE_BYTES = 2 ** 30
+# The most path-steps (paths * steps) a stepped ensemble may take: one
+# path-step of the rough benchmark's layout takes about 24 ns on one thread
+# of a 2-core Xeon (a 16384-path, 500-step chunk in 0.2 s), so 10^11 take
+# about 40 minutes.  More are refused before any buffer.
+MAX_PATH_STEPS = 10 ** 11
+# The most worker threads a run may ask for.  A worker takes whole chunks
+# of CHUNK paths, so past the machine's cores more workers only wait on
+# each other.
+MAX_THREADS = 64
 
 
 @dataclass(frozen=True)
@@ -72,8 +85,9 @@ class McConfig:
         if self.paths <= 0 or not ((self.dt is None or self.dt > 0.0)
                                    and self.lam > 0.0):
             raise ArgumentError("paths, dt and lam must be positive")
-        if self.threads < 1:
-            raise ArgumentError("threads must be positive")
+        if not 1 <= self.threads <= MAX_THREADS:
+            raise ArgumentError(f"threads = {self.threads}: must be positive "
+                                f"and at most the bound {MAX_THREADS}")
 
 
 @dataclass
@@ -135,7 +149,7 @@ def _exact_law(held, A0, geometry: Geometry, x0, tau, lam):
     state's law N(mu, R R^T) after tau from x0 with every coefficient held:
     mu = e^{-tau B} x0 + sum_{k<N} (-B)^k tau^{k+1} / (k+1)! b, exact as
     B^N = 0, and R = delta_sqrt(tau) R1 with R1 the factor of
-    lam C_{A0}(1) (kernel.covariance_matrix), since B is canonical and
+    lam C_{A0}(1) (structure.covariance_matrix), since B is canonical and
     C_{A0}(tau) = delta_sqrt(tau) C_{A0}(1) delta_sqrt(tau): R keeps full
     precision at every tau.  A mean or lam C_{A0}(1) that is not finite
     raises NonFinite, one with no Cholesky factor NotSPD."""
@@ -160,10 +174,10 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
     coefficients that hold A0 (else ArgumentError): drawn from the exact law
     in one step of dt = t1 - t0 where every coefficient is held (a given
     config.dt is then an ArgumentError), else stepped at config.dt, DT if
-    unset (more than MAX_STEPS steps, or end states and weights past
-    MAX_ENSEMBLE_BYTES, are an ArgumentError, before any buffer).  The
-    provenance records nsteps and dt.  A non-finite state, law or sum of
-    squared weights raises NonFinite."""
+    unset (more than MAX_STEPS steps or MAX_PATH_STEPS path-steps, or end
+    states and weights past MAX_ENSEMBLE_BYTES, are an ArgumentError,
+    before any buffer).  The provenance records nsteps and dt.  A
+    non-finite state, law or sum of squared weights raises NonFinite."""
     if not t1 > t0:
         raise ArgumentError(f"t1 must exceed t0, got t0={t0!r}, t1={t1!r}")
     fields = {k: coeffs[k] for k in ("A0", "b", "c")
@@ -191,6 +205,10 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
                             f"weights take {held_bytes:.3e} bytes, beyond "
                             f"the bound {MAX_ENSEMBLE_BYTES:.3e}")
     nsteps = max(1, int(round(steps)))
+    if config.paths * nsteps > MAX_PATH_STEPS:
+        raise ArgumentError(f"paths = {config.paths} over {nsteps} steps "
+                            f"make {config.paths * nsteps:.3e} path-steps, "
+                            f"beyond the bound {MAX_PATH_STEPS:.3e}")
     dt = (t1 - t0) / nsteps
     sqdt = np.sqrt(dt)
 
@@ -286,9 +304,26 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
 
     # one copy per chunk: a context is entered by one thread at a time
     contexts = [contextvars.copy_context() for _ in range(nchunks)]
-    with ThreadPoolExecutor(max_workers=config.threads) as ex:
-        list(ex.map(lambda ctx, ci: ctx.run(run_chunk, ci), contexts,
-                    range(nchunks)))
+    workers = min(config.threads, nchunks)
+    failed = [None] * workers      # per worker, its failing (chunk, error)
+
+    def work(w):
+        for ci in range(w, nchunks, workers):
+            try:
+                contexts[ci].run(run_chunk, ci)
+            except Exception as e:
+                failed[w] = ci, e
+                return
+
+    threads = [Thread(target=work, args=(w,)) for w in range(1, workers)]
+    for th in threads:
+        th.start()
+    work(0)
+    for th in threads:
+        th.join()
+    errors = [f for f in failed if f is not None]
+    if errors:
+        raise min(errors, key=lambda f: f[0])[1]
 
     weights = np.exp(logw)
     # every estimate's weighted sums stay finite where sum w^2 does

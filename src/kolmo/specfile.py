@@ -67,7 +67,8 @@ def _field_to_dict(f):
                 "h": f.h, "dim": f.dim, "seed": f.seed}
     if isinstance(f, coeff.GridField):
         return {"kind": "grid", "file": f.source_file}
-    if isinstance(f, coeff.MollifiedField):
+    from .regularity import MollifiedField
+    if isinstance(f, MollifiedField):
         return {"kind": "mollified", "eps": f.eps, "T": f.T,
                 "raw": _field_to_dict(f.f)}
     raise SpecError(f"field {type(f).__name__} has no serial form")
@@ -128,11 +129,12 @@ def _field_from_dict(d, base_dir, N):
                                 f"spatial axes, not N = {N}")
             return f
         if kind == "mollified":
+            from . import regularity
             raw = _field_from_dict(d["raw"], base_dir, N)
             T = _number(d["T"])
             if not T > 0.0:
                 raise ValueError(f"T = {T} (needs T > 0)")
-            return coeff.mollify(raw, eps=_number(d["eps"]), T=T)
+            return regularity.mollify(raw, eps=_number(d["eps"]), T=T)
     except (LookupError, TypeError, ValueError, OverflowError) as e:
         raise SpecError(f"{kind} field: missing or malformed {e}") from e
     raise SpecError(f"unknown field kind {kind!r}")

@@ -1,6 +1,8 @@
-"""Algebraic structure of the operator: block layout of B, hypoellipticity,
+"""Algebraic structure of the operator: block layout of B, hypoellipticity
+(the Kalman rank and the covariance C(t) whose positivity it decides),
 dilation exponents and the homogeneous dimension."""
 
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -104,17 +106,49 @@ def kalman_matrix(B, m0):
     return np.hstack(cols)
 
 
+def covariance_poly_coeffs(B, A0):
+    """Exact polynomial C(t) = sum_p t^p M_p for nilpotent B.
+
+    Expanding E(s) = sum_k (-s)^k B^k / k! termwise gives
+    M_{j+k+1} = (-1)^{j+k} / ((j+k+1) j! k!) * B^j Abar (B^T)^k.
+    Returns the pairs (p, M_p) with M_p != 0; raises ValueError when B is
+    not nilpotent, where the expansion does not terminate.
+    """
+    B = np.asarray(B, dtype=float)
+    N = B.shape[0]
+    A0 = np.atleast_2d(np.asarray(A0, dtype=float))
+    Abar = np.zeros((N, N))
+    Abar[:len(A0), :len(A0)] = A0
+    powers = [np.eye(N)]
+    while powers[-1].any() and len(powers) <= N:
+        powers.append(powers[-1] @ B)
+    if powers[-1].any():
+        raise ValueError("B is not nilpotent: C(t) has no polynomial form")
+    K = len(powers) - 1
+    M = [np.zeros((N, N)) for _ in range(2 * K)]
+    for j in range(K):
+        for k in range(K):
+            p = j + k + 1
+            coef = (-1.0) ** (j + k) / (p * math.factorial(j) * math.factorial(k))
+            M[p] += coef * (powers[j] @ Abar @ powers[k].T)
+    return [(p, Mp) for p, Mp in enumerate(M) if Mp.any()]
+
+
+def covariance_matrix(t, B, A0):
+    """C(t) = int_0^t E(s) Abar E(s)^T ds for nilpotent B at one time t,
+    the sum of t^p M_p over its exact polynomial."""
+    return sum(t ** p * Mp for p, Mp in covariance_poly_coeffs(B, A0))
+
+
 def check_hypoellipticity(B, m0):
     """Kalman rank criterion cross-checked against min eig of C(1).
 
     Both computations are carried out; a disagreement signals a numerical
-    bug and raises InternalInconsistency.  C(1) is the kernel's exact
-    polynomial, so a B that is not nilpotent raises ValueError, as it does
-    in the kernel.  Any B is taken, canonical or not; Geometry takes only
-    a canonical one (detect_canonical_form).
+    bug and raises InternalInconsistency.  C(1) is covariance_matrix's
+    exact polynomial, the kernel's, so a B that is not nilpotent raises
+    ValueError, as it does in the kernel.  Any B is taken, canonical or
+    not; Geometry takes only a canonical one (detect_canonical_form).
     """
-    from .kernel import covariance_matrix  # deferred to avoid import cycle
-
     B = np.asarray(B, dtype=float)
     N = B.shape[0]
     if not 1 <= m0 <= N:

@@ -12,6 +12,7 @@ import numpy as np
 
 from kolmo import cli
 from kolmo import coefficients as coeff
+from kolmo import regularity as reg
 from kolmo import kernel as kern
 from kolmo import mc as mcmod
 from kolmo import pde, specfile, verify
@@ -252,7 +253,7 @@ def test_mollification_preserves_bounds(proto):
     ts = rng.uniform(0.1, 0.9, 400)
 
     const = coeff.ConstantField(np.array([[1.3]]), dim=2)
-    mc = coeff.mollify(const, eps=0.1, T=1.0)
+    mc = reg.mollify(const, eps=0.1, T=1.0)
     for x, t in zip(X[:20], ts[:20]):
         assert abs(mc(x, t)[0, 0] - 1.3) < 1e-14
 
@@ -260,7 +261,7 @@ def test_mollification_preserves_bounds(proto):
     raw = np.array([cb(x, t)[0, 0] for x, t in zip(X, ts)])
     l1_prev = np.inf
     for eps in (0.2, 0.1, 0.05):
-        fm = coeff.mollify(cb, eps=eps, T=1.0)
+        fm = reg.mollify(cb, eps=eps, T=1.0)
         sm = fm.many(X, ts)[:, 0, 0]
         assert np.min(sm) >= 1.0 - 1e-12
         assert np.max(sm) <= 2.0 + 1e-12
@@ -270,7 +271,7 @@ def test_mollification_preserves_bounds(proto):
 
     c = coeff.CheckerboardField([np.array(-0.5), np.array(-0.1),
                                  np.array(0.0)], h=0.25, dim=2, seed=9)
-    cm = coeff.mollify(c, eps=0.1, T=1.0)
+    cm = reg.mollify(c, eps=0.1, T=1.0)
     assert np.max(cm.many(X, ts)) <= 0.0 + 1e-15
 
 
@@ -301,7 +302,7 @@ def test_sandwich_mollified_checkerboard(proto):
     box = np.array([[-4.0, 4.0], [-2.0, 2.0]])
     nx = [81, 121]
     cb = coeff.checkerboard_spd(1.0, 2.0, m0=1, dim=2, h=0.25, seed=3)
-    fm = coeff.mollify(cb, eps=0.1, T=1.0)
+    fm = reg.mollify(cb, eps=0.1, T=1.0)
     # resample onto the solver grid once: the quadrature field is far too
     # slow to evaluate inside the time loop
     axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(box, nx)]

@@ -14,7 +14,7 @@ import pytest
 
 import kolmo
 
-from kolmo import cli, mc, specfile
+from kolmo import cli, mc, regularity, specfile
 from kolmo.coefficients import CheckerboardField, GridField
 from kolmo.structure import BlockStructure
 from test_specfile import save_grid_field
@@ -935,16 +935,28 @@ def test_fundamental_refuses_a_width_below_the_grid(tmp_path, capsys, N, box,
      "is not read"),
     (["mc", "mass", "{spec}", "--paths", "10", "--dt", "1e-3"],
      "is not read"),
+    (["mc", "mass", "{cb}", "--paths", "40000000", "--dt", "1e-6"],
+     "make 2.000e+13 path-steps, beyond the bound"),
+    (["--threads", "100000", "mc", "mass", "{spec}", "--paths", "40000000"],
+     "threads = 100000: must be positive and at most the bound"),
 ], ids=["simulate-steps", "mass-steps", "density-steps", "held-tiny-dt",
-        "held-dt"])
+        "held-dt", "mass-path-steps", "threads"])
 def test_mc_refuses_work_past_its_bounds(spec_path, cb_spec_path, tmp_path,
                                          capsys, monkeypatch, argv, says):
     """On a checkerboard spec, whose paths are stepped, a --dt of 1e-300
-    (5e299 steps) exits 2 with one error line that names the bound; on
-    the prototype, whose constants are drawn from the exact law, any given
-    --dt is refused, since it would not be read.  Each exits well within a
-    second and writes no artifact."""
+    (5e299 steps), or 4e7 paths at --dt 1e-6 (2e13 path-steps, though the
+    steps and the end states' 0.96 GB are within their bounds), exits 2
+    with one error line that names the bound; on the prototype, whose
+    constants are drawn from the exact law, any given --dt is refused,
+    since it would not be read, and so is --threads 100000.  Each exits
+    well within a second, before any generator or thread is made, and
+    writes no artifact."""
+    def never(*args, **kwargs):
+        raise AssertionError("a generator or thread was made")
+
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(mc, "chunk_rng", never)
+    monkeypatch.setattr(mc, "Thread", never)
     start = time.perf_counter()
     code = cli.main([a.format(spec=spec_path, cb=cb_spec_path)
                      for a in argv])
@@ -1179,6 +1191,14 @@ def test_dt_help_states_the_solver_constants():
     assert f"default {pde.DIFFUSION_STEPS} h^2 / (2 Lambda m0)" \
         in cli.DT_HELP
     assert f"{pde.COURANT} h / |b|_1 where b is present" in cli.DT_HELP
+
+
+def test_threads_help_states_the_mc_bound(capsys):
+    """The --threads help writes out mc.MAX_THREADS, so that building the
+    parser does not import the Monte Carlo; they must match."""
+    assert cli.main(["--help"]) == 0
+    assert f"refuse more than {mc.MAX_THREADS}" \
+        in " ".join(capsys.readouterr().out.split())
 
 
 @pytest.mark.parametrize("exc", [np.linalg.LinAlgError, ValueError])
@@ -1485,6 +1505,28 @@ def test_mollify_reads_every_component(tmp_path, capsys):
         assert 4.0 < level["max"] <= 9.0 + 1e-12
 
 
+def test_mollify_refuses_reads_past_the_bound(tmp_path, capsys,
+                                              monkeypatch):
+    """On the chain (1,1,1,1) the default 2000 samples at 3 eps values
+    make 2000 * 3 * 16^5 = 6.3e9 quadrature reads, some ten minutes: the
+    run exits 2 with one error line naming the reads and
+    regularity.MAX_MOLLIFY_READS, within a second and before any field is
+    mollified."""
+    def never(*args, **kwargs):
+        raise AssertionError("a field was mollified")
+
+    monkeypatch.setattr(regularity, "MollifiedField", never)
+    start = time.perf_counter()
+    code = cli.main(["mollify", _chain_spec(tmp_path, 4)])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_PARSE
+    assert err == ("error: 2000 samples at 3 eps values on N = 4 make "
+                   "6.291e+09 quadrature reads, beyond the bound "
+                   f"{regularity.MAX_MOLLIFY_READS:.3e}\n")
+    assert elapsed < 1.0
+
+
 # Runs one command in a fresh interpreter and prints, as its last stdout
 # line, the scipy modules loaded by then.
 _COLD_START = """
@@ -1498,14 +1540,16 @@ sys.exit(code)
 """
 # The modules a cold start imports only for the commands that run them,
 # and, by the command's first word, those it does import.
-_ON_DEMAND = ("kolmo.pde", "kolmo.mc", "kolmo.verify", "concurrent.futures",
+_ON_DEMAND = ("kolmo.pde", "kolmo.mc", "kolmo.verify", "kolmo.kernel",
+              "kolmo.regularity", "concurrent.futures", "logging",
               "kolmo.cli_check", "kolmo.cli_kernel", "kolmo.cli_mc",
               "kolmo.cli_mollify", "kolmo.cli_solve")
-_COMMAND_LOADS = {"check": ["kolmo.cli_check", "kolmo.verify"],
-                  "kernel": ["kolmo.cli_kernel"],
-                  "mc": ["concurrent.futures", "kolmo.cli_mc", "kolmo.mc"],
-                  "mollify": ["kolmo.cli_mollify"],
-                  "solve": ["kolmo.cli_solve", "kolmo.pde"]}
+_COMMAND_LOADS = {"check": ["kolmo.cli_check", "kolmo.kernel",
+                            "kolmo.verify"],
+                  "kernel": ["kolmo.cli_kernel", "kolmo.kernel"],
+                  "mc": ["kolmo.cli_mc", "kolmo.mc"],
+                  "mollify": ["kolmo.cli_mollify", "kolmo.regularity"],
+                  "solve": ["kolmo.cli_solve", "kolmo.kernel", "kolmo.pde"]}
 
 
 @pytest.mark.parametrize("argv", [
@@ -1528,11 +1572,12 @@ _COMMAND_LOADS = {"check": ["kolmo.cli_check", "kolmo.verify"],
                  id="mollify"),
 ], ids=lambda a: " ".join(a[:2]) or "import")
 def test_cold_start_loads_no_scipy(argv, spec_path, cb_spec_path, tmp_path):
-    """No command imports scipy, and each imports the solver, the Monte
-    Carlo (with its thread pool) and the verifier only if it runs them:
-    `structure`, `kernel` and `mollify` import none of them.  Each first
-    word imports its own command module, kolmo.cli_<word>, and no other;
-    `structure` and a bare import, none."""
+    """No command imports scipy, concurrent.futures or logging, and each
+    imports the kernel, the solver, the Monte Carlo, the verifier and the
+    mollifier only if it runs them: `structure` and `mc` import no kernel,
+    and only `mollify` imports the mollifier.  Each first word imports its
+    own command module, kolmo.cli_<word>, and no other; `structure` and a
+    bare import, none."""
     src = str(Path(kolmo.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

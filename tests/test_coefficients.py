@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kolmo import coefficients as coeff
+from kolmo import regularity as reg
 from kolmo.errors import ArgumentError, WindowUnderflow
 from kolmo.group import prototype_geometry
 
@@ -19,7 +20,7 @@ def probe_grid(n=41, T=1.0):
 
 def test_constant_field_fixed_by_mollification():
     f = coeff.ConstantField(np.array([[1.5]]), dim=2)
-    fm = coeff.mollify(f, eps=0.1, T=1.0)
+    fm = reg.mollify(f, eps=0.1, T=1.0)
     v = fm(np.array([0.2, -0.3]), 0.5)
     assert abs(v[0, 0] - 1.5) < 1e-14
 
@@ -205,7 +206,7 @@ def test_mollification_preserves_interval_and_converges():
     raw = np.asarray(f.many(X, ts)).reshape(len(X), -1)[:, 0]
     l1 = []
     for eps in (0.2, 0.1, 0.05):
-        fm = coeff.mollify(f, eps=eps, T=1.0)
+        fm = reg.mollify(f, eps=eps, T=1.0)
         sm = np.asarray(fm.many(X, ts)).reshape(len(X), -1)[:, 0]
         assert sm.min() >= 1.0 - 1e-12
         assert sm.max() <= 2.0 + 1e-12
@@ -221,7 +222,7 @@ def test_mollified_checkerboard_within_interval_up_to_ulps():
     X, ts = probe_grid(n=33)
     tol = 4 * np.finfo(float).eps
     for eps in (0.2, 0.1, 0.05):
-        fm = coeff.mollify(f, eps=eps, T=1.0)
+        fm = reg.mollify(f, eps=eps, T=1.0)
         sm = np.asarray(fm.many(X, ts)).ravel()
         assert lam * (1.0 - tol) <= sm.min()
         assert sm.max() <= Lam * (1.0 + tol)
@@ -231,7 +232,7 @@ def test_mollified_checkerboard_within_interval_up_to_ulps():
 def test_mollification_preserves_sign():
     f = coeff.CheckerboardField([np.array(-1.5), np.array(-0.2)],
                                 h=0.25, dim=2, seed=3)
-    fm = coeff.mollify(f, eps=0.1, T=1.0)
+    fm = reg.mollify(f, eps=0.1, T=1.0)
     X, ts = probe_grid(n=21)
     sm = np.asarray(fm.many(X, ts)).ravel()
     assert np.max(sm) <= 0.0
@@ -306,14 +307,14 @@ def test_mollifier_weights_match_scaled_bumps(dim, eps, T):
         for i, (x, t) in enumerate(zip(X, ts)):
             vals = f.many(x - Y, np.full(len(Y), (1.0 - eps) * t + tau))
             want[i] += wt * (vals @ WY)
-    got = coeff.mollify(f, eps=eps, T=T).many(X, ts)
+    got = reg.mollify(f, eps=eps, T=T).many(X, ts)
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
 
 
 def test_mollified_window_guard():
     f = coeff.GridField([np.linspace(-1.0, 1.0, 3)], [0.0, 1.0],
                         np.ones((3, 2)))
-    fm = coeff.mollify(f, eps=0.2, T=1.0)
+    fm = reg.mollify(f, eps=0.2, T=1.0)
     with pytest.raises(WindowUnderflow):
         fm(np.zeros(1), 1.5)
 
@@ -333,7 +334,7 @@ def test_value_set_holds_every_value():
     cases = [(coeff.ConstantField(np.eye(2), dim=2), np.eye(2)[None]),
              (board, [[-0.5], [2.0]]),
              (grid, grid.values.reshape(-1)),
-             (coeff.mollify(board, eps=0.2, T=1.0), [[-0.5], [2.0]])]
+             (reg.mollify(board, eps=0.2, T=1.0), [[-0.5], [2.0]])]
     X, ts = probe_grid(n=9)
     for f, want in cases:
         got = coeff.value_set(f)
@@ -350,10 +351,10 @@ def test_value_set_holds_every_value():
 def test_modulus_of_continuity_lipschitz():
     f = coeff.ExprField(lambda x, t: x[0], dim=2, shape=())
     radii = np.array([0.1, 0.2, 0.4])
-    om = coeff.modulus_of_continuity(f, prototype_geometry(),
-                                     box=[(-1, 1), (-1, 1)],
-                                     twindow=(0.0, 1.0), radii=radii,
-                                     n_pairs=20000, seed=0)
+    om = reg.modulus_of_continuity(f, prototype_geometry(),
+                                   box=[(-1, 1), (-1, 1)],
+                                   twindow=(0.0, 1.0), radii=radii,
+                                   n_pairs=20000, seed=0)
     assert np.all(om <= 1.05 * radii)
     assert np.all(np.diff(om) >= 0.0)
 
@@ -387,8 +388,8 @@ def test_sample_pairs_matches_pairwise_loop():
         return np.array(zs), np.array(ws)
 
     for r, n in ((0.1, 30), (0.8, 200)):
-        zs, ws = coeff._sample_pairs(g, box, twindow, r, n,
-                                     np.random.default_rng(9))
+        zs, ws = reg._sample_pairs(g, box, twindow, r, n,
+                                   np.random.default_rng(9))
         zl, wl = loop(r, n, np.random.default_rng(9))
         assert zs.shape == (n, 3)
         assert np.array_equal(zs, zl) and np.array_equal(ws, wl)
@@ -397,7 +398,20 @@ def test_sample_pairs_matches_pairwise_loop():
 
 def test_holder_seminorm_of_coordinate():
     f = coeff.ExprField(lambda x, t: x[0], dim=2, shape=())
-    s = coeff.holder_seminorm(f, prototype_geometry(), alpha=1.0,
-                              box=[(-1, 1), (-1, 1)], twindow=(0.0, 1.0),
-                              n_pairs=20000, seed=1)
+    s = reg.holder_seminorm(f, prototype_geometry(), alpha=1.0,
+                            box=[(-1, 1), (-1, 1)], twindow=(0.0, 1.0),
+                            n_pairs=20000, seed=1)
     assert 0.8 <= s <= 1.1
+
+
+def test_coefficients_forwards_the_moved_names():
+    """coefficients reads the public names of the mollifier and the moduli
+    from regularity, where they live, for the benchmark that reads them
+    from coefficients; any other missing name is an AttributeError."""
+    for name in ("MollifiedField", "mollify", "MOLLIFY_NODES",
+                 "MOLLIFY_CHUNK", "modulus_of_continuity", "holder_seminorm",
+                 "HOLDER_RADII"):
+        assert getattr(coeff, name) is getattr(reg, name)
+    for name in ("_sample_pairs", "check_mollify_reads", "nothing"):
+        with pytest.raises(AttributeError, match=repr(name)):
+            getattr(coeff, name)

@@ -71,8 +71,11 @@ def test_config_validation():
     assert mc.McConfig(paths=10, seed=0).dt is None
     with pytest.raises(ValueError):
         mc.McConfig(paths=0, dt=1e-3, seed=0)
-    for threads in (0, -4):
-        with pytest.raises(ValueError, match="threads"):
+    assert mc.McConfig(paths=10, seed=0, threads=mc.MAX_THREADS).threads \
+        == mc.MAX_THREADS
+    for threads in (0, -4, mc.MAX_THREADS + 1):
+        with pytest.raises(ValueError, match=f"threads = {threads}: must be "
+                           f"positive and at most the bound {mc.MAX_THREADS}"):
             mc.McConfig(paths=10, dt=1e-3, seed=0, threads=threads)
     for bad in (0.0, -1.0, np.nan):
         with pytest.raises(ArgumentError):
@@ -508,16 +511,51 @@ def test_stepped_ensemble_refuses_steps_past_the_bound(proto, proto_coeffs,
                                                        monkeypatch, dt):
     """A stepped ensemble of more than MAX_STEPS steps is refused with an
     ArgumentError that names the step count and the bound, before any
-    generator or thread pool is made."""
+    generator or thread is made."""
     def made(*args, **kwargs):
-        raise AssertionError("a generator or pool was made")
+        raise AssertionError("a generator or thread was made")
 
     monkeypatch.setattr(mc, "chunk_rng", made)
-    monkeypatch.setattr(mc, "ThreadPoolExecutor", made)
+    monkeypatch.setattr(mc, "Thread", made)
     with pytest.raises(ArgumentError,
                        match=f"beyond the bound of {mc.MAX_STEPS} steps"):
         mc.simulate(_as_boards(proto_coeffs), proto, np.zeros(2), 0.0, 0.5,
                     mc.McConfig(paths=10, dt=dt, seed=0))
+
+
+class _Poisoned:
+    """A chunk generator whose normals are all NaN."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def standard_normal(self, size=None, out=None):
+        got = self.rng.standard_normal(size, out=out)
+        got[...] = np.nan
+        return got
+
+
+@pytest.mark.parametrize("stepped", [False, True])
+def test_lowest_failing_chunk_is_raised(proto, proto_coeffs, monkeypatch,
+                                        stepped):
+    """With chunks 1 and 2 of 4 made non-finite, simulate raises the
+    NonFinite of chunk 1 at 1, 2 and 3 worker threads, drawn or stepped:
+    at 2 threads chunk 2 runs on the calling thread and chunk 1 on the
+    other, so the error raised is the lowest-numbered chunk's, whichever
+    thread fails first."""
+    chunk_rng = mc.chunk_rng
+
+    def poisoned(seed, ci):
+        rng = chunk_rng(seed, ci)
+        return _Poisoned(rng) if ci in (1, 2) else rng
+
+    monkeypatch.setattr(mc, "chunk_rng", poisoned)
+    coeffs = _as_boards(proto_coeffs) if stepped else proto_coeffs
+    for threads in (1, 2, 3):
+        cfg = mc.McConfig(paths=3 * mc.CHUNK + 5, dt=0.1 if stepped else None,
+                          seed=0, threads=threads)
+        with pytest.raises(NonFinite, match="in chunk 1$"):
+            mc.simulate(coeffs, proto, np.zeros(2), 0.0, 0.2, cfg)
 
 
 def test_moments_match_kernel(proto, proto_coeffs):
@@ -533,17 +571,20 @@ def test_moments_match_kernel(proto, proto_coeffs):
 
 
 def test_determinism_and_thread_independence(proto, proto_coeffs):
-    """Repeats and thread counts give the same ensemble, drawn from the
-    exact law (constant A0) or stepped (the rough benchmark's layout)."""
+    """Repeats and thread counts give bitwise the same ensemble of 4
+    chunks, drawn from the exact law (constant A0) or stepped (the rough
+    benchmark's layout): at 3 threads the calling thread runs chunks 0
+    and 3."""
     x0 = np.zeros(2)
     for coeffs, scheme, dt in ((proto_coeffs, "exact", None),
                                (_benchmark_rough_coeffs(2), "euler", 5e-3)):
-        a, b, c = [mc.simulate(coeffs, proto, x0, 0.0, 0.2,
+        a, *rest = [mc.simulate(coeffs, proto, x0, 0.0, 0.2,
                                mc.McConfig(paths=50_000, dt=dt, seed=17,
                                            threads=threads))
-                   for threads in (1, 1, 4)]
+                   for threads in (1, 1, 2, 3, 4)]
         assert a.provenance["scheme"] == scheme
-        for other in (b, c):
+        assert a.provenance["nchunks"] == 4
+        for other in rest:
             assert np.array_equal(a.final, other.final)
             assert np.array_equal(a.weights, other.weights)
 

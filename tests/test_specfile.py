@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from kolmo import coefficients as coeff
+from kolmo import regularity as reg
 from kolmo import specfile, structure
 from kolmo.specfile import SpecError
 
@@ -82,7 +83,7 @@ def test_mollified_round_trip(tmp_path):
     raw = coeff.CheckerboardField([np.array([[1.0]]), np.array([[2.0]])],
                                   h=0.5, dim=2, seed=3)
     spec = specfile.prototype_spec()
-    spec.fields["A0"] = coeff.mollify(raw, eps=0.1, T=1.0)
+    spec.fields["A0"] = reg.mollify(raw, eps=0.1, T=1.0)
     spec.ellipticity = (1.0, 2.0)
     specfile.save(spec, tmp_path / "m.json")
     g = specfile.load(tmp_path / "m.json").fields["A0"]
@@ -108,7 +109,7 @@ def test_A0_must_lie_in_the_declared_ellipticity(tmp_path, kind):
         A0 = coeff.GridField([[0.0, 1.0]] * 2, [0.0, 1.0], vals)
         save_grid_field(A0, tmp_path / "A0.csv")
     else:
-        A0 = coeff.mollify(board, eps=0.1, T=1.0)
+        A0 = reg.mollify(board, eps=0.1, T=1.0)
     spec = specfile.prototype_spec()
     spec.fields["A0"] = A0
     for ell, bad in (((1.0, 2.0), None), ((1.0, 1.0), 2.0),

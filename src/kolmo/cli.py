@@ -229,11 +229,9 @@ def _declare(parser, words):
 
 def build_parser():
     p = argparse.ArgumentParser(prog="kolmo")
-    # mc.MAX_THREADS written out, so that building the parser does not
-    # import the Monte Carlo
     p.add_argument("--threads", type=_positive_int, default=1,
                    help="worker threads, at least 1; only the mc commands "
-                        "read it, and they refuse more than 64")
+                        "read it, and they refuse more than mc.MAX_THREADS")
     return _declare(p, ())
 
 

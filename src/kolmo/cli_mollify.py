@@ -18,7 +18,7 @@ def cmd_mollify(args, spec):
     if f is None:
         raise SpecError(f"spec has no coefficient {name!r}")
     epsilons = floats(args.eps)
-    regularity.check_mollify_reads(args.samples, len(epsilons), f.dim)
+    regularity.check_mollify_reads(args.samples, len(epsilons), f)
     m0 = spec.structure.m0
     T = spec.window[1] - spec.window[0]
     rng = np.random.default_rng(0)

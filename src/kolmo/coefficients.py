@@ -26,7 +26,11 @@ RANK = {"A0": 2, "b": 1, "c": 0}
 
 
 class Field:
-    """Base class: callable at (x, t); shape is the codomain shape."""
+    """Base class: callable at (x, t); shape is the codomain shape.  reads
+    is the number of plain reads one value costs: 1, but a mollified
+    field's is its quadrature's node count times its inner field's."""
+
+    reads = 1
 
     def __init__(self, dim, shape, window=(-np.inf, np.inf)):
         self.dim = dim

@@ -65,7 +65,10 @@ MAX_ENSEMBLE_BYTES = 2 ** 30
 # The most path-steps (paths * steps) a stepped ensemble may take: one
 # path-step of the rough benchmark's layout takes about 24 ns on one thread
 # of a 2-core Xeon (a 16384-path, 500-step chunk in 0.2 s), so 10^11 take
-# about 40 minutes.  More are refused before any buffer.
+# about 40 minutes.  A path-step reads each mollified field at every node
+# of its quadrature, and counts as that many (Field.reads, summed over the
+# mollified fields): on N = 2, 16^3 = 4096, where one such path-step took
+# 73 us, less than 4096 * 24 ns.  More are refused before any buffer.
 MAX_PATH_STEPS = 10 ** 11
 # The most worker threads a run may ask for.  A worker takes whole chunks
 # of CHUNK paths, so past the machine's cores more workers only wait on
@@ -205,10 +208,13 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
                             f"weights take {held_bytes:.3e} bytes, beyond "
                             f"the bound {MAX_ENSEMBLE_BYTES:.3e}")
     nsteps = max(1, int(round(steps)))
-    if config.paths * nsteps > MAX_PATH_STEPS:
-        raise ArgumentError(f"paths = {config.paths} over {nsteps} steps "
-                            f"make {config.paths * nsteps:.3e} path-steps, "
-                            f"beyond the bound {MAX_PATH_STEPS:.3e}")
+    weight = sum(f.reads for f in fields.values() if f.reads > 1) or 1
+    if config.paths * nsteps * weight > MAX_PATH_STEPS:
+        each = f", each counted {weight} times," if weight > 1 else ""
+        raise ArgumentError(f"paths = {config.paths} over {nsteps} steps"
+                            f"{each} make {config.paths * nsteps * weight:.3e}"
+                            f" path-steps, beyond the bound "
+                            f"{MAX_PATH_STEPS:.3e}")
     dt = (t1 - t0) / nsteps
     sqdt = np.sqrt(dt)
 

@@ -16,11 +16,14 @@ from .group import grid
 
 MOLLIFY_NODES = 16         # Gauss-Legendre nodes per axis of the mollifier
 MOLLIFY_CHUNK = 256        # points per inner-field batch in MollifiedField.many
-# The most inner-field reads a `kolmo mollify` run may make, samples * eps
-# values * MOLLIFY_NODES^(N+1): a read of a checkerboard takes 50-90 ns on
-# one thread of a 2-core Xeon (a constant's 13-21 ns) at N = 2, 3 and 4, so
-# 10^9 reads take up to a minute and a half.  The default 2000 samples at 3
-# eps values make 3.9e8 reads at N = 3 and 6.3e9 at N = 4.
+# The most plain reads a `kolmo mollify` run may make, samples * eps values
+# * MOLLIFY_NODES^(N+1) * the field's own reads (Field.reads: 1, but a
+# mollified field's read is MOLLIFY_NODES^(N+1) reads of its inner field):
+# a read of a checkerboard takes 50-90 ns on one thread of a 2-core Xeon (a
+# constant's 13-21 ns) at N = 2, 3 and 4, so 10^9 reads take up to a
+# minute and a half.  The default 2000 samples at 3 eps values make 3.9e8
+# reads at N = 3 and 6.3e9 at N = 4, and 1.0e11 on a mollified field at
+# N = 2.
 MAX_MOLLIFY_READS = 10 ** 9
 
 
@@ -50,6 +53,7 @@ class MollifiedField(Field):
     def __init__(self, f: Field, eps, T):
         super().__init__(f.dim, f.shape, f.window)
         self.f = f
+        self.reads = MOLLIFY_NODES ** (f.dim + 1) * f.reads
         self.eps = float(eps)
         self.T = float(T)
         g, w = np.polynomial.legendre.leggauss(MOLLIFY_NODES)
@@ -92,14 +96,13 @@ class MollifiedField(Field):
         return out
 
 
-def check_mollify_reads(samples, n_eps, dim):
-    """Refuse (ArgumentError) a run that mollifies a field on R^dim at
-    samples points for each of n_eps eps values, if its quadrature reads
-    pass MAX_MOLLIFY_READS."""
-    reads = samples * n_eps * MOLLIFY_NODES ** (dim + 1)
+def check_mollify_reads(samples, n_eps, f: Field):
+    """Refuse (ArgumentError) a run that mollifies f at samples points for
+    each of n_eps eps values, if its plain reads pass MAX_MOLLIFY_READS."""
+    reads = samples * n_eps * MOLLIFY_NODES ** (f.dim + 1) * f.reads
     if reads > MAX_MOLLIFY_READS:
         raise ArgumentError(f"{samples} samples at {n_eps} eps values on "
-                            f"N = {dim} make {reads:.3e} quadrature reads, "
+                            f"N = {f.dim} make {reads:.3e} quadrature reads, "
                             f"beyond the bound {MAX_MOLLIFY_READS:.3e}")
 
 

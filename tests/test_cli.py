@@ -45,6 +45,16 @@ def cb_spec_path(tmp_path):
     return str(p)
 
 
+def _mollified_spec(tmp_path):
+    """The checkerboard prototype with its A0 mollified at eps 0.1."""
+    doc = _checkerboard_doc(specfile.prototype_spec().to_dict())
+    doc["coefficients"]["A0"] = {"kind": "mollified", "eps": 0.1, "T": 1.0,
+                                 "raw": doc["coefficients"]["A0"]}
+    p = tmp_path / "moll.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
 def run(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr().out
@@ -924,41 +934,46 @@ def test_fundamental_refuses_a_width_below_the_grid(tmp_path, capsys, N, box,
 
 
 @pytest.mark.parametrize("argv, says", [
-    (["mc", "simulate", "{cb}", "--paths", "10", "--dt", "1e-300",
-      "--out", "e.csv"], "beyond the bound"),
-    (["mc", "mass", "{cb}", "--paths", "10", "--dt", "1e-300"],
-     "beyond the bound"),
-    (["mc", "density", "{cb}", "--box=-3,3;-2,2", "--bins", "4,4",
-      "--paths", "10", "--dt", "1e-300", "--out", "d.csv"],
-     "beyond the bound"),
-    (["mc", "mass", "{spec}", "--paths", "10", "--dt", "1e-300"],
-     "is not read"),
-    (["mc", "mass", "{spec}", "--paths", "10", "--dt", "1e-3"],
-     "is not read"),
-    (["mc", "mass", "{cb}", "--paths", "40000000", "--dt", "1e-6"],
-     "make 2.000e+13 path-steps, beyond the bound"),
+    (["--threads", "2", "mc", "simulate", "{cb}", "--paths", "40000",
+      "--dt", "1e-300", "--out", "e.csv"], "beyond the bound"),
+    (["--threads", "2", "mc", "mass", "{cb}", "--paths", "40000",
+      "--dt", "1e-300"], "beyond the bound"),
+    (["--threads", "2", "mc", "density", "{cb}", "--box=-3,3;-2,2",
+      "--bins", "4,4", "--paths", "40000", "--dt", "1e-300",
+      "--out", "d.csv"], "beyond the bound"),
+    (["--threads", "2", "mc", "mass", "{spec}", "--paths", "40000",
+      "--dt", "1e-300"], "is not read"),
+    (["--threads", "2", "mc", "mass", "{spec}", "--paths", "40000",
+      "--dt", "1e-3"], "is not read"),
+    (["--threads", "2", "mc", "mass", "{cb}", "--paths", "40000000",
+      "--dt", "1e-6"], "make 2.000e+13 path-steps, beyond the bound"),
+    (["--threads", "2", "mc", "mass", "{moll}", "--paths", "1000000"],
+     "each counted 4096 times, make 2.048e+12 path-steps, beyond the bound"),
     (["--threads", "100000", "mc", "mass", "{spec}", "--paths", "40000000"],
      "threads = 100000: must be positive and at most the bound"),
 ], ids=["simulate-steps", "mass-steps", "density-steps", "held-tiny-dt",
-        "held-dt", "mass-path-steps", "threads"])
+        "held-dt", "mass-path-steps", "mollified-path-steps", "threads"])
 def test_mc_refuses_work_past_its_bounds(spec_path, cb_spec_path, tmp_path,
                                          capsys, monkeypatch, argv, says):
     """On a checkerboard spec, whose paths are stepped, a --dt of 1e-300
     (5e299 steps), or 4e7 paths at --dt 1e-6 (2e13 path-steps, though the
     steps and the end states' 0.96 GB are within their bounds), exits 2
-    with one error line that names the bound; on the prototype, whose
-    constants are drawn from the exact law, any given --dt is refused,
-    since it would not be read, and so is --threads 100000.  Each exits
-    well within a second, before any generator or thread is made, and
-    writes no artifact."""
+    with one error line that names the bound; so do 10^6 paths at the
+    default dt under a mollified A0 (5e8 path-steps, each counted once per
+    node of its 16^3-node quadrature); on the prototype, whose constants
+    are drawn from the exact law, any given --dt is refused, since it
+    would not be read, and so is --threads 100000.  Each runs at two or
+    more threads over two or more chunks, and exits well within a second,
+    before any generator or thread is made, and writes no artifact."""
     def never(*args, **kwargs):
         raise AssertionError("a generator or thread was made")
 
+    moll = _mollified_spec(tmp_path)
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(mc, "chunk_rng", never)
     monkeypatch.setattr(mc, "Thread", never)
     start = time.perf_counter()
-    code = cli.main([a.format(spec=spec_path, cb=cb_spec_path)
+    code = cli.main([a.format(spec=spec_path, cb=cb_spec_path, moll=moll)
                      for a in argv])
     elapsed = time.perf_counter() - start
     err = capsys.readouterr().err
@@ -1191,14 +1206,6 @@ def test_dt_help_states_the_solver_constants():
     assert f"default {pde.DIFFUSION_STEPS} h^2 / (2 Lambda m0)" \
         in cli.DT_HELP
     assert f"{pde.COURANT} h / |b|_1 where b is present" in cli.DT_HELP
-
-
-def test_threads_help_states_the_mc_bound(capsys):
-    """The --threads help writes out mc.MAX_THREADS, so that building the
-    parser does not import the Monte Carlo; they must match."""
-    assert cli.main(["--help"]) == 0
-    assert f"refuse more than {mc.MAX_THREADS}" \
-        in " ".join(capsys.readouterr().out.split())
 
 
 @pytest.mark.parametrize("exc", [np.linalg.LinAlgError, ValueError])
@@ -1523,6 +1530,28 @@ def test_mollify_refuses_reads_past_the_bound(tmp_path, capsys,
     assert code == cli.EXIT_PARSE
     assert err == ("error: 2000 samples at 3 eps values on N = 4 make "
                    "6.291e+09 quadrature reads, beyond the bound "
+                   f"{regularity.MAX_MOLLIFY_READS:.3e}\n")
+    assert elapsed < 1.0
+
+
+def test_mollify_counts_a_mollified_fields_reads(tmp_path, capsys,
+                                                 monkeypatch):
+    """A mollified A0 on N = 2 reads its checkerboard 16^3 times per value,
+    so the default 2000 samples at 3 eps values make 2000 * 3 * 16^3 *
+    16^3 = 1.0e11 reads, hours of work: the run exits 2 with one error
+    line naming the reads and regularity.MAX_MOLLIFY_READS, within a
+    second and before the field is read."""
+    def never(*args, **kwargs):
+        raise AssertionError("a mollified field was read")
+
+    monkeypatch.setattr(regularity.MollifiedField, "many", never)
+    start = time.perf_counter()
+    code = cli.main(["mollify", _mollified_spec(tmp_path)])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_PARSE
+    assert err == ("error: 2000 samples at 3 eps values on N = 2 make "
+                   "1.007e+11 quadrature reads, beyond the bound "
                    f"{regularity.MAX_MOLLIFY_READS:.3e}\n")
     assert elapsed < 1.0
 

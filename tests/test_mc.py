@@ -511,7 +511,7 @@ def test_stepped_ensemble_refuses_steps_past_the_bound(proto, proto_coeffs,
                                                        monkeypatch, dt):
     """A stepped ensemble of more than MAX_STEPS steps is refused with an
     ArgumentError that names the step count and the bound, before any
-    generator or thread is made."""
+    generator or thread is made, here at two threads over two chunks."""
     def made(*args, **kwargs):
         raise AssertionError("a generator or thread was made")
 
@@ -520,7 +520,8 @@ def test_stepped_ensemble_refuses_steps_past_the_bound(proto, proto_coeffs,
     with pytest.raises(ArgumentError,
                        match=f"beyond the bound of {mc.MAX_STEPS} steps"):
         mc.simulate(_as_boards(proto_coeffs), proto, np.zeros(2), 0.0, 0.5,
-                    mc.McConfig(paths=10, dt=dt, seed=0))
+                    mc.McConfig(paths=2 * mc.CHUNK, dt=dt, seed=0,
+                                threads=2))
 
 
 class _Poisoned:

@@ -26,6 +26,8 @@ UNREACHED = {
         "ROADMAP item 10, the certificate's weak form",
     "pde.GridSolution.evaluate":
         "ROADMAP item 10, the certificate's weak form",
+    "coefficients.__getattr__": "perfbench/drive.py and tracer.py read the "
+                                "mollifier's names here; ROADMAP item 6",
 }
 # Defaults that no caller overrides, each with the reason it stays.
 UNSET = {
@@ -172,11 +174,7 @@ def _definitions(trees):
     function, class and constant and every method of a class but a dunder
     one, in the library modules (all but the command modules).  A class's
     body is its bases, decorators and statements, its dunder methods
-    included: they run whenever the class is used.  A module-level dunder
-    function (coefficients.__getattr__) is no definition, and the names it
-    uses reach nothing: Python calls it on a missing attribute, so it is
-    reached through whatever names it serves, which must be reached on
-    their own."""
+    included: they run whenever the class is used."""
     out = {}
     for mod, tree in trees.items():
         if _is_command(mod):
@@ -184,8 +182,7 @@ def _definitions(trees):
         stem = mod[:-3]
         for n in tree.body:
             if isinstance(n, ast.FunctionDef):
-                if not _dunder(n.name):
-                    out[f"{stem}.{n.name}"] = _uses(n)
+                out[f"{stem}.{n.name}"] = _uses(n)
             elif isinstance(n, ast.ClassDef):
                 body = set()
                 for m in n.body:

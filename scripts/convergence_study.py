@@ -21,7 +21,7 @@ from kolmo.coefficients import ConstantField
 def run(geometry, coeffs, box, nx, w, t1, dt, pole, params):
     tic = time.perf_counter()
     sol = pde.solve_cauchy(coeffs, geometry, pde.KernelDatum(pole, params),
-                           box, nx, w, t1, dt=dt, keep="final")
+                           box, nx, w, t1, dt=dt)
     elapsed = time.perf_counter() - tic
     pts = grid(sol.axes)
     exact = kern.gamma_many(

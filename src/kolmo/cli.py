@@ -21,7 +21,9 @@ too.
 Every report goes one way, through main: it settles the mode of `check
 bounds` and `check harnack`, checks --out, loads the spec, runs the
 command, a function of (args, spec) that returns its report's body, and
-writes {"command", "config", **body} to stdout.
+writes {"command", "config", **body} to stdout.  tests/test_tooling.py
+keeps it so.  Every number option, list or points file refuses a value
+that is not finite (exit 2).
 """
 
 import argparse

@@ -28,7 +28,7 @@ def cmd_check_bounds(args, spec):
         nx = counts(args, "nx", g.N, pde.MIN_AXIS_NODES)
         final, _ = pde.approx_fundamental(
             spec.fields, g, x0, args.t0, args.t0 + 1.0, bx, nx,
-            [args.width], lam=args.lam, keep="final")
+            [args.width], lam=args.lam)
         tq = final.taxis[-1]
         pts = grid(final.axes)
         keep = final.values[-1].ravel() > 1e-3 * final.values[-1].max()

@@ -25,7 +25,7 @@ def cmd_solve_cauchy(args, spec):
     params = kern.scaled_params(args.lam, g)
     datum = pde.KernelDatum(point(vector(args, "x0", g.N), args.t0), params)
     sol = pde.solve_cauchy(spec.fields, g, datum, bx, nx,
-                           args.t0 + w, args.t1, dt=args.dt, keep="final")
+                           args.t0 + w, args.t1, dt=args.dt)
     header = [f"x{k + 1}" for k in range(g.N)] + ["value"]
     specfile.write_csv(args.out, header, sol.values[-1].ravel(),
                        axes=sol.axes)
@@ -39,7 +39,7 @@ def cmd_solve_fundamental(args, spec):
     widths = floats(args.widths)
     final, report = pde.approx_fundamental(
         spec.fields, g, vector(args, "x0", g.N), args.t0, args.t1, bx, nx,
-        widths, lam=args.lam, dt=args.dt, keep="final")
+        widths, lam=args.lam, dt=args.dt)
     header = [f"x{k + 1}" for k in range(g.N)] + ["value"]
     specfile.write_csv(args.out, header, final.values[-1].ravel(),
                        axes=final.axes)

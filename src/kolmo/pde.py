@@ -1,5 +1,4 @@
-"""A monotone splitting solver for the Cauchy problem on a truncated box,
-and the weak-form residual of a grid solution.
+"""A monotone splitting solver for the Cauchy problem on a truncated box.
 
 The time step alternates (i) semi-Lagrangian transport along the drift's
 integral curves, a local cubic Lagrange interpolant clipped to the range
@@ -22,7 +21,7 @@ from . import kernel as kern
 from .coefficients import RANK, CheckerboardField, value_set
 from .errors import (ArgumentError, BoxTooSmall, SupportExceedsGrid,
                      Unstable)
-from .group import Geometry, grid, point, split
+from .group import Geometry, grid, point
 
 BOUNDARY_MASS_TOL = 1e-12
 # A monotone step cannot raise the sup norm beyond its reaction factor; its
@@ -51,17 +50,14 @@ MAX_SOLVE_BYTES = 2 ** 30
 
 @dataclass
 class GridSolution:
-    """Solution samples on a tensor product of uniform spatial grids and a
-    uniform time grid; values indexed values[it, ix1, ..., ixN].  A solve
-    that keeps only its final slice has one entry in taxis (its time step
-    is in meta["dt"]) and cannot be interpolated in time."""
+    """A solve's final slice on a tensor product of uniform spatial grids:
+    values of shape (1, n1, ..., nN) at the one time in taxis, t1, and the
+    solver's report in meta (its time step in meta["dt"])."""
 
     axes: list
     taxis: np.ndarray
     values: np.ndarray
     meta: dict = field(default_factory=dict)
-    _interp: object = field(default=None, init=False, repr=False,
-                            compare=False)
 
     @property
     def hs(self):
@@ -69,31 +65,7 @@ class GridSolution:
 
     @property
     def dt(self):
-        """The solver's time step when it recorded one, else the spacing of
-        taxis."""
-        if "dt" in self.meta:
-            return float(self.meta["dt"])
-        return float(self.taxis[1] - self.taxis[0])
-
-    def interpolator(self):
-        """The linear interpolant in space and time, 0 off the grid; built
-        on the first call and reused."""
-        from scipy.interpolate import RegularGridInterpolator
-
-        if len(self.taxis) < 2:
-            raise ArgumentError(
-                "interpolation in time needs keep='all': the solution "
-                "holds one slice")
-        if self._interp is None:
-            vals = np.moveaxis(self.values, 0, -1)
-            self._interp = RegularGridInterpolator(
-                tuple(self.axes) + (self.taxis,), vals, method="linear",
-                bounds_error=False, fill_value=0.0)
-        return self._interp
-
-    def evaluate(self, x, t):
-        pt = np.concatenate([np.atleast_1d(x), [t]])
-        return float(self.interpolator()(pt)[0])
+        return float(self.meta["dt"])
 
 
 class _GridCoeffs:
@@ -247,13 +219,6 @@ class _ImplicitDiffusion:
 # -- Cauchy solver -----------------------------------------------------------
 
 
-def _check_choice(name, value, choices):
-    if value not in choices:
-        raise ArgumentError(f"{name} must be "
-                            f"{' or '.join(map(repr, choices))}, "
-                            f"got {value!r}")
-
-
 def _grid_axes(box, nx, N):
     """The (N, 2) box, the nodes per axis as a list, and the node axes and
     spacings of a solve on it; nx is an int or one count per axis, and
@@ -268,7 +233,7 @@ def _grid_axes(box, nx, N):
 
 
 def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
-                 dt=None, boundary="warn", keep="all"):
+                 dt=None, boundary="warn"):
     """March the datum phi from t0 to t1 on the truncated box.
 
     box: (N, 2) array of axis intervals; nx: nodes per axis (int or list).
@@ -288,12 +253,11 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
     value of A0 has an off-diagonal entry, whose cross terms stay explicit.
     meta["dt_bound"] holds the smaller cap, None when neither applies.
 
-    keep="all" stores every time slice; keep="final" holds only the current
-    one and returns the final slice alone (values of shape (1,) + dims and
-    taxis [t1]).  Either way values[-1] is the slice at taxis[-1] = t1,
-    t1 must exceed t0, a given dt must be positive and (t1 - t0) / dt must
-    not exceed MAX_STEPS, nor may the node rows and transport tables take
-    more than MAX_SOLVE_BYTES (else ArgumentError, before they are made).
+    The solve holds only its current slice and returns the final one
+    (values of shape (1,) + dims and taxis [t1]).  t1 must exceed t0, a
+    given dt must be positive and (t1 - t0) / dt must not exceed MAX_STEPS,
+    nor may the node rows and transport tables take more than
+    MAX_SOLVE_BYTES (else ArgumentError, before they are made).
 
     Every step is audited as it is made: a non-finite value raises
     Unstable; where A0 is diagonal on the step (the step is then monotone),
@@ -304,8 +268,9 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
     meta["warnings"], boundary="error" raises BoxTooSmall; any other value
     is an ArgumentError.
     """
-    _check_choice("keep", keep, ("all", "final"))
-    _check_choice("boundary", boundary, ("warn", "error"))
+    if boundary not in ("warn", "error"):
+        raise ArgumentError(f"boundary must be 'warn' or 'error', got "
+                            f"{boundary!r}")
     if not t1 > t0:
         raise ArgumentError(f"t1 must exceed t0, got t0={t0!r}, t1={t1!r}")
     if dt is not None and not dt > 0.0:
@@ -373,10 +338,6 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
     boundary_max = float(absu[bmask].max())
     positive = bool(u.min() >= 0.0)
     diffuse = sampled = None
-    values = None
-    if keep == "all":
-        values = np.empty((nt,) + dims)
-        values[0] = u
     for it in range(1, nt):
         t = taxis[it - 1]
         # (i) transport along Y by quasi-monotone interpolation
@@ -420,10 +381,6 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
                     f"{it}, beyond the monotone bound x {growth:.6e}")
         interior_max = max(interior_max, peak)
         boundary_max = max(boundary_max, float(absu[bmask].max()))
-        if values is not None:
-            values[it] = u
-    if values is None:
-        values, taxis = u[None], taxis[-1:].copy()
 
     warnings_list = []
     if interior_max > 0 and boundary_max > BOUNDARY_MASS_TOL * interior_max:
@@ -438,7 +395,8 @@ def solve_cauchy(coeffs, geometry: Geometry, phi, box, nx, t0, t1,
                                    if interior_max > 0 else 0.0),
             "warnings": warnings_list, "box": box.tolist(), "nx": nx,
             "t0": t0, "t1": t1}
-    return GridSolution(axes=axes, taxis=taxis, values=values, meta=meta)
+    return GridSolution(axes=axes, taxis=taxis[-1:].copy(), values=u[None],
+                        meta=meta)
 
 
 def _lagrange_weights(x):
@@ -558,21 +516,17 @@ class KernelDatum:
 
 
 def approx_fundamental(coeffs, geometry, x0, t0, t1, box, nx, widths,
-                       lam=2.0, dt=None, keep="all"):
+                       lam=2.0, dt=None):
     """Cauchy evolutions from narrow Gaussian data of decreasing widths.
 
     The datum of width w is the exact constant-coefficient kernel at elapsed
     time w from the pole.  Returns (sol, report): sol is the narrowest
     width's solution, and the report holds the widths, the spread between
     consecutive widths' terminal slices as an error proxy, and under
-    "solves" each width's dt, boundary_max_ratio and warnings.  With
-    keep="all", sol.evaluate reads 0 before sol's first slice, so at and
-    before t0.  keep goes to the narrowest width's solve, and the wider
-    widths keep only their final slice.  Every width must be positive and
-    end before t1: 0 < width and t0 + max(widths) < t1, else ArgumentError,
-    before any solve.
+    "solves" each width's dt, boundary_max_ratio and warnings.  Every width
+    must be positive and end before t1: 0 < width and t0 + max(widths) <
+    t1, else ArgumentError, before any solve.
     """
-    _check_choice("keep", keep, ("all", "final"))
     widths = sorted(widths, reverse=True)
     if not widths[-1] > 0:
         raise ArgumentError(f"each width must be positive, got "
@@ -590,7 +544,7 @@ def approx_fundamental(coeffs, geometry, x0, t0, t1, box, nx, widths,
     # is sqrt(lam) w^(alpha_k / 2) times the norm of row k of C(1)'s factor
     row_norms = np.sqrt(lam) * np.linalg.norm(params.chol1, axis=1)
     finals, solves = [], []
-    for i, w in enumerate(widths):
+    for w in widths:
         # the datum must be representable on the grid: every marginal
         # standard deviation of the width-w kernel has to span a few cells
         stds = geometry.dilate_space(math.sqrt(w), row_norms)
@@ -599,8 +553,7 @@ def approx_fundamental(coeffs, geometry, x0, t0, t1, box, nx, widths,
                 raise SupportExceedsGrid(
                     f"width {w}: axis {k} std {stds[k]:.3e} below "
                     f"1.5 h = {1.5 * hs[k]:.3e}")
-        sol = solve_cauchy(coeffs, geometry, datum, box, nx, t0 + w, t1, dt=dt,
-                           keep=keep if i == len(widths) - 1 else "final")
+        sol = solve_cauchy(coeffs, geometry, datum, box, nx, t0 + w, t1, dt=dt)
         finals.append(sol.values[-1])
         solves.append({k: sol.meta[k]
                        for k in ("dt", "boundary_max_ratio", "warnings")})
@@ -610,101 +563,3 @@ def approx_fundamental(coeffs, geometry, x0, t0, t1, box, nx, widths,
               for k in range(len(finals) - 1)]
     return sol, {"widths": widths, "spread": spread, "solves": solves}
 
-
-# -- weak formulation --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TestFunction:
-    """Smooth bump supported in the cylinder Q_r(z0): cubic powers of the
-    block-ball and time profiles give two continuous derivatives at the
-    boundary."""
-
-    center: np.ndarray
-    scale: float
-    geometry: Geometry
-
-    def __call__(self, z):
-        x, t = split(z)
-        return float(self.many(x[None], t)[0])
-
-    def many(self, X, t):
-        """Vectorized over spatial points at one time slice."""
-        g = self.geometry
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        x0, t0 = split(self.center)
-        # z0^{-1} o (x, t): spatial part x - E(t - t0) x0, time t - t0
-        xi = X - g.exp_drift(t - t0) @ x0
-        tau = t - t0
-        r = self.scale
-        tau_d = tau / (r * r)
-        if not -1.0 < tau_d < 0.0:
-            return np.zeros(len(X))
-        xi_d = g.dilate_space(1.0 / r, xi)
-        val = np.full(len(X), (4.0 * (-tau_d) * (1.0 + tau_d)) ** 3)
-        for sl in g.structure.block_slices():
-            r2 = np.sum(xi_d[:, sl] ** 2, axis=1)
-            val *= np.where(r2 < 1.0, (1.0 - np.minimum(r2, 1.0)) ** 3, 0.0)
-        return val
-
-
-def weak_residual(u: GridSolution, tf: TestFunction, coeffs,
-                  geometry: Geometry):
-    """Trapezoid quadrature of the weak form over the grid:
-    int -<A Du, Dphi> + phi Yu + <b, Du> phi + c u phi, D by centered
-    differences and Y by a centered difference along the drift's integral
-    curves, batched over the support nodes.  SupportExceedsGrid when the
-    cylinder's time range leaves the grid."""
-    g = geometry
-    N = g.N
-    m0 = g.structure.m0
-    hs = u.hs
-    dt = u.dt
-    interp = u.interpolator()
-
-    # the cylinder Q_r(z0) spans the times [t0 - r^2, t0]
-    r = tf.scale
-    z0 = tf.center
-    tmin, tmax = z0[-1] - r * r, z0[-1]
-    if tmin < u.taxis[0] - 1e-12 or tmax > u.taxis[-1] + 1e-12:
-        raise SupportExceedsGrid("cylinder time range leaves the grid")
-
-    total = 0.0
-    on_grid = _GridCoeffs(coeffs, u.axes, m0)
-    pts, dims = on_grid.pts, on_grid.dims
-    # Yu by a centered difference along the drift's integral curves
-    # gamma(s) = (E(-s) x, t - s), batched over the support nodes
-    s_lie = 0.5 * min(min(hs), dt)
-    ends = [(g.exp_drift(-sv).T, sv) for sv in (s_lie, -s_lie)]
-    for it in range(1, len(u.taxis) - 1):
-        t = u.taxis[it]
-        if not tmin <= t <= tmax:
-            continue
-        phi = tf.many(pts, t).reshape(dims)
-        if not phi.any():
-            continue
-        uslice = u.values[it]
-        up = _pad_zero(uslice)
-        php = _pad_zero(phi)
-        A = on_grid("A0", t)
-        integrand = np.zeros(dims)
-        Du = [_centered(up, i, hs[i]) for i in range(m0)]
-        Dphi = [_centered(php, i, hs[i]) for i in range(m0)]
-        for i in range(m0):
-            for j in range(m0):
-                integrand -= A[..., i, j] * Du[j] * Dphi[i]
-        mask = phi > 0.0
-        xs = pts.reshape(dims + (N,))[mask]
-        ys = [interp(np.column_stack([xs @ ET, np.full(len(xs), t - sv)]))
-              for ET, sv in ends]
-        Yu = np.zeros(dims)
-        Yu[mask] = (ys[0] - ys[1]) / (2.0 * s_lie)
-        integrand += phi * Yu
-        if coeffs.get("b") is not None:
-            bgrid = on_grid("b", t)
-            for i in range(m0):
-                integrand += bgrid[..., i] * Du[i] * phi
-        if coeffs.get("c") is not None:
-            integrand += on_grid("c", t) * uslice * phi
-        total += float(np.sum(integrand)) * np.prod(hs) * dt
-    return total

@@ -144,8 +144,11 @@ def from_dict(doc, base_dir=Path(".")):
     """The OperatorSpec a document describes.  Besides the structure (the
     blocks integers, B a finite N x N matrix) and the fields, the window
     must be finite with T0 < T1 and the ellipticity finite with 0 < lambda
-    <= Lambda, else SpecError.  Every eigenvalue of A0's value set must lie
-    in [lambda, Lambda], else NotSPD."""
+    <= Lambda, else SpecError.  The coefficients are A0 (required, an m0 x
+    m0 matrix), b (an m0-vector) and c (a scalar), of the ranks in
+    coefficients.RANK; any other name, or values of another shape (a grid
+    sidecar holds m0^rank value columns), is a SpecError.  Every eigenvalue
+    of A0's value set must lie in [lambda, Lambda], else NotSPD."""
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != SCHEMA:
         raise SpecError(f"unsupported schema {schema!r}; expected {SCHEMA}")

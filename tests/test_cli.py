@@ -426,6 +426,15 @@ def test_overflow_exits_with_its_code(tmp_path, capsys, monkeypatch, name,
     assert not (tmp_path / "out.csv").exists()
 
 
+def _kolmo_env():
+    """The environment of a child process that imports this kolmo."""
+    src = str(Path(kolmo.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 @pytest.mark.parametrize("name, value, argv, code", [
     ("A0", [[1e308]], _MC_MASS, cli.EXIT_MC),
     ("c", 1e308, _SOLVE_21, cli.EXIT_SOLVER)], ids=["mc-mass", "solve"])
@@ -436,10 +445,7 @@ def test_overflow_refusal_is_one_stderr_line(tmp_path, name, value, argv,
     warnings are not printed ahead of it."""
     spec = tmp_path / "overflow.json"
     spec.write_text(json.dumps(_overflow_doc(name, value)))
-    src = str(Path(kolmo.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
+    env = _kolmo_env()
     proc = subprocess.run(
         [sys.executable, "-m", "kolmo.cli"]
         + [a.format(spec=spec) for a in argv], cwd=tmp_path, env=env,
@@ -463,10 +469,7 @@ def test_kernel_overflow_is_one_stderr_line(tmp_path, argv, code, lead):
     its row's time, and a solve from it exits 5, each with one line on
     stderr, no numpy warning ahead of it, and no CSV."""
     (tmp_path / "p.csv").write_text("x1,x2,x3,x4,t\n0,0,0,0,1e-40\n")
-    src = str(Path(kolmo.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
+    env = _kolmo_env()
     proc = subprocess.run(
         [sys.executable, "-m", "kolmo.cli"]
         + [a.format(spec=_chain_spec(tmp_path, 4)) for a in argv],
@@ -1450,6 +1453,24 @@ def test_asian_quadrature_matches_kemna_vorst():
     assert abs(rep["price_quadrature"] - kv) <= rep["quad_tol"]
 
 
+# -- the convergence-study script ---------------------------------------------
+
+
+def test_convergence_study_runs(tmp_path):
+    """scripts/convergence_study.py, which no command or benchmark step
+    runs, still runs against the solver's API on small grids, and prints
+    both of its order tables."""
+    script = Path(__file__).resolve().parents[1] / "scripts" \
+        / "convergence_study.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--grids", "21,41", "--dts",
+         "4e-3,2e-3", "--dt-ref", "1e-3"], cwd=tmp_path, env=_kolmo_env(),
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "least-squares order" in proc.stdout
+    assert "pairwise orders" in proc.stdout
+
+
 def test_mc_mass_rough_21_deterministic_across_threads(tmp_path, capsys):
     """Beyond N=2: on the (2,1) structure with a 2x2 checkerboard A0 the
     per-state factor runs on m0 = 2, and the report does not depend on the
@@ -1607,10 +1628,7 @@ def test_cold_start_loads_no_scipy(argv, spec_path, cb_spec_path, tmp_path):
     and only `mollify` imports the mollifier.  Each first word imports its
     own command module, kolmo.cli_<word>, and no other; `structure` and a
     bare import, none."""
-    src = str(Path(kolmo.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
+    env = _kolmo_env()
     proc = subprocess.run(
         [sys.executable, "-c", _COLD_START % (_ON_DEMAND,)]
         + [a.format(spec=spec_path, cb=cb_spec_path) for a in argv],

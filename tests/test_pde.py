@@ -29,16 +29,23 @@ def _canonical_geometry(blocks):
     return Geometry(BlockStructure(blocks), B)
 
 
-def kernel_solution(proto, proto_params, nx, nt, box=(-4, 4, -2, 2),
-                    tspan=(0.3, 0.5)):
-    axes = [np.linspace(box[0], box[1], nx), np.linspace(box[2], box[3], nx)]
-    ta = np.linspace(*tspan, nt)
-    pts = grid(axes)
-    pole = point(np.zeros(2), 0.0)
-    vals = np.stack([
-        kern.gamma_many(np.column_stack([pts, np.full(len(pts), t)]),
-                        pole, proto_params).reshape(nx, nx) for t in ta])
-    return pde.GridSolution(axes=axes, taxis=ta, values=vals)
+def solve_every_slice(*args, **kwargs):
+    """A solve and its slice at every time node, datum first, stacked.  The
+    transport, each step's first stage, reads the slice its step starts
+    from (a drift B != 0 makes one), so its inputs and the final slice are
+    all of them; the time nodes are np.linspace(t0, t1, len(slices)), as
+    the solver lays them out."""
+    seen = []
+
+    class Recorded(pde._Transport):
+        def __call__(self, u):
+            seen.append(u.copy())
+            return super().__call__(u)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(pde, "_Transport", Recorded)
+        sol = pde.solve_cauchy(*args, **kwargs)
+    return sol, np.stack(seen + [sol.values[-1]])
 
 
 def test_solver_rejects_unstable_dt(proto):
@@ -79,9 +86,11 @@ def test_solver_samples_fields_per_step_and_constants_once(proto):
             return np.full(len(X), -0.5)
 
     A0, c = CountedConstant(np.eye(1), dim=2), TimeRecorder()
-    sol = pde.solve_cauchy({"A0": A0, "c": c}, proto, _Bump(1.0),
-                           [[-2, 2], [-2, 2]], [21, 21], 0.0, 0.1)
-    assert c.ts == list(sol.taxis[:-1])
+    sol, slices = solve_every_slice({"A0": A0, "c": c}, proto, _Bump(1.0),
+                                    [[-2, 2], [-2, 2]], [21, 21], 0.0, 0.1)
+    assert len(slices) > 2
+    assert c.ts == list(np.linspace(0.0, 0.1, len(slices))[:-1])
+    assert c.ts[1] - c.ts[0] == sol.dt
     assert A0.calls == 1
 
 
@@ -97,12 +106,12 @@ def test_solver_positivity_and_mass(proto, proto_params, proto_coeffs):
         def many(self, X, t):
             pts = np.column_stack([X, np.full(len(X), w)])
             return kern.gamma_many(pts, pole, proto_params)
-    sol = pde.solve_cauchy(proto_coeffs, proto, D(), [[-4, 4], [-2, 2]],
-                           [61, 61], w, t1)
+    sol, slices = solve_every_slice(proto_coeffs, proto, D(),
+                                    [[-4, 4], [-2, 2]], [61, 61], w, t1)
     assert sol.meta["warnings"], "the box cuts the kernel's tail"
-    assert np.all(sol.values >= 0.0)  # monotone scheme keeps positivity
+    assert np.all(slices >= 0.0)  # monotone scheme keeps positivity
     dt, h = sol.dt, sol.hs[0]
-    for u in (sol.values[0], sol.values[len(sol.taxis) // 2]):
+    for u in (slices[0], slices[len(slices) // 2]):
         step = pde._ImplicitDiffusion(np.ones(u.shape + (1, 1)), sol.hs, 1,
                                       dt)
         v = step(u)
@@ -298,7 +307,7 @@ def test_static_axes_match_moving_solve(monkeypatch, blocks):
         coeffs = {"A0": ConstantField(np.eye(1), dim=2)}
         box, nx = [[-4, 4], [-2, 2]], [81, 81]
     else:
-        g, coeffs = _keep_coeffs(blocks, with_bc=True)
+        g, coeffs = _cross_coeffs(blocks, with_bc=True)
         box, nx = [[-1.5, 1.5]] * 3, 21
     args = (coeffs, g, _Bump(), box, nx, 0.0, 0.15)
     built = []
@@ -308,12 +317,12 @@ def test_static_axes_match_moving_solve(monkeypatch, blocks):
         built.append(m0)
         return build(coords, dims, m0)
     monkeypatch.setattr(pde, "_Transport", record)
-    passes = pde.solve_cauchy(*args, keep="final").values[-1]
+    passes = pde.solve_cauchy(*args).values[-1]
     assert built == [g.structure.m0]
 
     monkeypatch.setattr(pde, "_Transport", lambda coords, dims, m0:
                         lambda u: _lagrange_transport(u, coords, m0))
-    reference = pde.solve_cauchy(*args, keep="final").values[-1]
+    reference = pde.solve_cauchy(*args).values[-1]
     peak = np.max(np.abs(reference))
     assert np.max(np.abs(passes - reference)) <= 1e-11 * peak
     assert not np.array_equal(passes, reference), "the two paths differ"
@@ -350,15 +359,15 @@ def test_solve_needs_t1_after_t0(proto, proto_coeffs):
 
 def test_solver_chain_n3_positive():
     g = _canonical_geometry((1, 1, 1))
-    sol = pde.solve_cauchy({"A0": ConstantField(np.eye(1), dim=3)}, g,
-                           _Bump(8.0), [[-2, 2], [-2, 2], [-2, 2]], 21,
-                           0.0, 0.1, dt=0.01)
-    assert sol.values.shape[1:] == (21, 21, 21)
-    assert len(sol.taxis) > 3
-    assert np.all(np.isfinite(sol.values))
-    peak = np.max(np.abs(sol.values))
-    assert np.min(sol.values) >= -ROUNDOFF * peak
-    assert np.max(np.abs(sol.values[-1] - sol.values[0])) > 1e-3 * peak
+    sol, slices = solve_every_slice(
+        {"A0": ConstantField(np.eye(1), dim=3)}, g, _Bump(8.0),
+        [[-2, 2], [-2, 2], [-2, 2]], 21, 0.0, 0.1, dt=0.01)
+    assert sol.values.shape == (1, 21, 21, 21)
+    assert len(slices) > 3
+    assert np.all(np.isfinite(slices))
+    peak = np.max(np.abs(slices))
+    assert np.min(slices) >= -ROUNDOFF * peak
+    assert np.max(np.abs(slices[-1] - slices[0])) > 1e-3 * peak
 
 
 def test_solver_self_converges_n3():
@@ -368,8 +377,8 @@ def test_solver_self_converges_n3():
     the gap between the 33^3 and 65^3 solves (2.4%)."""
     g = _canonical_geometry((1, 1, 1))
     finals = [pde.solve_cauchy({"A0": ConstantField(np.eye(1), dim=3)}, g,
-                               _Bump(), [[-2, 2]] * 3, n, 0.0, 0.2,
-                               keep="final").values[-1]
+                               _Bump(), [[-2, 2]] * 3, n, 0.0,
+                               0.2).values[-1]
               for n in (17, 33, 65)]
     gaps = [np.max(np.abs(fine[::2, ::2, ::2] - coarse)) / np.max(fine)
             for coarse, fine in zip(finals, finals[1:])]
@@ -382,17 +391,17 @@ def test_solver_self_converges_n3():
 def test_solver_positive_over_random_structures(blocks, nx):
     """On a random canonical B and a checkerboard A0 in {I, 3I} the solve
     completes, so the monotone audits hold at every step, and a datum >= 0
-    stays >= 0 up to rounding."""
+    stays >= 0 up to rounding at every time node."""
     rng = np.random.default_rng(sum(blocks) + len(blocks))
     g = Geometry(BlockStructure(blocks), random_canonical_B(blocks, rng))
     m0, N = g.structure.m0, g.N
     A0 = CheckerboardField([np.eye(m0), 3.0 * np.eye(m0)], h=0.25, dim=N,
                            seed=1)
-    sol = pde.solve_cauchy({"A0": A0}, g, _Bump(), [[-1.5, 1.5]] * N, nx,
-                           0.0, 0.2, keep="final")
-    peak = np.max(np.abs(sol.values))
+    _, slices = solve_every_slice({"A0": A0}, g, _Bump(), [[-1.5, 1.5]] * N,
+                                  nx, 0.0, 0.2)
+    peak = np.max(np.abs(slices))
     assert peak > 0.0
-    assert np.min(sol.values) >= -ROUNDOFF * peak
+    assert np.min(slices) >= -ROUNDOFF * peak
 
 
 class _Bump:
@@ -405,7 +414,7 @@ class _Bump:
         return np.exp(-self.k * np.sum(X * X, axis=1))
 
 
-def _keep_coeffs(blocks, with_bc):
+def _cross_coeffs(blocks, with_bc):
     """A0 with off-diagonal entries for m0 = 2; checkerboard b and c that
     change in time when with_bc."""
     g = _canonical_geometry(blocks)
@@ -421,57 +430,38 @@ def _keep_coeffs(blocks, with_bc):
     return g, coeffs
 
 
-@pytest.mark.parametrize("with_bc", [False, True])
-@pytest.mark.parametrize("blocks", [(1, 1), (2, 1), (1, 1, 1)])
-def test_keep_final_matches_all_bitwise(blocks, with_bc):
-    """The streaming solve gives the stored solve's final slice and meta
-    (boundary ratio and warnings included), bitwise."""
-    g, coeffs = _keep_coeffs(blocks, with_bc)
-    nx = 31 if g.N == 2 else 17
-    args = (coeffs, g, _Bump(), [[-1.5, 1.5]] * g.N, nx, 0.0, 0.15)
-    full = pde.solve_cauchy(*args)
-    last = pde.solve_cauchy(*args, keep="final")
-    assert np.array_equal(last.values[-1], full.values[-1])
-    assert last.meta == full.meta
-    # the running maxima are those of the stored slices
-    edge = np.ones(full.values.shape[1:], dtype=bool)
-    edge[(slice(1, -1),) * g.N] = False
-    ratio = np.abs(full.values[:, edge]).max() / np.abs(full.values).max()
-    assert full.meta["boundary_max_ratio"] == ratio
-    assert full.meta["warnings"], "the box is cut so the boundary audit warns"
-    assert last.taxis[-1] == full.taxis[-1] == 0.15
-    assert len(full.taxis) > 3
-
-
 def test_boundary_ratio_reads_every_slice(proto, proto_coeffs):
     """A datum that fills the box has its boundary peak at t0, and the
-    streaming solve still reports it."""
+    solve, which holds one slice at a time, still reports it."""
     sol = pde.solve_cauchy(proto_coeffs, proto, _Bump(0.0),
-                           [[-1, 1], [-1, 1]], 21, 0.0, 0.1, keep="final")
+                           [[-1, 1], [-1, 1]], 21, 0.0, 0.1)
     assert np.max(np.abs(sol.values[-1][[0, -1]])) < 0.9
     assert sol.meta["boundary_max_ratio"] == 1.0
 
 
 def test_keep_final_stores_one_slice(proto, proto_coeffs):
-    """A "final" solve holds one slice: its values are one slice, and its
-    allocation peak is below the stored solve's by all but a few of the 301
-    slices."""
+    """A solve keeps its final slice alone: its values are one slice at
+    taxis [t1], and its allocation peak does not grow with its step count.
+    At 301 steps it is within 10 slices of the peak at 31 steps (it read
+    within 4); a solve that stored its slices would hold 270 more."""
     args = (proto_coeffs, proto, _Bump(), [[-2, 2], [-2, 2]], [41, 41],
             0.0, 0.3)
     peaks = {}
-    for keep in ("all", "final"):
+    for dt in (1e-2, 1e-3):
         tracemalloc.start()
-        sol = pde.solve_cauchy(*args, dt=1e-3, keep=keep)
-        peaks[keep] = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
+        try:
+            sol = pde.solve_cauchy(*args, dt=dt)
+            peaks[dt] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     assert sol.values.shape == (1, 41, 41)
     assert sol.taxis.tolist() == [0.3]
-    assert peaks["final"] + 298 * sol.values.nbytes < peaks["all"]
+    assert peaks[1e-3] < peaks[1e-2] + 10 * sol.values.nbytes
 
 
 def test_solve_memory_per_node(proto):
     """The benchmark's 161^2 solve cauchy (the lam = 2 kernel datum of width
-    0.1, box [-4, 4] x [-2, 2], t1 = 0.5, keep="final") peaks at most at
+    0.1, box [-4, 4] x [-2, 2], t1 = 0.5) peaks at most at
     240 bytes per node under tracemalloc: it measured 196; the bound
     leaves a 22% margin."""
     params = kern.scaled_params(2.0, proto)
@@ -480,7 +470,7 @@ def test_solve_memory_per_node(proto):
     tracemalloc.start()
     try:
         pde.solve_cauchy(coeffs, proto, datum, [[-4, 4], [-2, 2]],
-                         [161, 161], 0.1, 0.5, keep="final")
+                         [161, 161], 0.1, 0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -521,11 +511,11 @@ def test_boundary_error_raises_what_warn_records(proto, proto_coeffs):
     records in meta["warnings"]; any other value is refused before the
     datum is sampled."""
     args = (proto_coeffs, proto, _Bump(), [[-1, 1], [-1, 1]], 21, 0.0, 0.1)
-    sol = pde.solve_cauchy(*args, keep="final")
+    sol = pde.solve_cauchy(*args)
     msg, = sol.meta["warnings"]
     assert msg.startswith("boundary magnitude ")
     with pytest.raises(BoxTooSmall) as exc:
-        pde.solve_cauchy(*args, boundary="error", keep="final")
+        pde.solve_cauchy(*args, boundary="error")
     assert str(exc.value) == msg
     for bad in ("eror", "WARN", None):
         with pytest.raises(ArgumentError, match="boundary"):
@@ -533,97 +523,39 @@ def test_boundary_error_raises_what_warn_records(proto, proto_coeffs):
                              *args[3:], boundary=bad)
 
 
-@pytest.mark.parametrize("keep", ["last", "ALL", None, 1])
-def test_keep_rejects_other_values(proto, proto_coeffs, keep):
-    with pytest.raises(ArgumentError, match="keep"):
-        pde.solve_cauchy(proto_coeffs, proto, _Bump(), [[-1, 1], [-1, 1]],
-                         11, 0.0, 0.1, keep=keep)
-    with pytest.raises(ArgumentError, match="keep"):
-        pde.approx_fundamental(proto_coeffs, proto, np.zeros(2), 0.0, 0.4,
-                               [[-4, 4], [-2, 2]], [41, 61],
-                               widths=[0.3, 0.25], keep=keep)
-
-
-def test_approx_fundamental_keep_final_matches_all(proto, proto_coeffs):
-    """keep reaches only the narrowest width; the report and the returned
-    final slice do not depend on it."""
-    args = (proto_coeffs, proto, np.zeros(2), 0.0, 0.4, [[-4, 4], [-2, 2]],
-            [41, 61], [0.3, 0.25])
-    full, rep_full = pde.approx_fundamental(*args)
-    last, rep_last = pde.approx_fundamental(*args, keep="final")
-    assert len(full.taxis) > 1 and len(last.taxis) == 1
-    assert np.array_equal(last.values[-1], full.values[-1])
-    assert rep_last == rep_full
-
-
-def test_keep_final_refuses_time_interpolation(proto, proto_coeffs):
-    """A one-slice solution has no time axis to interpolate along: every
-    reader of it raises instead of returning 0 or an IndexError, and its
-    time step is the solver's."""
-    args = (proto_coeffs, proto, _Bump(), [[-2, 2], [-2, 2]], 31, 0.0, 0.2)
-    full = pde.solve_cauchy(*args)
-    last = pde.solve_cauchy(*args, keep="final")
-    assert full.evaluate(np.zeros(2), 0.1) > 0.5
-    assert full.dt == full.taxis[1] - full.taxis[0]
-    assert last.dt == full.dt == full.meta["dt"]
-    tf = pde.TestFunction(center=point(np.zeros(2), 0.2), scale=0.3,
-                          geometry=proto)
-    for read in (lambda: last.evaluate(np.zeros(2), 0.1),
-                 lambda: pde.weak_residual(last, tf, proto_coeffs, proto)):
-        with pytest.raises(ArgumentError, match="keep='all'"):
-            read()
-
-
-def test_evaluate_reuses_one_interpolator(proto, proto_params):
-    """GridSolution builds its interpolator once and evaluate reads it: the
-    values are bitwise those of a fresh RegularGridInterpolator."""
-    from scipy.interpolate import RegularGridInterpolator
-
-    u = kernel_solution(proto, proto_params, 21, 5)
-    interp = u.interpolator()
-    assert u.interpolator() is interp
-    fresh = RegularGridInterpolator(
-        tuple(u.axes) + (u.taxis,), np.moveaxis(u.values, 0, -1),
-        bounds_error=False, fill_value=0.0)
-    for x, t in ((np.array([0.1, -0.05]), 0.37), (np.zeros(2), 0.5),
-                 (np.array([5.0, 0.0]), 0.4)):
-        assert u.evaluate(x, t) == float(fresh(np.append(x, t))[0])
-    assert u.interpolator() is interp
-
-
 def test_step_reads_A0_values_after_t0(proto, step_A0):
     """A0 steps from 1 to 4 after the start: the default step is taken
     with Lambda = 4, the largest value A0 takes, not 1, its value at t0;
-    the solve stays finite and >= 0, its sup norm at most the datum's."""
-    sol = pde.solve_cauchy({"A0": step_A0}, proto, _Bump(),
-                           [[-4, 4], [-4, 4]], [41, 41], 0.0, 0.3,
-                           keep="final")
+    the solve stays finite and >= 0 at every time node, its sup norm at
+    most the datum's."""
+    sol, slices = solve_every_slice({"A0": step_A0}, proto, _Bump(),
+                                    [[-4, 4], [-4, 4]], [41, 41], 0.0, 0.3)
     assert sol.meta["Lambda"] == 4.0
     step = pde.DIFFUSION_STEPS * 0.2 ** 2 / (2.0 * 4.0)
     assert sol.meta["dt"] == pytest.approx(0.3 / math.ceil(0.3 / step))
-    assert np.all(np.isfinite(sol.values))
-    assert np.min(sol.values) >= 0.0
-    assert 0.0 < np.max(sol.values) <= 1.0
+    assert np.all(np.isfinite(slices))
+    assert np.min(slices) >= 0.0
+    assert 0.0 < np.max(slices) <= 1.0
 
 
 def test_courant_cap_reads_b_values_after_t0(proto):
     """b is 0 until t = 0.06 and 30 after: the Courant cap reads |b|_1 =
     30 from b's samples, so the default step is at most 0.9 h / 30 and a
-    datum >= 0 stays so (a step set from b at t0 alone, where b is 0, has
-    no cap and goes below zero at step 4)."""
+    datum >= 0 stays so at every time node (a step set from b at t0 alone,
+    where b is 0, has no cap and goes below zero at step 4)."""
     ax = np.linspace(-4.0, 4.0, 2)
     vals = np.zeros((2, 2, 4, 1))
     vals[:, :, 2:] = 30.0
     b = GridField([ax, ax], [0.0, 0.0599, 0.06, 1.0], vals)
-    sol = pde.solve_cauchy({"A0": ConstantField(np.eye(1), dim=2), "b": b},
-                           proto, _Bump(), [[-4, 4], [-4, 4]], [81, 81], 0.0,
-                           0.3, keep="final")
+    sol, slices = solve_every_slice(
+        {"A0": ConstantField(np.eye(1), dim=2), "b": b}, proto, _Bump(),
+        [[-4, 4], [-4, 4]], [81, 81], 0.0, 0.3)
     cap = pde.COURANT * 0.1 / 30.0
     assert sol.meta["bmax"] == 30.0
     assert sol.meta["dt_bound"] == pytest.approx(cap)
     assert sol.meta["dt"] <= cap
-    assert np.min(sol.values) >= 0.0
-    assert np.max(sol.values) > 0.0
+    assert np.min(slices) >= 0.0
+    assert np.max(slices[-1]) > 0.0
 
 
 def test_audits_catch_non_elliptic_A0(proto):
@@ -645,9 +577,9 @@ def test_audits_catch_non_elliptic_A0(proto):
     args = (coeffs, proto)
     rest = ([[-4, 4], [-4, 4]], [41, 41], 0.0, 0.3)
     with pytest.raises(Unstable, match="below zero"):
-        pde.solve_cauchy(*args, _Bump(), *rest, keep="final")
+        pde.solve_cauchy(*args, _Bump(), *rest)
     with pytest.raises(Unstable, match="sup norm grew"):
-        pde.solve_cauchy(*args, Signed(), *rest, keep="final")
+        pde.solve_cauchy(*args, Signed(), *rest)
 
 
 def _diagonal_A0(blocks):
@@ -665,9 +597,9 @@ def test_implicit_step_inverts_I_minus_dt_D(blocks):
     """Applying (I - dt D_ii) along the axes in reverse order to the
     implicit step returns its input plus dt times the cross terms, to
     1e-12: D_ii and the cross terms are _ref_diffusion on A0 with only its
-    entry (i, i), or only its off-diagonal entries, kept (A0 of _keep_coeffs,
+    entry (i, i), or only its off-diagonal entries, kept (A0 of _cross_coeffs,
     with off-diagonal entries for m0 = 2)."""
-    g, coeffs = _keep_coeffs(blocks, with_bc=False)
+    g, coeffs = _cross_coeffs(blocks, with_bc=False)
     m0, N = g.structure.m0, g.N
     dims = (13, 11, 9)[:N]
     axes = [np.linspace(-1.5, 1.5, d) for d in dims]
@@ -705,19 +637,20 @@ def test_implicit_step_monotone_at_8x(monkeypatch, blocks):
         steps.append((a[0], build(*a)))
         return steps[-1][1]
     monkeypatch.setattr(pde, "_ImplicitDiffusion", counted)
-    sol = pde.solve_cauchy({"A0": field}, g, _Bump(), [[-1.5, 1.5]] * N, nx,
-                           0.0, 0.6, dt=dt)
+    sol, slices = solve_every_slice({"A0": field}, g, _Bump(),
+                                    [[-1.5, 1.5]] * N, nx, 0.0, 0.6, dt=dt)
+    taxis = np.linspace(0.0, 0.6, len(slices))
     assert sol.meta["dt"] > 0.9 * dt
-    assert len(sol.taxis) - 1 > 3
+    assert len(slices) - 1 > 3
     assert len(steps) == len({math.floor(t / field.h)
-                              for t in sol.taxis[:-1]}) > 1
+                              for t in taxis[:-1]}) > 1
     assert not np.array_equal(steps[0][0], steps[-1][0]), "A0 moved in time"
-    assert np.min(sol.values) >= 0.0
-    peaks = np.max(sol.values.reshape(len(sol.taxis), -1), axis=1)
+    assert np.min(slices) >= 0.0
+    peaks = np.max(slices.reshape(len(slices), -1), axis=1)
     assert np.all(np.diff(peaks) <= ROUNDOFF * peaks[0])
     rng = np.random.default_rng(N)
     for _, step in (steps[0], steps[-1]):
-        u = rng.uniform(0.0, 1.0, sol.values.shape[1:])
+        u = rng.uniform(0.0, 1.0, slices.shape[1:])
         assert np.min(step(u)) >= 0.0
         assert np.max(step(u)) <= np.max(u) * (1.0 + ROUNDOFF)
         u = u - 0.5
@@ -773,17 +706,18 @@ def test_cached_factors_match_rebuilt(monkeypatch, blocks):
                                     h=0.3, dim=N, seed=7),
              "c": CheckerboardField([np.array(-0.3), np.array(0.2)],
                                     h=0.3, dim=N, seed=8)}
-    for coeffs, held in ((constant, lambda taxis: 1),
-                         (rough, lambda taxis: len(
-                             {math.floor(t / 0.08) for t in taxis[:-1]}))):
+    for coeffs, cells in ((constant, lambda taxis: 1),
+                          (rough, lambda taxis: len(
+                              {math.floor(t / 0.08) for t in taxis[:-1]}))):
         builds.clear()
-        cached = pde.solve_cauchy(coeffs, *rest)
-        assert len(builds) == held(cached.taxis) < len(cached.taxis) - 1
-        rebuilt = pde.solve_cauchy(
+        _, cached = solve_every_slice(coeffs, *rest)
+        held = cells(np.linspace(0.0, 0.2, len(cached)))
+        assert len(builds) == held < len(cached) - 1
+        _, rebuilt = solve_every_slice(
             {k: _Resampled(f) for k, f in coeffs.items()}, *rest)
-        assert len(builds) - held(cached.taxis) == len(rebuilt.taxis) - 1
-        assert np.array_equal(cached.values, rebuilt.values)
-    assert held(cached.taxis) > 1
+        assert len(builds) - held == len(rebuilt) - 1
+        assert np.array_equal(cached, rebuilt)
+    assert held > 1
 
 
 class _Laminate(Field):
@@ -824,7 +758,7 @@ def test_laminate_diffuses_as_its_harmonic_mean(proto, monkeypatch):
     rest = (proto, datum, [[-3.0, 3.0], [-1.5, 1.5]], [193, 121], 0.25,
             0.75)
     constant, laminate = (
-        _x1_variance(pde.solve_cauchy({"A0": A0}, *rest, keep="final"))
+        _x1_variance(pde.solve_cauchy({"A0": A0}, *rest))
         for A0 in (ConstantField([[abar]], dim=2),
                    _Laminate(0.25, 0.25, 1.75)))
     assert abs(laminate / constant - 1.0) < 0.005
@@ -840,8 +774,7 @@ def test_default_step_reads_the_largest_eigenvalue(proto):
             (CheckerboardField([[[1.0]], [[3.0]]], h=10.0, dim=2, seed=0),
              3.0)):
         sol = pde.solve_cauchy({"A0": A0}, proto, _Bump(),
-                               [[-1, 1], [-1, 1]], 21, 0.0, 0.05,
-                               keep="final")
+                               [[-1, 1], [-1, 1]], 21, 0.0, 0.05)
         assert sol.meta["Lambda"] == used
         assert sol.meta["dt_bound"] is None
         h = sol.hs[0]
@@ -856,14 +789,14 @@ def test_cross_terms_cap_the_step():
     args = (g, _Bump(), [[-2, 2]] * 3, 21, 0.0, 0.05)
     A = np.array([[1.0, 0.3], [0.3, 1.0]])
     coeffs = {"A0": ConstantField(A, dim=3)}
-    sol = pde.solve_cauchy(coeffs, *args, keep="final")
+    sol = pde.solve_cauchy(coeffs, *args)
     cap = 0.2 ** 2 / (2.0 * 1.3 * 2)
     assert sol.meta["dt_bound"] == pytest.approx(cap)
     assert sol.meta["dt"] <= cap
     with pytest.raises(Unstable, match="exceeds the stability bound"):
         pde.solve_cauchy(coeffs, *args, dt=1.01 * cap)
     diagonal = {"A0": ConstantField(np.diag([1.3, 1.0]), dim=3)}
-    sol = pde.solve_cauchy(diagonal, *args, keep="final")
+    sol = pde.solve_cauchy(diagonal, *args)
     assert sol.meta["dt_bound"] is None
     assert sol.meta["dt"] == pytest.approx(0.05 / math.ceil(
         0.05 / (pde.DIFFUSION_STEPS * cap)))
@@ -874,7 +807,8 @@ def test_cross_terms_after_t0_cap_the_step():
     is the identity at t0 and has 0.3 off the diagonal from t = 0.01) cap
     the step up front at h^2 / (2 Lambda m0), Lambda = 1.3 the largest
     eigenvalue of its samples: the default step is within the cap and the
-    solve completes, and a dt above it is refused."""
+    solve completes, finite at every time node, and a dt above it is
+    refused."""
     g = _canonical_geometry((2, 1))
     box, t1 = [[-2, 2]] * 3, 0.05
     vals = np.zeros((3, 3, 3, 3, 2, 2))
@@ -883,10 +817,10 @@ def test_cross_terms_after_t0_cap_the_step():
     A0 = GridField([np.linspace(-2, 2, 3)] * 3, [0.0, 0.01, t1], vals)
     args = ({"A0": A0}, g, _Bump(), box, 21, 0.0, t1)
     cap = 0.2 ** 2 / (2.0 * 1.3 * 2)
-    sol = pde.solve_cauchy(*args, keep="final")
+    sol, slices = solve_every_slice(*args)
     assert sol.meta["dt_bound"] == pytest.approx(cap)
     assert sol.meta["dt"] <= cap
-    assert np.all(np.isfinite(sol.values))
+    assert np.all(np.isfinite(slices))
     with pytest.raises(Unstable, match="exceeds the stability bound"):
         pde.solve_cauchy(*args, dt=1.01 * cap)
 
@@ -894,14 +828,15 @@ def test_cross_terms_after_t0_cap_the_step():
 def test_courant_cap_bounds_l1_norm_of_b():
     """With m0 = 2 the upwind step is monotone only if dt sum_i |b_i| / h
     <= 1, so the Courant cap reads the l1 norm of b; capping with max |b_i|
-    alone gave values down to -0.07 of a peak of 0.5 here."""
+    alone gave values down to -0.07 of a peak of 0.5 here.  No time node
+    reads below -ROUNDOFF times the peak."""
     g = _canonical_geometry((2, 1))
     coeffs = {"A0": ConstantField(np.eye(2), dim=3),
               "b": ConstantField(np.array([30.0, 40.0]), dim=3)}
-    sol = pde.solve_cauchy(coeffs, g, _Bump(), [[-2, 2]] * 3, 21, 0.0, 0.05,
-                           keep="final")
+    sol, slices = solve_every_slice(coeffs, g, _Bump(), [[-2, 2]] * 3, 21,
+                                    0.0, 0.05)
     assert sol.meta["bmax"] == 70.0
-    assert np.min(sol.values) >= -ROUNDOFF * np.max(sol.values)
+    assert np.min(slices) >= -ROUNDOFF * np.max(slices)
 
 
 def test_reaction_factor(proto, proto_coeffs):
@@ -915,46 +850,30 @@ def test_reaction_factor(proto, proto_coeffs):
     assert abs(ratio - np.exp(-0.7 * 0.2)) < 1e-12
 
 
-def test_weak_residual_refines(proto, proto_params, proto_coeffs):
-    res = []
-    for nx, nt in ((41, 36), (81, 71)):
-        u = kernel_solution(proto, proto_params, nx, nt, box=(-3, 3, -2, 2),
-                            tspan=(0.25, 0.6))
-        tf = pde.TestFunction(center=point(np.array([0.8, -0.3]), 0.55),
-                              scale=0.45, geometry=proto)
-        res.append(abs(pde.weak_residual(u, tf, proto_coeffs, proto)))
-    assert res[1] < 0.5 * res[0]
-
-
-@pytest.mark.parametrize("center_t, scale", [(0.7, 0.3), (0.45, 0.5)])
-def test_weak_residual_refuses_cylinder_off_grid(proto, proto_params,
-                                                 proto_coeffs, center_t,
-                                                 scale):
-    """A test function whose cylinder [t0 - r^2, t0] ends after the last
-    time node, or starts before the first, raises SupportExceedsGrid."""
-    u = kernel_solution(proto, proto_params, 21, 5)
-    tf = pde.TestFunction(center=point(np.zeros(2), center_t), scale=scale,
-                          geometry=proto)
-    with pytest.raises(SupportExceedsGrid, match="time range"):
-        pde.weak_residual(u, tf, proto_coeffs, proto)
-
-
-def test_testfunction_support_and_batch(proto):
-    tf = pde.TestFunction(center=point(np.zeros(2), 0.5), scale=0.5,
-                          geometry=proto)
-    assert tf(point(np.zeros(2), 0.4)) > 0.0
-    assert tf(point(np.array([3.0, 0.0]), 0.4)) == 0.0
-    assert tf(point(np.zeros(2), 0.9)) == 0.0
-    X = np.array([[0.0, 0.0], [3.0, 0.0], [0.1, 0.05]])
-    batch = tf.many(X, 0.4)
-    scalars = [tf(point(x, 0.4)) for x in X]
-    assert np.allclose(batch, scalars, atol=1e-15)
-
-
 def test_approx_fundamental_guards_width(proto, proto_coeffs):
     with pytest.raises(SupportExceedsGrid):
         pde.approx_fundamental(proto_coeffs, proto, np.zeros(2), 0.0, 0.3,
                                [[-4, 4], [-2, 2]], [41, 41], widths=[0.01])
+
+
+def test_approx_fundamental_returns_the_narrowest_solve(proto,
+                                                        proto_coeffs):
+    """The returned solution is the narrowest width's solve, bitwise; the
+    report's spread is the sup gap between consecutive widths' final
+    slices, and it holds each width's dt, widest first."""
+    box, nx = [[-4, 4], [-2, 2]], [41, 61]
+    sol, report = pde.approx_fundamental(proto_coeffs, proto, np.zeros(2),
+                                         0.0, 0.4, box, nx, [0.25, 0.3])
+    datum = pde.KernelDatum(point(np.zeros(2), 0.0),
+                            kern.scaled_params(2.0, proto))
+    solves = [pde.solve_cauchy(proto_coeffs, proto, datum, box, nx, w, 0.4)
+              for w in (0.3, 0.25)]
+    assert report["widths"] == [0.3, 0.25]
+    assert np.array_equal(sol.values, solves[-1].values)
+    assert sol.meta == solves[-1].meta
+    assert report["spread"] == [float(np.max(np.abs(
+        solves[1].values[-1] - solves[0].values[-1])))]
+    assert [s["dt"] for s in report["solves"]] == [s.dt for s in solves]
 
 
 @pytest.mark.parametrize("nx", [[81], [81, 81, 81], [1, 81]])
@@ -968,20 +887,7 @@ def test_approx_fundamental_refuses_bad_nx(proto, proto_coeffs, nx):
                                [[-4, 4], [-2, 2]], nx, widths=[0.01])
 
 
-def test_approx_fundamental_vanishing_past(proto, proto_coeffs):
-    """The returned solution reads 0 at and before the pole time."""
-    sol, report = pde.approx_fundamental(
-        proto_coeffs, proto, np.zeros(2), 0.0, 0.4,
-        [[-4, 4], [-2, 2]], [41, 61], widths=[0.3, 0.25])
-    assert sol.evaluate(np.array([0.3, 0.1]), -0.5) == 0.0
-    assert sol.evaluate(np.array([0.3, 0.1]), 0.0) == 0.0
-    assert sol.evaluate(np.array([0.0, 0.0]), 0.4) > 0.0
-    assert sorted(report) == ["solves", "spread", "widths"]
-    assert len(report["spread"]) == 1
-    assert [s["dt"] for s in report["solves"]][-1] == sol.dt
-
-
-# -- the diffusion and the weak form as first written, one loop per term ----
+# -- the diffusion as first written, one loop per term ---------------------
 
 
 def _ref_face(a, b):
@@ -1012,66 +918,3 @@ def _ref_diffusion(up, A, hs, m0):
             Gp = Ap[..., i, j] * du_j_p
             out += (sh(Gp, i, 1) - sh(Gp, i, -1)) / (2.0 * hs[i])
     return out
-
-
-def _ref_weak(u, tf, coeffs, g):
-    sh = pde._shift
-    m0, N = g.structure.m0, g.N
-    hs, dt = u.hs, u.dt
-    tmin, tmax = tf.center[-1] - tf.scale ** 2, tf.center[-1]
-    grid = pde._GridCoeffs(coeffs, u.axes, m0)
-    pts, dims = grid.pts, grid.dims
-    interp = u.interpolator()
-    s = 0.5 * min(min(hs), dt)
-    Efwd, Ebwd = g.exp_drift(-s), g.exp_drift(s)
-    total = 0.0
-    for it in range(1, len(u.taxis) - 1):
-        t = u.taxis[it]
-        if not tmin <= t <= tmax:
-            continue
-        phi = tf.many(pts, t).reshape(dims)
-        if not phi.any():
-            continue
-        up, php = pde._pad_zero(u.values[it]), pde._pad_zero(phi)
-        A = grid("A0", t)
-        integrand = np.zeros(dims)
-        Du = [(sh(up, i, 1) - sh(up, i, -1)) / (2.0 * hs[i])
-              for i in range(m0)]
-        Dphi = [(sh(php, i, 1) - sh(php, i, -1)) / (2.0 * hs[i])
-                for i in range(m0)]
-        for i in range(m0):
-            for j in range(m0):
-                integrand -= A[..., i, j] * Du[j] * Dphi[i]
-        mask = phi > 0.0
-        xs = pts.reshape(dims + (N,))[mask]
-        P1 = np.column_stack([xs @ Efwd.T, np.full(len(xs), t - s)])
-        P2 = np.column_stack([xs @ Ebwd.T, np.full(len(xs), t + s)])
-        Yu = np.zeros(dims)
-        Yu[mask] = (interp(P1) - interp(P2)) / (2.0 * s)
-        integrand += phi * Yu
-        bgrid = grid("b", t)
-        for i in range(m0):
-            integrand += bgrid[..., i] * Du[i] * phi
-        integrand += grid("c", t) * u.values[it] * phi
-        total += float(np.sum(integrand)) * np.prod(hs) * dt
-    return total
-
-
-@pytest.mark.parametrize("blocks", [(1, 1), (2, 1), (1, 1, 1)])
-def test_operators_match_reference_bitwise(blocks):
-    """The weak residual gives, bit for bit, the value of a loop per term,
-    with all three coefficients present: a checkerboard A0 (with
-    off-diagonal entries for m0 = 2) and checkerboard b and c that change
-    in space and time."""
-    g, coeffs = _keep_coeffs(blocks, with_bc=True)
-    N = g.N
-    nx = 21 if N == 2 else 11
-    axes = [np.linspace(-1.5, 1.5, nx)] * N
-    taxis = np.linspace(0.0, 0.2, 9)
-    pts = grid(axes)
-    u = pde.GridSolution(axes=axes, taxis=taxis, values=np.stack([
-        np.exp(-2.0 * (1.0 + t) * np.sum(pts ** 2, axis=1) + t * pts[:, 0])
-        .reshape((nx,) * N) for t in taxis]))
-    tf = pde.TestFunction(center=point(np.full(N, 0.1), 0.18), scale=0.35,
-                          geometry=g)
-    assert pde.weak_residual(u, tf, coeffs, g) == _ref_weak(u, tf, coeffs, g)

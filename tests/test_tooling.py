@@ -19,13 +19,6 @@ CALLERS = [ROOT / d for d in ("src", "scripts", "perfbench")]
 # Library names that no command, script or benchmark step reaches, each
 # with the reason it stays.
 UNREACHED = {
-    "pde.weak_residual": "ROADMAP item 10, the certificate's weak form",
-    "pde.TestFunction": "ROADMAP item 10, the certificate's weak form",
-    "pde.TestFunction.many": "ROADMAP item 10, the certificate's weak form",
-    "pde.GridSolution.interpolator":
-        "ROADMAP item 10, the certificate's weak form",
-    "pde.GridSolution.evaluate":
-        "ROADMAP item 10, the certificate's weak form",
     "coefficients.__getattr__": "perfbench/drive.py and tracer.py read the "
                                 "mollifier's names here; ROADMAP item 6",
 }
@@ -371,6 +364,46 @@ def test_tracer_targets_resolve():
         assert callable(fn), name
 
 
+# Names a library module imports and never uses, each with the reason it
+# stays.
+UNUSED_IMPORTS = {
+    "cli.write_csv": "perfbench/tracer.py wraps the CSV writer under this "
+                     "name",
+}
+
+
+def _imported(tree):
+    """Every name an import anywhere in the tree binds."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            out |= {a.asname or a.name.split(".")[0] for a in n.names}
+        elif isinstance(n, ast.ImportFrom) and n.module != "__future__":
+            out |= {a.asname or a.name for a in n.names}
+    return out
+
+
+def _exported(tree):
+    """The names a module's __all__ lists."""
+    return {e.value for n in tree.body if isinstance(n, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in n.targets)
+            for e in n.value.elts}
+
+
+def test_every_import_is_used():
+    """An import that nothing reads is dead code: every name a library
+    module imports is used in that module (read as a bare name) or listed
+    in its __all__, or it is in UNUSED_IMPORTS, with a reason.  An
+    UNUSED_IMPORTS entry that is gone or used fails too."""
+    unused = set()
+    for mod, tree in _trees().items():
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused |= {f"{mod[:-3]}.{name}" for name in
+                   _imported(tree) - used - _exported(tree)}
+    assert unused == set(UNUSED_IMPORTS), \
+        sorted(unused ^ set(UNUSED_IMPORTS))
+
+
 def _write_csv_callers(trees):
     """(module, function) of every call to write_csv in the library, and
     the calls whose rows are not the third positional argument."""
@@ -429,9 +462,8 @@ def test_write_csv_rows_are_the_rows_written(proto_spec_path, tmp_path,
     assert [n for *_, n in seen] == [60, 2, 651, 1701, 100, 20, 2]
 
 
-# The only library functions that import scipy: both interpolate on a grid.
-SCIPY_IMPORTERS = {"coefficients.GridField.__init__",
-                   "pde.GridSolution.interpolator"}
+# The only library function that imports scipy: it interpolates on a grid.
+SCIPY_IMPORTERS = {"coefficients.GridField.__init__"}
 
 
 def _scipy_imports(node, where, in_function, out):
@@ -457,8 +489,8 @@ def _scipy_imports(node, where, in_function, out):
 
 def test_scipy_loads_lazily_for_grid_interpolation_only():
     """Every scipy import in the library sits inside a function body, so no
-    import of a kolmo module loads scipy, and the functions that import it
-    are exactly the two grid interpolations."""
+    import of a kolmo module loads scipy, and the one function that imports
+    it is the grid field's interpolation."""
     found = []
     for name, tree in _trees().items():
         _scipy_imports(tree, name[:-len(".py")], False, found)

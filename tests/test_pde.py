@@ -432,11 +432,23 @@ def _cross_coeffs(blocks, with_bc):
 
 def test_boundary_ratio_reads_every_slice(proto, proto_coeffs):
     """A datum that fills the box has its boundary peak at t0, and the
-    solve, which holds one slice at a time, still reports it."""
+    solve, which holds one slice at a time, still reports it.  With cross
+    terms and b and c that change in time, on every structure, the ratio
+    is that of the maxima over all of its slices, bitwise."""
     sol = pde.solve_cauchy(proto_coeffs, proto, _Bump(0.0),
                            [[-1, 1], [-1, 1]], 21, 0.0, 0.1)
     assert np.max(np.abs(sol.values[-1][[0, -1]])) < 0.9
     assert sol.meta["boundary_max_ratio"] == 1.0
+    for blocks in ((1, 1), (2, 1), (1, 1, 1)):
+        g, coeffs = _cross_coeffs(blocks, with_bc=True)
+        sol, slices = solve_every_slice(coeffs, g, _Bump(),
+                                        [[-1.5, 1.5]] * g.N,
+                                        31 if g.N == 2 else 17, 0.0, 0.15)
+        edge = np.ones(slices.shape[1:], dtype=bool)
+        edge[(slice(1, -1),) * g.N] = False
+        assert sol.meta["warnings"], "the box is cut, so the audit warns"
+        assert sol.meta["boundary_max_ratio"] == \
+            np.abs(slices[:, edge]).max() / np.abs(slices).max()
 
 
 def test_keep_final_stores_one_slice(proto, proto_coeffs):

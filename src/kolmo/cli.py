@@ -232,8 +232,9 @@ def _declare(parser, words):
 def build_parser():
     p = argparse.ArgumentParser(prog="kolmo")
     p.add_argument("--threads", type=_positive_int, default=1,
-                   help="worker threads, at least 1; only the mc commands "
-                        "read it, and they refuse more than mc.MAX_THREADS")
+                   help="worker processes that step a stepped mc "
+                        "ensemble's chunks, 1 to mc.MAX_THREADS (an exact "
+                        "draw runs in the calling process); only mc reads it")
     return _declare(p, ())
 
 

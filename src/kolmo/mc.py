@@ -29,21 +29,27 @@ lower-triangular pass over the columns of dW.
 
 Both ways run in the same chunks, and each chunk draws its normals from
 its own stream, made by chunk_rng alone: an SFC64 generator on the child
-of the master seed's SeedSequence keyed by the chunk's index.  The chunks
-are spread over min(threads, chunks) workers, plain threads of which the
-calling thread is one: worker w runs chunks w, w + workers, ... in turn,
-and stops at the first that fails; the error of the lowest-numbered
-failing chunk is raised.  So the ensemble, every CSV and report made from
-it and the error a run ends in are the same at any number of worker
-threads, and the provenance names the bit generator under "rng".
-simulate runs under np.errstate(over="ignore", invalid="ignore"), and
-every chunk in a copy of its context, so an overflow on any thread ends
-in NonFinite alone, with no numpy warning.
+of the master seed's SeedSequence keyed by the chunk's index.  A stepped
+ensemble's chunks are spread over min(threads, chunks) workers, the
+calling process and processes made by the POSIX os.fork (an exact draw
+runs in the caller alone).  Worker w runs chunks w, w + workers, and so
+on into end states and log-weights held in one anonymous shared mmap, and
+stops at the first that fails; a forked one pipes back None or its
+(chunk, error) and leaves by os._exit.  A worker that leaves without a
+report is an error, else the lowest-numbered failing chunk's error is
+raised.  So the ensemble, every CSV and report made from it and the error
+a run ends in are the same at any number of workers, and the provenance
+names the bit generator under "rng".  simulate runs under
+np.errstate(over="ignore", invalid="ignore"), which a forked worker
+inherits, so an overflow ends in NonFinite alone, with no numpy warning.
+CPython >= 3.12 warns on a fork from a process with other threads, such
+as an OpenBLAS pool.
 """
 
-import contextvars
+import mmap
+import os
+import pickle
 from dataclasses import dataclass, field
-from threading import Thread
 
 import numpy as np
 
@@ -60,7 +66,7 @@ DT = 1e-3      # the stepped chain's step when none is given
 MAX_STEPS = 10 ** 6
 # The most bytes of end states and log-weights an ensemble may hold,
 # paths * (N + 1) * 8, 1 GiB: README's 10^6 paths on N = 2 hold 24 MB.  More
-# paths are refused before any buffer, generator or thread.
+# paths are refused before any buffer, generator or worker.
 MAX_ENSEMBLE_BYTES = 2 ** 30
 # The most path-steps (paths * steps) a stepped ensemble may take: one
 # path-step of the rough benchmark's layout takes about 24 ns on one thread
@@ -70,9 +76,8 @@ MAX_ENSEMBLE_BYTES = 2 ** 30
 # mollified fields): on N = 2, 16^3 = 4096, where one such path-step took
 # 73 us, less than 4096 * 24 ns.  More are refused before any buffer.
 MAX_PATH_STEPS = 10 ** 11
-# The most worker threads a run may ask for.  A worker takes whole chunks
-# of CHUNK paths, so past the machine's cores more workers only wait on
-# each other.
+# The most workers a run may ask for.  A worker takes whole chunks of
+# CHUNK paths, so past the machine's cores more workers only wait.
 MAX_THREADS = 64
 
 
@@ -91,6 +96,8 @@ class McConfig:
         if not 1 <= self.threads <= MAX_THREADS:
             raise ArgumentError(f"threads = {self.threads}: must be positive "
                                 f"and at most the bound {MAX_THREADS}")
+        if self.threads > 1 and not hasattr(os, "fork"):
+            raise ArgumentError(f"threads = {self.threads}: needs os.fork")
 
 
 @dataclass
@@ -142,7 +149,7 @@ def chunk_rng(seed, ci):
     """The generator chunk ci of a run seeded with seed draws its noise
     from: SFC64, numpy's fastest bit generator, on the child ci of the
     seed's SeedSequence, so the chunks' streams are independent of each
-    other and of the thread that runs each."""
+    other and of the worker that runs each."""
     return np.random.Generator(np.random.SFC64(
         np.random.SeedSequence(entropy=seed, spawn_key=(ci,))))
 
@@ -245,8 +252,9 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
               for h, names in sides.items()}
 
     nchunks = -(-config.paths // CHUNK)
-    final = np.empty((config.paths, N))
-    logw = np.zeros(config.paths)
+    # end states, then log-weights (zeros), in memory every worker shares
+    shared = np.frombuffer(mmap.mmap(-1, held_bytes))
+    final, logw = shared[:-config.paths].reshape(-1, N), shared[-config.paths:]
     rngs = [chunk_rng(config.seed, ci) for ci in range(nchunks)]
     law = _exact_law(held, fields["A0"].value, geometry, x0, dt,
                      config.lam) if exact else None
@@ -308,25 +316,39 @@ def simulate(coeffs, geometry: Geometry, x0, t0, t1, config: McConfig):
         final[lo:hi] = Y
         logw[lo:hi] = lw
 
-    # one copy per chunk: a context is entered by one thread at a time
-    contexts = [contextvars.copy_context() for _ in range(nchunks)]
-    workers = min(config.threads, nchunks)
-    failed = [None] * workers      # per worker, its failing (chunk, error)
+    workers = 1 if exact else min(config.threads, nchunks)
 
     def work(w):
+        # worker w's chunks in turn; its first failing (chunk, error) or None
         for ci in range(w, nchunks, workers):
             try:
-                contexts[ci].run(run_chunk, ci)
+                run_chunk(ci)
             except Exception as e:
-                failed[w] = ci, e
-                return
+                return ci, e
 
-    threads = [Thread(target=work, args=(w,)) for w in range(1, workers)]
-    for th in threads:
-        th.start()
-    work(0)
-    for th in threads:
-        th.join()
+    pids, reports = [], []     # forked workers; their report pipes' read ends
+    try:
+        for w in range(1, workers):
+            r, wr = os.pipe()
+            reports.append(open(r, "rb"))
+            with open(wr, "wb") as out:
+                if (pid := os.fork()) == 0:
+                    try:
+                        out.write(pickle.dumps(work(w)))
+                        out.flush()
+                    finally:
+                        os._exit(0)
+            pids.append(pid)
+        failed = [work(0)]
+        for w, report in enumerate(reports, 1):
+            if not (got := report.read()):
+                raise RuntimeError(f"mc worker {w} ended without a report")
+            failed.append(pickle.loads(got))
+    finally:
+        for report in reports:
+            report.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
     errors = [f for f in failed if f is not None]
     if errors:
         raise min(errors, key=lambda f: f[0])[1]

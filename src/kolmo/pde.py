@@ -59,14 +59,6 @@ class GridSolution:
     values: np.ndarray
     meta: dict = field(default_factory=dict)
 
-    @property
-    def hs(self):
-        return [float(a[1] - a[0]) for a in self.axes]
-
-    @property
-    def dt(self):
-        return float(self.meta["dt"])
-
 
 class _GridCoeffs:
     """The operator's coefficient fields sampled on one spatial grid.

@@ -455,6 +455,34 @@ def test_overflow_refusal_is_one_stderr_line(tmp_path, name, value, argv,
     assert proc.stderr.startswith(("mc error", "solver error"))
 
 
+def test_overflow_in_a_worker_is_one_stderr_line(tmp_path):
+    """In a process of its own, a stepped mc run at two workers whose
+    state overflows in both chunks (the checkerboard b = +-1e308 of
+    test_mc.py::test_non_finite_rough_state_raises, beside the rough
+    benchmark's A0 and c) exits 6 with the one error line on stderr and
+    nothing on stdout: no RuntimeWarning of the forked worker reaches the
+    stderr it shares."""
+    def board(values, seed):
+        return {"kind": "checkerboard", "values": values, "h": 0.25,
+                "dim": 2, "seed": seed}
+
+    doc = specfile.prototype_spec().to_dict()
+    doc["coefficients"] = {"A0": board([[[0.5]], [[1.5]]], 21),
+                           "b": board([[1e308], [-1e308]], 22),
+                           "c": board([-0.5, 0.0], 23)}
+    doc["ellipticity"] = {"lambda": 0.5, "Lambda": 1.5}
+    spec = tmp_path / "overflow.json"
+    spec.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kolmo.cli", "--threads", "2", "mc", "mass",
+         str(spec), "--paths", str(2 * mc.CHUNK), "--dt", "1.0", "--t1",
+         "4.0"], cwd=tmp_path, env=_kolmo_env(), capture_output=True,
+        text=True, timeout=300)
+    assert proc.returncode == cli.EXIT_MC
+    assert proc.stderr == "mc error: non-finite state in chunk 0\n"
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("argv, code, lead", [
     (["kernel", "eval", "{spec}", "--pole", "0,0,0,0", "--points", "p.csv",
       "--out", "k.csv"], cli.EXIT_PARSE,
@@ -966,15 +994,15 @@ def test_mc_refuses_work_past_its_bounds(spec_path, cb_spec_path, tmp_path,
     node of its 16^3-node quadrature); on the prototype, whose constants
     are drawn from the exact law, any given --dt is refused, since it
     would not be read, and so is --threads 100000.  Each runs at two or
-    more threads over two or more chunks, and exits well within a second,
-    before any generator or thread is made, and writes no artifact."""
+    more workers over two or more chunks, and exits well within a second,
+    before any generator or worker is made, and writes no artifact."""
     def never(*args, **kwargs):
-        raise AssertionError("a generator or thread was made")
+        raise AssertionError("a generator or worker was made")
 
     moll = _mollified_spec(tmp_path)
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(mc, "chunk_rng", never)
-    monkeypatch.setattr(mc, "Thread", never)
+    monkeypatch.setattr(mc.os, "fork", never)
     start = time.perf_counter()
     code = cli.main([a.format(spec=spec_path, cb=cb_spec_path, moll=moll)
                      for a in argv])

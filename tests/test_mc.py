@@ -1,3 +1,4 @@
+import os
 import warnings
 from dataclasses import replace
 
@@ -326,7 +327,7 @@ def test_stepping_reads_no_constant_or_checkerboard_by_many(proto):
 
 
 def _raises_non_finite(coeffs, geometry, dt=None):
-    """simulate at the step dt ends in NonFinite at one and at two threads,
+    """simulate at the step dt ends in NonFinite at one and at two workers,
     and emits no RuntimeWarning under the caller's np.errstate."""
     for threads in (1, 2):
         cfg = mc.McConfig(paths=2 * mc.CHUNK, dt=dt, seed=0,
@@ -343,7 +344,7 @@ def test_non_finite_state_raises(proto):
     """A state that overflows ends in NonFinite, not in an ensemble.  With
     A0 and b held, the mean of the exact law overflows: its drift series,
     of a fixed number of terms, ends on inf and NaN, and at one and at two
-    threads no RuntimeWarning is emitted."""
+    workers no RuntimeWarning is emitted."""
     _raises_non_finite({"A0": ConstantField(np.eye(1), dim=2),
                         "b": ConstantField(np.array([1e308]), dim=2)}, proto)
 
@@ -361,9 +362,11 @@ def test_law_refuses_a_non_finite_law(proto):
 def test_non_finite_rough_state_raises(proto, monkeypatch):
     """The same for checkerboard A0, b and c of one side, read through one
     lookup, so the paths are stepped: once the state overflows, its cells
-    are non-finite, and the lookup hashes each row.  Each chunk runs in a
-    copy of the caller's context, so the caller's np.errstate silences the
-    overflow (and the inf - inf it leads to) on the worker threads too."""
+    are non-finite, and the lookup hashes each row.  A forked worker
+    inherits the caller's np.errstate, so it silences the overflow (and
+    the inf - inf it leads to) in every worker; the lookups counted are
+    the calling process's, which steps chunk 0 at one and at two
+    workers."""
     coeffs = _benchmark_rough_coeffs(2)
     coeffs["b"] = CheckerboardField([np.array([1e308]), np.array([-1e308])],
                                     h=0.25, dim=2, seed=22)
@@ -511,12 +514,13 @@ def test_stepped_ensemble_refuses_steps_past_the_bound(proto, proto_coeffs,
                                                        monkeypatch, dt):
     """A stepped ensemble of more than MAX_STEPS steps is refused with an
     ArgumentError that names the step count and the bound, before any
-    generator or thread is made, here at two threads over two chunks."""
+    generator or worker is made, here at two workers over two chunks: both
+    chunk_rng and os.fork, as mc reaches it, fail the test if called."""
     def made(*args, **kwargs):
-        raise AssertionError("a generator or thread was made")
+        raise AssertionError("a generator or worker was made")
 
     monkeypatch.setattr(mc, "chunk_rng", made)
-    monkeypatch.setattr(mc, "Thread", made)
+    monkeypatch.setattr(mc.os, "fork", made)
     with pytest.raises(ArgumentError,
                        match=f"beyond the bound of {mc.MAX_STEPS} steps"):
         mc.simulate(_as_boards(proto_coeffs), proto, np.zeros(2), 0.0, 0.5,
@@ -536,27 +540,96 @@ class _Poisoned:
         return got
 
 
+def _poison(monkeypatch, chunks):
+    """Make the generators of the given chunks draw NaN normals."""
+    chunk_rng = mc.chunk_rng
+    monkeypatch.setattr(mc, "chunk_rng", lambda seed, ci: _Poisoned(
+        chunk_rng(seed, ci)) if ci in chunks else chunk_rng(seed, ci))
+
+
 @pytest.mark.parametrize("stepped", [False, True])
 def test_lowest_failing_chunk_is_raised(proto, proto_coeffs, monkeypatch,
                                         stepped):
     """With chunks 1 and 2 of 4 made non-finite, simulate raises the
-    NonFinite of chunk 1 at 1, 2 and 3 worker threads, drawn or stepped:
-    at 2 threads chunk 2 runs on the calling thread and chunk 1 on the
-    other, so the error raised is the lowest-numbered chunk's, whichever
-    thread fails first."""
-    chunk_rng = mc.chunk_rng
-
-    def poisoned(seed, ci):
-        rng = chunk_rng(seed, ci)
-        return _Poisoned(rng) if ci in (1, 2) else rng
-
-    monkeypatch.setattr(mc, "chunk_rng", poisoned)
+    NonFinite of chunk 1 at 1, 2 and 3 workers, drawn (in the calling
+    process alone) or stepped: at 2 workers chunk 2 runs in the calling
+    process and chunk 1 in the forked one, so the error raised is the
+    lowest-numbered chunk's, whichever worker fails first."""
+    _poison(monkeypatch, (1, 2))
     coeffs = _as_boards(proto_coeffs) if stepped else proto_coeffs
     for threads in (1, 2, 3):
         cfg = mc.McConfig(paths=3 * mc.CHUNK + 5, dt=0.1 if stepped else None,
                           seed=0, threads=threads)
         with pytest.raises(NonFinite, match="in chunk 1$"):
             mc.simulate(coeffs, proto, np.zeros(2), 0.0, 0.2, cfg)
+
+
+def _no_child_left():
+    """True where this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def test_no_worker_is_left_after_a_run(proto, proto_coeffs, monkeypatch):
+    """Every forked worker is reaped, at two workers over three stepped
+    chunks, after a run that succeeds, a run whose chunks 1 and 2 fail
+    and a run refused for its steps before any worker is made."""
+    stepped = _as_boards(proto_coeffs)
+    cfg = mc.McConfig(paths=2 * mc.CHUNK + 5, dt=0.1, seed=0, threads=2)
+    mc.simulate(stepped, proto, np.zeros(2), 0.0, 0.2, cfg)
+    assert _no_child_left()
+    with monkeypatch.context() as m:
+        _poison(m, (1, 2))
+        with pytest.raises(NonFinite, match="in chunk 1$"):
+            mc.simulate(stepped, proto, np.zeros(2), 0.0, 0.2, cfg)
+    assert _no_child_left()
+    with pytest.raises(ArgumentError, match="beyond the bound"):
+        mc.simulate(stepped, proto, np.zeros(2), 0.0, 0.5,
+                    replace(cfg, dt=1e-300))
+    assert _no_child_left()
+
+
+class _Dying:
+    """A chunk generator that ends its forked worker's process with exit
+    status 3 at its first draw, before the worker reports."""
+
+    def __init__(self, caller):
+        self.caller = caller
+
+    def standard_normal(self, size=None, out=None):
+        assert os.getpid() != self.caller, "a forked chunk ran in the caller"
+        os._exit(3)
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_a_worker_that_dies_is_an_error(proto, proto_coeffs, monkeypatch,
+                                        threads):
+    """A worker that ends without a report makes simulate raise an error
+    that names it, never an ensemble with chunk 1's zeros: chunk 1 runs on
+    forked worker 1 at 2 and at 3 workers, which is reaped too."""
+    chunk_rng, caller = mc.chunk_rng, os.getpid()
+    monkeypatch.setattr(mc, "chunk_rng", lambda seed, ci: _Dying(caller)
+                        if ci == 1 else chunk_rng(seed, ci))
+    cfg = mc.McConfig(paths=2 * mc.CHUNK + 5, dt=0.1, seed=0,
+                      threads=threads)
+    with pytest.raises(RuntimeError, match="worker 1 ended without a "
+                                           "report"):
+        mc.simulate(_as_boards(proto_coeffs), proto, np.zeros(2), 0.0, 0.2,
+                    cfg)
+    assert _no_child_left()
+
+
+def test_workers_need_fork(monkeypatch):
+    """Where os.fork does not exist, more than one worker is refused with
+    an ArgumentError (exit 2), not run in serial; one worker needs no
+    fork."""
+    monkeypatch.delattr(os, "fork")
+    assert mc.McConfig(paths=10, seed=0).threads == 1
+    with pytest.raises(ArgumentError, match="threads = 2: needs os.fork"):
+        mc.McConfig(paths=10, seed=0, threads=2)
 
 
 def test_moments_match_kernel(proto, proto_coeffs):
@@ -572,10 +645,10 @@ def test_moments_match_kernel(proto, proto_coeffs):
 
 
 def test_determinism_and_thread_independence(proto, proto_coeffs):
-    """Repeats and thread counts give bitwise the same ensemble of 4
-    chunks, drawn from the exact law (constant A0) or stepped (the rough
-    benchmark's layout): at 3 threads the calling thread runs chunks 0
-    and 3."""
+    """Repeats and worker counts give bitwise the same ensemble of 4
+    chunks, drawn from the exact law (constant A0, in the calling process
+    alone) or stepped (the rough benchmark's layout): at 3 workers the
+    calling process runs chunks 0 and 3 and two forked ones the others."""
     x0 = np.zeros(2)
     for coeffs, scheme, dt in ((proto_coeffs, "exact", None),
                                (_benchmark_rough_coeffs(2), "euler", 5e-3)):

@@ -90,7 +90,7 @@ def test_solver_samples_fields_per_step_and_constants_once(proto):
                                     [[-2, 2], [-2, 2]], [21, 21], 0.0, 0.1)
     assert len(slices) > 2
     assert c.ts == list(np.linspace(0.0, 0.1, len(slices))[:-1])
-    assert c.ts[1] - c.ts[0] == sol.dt
+    assert c.ts[1] - c.ts[0] == sol.meta["dt"]
     assert A0.calls == 1
 
 
@@ -110,10 +110,11 @@ def test_solver_positivity_and_mass(proto, proto_params, proto_coeffs):
                                     [[-4, 4], [-2, 2]], [61, 61], w, t1)
     assert sol.meta["warnings"], "the box cuts the kernel's tail"
     assert np.all(slices >= 0.0)  # monotone scheme keeps positivity
-    dt, h = sol.dt, sol.hs[0]
+    dt = sol.meta["dt"]
+    hs = [float(a[1] - a[0]) for a in sol.axes]
+    h = hs[0]
     for u in (slices[0], slices[len(slices) // 2]):
-        step = pde._ImplicitDiffusion(np.ones(u.shape + (1, 1)), sol.hs, 1,
-                                      dt)
+        step = pde._ImplicitDiffusion(np.ones(u.shape + (1, 1)), hs, 1, dt)
         v = step(u)
         outflow = dt / (h * h) * (v[0].sum() + v[-1].sum())
         assert outflow > 0.0
@@ -789,7 +790,7 @@ def test_default_step_reads_the_largest_eigenvalue(proto):
                                [[-1, 1], [-1, 1]], 21, 0.0, 0.05)
         assert sol.meta["Lambda"] == used
         assert sol.meta["dt_bound"] is None
-        h = sol.hs[0]
+        h = float(sol.axes[0][1] - sol.axes[0][0])
         step = pde.DIFFUSION_STEPS * (h * h / (2.0 * used))
         assert sol.meta["dt"] == pytest.approx(0.05 / math.ceil(0.05 / step))
 
@@ -885,7 +886,8 @@ def test_approx_fundamental_returns_the_narrowest_solve(proto,
     assert sol.meta == solves[-1].meta
     assert report["spread"] == [float(np.max(np.abs(
         solves[1].values[-1] - solves[0].values[-1])))]
-    assert [s["dt"] for s in report["solves"]] == [s.dt for s in solves]
+    assert [s["dt"] for s in report["solves"]] == [s.meta["dt"]
+                                              for s in solves]
 
 
 @pytest.mark.parametrize("nx", [[81], [81, 81, 81], [1, 81]])

@@ -525,11 +525,23 @@ def test_no_module_imports_warnings():
 
 
 def test_no_module_imports_a_pool_or_logging():
-    """The Monte Carlo spreads its chunks over plain threads, and no
+    """The Monte Carlo spreads its chunks over forked processes, and no
     library module imports concurrent.futures or logging, which its
     executors import: a short `kolmo` process would compile and run them
     for nothing."""
     assert _importers(["concurrent.futures", "logging"]) == []
+
+
+def test_one_parallel_mechanism():
+    """The Monte Carlo's workers made by os.fork are the library's one
+    parallel mechanism: no library module imports threading, contextvars,
+    concurrent.futures or multiprocessing, and only mc.py names os.fork."""
+    assert _importers(["threading", "contextvars", "concurrent.futures",
+                       "multiprocessing"]) == []
+    forks = {name for name, tree in _trees().items() for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and n.attr == "fork"
+             or isinstance(n, ast.alias) and n.name == "fork"}
+    assert forks == {"mc.py"}
 
 
 def _call_sites(trees, callee):
